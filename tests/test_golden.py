@@ -1,0 +1,96 @@
+"""Golden CLI outputs of ``poly`` and ``roots``, pinned byte for byte.
+
+The files under ``tests/golden/qpoly/`` were written by the literal-product
+implementation of the polynomial correspondence; the monic subspace
+polynomial is unique, so every later implementation must print the same
+bytes.  ``NN.w.json`` is the input multispace, ``NN.poly.json`` the exact
+stdout of ``multispace --format json poly NN.w.json`` and ``NN.roots.json``
+the exact stdout of ``multispace --format json roots NN.poly.json``.
+
+Regenerate (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import multispace.cli as cli
+from multispace.fields import parse_field_spec
+from multispace.lattice import Multispace
+from multispace.linalg import Subspace
+
+GOLDEN = Path(__file__).parent / "golden" / "qpoly"
+
+#: (q-spec, n, dim, height): q in {2, 3, 4}, heights 0-4, ranks up to 12
+CASES = [
+    ("2", 1, 0, 0),
+    ("2", 3, 1, 0),
+    ("2", 3, 2, 1),
+    ("2", 4, 4, 0),
+    ("2", 5, 3, 4),
+    ("2", 6, 2, 3),
+    ("2", 8, 8, 4),
+    ("2", 10, 7, 2),
+    ("2", 12, 12, 0),
+    ("2", 12, 9, 3),
+    ("3", 2, 1, 2),
+    ("3", 2, 0, 3),
+    ("3", 3, 3, 0),
+    ("3", 4, 2, 4),
+    ("3", 5, 4, 1),
+    ("3", 6, 6, 4),
+    ("3", 8, 5, 0),
+    ("2^2", 2, 1, 1),
+    ("2^2", 3, 3, 2),
+    ("2^2", 4, 2, 4),
+    ("2^2", 6, 5, 3),
+    ("2^2", 8, 4, 0),
+]
+
+
+def _path(idx: int, kind: str) -> Path:
+    return GOLDEN / f"{idx:02d}.{kind}.json"
+
+
+def _cli_stdout(capsys, *argv) -> str:
+    assert cli.main(["--format", "json", *argv]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("idx", range(len(CASES)))
+def test_poly_and_roots_outputs_are_byte_identical(capsys, idx):
+    poly_out = _cli_stdout(capsys, "poly", str(_path(idx, "w")))
+    assert poly_out == _path(idx, "poly").read_text()
+    roots_out = _cli_stdout(capsys, "roots", str(_path(idx, "poly")))
+    assert roots_out == _path(idx, "roots").read_text()
+    assert json.loads(roots_out) == json.loads(_path(idx, "w").read_text())
+
+
+def _random_multispace(ctx, n, dim, height, rng) -> Multispace:
+    while True:
+        u = Subspace.from_array(ctx, n, rng.integers(0, ctx.q, size=(dim, n)))
+        if u.dim == dim:
+            return Multispace(u, height)
+
+
+def _write_golden():
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(20240812)
+    for idx, (spec, n, dim, height) in enumerate(CASES):
+        w = _random_multispace(parse_field_spec(spec), n, dim, height, rng)
+        _path(idx, "w").write_text(json.dumps(w.to_dict(), indent=2) + "\n")
+        for cmd, src, dst in (("poly", "w", "poly"), ("roots", "poly", "roots")):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(["--format", "json", cmd, str(_path(idx, src))]) == 0
+            _path(idx, dst).write_text(buf.getvalue())
+
+
+if __name__ == "__main__":
+    _write_golden()
