@@ -26,6 +26,7 @@ from .errors import (
     NotPrime,
     RankZero,
     RootsNotInField,
+    SamplingFailed,
     ShapeMismatch,
     ShapeViolation,
     TooFewCodewords,
@@ -73,12 +74,9 @@ from .lattice import (
     multiset_leq,
 )
 from .qpoly import (
-    DensePoly,
     LinearizedPoly,
     VectorFieldIso,
-    evaluate,
     poly_from_multispace,
-    root_multiplicities_by_division,
     roots_multiset,
     vector_field_iso,
 )

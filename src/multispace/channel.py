@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, ConfigInvalid, ShapeMismatch
+from .errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch, ShapeViolation
 from .fields import FieldCtx
 from .lattice import Multispace, VectorMultiset, distance, mspan
 from .linalg import FqMatrix, matmul_arrays, rref_array
@@ -112,7 +112,7 @@ def random_full_rank(ctx: FieldCtx, m: int, rng, max_tries: int = 1000) -> FqMat
         cand = random_matrix(ctx, m, m, rng)
         if rref_array(ctx, cand.array)[1] == m:
             return cand
-    raise RuntimeError("rejection sampling failed to find a full-rank matrix")
+    raise SamplingFailed("rejection sampling failed to find a full-rank matrix")
 
 
 def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int = 1000) -> FqMatrix:
@@ -134,9 +134,10 @@ def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int
             b = cand
             break
     if a is None or b is None:
-        raise RuntimeError("rejection sampling failed to find full-rank factors")
+        raise SamplingFailed("rejection sampling failed to find full-rank factors")
     out = a @ b
-    assert rref_array(ctx, out.array)[1] == r  # by construction, but verify
+    if rref_array(ctx, out.array)[1] != r:  # full-rank factors give rank r
+        raise ShapeViolation(f"product of full-rank factors lost rank {r}")
     return out
 
 

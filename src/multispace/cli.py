@@ -24,7 +24,7 @@ from .codes import (
     greedy_code,
     sphere_packing_bound,
 )
-from .errors import BoundViolation, FormatError, LimitExceeded, MultispaceError
+from .errors import BoundViolation, ConfigInvalid, FormatError, LimitExceeded, MultispaceError
 from .fields import parse_field_spec
 from .lattice import (
     Multispace,
@@ -52,13 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_json_arg(arg: str) -> dict:
     """Accept a path to a JSON file or an inline JSON literal."""
-    text = arg
-    if not arg.lstrip().startswith("{") and os.path.exists(arg):
-        with open(arg) as fh:
-            text = fh.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        if not arg.lstrip().startswith("{") and os.path.exists(arg):
+            with open(arg) as fh:
+                return json.loads(fh.read())
+        return json.loads(arg)
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise FormatError(f"not valid JSON (or a readable file): {arg!r}") from exc
 
 
@@ -92,6 +91,8 @@ def _emit(args, doc: dict, table_lines: list[str]):
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
+    if args.n < 0 or args.m < 0:
+        raise ConfigInvalid(f"n = {args.n} and m = {args.m} must be nonnegative")
     ctx = parse_field_spec(args.q_spec)
     rows = []
     cumulative = 0

@@ -51,11 +51,11 @@ class NotCanonical(MultispaceError, ValueError):
 
 
 class FormatError(MultispaceError, ValueError):
-    """Malformed serialized object (JSON document or field-spec string)."""
+    """Malformed input: a JSON document, a field-spec string or out-of-range encodings."""
 
 
 class ShapeViolation(MultispaceError, RuntimeError):
-    """A product expansion failed the q-power exponent check (implementation bug)."""
+    """A result failed an internal rank or shape check (implementation bug)."""
 
 
 class RootsNotInField(MultispaceError, ValueError):
@@ -75,7 +75,11 @@ class EmptyCode(MultispaceError, ValueError):
 
 
 class ConfigInvalid(MultispaceError, ValueError):
-    """Channel configuration is inconsistent (unknown mode, bad error weight, ...)."""
+    """Run configuration is inconsistent (unknown mode, bad error weight, negative size, ...)."""
+
+
+class SamplingFailed(MultispaceError, RuntimeError):
+    """Rejection sampling found no acceptable candidate within its try budget."""
 
 
 class BoundViolation(MultispaceError, RuntimeError):

@@ -163,13 +163,14 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, e: int = 1, modulus: int | None = None):
-        if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
-        q = p ** e
-        if q > FIELD_SIZE_LIMIT:
+        # size first, so a huge p or e is refused before p ** e or a primality test
+        if p >= 2 and (e >= FIELD_SIZE_LIMIT.bit_length() or p ** e > FIELD_SIZE_LIMIT):
             raise FieldTooLarge(f"q = {p}^{e} exceeds limit {FIELD_SIZE_LIMIT}")
+        if not _is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        q = p ** e
         if modulus is None:
             modulus = _smallest_irreducible(p, e)
         else:
@@ -333,7 +334,7 @@ class FieldCtx:
         # base must be p^j and q must be a power of base
         b, p = base, self.p
         j = 0
-        while b % p == 0:
+        while b > 1 and b % p == 0:
             b //= p
             j += 1
         if b != 1 or j == 0 or self.e % j != 0:
@@ -490,6 +491,8 @@ def field(p: int, e: int = 1, modulus: int | None = None) -> FieldCtx:
 
 def parse_field_spec(s: str) -> FieldCtx:
     """Parse ``"p"``, ``"p^e"`` or ``"p^e/modulus-int"`` into a context."""
+    if not isinstance(s, str):
+        raise FormatError(f"field spec {s!r} is not a string")
     s = s.strip()
     try:
         if "/" in s:
@@ -504,6 +507,8 @@ def parse_field_spec(s: str) -> FieldCtx:
             p, e = int(head), 1
     except ValueError as exc:
         raise FormatError(f"bad field spec {s!r}") from exc
+    if e < 1 or (modulus is not None and modulus < 1):
+        raise FormatError(f"bad field spec {s!r}: degree and modulus must be positive")
     return field(p, e, modulus)
 
 

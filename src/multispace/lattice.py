@@ -95,9 +95,12 @@ class VectorMultiset:
     @classmethod
     def from_dict(cls, d: dict) -> "VectorMultiset":
         try:
-            return cls(parse_field_spec(d["q-spec"]), int(d["n"]), d["vectors"])
-        except (KeyError, TypeError) as exc:
+            spec, n, rows = d["q-spec"], int(d["n"]), d["vectors"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad vector multiset object: {exc}") from exc
+        if n < 1:
+            raise FormatError(f"bad vector multiset object: ambient dimension {n} is not positive")
+        return cls(parse_field_spec(spec), n, rows)
 
 
 class Multispace:
@@ -201,8 +204,10 @@ class Multispace:
     def from_dict(cls, d: dict, strict: bool = True, canonicalize: bool = False) -> "Multispace":
         try:
             height = int(d["height"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad multispace object: {exc}") from exc
+        if height < 0:
+            raise FormatError(f"bad multispace object: height {height} is negative")
         return cls(Subspace.from_dict(d, strict=strict, canonicalize=canonicalize), height)
 
 

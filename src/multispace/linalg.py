@@ -17,9 +17,12 @@ DEFAULT_STATE_LIMIT = 1 << 20
 
 
 def _as_array(ctx: FieldCtx, rows) -> np.ndarray:
-    a = np.asarray(rows, dtype=np.int64)
+    try:
+        a = np.asarray(rows, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"entries are not integer encodings: {exc}") from exc
     if a.size and (a.min() < 0 or a.max() >= ctx.q):
-        raise ValueError(f"encodings out of range for {ctx}")
+        raise FormatError(f"encodings out of range for {ctx}")
     return a
 
 
@@ -27,7 +30,10 @@ def _rows_array(ctx: FieldCtx, n: int, rows) -> np.ndarray:
     """Coerce to an (m, n) array of encodings; [] becomes 0 x n."""
     a = _as_array(ctx, rows)
     if a.size == 0 and a.ndim <= 1:
-        return np.zeros((0, n), dtype=np.int64)
+        try:
+            return np.zeros((0, n), dtype=np.int64)
+        except ValueError as exc:  # numpy refuses the dimension
+            raise FormatError(f"ambient dimension {n} is too large") from exc
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2 or a.shape[1] != n:
@@ -376,11 +382,12 @@ class Subspace:
     @classmethod
     def from_dict(cls, d: dict, strict: bool = True, canonicalize: bool = False) -> "Subspace":
         try:
-            ctx = parse_field_spec(d["q-spec"])
-            n = int(d["n"])
-            rows = d["basis"]
-        except (KeyError, TypeError) as exc:
+            spec, n, rows = d["q-spec"], int(d["n"]), d["basis"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad subspace object: {exc}") from exc
+        if n < 1:
+            raise FormatError(f"bad subspace object: ambient dimension {n} is not positive")
+        ctx = parse_field_spec(spec)
         if canonicalize:
             return cls.from_basis(ctx, n, rows, strict=False)
         return cls.from_basis(ctx, n, rows, strict=strict)

@@ -1,11 +1,17 @@
 """Linearized (q-)polynomials and their correspondence with multispaces.
 
-A multispace W over GF(q)^n maps to the polynomial
-prod_{v in W} (x - phi(v)) over the extension field GF(q^n), where phi
-is the fixed coordinate isomorphism GF(q)^n -> GF(q^n).  The expansion
-has nonzero coefficients only at q-power degrees, and its root multiset
-recovers W: every root of the expansion has uniform multiplicity
-q^height and the roots form the underlying subspace.
+A multispace W = (U, h) over GF(q)^n maps to the polynomial
+prod_{v in W} (x - phi(v)) = P_U(x)^(q^h) over the extension field
+GF(q^n), where phi is the fixed coordinate isomorphism GF(q)^n -> GF(q^n)
+and P_U is the monic subspace polynomial of U.  P_U is linearized, so it
+is built on its q-coefficients by the recursion
+P_{U+<v>} = P_U^q - P_U(v)^(q-1) P_U over a basis of U: O(rank^2) field
+operations, with no bound on the degree q^rank.  Conversely the roots of
+a nonzero linearized L form the kernel of the GF(q)-linear map
+x -> L(x), read off from n evaluations and one n x 2n elimination; L
+splits over GF(q^n) exactly when that kernel has dimension
+q_degree - h, where h is the lowest q-index of L, and every root then
+has multiplicity q^h (Lidl & Niederreiter, Finite Fields, Ch. 3 Sec. 4).
 """
 
 import functools
@@ -15,7 +21,6 @@ import numpy as np
 from .errors import (
     ContextMismatch,
     FormatError,
-    LimitExceeded,
     NotAMultispace,
     RootsNotInField,
     ShapeViolation,
@@ -23,133 +28,6 @@ from .errors import (
 from .fields import Embedding, FieldCtx, FieldElement, extension, field, parse_field_spec
 from .lattice import Multispace
 from .linalg import FqVector, Subspace, rref_array
-
-POLY_DEGREE_LIMIT = 1 << 16
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomials (little-endian coefficient arrays)
-# ---------------------------------------------------------------------------
-
-class DensePoly:
-    """Dense polynomial over a field context; index = exponent."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, coeffs):
-        a = np.asarray(coeffs, dtype=np.int64)
-        nz = np.nonzero(a)[0]
-        self.ctx = ctx
-        self.coeffs = a[: int(nz[-1]) + 1].copy() if len(nz) else np.zeros(0, dtype=np.int64)
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, [])
-
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx, [1])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DensePoly)
-            and self.ctx == other.ctx
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.coeffs.tobytes()))
-
-    def __repr__(self):
-        return f"DensePoly(deg {self.degree} over GF({self.ctx.p}^{self.ctx.e}))"
-
-    def mul(self, other: "DensePoly") -> "DensePoly":
-        self.ctx.check_same(other.ctx)
-        if self.is_zero() or other.is_zero():
-            return DensePoly.zero(self.ctx)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-        ctx = self.ctx
-        for i in np.nonzero(a)[0]:
-            term = ctx.mul_arr(np.full(len(b), a[i], dtype=np.int64), b)
-            out[i : i + len(b)] = ctx.add_arr(out[i : i + len(b)], term)
-        return DensePoly(ctx, out)
-
-    def mul_linear(self, r: int) -> "DensePoly":
-        """Multiply by the linear factor (x - r)."""
-        c = self.coeffs
-        out = np.zeros(len(c) + 1, dtype=np.int64)
-        out[1:] = c
-        out[:-1] = self.ctx.sub_arr(
-            out[:-1], self.ctx.mul_arr(np.full(len(c), r, dtype=np.int64), c)
-        )
-        return DensePoly(self.ctx, out)
-
-    def scale(self, c: int) -> "DensePoly":
-        return DensePoly(self.ctx, self.ctx.mul_arr(np.full(len(self.coeffs), c, dtype=np.int64), self.coeffs))
-
-    def char_power(self) -> "DensePoly":
-        """The p-th power: coefficients to the p, exponents stretched by p."""
-        p = self.ctx.p
-        out = np.zeros((len(self.coeffs) - 1) * p + 1, dtype=np.int64) if len(self.coeffs) else np.zeros(0, dtype=np.int64)
-        if len(self.coeffs):
-            out[:: p] = self.ctx.pow_arr(self.coeffs, p)
-        return DensePoly(self.ctx, out)
-
-    def eval(self, x: int) -> int:
-        acc = 0
-        for c in self.coeffs[::-1]:
-            acc = self.ctx.add(self.ctx.mul(acc, x), int(c))
-        return acc
-
-    def synthetic_divide(self, r: int) -> tuple["DensePoly", int]:
-        """Divide by (x - r); returns (quotient, remainder scalar)."""
-        ctx = self.ctx
-        a = self.coeffs
-        d = len(a) - 1
-        if d < 0:
-            return DensePoly.zero(ctx), 0
-        b = [0] * d
-        carry = 0
-        add, mul = ctx.add, ctx.mul
-        for i in range(d - 1, -1, -1):
-            carry = add(int(a[i + 1]), mul(r, carry))
-            b[i] = carry
-        rem = add(int(a[0]), mul(r, b[0])) if d > 0 else int(a[0])
-        return DensePoly(ctx, b), rem
-
-
-def root_multiplicities_by_division(poly: DensePoly, roots=None) -> dict[int, int]:
-    """Multiplicity of every root, by literal repeated synthetic division.
-
-    Exact but quadratic in the degree; used as the test oracle and the
-    slow diagnostic path of roots_multiset.
-    """
-    ctx = poly.ctx
-    if roots is None:
-        roots = [x for x in range(ctx.q) if poly.eval(x) == 0]
-    out: dict[int, int] = {}
-    g = poly
-    for r in roots:
-        mult = 0
-        while not g.is_zero() and g.degree >= 1:
-            quot, rem = g.synthetic_divide(r)
-            if rem != 0:
-                break
-            g = quot
-            mult += 1
-        if mult:
-            out[int(r)] = mult
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,30 +186,28 @@ class LinearizedPoly:
 
     __call__ = eval
 
-    def eval_domain(self) -> np.ndarray:
-        """Values on every element of the big field, as an encoding array."""
+    def eval_array(self, xs) -> np.ndarray:
+        """Values at an array of big-field encodings."""
         ctx = self.ctx
-        xs = np.arange(ctx.q, dtype=np.int64)
-        acc = np.zeros(ctx.q, dtype=np.int64)
+        xs = np.asarray(xs, dtype=np.int64)
+        acc = np.zeros_like(xs)
         for i, c in self.coeffs.items():
-            powd = ctx.frobenius_arr(xs, i, self.base_q)
-            acc = ctx.add_arr(acc, ctx.mul_arr(np.full(ctx.q, c, dtype=np.int64), powd))
+            acc = ctx.add_arr(acc, ctx.mul_arr(c, ctx.frobenius_arr(xs, i, self.base_q)))
         return acc
 
-    def as_dense(self) -> DensePoly:
-        if not self.coeffs:
-            return DensePoly.zero(self.ctx)
-        out = np.zeros(self.degree + 1, dtype=np.int64)
-        for i, c in self.coeffs.items():
-            out[self.base_q ** i] = c
-        return DensePoly(self.ctx, out)
+    def eval_domain(self) -> np.ndarray:
+        """Values on every element of the big field, as an encoding array."""
+        return self.eval_array(np.arange(self.ctx.q, dtype=np.int64))
 
     def text(self) -> str:
         if not self.coeffs:
             return "0"
-        terms = [
-            f"{c}*x^{self.base_q ** i}" for i, c in sorted(self.coeffs.items(), reverse=True)
-        ]
+        terms = []
+        for i, c in sorted(self.coeffs.items(), reverse=True):
+            # past q-index 64 the exponent stays symbolic: the height is
+            # unbounded and q^height can have more digits than str() allows
+            exponent = self.base_q ** i if i <= 64 else f"({self.base_q}^{i})"
+            terms.append(f"{c}*x^{exponent}")
         return " + ".join(terms)
 
     def coefficient_subfield_degree(self) -> int:
@@ -357,11 +233,16 @@ class LinearizedPoly:
     @classmethod
     def from_dict(cls, d: dict) -> "LinearizedPoly":
         try:
-            ctx = parse_field_spec(d["field"])
-            base_q = int(d["base-q"])
+            spec, base_q = d["field"], int(d["base-q"])
             coeffs = {int(i): int(c) for i, c in d["coeffs"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad linearized polynomial object: {exc}") from exc
+        ctx = parse_field_spec(spec)
+        if any(i < 0 or not 0 <= c < ctx.q for i, c in coeffs.items()):
+            raise FormatError(
+                f"bad linearized polynomial object: q-indices must be nonnegative "
+                f"and coefficients encodings below {ctx.q}"
+            )
         return cls(base_q, ctx, coeffs)
 
 
@@ -374,83 +255,66 @@ def _base_e(ctx: FieldCtx, base_q: int) -> int:
     return e
 
 
-def evaluate(L: LinearizedPoly, x: FieldElement) -> FieldElement:
-    return L.eval(x)
-
-
 # ---------------------------------------------------------------------------
 # The correspondence
 # ---------------------------------------------------------------------------
 
-def poly_from_multispace(
-    w: Multispace, big: FieldCtx | None = None, state_limit: int = POLY_DEGREE_LIMIT
-) -> LinearizedPoly:
-    """Expand prod_{v in W} (x - phi(v)) and check its q-power shape.
+def poly_from_multispace(w: Multispace, big: FieldCtx | None = None) -> LinearizedPoly:
+    """The monic linearized polynomial prod_{v in W} (x - phi(v)).
 
-    The product over the underlying subspace is expanded literally from
-    linear factors; the multiset repetition enters as a q^height-th
-    power, taken as iterated characteristic powers.
+    Starting from P = x, each basis vector v of the underlying space
+    applies P <- P^q - P(v)^(q-1) P on the q-coefficients; the height
+    then raises P to the q^height-th power, which shifts every q-index by
+    the height and applies Frobenius to the coefficients.
     """
     ctx = w.ctx
-    deg = ctx.q ** w.rank
-    if deg > state_limit:
-        raise LimitExceeded(f"degree {deg} exceeds limit {state_limit}")
+    q = ctx.q
     iso = vector_field_iso(ctx, w.n, big)
-    big_ctx = iso.big
-    roots = iso.to_field_array(w.underlying.vector_array())
-    poly = DensePoly.one(big_ctx)
-    for r in roots:
-        poly = poly.mul_linear(int(r))
-    for _ in range(ctx.e * w.height):
-        poly = poly.char_power()
-    # shape check: nonzero coefficients only at exponents q^i
-    exps = set(np.nonzero(poly.coeffs)[0].tolist())
-    allowed = {ctx.q ** i for i in range(w.rank + 1)}
-    if not exps <= allowed or (deg not in exps):
-        raise ShapeViolation(f"expansion has non-q-power exponents: {sorted(exps)}")
-    coeffs = {}
-    for x in exps:
-        i = 0
-        while ctx.q ** i < x:
-            i += 1
-        coeffs[i] = int(poly.coeffs[x])
-    return LinearizedPoly(ctx.q, big_ctx, coeffs)
+    F = iso.big
+    c = [1]  # q-coefficients of P = x
+    for v in iso.to_field_array(w.underlying.basis).tolist():
+        pv = 0
+        for i, ci in enumerate(c):
+            pv = F.add(pv, F.mul(ci, F.frobenius(v, i, q)))
+        a = F.pow(pv, q - 1)
+        new = [0] + [F.pow(ci, q) for ci in c]
+        for i, ci in enumerate(c):
+            new[i] = F.sub(new[i], F.mul(a, ci))
+        c = new
+    h = w.height
+    return LinearizedPoly(q, F, {i + h: F.frobenius(ci, h, q) for i, ci in enumerate(c)})
 
 
 def roots_multiset(L: LinearizedPoly, big: FieldCtx | None = None) -> Multispace:
     """Recover the multispace whose members are the roots of L.
 
-    Roots are found by evaluating over the whole big field; the uniform
-    multiplicity is certified by reconstructing the canonical product
-    polynomial and comparing expansions (exact, by unique factorization).
-    On mismatch the slow synthetic-division path diagnoses whether the
-    polynomial fails to split or has a non-multispace root multiset.
+    The roots of a nonzero linearized L over GF(q^n) are the kernel K of
+    the GF(q)-linear map x -> L(x), found as the left null space of its
+    matrix on the images of the unit vectors.  With h the lowest q-index
+    of L, L = M^(q^h) for a separable M of q-degree q_degree - h, so L
+    splits over GF(q^n) iff dim K = q_degree - h, and then its root
+    multiset is the multispace (K, h).  RootsNotInField is raised when L
+    does not split; NotAMultispace only for the zero polynomial, since
+    the root multiset of a split nonzero linearized polynomial is always
+    a multispace.
     """
-    ctx_big = L.ctx
+    F = L.ctx
     if big is not None:
-        ctx_big.check_same(big)
+        F.check_same(big)
     if L.is_zero():
         raise NotAMultispace("zero polynomial has no root multiset")
-    if L.degree > POLY_DEGREE_LIMIT:
-        raise LimitExceeded(f"degree {L.degree} exceeds limit {POLY_DEGREE_LIMIT}")
-    q = L.base_q
-    n = ctx_big.e // _base_e(ctx_big, q)
-    small = field(ctx_big.p, _base_e(ctx_big, q))
-    iso = vector_field_iso(small, n, ctx_big)
-    values = L.eval_domain()
-    roots = np.nonzero(values == 0)[0].astype(np.int64)
-    vecs = iso.to_vector_array(roots)
-    underlying = Subspace.from_array(small, n, vecs)
-    rank = L.q_degree
-    if small.q ** underlying.dim == len(roots) and rank >= underlying.dim:
-        candidate = Multispace(underlying, rank - underlying.dim)
-        lc = L.coeffs[rank]
-        monic = L.as_dense().scale(ctx_big.inv(lc))
-        if monic == poly_from_multispace(candidate, ctx_big).as_dense():
-            return candidate
-    # diagnose: literal multiplicity extraction
-    dense = L.as_dense()
-    mults = root_multiplicities_by_division(dense, roots=[int(r) for r in roots])
-    if sum(mults.values()) < dense.degree:
-        raise RootsNotInField(f"polynomial does not split over {ctx_big}")
-    raise NotAMultispace(f"root multiset is not a multispace (multiplicities {sorted(set(mults.values()))})")
+    e = _base_e(F, L.base_q)
+    n = F.e // e
+    small = field(F.p, e)
+    iso = vector_field_iso(small, n, F)
+    eye = np.eye(n, dtype=np.int64)
+    images = iso.to_vector_array(L.eval_array(iso.to_field_array(eye)))
+    red, _, pivots = rref_array(small, np.hstack([images, eye]))
+    # rows pivoting in the right half have a zero left half; their right
+    # halves are already a reduced echelon basis of the left null space
+    image_rank = sum(1 for c in pivots if c < n)
+    kernel = Subspace(small, n, red[image_rank:, n:].copy())
+    h = min(L.coeffs)
+    if kernel.dim != L.q_degree - h:
+        raise RootsNotInField(f"polynomial does not split over {F}")
+    return Multispace(kernel, h)

@@ -1,4 +1,4 @@
-"""Shared brute-force poset oracles for the lattice test suites."""
+"""Shared brute-force oracles: the lattice poset and the literal root product."""
 
 import numpy as np
 
@@ -10,6 +10,7 @@ from multispace.lattice import (
     multiset_leq,
 )
 from multispace.linalg import Subspace
+from multispace.qpoly import vector_field_iso
 
 
 def poset_elements(ctx, n, m_max):
@@ -74,3 +75,120 @@ def random_multiset(ctx, n, m, rng) -> VectorMultiset:
 def random_multispace(ctx, n, rng, max_height=3) -> Multispace:
     rows = rng.integers(0, ctx.q, size=(rng.integers(0, n + 1), n))
     return Multispace(Subspace.from_array(ctx, n, rows), int(rng.integers(0, max_height + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Dense polynomials: the literal root-product oracle for multispace polynomials
+# ---------------------------------------------------------------------------
+
+class DensePoly:
+    """Dense polynomial over a field context; index = exponent."""
+
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx, coeffs):
+        a = np.asarray(coeffs, dtype=np.int64)
+        nz = np.nonzero(a)[0]
+        self.ctx = ctx
+        self.coeffs = a[: int(nz[-1]) + 1].copy() if len(nz) else np.zeros(0, dtype=np.int64)
+
+    @classmethod
+    def one(cls, ctx):
+        return cls(ctx, [1])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    def is_zero(self) -> bool:
+        return len(self.coeffs) == 0
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DensePoly)
+            and self.ctx == other.ctx
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    def mul_linear(self, r: int) -> "DensePoly":
+        """Multiply by the linear factor (x - r)."""
+        c = self.coeffs
+        out = np.zeros(len(c) + 1, dtype=np.int64)
+        out[1:] = c
+        out[:-1] = self.ctx.sub_arr(
+            out[:-1], self.ctx.mul_arr(np.full(len(c), r, dtype=np.int64), c)
+        )
+        return DensePoly(self.ctx, out)
+
+    def char_power(self) -> "DensePoly":
+        """The p-th power: coefficients to the p, exponents stretched by p."""
+        if self.is_zero():
+            return self
+        p = self.ctx.p
+        out = np.zeros((len(self.coeffs) - 1) * p + 1, dtype=np.int64)
+        out[::p] = self.ctx.pow_arr(self.coeffs, p)
+        return DensePoly(self.ctx, out)
+
+    def eval(self, x: int) -> int:
+        acc = 0
+        for c in self.coeffs[::-1]:
+            acc = self.ctx.add(self.ctx.mul(acc, x), int(c))
+        return acc
+
+    def synthetic_divide(self, r: int) -> tuple["DensePoly", int]:
+        """Divide by (x - r); returns (quotient, remainder scalar)."""
+        ctx = self.ctx
+        a = self.coeffs
+        d = len(a) - 1
+        if d < 0:
+            return DensePoly(ctx, []), 0
+        b = [0] * d
+        carry = 0
+        for i in range(d - 1, -1, -1):
+            carry = ctx.add(int(a[i + 1]), ctx.mul(r, carry))
+            b[i] = carry
+        rem = ctx.add(int(a[0]), ctx.mul(r, b[0])) if d > 0 else int(a[0])
+        return DensePoly(ctx, b), rem
+
+
+def root_multiplicities_by_division(poly: DensePoly, roots=None) -> dict[int, int]:
+    """Multiplicity of every root, by literal repeated synthetic division."""
+    ctx = poly.ctx
+    if roots is None:
+        roots = [x for x in range(ctx.q) if poly.eval(x) == 0]
+    out: dict[int, int] = {}
+    g = poly
+    for r in roots:
+        mult = 0
+        while g.degree >= 1:
+            quot, rem = g.synthetic_divide(r)
+            if rem != 0:
+                break
+            g = quot
+            mult += 1
+        if mult:
+            out[int(r)] = mult
+    return out
+
+
+def dense_of(L) -> DensePoly:
+    """A linearized polynomial written out densely: a_i at exponent q^i."""
+    out = np.zeros(L.degree + 1 if L.coeffs else 0, dtype=np.int64)
+    for i, c in L.coeffs.items():
+        out[L.base_q ** i] = c
+    return DensePoly(L.ctx, out)
+
+
+def literal_product(w, big=None) -> DensePoly:
+    """prod_{v in W} (x - phi(v)), expanded factor by factor over the subspace.
+
+    The multiset repetition enters as the q^height-th power, taken as
+    e * height characteristic powers.
+    """
+    iso = vector_field_iso(w.ctx, w.n, big)
+    poly = DensePoly.one(iso.big)
+    for r in iso.to_field_array(w.underlying.vector_array(state_limit=None)):
+        poly = poly.mul_linear(int(r))
+    for _ in range(w.ctx.e * w.height):
+        poly = poly.char_power()
+    return poly

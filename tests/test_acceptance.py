@@ -16,6 +16,7 @@ from helpers import (
     brute_lub,
     cover_matrix,
     leq_matrix,
+    literal_product,
     poset_elements,
     random_multiset,
     random_multispace,
@@ -183,10 +184,11 @@ def test_criterion_06_linearized_round_trip():
         for m in range(0, 13):  # q^rank = 2^m <= 2^12
             for w in enumerate_multispaces(F2, n, m):
                 L = poly_from_multispace(w)
-                dense = L.as_dense()
-                exps = set(np.nonzero(dense.coeffs)[0].tolist())
+                oracle = literal_product(w)
+                exps = set(np.nonzero(oracle.coeffs)[0].tolist())
                 assert exps == {2 ** i for i in L.coeffs}
                 assert exps <= {2 ** i for i in range(m + 1)}
+                assert all(int(oracle.coeffs[2 ** i]) == c for i, c in L.coeffs.items())
                 assert roots_multiset(L) == w
                 total += 1
     assert total == 269

@@ -15,7 +15,7 @@ from multispace.channel import (
     ChannelSummary,
 )
 from multispace.codes import MultispaceCode
-from multispace.errors import BoundViolation, ConfigInvalid, ShapeMismatch
+from multispace.errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch
 from multispace.fields import field
 from multispace.lattice import (
     Multispace,
@@ -71,6 +71,11 @@ def test_random_matrix_ranks():
             assert rref_array(ctx, t.array)[1] == r
     with pytest.raises(ConfigInvalid):
         random_rank(F2, 2, 2, 3, rng)
+    # an exhausted try budget is a toolkit error, not a bare RuntimeError
+    with pytest.raises(SamplingFailed):
+        random_full_rank(F2, 3, rng, max_tries=0)
+    with pytest.raises(SamplingFailed):
+        random_rank(F2, 3, 3, 2, rng, max_tries=0)
 
 
 def test_deletion_distance_is_exactly_s():

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multispace.cli as cli
 from multispace.channel import ChannelRun, ChannelSummary
+from multispace.errors import ConfigInvalid, FormatError
 from multispace.fields import field
-from multispace.lattice import Multispace
+from multispace.lattice import Multispace, VectorMultiset
 from multispace.linalg import Subspace
+from multispace.qpoly import LinearizedPoly
 
 
 def run(capsys, *argv):
@@ -196,3 +201,103 @@ def test_emitted_json_reaccepted_bit_exact(capsys):
     code, out, _ = run(capsys, "--format", "json", "join", W_LINE, W_Z1)
     w = Multispace.from_dict(json.loads(out))
     assert json.dumps(w.to_dict(), indent=2) + "\n" == out
+
+
+def test_bad_input_is_an_error_not_a_traceback(capsys):
+    # out-of-range encodings, a negative height, a coefficient >= q
+    bad = [
+        ("mspan", json.dumps({"q-spec": "2", "n": 2, "vectors": [[0, 5]]})),
+        ("poly", json.dumps({"q-spec": "2", "n": 3, "basis": [], "height": -1})),
+        ("roots", json.dumps({"base-q": 2, "field": "2^2/7", "coeffs": {"0": 4}})),
+    ]
+    for argv in bad:
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+    with pytest.raises(FormatError):
+        VectorMultiset.from_dict(json.loads(bad[0][1]))
+    with pytest.raises(FormatError):
+        Multispace.from_dict(json.loads(bad[1][1]))
+    with pytest.raises(FormatError):
+        LinearizedPoly.from_dict(json.loads(bad[2][1]))
+    code, out, err = run(capsys, "count", "2", "3", "-1")
+    assert code == 1 and out == "" and "must be nonnegative" in err
+    with pytest.raises(ConfigInvalid):
+        cli.cmd_count(cli.build_parser().parse_args(["count", "2", "3", "-1"]))
+
+
+def test_poly_of_huge_height(capsys):
+    w = json.dumps({"q-spec": "2", "n": 2, "basis": [[1, 0]], "height": 10 ** 40})
+    code, out, _ = run(capsys, "--format", "table", "poly", w)
+    assert code == 0 and out.startswith(f"1*x^(2^{10 ** 40 + 1}) + ")
+    code, out, _ = run(capsys, "--format", "json", "poly", w)
+    assert code == 0 and sorted(json.loads(out)["coeffs"]) == [str(10 ** 40), str(10 ** 40 + 1)]
+
+
+# -- fuzz: every input either runs or is refused with a documented exit code --
+
+_SPECS = st.sampled_from(["2", "3", "2^2", "2^2/7", "5", "4", "1", "0", "-3", "2^0", "2^-1",
+                          "2^2/-7", "2^2/5", "2^40", "1000000007", "7^99999999", "x", ""])
+_JUNK = st.one_of(_SPECS, st.none(), st.booleans(), st.floats(), st.integers(-3, 6),
+                  st.integers(-(10 ** 30), 10 ** 30), st.lists(st.integers(-1, 5), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_SMALL = st.integers(-3, 6)
+_BASE = st.sampled_from([("2", 2), ("3", 3), ("2^2", 4)])
+
+
+@st.composite
+def _vectors(draw, q, n, count):
+    return draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=count))
+
+
+@st.composite
+def _mspan_doc(draw):
+    spec, q = draw(_BASE)
+    n = draw(st.integers(1, 4))
+    return {"q-spec": spec, "n": n, "vectors": draw(_vectors(q, n, 6))}
+
+
+@st.composite
+def _poly_doc(draw):
+    spec, q = draw(_BASE)
+    n = draw(st.integers(1, 4))
+    ctx = field(2, 2) if q == 4 else field(q)
+    doc = Subspace.from_array(ctx, n, draw(_vectors(q, n, n))).to_dict()
+    doc["height"] = draw(st.one_of(_SMALL, st.integers(-(10 ** 30), 10 ** 30)))
+    return doc
+
+
+@st.composite
+def _roots_doc(draw):
+    spec, q = draw(st.sampled_from([("2", 2), ("2^3", 2), ("2^4", 4), ("3^2", 3), ("2^2/7", 2)]))
+    index = st.one_of(st.integers(0, 6), st.integers(10 ** 20, 10 ** 21), st.just(-1))
+    return {"base-q": q, "field": spec, "coeffs": draw(st.dictionaries(
+        index.map(str), st.integers(0, 20), min_size=1, max_size=4))}
+
+
+@st.composite
+def _argv(draw):
+    fmt = draw(st.sampled_from([[], ["--format", "json"], ["--format", "table"], ["--format", "csv"]]))
+    cmd = draw(st.sampled_from(["mspan", "poly", "roots", "count"]))
+    if cmd == "count":
+        n, m = (draw(st.one_of(_SMALL.map(str), st.sampled_from(["x", "1.5", ""]))) for _ in range(2))
+        return [*fmt, "count", draw(st.one_of(_BASE.map(lambda b: b[0]), _SPECS)), n, m]
+    doc = draw({"mspan": _mspan_doc, "poly": _poly_doc, "roots": _roots_doc}[cmd]())
+    for key in list(doc):  # drop or spoil some keys
+        action = draw(st.sampled_from(["keep"] * 8 + ["drop", "junk"]))
+        if action == "drop":
+            del doc[key]
+        elif action == "junk":
+            doc[key] = draw(_JUNK)
+    text = json.dumps(doc)
+    text = draw(st.sampled_from([text] * 6 + [text[:-1], f"[{text}]", "."]))
+    return [*fmt, cmd, text]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

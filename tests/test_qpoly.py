@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_multispace
+from helpers import (
+    DensePoly,
+    dense_of,
+    literal_product,
+    random_multispace,
+    root_multiplicities_by_division,
+)
 from multispace.errors import (
     ContextMismatch,
     FormatError,
-    LimitExceeded,
     NotAMultispace,
     RootsNotInField,
 )
@@ -13,17 +19,15 @@ from multispace.fields import extension, field
 from multispace.lattice import Multispace, enumerate_multispaces
 from multispace.linalg import FqVector, Subspace, span
 from multispace.qpoly import (
-    DensePoly,
     LinearizedPoly,
-    evaluate,
     poly_from_multispace,
-    root_multiplicities_by_division,
     roots_multiset,
     vector_field_iso,
 )
 
 F2 = field(2)
 F3 = field(3)
+F4 = field(2, 2)
 
 
 def dense_product_oracle(w, iso):
@@ -65,7 +69,8 @@ def test_expansion_matches_literal_product(ctx, n, max_rank):
             if ctx.q ** w.rank > 1 << 10:
                 continue
             L = poly_from_multispace(w)
-            assert L.as_dense() == dense_product_oracle(w, iso)
+            assert dense_of(L) == dense_product_oracle(w, iso)
+            assert dense_of(L) == literal_product(w)
             # pure q-power exponent set and monic leading term
             assert max(L.coeffs) == w.rank
             assert L.coeffs[w.rank] == 1
@@ -95,9 +100,10 @@ def test_eval_is_linear_and_matches_dense():
     f16 = field(2, 4)
     L = LinearizedPoly(2, f16, {0: 3, 1: 7, 2: 1})
     assert L.eval(0).value == 0
-    dense = L.as_dense()
+    dense = dense_of(L)
     for x in range(16):
         assert L.eval(x).value == dense.eval(x)
+    assert L.eval_domain().tolist() == [L.eval(x).value for x in range(16)]
     for a in range(16):
         for b in range(16):
             s = f16.add(a, b)
@@ -109,12 +115,11 @@ def test_eval_is_linear_and_matches_dense():
         cc = f4_in_f16.embed_int(c)
         for x in range(16):
             assert Lq.eval(f16.mul(cc, x)).value == f16.mul(cc, Lq.eval(x).value)
-    assert evaluate(L, f16.element(2)) == L.eval(2)
 
 
 def test_multiplicities_by_synthetic_division():
     w = Multispace(span([FqVector.unit(F2, 2, 0)]), 2)  # two roots, multiplicity 4
-    dense = poly_from_multispace(w).as_dense()
+    dense = dense_of(poly_from_multispace(w))
     mults = root_multiplicities_by_division(dense)
     assert set(mults.values()) == {4}
     assert len(mults) == 2
@@ -149,10 +154,19 @@ def test_zero_poly_rejected():
         roots_multiset(LinearizedPoly(2, F2, {}))
 
 
-def test_degree_limit():
+def test_no_degree_limit():
+    # degree 2^20: x^(2^20) over GF(4), a single q-coefficient
     w = Multispace(Subspace.zero(F2, 2), 20)
-    with pytest.raises(LimitExceeded):
-        poly_from_multispace(w)
+    L = poly_from_multispace(w)
+    assert L.coeffs == {20: 1}
+    assert roots_multiset(L) == w
+    # degree 2^19 with a rank-16 underlying space over GF(2^16)
+    rng = np.random.default_rng(19)
+    u = Subspace.from_array(F2, 16, rng.integers(0, 2, size=(16, 16)))
+    w = Multispace(u, 19 - u.dim)
+    L = poly_from_multispace(w)
+    assert min(L.coeffs) == w.height and max(L.coeffs) == 19 and L.coeffs[19] == 1
+    assert roots_multiset(L) == w
 
 
 def test_subfield_degree_metadata():
@@ -211,3 +225,64 @@ def test_roots_of_non_monic_polynomial():
         c = int(rng.integers(2, big.q))
         scaled = LinearizedPoly(2, big, {i: big.mul(c, v) for i, v in L.coeffs.items()})
         assert roots_multiset(scaled) == w
+
+
+# ---------------------------------------------------------------------------
+# Property tests against the literal product and a brute-force zero count
+# ---------------------------------------------------------------------------
+
+@st.composite
+def multispaces(draw, ctx=None, n=None):
+    ctx = ctx or draw(st.sampled_from([F2, F3, F4]))
+    n = n or draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n), max_size=n
+    ))
+    return Multispace(Subspace.from_array(ctx, n, rows), draw(st.integers(0, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multispaces())
+def test_closed_form_matches_literal_product(w):
+    L = poly_from_multispace(w)
+    assert dense_of(L) == literal_product(w)
+    assert roots_multiset(L) == w
+
+
+@st.composite
+def linearized_polys(draw):
+    """Nonzero linearized polynomials over GF(q^n), q^n <= 256; half of
+    them scaled multispace polynomials, so both outcomes of roots occur."""
+    ctx = draw(st.sampled_from([F2, F3, F4]))
+    n = draw(st.integers(1, {2: 8, 3: 5, 4: 4}[ctx.q]))
+    big, _ = extension(ctx, n)
+    if draw(st.booleans()):
+        w = draw(multispaces(ctx, n))
+        c = draw(st.integers(1, big.q - 1))
+        coeffs = {i: big.mul(c, v) for i, v in poly_from_multispace(w).coeffs.items()}
+    else:
+        coeffs = draw(st.dictionaries(
+            st.integers(0, 6), st.integers(1, big.q - 1), min_size=1, max_size=5
+        ))
+    return LinearizedPoly(ctx.q, big, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linearized_polys())
+def test_roots_match_brute_force_zero_count(L):
+    big = L.ctx
+    values = L.eval_domain()
+    assert values.tolist() == [L.eval(x).value for x in range(big.q)]
+    zeros = np.nonzero(values == 0)[0].tolist()
+    h = min(L.coeffs)
+    if len(zeros) < L.base_q ** (L.q_degree - h):
+        with pytest.raises(RootsNotInField):
+            roots_multiset(L)
+        return
+    w = roots_multiset(L)
+    assert w.height == h
+    iso = vector_field_iso(w.ctx, w.n, big)
+    assert sorted(iso.to_field_array(w.underlying.vector_array()).tolist()) == zeros
+    lead = L.coeffs[L.q_degree]
+    monic = poly_from_multispace(w, big)
+    assert L.coeffs == {i: big.mul(lead, c) for i, c in monic.coeffs.items()}
