@@ -1,4 +1,4 @@
-"""Golden CLI outputs of ``poly`` and ``roots``, pinned byte for byte.
+"""Golden CLI outputs, pinned byte for byte.
 
 The files under ``tests/golden/qpoly/`` were written by the literal-product
 implementation of the polynomial correspondence; the monic subspace
@@ -6,6 +6,13 @@ polynomial is unique, so every later implementation must print the same
 bytes.  ``NN.w.json`` is the input multispace, ``NN.poly.json`` the exact
 stdout of ``multispace --format json poly NN.w.json`` and ``NN.roots.json``
 the exact stdout of ``multispace --format json roots NN.poly.json``.
+
+The files under ``tests/golden/simulate/`` pin the seeded code search and
+the channel simulator: ``<code>.json`` is the exact stdout of a seeded
+``search`` (and is read back as the code of the simulations),
+``<case>.json`` the exact stdout of ``simulate`` and, for single-codeword
+runs, ``<case>.csv`` the exact ``--trial-log`` file.  Every RNG draw of the
+trial loop shows in them, so a refactor that reorders draws fails here.
 
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -23,6 +30,7 @@ from multispace.lattice import Multispace
 from multispace.linalg import Subspace
 
 GOLDEN = Path(__file__).parent / "golden" / "qpoly"
+SIMULATE = Path(__file__).parent / "golden" / "simulate"
 
 #: (q-spec, n, dim, height): q in {2, 3, 4}, heights 0-4, ranks up to 12
 CASES = [
@@ -69,6 +77,55 @@ def test_poly_and_roots_outputs_are_byte_identical(capsys, idx):
     assert json.loads(roots_out) == json.loads(_path(idx, "w").read_text())
 
 
+#: code name -> search arguments; greedy codes whose codewords all have rank >= 1
+SEARCHES = {
+    "code-f2": ["search", "2", "3", "3", "2", "--seed", "5"],
+    "code-f4": ["search", "2^2", "2", "3", "2", "--seed", "3"],
+}
+
+#: case name -> (code name, simulate options); cases without --end-to-end write a trial log
+SIMULATIONS = {
+    "log-full-rank": ("code-f2", ["--mode", "full-rank", "--trials", "30", "--seed", "11", "--codeword", "23"]),
+    "log-deletion-rg": (
+        "code-f2",
+        ["--mode", "deletion", "--s", "1", "--random-generator", "--trials", "30", "--seed", "12", "--codeword", "16"],
+    ),
+    "log-rank-deficient": (
+        "code-f4",
+        ["--mode", "rank-deficient", "--s", "1", "--trials", "30", "--seed", "13", "--codeword", "12"],
+    ),
+    "log-compound": ("code-f2", ["--mode", "compound", "--s", "1", "--trials", "30", "--seed", "14", "--codeword", "23"]),
+    "e2e-full-rank": (
+        "code-f2",
+        ["--end-to-end", "--mode", "full-rank", "--random-generator", "--trials", "40", "--seed", "21"],
+    ),
+    "e2e-deletion": ("code-f2", ["--end-to-end", "--mode", "deletion", "--s", "1", "--trials", "40", "--seed", "22"]),
+    "e2e-rank-deficient": (
+        "code-f4",
+        ["--end-to-end", "--mode", "rank-deficient", "--s", "1", "--trials", "40", "--seed", "23"],
+    ),
+}
+
+
+def _simulate_argv(case: str, log: Path) -> list[str]:
+    code, options = SIMULATIONS[case]
+    argv = ["simulate", str(SIMULATE / f"{code}.json"), *options]
+    return argv if "--end-to-end" in options else [*argv, "--trial-log", str(log)]
+
+
+@pytest.mark.parametrize("code", sorted(SEARCHES))
+def test_search_output_is_byte_identical(capsys, code):
+    assert _cli_stdout(capsys, *SEARCHES[code]) == (SIMULATE / f"{code}.json").read_text()
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATIONS))
+def test_simulate_outputs_are_byte_identical(capsys, tmp_path, case):
+    log = tmp_path / "trials.csv"
+    assert _cli_stdout(capsys, *_simulate_argv(case, log)) == (SIMULATE / f"{case}.json").read_text()
+    if "--end-to-end" not in SIMULATIONS[case][1]:
+        assert log.read_bytes() == (SIMULATE / f"{case}.csv").read_bytes()
+
+
 def _random_multispace(ctx, n, dim, height, rng) -> Multispace:
     while True:
         u = Subspace.from_array(ctx, n, rng.integers(0, ctx.q, size=(dim, n)))
@@ -92,5 +149,20 @@ def _write_golden():
             _path(idx, dst).write_text(buf.getvalue())
 
 
+def _write_simulate_golden():
+    import contextlib
+    import io
+
+    SIMULATE.mkdir(parents=True, exist_ok=True)
+    runs = [(f"{code}.json", argv) for code, argv in SEARCHES.items()]
+    runs += [(f"{case}.json", _simulate_argv(case, SIMULATE / f"{case}.csv")) for case in SIMULATIONS]
+    for name, argv in runs:  # searches first: the simulations read their codes
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["--format", "json", *argv]) == 0
+        (SIMULATE / name).write_text(buf.getvalue())
+
+
 if __name__ == "__main__":
     _write_golden()
+    _write_simulate_golden()
