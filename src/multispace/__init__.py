@@ -37,15 +37,12 @@ from .linalg import (
     FqMatrix,
     FqVector,
     Subspace,
-    contains,
     enumerate_subspaces,
     is_rref,
     rref,
     span,
     subspace_distance,
-    subspace_intersect,
     subspace_leq,
-    subspace_sum,
 )
 from .lattice import (
     BigCount,
@@ -72,6 +69,7 @@ from .lattice import (
     mspan,
     multiplicity_oracle,
     multiset_leq,
+    pairwise_distances,
 )
 from .qpoly import (
     LinearizedPoly,
@@ -81,10 +79,8 @@ from .qpoly import (
     vector_field_iso,
 )
 from .codes import (
-    BallProfile,
     MultispaceCode,
     ball,
-    ball_profile,
     ball_size,
     codespace_growth,
     decode,
@@ -97,7 +93,6 @@ from .channel import (
     ChannelConfig,
     ChannelRun,
     ChannelSummary,
-    EndToEndSummary,
     TrialRecord,
     apply_transform,
     end_to_end,

@@ -24,12 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import decode
 from .errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch, ShapeViolation
 from .fields import FieldCtx
 from .lattice import Multispace, VectorMultiset, distance, mspan
 from .linalg import FqMatrix, matmul_arrays, rref_array
 
-MODES = ("full-rank", "deletion", "rank-deficient", "compound")
+#: mode -> (rank the sent multispace needs, proven distance bound), in units of s;
+#: a bound of None means the mode is observational only
+_MODE_TABLE = {
+    "full-rank": (0, 0),
+    "deletion": (1, 1),
+    "rank-deficient": (1, 2),
+    "compound": (2, None),
+}
+MODES = tuple(_MODE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -51,9 +60,19 @@ class ChannelConfig:
             raise ConfigInvalid("full-rank mode takes no error weight")
 
     def check_rank(self, m: int):
-        need = {"full-rank": 0, "deletion": self.s, "rank-deficient": self.s, "compound": 2 * self.s}[self.mode]
+        need = _need(self)
         if m < need:
             raise ConfigInvalid(f"mode {self.mode} with s={self.s} needs rank >= {need}, got {m}")
+
+
+def _need(cfg: ChannelConfig) -> int:
+    """Rank the channel takes away: rank(T_eff) = m - _need(cfg)."""
+    return _MODE_TABLE[cfg.mode][0] * cfg.s
+
+
+def _bound_for(cfg: ChannelConfig) -> int | None:
+    factor = _MODE_TABLE[cfg.mode][1]
+    return None if factor is None else factor * cfg.s
 
 
 @dataclass
@@ -73,14 +92,25 @@ class ChannelSummary:
     violations: int
     max_distance: int
     histogram: dict[int, int]
+    block_errors: int | None = None  # counted by end_to_end only
+
+    @property
+    def block_error_rate(self) -> float | None:
+        if self.block_errors is None:
+            return None
+        return self.block_errors / self.trials if self.trials else 0.0
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "trials": self.trials,
             "violations": self.violations,
             "max_distance": self.max_distance,
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
         }
+        if self.block_errors is not None:
+            doc["block_errors"] = self.block_errors
+            doc["block_error_rate"] = self.block_error_rate
+        return doc
 
 
 @dataclass
@@ -106,13 +136,18 @@ def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> FqMatrix:
     return FqMatrix(ctx, rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64))
 
 
+def _full_rank_draw(ctx: FieldCtx, rows: int, cols: int, rng, max_tries: int) -> FqMatrix:
+    """Uniform rows x cols matrix of rank min(rows, cols), by rejection."""
+    for _ in range(max_tries):
+        cand = random_matrix(ctx, rows, cols, rng)
+        if rref_array(ctx, cand.array)[1] == min(rows, cols):
+            return cand
+    raise SamplingFailed(f"rejection sampling failed to find a full-rank {rows}x{cols} matrix")
+
+
 def random_full_rank(ctx: FieldCtx, m: int, rng, max_tries: int = 1000) -> FqMatrix:
     """Uniform invertible m x m matrix by rejection (success rate > 0.288)."""
-    for _ in range(max_tries):
-        cand = random_matrix(ctx, m, m, rng)
-        if rref_array(ctx, cand.array)[1] == m:
-            return cand
-    raise SamplingFailed("rejection sampling failed to find a full-rank matrix")
+    return _full_rank_draw(ctx, m, m, rng, max_tries)
 
 
 def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int = 1000) -> FqMatrix:
@@ -121,20 +156,8 @@ def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int
         raise ConfigInvalid(f"rank {r} impossible for a {rows}x{cols} matrix")
     if r == 0:
         return FqMatrix.zeros(ctx, rows, cols)
-    a = None
-    for _ in range(max_tries):
-        cand = random_matrix(ctx, rows, r, rng)
-        if rref_array(ctx, cand.array)[1] == r:
-            a = cand
-            break
-    b = None
-    for _ in range(max_tries):
-        cand = random_matrix(ctx, r, cols, rng)
-        if rref_array(ctx, cand.array)[1] == r:
-            b = cand
-            break
-    if a is None or b is None:
-        raise SamplingFailed("rejection sampling failed to find full-rank factors")
+    a = _full_rank_draw(ctx, rows, r, rng, max_tries)
+    b = _full_rank_draw(ctx, r, cols, rng, max_tries)
     out = a @ b
     if rref_array(ctx, out.array)[1] != r:  # full-rank factors give rank r
         raise ShapeViolation(f"product of full-rank factors lost rank {r}")
@@ -164,10 +187,6 @@ def _effective_transform(ctx: FieldCtx, m: int, cfg: ChannelConfig, rng) -> FqMa
     return stage1 @ stage2
 
 
-def _bound_for(cfg: ChannelConfig) -> int | None:
-    return {"full-rank": 0, "deletion": cfg.s, "rank-deficient": 2 * cfg.s, "compound": None}[cfg.mode]
-
-
 def _trial_ok(cfg: ChannelConfig, sent: Multispace, received: Multispace, d: int) -> bool:
     if cfg.mode == "full-rank":
         return received == sent
@@ -180,6 +199,49 @@ def _trial_ok(cfg: ChannelConfig, sent: Multispace, received: Multispace, d: int
             and received.underlying <= sent.underlying
         )
     return True  # compound: observational only
+
+
+def _trial_loop(cfg: ChannelConfig, pick, code=None) -> ChannelRun:
+    """The trial loop behind run_trials and end_to_end.
+
+    pick(rng) returns the sent multispace and its generating multiset; it
+    is the first draw of every trial, so end-to-end runs draw the codeword
+    index before the channel matrices.  With a code, every received word
+    is decoded against it and block errors are counted; a violation is
+    then also recorded when decoding fails although the channel bound
+    guarantees unique decoding (bound < min_distance / 2).
+    """
+    bound = _bound_for(cfg)
+    # rank(T_eff) = m - lost in closed form: every stage of _effective_transform
+    # has full rank except the rank-deficient one, whose rank random_rank checks
+    lost = _need(cfg)
+    records = []
+    violations = 0
+    block_errors = 0
+    hist: dict[int, int] = {}
+    max_d = 0
+    for idx, ss in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        rng = np.random.default_rng(ss)
+        sent, gen = pick(rng)
+        ctx = sent.ctx
+        m = len(gen)
+        cfg.check_rank(m)
+        if cfg.random_generator:
+            gen = apply_transform(gen, random_full_rank(ctx, m, rng))
+        t_eff = _effective_transform(ctx, m, cfg, rng)
+        received = mspan(apply_transform(gen, t_eff))
+        d = distance(sent, received)
+        ok = _trial_ok(cfg, sent, received, d)
+        records.append(TrialRecord(idx, sent, received, m - lost, d, bound, ok))
+        violations += not ok
+        hist[d] = hist.get(d, 0) + 1
+        max_d = max(max_d, d)
+        if code is not None and decode(code, received)[0] != sent:
+            block_errors += 1
+            if bound is not None and bound < code.min_distance / 2:
+                violations += 1  # unique decoding was guaranteed
+    errors = None if code is None else block_errors
+    return ChannelRun(records, ChannelSummary(cfg.trials, violations, max_d, hist, errors))
 
 
 def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
@@ -197,99 +259,25 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
         gen0 = target.generating_multiset()
     else:
         raise TypeError("target must be a Multispace or VectorMultiset")
-    ctx = sent.ctx
-    m = len(gen0)
-    cfg.check_rank(m)
-    records = []
-    violations = 0
-    hist: dict[int, int] = {}
-    max_d = 0
-    for idx, ss in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
-        rng = np.random.default_rng(ss)
-        gen = gen0
-        if cfg.random_generator:
-            gen = apply_transform(gen0, random_full_rank(ctx, m, rng))
-        t_eff = _effective_transform(ctx, m, cfg, rng)
-        received = mspan(apply_transform(gen, t_eff))
-        d = distance(sent, received)
-        ok = _trial_ok(cfg, sent, received, d)
-        records.append(
-            TrialRecord(
-                index=idx,
-                sent=sent,
-                received=received,
-                t_rank=rref_array(ctx, t_eff.array)[1],
-                distance=d,
-                bound=_bound_for(cfg),
-                bound_satisfied=ok,
-            )
-        )
-        violations += not ok
-        hist[d] = hist.get(d, 0) + 1
-        max_d = max(max_d, d)
-    return ChannelRun(records, ChannelSummary(cfg.trials, violations, max_d, hist))
+    cfg.check_rank(len(gen0))
+    return _trial_loop(cfg, lambda rng: (sent, gen0))
 
 
-@dataclass
-class EndToEndSummary:
-    trials: int
-    violations: int
-    max_distance: int
-    histogram: dict[int, int]
-    block_errors: int
-    block_error_rate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "max_distance": self.max_distance,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "block_errors": self.block_errors,
-            "block_error_rate": self.block_error_rate,
-        }
-
-
-def end_to_end(code, cfg: ChannelConfig) -> EndToEndSummary:
+def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
     """Sample codewords, run the channel, decode, and count block errors.
 
-    A violation is recorded when a trial breaks its channel bound, or
-    when decoding fails although the bound guarantees unique decoding
-    (bound < min_distance / 2).
+    A codeword too small for the mode's error weight raises ConfigInvalid
+    in the first trial that samples it.
     """
-    from .codes import decode
-
     cfg.validate()
     if len(code) == 0:
         raise ConfigInvalid("end-to-end run needs a nonempty code")
-    ctx = code.ctx
-    bound = _bound_for(cfg)
-    violations = 0
-    block_errors = 0
-    hist: dict[int, int] = {}
-    max_d = 0
-    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
-        rng = np.random.default_rng(ss)
+
+    def pick(rng):
         w = code.codewords[int(rng.integers(len(code)))]
-        m = w.rank
-        cfg.check_rank(m)
-        gen = w.generating_multiset()
-        if cfg.random_generator:
-            gen = apply_transform(gen, random_full_rank(ctx, m, rng))
-        t_eff = _effective_transform(ctx, m, cfg, rng)
-        received = mspan(apply_transform(gen, t_eff))
-        d = distance(w, received)
-        hist[d] = hist.get(d, 0) + 1
-        max_d = max(max_d, d)
-        if not _trial_ok(cfg, w, received, d):
-            violations += 1
-        decoded, _ = decode(code, received)
-        if decoded != w:
-            block_errors += 1
-            if bound is not None and bound < code.min_distance / 2:
-                violations += 1  # unique decoding was guaranteed
-    rate = block_errors / cfg.trials if cfg.trials else 0.0
-    return EndToEndSummary(cfg.trials, violations, max_d, hist, block_errors, rate)
+        return w, w.generating_multiset()
+
+    return _trial_loop(cfg, pick, code).summary
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ poly, roots, search, ball, bound, simulate.
 Exit codes: 0 success, 1 usage or input error, 2 enumeration limit
 exceeded, 3 a proven channel bound was violated (implementation bug).
 Output defaults to a human table on a TTY and JSON when piped;
---format overrides.
+--format (table, json or csv) overrides.  Only count writes csv; other
+subcommands print their table for it, and hasse always writes DOT.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -67,23 +69,31 @@ def _pick_format(args, default_piped="json"):
     return "table" if sys.stdout.isatty() else default_piped
 
 
-def _out(args):
-    if getattr(args, "output", None):
-        return open(args.output, "w")
-    return sys.stdout
+@contextlib.contextmanager
+def _output_file(path, newline=None):
+    """Yield path opened for writing, or stdout when path is None.
+
+    A path that cannot be opened or written is an input error (exit 1),
+    not a traceback.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise FormatError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _emit(args, doc: dict, table_lines: list[str]):
+    """Write doc as JSON, or table_lines under any other format."""
     fmt = _pick_format(args)
-    fh = _out(args)
-    try:
+    with _output_file(getattr(args, "output", None)) as fh:
         if fmt == "json":
             fh.write(json.dumps(doc, indent=2) + "\n")
         else:
             fh.write("\n".join(table_lines) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +114,9 @@ def cmd_count(args) -> int:
     if _pick_format(args) == "csv":
         lines = ["rank,count,cumulative"]
         lines += [f"{r['rank']},{r['count']},{r['cumulative']}" for r in rows]
-        fh = _out(args)
-        try:
-            fh.write("\n".join(lines) + "\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
-        return 0
-    lines = [f"{'rank':>4}  {'count':>12}  {'cumulative':>12}"]
-    lines += [f"{r['rank']:>4}  {r['count']:>12}  {r['cumulative']:>12}" for r in rows]
+    else:
+        lines = [f"{'rank':>4}  {'count':>12}  {'cumulative':>12}"]
+        lines += [f"{r['rank']:>4}  {r['count']:>12}  {r['cumulative']:>12}" for r in rows]
     _emit(args, doc, lines)
     return 0
 
@@ -130,12 +134,8 @@ def cmd_enumerate(args) -> int:
 def cmd_hasse(args) -> int:
     ctx = parse_field_spec(args.q_spec)
     hd = hasse_dot(ctx, args.n, args.m_max)
-    fh = _out(args)
-    try:
+    with _output_file(args.output) as fh:
         fh.write(hd.dot)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     print(
         f"nodes: {hd.nodes} edges: {hd.edges} per-rank: {'/'.join(map(str, hd.rank_sizes))}",
         file=sys.stderr,
@@ -219,7 +219,7 @@ def cmd_search(args) -> int:
     ]
     if args.output:
         # --output names the code file; the stats summary goes to stdout
-        with open(args.output, "w") as fh:
+        with _output_file(args.output) as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
         args.output = None
         doc = {"written": True, "size": len(code), "min_distance": verified, "packing_bound": bound}
@@ -257,7 +257,7 @@ def cmd_simulate(args) -> int:
             raise FormatError("code file holds no codewords")
         run = run_trials(code.codewords[args.codeword], cfg)
         if args.trial_log:
-            with open(args.trial_log, "w", newline="") as fh:
+            with _output_file(args.trial_log, newline="") as fh:
                 write_trial_csv(run.records, fh)
         summary = run.summary
         doc = summary.to_dict()
@@ -265,7 +265,7 @@ def cmd_simulate(args) -> int:
              f"max distance: {summary.max_distance}"]
     hist = ", ".join(f"{k}:{v}" for k, v in sorted(summary.histogram.items()))
     lines.append(f"histogram: {hist}")
-    if hasattr(summary, "block_error_rate"):
+    if summary.block_errors is not None:
         lines.append(f"block error rate: {summary.block_error_rate}")
     _emit(args, doc, lines)
     return 3 if summary.violations else 0
@@ -277,7 +277,7 @@ def cmd_simulate(args) -> int:
 
 def build_parser() -> _Parser:
     p = _Parser(prog="multispace", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--format", choices=["table", "json", "csv", "dot"], default=None)
+    p.add_argument("--format", choices=["table", "json", "csv"], default=None)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, fn, **kwargs):

@@ -3,7 +3,6 @@ prescribed minimum lattice distance, plus search, bounds and decoding.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +23,9 @@ from .lattice import (
     distance,
     enumerate_multispaces,
     enumerate_multispaces_up_to,
+    pairwise_distances,
 )
 from .linalg import DEFAULT_STATE_LIMIT
-
-#: pairwise distance matrices are only materialized up to this many elements
-DISTANCE_CACHE_LIMIT = 1 << 14
 
 
 class MultispaceCode:
@@ -76,11 +73,8 @@ class MultispaceCode:
             if len(self.codewords) <= 1:
                 self._min_dist = math.inf
             else:
-                self._min_dist = min(
-                    distance(a, b)
-                    for i, a in enumerate(self.codewords)
-                    for b in self.codewords[i + 1 :]
-                )
+                d = pairwise_distances(self.codewords)
+                self._min_dist = int(d[np.triu_indices(len(d), 1)].min())
         return self._min_dist
 
     def to_dict(self) -> dict:
@@ -113,17 +107,6 @@ def min_distance(code: MultispaceCode) -> int:
 
 def _ground_set(ctx, n, m_max, state_limit) -> list[Multispace]:
     return list(enumerate_multispaces_up_to(ctx, n, m_max, state_limit))
-
-
-def _distance_matrix(elems: list[Multispace]) -> np.ndarray:
-    v = len(elems)
-    if v > DISTANCE_CACHE_LIMIT:
-        raise LimitExceeded(f"{v} elements exceed the distance-matrix limit")
-    d = np.zeros((v, v), dtype=np.int64)
-    for i in range(v):
-        for j in range(i + 1, v):
-            d[i, j] = d[j, i] = distance(elems[i], elems[j])
-    return d
 
 
 def greedy_code(
@@ -176,7 +159,7 @@ def exhaustive_optimal_code(
     v = len(elems)
     if v > size_limit:
         raise LimitExceeded(f"ground set of {v} exceeds clique-search limit {size_limit}")
-    dmat = _distance_matrix(elems)
+    dmat = pairwise_distances(elems)
     compat = [0] * v
     for i in range(v):
         mask = 0
@@ -249,24 +232,6 @@ def ball_size(
     return len(ball(center, radius, m_max, state_limit))
 
 
-@dataclass(frozen=True)
-class BallProfile:
-    """A metric ball: its center, radius, and exact size."""
-
-    center: Multispace
-    radius: int
-    size: BigCount
-
-
-def ball_profile(
-    center: Multispace,
-    radius: int,
-    m_max: int,
-    state_limit: int | None = DEFAULT_STATE_LIMIT,
-) -> BallProfile:
-    return BallProfile(center, radius, ball_size(center, radius, m_max, state_limit))
-
-
 def sphere_packing_bound(
     ctx: FieldCtx,
     n: int,
@@ -297,12 +262,9 @@ def decode(code: MultispaceCode, received: Multispace) -> tuple[Multispace, int]
     received.ctx.check_same(code.ctx)
     if received.n != code.n:
         raise ConfigInvalid("received word has a different ambient dimension")
-    best_w, best_d = None, None
-    for w in code.codewords:
-        d = distance(w, received)
-        if best_d is None or d < best_d:
-            best_w, best_d = w, d
-    return best_w, int(best_d)
+    d = pairwise_distances(code.codewords, [received])[:, 0]
+    best = int(np.argmin(d))  # the first minimum: ties break by codeword order
+    return code.codewords[best], int(d[best])
 
 
 def codespace_growth(ctx: FieldCtx, n: int, m: int) -> BigCount:

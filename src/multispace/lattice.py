@@ -273,6 +273,23 @@ def join(a: Multispace, b: Multispace) -> Multispace:
     return Multispace(a.underlying + b.underlying, max(a.height, b.height))
 
 
+def pairwise_distances(xs, ys=None) -> np.ndarray:
+    """Integer matrix of lattice distances d[i, j] = distance(xs[i], ys[j]).
+
+    With ys omitted it is the symmetric matrix of xs against itself: each
+    unordered pair is evaluated once and the diagonal is 0.
+    """
+    xs = list(xs)
+    if ys is None:
+        d = np.zeros((len(xs), len(xs)), dtype=np.int64)
+        for i, j in combinations(range(len(xs)), 2):
+            d[i, j] = d[j, i] = distance(xs[i], xs[j])
+        return d
+    ys = list(ys)
+    rows = [[distance(x, y) for y in ys] for x in xs]
+    return np.array(rows, dtype=np.int64).reshape(len(xs), len(ys))
+
+
 def distance(a: Multispace, b: Multispace) -> int:
     """Lattice metric rank(join) - rank(meet).
 
@@ -492,12 +509,7 @@ def gamma_graph(
     ctx: FieldCtx, n: int, m: int, state_limit: int | None = DEFAULT_STATE_LIMIT
 ) -> GammaGraph:
     verts = tuple(enumerate_multispaces(ctx, n, m, state_limit))
-    v = len(verts)
-    adj = np.zeros((v, v), dtype=bool)
-    for i, j in combinations(range(v), 2):
-        if distance(verts[i], verts[j]) == 2:
-            adj[i, j] = adj[j, i] = True
-    return GammaGraph(ctx, n, m, verts, adj)
+    return GammaGraph(ctx, n, m, verts, pairwise_distances(verts) == 2)
 
 
 @dataclass

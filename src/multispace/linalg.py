@@ -420,18 +420,6 @@ def span(vectors, ctx: FieldCtx | None = None, n: int | None = None) -> Subspace
     return Subspace.from_array(c0, n0, np.stack([v.coords for v in vecs]))
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a + b
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def contains(a: Subspace, v: FqVector) -> bool:
-    return a.contains(v)
-
-
 def subspace_leq(a: Subspace, b: Subspace) -> bool:
     return a <= b
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_multispace
 from multispace.channel import (
+    MODES,
     ChannelConfig,
+    _effective_transform,
     apply_transform,
     end_to_end,
     raise_on_violation,
@@ -204,3 +207,48 @@ def test_trial_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("index,sent,received")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4]),
+    mode=st.sampled_from(MODES),
+    data=st.data(),
+)
+def test_closed_form_t_rank_matches_elimination(q, mode, data):
+    """The logged t_rank is rank(T_eff) of the matrix each trial really drew."""
+    ctx = {2: F2, 3: F3, 4: F4}[q]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="input seed"))
+    w = random_multispace(ctx, data.draw(st.integers(1, 4), label="n"), rng)
+    need_per_s = {"full-rank": 0, "deletion": 1, "rank-deficient": 1, "compound": 2}[mode]
+    s_max = 0 if need_per_s == 0 else w.rank // need_per_s
+    cfg = ChannelConfig(
+        mode,
+        trials=data.draw(st.integers(1, 4), label="trials"),
+        s=data.draw(st.integers(0, s_max), label="s"),
+        seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
+        random_generator=data.draw(st.booleans(), label="random_generator"),
+    )
+    run = run_trials(w, cfg)
+    gen0 = w.generating_multiset()
+    m = len(gen0)
+    for record, ss in zip(run.records, np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        trial_rng = np.random.default_rng(ss)  # replay the trial's draws in order
+        gen = gen0
+        if cfg.random_generator:
+            gen = apply_transform(gen0, random_full_rank(ctx, m, trial_rng))
+        t_eff = _effective_transform(ctx, m, cfg, trial_rng)
+        assert mspan(apply_transform(gen, t_eff)) == record.received
+        assert record.t_rank == rref_array(ctx, t_eff.array)[1]
+
+
+def test_summary_keys_of_both_entry_points():
+    w = Multispace(Subspace.full(F2, 2), 1)
+    doc = run_trials(w, ChannelConfig("deletion", trials=3, s=1, seed=0)).summary.to_dict()
+    assert list(doc) == ["trials", "violations", "max_distance", "histogram"]
+    code = MultispaceCode(F2, 3, 1, tuple(enumerate_multispaces(F2, 3, 1)))
+    summary = end_to_end(code, ChannelConfig("full-rank", trials=3, seed=0))
+    assert list(summary.to_dict()) == [
+        "trials", "violations", "max_distance", "histogram", "block_errors", "block_error_rate",
+    ]
+    assert isinstance(summary, ChannelSummary) and summary.block_errors == 0

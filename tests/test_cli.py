@@ -22,6 +22,7 @@ def run(capsys, *argv):
 
 W_LINE = json.dumps({"q-spec": "2", "n": 3, "basis": [[1, 0, 0]], "height": 0})
 W_Z1 = json.dumps({"q-spec": "2", "n": 3, "basis": [], "height": 1})
+W_CODE = json.dumps({"q-spec": "2", "n": 3, "m_max": 1, "codewords": [json.loads(W_LINE)]})
 
 
 def test_count(capsys):
@@ -190,6 +191,30 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "count", "banana", "3", "3")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "json", "count", "2", "3", "3", "--output"],
+        ["--format", "csv", "count", "2", "3", "3", "--output"],
+        ["hasse", "2", "2", "1", "--output"],
+        ["search", "2", "2", "1", "2", "--output"],
+        ["simulate", W_CODE, "--mode", "full-rank", "--trials", "2", "--trial-log"],
+    ],
+    ids=["count", "count-csv", "hasse", "search", "simulate"],
+)
+def test_unwritable_output_path_is_an_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, *argv, str(target))
+    assert code == 1 and err.startswith("error: cannot write") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_format_choices(capsys):
+    assert "--format {table,json,csv}" in cli.build_parser().format_usage()
+    code, _, err = run(capsys, "--format", "dot", "hasse", "2", "2", "1")
+    assert code == 1 and "invalid choice" in err
 
 
 def test_limit_exit_code(capsys):

@@ -6,7 +6,6 @@ import pytest
 from multispace.codes import (
     MultispaceCode,
     ball,
-    ball_profile,
     ball_size,
     codespace_growth,
     decode,
@@ -130,12 +129,12 @@ def test_ball_examples():
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
-def test_ball_profile_monotone():
+def test_ball_size_monotone_around_top():
     center = Multispace(Subspace.full(F2, 3), 0)
-    profiles = [ball_profile(center, r, 3) for r in range(5)]
-    assert all(p.size >= 1 for p in profiles)
-    assert all(a.size <= b.size for a, b in zip(profiles, profiles[1:]))
-    assert profiles[0].center == center and profiles[2].radius == 2
+    sizes = [ball_size(center, r, 3) for r in range(5)]
+    assert sizes[0] == 1
+    assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+    assert sizes[1] == 8  # the 7 planes of GF(2)^3; nothing covers it below rank 4
 
 
 def test_ball_matches_distance_enumeration():
@@ -167,6 +166,16 @@ def test_decode_identity_and_ties():
     two = MultispaceCode(F2, 3, 1, code.codewords[:2])
     got, d = decode(two, Multispace.bottom(F2, 3))
     assert got == two.codewords[0] and d == 1
+
+
+def test_decode_tie_returns_the_earlier_codeword():
+    lines = tuple(enumerate_multispaces(F2, 3, 1))[1:4]  # three height-0 lines
+    far = Multispace(Subspace.full(F2, 3), 3)
+    bottom = Multispace.bottom(F2, 3)  # at distance 1 from every line
+    for order in (lines, lines[::-1], (far, *lines)):
+        code = MultispaceCode(F2, 3, 6, order)
+        got, d = decode(code, bottom)
+        assert d == 1 and got == next(w for w in order if w != far)
 
 
 def test_decode_unique_radius():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     bfs_distances,
@@ -36,6 +37,7 @@ from multispace.lattice import (
     mspan,
     multiplicity_oracle,
     multiset_leq,
+    pairwise_distances,
 )
 from multispace.linalg import FqVector, Subspace, span, subspace_distance
 
@@ -162,6 +164,26 @@ def test_distance_decomposition():
         expected = subspace_distance(a.underlying, b.underlying) + abs(a.height - b.height)
         assert distance(a, b) == expected
         assert distance(a, b) == join(a, b).rank - meet(a, b).rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4]),
+    n=st.integers(1, 4),
+    sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_pairwise_distances_match_distance_loop(q, n, sizes, seed):
+    ctx = {2: F2, 3: F3, 4: F4}[q]
+    rng = np.random.default_rng(seed)
+    xs = [random_multispace(ctx, n, rng) for _ in range(sizes[0])]
+    ys = [random_multispace(ctx, n, rng) for _ in range(sizes[1])]
+    square = pairwise_distances(xs)
+    assert square.dtype == np.int64 and square.shape == (len(xs), len(xs))
+    assert square.tolist() == [[distance(a, b) for b in xs] for a in xs]
+    rect = pairwise_distances(xs, ys)
+    assert rect.dtype == np.int64 and rect.shape == (len(xs), len(ys))
+    assert rect.tolist() == [[distance(a, b) for b in ys] for a in xs]
 
 
 def test_multiset_leq_examples():

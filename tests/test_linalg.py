@@ -21,9 +21,7 @@ from multispace.linalg import (
     rref,
     span,
     subspace_distance,
-    subspace_intersect,
     subspace_leq,
-    subspace_sum,
 )
 
 F2 = field(2)
@@ -116,18 +114,18 @@ def test_subspace_sum_examples():
     e1, e2 = FqVector.unit(F2, 3, 0), FqVector.unit(F2, 3, 1)
     a = span([e1])
     zero = Subspace.zero(F2, 3)
-    assert subspace_sum(a, zero) == a
-    assert subspace_sum(a, a) == a
-    s = subspace_sum(span([e1]), span([e2]))
+    assert a + zero == a
+    assert a + a == a
+    s = span([e1]) + span([e2])
     assert s.basis.tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_intersection_examples():
     e1, e2, e3 = (FqVector.unit(F2, 3, i) for i in range(3))
     a = span([e1, e2])
-    assert subspace_intersect(a, a) == a
-    assert subspace_intersect(span([e1]), span([e2])).dim == 0
-    got = subspace_intersect(span([e1, e2]), span([e2, e3]))
+    assert a.intersect(a) == a
+    assert span([e1]).intersect(span([e2])).dim == 0
+    got = span([e1, e2]).intersect(span([e2, e3]))
     assert got == span([e2])
 
 
@@ -137,7 +135,7 @@ def test_intersection_against_brute_force(ctx, n):
     for _ in range(15):
         a = random_subspace(ctx, n, rng)
         b = random_subspace(ctx, n, rng)
-        got = subspace_intersect(a, b)
+        got = a.intersect(b)
         va = {tuple(v) for v in a.vector_array()}
         vb = {tuple(v) for v in b.vector_array()}
         want = va & vb
@@ -150,8 +148,8 @@ def test_dimension_modularity():
         for _ in range(30):
             a = random_subspace(ctx, 4, rng)
             b = random_subspace(ctx, 4, rng)
-            inter = subspace_intersect(a, b)
-            total = subspace_sum(a, b)
+            inter = a.intersect(b)
+            total = a + b
             assert inter.dim + total.dim == a.dim + b.dim
             assert subspace_distance(a, b) == a.dim + b.dim - 2 * inter.dim
 
