@@ -18,7 +18,6 @@ from multispace import (
     join,
     meet,
     mspan,
-    multiplicity_oracle,
 )
 
 F2 = field(2)
@@ -30,9 +29,9 @@ print(f"generators: {b.matrix.tolist()}")
 print(f"mspan: dim {w.dim}, height {w.height}, rank {w.rank}")
 print(f"multiset size q^rank = {w.size()}, member multiplicity q^ht = {w.multiplicity()}")
 
-# the literal brute-force count over all q^m coefficient tuples agrees
-mu = multiplicity_oracle(b)
-print(f"oracle: {len(mu)} distinct vectors, multiplicities {sorted(set(mu.values()))}")
+# the support is the underlying subspace; each of its vectors occurs q^ht times
+support = w.underlying.vector_array()
+print(f"support: {len(support)} distinct vectors {support.tolist()}, each {w.multiplicity()} times")
 
 print()
 print("== meet, join, distance ==")

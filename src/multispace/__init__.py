@@ -38,6 +38,7 @@ from .linalg import (
     FqVector,
     Subspace,
     enumerate_subspaces,
+    gaussian_binomial,
     is_rref,
     rref,
     span,
@@ -60,14 +61,12 @@ from .lattice import (
     enumerate_multispaces,
     enumerate_multispaces_up_to,
     gamma_graph,
-    gaussian_binomial,
     hasse_dot,
     hasse_edges,
     is_distance_regular,
     join,
     meet,
     mspan,
-    multiplicity_oracle,
     multiset_leq,
     pairwise_distances,
 )

@@ -3,11 +3,12 @@
 Subcommands: count, enumerate, hasse, distance, meet, join, mspan,
 poly, roots, search, ball, bound, simulate.
 
-Exit codes: 0 success, 1 usage or input error, 2 enumeration limit
-exceeded, 3 a proven channel bound was violated (implementation bug).
+Exit codes: 0 success, 1 usage or input error, 2 an enumeration of more
+than 2^20 items or a clique search over more than 64 elements, 3 a
+proven channel bound was violated (implementation bug).
 Output defaults to a human table on a TTY and JSON when piped;
---format (table, json or csv) overrides.  Only count writes csv; other
-subcommands print their table for it, and hasse always writes DOT.
+--format (table, json or csv) overrides.  Only count and search have a
+csv form; --format csv is an error elsewhere.  hasse always writes DOT.
 """
 
 import argparse
@@ -41,6 +42,10 @@ from .lattice import (
 )
 from .linalg import subspace_distance
 from .qpoly import LinearizedPoly, poly_from_multispace, roots_multiset
+
+
+#: The subcommands that write CSV under --format csv.
+_CSV_COMMANDS = ("count", "search")
 
 
 class _UsageError(Exception):
@@ -204,19 +209,18 @@ def cmd_search(args) -> int:
     doc["packing_bound"] = bound
     doc["seed"] = args.seed
     doc["method"] = "optimal" if args.optimal else "greedy"
-    if args.csv:
-        opt_col = len(code) if args.optimal else ""
-        print("q,n,m_max,d_min,greedy_size,optimal_size,packing_bound,seed")
-        print(
-            f"{ctx.q},{args.n},{args.m_max},{args.d_min},"
-            f"{'' if args.optimal else len(code)},{opt_col},{bound},{args.seed}"
-        )
-        return 0
-    lines = [
-        f"size: {len(code)}",
-        f"verified min distance: {'inf' if verified is None else verified}",
-        f"packing bound: {bound}",
-    ]
+    if _pick_format(args) == "csv":
+        greedy_col, opt_col = ("", len(code)) if args.optimal else (len(code), "")
+        lines = [
+            "q,n,m_max,d_min,greedy_size,optimal_size,packing_bound,seed",
+            f"{ctx.q},{args.n},{args.m_max},{args.d_min},{greedy_col},{opt_col},{bound},{args.seed}",
+        ]
+    else:
+        lines = [
+            f"size: {len(code)}",
+            f"verified min distance: {'inf' if verified is None else verified}",
+            f"packing bound: {bound}",
+        ]
     if args.output:
         # --output names the code file; the stats summary goes to stdout
         with _output_file(args.output) as fh:
@@ -253,8 +257,8 @@ def cmd_simulate(args) -> int:
         summary = end_to_end(code, cfg)
         doc = summary.to_dict()
     else:
-        if len(code) == 0:
-            raise FormatError("code file holds no codewords")
+        if not 0 <= args.codeword < len(code):
+            raise ConfigInvalid(f"--codeword {args.codeword} is not an index of the {len(code)} codewords")
         run = run_trials(code.codewords[args.codeword], cfg)
         if args.trial_log:
             with _output_file(args.trial_log, newline="") as fh:
@@ -337,7 +341,6 @@ def build_parser() -> _Parser:
     sp.add_argument("d_min", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--optimal", action="store_true")
-    sp.add_argument("--csv", action="store_true")
     sp.add_argument("--output")
 
     sp = add("ball", cmd_ball, help="metric ball size around a multispace")
@@ -376,6 +379,8 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     try:
+        if args.format == "csv" and args.command not in _CSV_COMMANDS:
+            raise ConfigInvalid(f"{args.command} has no csv form; only {' and '.join(_CSV_COMMANDS)} do")
         return args.func(args)
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)

@@ -25,7 +25,10 @@ from .lattice import (
     enumerate_multispaces_up_to,
     pairwise_distances,
 )
-from .linalg import DEFAULT_STATE_LIMIT
+from .linalg import _check_budget
+
+#: Largest ground set the branch-and-bound clique search takes on.
+CLIQUE_LIMIT = 64
 
 
 class MultispaceCode:
@@ -105,18 +108,7 @@ def min_distance(code: MultispaceCode) -> int:
     return int(code.min_distance)
 
 
-def _ground_set(ctx, n, m_max, state_limit) -> list[Multispace]:
-    return list(enumerate_multispaces_up_to(ctx, n, m_max, state_limit))
-
-
-def greedy_code(
-    ctx: FieldCtx,
-    n: int,
-    m_max: int,
-    d_min: int,
-    seed: int = 0,
-    state_limit: int | None = DEFAULT_STATE_LIMIT,
-) -> MultispaceCode:
+def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) -> MultispaceCode:
     """Greedy code construction, visiting high ranks first.
 
     Elements are taken rank m_max down to 0, with a seeded shuffle inside
@@ -132,7 +124,7 @@ def greedy_code(
     rng = np.random.default_rng(seed)
     kept: list[Multispace] = []
     for m in range(m_max, -1, -1):
-        layer = list(enumerate_multispaces(ctx, n, m, state_limit))
+        layer = list(enumerate_multispaces(ctx, n, m))
         for idx in rng.permutation(len(layer)):
             w = layer[idx]
             if all(distance(w, k) >= d_min for k in kept):
@@ -141,24 +133,19 @@ def greedy_code(
     return MultispaceCode(ctx, n, m_max, tuple(kept))
 
 
-def exhaustive_optimal_code(
-    ctx: FieldCtx,
-    n: int,
-    m_max: int,
-    d_min: int,
-    size_limit: int = 64,
-) -> MultispaceCode:
+def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> MultispaceCode:
     """Maximum-cardinality code by branch-and-bound max clique.
 
     The compatibility graph joins pairs at distance >= d_min; a code is
-    exactly a clique.  Certified optimal; ground set capped at size_limit.
+    exactly a clique.  Certified optimal; ground set capped at CLIQUE_LIMIT,
+    which is checked on the counting formula before anything is enumerated.
     """
     if d_min < 1:
         raise ConfigInvalid("d_min must be >= 1")
-    elems = _ground_set(ctx, n, m_max, None)
-    v = len(elems)
-    if v > size_limit:
-        raise LimitExceeded(f"ground set of {v} exceeds clique-search limit {size_limit}")
+    v = codespace_growth(ctx, n, m_max)
+    if v > CLIQUE_LIMIT:
+        raise LimitExceeded(f"ground set of {v} exceeds clique-search limit {CLIQUE_LIMIT}")
+    elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
     dmat = pairwise_distances(elems)
     compat = [0] * v
     for i in range(v):
@@ -189,12 +176,7 @@ def exhaustive_optimal_code(
     return MultispaceCode(ctx, n, m_max, words)
 
 
-def ball(
-    center: Multispace,
-    radius: int,
-    m_max: int,
-    state_limit: int | None = DEFAULT_STATE_LIMIT,
-) -> list[Multispace]:
+def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:
     """All multispaces of rank <= m_max within lattice distance <= radius.
 
     Breadth-first search in the Hasse diagram truncated at rank m_max;
@@ -203,8 +185,7 @@ def ball(
     """
     if center.rank > m_max:
         raise ConfigInvalid("center rank exceeds m_max")
-    if state_limit is not None and center.ctx.q ** center.n > state_limit:
-        raise LimitExceeded("ambient space exceeds the state limit")
+    _check_budget(center.ctx.q ** center.n, "ambient vectors")
     seen = {center}
     frontier = [center]
     for _ in range(radius):
@@ -223,22 +204,11 @@ def ball(
     return sorted(seen, key=lambda w: w.sort_key())
 
 
-def ball_size(
-    center: Multispace,
-    radius: int,
-    m_max: int,
-    state_limit: int | None = DEFAULT_STATE_LIMIT,
-) -> BigCount:
-    return len(ball(center, radius, m_max, state_limit))
+def ball_size(center: Multispace, radius: int, m_max: int) -> BigCount:
+    return len(ball(center, radius, m_max))
 
 
-def sphere_packing_bound(
-    ctx: FieldCtx,
-    n: int,
-    m_max: int,
-    d_min: int,
-    state_limit: int | None = DEFAULT_STATE_LIMIT,
-) -> BigCount:
+def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCount:
     """Total space size over the smallest radius-floor((d_min-1)/2) ball.
 
     Ball sizes vary with the center (the lattice is not vertex-transitive
@@ -247,11 +217,11 @@ def sphere_packing_bound(
     if d_min < 1:
         raise ConfigInvalid("d_min must be >= 1")
     radius = (d_min - 1) // 2
-    elems = _ground_set(ctx, n, m_max, state_limit)
+    elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
     total = len(elems)
     if radius == 0:
         return total
-    smallest = min(ball_size(w, radius, m_max, state_limit) for w in elems)
+    smallest = min(ball_size(w, radius, m_max) for w in elems)
     return total // smallest
 
 

@@ -11,21 +11,21 @@ formulas, deterministic enumeration, Hasse-diagram export, and the
 distance-2 graph with a distance-regularity checker.
 """
 
-import functools
 import hashlib
 from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatError, LimitExceeded, RankZero
+from .errors import ConfigInvalid, DimensionMismatch, FormatError, RankZero
 from .fields import FieldCtx, parse_field_spec
 from .linalg import (
-    DEFAULT_STATE_LIMIT,
     FqVector,
     Subspace,
+    _check_budget,
     _rows_array,
     enumerate_subspaces,
+    gaussian_binomial,
     matmul_arrays,
     span,
 )
@@ -201,54 +201,24 @@ class Multispace:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict, strict: bool = True, canonicalize: bool = False) -> "Multispace":
+    def from_dict(cls, d: dict, strict: bool = True) -> "Multispace":
         try:
             height = int(d["height"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad multispace object: {exc}") from exc
         if height < 0:
             raise FormatError(f"bad multispace object: height {height} is negative")
-        return cls(Subspace.from_dict(d, strict=strict, canonicalize=canonicalize), height)
+        return cls(Subspace.from_dict(d, strict=strict), height)
 
 
 # ---------------------------------------------------------------------------
-# Multispan and the multiplicity oracle
+# Multispan
 # ---------------------------------------------------------------------------
 
 def mspan(b: VectorMultiset) -> Multispace:
     """Multispan: underlying space is the span, height is |b| - dim."""
     underlying = span(b)
     return Multispace(underlying, len(b) - underlying.dim)
-
-
-def multiplicity_oracle(
-    b: VectorMultiset, state_limit: int | None = DEFAULT_STATE_LIMIT
-) -> dict[FqVector, BigCount]:
-    """Exact multiplicity function of the multispan, by literal brute force.
-
-    Materializes the sum of every one of the q^|b| coefficient tuples and
-    counts them.  Independent of mspan(); used as its test oracle.
-    """
-    ctx, n, m = b.ctx, b.n, len(b)
-    total = ctx.q ** m
-    if state_limit is not None and total > state_limit:
-        raise LimitExceeded(f"q^m = {total} exceeds limit {state_limit}")
-    sums = np.zeros((1, n), dtype=np.int64)
-    for i in range(m):
-        row = b.matrix[i]
-        scaled = np.stack(
-            [ctx.mul_arr(np.full(n, c, dtype=np.int64), row) for c in range(ctx.q)]
-        )
-        sums = ctx.add_arr(sums[:, None, :], scaled[None, :, :]).reshape(-1, n)
-    if n == 0:
-        return {FqVector(ctx, []): int(total)}
-    if ctx.q ** n < 2 ** 62:
-        qpow = (ctx.q ** np.arange(n)).astype(np.int64)
-        keys = sums @ qpow
-        _, idx, counts = np.unique(keys, return_index=True, return_counts=True)
-        return {FqVector(ctx, sums[i]): int(c) for i, c in zip(idx, counts)}
-    uniq, counts = np.unique(sums, axis=0, return_counts=True)
-    return {FqVector(ctx, row): int(c) for row, c in zip(uniq, counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +278,10 @@ def distance(a: Multispace, b: Multispace) -> int:
 # Counting
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def gaussian_binomial(n: int, k: int, q: int) -> BigCount:
-    """Number of k-dimensional subspaces of GF(q)^n (exact integer).
-
-    Evaluated through the q-Pascal recurrence so every intermediate value
-    is an integer.
-    """
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if k < 0 or k > n:
-        return 0
-    if k == 0 or k == n:
-        return 1
-    return gaussian_binomial(n - 1, k - 1, q) + q ** k * gaussian_binomial(n - 1, k, q)
-
-
 def count_multispaces(n: int, m: int, q: int) -> BigCount:
     """Number of rank-m multispaces over GF(q)^n: sum of Gaussian binomials."""
     if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+        raise ConfigInvalid("n and m must be nonnegative")
     return sum(gaussian_binomial(n, k, q) for k in range(0, min(m, n) + 1))
 
 
@@ -350,21 +304,20 @@ def count_covering(w: Multispace) -> BigCount:
 # Enumeration and cover structure
 # ---------------------------------------------------------------------------
 
-def enumerate_multispaces(
-    ctx: FieldCtx, n: int, m: int, state_limit: int | None = DEFAULT_STATE_LIMIT
-):
+def enumerate_multispaces(ctx: FieldCtx, n: int, m: int):
     """Every multispace of rank exactly m, ascending dim then subspace order."""
+    if min(m, n) < 0:
+        return  # no multispace has a negative rank or ambient dimension
+    _check_budget(count_multispaces(n, m, ctx.q), "multispaces")
     for k in range(0, min(m, n) + 1):
-        for s in enumerate_subspaces(ctx, n, k, state_limit):
+        for s in enumerate_subspaces(ctx, n, k):
             yield Multispace(s, m - k)
 
 
-def enumerate_multispaces_up_to(
-    ctx: FieldCtx, n: int, m_max: int, state_limit: int | None = DEFAULT_STATE_LIMIT
-):
+def enumerate_multispaces_up_to(ctx: FieldCtx, n: int, m_max: int):
     """Every multispace of rank 0..m_max, ascending rank."""
     for m in range(m_max + 1):
-        yield from enumerate_multispaces(ctx, n, m, state_limit)
+        yield from enumerate_multispaces(ctx, n, m)
 
 
 def _monic_vectors_on(ctx: FieldCtx, n: int, cols: tuple[int, ...]):
@@ -401,7 +354,7 @@ def covered_neighbors(w: Multispace) -> list[Multispace]:
     u = w.underlying
     if u.dim > 0:
         # hyperplanes of u = images of hyperplanes of the coordinate space GF(q)^dim
-        for combo in enumerate_subspaces(w.ctx, u.dim, u.dim - 1, state_limit=None):
+        for combo in enumerate_subspaces(w.ctx, u.dim, u.dim - 1):
             rows = matmul_arrays(w.ctx, combo.basis, u.basis)
             out.append(Multispace(Subspace.from_array(w.ctx, w.n, rows), w.height))
     if w.height > 0:
@@ -409,12 +362,10 @@ def covered_neighbors(w: Multispace) -> list[Multispace]:
     return out
 
 
-def hasse_edges(
-    ctx: FieldCtx, n: int, m_max: int, state_limit: int | None = DEFAULT_STATE_LIMIT
-):
+def hasse_edges(ctx: FieldCtx, n: int, m_max: int):
     """All cover pairs (lower, upper) with rank(upper) <= m_max."""
     for m in range(m_max):
-        for w in enumerate_multispaces(ctx, n, m, state_limit):
+        for w in enumerate_multispaces(ctx, n, m):
             for up in covering_neighbors(w):
                 yield (w, up)
 
@@ -427,9 +378,7 @@ class HasseDiagram:
     rank_sizes: list[int]
 
 
-def hasse_dot(
-    ctx: FieldCtx, n: int, m_max: int, state_limit: int | None = DEFAULT_STATE_LIMIT
-) -> HasseDiagram:
+def hasse_dot(ctx: FieldCtx, n: int, m_max: int) -> HasseDiagram:
     """DOT digraph of the lattice up to rank m_max, rank-layered.
 
     Node labels are "rank:dim:hash"; height-0 nodes (plain subspaces) are
@@ -438,7 +387,7 @@ def hasse_dot(
     ranks: list[list[Multispace]] = []
     ids: dict[Multispace, str] = {}
     for m in range(m_max + 1):
-        layer = list(enumerate_multispaces(ctx, n, m, state_limit))
+        layer = list(enumerate_multispaces(ctx, n, m))
         ranks.append(layer)
         for i, w in enumerate(layer):
             ids[w] = f"r{m}_{i}"
@@ -457,7 +406,7 @@ def hasse_dot(
             )
         lines.append("  }")
     n_edges = 0
-    for lower, upper in hasse_edges(ctx, n, m_max, state_limit):
+    for lower, upper in hasse_edges(ctx, n, m_max):
         lines.append(f"  {ids[lower]} -> {ids[upper]};")
         n_edges += 1
     lines.append("}")
@@ -505,10 +454,8 @@ class GammaGraph:
         return dist
 
 
-def gamma_graph(
-    ctx: FieldCtx, n: int, m: int, state_limit: int | None = DEFAULT_STATE_LIMIT
-) -> GammaGraph:
-    verts = tuple(enumerate_multispaces(ctx, n, m, state_limit))
+def gamma_graph(ctx: FieldCtx, n: int, m: int) -> GammaGraph:
+    verts = tuple(enumerate_multispaces(ctx, n, m))
     return GammaGraph(ctx, n, m, verts, pairwise_distances(verts) == 2)
 
 

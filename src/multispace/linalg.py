@@ -5,6 +5,7 @@ A Subspace is always stored through its reduced-row-echelon basis with
 zero rows dropped, so equality and hashing are structural.
 """
 
+import functools
 from collections.abc import Sequence
 from itertools import combinations, product
 
@@ -13,7 +14,41 @@ import numpy as np
 from .errors import DimensionMismatch, FormatError, LimitExceeded, NotCanonical
 from .fields import FieldCtx, FieldElement, parse_field_spec
 
+#: The one enumeration budget: no enumerator yields more items than this.
 DEFAULT_STATE_LIMIT = 1 << 20
+
+
+def _check_budget(count: int, what: str) -> None:
+    """Refuse, before the first item, an enumeration that would yield count items."""
+    if count > DEFAULT_STATE_LIMIT:
+        raise LimitExceeded(f"{count} {what} exceed the enumeration limit {DEFAULT_STATE_LIMIT}")
+
+
+@functools.lru_cache(maxsize=None)
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of GF(q)^n (exact integer).
+
+    Walks the row [n, i+1] = [n, i] (q^(n-i) - 1) / (q^(i+1) - 1); each
+    division is exact, and nothing recurses on n.
+    """
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    if k < 0 or k > n:
+        return 0
+    out = 1
+    for i in range(min(k, n - k)):
+        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return out
+
+
+def _odometer(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
+    """All q^len(rows) combinations sum c_i rows[i], the last coefficient fastest."""
+    n = rows.shape[1]
+    out = np.zeros((1, n), dtype=np.int64)
+    for row in rows:
+        scaled = np.stack([ctx.mul_arr(np.full(n, c, dtype=np.int64), row) for c in range(ctx.q)])
+        out = ctx.add_arr(out[:, None, :], scaled[None, :, :]).reshape(-1, n)
+    return out
 
 
 def _as_array(ctx: FieldCtx, rows) -> np.ndarray:
@@ -262,7 +297,7 @@ class Subspace:
 
     @classmethod
     def from_array(cls, ctx, n, rows) -> "Subspace":
-        """Span of arbitrary row vectors (canonicalized by elimination)."""
+        """Span of arbitrary row vectors, brought to canonical form by elimination."""
         a = _rows_array(ctx, n, rows)
         red, rank, _ = rref_array(ctx, a)
         return cls(ctx, n, red[:rank].copy())
@@ -354,21 +389,10 @@ class Subspace:
 
     # -- enumeration of members --------------------------------------------------
 
-    def vector_array(self, state_limit: int | None = DEFAULT_STATE_LIMIT) -> np.ndarray:
+    def vector_array(self) -> np.ndarray:
         """All q^dim member vectors as an array of encodings, coefficient-odometer order."""
-        q, k, ctx = self.ctx.q, self.dim, self.ctx
-        count = q ** k
-        if state_limit is not None and count > state_limit:
-            raise LimitExceeded(f"{count} vectors exceed limit {state_limit}")
-        out = np.zeros((1, self.n), dtype=np.int64)
-        for i in range(k):
-            scaled = np.stack([ctx.mul_arr(np.full(self.n, c, dtype=np.int64), self.basis[i]) for c in range(q)])
-            out = ctx.add_arr(out[:, None, :], scaled[None, :, :]).reshape(-1, self.n)
-        return out
-
-    def vectors(self, state_limit: int | None = DEFAULT_STATE_LIMIT):
-        for row in self.vector_array(state_limit):
-            yield FqVector(self.ctx, row)
+        _check_budget(self.ctx.q ** self.dim, "vectors")
+        return _odometer(self.ctx, self.basis)
 
     # -- serialization -----------------------------------------------------------
 
@@ -380,17 +404,14 @@ class Subspace:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, strict: bool = True, canonicalize: bool = False) -> "Subspace":
+    def from_dict(cls, d: dict, strict: bool = True) -> "Subspace":
         try:
             spec, n, rows = d["q-spec"], int(d["n"]), d["basis"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad subspace object: {exc}") from exc
         if n < 1:
             raise FormatError(f"bad subspace object: ambient dimension {n} is not positive")
-        ctx = parse_field_spec(spec)
-        if canonicalize:
-            return cls.from_basis(ctx, n, rows, strict=False)
-        return cls.from_basis(ctx, n, rows, strict=strict)
+        return cls.from_basis(parse_field_spec(spec), n, rows, strict=strict)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +452,7 @@ def subspace_distance(a: Subspace, b: Subspace) -> int:
     return 2 * dim_sum - a.dim - b.dim
 
 
-def enumerate_subspaces(
-    ctx: FieldCtx,
-    n: int,
-    k: int,
-    state_limit: int | None = DEFAULT_STATE_LIMIT,
-):
+def enumerate_subspaces(ctx: FieldCtx, n: int, k: int):
     """Yield every k-dimensional subspace of GF(q)^n exactly once.
 
     Order: pivot-column sets lexicographically, then free entries in
@@ -444,8 +460,7 @@ def enumerate_subspaces(
     """
     if not 0 <= k <= n:
         return
-    if state_limit is not None and ctx.q ** n > state_limit:
-        raise LimitExceeded(f"q^n = {ctx.q ** n} exceeds limit {state_limit}")
+    _check_budget(gaussian_binomial(n, k, ctx.q), "subspaces")
     if k == 0:
         yield Subspace.zero(ctx, n)
         return

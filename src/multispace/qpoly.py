@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import Embedding, FieldCtx, FieldElement, extension, field, parse_field_spec
 from .lattice import Multispace
-from .linalg import FqVector, Subspace, rref_array
+from .linalg import Subspace, rref_array
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +95,6 @@ class VectorFieldIso:
             acc = self.big.add_arr(acc, term)
         return acc
 
-    def to_field(self, v: FqVector) -> FieldElement:
-        self.ctx.check_same(v.ctx)
-        return FieldElement(int(self.to_field_array(v.coords[None, :])[0]), self.big)
-
     # -- backward ------------------------------------------------------------
 
     def to_vector_array(self, xs: np.ndarray) -> np.ndarray:
@@ -113,10 +109,6 @@ class VectorFieldIso:
         coeff_digs = (digs @ self._inv_digits.T) % p
         pvec = (p ** np.arange(e)).astype(np.int64)
         return (coeff_digs.reshape(-1, n, e) * pvec).sum(axis=2)
-
-    def to_vector(self, x: FieldElement) -> FqVector:
-        self.big.check_same(x.ctx)
-        return FqVector(self.ctx, self.to_vector_array(np.asarray([x.value]))[0])
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,7 +1,8 @@
-"""Shared brute-force oracles: the lattice poset and the literal root product."""
+"""Shared brute-force oracles: multiplicities, the lattice poset and the literal root product."""
 
 import numpy as np
 
+from multispace.errors import LimitExceeded
 from multispace.lattice import (
     Multispace,
     VectorMultiset,
@@ -9,8 +10,30 @@ from multispace.lattice import (
     enumerate_multispaces_up_to,
     multiset_leq,
 )
-from multispace.linalg import Subspace
+from multispace.linalg import DEFAULT_STATE_LIMIT, FqVector, Subspace, _odometer
 from multispace.qpoly import vector_field_iso
+
+
+def multiplicity_oracle(b: VectorMultiset, state_limit: int | None = DEFAULT_STATE_LIMIT) -> dict:
+    """Exact multiplicity function of the multispan, by literal brute force.
+
+    Materializes the sum of every one of the q^|b| coefficient tuples and
+    counts them.  Independent of mspan(); used as its test oracle.
+    """
+    ctx, n, m = b.ctx, b.n, len(b)
+    total = ctx.q ** m
+    if state_limit is not None and total > state_limit:
+        raise LimitExceeded(f"q^m = {total} exceeds limit {state_limit}")
+    sums = _odometer(ctx, b.matrix)
+    if n == 0:
+        return {FqVector(ctx, []): int(total)}
+    if ctx.q ** n < 2 ** 62:
+        qpow = (ctx.q ** np.arange(n)).astype(np.int64)
+        keys = sums @ qpow
+        _, idx, counts = np.unique(keys, return_index=True, return_counts=True)
+        return {FqVector(ctx, sums[i]): int(c) for i, c in zip(idx, counts)}
+    uniq, counts = np.unique(sums, axis=0, return_counts=True)
+    return {FqVector(ctx, row): int(c) for row, c in zip(uniq, counts)}
 
 
 def poset_elements(ctx, n, m_max):
@@ -187,7 +210,7 @@ def literal_product(w, big=None) -> DensePoly:
     """
     iso = vector_field_iso(w.ctx, w.n, big)
     poly = DensePoly.one(iso.big)
-    for r in iso.to_field_array(w.underlying.vector_array(state_limit=None)):
+    for r in iso.to_field_array(_odometer(w.ctx, w.underlying.basis)):
         poly = poly.mul_linear(int(r))
     for _ in range(w.ctx.e * w.height):
         poly = poly.char_power()

@@ -17,6 +17,7 @@ from helpers import (
     cover_matrix,
     leq_matrix,
     literal_product,
+    multiplicity_oracle,
     poset_elements,
     random_multiset,
     random_multispace,
@@ -43,7 +44,6 @@ from multispace.lattice import (
     join,
     meet,
     mspan,
-    multiplicity_oracle,
     multiset_leq,
 )
 from multispace.linalg import Subspace, span, subspace_distance, subspace_leq

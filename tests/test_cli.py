@@ -117,12 +117,41 @@ def test_search_deterministic_output(capsys, tmp_path):
     assert doc["seed"] == 9
 
 
-def test_search_csv(capsys):
-    code, out, _ = run(capsys, "search", "2", "2", "2", "2", "--csv", "--optimal")
+def test_search_csv(capsys, tmp_path):
+    code, out, _ = run(capsys, "--format", "csv", "search", "2", "2", "2", "2", "--optimal")
     assert code == 0
     header, row = out.strip().splitlines()
     assert header == "q,n,m_max,d_min,greedy_size,optimal_size,packing_bound,seed"
     assert row.split(",")[5] == "6"  # certified optimum
+    # --output gets the code file; the results row still goes to stdout
+    path = tmp_path / "c.json"
+    code, out2, _ = run(capsys, "--format", "csv", "search", "2", "2", "2", "2", "--optimal", "--output", str(path))
+    assert code == 0 and out2 == out
+    assert len(json.loads(path.read_text())["codewords"]) == 6
+    code, _, err = run(capsys, "search", "2", "2", "2", "2", "--csv")
+    assert code == 1 and "unrecognized arguments: --csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "2", "2", "1"],
+        ["hasse", "2", "2", "1"],
+        ["distance", W_LINE, W_Z1],
+        ["meet", W_LINE, W_Z1],
+        ["join", W_LINE, W_Z1],
+        ["mspan", json.dumps({"q-spec": "2", "n": 2, "vectors": [[1, 0]]})],
+        ["poly", W_LINE],
+        ["roots", json.dumps({"base-q": 2, "field": "2^3", "coeffs": {"0": 1}})],
+        ["ball", W_LINE, "1", "2"],
+        ["bound", "2", "2", "2", "3"],
+        ["simulate", W_CODE, "--mode", "full-rank", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_only_for_count_and_search(capsys, argv):
+    code, out, err = run(capsys, "--format", "csv", *argv)
+    assert code == 1 and out == "" and "no csv form" in err and "Traceback" not in err
 
 
 def test_search_whole_space(capsys):
@@ -220,6 +249,29 @@ def test_format_choices(capsys):
 def test_limit_exit_code(capsys):
     code, _, err = run(capsys, "enumerate", "2", "25", "1")
     assert code == 2 and "limit" in err.lower()
+
+
+def test_enumeration_within_budget_ignores_ambient_size(capsys):
+    # q^n = 2^21 is over the budget, but rank 0 holds a single multispace
+    code, out, _ = run(capsys, "--format", "json", "enumerate", "2", "21", "0")
+    assert code == 0
+    assert json.loads(out)["multispaces"] == [{"q-spec": "2", "n": 21, "basis": [], "height": 0}]
+
+
+def test_simulate_codeword_out_of_range(capsys):
+    for index in ("1", "99", "-1"):
+        code, out, err = run(
+            capsys, "--format", "json", "simulate", W_CODE, "--mode", "full-rank", "--trials", "2",
+            "--codeword", index,
+        )
+        assert code == 1 and out == "" and f"--codeword {index} is not an index" in err
+        assert "Traceback" not in err
+
+
+def test_count_of_a_huge_ambient_dimension(capsys):
+    code, out, _ = run(capsys, "--format", "json", "count", "2", "5000", "2")
+    assert code == 0
+    assert json.loads(out)["rows"][1]["count"] == 2 ** 5000
 
 
 def test_emitted_json_reaccepted_bit_exact(capsys):

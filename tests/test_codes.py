@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from multispace import codes, lattice
 from multispace.codes import (
     MultispaceCode,
     ball,
@@ -118,6 +119,16 @@ def test_optimal_at_least_greedy():
 def test_optimal_size_limit():
     with pytest.raises(LimitExceeded):
         exhaustive_optimal_code(F2, 3, 5, 2)  # 72 elements
+
+
+def test_optimal_size_limit_is_checked_before_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated before the size check")
+
+    monkeypatch.setattr(codes, "enumerate_multispaces_up_to", refuse)
+    monkeypatch.setattr(lattice, "enumerate_multispaces", refuse)
+    with pytest.raises(LimitExceeded, match="65539"):
+        exhaustive_optimal_code(field(2, 16), 2, 1, 1)
 
 
 def test_ball_examples():

@@ -11,6 +11,7 @@ from helpers import (
     brute_lub,
     cover_matrix,
     leq_matrix,
+    multiplicity_oracle,
     poset_elements,
     random_multiset,
     random_multispace,
@@ -35,7 +36,6 @@ from multispace.lattice import (
     join,
     meet,
     mspan,
-    multiplicity_oracle,
     multiset_leq,
     pairwise_distances,
 )
@@ -322,6 +322,12 @@ def test_cover_neighbors_match_formulas_and_brute_force():
             assert {index[u] for u in ups} == set(np.nonzero(cov[i, :])[0])
 
 
+def test_covered_neighbors_checks_the_hyperplane_count():
+    w = Multispace(Subspace.full(F2, 21), 0)  # 2^21 - 1 hyperplanes
+    with pytest.raises(LimitExceeded, match="2097151 subspaces"):
+        covered_neighbors(w)
+
+
 # ---------------------------------------------------------------------------
 # Enumeration, Hasse diagram, gamma graph
 # ---------------------------------------------------------------------------
@@ -332,6 +338,14 @@ def test_enumerate_multispaces_counts():
     assert list(enumerate_multispaces(F3, 2, 0)) == [Multispace.bottom(F3, 2)]
     words = list(enumerate_multispaces(F4, 2, 2))
     assert len(words) == len(set(words)) == count_multispaces(2, 2, 4)
+
+
+def test_enumerate_multispaces_budget():
+    words = enumerate_multispaces(F2, 25, 1)  # 2^25 multispaces
+    with pytest.raises(LimitExceeded, match="33554432 multispaces"):
+        next(words)
+    assert list(enumerate_multispaces(F2, 3, -1)) == []
+    assert list(enumerate_multispaces(F2, -1, 2)) == []
 
 
 def test_hasse_edges_small():

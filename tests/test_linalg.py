@@ -13,9 +13,11 @@ from multispace.errors import (
 from multispace.fields import field
 from multispace.lattice import gaussian_binomial
 from multispace.linalg import (
+    DEFAULT_STATE_LIMIT,
     FqMatrix,
     FqVector,
     Subspace,
+    _check_budget,
     enumerate_subspaces,
     is_rref,
     rref,
@@ -205,6 +207,46 @@ def test_enumerate_subspaces_limit():
         list(enumerate_subspaces(F2, 30, 1))
 
 
+def test_budget_is_checked_before_the_first_item():
+    _check_budget(DEFAULT_STATE_LIMIT, "items")
+    with pytest.raises(LimitExceeded):
+        _check_budget(DEFAULT_STATE_LIMIT + 1, "items")
+    lines = enumerate_subspaces(F2, 21, 1)  # 2^21 - 1 lines
+    with pytest.raises(LimitExceeded, match="2097151 subspaces"):
+        next(lines)
+    with pytest.raises(LimitExceeded, match="2097152 vectors"):
+        Subspace.full(F2, 21).vector_array()
+
+
+def test_budget_counts_items_not_the_ambient_space():
+    # q^n = 2^21 is over the budget; the point and the whole space are one item each
+    assert list(enumerate_subspaces(F2, 21, 0)) == [Subspace.zero(F2, 21)]
+    assert list(enumerate_subspaces(F2, 21, 21)) == [Subspace.full(F2, 21)]
+    line = Subspace.from_array(F2, 21, [[1] * 21])
+    assert line.vector_array().tolist() == [[0] * 21, [1] * 21]
+
+
+def _q_pascal(n_max, q):
+    """[n, k]_q for n <= n_max by the q-Pascal recurrence [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([1] + [prev[k - 1] + q ** k * prev[k] for k in range(1, n + 1)])
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_gaussian_binomial_matches_q_pascal(q):
+    for n, row in enumerate(_q_pascal(12, q)):
+        assert [gaussian_binomial(n, k, q) for k in range(n + 1)] == row
+
+
+def test_gaussian_binomial_needs_no_recursion_depth():
+    assert gaussian_binomial(5000, 1, 2) == 2 ** 5000 - 1
+    assert gaussian_binomial(5000, 4999, 2) == 2 ** 5000 - 1
+    assert gaussian_binomial(5000, 2, 2) == (2 ** 5000 - 1) * (2 ** 4999 - 1) // 3
+
+
 def test_matrix_product():
     m = FqMatrix.from_rows(F3, [[1, 2], [0, 1]])
     i = FqMatrix.identity(F3, 2)
@@ -229,7 +271,7 @@ def test_subspace_json_strict_rejects_noncanonical():
     bad = {"q-spec": "3", "n": 2, "basis": [[2, 0], [0, 1]]}
     with pytest.raises(NotCanonical):
         Subspace.from_dict(bad)
-    fixed = Subspace.from_dict(bad, canonicalize=True)
+    fixed = Subspace.from_dict(bad, strict=False)
     assert fixed == Subspace.full(F3, 2)
 
 
