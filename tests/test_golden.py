@@ -14,6 +14,12 @@ the channel simulator: ``<code>.json`` is the exact stdout of a seeded
 runs, ``<case>.csv`` the exact ``--trial-log`` file.  Every RNG draw of the
 trial loop shows in them, so a refactor that reorders draws fails here.
 
+The files under ``tests/golden/metric/`` pin the lattice and metric
+subcommands: ``hasse-*.dot`` the exact DOT of ``hasse``, ``ball-*.json``
+and ``bound-*.json`` ball sizes and sphere-packing bounds as written by
+the breadth-first ball around every center, and ``count-*`` per-rank
+counts in each output format.  The file name gives the arguments.
+
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -31,6 +37,7 @@ from multispace.linalg import Subspace
 
 GOLDEN = Path(__file__).parent / "golden" / "qpoly"
 SIMULATE = Path(__file__).parent / "golden" / "simulate"
+METRIC = Path(__file__).parent / "golden" / "metric"
 
 #: (q-spec, n, dim, height): q in {2, 3, 4}, heights 0-4, ranks up to 12
 CASES = [
@@ -126,6 +133,51 @@ def test_simulate_outputs_are_byte_identical(capsys, tmp_path, case):
         assert log.read_bytes() == (SIMULATE / f"{case}.csv").read_bytes()
 
 
+def _center(spec: str, n: int, basis: list, height: int) -> str:
+    return json.dumps({"q-spec": spec, "n": n, "basis": basis, "height": height})
+
+
+#: file name -> exact argv of a lattice or metric subcommand
+METRIC_RUNS = {
+    "hasse-2-3-3.dot": ["hasse", "2", "3", "3"],
+    "hasse-3-2-2.dot": ["hasse", "3", "2", "2"],
+    "hasse-4-2-2.dot": ["hasse", "2^2", "2", "2"],
+    "ball-00.json": ["--format", "json", "ball", _center("2", 3, [], 0), "2", "3"],
+    "ball-01.json": ["--format", "json", "ball", _center("2", 3, [[1, 0, 0]], 0), "1", "2"],
+    "ball-02.json": ["--format", "json", "ball", _center("2", 3, [[1, 0, 1], [0, 1, 1]], 1), "3", "4"],
+    "ball-03.json": ["--format", "json", "ball", _center("2", 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0), "4", "3"],
+    "ball-04.json": ["--format", "json", "ball", _center("2", 4, [[1, 0, 1, 1]], 2), "2", "4"],
+    "ball-05.json": ["--format", "json", "ball", _center("3", 2, [[1, 2]], 1), "3", "3"],
+    "ball-06.json": ["--format", "json", "ball", _center("2^2", 2, [], 2), "2", "3"],
+    "ball-07.json": ["--format", "json", "ball", _center("2^2", 3, [[1, 2, 3]], 0), "1", "2"],
+    "ball-08.json": ["--format", "json", "ball", _center("3", 3, [[1, 0, 2], [0, 1, 1]], 0), "2", "2"],
+    "ball-09.table": ["--format", "table", "ball", _center("2", 4, [[0, 1, 0, 0], [0, 0, 1, 1]], 0), "3", "3"],
+    "bound-2-2-2-3.json": ["--format", "json", "bound", "2", "2", "2", "3"],
+    "bound-2-3-3-3.json": ["--format", "json", "bound", "2", "3", "3", "3"],
+    "bound-2-3-3-5.json": ["--format", "json", "bound", "2", "3", "3", "5"],
+    "bound-2-3-2-1.json": ["--format", "json", "bound", "2", "3", "2", "1"],
+    "bound-3-2-2-3.json": ["--format", "json", "bound", "3", "2", "2", "3"],
+    "bound-4-2-3-3.json": ["--format", "json", "bound", "2^2", "2", "3", "3"],
+    "bound-2-4-3-3.json": ["--format", "json", "bound", "2", "4", "3", "3"],
+    "bound-2-4-4-5.json": ["--format", "json", "bound", "2", "4", "4", "5"],
+    "bound-3-3-2-3.json": ["--format", "json", "bound", "3", "3", "2", "3"],
+    "bound-2-5-3-3.json": ["--format", "json", "bound", "2", "5", "3", "3"],
+    "bound-4-3-2-3.table": ["--format", "table", "bound", "2^2", "3", "2", "3"],
+    "count-2-3-3.json": ["--format", "json", "count", "2", "3", "3"],
+    "count-3-5-7.json": ["--format", "json", "count", "3", "5", "7"],
+    "count-4-4-4.json": ["--format", "json", "count", "2^2", "4", "4"],
+    "count-2-12-6.json": ["--format", "json", "count", "2", "12", "6"],
+    "count-3-4-5.csv": ["--format", "csv", "count", "3", "4", "5"],
+    "count-2-6-4.table": ["--format", "table", "count", "2", "6", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_RUNS))
+def test_lattice_and_metric_outputs_are_byte_identical(capsys, name):
+    assert cli.main(METRIC_RUNS[name]) == 0
+    assert capsys.readouterr().out == (METRIC / name).read_text()
+
+
 def _random_multispace(ctx, n, dim, height, rng) -> Multispace:
     while True:
         u = Subspace.from_array(ctx, n, rng.integers(0, ctx.q, size=(dim, n)))
@@ -163,6 +215,19 @@ def _write_simulate_golden():
         (SIMULATE / name).write_text(buf.getvalue())
 
 
+def _write_metric_golden():
+    import contextlib
+    import io
+
+    METRIC.mkdir(parents=True, exist_ok=True)
+    for name, argv in METRIC_RUNS.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        (METRIC / name).write_text(buf.getvalue())
+
+
 if __name__ == "__main__":
     _write_golden()
     _write_simulate_golden()
+    _write_metric_golden()
