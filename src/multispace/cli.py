@@ -40,7 +40,6 @@ from .lattice import (
     meet,
     mspan,
 )
-from .linalg import subspace_distance
 from .qpoly import LinearizedPoly, poly_from_multispace, roots_multiset
 
 
@@ -109,12 +108,19 @@ def cmd_count(args) -> int:
     if args.n < 0 or args.m < 0:
         raise ConfigInvalid(f"n = {args.n} and m = {args.m} must be nonnegative")
     ctx = parse_field_spec(args.q_spec)
+    limit = sys.get_int_max_str_digits() or math.inf  # 0 means no limit
+    too_long = ConfigInvalid(f"counts pass Python's limit of {limit} decimal digits for printing an int")
+    k = min(args.m, args.n // 2)  # refuse before counting if [n, k]_q >= q^(k(n-k)) is too long
+    if k * (args.n - k) * math.log10(ctx.q) > limit + 1:
+        raise too_long
     rows = []
     cumulative = 0
     for j in range(args.m + 1):
         c = count_multispaces(args.n, j, ctx.q)
         cumulative += c
         rows.append({"rank": j, "count": c, "cumulative": cumulative})
+    if cumulative >= 10 ** limit:  # the largest value printed
+        raise too_long
     doc = {"q-spec": ctx.spec, "n": args.n, "rows": rows}
     if _pick_format(args) == "csv":
         lines = ["rank,count,cumulative"]
@@ -156,8 +162,8 @@ def cmd_distance(args) -> int:
     w1 = _load_multispace(args.w1)
     w2 = _load_multispace(args.w2)
     d = distance(w1, w2)
-    ds = subspace_distance(w1.underlying, w2.underlying)
     dh = abs(w1.height - w2.height)
+    ds = d - dh  # the metric splits as d_S + |dh|
     doc = {"distance": d, "underlying_distance": ds, "height_distance": dh}
     _emit(args, doc, [f"distance: {d}", f"  underlying: {ds}", f"  height: {dh}"])
     return 0

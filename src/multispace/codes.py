@@ -25,7 +25,7 @@ from .lattice import (
     enumerate_multispaces_up_to,
     pairwise_distances,
 )
-from .linalg import _check_budget
+from .linalg import _check_budget, gaussian_binomial
 
 #: Largest ground set the branch-and-bound clique search takes on.
 CLIQUE_LIMIT = 64
@@ -183,8 +183,8 @@ def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:
     cover steps have distance 1 and meets realize geodesics inside the
     truncation, so BFS depth equals the metric.
     """
-    if center.rank > m_max:
-        raise ConfigInvalid("center rank exceeds m_max")
+    if center.rank > m_max or radius < 0:
+        raise ConfigInvalid(f"need center rank <= m_max and radius {radius} >= 0")
     _check_budget(center.ctx.q ** center.n, "ambient vectors")
     seen = {center}
     frontier = [center]
@@ -205,24 +205,47 @@ def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:
 
 
 def ball_size(center: Multispace, radius: int, m_max: int) -> BigCount:
-    return len(ball(center, radius, m_max))
+    """len(ball(center, radius, m_max)), in closed form; nothing is enumerated."""
+    if center.rank > m_max or radius < 0:
+        raise ConfigInvalid(f"need center rank <= m_max and radius {radius} >= 0")
+    return _class_ball_size(center.ctx.q, center.n, center.dim, center.height, radius, m_max)
+
+
+def _class_ball_size(q: int, n: int, k: int, t: int, radius: int, m_max: int) -> BigCount:
+    """Ball size around any center (U, t) with dim U = k.
+
+    q^((k-i)(j-i)) [k, i]_q [n-k, j-i]_q of the j-dimensional U' meet U in
+    dimension i, at d_S = k + j - 2i; each takes every height t' >= 0 with
+    j + t' <= m_max and |t - t'| <= radius - d_S.
+    """
+    total = 0
+    for j in range(max(0, k - radius), min(n, m_max, k + radius) + 1):
+        for i in range(max(0, (k + j - radius + 1) // 2), min(k, j) + 1):
+            slack = radius - (k + j - 2 * i)
+            heights = min(m_max - j, t + slack) - max(0, t - slack) + 1
+            if heights > 0:
+                spaces = gaussian_binomial(k, i, q) * gaussian_binomial(n - k, j - i, q)
+                total += heights * q ** ((k - i) * (j - i)) * spaces
+    return total
 
 
 def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCount:
     """Total space size over the smallest radius-floor((d_min-1)/2) ball.
 
-    Ball sizes vary with the center (the lattice is not vertex-transitive
-    across heights), so the minimum over all centers keeps the bound sound.
+    Ball sizes vary with the center, so the minimum over all centers keeps
+    the bound sound; GL_n(q) keeps distance and rank and is transitive on the
+    centers of one (dim, height), so nothing is enumerated.
     """
     if d_min < 1:
         raise ConfigInvalid("d_min must be >= 1")
+    if m_max < 0:
+        raise ConfigInvalid(f"m_max = {m_max} must be nonnegative")
     radius = (d_min - 1) // 2
-    elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
-    total = len(elems)
+    total = codespace_growth(ctx, n, m_max)
     if radius == 0:
         return total
-    smallest = min(ball_size(w, radius, m_max) for w in elems)
-    return total // smallest
+    classes = ((k, t) for k in range(min(n, m_max) + 1) for t in range(m_max - k + 1))
+    return total // min(_class_ball_size(ctx.q, n, k, t, radius, m_max) for k, t in classes)
 
 
 def decode(code: MultispaceCode, received: Multispace) -> tuple[Multispace, int]:

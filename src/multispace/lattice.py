@@ -13,7 +13,7 @@ distance-2 graph with a distance-regularity checker.
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .linalg import (
     gaussian_binomial,
     matmul_arrays,
     span,
+    subspace_distance,
 )
 
 #: Counts are plain Python ints, i.e. exact arbitrary-precision integers.
@@ -261,17 +262,8 @@ def pairwise_distances(xs, ys=None) -> np.ndarray:
 
 
 def distance(a: Multispace, b: Multispace) -> int:
-    """Lattice metric rank(join) - rank(meet).
-
-    dim of the intersection comes from the modular dimension identity,
-    so a single elimination (for the sum) suffices.
-    """
-    a._check_compatible(b)
-    dim_sum = (a.underlying + b.underlying).dim
-    dim_meet = a.dim + b.dim - dim_sum
-    rank_join = dim_sum + max(a.height, b.height)
-    rank_meet = dim_meet + min(a.height, b.height)
-    return rank_join - rank_meet
+    """Lattice metric rank(join) - rank(meet), which splits as d_S(U, V) + |t - s|."""
+    return subspace_distance(a.underlying, b.underlying) + abs(a.height - b.height)
 
 
 # ---------------------------------------------------------------------------
@@ -320,27 +312,15 @@ def enumerate_multispaces_up_to(ctx: FieldCtx, n: int, m_max: int):
         yield from enumerate_multispaces(ctx, n, m)
 
 
-def _monic_vectors_on(ctx: FieldCtx, n: int, cols: tuple[int, ...]):
-    """Vectors supported on cols whose first nonzero entry is 1 (one per line)."""
-    q = ctx.q
-    for lead_idx in range(len(cols)):
-        tail = cols[lead_idx + 1 :]
-        for assignment in product(range(q), repeat=len(tail)):
-            v = np.zeros(n, dtype=np.int64)
-            v[cols[lead_idx]] = 1
-            for c, val in zip(tail, assignment):
-                v[c] = val
-            yield v
-
-
 def covering_neighbors(w: Multispace) -> list[Multispace]:
     """All multispaces covering w, deterministic order (superspaces, then height bump)."""
     out = []
     u = w.underlying
-    nonpivot = tuple(c for c in range(w.n) if c not in set(u.pivots))
-    for v in _monic_vectors_on(w.ctx, w.n, nonpivot):
-        # v represents a line of the quotient space; u + <v> covers u
-        sup = Subspace.from_array(w.ctx, w.n, np.vstack([u.basis, v[None, :]]))
+    nonpivot = [c for c in range(w.n) if c not in u.pivots]
+    for line in enumerate_subspaces(w.ctx, len(nonpivot), 1):
+        v = np.zeros((1, w.n), dtype=np.int64)
+        v[0, nonpivot] = line.basis[0]  # a line of the quotient by u; u + <v> covers u
+        sup = Subspace.from_array(w.ctx, w.n, np.vstack([u.basis, v]))
         out.append(Multispace(sup, w.height))
     out.append(Multispace(u, w.height + 1))
     return out

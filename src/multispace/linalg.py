@@ -252,20 +252,10 @@ def rref(m: FqMatrix) -> tuple[FqMatrix, int]:
 
 
 def is_rref(ctx: FieldCtx, a: np.ndarray) -> bool:
-    """True iff a is in reduced row echelon form with no zero rows."""
-    prev = -1
-    for i in range(a.shape[0]):
-        nz = np.nonzero(a[i])[0]
-        if len(nz) == 0:
-            return False
-        piv = int(nz[0])
-        if piv <= prev or a[i, piv] != 1:
-            return False
-        col = a[:, piv]
-        if np.count_nonzero(col) != 1:
-            return False
-        prev = piv
-    return True
+    """True iff a is in reduced row echelon form with no zero rows (RREF is
+    unique, so exactly when elimination keeps a and finds full row rank)."""
+    red, rank, _ = rref_array(ctx, a)
+    return rank == a.shape[0] and np.array_equal(red, a)
 
 
 class Subspace:
@@ -344,12 +334,9 @@ class Subspace:
     # -- membership and order -----------------------------------------------------
 
     def contains_array(self, v: np.ndarray) -> bool:
-        v = np.array(v, dtype=np.int64)
-        for row, piv in zip(self.basis, self.pivots):
-            c = int(v[piv])
-            if c:
-                v = self.ctx.sub_arr(v, self.ctx.mul_arr(np.full(self.n, c, dtype=np.int64), row))
-        return not v.any()
+        """True iff v, one vector or a stack of row vectors, lies in the subspace."""
+        stacked = np.vstack([self.basis, np.reshape(v, (-1, self.n))])
+        return rref_array(self.ctx, stacked)[1] == self.dim
 
     def contains(self, v: FqVector) -> bool:
         self.ctx.check_same(v.ctx)
@@ -359,9 +346,7 @@ class Subspace:
 
     def __le__(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        if self.dim > other.dim:
-            return False
-        return all(other.contains_array(row) for row in self.basis)
+        return self.dim <= other.dim and other.contains_array(self.basis)
 
     def __lt__(self, other: "Subspace") -> bool:
         return self.dim < other.dim and self <= other
@@ -381,11 +366,10 @@ class Subspace:
             return Subspace.zero(self.ctx, n)
         top = np.hstack([self.basis, self.basis])
         bot = np.hstack([other.basis, np.zeros_like(other.basis)])
-        red, rank, _ = rref_array(self.ctx, np.vstack([top, bot]))
-        rows = [red[i, n:] for i in range(rank) if not red[i, :n].any()]
-        if not rows:
-            return Subspace.zero(self.ctx, n)
-        return Subspace.from_array(self.ctx, n, np.vstack(rows))
+        red, rank, pivots = rref_array(self.ctx, np.vstack([top, bot]))
+        # rows with a zero left half come last, right halves already reduced
+        first = sum(p < n for p in pivots)
+        return Subspace(self.ctx, n, red[first:rank, n:].copy())
 
     # -- enumeration of members --------------------------------------------------
 

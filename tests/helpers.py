@@ -1,7 +1,9 @@
-"""Shared brute-force oracles: multiplicities, the lattice poset and the literal root product."""
+"""Shared brute-force oracles: multiplicities, the lattice poset, RREF by definition,
+the packing bound over every BFS ball and the literal root product."""
 
 import numpy as np
 
+from multispace.codes import ball
 from multispace.errors import LimitExceeded
 from multispace.lattice import (
     Multispace,
@@ -89,6 +91,30 @@ def bfs_distances(adj):
             seen |= nxt
             frontier = nxt
     return dist
+
+
+def is_rref_by_definition(a) -> bool:
+    """Reduced row echelon form with no zero rows, checked row by row."""
+    prev = -1
+    for i in range(a.shape[0]):
+        nz = np.nonzero(a[i])[0]
+        if len(nz) == 0:
+            return False
+        piv = int(nz[0])
+        if piv <= prev or a[i, piv] != 1:
+            return False
+        if np.count_nonzero(a[:, piv]) != 1:
+            return False
+        prev = piv
+    return True
+
+
+def packing_bound_oracle(ctx, n, m_max, d_min):
+    """Sphere-packing bound by literal expansion: the code space over the
+    smallest breadth-first ball around any of its elements."""
+    radius = (d_min - 1) // 2
+    elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
+    return len(elems) // min(len(ball(w, radius, m_max)) for w in elems)
 
 
 def random_multiset(ctx, n, m, rng) -> VectorMultiset:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,6 +273,28 @@ def test_count_of_a_huge_ambient_dimension(capsys):
     code, out, _ = run(capsys, "--format", "json", "count", "2", "5000", "2")
     assert code == 0
     assert json.loads(out)["rows"][1]["count"] == 2 ** 5000
+
+
+@pytest.mark.parametrize("n,m", [(300, 150), (2000, 2000), (239, 239)])
+def test_count_past_the_int_print_limit_is_an_error(capsys, n, m):
+    # 300/150 and 2000/2000 are refused on the lower bound q^(k(n-k)) before counting;
+    # 239/239 only once the counts are known (4302 digits)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--format", "json", "count", "2", str(n), str(m))
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == "" and "decimal digits" in err and "Traceback" not in err
+
+
+def test_count_just_inside_the_int_print_limit(capsys):
+    code, out, _ = run(capsys, "--format", "json", "count", "2", "238", "238")
+    assert code == 0 and len(str(json.loads(out)["rows"][-1]["cumulative"])) == 4266
+
+
+def test_negative_radius_and_rank_cap_are_errors(capsys):
+    bottom = json.dumps({"q-spec": "2", "n": 2, "basis": [], "height": 0})
+    for argv, message in ((["ball", bottom, "-1", "2"], "radius -1"), (["bound", "2", "3", "-1", "3"], "m_max")):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        assert code == 1 and out == "" and message in err and "Traceback" not in err
 
 
 def test_emitted_json_reaccepted_bit_exact(capsys):

@@ -1,9 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import packing_bound_oracle
+from hypothesis import given, settings, strategies as st
 
-from multispace import codes, lattice
+import multispace
+from multispace import codes, lattice, linalg
 from multispace.codes import (
     MultispaceCode,
     ball,
@@ -16,7 +24,7 @@ from multispace.codes import (
     sphere_packing_bound,
 )
 from multispace.errors import ConfigInvalid, EmptyCode, LimitExceeded, TooFewCodewords
-from multispace.fields import field
+from multispace.fields import field, parse_field_spec
 from multispace.lattice import (
     Multispace,
     count_covering,
@@ -157,6 +165,87 @@ def test_ball_matches_distance_enumeration():
             key=lambda w: w.sort_key(),
         )
         assert ball(center, radius, 3) == want
+
+
+def test_negative_radius_is_an_error():
+    for center in (Multispace.bottom(F2, 2), Multispace.bottom(F2, 21)):  # before the q^n budget
+        for fn in (ball, ball_size):
+            with pytest.raises(ConfigInvalid, match="radius -1"):
+                fn(center, -1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_closed_form_ball_size_matches_bfs_and_distance_filter(data):
+    spec, n = data.draw(st.sampled_from([("2", 1), ("2", 2), ("2", 3), ("2", 4), ("3", 2), ("3", 3), ("2^2", 2), ("2^2", 3)]))
+    ctx = parse_field_spec(spec)
+    m_max = data.draw(st.integers(0, 3))
+    elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
+    center = data.draw(st.sampled_from(elems))
+    radius = data.draw(st.integers(0, n + m_max))
+    members = {w for w in elems if distance(center, w) <= radius}
+    assert set(ball(center, radius, m_max)) == members
+    assert ball_size(center, radius, m_max) == len(members)
+
+
+@pytest.mark.parametrize(
+    "ctx,n,m_max,d_min",
+    [
+        *[(F2, 2, 2, d) for d in range(1, 7)],
+        (F2, 3, 2, 3),
+        (F2, 3, 3, 3),
+        (F2, 3, 3, 5),
+        (F2, 3, 4, 7),
+        (F2, 4, 2, 5),
+        (F2, 4, 3, 3),
+        (F3, 2, 3, 3),
+        (F3, 2, 4, 7),
+        (F3, 3, 2, 3),
+        (field(2, 2), 2, 3, 3),
+        (field(2, 2), 2, 2, 5),
+    ],
+)
+def test_packing_bound_matches_the_bfs_oracle(ctx, n, m_max, d_min):
+    assert sphere_packing_bound(ctx, n, m_max, d_min) == packing_bound_oracle(ctx, n, m_max, d_min)
+
+
+def test_packing_bound_and_ball_size_enumerate_nothing(monkeypatch):
+    want = packing_bound_oracle(F3, 2, 3, 5)
+    bfs = len(ball(Multispace.bottom(F3, 2), 2, 3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    for module, name in [
+        (codes, "ball"),
+        (codes, "enumerate_multispaces_up_to"),
+        (codes, "covered_neighbors"),
+        (codes, "covering_neighbors"),
+        (lattice, "enumerate_multispaces"),
+        (lattice, "enumerate_subspaces"),
+        (linalg, "enumerate_subspaces"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    assert sphere_packing_bound(F3, 2, 3, 5) == want
+    assert sphere_packing_bound(F2, 20, 1, 3) == 524288
+    assert ball_size(Multispace.bottom(F3, 2), 2, 3) == bfs
+
+
+def test_bound_of_a_million_element_code_space():
+    # 2^20 + 1 multispaces; a ball around each of them did not finish in 20 s
+    src = Path(multispace.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "multispace.cli", "--format", "json", "bound", "2", "20", "1", "3"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"packing_bound": 524288, "space_size": 2 ** 20 + 1}
+
+
+def test_packing_bound_needs_a_nonnegative_rank_cap():
+    with pytest.raises(ConfigInvalid, match="m_max"):
+        sphere_packing_bound(F2, 3, -1, 3)
 
 
 def test_packing_bound():

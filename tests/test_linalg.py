@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from helpers import is_rref_by_definition
+from hypothesis import given, settings, strategies as st
 
 from multispace.errors import (
     ContextMismatch,
@@ -138,6 +140,7 @@ def test_intersection_against_brute_force(ctx, n):
         a = random_subspace(ctx, n, rng)
         b = random_subspace(ctx, n, rng)
         got = a.intersect(b)
+        assert is_rref_by_definition(got.basis)  # built from the rows without a second elimination
         va = {tuple(v) for v in a.vector_array()}
         vb = {tuple(v) for v in b.vector_array()}
         want = va & vb
@@ -167,6 +170,31 @@ def test_contains_and_leq():
     assert subspace_leq(span([e1]), span([e1, e2]))
     assert not subspace_leq(span([e1, e2]), span([e1]))
     assert not subspace_leq(span([e2]), span([e1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F2, F3, F4]), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_contains_and_leq_match_member_sets(ctx, n, rand):
+    rng = np.random.default_rng(rand.getrandbits(32))
+    a, b = random_subspace(ctx, n, rng), random_subspace(ctx, n, rng)
+    members = {tuple(v) for v in b.vector_array()}
+    assert (a <= b) == members.issuperset(tuple(v) for v in a.vector_array())
+    for v in rng.integers(0, ctx.q, size=(4, n)):
+        assert b.contains(FqVector(ctx, v)) == (tuple(v) in members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F2, F3, F4]), st.integers(0, 4), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_is_rref_matches_the_definition(ctx, rows, n, rand):
+    rng = np.random.default_rng(rand.getrandbits(32))
+    a = rng.integers(0, ctx.q, size=(rows, n))
+    red = Subspace.from_array(ctx, n, a).basis
+    for m in (a, red, red[::-1], np.vstack([red, np.zeros((1, n), dtype=np.int64)])):
+        assert is_rref(ctx, m) == is_rref_by_definition(m)
+    if red.size:
+        bumped = red.copy()
+        bumped[rng.integers(len(red)), rng.integers(n)] = rng.integers(ctx.q)
+        assert is_rref(ctx, bumped) == is_rref_by_definition(bumped)
 
 
 @pytest.mark.parametrize(
