@@ -90,14 +90,35 @@ def _output_file(path, newline=None):
         raise FormatError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
-def _emit(args, doc: dict, table_lines: list[str]):
-    """Write doc as JSON, or table_lines under any other format."""
+def _digit_limit_error(limit) -> ConfigInvalid:
+    return ConfigInvalid(f"values pass Python's limit of {limit} decimal digits for printing an int")
+
+
+def _has_int_of(obj, bound: int) -> bool:
+    """True iff an int in the JSON-like obj has absolute value at least bound."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return any(_has_int_of(v, bound) for v in obj)
+    return isinstance(obj, int) and abs(obj) >= bound
+
+
+def _emit(args, doc: dict, table):
+    """Write doc as JSON, or the lines table() returns under any other format.
+
+    Every output goes through here, so an int too long for Python to print
+    (sys.get_int_max_str_digits(), 0 = no limit) is an input error found
+    before anything is formatted, not a traceback.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and _has_int_of(doc, 10 ** limit):
+        raise _digit_limit_error(limit)
     fmt = _pick_format(args)
     with _output_file(getattr(args, "output", None)) as fh:
         if fmt == "json":
             fh.write(json.dumps(doc, indent=2) + "\n")
         else:
-            fh.write("\n".join(table_lines) + "\n")
+            fh.write("\n".join(table()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +130,24 @@ def cmd_count(args) -> int:
         raise ConfigInvalid(f"n = {args.n} and m = {args.m} must be nonnegative")
     ctx = parse_field_spec(args.q_spec)
     limit = sys.get_int_max_str_digits() or math.inf  # 0 means no limit
-    too_long = ConfigInvalid(f"counts pass Python's limit of {limit} decimal digits for printing an int")
     k = min(args.m, args.n // 2)  # refuse before counting if [n, k]_q >= q^(k(n-k)) is too long
     if k * (args.n - k) * math.log10(ctx.q) > limit + 1:
-        raise too_long
+        raise _digit_limit_error(limit)
     rows = []
     cumulative = 0
     for j in range(args.m + 1):
         c = count_multispaces(args.n, j, ctx.q)
         cumulative += c
         rows.append({"rank": j, "count": c, "cumulative": cumulative})
-    if cumulative >= 10 ** limit:  # the largest value printed
-        raise too_long
     doc = {"q-spec": ctx.spec, "n": args.n, "rows": rows}
-    if _pick_format(args) == "csv":
-        lines = ["rank,count,cumulative"]
-        lines += [f"{r['rank']},{r['count']},{r['cumulative']}" for r in rows]
-    else:
-        lines = [f"{'rank':>4}  {'count':>12}  {'cumulative':>12}"]
-        lines += [f"{r['rank']:>4}  {r['count']:>12}  {r['cumulative']:>12}" for r in rows]
-    _emit(args, doc, lines)
+
+    def table():
+        if _pick_format(args) == "csv":
+            return ["rank,count,cumulative"] + [f"{r['rank']},{r['count']},{r['cumulative']}" for r in rows]
+        head = f"{'rank':>4}  {'count':>12}  {'cumulative':>12}"
+        return [head] + [f"{r['rank']:>4}  {r['count']:>12}  {r['cumulative']:>12}" for r in rows]
+
+    _emit(args, doc, table)
     return 0
 
 
@@ -136,9 +155,8 @@ def cmd_enumerate(args) -> int:
     ctx = parse_field_spec(args.q_spec)
     words = list(enumerate_multispaces(ctx, args.n, args.m))
     doc = {"q-spec": ctx.spec, "n": args.n, "m": args.m, "multispaces": [w.to_dict() for w in words]}
-    lines = [f"rank {args.m}: {len(words)} multispaces"]
-    lines += [f"  dim {w.dim} ht {w.height} basis {w.underlying.basis.tolist()}" for w in words]
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: [f"rank {args.m}: {len(words)} multispaces"] + [
+        f"  dim {w.dim} ht {w.height} basis {w.underlying.basis.tolist()}" for w in words])
     return 0
 
 
@@ -165,26 +183,26 @@ def cmd_distance(args) -> int:
     dh = abs(w1.height - w2.height)
     ds = d - dh  # the metric splits as d_S + |dh|
     doc = {"distance": d, "underlying_distance": ds, "height_distance": dh}
-    _emit(args, doc, [f"distance: {d}", f"  underlying: {ds}", f"  height: {dh}"])
+    _emit(args, doc, lambda: [f"distance: {d}", f"  underlying: {ds}", f"  height: {dh}"])
     return 0
 
 
 def cmd_meet(args) -> int:
     w = meet(_load_multispace(args.w1), _load_multispace(args.w2))
-    _emit(args, w.to_dict(), [f"dim {w.dim} ht {w.height} basis {w.underlying.basis.tolist()}"])
+    _emit(args, w.to_dict(), lambda: [f"dim {w.dim} ht {w.height} basis {w.underlying.basis.tolist()}"])
     return 0
 
 
 def cmd_join(args) -> int:
     w = join(_load_multispace(args.w1), _load_multispace(args.w2))
-    _emit(args, w.to_dict(), [f"dim {w.dim} ht {w.height} basis {w.underlying.basis.tolist()}"])
+    _emit(args, w.to_dict(), lambda: [f"dim {w.dim} ht {w.height} basis {w.underlying.basis.tolist()}"])
     return 0
 
 
 def cmd_mspan(args) -> int:
     b = VectorMultiset.from_dict(_read_json_arg(args.vectors))
     w = mspan(b)
-    _emit(args, w.to_dict(), [f"dim {w.dim} ht {w.height} rank {w.rank} basis {w.underlying.basis.tolist()}"])
+    _emit(args, w.to_dict(), lambda: [f"dim {w.dim} ht {w.height} rank {w.rank} basis {w.underlying.basis.tolist()}"])
     return 0
 
 
@@ -192,14 +210,14 @@ def cmd_poly(args) -> int:
     w = _load_multispace(args.w)
     L = poly_from_multispace(w)
     doc = L.to_dict()
-    _emit(args, doc, [L.text(), f"subfield degree: {L.coefficient_subfield_degree()}"])
+    _emit(args, doc, lambda: [L.text(), f"subfield degree: {L.coefficient_subfield_degree()}"])
     return 0
 
 
 def cmd_roots(args) -> int:
     L = LinearizedPoly.from_dict(_read_json_arg(args.poly))
     w = roots_multiset(L)
-    _emit(args, w.to_dict(), [f"dim {w.dim} ht {w.height} rank {w.rank} basis {w.underlying.basis.tolist()}"])
+    _emit(args, w.to_dict(), lambda: [f"dim {w.dim} ht {w.height} rank {w.rank} basis {w.underlying.basis.tolist()}"])
     return 0
 
 
@@ -215,32 +233,34 @@ def cmd_search(args) -> int:
     doc["packing_bound"] = bound
     doc["seed"] = args.seed
     doc["method"] = "optimal" if args.optimal else "greedy"
-    if _pick_format(args) == "csv":
-        greedy_col, opt_col = ("", len(code)) if args.optimal else (len(code), "")
-        lines = [
-            "q,n,m_max,d_min,greedy_size,optimal_size,packing_bound,seed",
-            f"{ctx.q},{args.n},{args.m_max},{args.d_min},{greedy_col},{opt_col},{bound},{args.seed}",
-        ]
-    else:
-        lines = [
+
+    def table():
+        if _pick_format(args) == "csv":
+            greedy_col, opt_col = ("", len(code)) if args.optimal else (len(code), "")
+            return [
+                "q,n,m_max,d_min,greedy_size,optimal_size,packing_bound,seed",
+                f"{ctx.q},{args.n},{args.m_max},{args.d_min},{greedy_col},{opt_col},{bound},{args.seed}",
+            ]
+        return [
             f"size: {len(code)}",
             f"verified min distance: {'inf' if verified is None else verified}",
             f"packing bound: {bound}",
         ]
+
     if args.output:
         # --output names the code file; the stats summary goes to stdout
         with _output_file(args.output) as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
         args.output = None
         doc = {"written": True, "size": len(code), "min_distance": verified, "packing_bound": bound}
-    _emit(args, doc, lines)
+    _emit(args, doc, table)
     return 0
 
 
 def cmd_ball(args) -> int:
     w = _load_multispace(args.center)
     size = ball_size(w, args.radius, args.m_max)
-    _emit(args, {"center_rank": w.rank, "radius": args.radius, "size": size}, [f"ball size: {size}"])
+    _emit(args, {"center_rank": w.rank, "radius": args.radius, "size": size}, lambda: [f"ball size: {size}"])
     return 0
 
 
@@ -249,7 +269,7 @@ def cmd_bound(args) -> int:
     b = sphere_packing_bound(ctx, args.n, args.m_max, args.d_min)
     space = codespace_growth(ctx, args.n, args.m_max)
     doc = {"packing_bound": b, "space_size": space}
-    _emit(args, doc, [f"packing bound: {b}", f"space size: {space}"])
+    _emit(args, doc, lambda: [f"packing bound: {b}", f"space size: {space}"])
     return 0
 
 
@@ -271,13 +291,12 @@ def cmd_simulate(args) -> int:
                 write_trial_csv(run.records, fh)
         summary = run.summary
         doc = summary.to_dict()
-    lines = [f"trials: {summary.trials}", f"violations: {summary.violations}",
-             f"max distance: {summary.max_distance}"]
     hist = ", ".join(f"{k}:{v}" for k, v in sorted(summary.histogram.items()))
-    lines.append(f"histogram: {hist}")
+    lines = [f"trials: {summary.trials}", f"violations: {summary.violations}",
+             f"max distance: {summary.max_distance}", f"histogram: {hist}"]
     if summary.block_errors is not None:
         lines.append(f"block error rate: {summary.block_error_rate}")
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: lines)
     return 3 if summary.violations else 0
 
 

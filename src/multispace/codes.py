@@ -17,10 +17,10 @@ from .fields import FieldCtx, parse_field_spec
 from .lattice import (
     BigCount,
     Multispace,
+    _WordStack,
     count_multispaces,
     covered_neighbors,
     covering_neighbors,
-    distance,
     enumerate_multispaces,
     enumerate_multispaces_up_to,
     pairwise_distances,
@@ -34,7 +34,7 @@ CLIQUE_LIMIT = 64
 class MultispaceCode:
     """An ordered set of distinct multispaces of rank <= m_max."""
 
-    __slots__ = ("ctx", "n", "m_max", "codewords", "_min_dist")
+    __slots__ = ("ctx", "n", "m_max", "codewords", "_min_dist", "_stack")
 
     def __init__(self, ctx: FieldCtx, n: int, m_max: int, codewords: tuple):
         seen = set()
@@ -52,6 +52,7 @@ class MultispaceCode:
         self.m_max = m_max
         self.codewords = tuple(codewords)
         self._min_dist = None
+        self._stack = None
 
     def __len__(self):
         return len(self.codewords)
@@ -80,6 +81,12 @@ class MultispaceCode:
                 self._min_dist = int(d[np.triu_indices(len(d), 1)].min())
         return self._min_dist
 
+    def _distances_to(self, w: Multispace) -> np.ndarray:
+        """distance(c, w) for every codeword c, against the cached codeword stack."""
+        if self._stack is None:
+            self._stack = _WordStack.of(self.codewords)
+        return self._stack.distances_to(w)
+
     def to_dict(self) -> dict:
         return {
             "q-spec": self.ctx.spec,
@@ -92,13 +99,10 @@ class MultispaceCode:
     @classmethod
     def from_dict(cls, d: dict) -> "MultispaceCode":
         try:
-            ctx = parse_field_spec(d["q-spec"])
-            n = int(d["n"])
-            m_max = int(d["m_max"])
-            words = tuple(Multispace.from_dict(w) for w in d["codewords"])
-        except (KeyError, TypeError) as exc:
+            spec, n, m_max, words = d["q-spec"], int(d["n"]), int(d["m_max"]), list(d["codewords"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad code object: {exc}") from exc
-        return cls(ctx, n, m_max, words)
+        return cls(parse_field_spec(spec), n, m_max, tuple(Multispace.from_dict(w) for w in words))
 
 
 def min_distance(code: MultispaceCode) -> int:
@@ -121,14 +125,18 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
     """
     if d_min < 1:
         raise ConfigInvalid("d_min must be >= 1")
+    if n < 0:
+        raise ConfigInvalid(f"ambient dimension {n} is negative")
     rng = np.random.default_rng(seed)
     kept: list[Multispace] = []
+    stack = _WordStack(ctx, n, min(n, max(m_max, 0)))  # kept, for one batched test per candidate
     for m in range(m_max, -1, -1):
         layer = list(enumerate_multispaces(ctx, n, m))
         for idx in rng.permutation(len(layer)):
             w = layer[idx]
-            if all(distance(w, k) >= d_min for k in kept):
+            if (stack.distances_to(w) >= d_min).all():
                 kept.append(w)
+                stack.append(w)
     kept.sort(key=lambda w: w.sort_key())
     return MultispaceCode(ctx, n, m_max, tuple(kept))
 
@@ -255,7 +263,7 @@ def decode(code: MultispaceCode, received: Multispace) -> tuple[Multispace, int]
     received.ctx.check_same(code.ctx)
     if received.n != code.n:
         raise ConfigInvalid("received word has a different ambient dimension")
-    d = pairwise_distances(code.codewords, [received])[:, 0]
+    d = code._distances_to(received)
     best = int(np.argmin(d))  # the first minimum: ties break by codeword order
     return code.codewords[best], int(d[best])
 

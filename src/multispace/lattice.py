@@ -13,7 +13,6 @@ distance-2 graph with a distance-regularity checker.
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .linalg import (
     enumerate_subspaces,
     gaussian_binomial,
     matmul_arrays,
+    rref_batch,
     span,
     subspace_distance,
 )
@@ -244,21 +244,79 @@ def join(a: Multispace, b: Multispace) -> Multispace:
     return Multispace(a.underlying + b.underlying, max(a.height, b.height))
 
 
+class _WordStack:
+    """Multispaces of one GF(q)^n as zero-padded bases, dims and heights.
+
+    The distances from one more multispace to all of them take one batched
+    elimination: rank [W; X] = dim(W + X) for each stacked X, and
+    d = 2 dim(W + X) - dim W - dim X + |ht W - ht X|.
+    """
+
+    __slots__ = ("ctx", "n", "bases", "dims", "heights")
+
+    def __init__(self, ctx: FieldCtx, n: int, depth: int):
+        self.ctx = ctx
+        self.n = n
+        self.bases = np.zeros((0, depth, n), dtype=np.int64)  # depth >= every dim
+        self.dims = np.zeros(0, dtype=np.int64)
+        self.heights = np.zeros(0, dtype=np.int64)
+
+    @classmethod
+    def of(cls, words) -> "_WordStack":
+        """The stack of a nonempty sequence, padded to its largest dim."""
+        stack = cls(words[0].ctx, words[0].n, max(w.dim for w in words))
+        for w in words:
+            stack.append(w)
+        return stack
+
+    def _check(self, w: Multispace):
+        self.ctx.check_same(w.ctx)
+        if w.n != self.n:
+            raise DimensionMismatch("ambient dimensions differ")
+
+    def append(self, w: Multispace):
+        self._check(w)
+        row = np.zeros((1,) + self.bases.shape[1:], dtype=np.int64)
+        row[0, : w.dim] = w.underlying.basis
+        self.bases = np.concatenate([self.bases, row])
+        self.dims = np.append(self.dims, w.dim)
+        self.heights = np.append(self.heights, w.height)
+
+    def distances_to(self, w: Multispace, start: int = 0) -> np.ndarray:
+        """distance(w, x) for every stacked x from index start on."""
+        self._check(w)
+        bases = self.bases[start:]
+        pairs = np.empty((len(bases), w.dim + bases.shape[1], self.n), dtype=np.int64)
+        pairs[:, : w.dim] = w.underlying.basis
+        pairs[:, w.dim :] = bases
+        ranks = rref_batch(self.ctx, pairs)[1]
+        return 2 * ranks - w.dim - self.dims[start:] + np.abs(w.height - self.heights[start:])
+
+
 def pairwise_distances(xs, ys=None) -> np.ndarray:
     """Integer matrix of lattice distances d[i, j] = distance(xs[i], ys[j]).
 
     With ys omitted it is the symmetric matrix of xs against itself: each
-    unordered pair is evaluated once and the diagonal is 0.
+    unordered pair is evaluated once and the diagonal is 0.  Each row (of
+    the shorter side, against the longer one) is one batched elimination.
     """
     xs = list(xs)
     if ys is None:
         d = np.zeros((len(xs), len(xs)), dtype=np.int64)
-        for i, j in combinations(range(len(xs)), 2):
-            d[i, j] = d[j, i] = distance(xs[i], xs[j])
-        return d
+        if xs:
+            stack = _WordStack.of(xs)
+            for i in range(len(xs) - 1):
+                d[i, i + 1 :] = stack.distances_to(xs[i], i + 1)
+        return d + d.T
     ys = list(ys)
-    rows = [[distance(x, y) for y in ys] for x in xs]
-    return np.array(rows, dtype=np.int64).reshape(len(xs), len(ys))
+    if len(ys) > len(xs):
+        return pairwise_distances(ys, xs).T  # the metric is symmetric
+    d = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    if ys:
+        stack = _WordStack.of(xs)
+        for j, y in enumerate(ys):
+            d[:, j] = stack.distances_to(y)
+    return d
 
 
 def distance(a: Multispace, b: Multispace) -> int:

@@ -19,9 +19,14 @@ DEFAULT_STATE_LIMIT = 1 << 20
 
 
 def _check_budget(count: int, what: str) -> None:
-    """Refuse, before the first item, an enumeration that would yield count items."""
+    """Refuse, before the first item, an enumeration that would yield count items.
+
+    A count past 64 bits is named by its power of two: a count can have more
+    digits than Python prints for an int.
+    """
     if count > DEFAULT_STATE_LIMIT:
-        raise LimitExceeded(f"{count} {what} exceed the enumeration limit {DEFAULT_STATE_LIMIT}")
+        shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+        raise LimitExceeded(f"{shown} {what} exceed the enumeration limit {DEFAULT_STATE_LIMIT}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,6 +248,43 @@ def rref_array(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int]
         pivots.append(c)
         r += 1
     return a, r, pivots
+
+
+def rref_batch(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix of a (T, m, n) stack at once.
+
+    Returns (rrefs, ranks); entry t equals rref_array(ctx, a[t])[:2].  Each
+    column's pivot is the first unused nonzero row of each entry, so no rows
+    are swapped; a pivot row is zero left of its pivot, so sorting the rows
+    by their first nonzero column (zero rows last) gives the echelon order.
+    """
+    a = np.array(a, dtype=np.int64)
+    batch, rows, cols = a.shape
+    if a.size == 0:
+        return a, np.zeros(batch, dtype=np.int64)
+    free = np.ones((batch, rows), dtype=bool)  # rows that hold no pivot yet
+    entries = np.arange(batch)
+    for c in range(cols):
+        # factors: the multiple of the pivot row that each row loses (a mask over GF(2))
+        factors = a[:, :, c] != 0 if ctx.q == 2 else a[:, :, c].copy()
+        cand = free & (factors != 0)
+        r = cand.argmax(axis=1)  # row 0 where an entry has no pivot in this column
+        has = cand[entries, r]
+        right = a[:, :, c:]  # a pivot row is zero left of its pivot column
+        piv = right[entries, r] * has[:, None]  # zero rows void the update where has is False
+        if ctx.q != 2:
+            piv = ctx.mul_arr(piv, ctx.inv_arr(np.where(has, piv[:, 0], 1))[:, None])
+            right[entries[has], r[has]] = piv[has]
+        factors[entries, r] = 0
+        if ctx.q == 2:
+            right ^= factors[:, :, None] & piv[:, None, :]
+        else:
+            right[...] = ctx.sub_arr(right, ctx.mul_arr(factors[:, :, None], piv[:, None, :]))
+        free[entries[has], r[has]] = False
+    nonzero = a != 0
+    lead = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), cols)
+    order = np.argsort(lead, axis=1, kind="stable")
+    return a[entries[:, None], order], rows - free.sum(axis=1)
 
 
 def rref(m: FqMatrix) -> tuple[FqMatrix, int]:

@@ -1,5 +1,6 @@
-"""Shared brute-force oracles: multiplicities, the lattice poset, RREF by definition,
-the packing bound over every BFS ball and the literal root product."""
+"""Shared brute-force oracles: multiplicities, the lattice poset, covers by
+containment, RREF by definition, the packing bound over every BFS ball, the
+greedy code by single distances and the literal root product."""
 
 import numpy as np
 
@@ -9,6 +10,7 @@ from multispace.lattice import (
     Multispace,
     VectorMultiset,
     distance,
+    enumerate_multispaces,
     enumerate_multispaces_up_to,
     multiset_leq,
 )
@@ -75,6 +77,14 @@ def brute_lub(leq, i, j):
     return None
 
 
+def covers_by_containment(w):
+    """(covering, covered) multispaces of w, filtered from the adjacent rank levels
+    by multiset containment; the lattice is graded, so these are the covers."""
+    up = [u for u in enumerate_multispaces(w.ctx, w.n, w.rank + 1) if multiset_leq(w, u)]
+    down = [u for u in enumerate_multispaces(w.ctx, w.n, w.rank - 1) if multiset_leq(u, w)]
+    return up, down
+
+
 def bfs_distances(adj):
     v = len(adj)
     dist = np.full((v, v), -1, dtype=np.int64)
@@ -115,6 +125,18 @@ def packing_bound_oracle(ctx, n, m_max, d_min):
     radius = (d_min - 1) // 2
     elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
     return len(elems) // min(len(ball(w, radius, m_max)) for w in elems)
+
+
+def greedy_by_distance_loop(ctx, n, m_max, d_min, seed):
+    """greedy_code's codewords, testing each candidate by one distance call per kept word."""
+    rng = np.random.default_rng(seed)
+    kept = []
+    for m in range(m_max, -1, -1):
+        layer = list(enumerate_multispaces(ctx, n, m))
+        for idx in rng.permutation(len(layer)):
+            if all(distance(layer[idx], k) >= d_min for k in kept):
+                kept.append(layer[idx])
+    return tuple(sorted(kept, key=lambda w: w.sort_key()))
 
 
 def random_multiset(ctx, n, m, rng) -> VectorMultiset:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import multispace.cli as cli
 from multispace.channel import ChannelRun, ChannelSummary
+from multispace.codes import greedy_code
 from multispace.errors import ConfigInvalid, FormatError
 from multispace.fields import field
 from multispace.lattice import Multispace, VectorMultiset
@@ -285,6 +286,21 @@ def test_count_past_the_int_print_limit_is_an_error(capsys, n, m):
     assert code == 1 and out == "" and "decimal digits" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,exit_code", [
+    (["--format", "json", "bound", "2", "300", "150", "1"], 1),
+    (["--format", "table", "bound", "2", "300", "150", "1"], 1),
+    (["--format", "json", "search", "2", "300", "150", "1"], 2),
+    (["--format", "json", "enumerate", "2", "300", "150"], 2),
+])
+def test_values_past_the_int_print_limit_exit_cleanly(capsys, argv, exit_code):
+    # bound's packing bound and space size are computed, then refused on output;
+    # search and enumerate are refused by the enumeration budget, whose message
+    # must not print the count itself
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code and out == "" and "Traceback" not in err
+    assert ("decimal digits" in err) if exit_code == 1 else ("at least 2^" in err)
+
+
 def test_count_just_inside_the_int_print_limit(capsys):
     code, out, _ = run(capsys, "--format", "json", "count", "2", "238", "238")
     assert code == 0 and len(str(json.loads(out)["rows"][-1]["cumulative"])) == 4266
@@ -304,11 +320,14 @@ def test_emitted_json_reaccepted_bit_exact(capsys):
 
 
 def test_bad_input_is_an_error_not_a_traceback(capsys):
-    # out-of-range encodings, a negative height, a coefficient >= q
+    # out-of-range encodings, a negative height, a coefficient >= q, code files
+    # whose dimension is not an integer or whose rank cap is infinite
     bad = [
         ("mspan", json.dumps({"q-spec": "2", "n": 2, "vectors": [[0, 5]]})),
         ("poly", json.dumps({"q-spec": "2", "n": 3, "basis": [], "height": -1})),
         ("roots", json.dumps({"base-q": 2, "field": "2^2/7", "coeffs": {"0": 4}})),
+        ("simulate", json.dumps({"q-spec": "2", "n": "2^2", "m_max": 2, "codewords": []}), "--mode", "full-rank"),
+        ("simulate", '{"q-spec": "2", "n": 2, "m_max": 1e400, "codewords": []}', "--mode", "full-rank"),
     ]
     for argv in bad:
         code, _, err = run(capsys, *argv)
@@ -357,7 +376,7 @@ def _mspan_doc(draw):
 
 
 @st.composite
-def _poly_doc(draw):
+def _multispace_doc(draw):
     spec, q = draw(_BASE)
     n = draw(st.integers(1, 4))
     ctx = field(2, 2) if q == 4 else field(q)
@@ -374,26 +393,57 @@ def _roots_doc(draw):
         index.map(str), st.integers(0, 20), min_size=1, max_size=4))}
 
 
+#: code files for simulate: small greedy codes over GF(2)^2 and GF(3)^2
+_CODE_DOCS = [greedy_code(field(q), 2, 2, 2).to_dict() for q in (2, 3)]
+#: small or unparsable ambient dimensions, ranks, radii and distances
+_TINY = st.sampled_from(["1", "2", "3", "0", "1", "2", "3", "-1", "x", ""])
+
+
 @st.composite
-def _argv(draw):
-    fmt = draw(st.sampled_from([[], ["--format", "json"], ["--format", "table"], ["--format", "csv"]]))
-    cmd = draw(st.sampled_from(["mspan", "poly", "roots", "count"]))
-    if cmd == "count":
-        n, m = (draw(st.one_of(_SMALL.map(str), st.sampled_from(["x", "1.5", ""]))) for _ in range(2))
-        return [*fmt, "count", draw(st.one_of(_BASE.map(lambda b: b[0]), _SPECS)), n, m]
-    doc = draw({"mspan": _mspan_doc, "poly": _poly_doc, "roots": _roots_doc}[cmd]())
-    for key in list(doc):  # drop or spoil some keys
+def _spoiled(draw, docs):
+    """A JSON argument: a drawn document with some keys dropped or spoiled, or broken text."""
+    doc = dict(draw(docs))
+    for key in list(doc):
         action = draw(st.sampled_from(["keep"] * 8 + ["drop", "junk"]))
         if action == "drop":
             del doc[key]
         elif action == "junk":
             doc[key] = draw(_JUNK)
     text = json.dumps(doc)
-    text = draw(st.sampled_from([text] * 6 + [text[:-1], f"[{text}]", "."]))
-    return [*fmt, cmd, text]
+    return draw(st.sampled_from([text] * 6 + [text[:-1], f"[{text}]", "."]))
 
 
-@settings(max_examples=300, deadline=None)
+@st.composite
+def _argv(draw):
+    fmt = draw(st.sampled_from([[], ["--format", "json"], ["--format", "table"], ["--format", "csv"]]))
+    cmd = draw(st.sampled_from(["count", "enumerate", "hasse", "distance", "meet", "join", "mspan",
+                                "poly", "roots", "search", "ball", "bound", "simulate"]))
+    spec = draw(_BASE)[0] if draw(st.integers(0, 3)) else draw(_SPECS)
+    if cmd == "count":
+        n, m = (draw(st.one_of(_SMALL.map(str), st.sampled_from(["x", "1.5", ""]))) for _ in range(2))
+        return [*fmt, "count", spec, n, m]
+    if cmd in ("enumerate", "hasse"):
+        return [*fmt, cmd, spec, draw(_TINY), draw(_TINY)]
+    if cmd in ("search", "bound"):
+        argv = [*fmt, cmd, spec, draw(_TINY), draw(_TINY), draw(_TINY)]
+        if cmd == "search":
+            argv += draw(st.sampled_from([[], ["--optimal"], ["--seed", "3"], ["--seed", "x"]]))
+        return argv
+    if cmd in ("distance", "meet", "join"):
+        return [*fmt, cmd, draw(_spoiled(_multispace_doc())), draw(_spoiled(_multispace_doc()))]
+    if cmd == "ball":
+        return [*fmt, cmd, draw(_spoiled(_multispace_doc())), draw(_TINY), draw(_TINY)]
+    if cmd == "simulate":
+        mode = draw(st.sampled_from(["full-rank", "deletion", "rank-deficient", "compound", "x"]))
+        argv = [*fmt, cmd, draw(_spoiled(st.sampled_from(_CODE_DOCS))), "--mode", mode]
+        for option in ("--s", "--trials", "--codeword"):
+            argv += [option, draw(_TINY)]
+        return argv + draw(st.sampled_from([[], ["--end-to-end"], ["--random-generator"]]))
+    doc = {"mspan": _mspan_doc, "poly": _multispace_doc, "roots": _roots_doc}[cmd]()
+    return [*fmt, cmd, draw(_spoiled(doc))]
+
+
+@settings(max_examples=600, deadline=None)
 @given(_argv())
 def test_cli_fuzz_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()

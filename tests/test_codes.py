@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import packing_bound_oracle
+from helpers import greedy_by_distance_loop, packing_bound_oracle, random_multispace
 from hypothesis import given, settings, strategies as st
 
 import multispace
@@ -36,6 +36,7 @@ from multispace.linalg import FqVector, Subspace, span
 
 F2 = field(2)
 F3 = field(3)
+F4 = field(2, 2)
 
 
 def all_rank_one_code():
@@ -91,6 +92,19 @@ def test_greedy_meets_contract():
             code = greedy_code(F2, 3, 3, d_min, seed=seed)
             if len(code) >= 2:
                 assert min_distance(code) >= d_min
+
+
+@settings(max_examples=40, deadline=None)
+@given(ctx=st.sampled_from([F2, F3, F4]), n=st.integers(0, 3), m_max=st.integers(-1, 3),
+       d_min=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_greedy_matches_the_distance_loop(ctx, n, m_max, d_min, seed):
+    code = greedy_code(ctx, n, m_max, d_min, seed=seed)
+    assert code.codewords == greedy_by_distance_loop(ctx, n, m_max, d_min, seed)
+
+
+def test_greedy_needs_a_nonnegative_dimension():
+    with pytest.raises(ConfigInvalid, match="negative"):
+        greedy_code(F2, -1, 2, 2)
 
 
 def test_greedy_deterministic():
@@ -276,6 +290,20 @@ def test_decode_tie_returns_the_earlier_codeword():
         code = MultispaceCode(F2, 3, 6, order)
         got, d = decode(code, bottom)
         assert d == 1 and got == next(w for w in order if w != far)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ctx=st.sampled_from([F2, F3, F4]), n=st.integers(1, 3), size=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decode_with_the_cached_stack_is_the_first_argmin(ctx, n, size, seed):
+    rng = np.random.default_rng(seed)
+    words = tuple(dict.fromkeys(random_multispace(ctx, n, rng) for _ in range(size)))
+    code = MultispaceCode(ctx, n, max(w.rank for w in words), words)
+    for _ in range(6):  # the first decode builds the codeword stack, the rest reuse it
+        received = random_multispace(ctx, n, rng, max_height=4)
+        d = [distance(c, received) for c in code]
+        best = d.index(min(d))  # ties go to the earliest codeword
+        assert decode(code, received) == (code.codewords[best], d[best])
 
 
 def test_decode_unique_radius():

@@ -10,6 +10,7 @@ from helpers import (
     brute_glb,
     brute_lub,
     cover_matrix,
+    covers_by_containment,
     leq_matrix,
     multiplicity_oracle,
     poset_elements,
@@ -44,6 +45,7 @@ from multispace.linalg import FqVector, Subspace, span, subspace_distance
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
+F16 = field(2, 4)
 
 E1 = FqVector.unit(F2, 3, 0)
 E2 = FqVector.unit(F2, 3, 1)
@@ -166,18 +168,24 @@ def test_distance_decomposition():
         assert distance(a, b) == join(a, b).rank - meet(a, b).rank
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    q=st.sampled_from([2, 3, 4]),
-    n=st.integers(1, 4),
-    sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    q=st.sampled_from([2, 3, 4, 16]),
+    n=st.integers(1, 6),
+    sizes=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    zero_dims=st.tuples(st.booleans(), st.booleans()),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_pairwise_distances_match_distance_loop(q, n, sizes, seed):
-    ctx = {2: F2, 3: F3, 4: F4}[q]
+def test_pairwise_distances_match_distance_loop(q, n, sizes, zero_dims, seed):
+    ctx = {2: F2, 3: F3, 4: F4, 16: F16}[q]
     rng = np.random.default_rng(seed)
-    xs = [random_multispace(ctx, n, rng) for _ in range(sizes[0])]
-    ys = [random_multispace(ctx, n, rng) for _ in range(sizes[1])]
+
+    def words(size, zero):  # all of dim 0 stacks as (T, 0, n)
+        if zero:
+            return [Multispace(Subspace.zero(ctx, n), int(rng.integers(0, 4))) for _ in range(size)]
+        return [random_multispace(ctx, n, rng) for _ in range(size)]
+
+    xs, ys = words(sizes[0], zero_dims[0]), words(sizes[1], zero_dims[1])
     square = pairwise_distances(xs)
     assert square.dtype == np.int64 and square.shape == (len(xs), len(xs))
     assert square.tolist() == [[distance(a, b) for b in xs] for a in xs]
@@ -219,6 +227,33 @@ def test_lattice_laws_random():
         assert join(a, join(b, c)) == join(join(a, b), c)
         assert meet(a, a) == a and join(a, a) == a
         assert join(a, meet(a, b)) == a and meet(a, join(a, b)) == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 16]), n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_laws_at_random_parameters(q, n, seed):
+    ctx = {2: F2, 3: F3, 4: F4, 16: F16}[q]
+    rng = np.random.default_rng(seed)
+    words = [random_multispace(ctx, n, rng) for _ in range(6)]
+    d = pairwise_distances(words)
+    for (i, a), (j, b) in itertools.combinations(enumerate(words), 2):
+        lo, hi = meet(a, b), join(a, b)
+        assert a.rank + b.rank == lo.rank + hi.rank  # modularity of the rank
+        assert lo <= a <= hi and lo <= b <= hi
+        assert d[i, j] == d[j, i] == hi.rank - lo.rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_cover_counts_at_random_parameters(q, n, seed):
+    ctx = {2: F2, 3: F3, 4: F4}[q]
+    w = random_multispace(ctx, n, np.random.default_rng(seed), max_height=2)
+    up, down = covers_by_containment(w)
+    assert len(up) == count_covering(w) and set(up) == set(covering_neighbors(w))
+    if w.rank == 0:
+        assert down == [] and covered_neighbors(w) == []
+    else:
+        assert len(down) == count_covered(w) and set(down) == set(covered_neighbors(w))
 
 
 def test_meet_join_are_glb_lub_small():

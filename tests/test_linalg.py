@@ -22,7 +22,10 @@ from multispace.linalg import (
     _check_budget,
     enumerate_subspaces,
     is_rref,
+    matmul_arrays,
     rref,
+    rref_array,
+    rref_batch,
     span,
     subspace_distance,
     subspace_leq,
@@ -32,6 +35,7 @@ F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
 F5 = field(5)
+F16 = field(2, 4)
 
 
 def brute_span_vectors(ctx, rows):
@@ -172,6 +176,30 @@ def test_contains_and_leq():
     assert not subspace_leq(span([e2]), span([e1]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    ctx=st.sampled_from([F2, F3, F4, F16]),
+    batch=st.integers(0, 40),
+    rows=st.integers(0, 8),
+    cols=st.integers(0, 8),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rref_batch_matches_rref_array_on_every_entry(ctx, batch, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, ctx.q, size=(batch, rows, cols))
+    for t in range(0, batch, 2):  # every other entry is a product through a random rank
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        left = rng.integers(0, ctx.q, size=(rows, k))
+        a[t] = matmul_arrays(ctx, left, rng.integers(0, ctx.q, size=(k, cols)))
+    given_a = a.copy()
+    rrefs, ranks = rref_batch(ctx, a)
+    assert np.array_equal(a, given_a)  # the input is not modified
+    assert rrefs.shape == a.shape and rrefs.dtype == np.int64 and ranks.shape == (batch,)
+    for t in range(batch):
+        red, rank, _ = rref_array(ctx, a[t])
+        assert rrefs[t].tobytes() == red.tobytes() and ranks[t] == rank
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([F2, F3, F4]), st.integers(1, 4), st.randoms(use_true_random=False))
 def test_contains_and_leq_match_member_sets(ctx, n, rand):
@@ -244,6 +272,13 @@ def test_budget_is_checked_before_the_first_item():
         next(lines)
     with pytest.raises(LimitExceeded, match="2097152 vectors"):
         Subspace.full(F2, 21).vector_array()
+
+
+def test_budget_message_names_huge_counts_by_a_power_of_two():
+    with pytest.raises(LimitExceeded, match="^1048577 things exceed"):
+        _check_budget(DEFAULT_STATE_LIMIT + 1, "things")
+    with pytest.raises(LimitExceeded, match=r"^at least 2\^20000 things exceed"):
+        _check_budget(2 ** 20000 + 1, "things")  # far past the digits Python prints
 
 
 def test_budget_counts_items_not_the_ambient_space():
