@@ -15,7 +15,10 @@ Modes:
 
 Every trial draws its own PRNG substream (PCG64 seeded through
 SeedSequence(seed).spawn), so results are independent of scheduling and
-reproducible from (config, seed) alone.
+reproducible from (config, seed) alone.  Trials run in blocks as arrays:
+each stage of a block draws for all its trials at once, rejection sampling
+redraws in rounds, and ranks, multispans and distances are batched
+eliminations, while every substream sees the calls of a one-trial loop.
 """
 
 import csv
@@ -27,8 +30,8 @@ import numpy as np
 from .codes import decode
 from .errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch, ShapeViolation
 from .fields import FieldCtx
-from .lattice import Multispace, VectorMultiset, distance, mspan
-from .linalg import FqMatrix, matmul_arrays, rref_array
+from .lattice import Multispace, VectorMultiset, mspan
+from .linalg import FqMatrix, Subspace, _check_budget, matmul_arrays, rref_batch
 
 #: mode -> (rank the sent multispace needs, proven distance bound), in units of s;
 #: a bound of None means the mode is observational only
@@ -39,6 +42,11 @@ _MODE_TABLE = {
     "compound": (2, None),
 }
 MODES = tuple(_MODE_TABLE)
+
+#: trials drawn and eliminated together; the loop's arrays grow with it, not with the trial count
+_BLOCK = 256
+#: candidates a rejection sampler draws for one matrix before it gives up
+_MAX_TRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -136,112 +144,180 @@ def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> FqMatrix:
     return FqMatrix(ctx, rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64))
 
 
-def _full_rank_draw(ctx: FieldCtx, rows: int, cols: int, rng, max_tries: int) -> FqMatrix:
-    """Uniform rows x cols matrix of rank min(rows, cols), by rejection."""
+def _full_rank_batch(ctx: FieldCtx, rngs, rows, cols, max_tries: int) -> np.ndarray:
+    """One uniform rows[i] x cols[i] matrix of rank min(rows[i], cols[i]) per rngs[i].
+
+    Batched rejection: in each round every pending trial draws its next
+    candidate from its own generator, one rref_batch ranks all candidates,
+    and only the rejected trials draw again, so each generator sees the calls
+    of a one-trial rejection loop.  The matrices come zero-padded into one
+    (len(rngs), max rows, max cols) stack; zero rows and columns change no rank.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    out = np.zeros((len(rngs), rows.max(), cols.max()), dtype=np.int64)
+    full = np.minimum(rows, cols)
+    pending = np.arange(len(rngs))
     for _ in range(max_tries):
-        cand = random_matrix(ctx, rows, cols, rng)
-        if rref_array(ctx, cand.array)[1] == min(rows, cols):
-            return cand
-    raise SamplingFailed(f"rejection sampling failed to find a full-rank {rows}x{cols} matrix")
+        if not len(pending):
+            break
+        cand = np.zeros((len(pending),) + out.shape[1:], dtype=np.int64)
+        for j, i in enumerate(pending):
+            cand[j, : rows[i], : cols[i]] = rngs[i].integers(0, ctx.q, size=(rows[i], cols[i]), dtype=np.int64)
+        ok = rref_batch(ctx, cand)[1] == full[pending]
+        out[pending[ok]] = cand[ok]
+        pending = pending[~ok]
+    if len(pending):
+        i = pending[0]
+        raise SamplingFailed(f"rejection sampling failed to find a full-rank {rows[i]}x{cols[i]} matrix")
+    return out
 
 
-def random_full_rank(ctx: FieldCtx, m: int, rng, max_tries: int = 1000) -> FqMatrix:
+def _rank_batch(ctx: FieldCtx, rngs, rows, cols, r, max_tries: int) -> np.ndarray:
+    """One rows[i] x cols[i] matrix of exact rank r[i] per rngs[i], zero-padded into one stack.
+
+    Each is a full-rank A (rows x r) times a full-rank B (r x cols), A drawn
+    before B; a trial with r = 0 draws nothing and gets the zero matrix.
+    """
+    rows, cols, r = np.asarray(rows), np.asarray(cols), np.asarray(r)
+    out = np.zeros((len(rngs), rows.max(), cols.max()), dtype=np.int64)
+    live = np.flatnonzero(r > 0)
+    if len(live):
+        drawers = [rngs[i] for i in live]
+        a = _full_rank_batch(ctx, drawers, rows[live], r[live], max_tries)
+        b = _full_rank_batch(ctx, drawers, r[live], cols[live], max_tries)
+        prod = matmul_arrays(ctx, a, b)
+        lost = np.flatnonzero(rref_batch(ctx, prod)[1] != r[live])  # full-rank factors give rank r
+        if len(lost):
+            raise ShapeViolation(f"product of full-rank factors lost rank {r[live[lost[0]]]}")
+        out[live, : prod.shape[1], : prod.shape[2]] = prod
+    return out
+
+
+def random_full_rank(ctx: FieldCtx, m: int, rng, max_tries: int = _MAX_TRIES) -> FqMatrix:
     """Uniform invertible m x m matrix by rejection (success rate > 0.288)."""
-    return _full_rank_draw(ctx, m, m, rng, max_tries)
+    return FqMatrix(ctx, _full_rank_batch(ctx, [rng], [m], [m], max_tries)[0])
 
 
-def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int = 1000) -> FqMatrix:
+def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int = _MAX_TRIES) -> FqMatrix:
     """Random rows x cols matrix of exact rank r, as a full-rank A (rows x r) times B (r x cols)."""
     if r > min(rows, cols) or r < 0:
         raise ConfigInvalid(f"rank {r} impossible for a {rows}x{cols} matrix")
-    if r == 0:
-        return FqMatrix.zeros(ctx, rows, cols)
-    a = _full_rank_draw(ctx, rows, r, rng, max_tries)
-    b = _full_rank_draw(ctx, r, cols, rng, max_tries)
-    out = a @ b
-    if rref_array(ctx, out.array)[1] != r:  # full-rank factors give rank r
-        raise ShapeViolation(f"product of full-rank factors lost rank {r}")
-    return out
+    return FqMatrix(ctx, _rank_batch(ctx, [rng], [rows], [cols], [r], max_tries)[0])
 
 
 # ---------------------------------------------------------------------------
 # Trials
 # ---------------------------------------------------------------------------
 
-def _effective_transform(ctx: FieldCtx, m: int, cfg: ChannelConfig, rng) -> FqMatrix:
-    """Draw the channel matrix for one trial."""
-    s = cfg.s
-    if cfg.mode == "full-rank":
-        return random_full_rank(ctx, m, rng)
-    if cfg.mode == "deletion":
-        mix = random_full_rank(ctx, m, rng)
-        keep = np.sort(rng.permutation(m)[: m - s])
-        return FqMatrix(ctx, mix.array[:, keep])
+def _channel_block(cfg: ChannelConfig, rngs, picked, max_tries: int):
+    """Received words, distances and bound checks of one block of trials.
+
+    picked[t] = (sent multispace, generating (m, n) array) of trial t, drawn
+    from rngs[t].  The stages draw in the order of a single trial (random
+    generator; mix, deletion permutation and rank-deficient factors of the
+    mode), each stage for the whole block at once, so every generator sees
+    the same calls in the same order as a one-trial loop.  All arrays are
+    zero-padded to the block's largest m; zero rows change no rank.
+    """
+    sent = [w for w, _ in picked]
+    ctx, n, s = sent[0].ctx, sent[0].n, cfg.s
+    ms = np.array([len(gen) for _, gen in picked])
+    gens = np.zeros((len(picked), ms.max(), n), dtype=np.int64)
+    for t, (_, gen) in enumerate(picked):
+        gens[t, : len(gen)] = gen
+    if cfg.random_generator:
+        mix = _full_rank_batch(ctx, rngs, ms, ms, max_tries)
+        gens = matmul_arrays(ctx, np.swapaxes(mix, 1, 2), gens)
     if cfg.mode == "rank-deficient":
-        return random_rank(ctx, m, m, m - s, rng)
-    # compound: delete s, then a rank-deficient square stage on the survivors
-    mix = random_full_rank(ctx, m, rng)
-    keep = np.sort(rng.permutation(m)[: m - s])
-    stage1 = FqMatrix(ctx, mix.array[:, keep])
-    stage2 = random_rank(ctx, m - s, m - s, m - 2 * s, rng)
-    return stage1 @ stage2
-
-
-def _trial_ok(cfg: ChannelConfig, sent: Multispace, received: Multispace, d: int) -> bool:
+        t_eff = _rank_batch(ctx, rngs, ms, ms, ms - s, max_tries)
+    else:
+        t_eff = _full_rank_batch(ctx, rngs, ms, ms, max_tries)
+    widths = ms  # columns of T_eff: the length of each received multiset
+    if cfg.mode in ("deletion", "compound"):  # keep m - s of the mixed columns
+        widths = ms - s
+        kept = np.zeros((len(picked), ms.max(), widths.max()), dtype=np.int64)
+        for t, rng in enumerate(rngs):
+            m = int(ms[t])
+            kept[t, :m, : m - s] = t_eff[t][:m, np.sort(rng.permutation(m)[: m - s])]
+        t_eff = kept
+    if cfg.mode == "compound":  # then a rank-deficient square stage on the survivors
+        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, rngs, widths, widths, ms - 2 * s, max_tries))
+    # received word: rank of the received multiset, height = its length - rank
+    bases, ranks = rref_batch(ctx, matmul_arrays(ctx, np.swapaxes(t_eff, 1, 2), gens))
+    heights = widths - ranks
+    # distance: rank [S; R] = dim(S + R), d = 2 dim(S + R) - dim S - dim R + |ht S - ht R|
+    dims = np.array([w.dim for w in sent])
+    sent_heights = np.array([w.height for w in sent])
+    pairs = np.zeros((len(picked), dims.max() + ranks.max(), n), dtype=np.int64)
+    for t, w in enumerate(sent):
+        pairs[t, : w.dim] = w.underlying.basis
+    pairs[:, dims.max() :] = bases[:, : ranks.max()]
+    joins = rref_batch(ctx, pairs)[1]
+    d = 2 * joins - dims - ranks + np.abs(sent_heights - heights)
     if cfg.mode == "full-rank":
-        return received == sent
-    if cfg.mode == "deletion":
-        return d == cfg.s  # distance is exactly s, not merely bounded
-    if cfg.mode == "rank-deficient":
-        return (
-            d <= 2 * cfg.s
-            and received.rank == sent.rank
-            and received.underlying <= sent.underlying
-        )
-    return True  # compound: observational only
+        ok = d == 0  # the metric vanishes exactly on equal multispaces
+    elif cfg.mode == "deletion":
+        ok = d == s  # distance is exactly s, not merely bounded
+    elif cfg.mode == "rank-deficient":
+        # rank preserved, and dim(S + R) = dim S puts the received space inside the sent one
+        ok = (d <= 2 * s) & (widths == dims + sent_heights) & (joins == dims)
+    else:
+        ok = np.ones(len(picked), dtype=bool)  # compound: observational only
+    received = [
+        Multispace(Subspace(ctx, n, bases[t, :r].copy()), h)
+        for t, (r, h) in enumerate(zip(ranks.tolist(), heights.tolist()))
+    ]
+    return received, d.tolist(), ok.tolist()
 
 
-def _trial_loop(cfg: ChannelConfig, pick, code=None) -> ChannelRun:
-    """The trial loop behind run_trials and end_to_end.
+def _trial_loop(cfg: ChannelConfig, pick, max_tries: int = _MAX_TRIES):
+    """Yield the TrialRecord of every trial in order; the loop behind run_trials and end_to_end.
 
-    pick(rng) returns the sent multispace and its generating multiset; it
-    is the first draw of every trial, so end-to-end runs draw the codeword
-    index before the channel matrices.  With a code, every received word
-    is decoded against it and block errors are counted; a violation is
-    then also recorded when decoding fails although the channel bound
-    guarantees unique decoding (bound < min_distance / 2).
+    pick(rng) returns the sent multispace and its generating multiset as an
+    (m, n) array; it is the first draw of every trial, so end-to-end runs
+    draw the codeword index before the channel matrices.  Trials run in
+    blocks of _BLOCK: every word of a block is picked and rank-checked before
+    any channel draw, and the block's draws, multispans and distances are
+    batched eliminations, so memory grows with the block, not the trials.
     """
     bound = _bound_for(cfg)
-    # rank(T_eff) = m - lost in closed form: every stage of _effective_transform
-    # has full rank except the rank-deficient one, whose rank random_rank checks
+    # rank(T_eff) = m - lost in closed form: every stage has full rank except
+    # the rank-deficient one, whose rank _rank_batch checks
     lost = _need(cfg)
-    records = []
+    root = np.random.SeedSequence(cfg.seed)
+    for start in range(0, cfg.trials, _BLOCK):
+        rngs = [np.random.default_rng(ss) for ss in root.spawn(min(_BLOCK, cfg.trials - start))]
+        picked = [pick(rng) for rng in rngs]
+        for _, gen in picked:
+            cfg.check_rank(len(gen))
+        received, dists, oks = _channel_block(cfg, rngs, picked, max_tries)
+        for k, ((sent, gen), word, d, ok) in enumerate(zip(picked, received, dists, oks)):
+            yield TrialRecord(start + k, sent, word, len(gen) - lost, d, bound, ok)
+
+
+def _summarize(cfg: ChannelConfig, records, code=None) -> ChannelSummary:
+    """Violations and the distance histogram of a stream of trial records.
+
+    With a code, every received word is decoded against it and block errors
+    are counted; a violation is then also recorded when decoding fails
+    although the channel bound guarantees unique decoding (bound <
+    min_distance / 2).
+    """
+    bound = _bound_for(cfg)
     violations = 0
     block_errors = 0
     hist: dict[int, int] = {}
     max_d = 0
-    for idx, ss in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
-        rng = np.random.default_rng(ss)
-        sent, gen = pick(rng)
-        ctx = sent.ctx
-        m = len(gen)
-        cfg.check_rank(m)
-        if cfg.random_generator:
-            gen = apply_transform(gen, random_full_rank(ctx, m, rng))
-        t_eff = _effective_transform(ctx, m, cfg, rng)
-        received = mspan(apply_transform(gen, t_eff))
-        d = distance(sent, received)
-        ok = _trial_ok(cfg, sent, received, d)
-        records.append(TrialRecord(idx, sent, received, m - lost, d, bound, ok))
-        violations += not ok
-        hist[d] = hist.get(d, 0) + 1
-        max_d = max(max_d, d)
-        if code is not None and decode(code, received)[0] != sent:
+    for rec in records:
+        violations += not rec.bound_satisfied
+        hist[rec.distance] = hist.get(rec.distance, 0) + 1
+        max_d = max(max_d, rec.distance)
+        if code is not None and decode(code, rec.received)[0] != rec.sent:
             block_errors += 1
             if bound is not None and bound < code.min_distance / 2:
                 violations += 1  # unique decoding was guaranteed
     errors = None if code is None else block_errors
-    return ChannelRun(records, ChannelSummary(cfg.trials, violations, max_d, hist, errors))
+    return ChannelSummary(cfg.trials, violations, max_d, hist, errors)
 
 
 def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
@@ -251,33 +327,41 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
     generator is used) or an explicit generating VectorMultiset.
     """
     cfg.validate()
+    # the m x m channel matrices of a huge m are refused before the first trial
     if isinstance(target, VectorMultiset):
-        gen0 = target
-        sent = mspan(gen0)
+        _check_budget(len(target) ** 2, "channel matrix entries")
+        gen0 = target.matrix
+        sent = mspan(target)
     elif isinstance(target, Multispace):
+        _check_budget(target.rank ** 2, "channel matrix entries")
         sent = target
-        gen0 = target.generating_multiset()
+        gen0 = target.generating_multiset().matrix
     else:
         raise TypeError("target must be a Multispace or VectorMultiset")
     cfg.check_rank(len(gen0))
-    return _trial_loop(cfg, lambda rng: (sent, gen0))
+    records = list(_trial_loop(cfg, lambda rng: (sent, gen0)))
+    return ChannelRun(records, _summarize(cfg, records))
 
 
 def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
     """Sample codewords, run the channel, decode, and count block errors.
 
     A codeword too small for the mode's error weight raises ConfigInvalid
-    in the first trial that samples it.
+    in the first block of trials that samples it.
     """
     cfg.validate()
     if len(code) == 0:
         raise ConfigInvalid("end-to-end run needs a nonempty code")
+    _check_budget(max(w.rank for w in code) ** 2, "channel matrix entries")
+    gens = {}
 
     def pick(rng):
-        w = code.codewords[int(rng.integers(len(code)))]
-        return w, w.generating_multiset()
+        i = int(rng.integers(len(code)))
+        if i not in gens:
+            gens[i] = code.codewords[i].generating_multiset().matrix
+        return code.codewords[i], gens[i]
 
-    return _trial_loop(cfg, pick, code).summary
+    return _summarize(cfg, _trial_loop(cfg, pick), code)  # records are not kept
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Subcommands: count, enumerate, hasse, distance, meet, join, mspan,
 poly, roots, search, ball, bound, simulate.
 
 Exit codes: 0 success, 1 usage or input error, 2 an enumeration of more
-than 2^20 items or a clique search over more than 64 elements, 3 a
-proven channel bound was violated (implementation bug).
+than 2^20 items, a clique search over more than 64 elements or a simulated
+word whose m x m channel matrices pass 2^20 entries, 3 a proven channel
+bound was violated (implementation bug).
 Output defaults to a human table on a TTY and JSON when piped;
 --format (table, json or csv) overrides.  Only count and search have a
 csv form; --format csv is an error elsewhere.  hasse always writes DOT.
@@ -13,6 +14,7 @@ csv form; --format csv is an error elsewhere.  hasse always writes DOT.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -304,7 +306,9 @@ def cmd_simulate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = _Parser(prog="multispace", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--format", choices=["table", "json", "csv"], default=None)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -213,12 +213,16 @@ class FqMatrix:
 
 
 def matmul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product of encoding arrays; shapes (r,k) @ (k,c)."""
+    """Exact matrix product of encoding arrays; shapes (..., r, k) @ (..., k, c).
+
+    Leading batch axes broadcast as in np.matmul.
+    """
     if ctx.e == 1:
         return (a.astype(np.int64) @ b.astype(np.int64)) % ctx.p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        out = ctx.add_arr(out, ctx.mul_arr(a[:, k : k + 1], b[k : k + 1, :]))
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+    for k in range(a.shape[-1]):
+        out = ctx.add_arr(out, ctx.mul_arr(a[..., :, k : k + 1], b[..., k : k + 1, :]))
     return out
 
 

@@ -149,11 +149,6 @@ class LinearizedPoly:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
 
-    @property
-    def degree(self) -> int:
-        """Degree as a plain polynomial: base_q ** q_degree."""
-        return self.base_q ** self.q_degree
-
     def coefficient(self, i: int) -> FieldElement:
         return FieldElement(self.coeffs.get(i, 0), self.ctx)
 

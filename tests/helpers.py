@@ -1,20 +1,31 @@
 """Shared brute-force oracles: multiplicities, the lattice poset, covers by
 containment, RREF by definition, the packing bound over every BFS ball, the
-greedy code by single distances and the literal root product."""
+greedy code by single distances, the channel's trial-by-trial loop and the
+literal root product."""
 
 import numpy as np
 
-from multispace.codes import ball
-from multispace.errors import LimitExceeded
+from multispace.channel import (
+    ChannelRun,
+    ChannelSummary,
+    TrialRecord,
+    _bound_for,
+    _need,
+    apply_transform,
+    random_matrix,
+)
+from multispace.codes import ball, decode
+from multispace.errors import ConfigInvalid, LimitExceeded, SamplingFailed, ShapeViolation
 from multispace.lattice import (
     Multispace,
     VectorMultiset,
     distance,
     enumerate_multispaces,
     enumerate_multispaces_up_to,
+    mspan,
     multiset_leq,
 )
-from multispace.linalg import DEFAULT_STATE_LIMIT, FqVector, Subspace, _odometer
+from multispace.linalg import DEFAULT_STATE_LIMIT, FqMatrix, FqVector, Subspace, _odometer, rref_array
 from multispace.qpoly import vector_field_iso
 
 
@@ -139,6 +150,90 @@ def greedy_by_distance_loop(ctx, n, m_max, d_min, seed):
     return tuple(sorted(kept, key=lambda w: w.sort_key()))
 
 
+# ---------------------------------------------------------------------------
+# The channel one trial and one elimination at a time
+# ---------------------------------------------------------------------------
+
+def full_rank_draw(ctx, rows, cols, rng, max_tries=1000) -> FqMatrix:
+    """Uniform rows x cols matrix of rank min(rows, cols), by rejection."""
+    for _ in range(max_tries):
+        cand = random_matrix(ctx, rows, cols, rng)
+        if rref_array(ctx, cand.array)[1] == min(rows, cols):
+            return cand
+    raise SamplingFailed(f"rejection sampling failed to find a full-rank {rows}x{cols} matrix")
+
+
+def rank_draw(ctx, rows, cols, r, rng, max_tries=1000) -> FqMatrix:
+    """Random rows x cols matrix of exact rank r, as a full-rank A (rows x r) times B (r x cols)."""
+    if r > min(rows, cols) or r < 0:
+        raise ConfigInvalid(f"rank {r} impossible for a {rows}x{cols} matrix")
+    if r == 0:
+        return FqMatrix.zeros(ctx, rows, cols)
+    out = full_rank_draw(ctx, rows, r, rng, max_tries) @ full_rank_draw(ctx, r, cols, rng, max_tries)
+    if rref_array(ctx, out.array)[1] != r:
+        raise ShapeViolation(f"product of full-rank factors lost rank {r}")
+    return out
+
+
+def effective_transform(ctx, m, cfg, rng, max_tries=1000) -> FqMatrix:
+    """The channel matrix of one trial, drawn stage by stage."""
+    s = cfg.s
+    if cfg.mode == "full-rank":
+        return full_rank_draw(ctx, m, m, rng, max_tries)
+    if cfg.mode == "rank-deficient":
+        return rank_draw(ctx, m, m, m - s, rng, max_tries)
+    mix = full_rank_draw(ctx, m, m, rng, max_tries)
+    keep = np.sort(rng.permutation(m)[: m - s])
+    stage1 = FqMatrix(ctx, mix.array[:, keep])
+    if cfg.mode == "deletion":
+        return stage1
+    return stage1 @ rank_draw(ctx, m - s, m - s, m - 2 * s, rng, max_tries)  # compound
+
+
+def _serial_trial_ok(cfg, sent, received, d) -> bool:
+    if cfg.mode == "full-rank":
+        return received == sent
+    if cfg.mode == "deletion":
+        return d == cfg.s
+    if cfg.mode == "rank-deficient":
+        return d <= 2 * cfg.s and received.rank == sent.rank and received.underlying <= sent.underlying
+    return True
+
+
+def serial_trial_loop(cfg, pick, code=None, max_tries=1000) -> ChannelRun:
+    """The channel trial loop one trial at a time, with FqMatrix, apply_transform,
+    mspan, distance and decode per trial; the oracle of channel._trial_loop,
+    taking the same pick(rng) -> (sent multispace, generating (m, n) array)."""
+    bound = _bound_for(cfg)
+    lost = _need(cfg)
+    records = []
+    violations = block_errors = max_d = 0
+    hist = {}
+    for idx, ss in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        rng = np.random.default_rng(ss)
+        sent, rows = pick(rng)
+        ctx = sent.ctx
+        gen = VectorMultiset(ctx, sent.n, rows)
+        m = len(gen)
+        cfg.check_rank(m)
+        if cfg.random_generator:
+            gen = apply_transform(gen, full_rank_draw(ctx, m, m, rng, max_tries))
+        t_eff = effective_transform(ctx, m, cfg, rng, max_tries)
+        received = mspan(apply_transform(gen, t_eff))
+        d = distance(sent, received)
+        ok = _serial_trial_ok(cfg, sent, received, d)
+        records.append(TrialRecord(idx, sent, received, m - lost, d, bound, ok))
+        violations += not ok
+        hist[d] = hist.get(d, 0) + 1
+        max_d = max(max_d, d)
+        if code is not None and decode(code, received)[0] != sent:
+            block_errors += 1
+            if bound is not None and bound < code.min_distance / 2:
+                violations += 1
+    errors = None if code is None else block_errors
+    return ChannelRun(records, ChannelSummary(cfg.trials, violations, max_d, hist, errors))
+
+
 def random_multiset(ctx, n, m, rng) -> VectorMultiset:
     return VectorMultiset(ctx, n, rng.integers(0, ctx.q, size=(m, n)))
 
@@ -242,9 +337,14 @@ def root_multiplicities_by_division(poly: DensePoly, roots=None) -> dict[int, in
     return out
 
 
+def dense_degree(L) -> int:
+    """Degree of a nonzero linearized polynomial as a plain polynomial: base_q ** q_degree."""
+    return L.base_q ** L.q_degree
+
+
 def dense_of(L) -> DensePoly:
     """A linearized polynomial written out densely: a_i at exponent q^i."""
-    out = np.zeros(L.degree + 1 if L.coeffs else 0, dtype=np.int64)
+    out = np.zeros(dense_degree(L) + 1 if L.coeffs else 0, dtype=np.int64)
     for i, c in L.coeffs.items():
         out[L.base_q ** i] = c
     return DensePoly(L.ctx, out)

@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_multispace
+from helpers import (
+    effective_transform,
+    full_rank_draw,
+    random_multiset,
+    random_multispace,
+    serial_trial_loop,
+)
+from multispace import channel
 from multispace.channel import (
     MODES,
     ChannelConfig,
-    _effective_transform,
+    _trial_loop,
     apply_transform,
     end_to_end,
+    ChannelRun,
     raise_on_violation,
     random_full_rank,
     random_matrix,
@@ -18,7 +26,14 @@ from multispace.channel import (
     ChannelSummary,
 )
 from multispace.codes import MultispaceCode
-from multispace.errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch
+from multispace.errors import (
+    BoundViolation,
+    ConfigInvalid,
+    LimitExceeded,
+    MultispaceError,
+    SamplingFailed,
+    ShapeMismatch,
+)
 from multispace.fields import field
 from multispace.lattice import (
     Multispace,
@@ -32,6 +47,10 @@ from multispace.linalg import FqMatrix, FqVector, Subspace, rref_array, subspace
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
+F5 = field(5)
+FIELDS = {2: F2, 3: F3, 4: F4, 5: F5}
+#: rank the channel takes away per unit of s, by mode
+NEED_PER_S = {"full-rank": 0, "deletion": 1, "rank-deficient": 1, "compound": 2}
 
 
 def test_apply_transform_identity_and_zero():
@@ -236,8 +255,8 @@ def test_closed_form_t_rank_matches_elimination(q, mode, data):
         trial_rng = np.random.default_rng(ss)  # replay the trial's draws in order
         gen = gen0
         if cfg.random_generator:
-            gen = apply_transform(gen0, random_full_rank(ctx, m, trial_rng))
-        t_eff = _effective_transform(ctx, m, cfg, trial_rng)
+            gen = apply_transform(gen0, full_rank_draw(ctx, m, m, trial_rng))
+        t_eff = effective_transform(ctx, m, cfg, trial_rng)
         assert mspan(apply_transform(gen, t_eff)) == record.received
         assert record.t_rank == rref_array(ctx, t_eff.array)[1]
 
@@ -252,3 +271,139 @@ def test_summary_keys_of_both_entry_points():
         "trials", "violations", "max_distance", "histogram", "block_errors", "block_error_rate",
     ]
     assert isinstance(summary, ChannelSummary) and summary.block_errors == 0
+
+
+# -- the batched loop against the serial oracle --------------------------------
+
+def _record_fields(records):
+    return [(r.index, r.sent, r.received, r.t_rank, r.distance, r.bound, r.bound_satisfied) for r in records]
+
+
+def _outcome(fn):
+    """The run fn returns, or the type of the toolkit error it raises."""
+    try:
+        return fn()
+    except MultispaceError as exc:
+        return type(exc)
+
+
+def _assert_same_records(records, serial):
+    """records (a list, or an error type) against the serial run (or its error type)."""
+    if isinstance(serial, type):
+        assert records is serial
+    else:
+        assert _record_fields(records) == _record_fields(serial.records)
+
+
+def _code_pick(code):
+    """end_to_end's pick: the codeword index is each trial's first draw."""
+    def pick(rng):
+        w = code.codewords[int(rng.integers(len(code)))]
+        return w, w.generating_multiset().matrix
+    return pick
+
+
+def _check_both_entry_points(target, code, cfg):
+    """run_trials on target and end_to_end on code against the serial loop."""
+    if isinstance(target, VectorMultiset):
+        sent, gen = mspan(target), target.matrix
+    else:
+        sent, gen = target, target.generating_multiset().matrix
+    serial = _outcome(lambda: serial_trial_loop(cfg, lambda rng: (sent, gen)))
+    run = _outcome(lambda: run_trials(target, cfg))
+    _assert_same_records(run if isinstance(run, type) else run.records, serial)
+    if not isinstance(serial, type):
+        assert run.summary == serial.summary
+    serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
+    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, _code_pick(code)))), serial)
+    summary = _outcome(lambda: end_to_end(code, cfg))
+    assert summary == (serial if isinstance(serial, type) else serial.summary)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 5]),
+    mode=st.sampled_from(MODES),
+    random_generator=st.booleans(),
+    trials=st.integers(0, 40),
+    data=st.data(),
+)
+def test_batched_trials_match_the_serial_loop(q, mode, random_generator, trials, data):
+    """Received word, t_rank, distance, bound check and summary agree record for
+    record, through run_trials (canonical or explicit generator) and end_to_end
+    against codes whose codewords differ in rank."""
+    ctx = FIELDS[q]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="input seed"))
+    n = data.draw(st.integers(1, 4), label="n")
+    words = list(dict.fromkeys(random_multispace(ctx, n, rng) for _ in range(data.draw(st.integers(1, 4)))))
+    if data.draw(st.booleans(), label="explicit generator"):
+        target = random_multiset(ctx, n, int(rng.integers(0, 6)), rng)
+        rank = len(target)
+    else:
+        target = words[0]
+        rank = target.rank
+    s_max = 0 if NEED_PER_S[mode] == 0 else rank // NEED_PER_S[mode]
+    cfg = ChannelConfig(
+        mode, trials, data.draw(st.integers(0, s_max), label="s"),
+        data.draw(st.integers(0, 2 ** 32 - 1), label="seed"), random_generator,
+    )
+    code = MultispaceCode(ctx, n, max(w.rank for w in words), tuple(words))
+    _check_both_entry_points(target, code, cfg)
+
+
+@pytest.mark.parametrize("mode,s", [("deletion", 1), ("compound", 1)])
+def test_runs_longer_than_one_block_match_the_serial_loop(mode, s):
+    rng = np.random.default_rng(8)
+    words = (Multispace(Subspace.full(F3, 2), 1), Multispace(Subspace.from_array(F3, 2, [[1, 2]]), 1),
+             Multispace(Subspace.zero(F3, 2), 2), Multispace(Subspace.full(F3, 2), 2))
+    code = MultispaceCode(F3, 2, 4, words)
+    cfg = ChannelConfig(mode, channel._BLOCK + 44, s, seed=int(rng.integers(1 << 30)), random_generator=True)
+    _check_both_entry_points(words[0], code, cfg)
+
+
+@pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1), ("rank-deficient", 1),
+                                    ("compound", 1), ("rank-deficient", 4)])
+def test_both_loops_raise_alike_on_an_exhausted_try_budget(mode, s):
+    w = Multispace(Subspace.full(F2, 3), 1)  # rank 4
+    gen = w.generating_multiset().matrix
+    cfg = ChannelConfig(mode, trials=5, s=s, seed=4)
+    serial = _outcome(lambda: serial_trial_loop(cfg, lambda rng: (w, gen), max_tries=0))
+    if (mode, s) == ("rank-deficient", 4):
+        assert isinstance(serial, ChannelRun)  # T = 0 draws nothing, so no budget runs out
+    else:
+        assert serial is SamplingFailed
+    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, lambda rng: (w, gen), max_tries=0))), serial)
+
+
+@pytest.mark.parametrize("mode", ["deletion", "rank-deficient", "compound"])
+def test_both_loops_refuse_a_codeword_of_too_small_a_rank(mode):
+    words = (Multispace(Subspace.full(F2, 2), 2), Multispace.bottom(F2, 2))
+    code = MultispaceCode(F2, 2, 4, words)
+    cfg = ChannelConfig(mode, trials=20, s=1, seed=0)
+    serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
+    assert serial is ConfigInvalid
+    assert _outcome(lambda: list(_trial_loop(cfg, _code_pick(code)))) is ConfigInvalid
+    assert _outcome(lambda: end_to_end(code, cfg)) is ConfigInvalid
+
+
+@pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1), ("rank-deficient", 1), ("compound", 1)])
+def test_huge_height_is_refused_before_any_trial(mode, s):
+    huge = Multispace(Subspace.zero(F2, 2), 2 ** 70)
+    cfg = ChannelConfig(mode, trials=3, s=s, seed=0)
+    with pytest.raises(LimitExceeded):
+        run_trials(huge, cfg)
+    code = MultispaceCode(F2, 2, 2 ** 70, (huge, Multispace(Subspace.full(F2, 2), 0)))
+    with pytest.raises(LimitExceeded):
+        end_to_end(code, cfg)
+    with pytest.raises(LimitExceeded):
+        end_to_end(code, ChannelConfig(mode, trials=0, s=s, seed=0))
+
+
+@pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1)])
+def test_a_channel_that_loses_rank_is_flagged(monkeypatch, mode, s):
+    def singular(ctx, rngs, rows, cols, max_tries):
+        return np.zeros((len(rngs), max(rows), max(cols)), dtype=np.int64)
+
+    monkeypatch.setattr(channel, "_full_rank_batch", singular)
+    w = Multispace(Subspace.full(F3, 2), 1)
+    assert run_trials(w, ChannelConfig(mode, trials=5, s=s, seed=0)).summary.violations == 5

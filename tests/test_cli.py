@@ -248,6 +248,33 @@ def test_format_choices(capsys):
     assert code == 1 and "invalid choice" in err
 
 
+def test_main_reuses_one_parser_with_fresh_defaults(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "--format", "json", "search", "2", "2", "1", "2", "--optimal", "--seed", "5")
+    assert code == 0 and (json.loads(out)["method"], json.loads(out)["seed"]) == ("optimal", 5)
+    code, out, _ = run(capsys, "--format", "json", "search", "2", "2", "1", "2")
+    assert code == 0 and (json.loads(out)["method"], json.loads(out)["seed"]) == ("greedy", 0)
+    code, out, _ = run(capsys, "--format", "table", "count", "2", "3", "1")
+    assert code == 0 and out.startswith("rank")
+    code, out, _ = run(capsys, "count", "2", "3", "1")  # piped, so JSON by default
+    assert code == 0 and json.loads(out)["n"] == 3
+    code, out, _ = run(capsys, "--format", "json", "search", "2", "2", "1", "2", "--output", str(tmp_path / "c.json"))
+    assert code == 0 and json.loads(out)["written"]
+    code, out, _ = run(capsys, "--format", "json", "search", "2", "2", "1", "2")
+    assert code == 0 and "codewords" in json.loads(out)
+
+
+@pytest.mark.parametrize("mode,s", [("full-rank", "0"), ("deletion", "1"), ("rank-deficient", "1"), ("compound", "1")])
+def test_simulate_of_a_huge_height_exits_2(capsys, mode, s):
+    huge = {"q-spec": "2", "n": 2, "basis": [], "height": 2 ** 70}
+    words = [huge, {"q-spec": "2", "n": 2, "basis": [[1, 0]], "height": 0},
+             {"q-spec": "2", "n": 2, "basis": [[0, 1]], "height": 0}]
+    doc = json.dumps({"q-spec": "2", "n": 2, "m_max": 2 ** 70, "codewords": words})
+    for extra in (["--end-to-end"], []):
+        code, out, err = run(capsys, "simulate", doc, "--mode", mode, "--s", s, "--trials", "5", *extra)
+        assert code == 2 and out == "" and "channel matrix entries" in err and "Traceback" not in err
+
+
 def test_limit_exit_code(capsys):
     code, _, err = run(capsys, "enumerate", "2", "25", "1")
     assert code == 2 and "limit" in err.lower()

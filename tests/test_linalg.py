@@ -322,6 +322,18 @@ def test_matrix_product():
         m @ FqMatrix.identity(F2, 2)
 
 
+@pytest.mark.parametrize("ctx", [F3, F4, F16])
+def test_matmul_of_stacks_is_the_product_of_each_entry(ctx):
+    rng = np.random.default_rng(ctx.q)
+    a = rng.integers(0, ctx.q, size=(5, 3, 4))
+    b = rng.integers(0, ctx.q, size=(5, 4, 2))
+    stacked = matmul_arrays(ctx, a, b)
+    assert stacked.shape == (5, 3, 2)
+    for t in range(5):
+        assert np.array_equal(stacked[t], matmul_arrays(ctx, a[t], b[t]))
+    assert np.array_equal(matmul_arrays(ctx, a, b[0]), np.stack([matmul_arrays(ctx, x, b[0]) for x in a]))
+
+
 def test_subspace_json_round_trip():
     e1, e2 = FqVector.unit(F4, 3, 0), FqVector.unit(F4, 3, 1)
     s = span([e1.scale(2), e2])
