@@ -31,7 +31,7 @@ from .codes import decode
 from .errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch, ShapeViolation
 from .fields import FieldCtx
 from .lattice import Multispace, VectorMultiset, mspan
-from .linalg import FqMatrix, Subspace, _check_budget, matmul_arrays, rref_batch
+from .linalg import DEFAULT_STATE_LIMIT, FqMatrix, Subspace, _check_budget, matmul_arrays, rref_batch
 
 #: mode -> (rank the sent multispace needs, proven distance bound), in units of s;
 #: a bound of None means the mode is observational only
@@ -43,7 +43,7 @@ _MODE_TABLE = {
 }
 MODES = tuple(_MODE_TABLE)
 
-#: trials drawn and eliminated together; the loop's arrays grow with it, not with the trial count
+#: at most this many trials are drawn and eliminated together; arrays grow with blocks, not trials
 _BLOCK = 256
 #: candidates a rejection sampler draws for one matrix before it gives up
 _MAX_TRIES = 1000
@@ -209,7 +209,7 @@ def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int
 # Trials
 # ---------------------------------------------------------------------------
 
-def _channel_block(cfg: ChannelConfig, rngs, picked, max_tries: int):
+def _channel_block(cfg: ChannelConfig, rngs, picked):
     """Received words, distances and bound checks of one block of trials.
 
     picked[t] = (sent multispace, generating (m, n) array) of trial t, drawn
@@ -226,12 +226,12 @@ def _channel_block(cfg: ChannelConfig, rngs, picked, max_tries: int):
     for t, (_, gen) in enumerate(picked):
         gens[t, : len(gen)] = gen
     if cfg.random_generator:
-        mix = _full_rank_batch(ctx, rngs, ms, ms, max_tries)
+        mix = _full_rank_batch(ctx, rngs, ms, ms, _MAX_TRIES)
         gens = matmul_arrays(ctx, np.swapaxes(mix, 1, 2), gens)
     if cfg.mode == "rank-deficient":
-        t_eff = _rank_batch(ctx, rngs, ms, ms, ms - s, max_tries)
+        t_eff = _rank_batch(ctx, rngs, ms, ms, ms - s, _MAX_TRIES)
     else:
-        t_eff = _full_rank_batch(ctx, rngs, ms, ms, max_tries)
+        t_eff = _full_rank_batch(ctx, rngs, ms, ms, _MAX_TRIES)
     widths = ms  # columns of T_eff: the length of each received multiset
     if cfg.mode in ("deletion", "compound"):  # keep m - s of the mixed columns
         widths = ms - s
@@ -241,7 +241,7 @@ def _channel_block(cfg: ChannelConfig, rngs, picked, max_tries: int):
             kept[t, :m, : m - s] = t_eff[t][:m, np.sort(rng.permutation(m)[: m - s])]
         t_eff = kept
     if cfg.mode == "compound":  # then a rank-deficient square stage on the survivors
-        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, rngs, widths, widths, ms - 2 * s, max_tries))
+        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, rngs, widths, widths, ms - 2 * s, _MAX_TRIES))
     # received word: rank of the received multiset, height = its length - rank
     bases, ranks = rref_batch(ctx, matmul_arrays(ctx, np.swapaxes(t_eff, 1, 2), gens))
     heights = widths - ranks
@@ -270,27 +270,36 @@ def _channel_block(cfg: ChannelConfig, rngs, picked, max_tries: int):
     return received, d.tolist(), ok.tolist()
 
 
-def _trial_loop(cfg: ChannelConfig, pick, max_tries: int = _MAX_TRIES):
+def _block_size(m_max: int, n: int) -> int:
+    """Trials per block: _BLOCK, or fewer so that a block's stacked arrays,
+    padded to the largest m x max(m, n) of its trials, stay within
+    DEFAULT_STATE_LIMIT entries."""
+    return max(1, min(_BLOCK, DEFAULT_STATE_LIMIT // max(1, m_max * max(m_max, n))))
+
+
+def _trial_loop(cfg: ChannelConfig, pick, m_max: int, n: int):
     """Yield the TrialRecord of every trial in order; the loop behind run_trials and end_to_end.
 
     pick(rng) returns the sent multispace and its generating multiset as an
-    (m, n) array; it is the first draw of every trial, so end-to-end runs
-    draw the codeword index before the channel matrices.  Trials run in
-    blocks of _BLOCK: every word of a block is picked and rank-checked before
-    any channel draw, and the block's draws, multispans and distances are
-    batched eliminations, so memory grows with the block, not the trials.
+    (m, n) array with m <= m_max; it is the first draw of every trial, so
+    end-to-end runs draw the codeword index before the channel matrices.
+    Trials run in blocks of _block_size(m_max, n): every word of a block is
+    picked and rank-checked before any channel draw, and the block's draws,
+    multispans and distances are batched eliminations, so memory grows with
+    the block, not the trials.
     """
     bound = _bound_for(cfg)
     # rank(T_eff) = m - lost in closed form: every stage has full rank except
     # the rank-deficient one, whose rank _rank_batch checks
     lost = _need(cfg)
+    block = _block_size(m_max, n)
     root = np.random.SeedSequence(cfg.seed)
-    for start in range(0, cfg.trials, _BLOCK):
-        rngs = [np.random.default_rng(ss) for ss in root.spawn(min(_BLOCK, cfg.trials - start))]
+    for start in range(0, cfg.trials, block):
+        rngs = [np.random.default_rng(ss) for ss in root.spawn(min(block, cfg.trials - start))]
         picked = [pick(rng) for rng in rngs]
         for _, gen in picked:
             cfg.check_rank(len(gen))
-        received, dists, oks = _channel_block(cfg, rngs, picked, max_tries)
+        received, dists, oks = _channel_block(cfg, rngs, picked)
         for k, ((sent, gen), word, d, ok) in enumerate(zip(picked, received, dists, oks)):
             yield TrialRecord(start + k, sent, word, len(gen) - lost, d, bound, ok)
 
@@ -339,7 +348,7 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
     else:
         raise TypeError("target must be a Multispace or VectorMultiset")
     cfg.check_rank(len(gen0))
-    records = list(_trial_loop(cfg, lambda rng: (sent, gen0)))
+    records = list(_trial_loop(cfg, lambda rng: (sent, gen0), len(gen0), sent.n))
     return ChannelRun(records, _summarize(cfg, records))
 
 
@@ -352,16 +361,14 @@ def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
     cfg.validate()
     if len(code) == 0:
         raise ConfigInvalid("end-to-end run needs a nonempty code")
-    _check_budget(max(w.rank for w in code) ** 2, "channel matrix entries")
-    gens = {}
+    m_max = max(w.rank for w in code)
+    _check_budget(m_max ** 2, "channel matrix entries")
 
     def pick(rng):
-        i = int(rng.integers(len(code)))
-        if i not in gens:
-            gens[i] = code.codewords[i].generating_multiset().matrix
-        return code.codewords[i], gens[i]
+        w = code.codewords[int(rng.integers(len(code)))]
+        return w, w.generating_multiset().matrix
 
-    return _summarize(cfg, _trial_loop(cfg, pick), code)  # records are not kept
+    return _summarize(cfg, _trial_loop(cfg, pick, m_max, code.n), code)  # records are not kept
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +44,7 @@ from multispace.lattice import (
     enumerate_multispaces,
     mspan,
 )
-from multispace.linalg import FqMatrix, FqVector, Subspace, rref_array, subspace_leq
+from multispace.linalg import DEFAULT_STATE_LIMIT, FqMatrix, FqVector, Subspace, rref_array, subspace_leq
 
 F2 = field(2)
 F3 = field(3)
@@ -315,7 +317,8 @@ def _check_both_entry_points(target, code, cfg):
     if not isinstance(serial, type):
         assert run.summary == serial.summary
     serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
-    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, _code_pick(code)))), serial)
+    m_max = max(w.rank for w in code)
+    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, _code_pick(code), m_max, code.n))), serial)
     summary = _outcome(lambda: end_to_end(code, cfg))
     assert summary == (serial if isinstance(serial, type) else serial.summary)
 
@@ -363,7 +366,7 @@ def test_runs_longer_than_one_block_match_the_serial_loop(mode, s):
 
 @pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1), ("rank-deficient", 1),
                                     ("compound", 1), ("rank-deficient", 4)])
-def test_both_loops_raise_alike_on_an_exhausted_try_budget(mode, s):
+def test_both_loops_raise_alike_on_an_exhausted_try_budget(monkeypatch, mode, s):
     w = Multispace(Subspace.full(F2, 3), 1)  # rank 4
     gen = w.generating_multiset().matrix
     cfg = ChannelConfig(mode, trials=5, s=s, seed=4)
@@ -372,7 +375,8 @@ def test_both_loops_raise_alike_on_an_exhausted_try_budget(mode, s):
         assert isinstance(serial, ChannelRun)  # T = 0 draws nothing, so no budget runs out
     else:
         assert serial is SamplingFailed
-    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, lambda rng: (w, gen), max_tries=0))), serial)
+    monkeypatch.setattr(channel, "_MAX_TRIES", 0)
+    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, lambda rng: (w, gen), w.rank, w.n))), serial)
 
 
 @pytest.mark.parametrize("mode", ["deletion", "rank-deficient", "compound"])
@@ -382,7 +386,7 @@ def test_both_loops_refuse_a_codeword_of_too_small_a_rank(mode):
     cfg = ChannelConfig(mode, trials=20, s=1, seed=0)
     serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
     assert serial is ConfigInvalid
-    assert _outcome(lambda: list(_trial_loop(cfg, _code_pick(code)))) is ConfigInvalid
+    assert _outcome(lambda: list(_trial_loop(cfg, _code_pick(code), 4, 2))) is ConfigInvalid
     assert _outcome(lambda: end_to_end(code, cfg)) is ConfigInvalid
 
 
@@ -397,6 +401,33 @@ def test_huge_height_is_refused_before_any_trial(mode, s):
         end_to_end(code, cfg)
     with pytest.raises(LimitExceeded):
         end_to_end(code, ChannelConfig(mode, trials=0, s=s, seed=0))
+
+
+def test_blocks_shrink_to_the_state_limit_as_the_rank_grows():
+    assert channel._block_size(64, 64) == channel._BLOCK  # small words keep whole blocks
+    for m in (1, 65, 128, 300, 1024):
+        for n in (1, m, 4 * m):
+            block = channel._block_size(m, n)
+            assert block == 1 or block * m * max(m, n) <= DEFAULT_STATE_LIMIT
+
+
+def test_peak_memory_of_a_high_rank_word_stays_within_a_few_blocks(monkeypatch):
+    """With a limit that one rank-200 trial fills, six trials run one at a time,
+    and the traced peak stays below eight stacks of the limit; padding all six
+    into one block would take about twelve."""
+    limit = 1 << 16
+    monkeypatch.setattr(channel, "DEFAULT_STATE_LIMIT", limit)
+    w = Multispace(Subspace.zero(F2, 2), 200)
+    cfg = ChannelConfig("compound", trials=6, s=3, seed=0)
+    run_trials(w, ChannelConfig("compound", trials=1, s=3, seed=1))  # one-time allocations
+    tracemalloc.start()
+    try:
+        run = run_trials(w, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.summary.trials == 6
+    assert peak <= 8 * limit * np.dtype(np.int64).itemsize
 
 
 @pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1)])
