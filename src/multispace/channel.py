@@ -30,8 +30,8 @@ import numpy as np
 from .codes import decode
 from .errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch, ShapeViolation
 from .fields import FieldCtx
-from .lattice import Multispace, VectorMultiset, mspan
-from .linalg import DEFAULT_STATE_LIMIT, FqMatrix, Subspace, _check_budget, matmul_arrays, rref_batch
+from .lattice import Multispace, VectorMultiset, _WordStack, mspan
+from .linalg import DEFAULT_STATE_LIMIT, FqMatrix, Subspace, _check_budget, _pad_stack, matmul_arrays, rref_batch
 
 #: mode -> (rank the sent multispace needs, proven distance bound), in units of s;
 #: a bound of None means the mode is observational only
@@ -160,9 +160,8 @@ def _full_rank_batch(ctx: FieldCtx, rngs, rows, cols, max_tries: int) -> np.ndar
     for _ in range(max_tries):
         if not len(pending):
             break
-        cand = np.zeros((len(pending),) + out.shape[1:], dtype=np.int64)
-        for j, i in enumerate(pending):
-            cand[j, : rows[i], : cols[i]] = rngs[i].integers(0, ctx.q, size=(rows[i], cols[i]), dtype=np.int64)
+        draws = [rngs[i].integers(0, ctx.q, size=(rows[i], cols[i]), dtype=np.int64) for i in pending]
+        cand = _pad_stack(draws, out.shape[1:])
         ok = rref_batch(ctx, cand)[1] == full[pending]
         out[pending[ok]] = cand[ok]
         pending = pending[~ok]
@@ -219,12 +218,10 @@ def _channel_block(cfg: ChannelConfig, rngs, picked):
     the same calls in the same order as a one-trial loop.  All arrays are
     zero-padded to the block's largest m; zero rows change no rank.
     """
-    sent = [w for w, _ in picked]
-    ctx, n, s = sent[0].ctx, sent[0].n, cfg.s
+    sent = _WordStack.of([w for w, _ in picked])
+    ctx, n, s = sent.ctx, sent.n, cfg.s
     ms = np.array([len(gen) for _, gen in picked])
-    gens = np.zeros((len(picked), ms.max(), n), dtype=np.int64)
-    for t, (_, gen) in enumerate(picked):
-        gens[t, : len(gen)] = gen
+    gens = _pad_stack([gen for _, gen in picked], (ms.max(), n))
     if cfg.random_generator:
         mix = _full_rank_batch(ctx, rngs, ms, ms, _MAX_TRIES)
         gens = matmul_arrays(ctx, np.swapaxes(mix, 1, 2), gens)
@@ -235,32 +232,21 @@ def _channel_block(cfg: ChannelConfig, rngs, picked):
     widths = ms  # columns of T_eff: the length of each received multiset
     if cfg.mode in ("deletion", "compound"):  # keep m - s of the mixed columns
         widths = ms - s
-        kept = np.zeros((len(picked), ms.max(), widths.max()), dtype=np.int64)
-        for t, rng in enumerate(rngs):
-            m = int(ms[t])
-            kept[t, :m, : m - s] = t_eff[t][:m, np.sort(rng.permutation(m)[: m - s])]
-        t_eff = kept
+        kept = [a[:m, np.sort(rng.permutation(m)[: m - s])] for a, rng, m in zip(t_eff, rngs, ms.tolist())]
+        t_eff = _pad_stack(kept, (ms.max(), widths.max()))
     if cfg.mode == "compound":  # then a rank-deficient square stage on the survivors
         t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, rngs, widths, widths, ms - 2 * s, _MAX_TRIES))
     # received word: rank of the received multiset, height = its length - rank
     bases, ranks = rref_batch(ctx, matmul_arrays(ctx, np.swapaxes(t_eff, 1, 2), gens))
     heights = widths - ranks
-    # distance: rank [S; R] = dim(S + R), d = 2 dim(S + R) - dim S - dim R + |ht S - ht R|
-    dims = np.array([w.dim for w in sent])
-    sent_heights = np.array([w.height for w in sent])
-    pairs = np.zeros((len(picked), dims.max() + ranks.max(), n), dtype=np.int64)
-    for t, w in enumerate(sent):
-        pairs[t, : w.dim] = w.underlying.basis
-    pairs[:, dims.max() :] = bases[:, : ranks.max()]
-    joins = rref_batch(ctx, pairs)[1]
-    d = 2 * joins - dims - ranks + np.abs(sent_heights - heights)
+    d, joins = sent.paired(_WordStack(ctx, n, bases[:, : ranks.max()], ranks, heights))
     if cfg.mode == "full-rank":
         ok = d == 0  # the metric vanishes exactly on equal multispaces
     elif cfg.mode == "deletion":
         ok = d == s  # distance is exactly s, not merely bounded
     elif cfg.mode == "rank-deficient":
         # rank preserved, and dim(S + R) = dim S puts the received space inside the sent one
-        ok = (d <= 2 * s) & (widths == dims + sent_heights) & (joins == dims)
+        ok = (d <= 2 * s) & (widths == sent.dims + sent.heights) & (joins == sent.dims)
     else:
         ok = np.ones(len(picked), dtype=bool)  # compound: observational only
     received = [

@@ -69,10 +69,10 @@ def _read_json_arg(arg: str) -> dict:
         raise FormatError(f"not valid JSON (or a readable file): {arg!r}") from exc
 
 
-def _pick_format(args, default_piped="json"):
+def _pick_format(args):
     if args.format:
         return args.format
-    return "table" if sys.stdout.isatty() else default_piped
+    return "table" if sys.stdout.isatty() else "json"
 
 
 @contextlib.contextmanager
@@ -116,7 +116,7 @@ def _emit(args, doc: dict, table):
     if limit and _has_int_of(doc, 10 ** limit):
         raise _digit_limit_error(limit)
     fmt = _pick_format(args)
-    with _output_file(getattr(args, "output", None)) as fh:
+    with _output_file(args.output) as fh:
         if fmt == "json":
             fh.write(json.dumps(doc, indent=2) + "\n")
         else:
@@ -312,9 +312,11 @@ def build_parser() -> _Parser:
     p = _Parser(prog="multispace", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--format", choices=["table", "json", "csv"], default=None)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    output = argparse.ArgumentParser(add_help=False)  # every subcommand takes --output
+    output.add_argument("--output")
 
     def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+        sp = sub.add_parser(name, parents=[output], **kwargs)
         sp.set_defaults(func=fn)
         return sp
 
@@ -322,46 +324,37 @@ def build_parser() -> _Parser:
     sp.add_argument("q_spec")
     sp.add_argument("n", type=int)
     sp.add_argument("m", type=int)
-    sp.add_argument("--output")
 
     sp = add("enumerate", cmd_enumerate, help="list all multispaces of one rank")
     sp.add_argument("q_spec")
     sp.add_argument("n", type=int)
     sp.add_argument("m", type=int)
-    sp.add_argument("--output")
 
     sp = add("hasse", cmd_hasse, help="DOT Hasse diagram up to a rank cap")
     sp.add_argument("q_spec")
     sp.add_argument("n", type=int)
     sp.add_argument("m_max", type=int)
-    sp.add_argument("--output")
 
     sp = add("distance", cmd_distance, help="lattice distance with its decomposition")
     sp.add_argument("w1")
     sp.add_argument("w2")
-    sp.add_argument("--output")
 
     sp = add("meet", cmd_meet, help="greatest lower bound of two multispaces")
     sp.add_argument("w1")
     sp.add_argument("w2")
-    sp.add_argument("--output")
 
     sp = add("join", cmd_join, help="least upper bound of two multispaces")
     sp.add_argument("w1")
     sp.add_argument("w2")
-    sp.add_argument("--output")
 
     sp = add("mspan", cmd_mspan, help="multispan of a vector multiset")
     sp.add_argument("vectors")
-    sp.add_argument("--output")
 
     sp = add("poly", cmd_poly, help="linearized polynomial of a multispace")
     sp.add_argument("w")
-    sp.add_argument("--output")
 
     sp = add("roots", cmd_roots, help="multispace of the roots of a linearized polynomial")
     sp.add_argument("poly")
-    sp.add_argument("--output")
 
     sp = add("search", cmd_search, help="greedy or certified-optimal code construction")
     sp.add_argument("q_spec")
@@ -370,20 +363,17 @@ def build_parser() -> _Parser:
     sp.add_argument("d_min", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--optimal", action="store_true")
-    sp.add_argument("--output")
 
     sp = add("ball", cmd_ball, help="metric ball size around a multispace")
     sp.add_argument("center")
     sp.add_argument("radius", type=int)
     sp.add_argument("m_max", type=int)
-    sp.add_argument("--output")
 
     sp = add("bound", cmd_bound, help="sphere-packing upper bound on code size")
     sp.add_argument("q_spec")
     sp.add_argument("n", type=int)
     sp.add_argument("m_max", type=int)
     sp.add_argument("d_min", type=int)
-    sp.add_argument("--output")
 
     sp = add("simulate", cmd_simulate, help="channel simulation against a code file")
     sp.add_argument("code")
@@ -395,7 +385,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--end-to-end", action="store_true", help="sample codewords and decode")
     sp.add_argument("--random-generator", action="store_true", help="send a random generating multiset")
     sp.add_argument("--trial-log", help="write per-trial CSV here")
-    sp.add_argument("--output")
 
     return p
 

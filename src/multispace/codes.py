@@ -129,7 +129,8 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
         raise ConfigInvalid(f"ambient dimension {n} is negative")
     rng = np.random.default_rng(seed)
     kept: list[Multispace] = []
-    stack = _WordStack(ctx, n, min(n, max(m_max, 0)))  # kept, for one batched test per candidate
+    none = np.zeros(0, dtype=np.int64)  # the kept words, for one batched test per candidate:
+    stack = _WordStack(ctx, n, none.reshape(0, min(n, max(m_max, 0)), n), none, none)
     for m in range(m_max, -1, -1):
         layer = list(enumerate_multispaces(ctx, n, m))
         for idx in rng.permutation(len(layer)):

@@ -403,13 +403,6 @@ class FieldCtx:
         self.check_value(v)
         return FieldElement(v, self)
 
-    def elements(self):
-        for v in range(self.q):
-            yield FieldElement(v, self)
-
-    def random_element(self, rng) -> "FieldElement":
-        return FieldElement(int(rng.integers(0, self.q)), self)
-
 
 class FieldElement:
     """An element of a fixed GF(q), wrapping its integer encoding."""
@@ -585,7 +578,13 @@ class Embedding:
 
 
 @functools.lru_cache(maxsize=None)
+def _embedding(small: FieldCtx, big: FieldCtx) -> Embedding:
+    """The embedding of small into big, built once per field pair."""
+    return Embedding(small, big)
+
+
+@functools.lru_cache(maxsize=None)
 def extension(ctx: FieldCtx, times: int) -> tuple[FieldCtx, Embedding]:
     """GF(q^times) built over the same prime, with the embedding of GF(q)."""
     big = field(ctx.p, ctx.e * times)
-    return big, Embedding(ctx, big)
+    return big, _embedding(ctx, big)

@@ -22,6 +22,7 @@ from .linalg import (
     FqVector,
     Subspace,
     _check_budget,
+    _pad_stack,
     _rows_array,
     enumerate_subspaces,
     gaussian_binomial,
@@ -49,20 +50,6 @@ class VectorMultiset:
         self.n = n
         self.matrix = _rows_array(ctx, n, rows)
         self.matrix.flags.writeable = False
-
-    @classmethod
-    def from_vectors(cls, vectors, ctx=None, n=None):
-        vectors = list(vectors)
-        if not vectors:
-            if ctx is None or n is None:
-                raise ValueError("empty multiset needs explicit ctx and n")
-            return cls(ctx, n, np.zeros((0, n), dtype=np.int64))
-        c0, n0 = vectors[0].ctx, vectors[0].n
-        for v in vectors[1:]:
-            c0.check_same(v.ctx)
-            if v.n != n0:
-                raise DimensionMismatch("mixed vector lengths")
-        return cls(c0, n0, np.stack([v.coords for v in vectors]))
 
     @property
     def vectors(self):
@@ -134,10 +121,6 @@ class Multispace:
     @property
     def rank(self):
         return self.underlying.dim + self.height
-
-    @property
-    def is_subspace(self):
-        return self.height == 0
 
     def multiplicity(self) -> BigCount:
         """Common multiplicity q^height of every member vector."""
@@ -245,29 +228,29 @@ def join(a: Multispace, b: Multispace) -> Multispace:
 
 
 class _WordStack:
-    """Multispaces of one GF(q)^n as zero-padded bases, dims and heights.
+    """Multispaces of one GF(q)^n as a zero-padded (T, depth, n) stack of
+    bases, depth at least every dim, with (T,) arrays of their dims and
+    heights; or one word, as its basis, dim and height, shared by every row.
 
-    The distances from one more multispace to all of them take one batched
-    elimination: rank [W; X] = dim(W + X) for each stacked X, and
-    d = 2 dim(W + X) - dim W - dim X + |ht W - ht X|.
+    The one place that measures distance on a batch: rank [W; X] = dim(W + X)
+    in one batched elimination, and d = 2 dim(W + X) - dim W - dim X + |ht W - ht X|.
     """
 
     __slots__ = ("ctx", "n", "bases", "dims", "heights")
 
-    def __init__(self, ctx: FieldCtx, n: int, depth: int):
+    def __init__(self, ctx: FieldCtx, n: int, bases: np.ndarray, dims, heights):
         self.ctx = ctx
         self.n = n
-        self.bases = np.zeros((0, depth, n), dtype=np.int64)  # depth >= every dim
-        self.dims = np.zeros(0, dtype=np.int64)
-        self.heights = np.zeros(0, dtype=np.int64)
+        self.bases = bases
+        self.dims = dims
+        self.heights = heights
 
     @classmethod
     def of(cls, words) -> "_WordStack":
-        """The stack of a nonempty sequence, padded to its largest dim."""
-        stack = cls(words[0].ctx, words[0].n, max(w.dim for w in words))
-        for w in words:
-            stack.append(w)
-        return stack
+        """The stack of a nonempty sequence of words of one GF(q)^n, padded to its largest dim."""
+        dims = np.array([w.dim for w in words])
+        bases = _pad_stack([w.underlying.basis for w in words], (dims.max(), words[0].n))
+        return cls(words[0].ctx, words[0].n, bases, dims, np.array([w.height for w in words]))
 
     def _check(self, w: Multispace):
         self.ctx.check_same(w.ctx)
@@ -276,47 +259,41 @@ class _WordStack:
 
     def append(self, w: Multispace):
         self._check(w)
-        row = np.zeros((1,) + self.bases.shape[1:], dtype=np.int64)
-        row[0, : w.dim] = w.underlying.basis
-        self.bases = np.concatenate([self.bases, row])
+        self.bases = np.concatenate([self.bases, _pad_stack([w.underlying.basis], self.bases.shape[1:])])
         self.dims = np.append(self.dims, w.dim)
         self.heights = np.append(self.heights, w.height)
+
+    def paired(self, other: "_WordStack") -> tuple[np.ndarray, np.ndarray]:
+        """(distance(W, X), dim(W + X)) for row t of this stack, W, and row t of other, X."""
+        depth = self.bases.shape[-2]
+        pairs = np.empty((len(other.bases), depth + other.bases.shape[1], self.n), dtype=np.int64)
+        pairs[:, :depth] = self.bases  # a shared word broadcasts to every row, uncopied until here
+        pairs[:, depth:] = other.bases
+        joins = rref_batch(self.ctx, pairs)[1]
+        return 2 * joins - self.dims - other.dims + np.abs(self.heights - other.heights), joins
 
     def distances_to(self, w: Multispace, start: int = 0) -> np.ndarray:
         """distance(w, x) for every stacked x from index start on."""
         self._check(w)
-        bases = self.bases[start:]
-        pairs = np.empty((len(bases), w.dim + bases.shape[1], self.n), dtype=np.int64)
-        pairs[:, : w.dim] = w.underlying.basis
-        pairs[:, w.dim :] = bases
-        ranks = rref_batch(self.ctx, pairs)[1]
-        return 2 * ranks - w.dim - self.dims[start:] + np.abs(w.height - self.heights[start:])
+        rest = _WordStack(self.ctx, self.n, self.bases[start:], self.dims[start:], self.heights[start:])
+        return _WordStack(self.ctx, self.n, w.underlying.basis, w.dim, w.height).paired(rest)[0]
 
 
-def pairwise_distances(xs, ys=None) -> np.ndarray:
-    """Integer matrix of lattice distances d[i, j] = distance(xs[i], ys[j]).
+def pairwise_distances(xs) -> np.ndarray:
+    """Symmetric integer matrix of lattice distances d[i, j] = distance(xs[i], xs[j]).
 
-    With ys omitted it is the symmetric matrix of xs against itself: each
-    unordered pair is evaluated once and the diagonal is 0.  Each row (of
-    the shorter side, against the longer one) is one batched elimination.
+    Each unordered pair is evaluated once and the diagonal is 0; each row is
+    one batched elimination.
     """
     xs = list(xs)
-    if ys is None:
-        d = np.zeros((len(xs), len(xs)), dtype=np.int64)
-        if xs:
-            stack = _WordStack.of(xs)
-            for i in range(len(xs) - 1):
-                d[i, i + 1 :] = stack.distances_to(xs[i], i + 1)
-        return d + d.T
-    ys = list(ys)
-    if len(ys) > len(xs):
-        return pairwise_distances(ys, xs).T  # the metric is symmetric
-    d = np.zeros((len(xs), len(ys)), dtype=np.int64)
-    if ys:
+    for x in xs:
+        xs[0]._check_compatible(x)
+    d = np.zeros((len(xs), len(xs)), dtype=np.int64)
+    if xs:
         stack = _WordStack.of(xs)
-        for j, y in enumerate(ys):
-            d[:, j] = stack.distances_to(y)
-    return d
+        for i in range(len(xs) - 1):
+            d[i, i + 1 :] = stack.distances_to(xs[i], i + 1)
+    return d + d.T
 
 
 def distance(a: Multispace, b: Multispace) -> int:

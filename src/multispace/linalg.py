@@ -81,6 +81,14 @@ def _rows_array(ctx: FieldCtx, n: int, rows) -> np.ndarray:
     return a
 
 
+def _pad_stack(arrays, shape) -> np.ndarray:
+    """The 2-D arrays, zero-padded at the bottom and right, as one (len(arrays),) + shape stack."""
+    out = np.zeros((len(arrays), *shape), dtype=np.int64)
+    for t, a in enumerate(arrays):
+        out[t, : a.shape[0], : a.shape[1]] = a
+    return out
+
+
 class FqVector:
     """A vector in GF(q)^n, stored as an array of element encodings."""
 
@@ -184,9 +192,6 @@ class FqMatrix:
     @property
     def T(self):
         return FqMatrix(self.ctx, self.array.T.copy())
-
-    def row(self, i) -> FqVector:
-        return FqVector(self.ctx, self.array[i])
 
     def __matmul__(self, other: "FqMatrix"):
         self.ctx.check_same(other.ctx)
@@ -381,7 +386,7 @@ class Subspace:
 
     def contains_array(self, v: np.ndarray) -> bool:
         """True iff v, one vector or a stack of row vectors, lies in the subspace."""
-        stacked = np.vstack([self.basis, np.reshape(v, (-1, self.n))])
+        stacked = np.vstack([self.basis, _rows_array(self.ctx, self.n, v)])
         return rref_array(self.ctx, stacked)[1] == self.dim
 
     def contains(self, v: FqVector) -> bool:

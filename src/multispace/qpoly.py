@@ -25,7 +25,7 @@ from .errors import (
     RootsNotInField,
     ShapeViolation,
 )
-from .fields import Embedding, FieldCtx, FieldElement, extension, field, parse_field_spec
+from .fields import FieldCtx, FieldElement, _embedding, extension, field, parse_field_spec
 from .lattice import Multispace
 from .linalg import Subspace, rref_array
 
@@ -48,7 +48,7 @@ class VectorFieldIso:
         self.ctx = ctx
         self.n = n
         self.big = big
-        self.emb = Embedding(ctx, big)
+        self.emb = _embedding(ctx, big)
         gamma = big.p if big.e > 1 else 0  # residue class of x; unused when big == GF(p)
         if big.e == 1:
             # n == 1 and e == 1: the identity
@@ -111,10 +111,13 @@ class VectorFieldIso:
         return (coeff_digs.reshape(-1, n, e) * pvec).sum(axis=2)
 
 
-@functools.lru_cache(maxsize=None)
 def vector_field_iso(ctx: FieldCtx, n: int, big: FieldCtx | None = None) -> VectorFieldIso:
-    if big is None:
-        big, _ = extension(ctx, n)
+    """The coordinate map GF(q)^n -> big, by default the GF(q^n) of extension(ctx, n); one per field pair."""
+    return _vector_field_iso(ctx, n, extension(ctx, n)[0] if big is None else big)
+
+
+@functools.lru_cache(maxsize=None)
+def _vector_field_iso(ctx: FieldCtx, n: int, big: FieldCtx) -> VectorFieldIso:
     return VectorFieldIso(ctx, n, big)
 
 
@@ -148,9 +151,6 @@ class LinearizedPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
-
-    def coefficient(self, i: int) -> FieldElement:
-        return FieldElement(self.coeffs.get(i, 0), self.ctx)
 
     def __eq__(self, other):
         return (

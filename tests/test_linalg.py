@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from multispace.errors import (
     ContextMismatch,
     DimensionMismatch,
+    FormatError,
     LimitExceeded,
     NotCanonical,
 )
@@ -161,6 +162,18 @@ def test_dimension_modularity():
             total = a + b
             assert inter.dim + total.dim == a.dim + b.dim
             assert subspace_distance(a, b) == a.dim + b.dim - 2 * inter.dim
+
+
+def test_contains_array_refuses_malformed_input():
+    with pytest.raises(FormatError):
+        Subspace.from_array(F4, 2, [[1, 0]]).contains_array([[0, 7]])  # 7 is no encoding of GF(4)
+    line = Subspace.from_array(F2, 2, [[1, 0]])
+    with pytest.raises(DimensionMismatch):
+        line.contains_array([1, 0, 1, 0])  # four entries, not two vectors of GF(2)^2
+    with pytest.raises(DimensionMismatch):
+        line.contains_array([[1], [0]])  # a column, not the vector (1, 0)
+    assert line.contains_array([1, 0]) and line.contains_array([[1, 0], [0, 0]])
+    assert not line.contains_array([[0, 1]])
 
 
 def test_contains_and_leq():

@@ -10,6 +10,7 @@ from helpers import (
     random_multispace,
     root_multiplicities_by_division,
 )
+from multispace import fields, qpoly
 from multispace.errors import (
     ContextMismatch,
     FormatError,
@@ -287,3 +288,19 @@ def test_roots_match_brute_force_zero_count(L):
     lead = L.coeffs[L.q_degree]
     monic = poly_from_multispace(w, big)
     assert L.coeffs == {i: big.mul(lead, c) for i, c in monic.coeffs.items()}
+
+
+def test_round_trip_builds_one_embedding_and_one_coordinate_map(monkeypatch):
+    built = {"Embedding": 0, "VectorFieldIso": 0}
+    for cls in (fields.Embedding, qpoly.VectorFieldIso):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    fields.extension.cache_clear()  # a fresh GF(2)^12: nothing built yet
+    fields._embedding.cache_clear()
+    qpoly._vector_field_iso.cache_clear()
+    w = Multispace(Subspace.from_array(F2, 12, np.eye(12, dtype=np.int64)[:3]), 1)
+    assert roots_multiset(poly_from_multispace(w)) == w
+    assert built == {"Embedding": 1, "VectorFieldIso": 1}
