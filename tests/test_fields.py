@@ -249,3 +249,42 @@ def test_generator_and_tables():
             x = ctx.mul(x, ctx.generator)
             seen.add(x)
         assert len(seen) == q - 1  # the generator really generates
+
+
+TABLE_FIELDS = [
+    *[(2, e, None) for e in range(1, 13)],
+    *[(3, e, None) for e in range(1, 8)],
+    *[(5, e, None) for e in range(1, 6)],
+    *[(7, e, None) for e in range(1, 5)],
+    (11, 3, None), (13, 3, None), (17, 2, None), (31, 2, None), (61, 2, None),
+    (97, 1, None), (257, 1, None), (4093, 1, None),
+    (2, 4, 25),  # x^4 + x^3 + 1, a user modulus
+    (2, 16, None), (3, 10, None), (65521, 1, None),  # sampled: q > 4096
+]
+
+
+@pytest.mark.parametrize(
+    "p,e,modulus", TABLE_FIELDS, ids=[f"{p}^{e}/{m}" for p, e, m in TABLE_FIELDS]
+)
+def test_tables_against_schoolbook_oracle(p, e, modulus):
+    """exp/log/inv and the generator, checked index by index against the
+    schoolbook product mod the modulus, independent of how they were built:
+    every index for q <= 4096, 1500 sampled indices above."""
+    ctx = field(p, e, modulus)
+    q, g, exp, log = ctx.q, ctx.generator, ctx._exp, ctx._log
+    if q <= 4096:
+        indices = range(q - 1)
+    else:
+        rng = np.random.default_rng(q)
+        indices = sorted(set(rng.integers(0, q - 1, size=1500).tolist()) | {0, q - 2})
+    assert len(exp) == q - 1 and exp[0] == 1 and sorted(exp) == list(range(1, q))
+    for i in indices:
+        nxt = exp[i + 1] if i + 1 < q - 1 else exp[0]
+        assert nxt == poly_mulmod(exp[i], g, ctx.modulus, p)
+        assert log[exp[i]] == i
+    # every encoding below g is some g^k with gcd(k, q - 1) > 1, so g is
+    # the smallest encoding of multiplicative order q - 1
+    assert all(np.gcd(log[c], q - 1) != 1 for c in range(1, g))
+    nonzero = np.arange(1, q, dtype=np.int64)
+    assert np.all(ctx.mul_arr(nonzero, ctx.inv_arr(nonzero)) == 1)
+    assert all(ctx.mul(a, ctx.inv(a)) == 1 for a in indices if a)
