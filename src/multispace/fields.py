@@ -6,8 +6,10 @@ a0 + a1*p + ... + a_{e-1}*p^(e-1) stands for the coefficient vector
 irreducible modulus.  The encoding gives canonical equality/hashing and
 is the wire format used everywhere (JSON, CLI, CSV).
 
-Multiplication goes through log/antilog tables built once per context;
-addition is XOR in characteristic 2 and digit-wise mod p otherwise.
+Multiplication goes through log/antilog tables built once per context
+from the e x e GF(p) matrix of "multiply by the generator" acting on the
+base-p digit vectors of the encodings; addition is XOR in characteristic
+2 and digit-wise mod p otherwise.
 All operations exist both for plain ints (scalar hot paths) and for
 numpy arrays of encodings (vectorized linear algebra).
 """
@@ -57,6 +59,22 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _digits(values, p: int, width: int) -> np.ndarray:
+    """Little-endian base-p digits of each encoding, on a new last axis of length width."""
+    return np.asarray(values, dtype=np.int64)[..., None] // p ** np.arange(width, dtype=np.int64) % p
+
+
+def _mat_pow(m: np.ndarray, k: int, p: int) -> np.ndarray:
+    """m ** k over GF(p), by square-and-multiply."""
+    out = np.eye(len(m), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ m % p
+        m = m @ m % p
+        k >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over GF(p), encoded as little-endian base-p integers.
 # Only what context construction needs: degree, divmod, irreducibility.
@@ -76,29 +94,6 @@ def _pcoeffs(v: int, p: int) -> list[int]:
         cs.append(v % p)
         v //= p
     return cs
-
-
-def _pmul(a: int, b: int, p: int) -> int:
-    if p == 2:  # carry-less multiply on the bit encoding
-        out = 0
-        while b:
-            if b & 1:
-                out ^= a
-            a <<= 1
-            b >>= 1
-        return out
-    ca, cb = _pcoeffs(a, p), _pcoeffs(b, p)
-    if not ca or not cb:
-        return 0
-    cs = [0] * (len(ca) + len(cb) - 1)
-    for i, x in enumerate(ca):
-        if x:
-            for j, y in enumerate(cb):
-                cs[i + j] = (cs[i + j] + x * y) % p
-    out = 0
-    for c in reversed(cs):
-        out = out * p + c
-    return out
 
 
 def _pmod(a: int, m: int, p: int) -> int:
@@ -181,68 +176,56 @@ class FieldCtx:
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = modulus
+        self.modulus = p if e == 1 else modulus  # x + c gives GF(p) the same arithmetic as x
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
-    def _slow_mul(self, a: int, b: int) -> int:
-        return _pmod(_pmul(a, b, self.p), self.modulus, self.p)
+    def _mul_matrix(self, a: int) -> np.ndarray:
+        """The e x e GF(p) matrix of x -> a*x on digit vectors: column j holds the digits of a*X^j."""
+        p, e = self.p, self.e
+        low = _digits(self.modulus, p, e)  # X^e = -low(X) modulo the monic modulus
+        cols = [_digits(a, p, e)]
+        for _ in range(e - 1):  # shift by X, then reduce
+            c = cols[-1]
+            cols.append((np.concatenate(([0], c[:-1])) - c[-1] * low) % p)
+        return np.stack(cols, axis=1)
 
     def _build_tables(self):
-        p, q = self.p, self.q
-        # Multiplicative generator, then log/antilog.
-        if q == 2:
-            g = 1
-        else:
-            fac = _prime_factors(q - 1)
-            g = None
-            for cand in range(2, q):
-                if all(self._pow_slow(cand, (q - 1) // f) != 1 for f in fac):
-                    g = cand
-                    break
-            assert g is not None
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._slow_mul(exp[i - 1], g)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
+        p, e, q = self.p, self.e, self.q
+        # generator: the smallest encoding g with M_g^((q-1)/f) != I for every prime f | q - 1
+        eye = np.eye(e, dtype=np.int64)
+        fac = _prime_factors(q - 1)
+        for g in range(1, q):
+            m = self._mul_matrix(g)
+            if all(not np.array_equal(_mat_pow(m, (q - 1) // f, p), eye) for f in fac):
+                break
+        # exp by doubling: exp[k:2k] = g^k * exp[:k], with m = M_g^k
+        self._pvec = p ** np.arange(e, dtype=np.int64)
+        exp = np.ones(q - 1, dtype=np.int64)
+        k = 1
+        while k < q - 1:
+            n = min(k, q - 1 - k)
+            exp[k:k + n] = _digits(exp[:n], p, e) @ m.T % p @ self._pvec
+            m = m @ m % p
+            k *= 2
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp[-log[1:] % (q - 1)]
         self.generator = g
-        self._exp = exp
-        self._log = log
-        self._exp_np = np.asarray(exp, dtype=np.int64)
-        self._log_np = np.asarray(log, dtype=np.int64)
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
-        self._inv = inv
-        self._inv_np = np.asarray(inv, dtype=np.int64)
-        if p == 2 or self.e == 1:
+        self._exp_np, self._log_np, self._inv_np = exp, log, inv
+        self._exp, self._log, self._inv = exp.tolist(), log.tolist(), inv.tolist()
+        if p == 2 or e == 1:
             self._dig = None
             self._neg = None
         else:
             # digit tables for characteristic-p addition in odd extensions
-            vals = np.arange(q, dtype=np.int64)
-            dig = np.empty((q, self.e), dtype=np.int64)
-            for d in range(self.e):
-                dig[:, d] = vals % p
-                vals //= p
-            self._dig = dig
-            self._pvec = p ** np.arange(self.e, dtype=np.int64)
-            self._neg = (((p - dig) % p) @ self._pvec)
+            self._dig = _digits(np.arange(q), p, e)
+            self._neg = -self._dig % p @ self._pvec
         # zero/one shortcuts
         self.zero = 0
         self.one = 1
-
-    def _pow_slow(self, a: int, k: int) -> int:
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self._slow_mul(out, base)
-            base = self._slow_mul(base, base)
-            k >>= 1
-        return out
 
     # -- identity ------------------------------------------------------------
 
@@ -476,9 +459,20 @@ class FieldElement:
         return f"GF({self.ctx.p}^{self.ctx.e}:{self.value})" if self.ctx.e > 1 else f"GF({self.ctx.p}:{self.value})"
 
 
-@functools.lru_cache(maxsize=None)
 def field(p: int, e: int = 1, modulus: int | None = None) -> FieldCtx:
-    """Cached factory for field contexts (same parameters -> same object)."""
+    """Cached factory for field contexts (same field -> same object).
+
+    Every monic degree-1 modulus x + c (encoded p + c) gives GF(p) the same
+    arithmetic, so it becomes x, the default; any other modulus of a prime
+    field is refused by FieldCtx.
+    """
+    if e == 1 and modulus is not None and p <= modulus < 2 * p:
+        modulus = None
+    return _field(p, e, modulus)
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p: int, e: int, modulus: int | None) -> FieldCtx:
     return FieldCtx(p, e, modulus)
 
 
@@ -525,18 +519,11 @@ class Embedding:
         self.big = big
         beta = self._find_root()
         self.root = beta
-        # phi(sum c_d alpha^d) = sum c_d beta^d, c_d in GF(p)
-        p, e = small.p, small.e
-        tbl = np.zeros(small.q, dtype=np.int64)
-        vals = np.arange(small.q, dtype=np.int64)
-        beta_pow = 1
-        for d in range(e):
-            digit = (vals // p ** d) % p
-            # digit in 0..p-1 encodes the same constant in the big field
-            term = big.mul_arr(digit, np.full(small.q, beta_pow, dtype=np.int64))
-            tbl = big.add_arr(tbl, term)
-            beta_pow = big.mul(beta_pow, beta)
-        self.table = tbl
+        # phi(sum c_d alpha^d) = sum c_d beta^d, c_d in GF(p): the digits of
+        # each small element times the matrix whose row d holds the digits of beta^d
+        p = small.p
+        beta_pows = _digits([big.pow(beta, d) for d in range(small.e)], p, big.e)
+        self.table = _digits(np.arange(small.q), p, small.e) @ beta_pows % p @ big._pvec
         self._verify()
 
     def _find_root(self) -> int:

@@ -25,9 +25,9 @@ from .errors import (
     RootsNotInField,
     ShapeViolation,
 )
-from .fields import FieldCtx, FieldElement, _embedding, extension, field, parse_field_spec
+from .fields import FieldCtx, FieldElement, _digits, _embedding, extension, field, parse_field_spec
 from .lattice import Multispace
-from .linalg import Subspace, rref_array
+from .linalg import Subspace, _as_array, _rows_array, rref_array
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +37,10 @@ from .linalg import Subspace, rref_array
 class VectorFieldIso:
     """The fixed vector-space isomorphism GF(q)^n -> GF(q^n).
 
-    Coordinate vector (c_0, ..., c_{n-1}) maps to sum_i phi(c_i) * g^i,
-    where g is the residue class of the big field's modulus variable and
-    phi the deterministic subfield embedding.
+    Coordinate vector (c_0, ..., c_{n-1}) maps to sum_i phi(c_i) * X^i,
+    where X is the residue class of the big field's modulus variable and
+    phi the deterministic subfield embedding.  The map is GF(p)-linear, so
+    it is stored as one en x en matrix on base-p digits, with its inverse.
     """
 
     def __init__(self, ctx: FieldCtx, n: int, big: FieldCtx):
@@ -49,66 +50,27 @@ class VectorFieldIso:
         self.n = n
         self.big = big
         self.emb = _embedding(ctx, big)
-        gamma = big.p if big.e > 1 else 0  # residue class of x; unused when big == GF(p)
-        if big.e == 1:
-            # n == 1 and e == 1: the identity
-            self._gamma_pows = np.array([1], dtype=np.int64)
-        else:
-            pows = [1]
-            for _ in range(n - 1):
-                pows.append(big.mul(pows[-1], gamma))
-            self._gamma_pows = np.asarray(pows, dtype=np.int64)
-        self._build_inverse()
-
-    def _build_inverse(self):
-        p, e, n = self.ctx.p, self.ctx.e, self.n
-        en = e * n
-        fp = field(p)
-        # columns: base-p digits of phi(alpha^d) * gamma^i
-        cols = np.zeros((en, en), dtype=np.int64)
-        for i in range(n):
-            for d in range(e):
-                # basis element alpha^d of GF(q) has encoding p^d
-                val = self.big.mul(self.emb.embed_int(p ** d), int(self._gamma_pows[i]))
-                digs = []
-                v = val
-                for _ in range(en):
-                    digs.append(v % p)
-                    v //= p
-                cols[:, i * e + d] = digs
-        aug = np.hstack([cols, np.eye(en, dtype=np.int64)])
-        red, rank, _ = rref_array(fp, aug)
+        p, e, en = ctx.p, ctx.e, big.e
+        # column i*e + d: the digits of phi(alpha^d) * X^i, where alpha^d is
+        # encoded p^d in GF(q) and X^i (i < en) is the monomial encoded p^i
+        i, d = np.divmod(np.arange(en), e)
+        self._matrix = _digits(big.mul_arr(self.emb.table[p ** d], p ** i), p, en).T
+        red, rank, _ = rref_array(field(p), np.hstack([self._matrix, np.eye(en, dtype=np.int64)]))
         if rank != en:
             raise ShapeViolation("coordinate map is singular")  # cannot happen
-        self._inv_digits = red[:, en:]
+        self._inverse = red[:, en:]
 
-    # -- forward -------------------------------------------------------------
+    def to_field_array(self, rows) -> np.ndarray:
+        """Big-field encodings of an (m, n) array of coordinate vectors."""
+        rows = _rows_array(self.ctx, self.n, rows)
+        digits = _digits(rows, self.ctx.p, self.ctx.e).reshape(-1, self.big.e)
+        return digits @ self._matrix.T % self.ctx.p @ self.big._pvec
 
-    def to_field_array(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.n)
-        acc = np.zeros(rows.shape[0], dtype=np.int64)
-        for i in range(self.n):
-            term = self.big.mul_arr(
-                self.emb.table[rows[:, i]],
-                np.full(rows.shape[0], int(self._gamma_pows[i]), dtype=np.int64),
-            )
-            acc = self.big.add_arr(acc, term)
-        return acc
-
-    # -- backward ------------------------------------------------------------
-
-    def to_vector_array(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64).reshape(-1)
-        p, e, n = self.ctx.p, self.ctx.e, self.n
-        en = e * n
-        digs = np.empty((len(xs), en), dtype=np.int64)
-        v = xs.copy()
-        for d in range(en):
-            digs[:, d] = v % p
-            v //= p
-        coeff_digs = (digs @ self._inv_digits.T) % p
-        pvec = (p ** np.arange(e)).astype(np.int64)
-        return (coeff_digs.reshape(-1, n, e) * pvec).sum(axis=2)
+    def to_vector_array(self, xs) -> np.ndarray:
+        """Coordinate vectors, shape (m, n), of big-field encodings, read flat."""
+        xs = _as_array(self.big, xs).reshape(-1)
+        digits = _digits(xs, self.ctx.p, self.big.e) @ self._inverse.T % self.ctx.p
+        return digits.reshape(len(xs), self.n, self.ctx.e) @ self.ctx._pvec
 
 
 def vector_field_iso(ctx: FieldCtx, n: int, big: FieldCtx | None = None) -> VectorFieldIso:

@@ -350,6 +350,22 @@ def dense_of(L) -> DensePoly:
     return DensePoly(L.ctx, out)
 
 
+def coordinate_map_oracle(iso, rows) -> np.ndarray:
+    """sum_i emb(c_i) * X^i for each coordinate row (c_0, ..., c_{n-1}), by
+    scalar big-field arithmetic; X is the class of the modulus variable, encoded p."""
+    big = iso.big
+    x_pows = [1]
+    for _ in range(iso.n - 1):
+        x_pows.append(big.mul(x_pows[-1], big.p))
+    out = []
+    for row in np.asarray(rows).tolist():
+        acc = 0
+        for c, x_i in zip(row, x_pows):
+            acc = big.add(acc, big.mul(iso.emb.embed_int(c), x_i))
+        out.append(acc)
+    return np.asarray(out, dtype=np.int64)
+
+
 def literal_product(w, big=None) -> DensePoly:
     """prod_{v in W} (x - phi(v)), expanded factor by factor over the subspace.
 

@@ -53,6 +53,15 @@ def test_count_extension_field(capsys):
     assert [r["count"] for r in json.loads(out)["rows"]] == [1, 6, 7]
 
 
+def test_distance_across_spellings_of_a_prime_field(capsys):
+    # "2/3" names GF(2) with the modulus x + 1: the same field as "2"
+    w_x1 = json.dumps({**json.loads(W_LINE), "q-spec": "2/3"})
+    code, out, _ = run(capsys, "--format", "json", "distance", w_x1, W_Z1)
+    assert code == 0 and json.loads(out)["distance"] == 2
+    code, _, err = run(capsys, "distance", json.dumps({**json.loads(W_LINE), "q-spec": "2/5"}), W_Z1)
+    assert code == 1 and "not monic of degree 1" in err
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "--format", "json", "enumerate", "2", "3", "2")
     assert code == 0

@@ -10,6 +10,7 @@ from multispace.errors import (
     NotPrime,
 )
 from multispace.fields import Embedding, FieldCtx, extension, field, parse_field_spec
+from multispace.linalg import Subspace
 
 
 def poly_mulmod(a, b, mod, p):
@@ -207,6 +208,16 @@ def test_field_spec_parsing():
         parse_field_spec("banana")
     with pytest.raises(FormatError):
         parse_field_spec("2^x")
+
+
+def test_prime_field_modulus_is_canonical():
+    # x + 1 (encoded 3) is a monic degree-1 modulus of GF(2): the same field as x
+    assert parse_field_spec("2/3") is field(2) and field(3, 1, 5) is field(3)
+    assert FieldCtx(2, 1, 3) == field(2) and FieldCtx(2, 1, 3).modulus == 2
+    s = Subspace.from_dict({"q-spec": "2/3", "n": 2, "basis": [[1, 1]]})
+    assert s.ctx.spec == "2" and Subspace.from_dict(s.to_dict()) == s
+    with pytest.raises(NotIrreducible):
+        parse_field_spec("2/5")  # x^2 + 1 has degree 2
 
 
 def test_context_equality_and_checks():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     DensePoly,
+    coordinate_map_oracle,
     dense_degree,
     dense_of,
     literal_product,
@@ -13,13 +14,14 @@ from helpers import (
 from multispace import fields, qpoly
 from multispace.errors import (
     ContextMismatch,
+    DimensionMismatch,
     FormatError,
     NotAMultispace,
     RootsNotInField,
 )
 from multispace.fields import extension, field
 from multispace.lattice import Multispace, enumerate_multispaces
-from multispace.linalg import FqVector, Subspace, span
+from multispace.linalg import FqVector, Subspace, _odometer, span
 from multispace.qpoly import (
     LinearizedPoly,
     poly_from_multispace,
@@ -201,6 +203,42 @@ def test_iso_round_trip_and_linearity():
         b = iso.to_field_array(rows[1:2])[0]
         s = ctx.add_arr(rows[0], rows[1])
         assert iso.to_field_array(s[None, :])[0] == iso.big.add(int(a), int(b))
+
+
+@pytest.mark.parametrize(
+    "ctx,n,big",
+    [(F2, 1, None), (F2, 3, None), (F2, 12, None), (F3, 6, None), (F4, 2, None), (F4, 6, None),
+     (F2, 4, field(2, 4, 25))],
+    ids=["F2^1", "F2^3", "F2^12", "F3^6", "F4^2", "F4^6", "F2^4-in-GF(2^4)/25"],
+)
+def test_coordinate_map_matches_scalar_oracle(ctx, n, big):
+    """On every vector of GF(q)^n the matrix map equals the per-coordinate
+    sum of emb(c_i) * X^i, and its inverse recovers every vector from all
+    of GF(q^n)."""
+    iso = vector_field_iso(ctx, n, big)
+    rows = _odometer(ctx, np.eye(n, dtype=np.int64))
+    values = coordinate_map_oracle(iso, rows)
+    assert sorted(values.tolist()) == list(range(iso.big.q))
+    assert np.array_equal(iso.to_field_array(rows), values)
+    assert np.array_equal(iso.to_vector_array(values), rows)
+
+
+def test_coordinate_map_rejects_bad_input():
+    iso = vector_field_iso(F2, 2)
+    with pytest.raises(DimensionMismatch):
+        iso.to_field_array([1, 0, 1, 0])  # two vectors' worth of entries, not one row
+    with pytest.raises(FormatError):
+        iso.to_field_array([[0, 7]])  # 7 is not in GF(2)
+    with pytest.raises(FormatError):
+        iso.to_vector_array([99])  # 99 is not in GF(4)
+
+
+@pytest.mark.parametrize("ctx,n", [(F3, 10), (F4, 8)], ids=["GF(3^10)", "GF(4^8)"])
+def test_round_trips_in_large_extensions(ctx, n):
+    rng = np.random.default_rng(ctx.q * n)
+    for _ in range(4):
+        w = random_multispace(ctx, n, rng, max_height=2)
+        assert roots_multiset(poly_from_multispace(w)) == w
 
 
 def test_roots_multiset_big_field_mismatch():
