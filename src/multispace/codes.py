@@ -133,11 +133,11 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
     stack = _WordStack(ctx, n, none.reshape(0, min(n, max(m_max, 0)), n), none, none)
     for m in range(m_max, -1, -1):
         layer = list(enumerate_multispaces(ctx, n, m))
+        words = _WordStack.of(layer)
         for idx in rng.permutation(len(layer)):
-            w = layer[idx]
-            if (stack.distances_to(w) >= d_min).all():
-                kept.append(w)
-                stack.append(w)
+            if (words[idx].paired(stack)[0] >= d_min).all():
+                kept.append(layer[idx])
+                stack.append(words[idx])
     kept.sort(key=lambda w: w.sort_key())
     return MultispaceCode(ctx, n, m_max, tuple(kept))
 
@@ -155,14 +155,9 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
     if v > CLIQUE_LIMIT:
         raise LimitExceeded(f"ground set of {v} exceeds clique-search limit {CLIQUE_LIMIT}")
     elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
-    dmat = pairwise_distances(elems)
-    compat = [0] * v
-    for i in range(v):
-        mask = 0
-        for j in range(v):
-            if i != j and dmat[i, j] >= d_min:
-                mask |= 1 << j
-        compat[i] = mask
+    far = pairwise_distances(elems) >= d_min
+    np.fill_diagonal(far, False)
+    compat = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(far, axis=1, bitorder="little")]
     best: list[int] = []
 
     def expand(current: list[int], candidates: int):

@@ -11,6 +11,7 @@ formulas, deterministic enumeration, Hasse-diagram export, and the
 distance-2 graph with a distance-regularity checker.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .linalg import (
     FqVector,
     Subspace,
     _check_budget,
+    _odometer,
     _pad_stack,
     _rows_array,
     enumerate_subspaces,
@@ -227,16 +229,37 @@ def join(a: Multispace, b: Multispace) -> Multispace:
     return Multispace(a.underlying + b.underlying, max(a.height, b.height))
 
 
+#: An ambient space of at most this many vectors keeps each subspace as one
+#: uint64 membership mask: one machine word per subspace.
+MASK_VECTORS = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _log_table(q: int) -> np.ndarray:
+    """log_q of every possible member count of a masked subspace: table[q^k] = k."""
+    table = np.zeros(MASK_VECTORS + 1, dtype=np.int64)
+    k = 0
+    while q ** k <= MASK_VECTORS:
+        table[q ** k] = k
+        k += 1
+    return table
+
+
 class _WordStack:
     """Multispaces of one GF(q)^n as a zero-padded (T, depth, n) stack of
     bases, depth at least every dim, with (T,) arrays of their dims and
     heights; or one word, as its basis, dim and height, shared by every row.
 
-    The one place that measures distance on a batch: rank [W; X] = dim(W + X)
-    in one batched elimination, and d = 2 dim(W + X) - dim W - dim X + |ht W - ht X|.
+    The one place that measures distance on a batch, as
+    d = 2 dim(W + X) - dim W - dim X + |ht W - ht X|.  When q^n <= MASK_VECTORS
+    each word's subspace is also a uint64 membership mask, bit sum v_i q^i set
+    iff v is a member, built once per stack; then |W ^ X| = popcount(w & x) is
+    a power of q and dim(W + X) = dim W + dim X - log_q |W ^ X| needs no
+    elimination.  Larger spaces take rank [W; X] = dim(W + X) from one batched
+    elimination.
     """
 
-    __slots__ = ("ctx", "n", "bases", "dims", "heights")
+    __slots__ = ("ctx", "n", "bases", "dims", "heights", "masks")
 
     def __init__(self, ctx: FieldCtx, n: int, bases: np.ndarray, dims, heights):
         self.ctx = ctx
@@ -244,6 +267,11 @@ class _WordStack:
         self.bases = bases
         self.dims = dims
         self.heights = heights
+        self.masks = None
+        if ctx.q ** n <= MASK_VECTORS:
+            places = ctx.q ** np.arange(n, dtype=np.int64)
+            bits = np.left_shift(np.uint64(1), (_odometer(ctx, bases) @ places).astype(np.uint64))
+            self.masks = np.bitwise_or.reduce(bits, axis=-1)
 
     @classmethod
     def of(cls, words) -> "_WordStack":
@@ -252,38 +280,51 @@ class _WordStack:
         bases = _pad_stack([w.underlying.basis for w in words], (dims.max(), words[0].n))
         return cls(words[0].ctx, words[0].n, bases, dims, np.array([w.height for w in words]))
 
-    def _check(self, w: Multispace):
+    def __getitem__(self, index) -> "_WordStack":
+        """The words at index, masks carried along: an int gives one word shared by every row."""
+        view = _WordStack.__new__(_WordStack)
+        view.ctx, view.n = self.ctx, self.n
+        view.bases, view.dims, view.heights = self.bases[index], self.dims[index], self.heights[index]
+        view.masks = None if self.masks is None else self.masks[index]
+        return view
+
+    def append(self, word: "_WordStack"):
+        """Add one word, given as a row of a stack of the same GF(q)^n, as the last row."""
+        self.bases = np.concatenate([self.bases, _pad_stack([word.bases], self.bases.shape[1:])])
+        self.dims = np.append(self.dims, word.dims)
+        self.heights = np.append(self.heights, word.heights)
+        if self.masks is not None:
+            self.masks = np.append(self.masks, word.masks)
+
+    def paired(self, other: "_WordStack") -> tuple[np.ndarray, np.ndarray]:
+        """(distance(W, X), dim(W + X)) for row t of this stack, W, and row t of other, X.
+
+        A one-word view (an int index) pairs with every row of a stack as self.
+        """
+        if self.masks is not None:
+            meets = _log_table(self.ctx.q)[np.bitwise_count(self.masks & other.masks)]
+            joins = self.dims + other.dims - meets
+        else:
+            depth = self.bases.shape[-2]
+            pairs = np.empty((len(other.bases), depth + other.bases.shape[1], self.n), dtype=np.int64)
+            pairs[:, :depth] = self.bases  # a shared word broadcasts to every row, uncopied until here
+            pairs[:, depth:] = other.bases
+            joins = rref_batch(self.ctx, pairs)[1]
+        return 2 * joins - self.dims - other.dims + np.abs(self.heights - other.heights), joins
+
+    def distances_to(self, w: Multispace) -> np.ndarray:
+        """distance(w, x) for every stacked x."""
         self.ctx.check_same(w.ctx)
         if w.n != self.n:
             raise DimensionMismatch("ambient dimensions differ")
-
-    def append(self, w: Multispace):
-        self._check(w)
-        self.bases = np.concatenate([self.bases, _pad_stack([w.underlying.basis], self.bases.shape[1:])])
-        self.dims = np.append(self.dims, w.dim)
-        self.heights = np.append(self.heights, w.height)
-
-    def paired(self, other: "_WordStack") -> tuple[np.ndarray, np.ndarray]:
-        """(distance(W, X), dim(W + X)) for row t of this stack, W, and row t of other, X."""
-        depth = self.bases.shape[-2]
-        pairs = np.empty((len(other.bases), depth + other.bases.shape[1], self.n), dtype=np.int64)
-        pairs[:, :depth] = self.bases  # a shared word broadcasts to every row, uncopied until here
-        pairs[:, depth:] = other.bases
-        joins = rref_batch(self.ctx, pairs)[1]
-        return 2 * joins - self.dims - other.dims + np.abs(self.heights - other.heights), joins
-
-    def distances_to(self, w: Multispace, start: int = 0) -> np.ndarray:
-        """distance(w, x) for every stacked x from index start on."""
-        self._check(w)
-        rest = _WordStack(self.ctx, self.n, self.bases[start:], self.dims[start:], self.heights[start:])
-        return _WordStack(self.ctx, self.n, w.underlying.basis, w.dim, w.height).paired(rest)[0]
+        return _WordStack(self.ctx, self.n, w.underlying.basis, w.dim, w.height).paired(self)[0]
 
 
 def pairwise_distances(xs) -> np.ndarray:
     """Symmetric integer matrix of lattice distances d[i, j] = distance(xs[i], xs[j]).
 
     Each unordered pair is evaluated once and the diagonal is 0; each row is
-    one batched elimination.
+    one paired call of the stack of xs against its own tail.
     """
     xs = list(xs)
     for x in xs:
@@ -292,7 +333,7 @@ def pairwise_distances(xs) -> np.ndarray:
     if xs:
         stack = _WordStack.of(xs)
         for i in range(len(xs) - 1):
-            d[i, i + 1 :] = stack.distances_to(xs[i], i + 1)
+            d[i, i + 1 :] = stack[i].paired(stack[i + 1 :])[0]
     return d + d.T
 
 
@@ -451,21 +492,20 @@ class GammaGraph:
         return int(self.adjacency[i].sum())
 
     def graph_distances(self) -> np.ndarray:
-        """All-pairs BFS distances; -1 marks unreachable pairs."""
-        v = len(self.vertices)
-        dist = np.full((v, v), -1, dtype=np.int64)
-        for s in range(v):
-            dist[s, s] = 0
-            frontier = np.zeros(v, dtype=bool)
-            frontier[s] = True
-            seen = frontier.copy()
-            d = 0
-            while frontier.any():
-                nxt = (self.adjacency[frontier].any(axis=0)) & ~seen
-                d += 1
-                dist[s, nxt] = d
-                seen |= nxt
-                frontier = nxt
+        """All-pairs BFS distances; -1 marks unreachable pairs.
+
+        Every source runs at once: row s of the frontier is source s's, and one
+        boolean matrix product per level takes every frontier one step.
+        """
+        frontier = np.eye(len(self.vertices), dtype=bool)
+        dist = np.where(frontier, 0, -1)
+        seen = frontier.copy()
+        d = 0
+        while frontier.any():
+            frontier = (frontier @ self.adjacency) & ~seen
+            d += 1
+            dist[frontier] = d
+            seen |= frontier
         return dist
 
 

@@ -47,12 +47,15 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def _odometer(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
-    """All q^len(rows) combinations sum c_i rows[i], the last coefficient fastest."""
-    n = rows.shape[1]
-    out = np.zeros((1, n), dtype=np.int64)
-    for row in rows:
-        scaled = np.stack([ctx.mul_arr(np.full(n, c, dtype=np.int64), row) for c in range(ctx.q)])
-        out = ctx.add_arr(out[:, None, :], scaled[None, :, :]).reshape(-1, n)
+    """All q^k combinations sum c_i rows[..., i, :] of each (k, n) matrix of a
+    (..., k, n) stack, as a (..., q^k, n) stack; the last coefficient fastest."""
+    *lead, k, n = rows.shape
+    coeffs = np.arange(ctx.q, dtype=np.int64)[:, None]
+    out = np.zeros((*lead, 1, n), dtype=np.int64)
+    for i in range(k):
+        scaled = ctx.mul_arr(coeffs, rows[..., i : i + 1, :])  # (..., q, n): c * row i for every c
+        out = ctx.add_arr(out[..., :, None, :], scaled[..., None, :, :])
+        out = out.reshape(*lead, ctx.q ** (i + 1), n)  # not -1: a stack may hold no matrices
     return out
 
 

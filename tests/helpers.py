@@ -1,7 +1,7 @@
 """Shared brute-force oracles: multiplicities, the lattice poset, covers by
 containment, RREF by definition, the packing bound over every BFS ball, the
-greedy code by single distances, the channel's trial-by-trial loop and the
-literal root product."""
+greedy code by single distances and by one elimination per candidate, the
+channel's trial-by-trial loop and the literal root product."""
 
 import numpy as np
 
@@ -25,7 +25,16 @@ from multispace.lattice import (
     mspan,
     multiset_leq,
 )
-from multispace.linalg import DEFAULT_STATE_LIMIT, FqMatrix, FqVector, Subspace, _odometer, rref_array
+from multispace.linalg import (
+    DEFAULT_STATE_LIMIT,
+    FqMatrix,
+    FqVector,
+    Subspace,
+    _odometer,
+    _pad_stack,
+    rref_array,
+    rref_batch,
+)
 from multispace.qpoly import vector_field_iso
 
 
@@ -147,6 +156,22 @@ def greedy_by_distance_loop(ctx, n, m_max, d_min, seed):
         for idx in rng.permutation(len(layer)):
             if all(distance(layer[idx], k) >= d_min for k in kept):
                 kept.append(layer[idx])
+    return tuple(sorted(kept, key=lambda w: w.sort_key()))
+
+
+def serial_greedy_code(ctx, n, m_max, d_min, seed):
+    """greedy_code's codewords by the per-candidate elimination loop: one
+    rref_batch of the stacked bases [w; k] of the candidate w and every kept k."""
+    rng = np.random.default_rng(seed)
+    kept = []
+    for m in range(m_max, -1, -1):
+        layer = list(enumerate_multispaces(ctx, n, m))
+        for idx in rng.permutation(len(layer)):
+            w = layer[idx]
+            pairs = [np.vstack([w.underlying.basis, k.underlying.basis]) for k in kept]
+            joins = rref_batch(ctx, _pad_stack(pairs, (w.dim + min(n, m_max), n)))[1].tolist()
+            if all(2 * j - w.dim - k.dim + abs(w.height - k.height) >= d_min for j, k in zip(joins, kept)):
+                kept.append(w)
     return tuple(sorted(kept, key=lambda w: w.sort_key()))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import greedy_by_distance_loop, packing_bound_oracle, random_multispace
+from helpers import greedy_by_distance_loop, packing_bound_oracle, random_multispace, serial_greedy_code
 from hypothesis import given, settings, strategies as st
 
 import multispace
@@ -100,6 +100,22 @@ def test_greedy_meets_contract():
 def test_greedy_matches_the_distance_loop(ctx, n, m_max, d_min, seed):
     code = greedy_code(ctx, n, m_max, d_min, seed=seed)
     assert code.codewords == greedy_by_distance_loop(ctx, n, m_max, d_min, seed)
+
+
+@pytest.mark.parametrize("ctx, n, m_max, d_min", [
+    (F2, 0, 2, 1),  # n = 0: one vector, the zero vector
+    (F3, 0, 3, 2),
+    (F2, 5, 3, 3),  # masks
+    (F2, 6, 2, 3),  # q^n = 64 exactly, the largest masked spaces
+    (F4, 3, 3, 2),
+    (field(2, 6), 1, 3, 2),
+    (F3, 4, 2, 2),  # q^n > 64: elimination
+    (F2, 7, 1, 2),
+])
+def test_greedy_matches_the_serial_elimination_loop(ctx, n, m_max, d_min):
+    for seed in (0, 1, 2):
+        code = greedy_code(ctx, n, m_max, d_min, seed=seed)
+        assert code.codewords == serial_greedy_code(ctx, n, m_max, d_min, seed)
 
 
 def test_greedy_needs_a_nonnegative_dimension():

@@ -20,6 +20,8 @@ from helpers import (
 from multispace.errors import FormatError, LimitExceeded, RankZero
 from multispace.fields import field
 from multispace.lattice import (
+    MASK_VECTORS,
+    GammaGraph,
     Multispace,
     VectorMultiset,
     _WordStack,
@@ -194,6 +196,58 @@ def test_pairwise_distances_match_distance_loop(q, n, size, zero_dims, seed):
         d, joins = _WordStack.of(xs).paired(_WordStack.of(ys))
         assert d.dtype == np.int64 and d.tolist() == [distance(a, b) for a, b in zip(xs, ys)]
         assert joins.tolist() == [(a.underlying + b.underlying).dim for a, b in zip(xs, ys)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4]),
+    n=st.integers(0, 6),
+    kinds=st.lists(st.sampled_from(["random", "zero", "full"]), min_size=2, max_size=24),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_paired_matches_distance_on_both_kernels(q, n, kinds, seed):
+    # q^n <= 64 takes distances from membership masks, larger spaces from elimination
+    ctx = {2: F2, 3: F3, 4: F4}[q]
+    rng = np.random.default_rng(seed)
+
+    def word(kind):  # "zero" words are the bottom and height-only words
+        height = int(rng.integers(0, 4))
+        if kind == "zero":
+            return Multispace(Subspace.zero(ctx, n), height)
+        if kind == "full":
+            return Multispace(Subspace.full(ctx, n), height)
+        return random_multispace(ctx, n, rng)
+
+    half = len(kinds) // 2
+    xs, ys = [word(k) for k in kinds[:half]], [word(k) for k in kinds[half : 2 * half]]
+    xstack, ystack = _WordStack.of(xs), _WordStack.of(ys)
+    assert (xstack.masks is not None) == (q ** n <= MASK_VECTORS)
+
+    def check(got, pairs):
+        d, joins = got
+        assert d.dtype == np.int64 and d.tolist() == [distance(a, b) for a, b in pairs]
+        assert joins.tolist() == [(a.underlying + b.underlying).dim for a, b in pairs]
+
+    check(xstack.paired(ystack), list(zip(xs, ys)))
+    for i, x in enumerate(xs):  # a row view shared by every row of a stack, and of a slice of it
+        check(xstack[i].paired(ystack), [(x, y) for y in ys])
+        check(xstack[i].paired(ystack[i:]), [(x, y) for y in ys[i:]])
+        check(ystack[i].paired(_WordStack.of([x])), [(ys[i], x)])  # against a one-word stack
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.integers(0, 14), density=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_graph_distances_match_per_source_bfs(v, density, seed):
+    # random graphs are often disconnected, so unreachable pairs (-1) are covered too
+    upper = np.triu(np.random.default_rng(seed).random((v, v)) < density, 1)
+    g = GammaGraph(F2, 0, 0, tuple(range(v)), upper | upper.T)
+    assert np.array_equal(g.graph_distances(), bfs_distances(g.adjacency))
+
+
+@pytest.mark.parametrize("ctx, n, m", [(F2, 4, 3), (F3, 3, 2), (F2, 3, 2), (F4, 2, 2)])
+def test_gamma_graph_distances_match_per_source_bfs(ctx, n, m):
+    g = gamma_graph(ctx, n, m)
+    assert np.array_equal(g.graph_distances(), bfs_distances(g.adjacency))
 
 
 def test_multiset_leq_examples():
