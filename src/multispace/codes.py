@@ -85,7 +85,7 @@ class MultispaceCode:
         """distance(c, w) for every codeword c, against the cached codeword stack."""
         if self._stack is None:
             self._stack = _WordStack.of(self.codewords)
-        return self._stack.distances_to(w)
+        return _WordStack(self.ctx, self.n, w.underlying.basis, w.dim, w.height).paired(self._stack)[0]
 
     def to_dict(self) -> dict:
         return {

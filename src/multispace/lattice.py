@@ -312,13 +312,6 @@ class _WordStack:
             joins = rref_batch(self.ctx, pairs)[1]
         return 2 * joins - self.dims - other.dims + np.abs(self.heights - other.heights), joins
 
-    def distances_to(self, w: Multispace) -> np.ndarray:
-        """distance(w, x) for every stacked x."""
-        self.ctx.check_same(w.ctx)
-        if w.n != self.n:
-            raise DimensionMismatch("ambient dimensions differ")
-        return _WordStack(self.ctx, self.n, w.underlying.basis, w.dim, w.height).paired(self)[0]
-
 
 def pairwise_distances(xs) -> np.ndarray:
     """Symmetric integer matrix of lattice distances d[i, j] = distance(xs[i], xs[j]).

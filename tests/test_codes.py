@@ -106,6 +106,7 @@ def test_greedy_matches_the_distance_loop(ctx, n, m_max, d_min, seed):
     (F2, 0, 2, 1),  # n = 0: one vector, the zero vector
     (F3, 0, 3, 2),
     (F2, 5, 3, 3),  # masks
+    (F3, 3, 3, 2),
     (F2, 6, 2, 3),  # q^n = 64 exactly, the largest masked spaces
     (F4, 3, 3, 2),
     (field(2, 6), 1, 3, 2),

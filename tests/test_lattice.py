@@ -171,43 +171,17 @@ def test_distance_decomposition():
         assert distance(a, b) == join(a, b).rank - meet(a, b).rank
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     q=st.sampled_from([2, 3, 4, 16]),
-    n=st.integers(1, 6),
-    size=st.integers(0, 20),
+    n=st.integers(0, 6),
+    kinds=st.lists(st.sampled_from(["random", "zero", "full"]), max_size=40),
     zero_dims=st.tuples(st.booleans(), st.booleans()),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_pairwise_distances_match_distance_loop(q, n, size, zero_dims, seed):
+def test_pairwise_distances_match_distance_loop(q, n, kinds, zero_dims, seed):
+    # both kernels: q^n <= 64 takes distances from membership masks, larger spaces from elimination
     ctx = {2: F2, 3: F3, 4: F4, 16: F16}[q]
-    rng = np.random.default_rng(seed)
-
-    def words(size, zero):  # all of dim 0 stacks as (T, 0, n)
-        if zero:
-            return [Multispace(Subspace.zero(ctx, n), int(rng.integers(0, 4))) for _ in range(size)]
-        return [random_multispace(ctx, n, rng) for _ in range(size)]
-
-    xs, ys = words(size, zero_dims[0]), words(size, zero_dims[1])
-    square = pairwise_distances(xs)
-    assert square.dtype == np.int64 and square.shape == (len(xs), len(xs))
-    assert square.tolist() == [[distance(a, b) for b in xs] for a in xs]
-    if xs:  # row t of one stack against row t of the other, the channel's pairing
-        d, joins = _WordStack.of(xs).paired(_WordStack.of(ys))
-        assert d.dtype == np.int64 and d.tolist() == [distance(a, b) for a, b in zip(xs, ys)]
-        assert joins.tolist() == [(a.underlying + b.underlying).dim for a, b in zip(xs, ys)]
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    q=st.sampled_from([2, 3, 4]),
-    n=st.integers(0, 6),
-    kinds=st.lists(st.sampled_from(["random", "zero", "full"]), min_size=2, max_size=24),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_paired_matches_distance_on_both_kernels(q, n, kinds, seed):
-    # q^n <= 64 takes distances from membership masks, larger spaces from elimination
-    ctx = {2: F2, 3: F3, 4: F4}[q]
     rng = np.random.default_rng(seed)
 
     def word(kind):  # "zero" words are the bottom and height-only words
@@ -218,8 +192,16 @@ def test_paired_matches_distance_on_both_kernels(q, n, kinds, seed):
             return Multispace(Subspace.full(ctx, n), height)
         return random_multispace(ctx, n, rng)
 
+    def words(kinds, zero):  # all of dim 0 stacks as (T, 0, n)
+        return [word("zero" if zero else kind) for kind in kinds]
+
     half = len(kinds) // 2
-    xs, ys = [word(k) for k in kinds[:half]], [word(k) for k in kinds[half : 2 * half]]
+    xs, ys = words(kinds[:half], zero_dims[0]), words(kinds[half : 2 * half], zero_dims[1])
+    square = pairwise_distances(xs)
+    assert square.dtype == np.int64 and square.shape == (len(xs), len(xs))
+    assert square.tolist() == [[distance(a, b) for b in xs] for a in xs]
+    if not xs:
+        return
     xstack, ystack = _WordStack.of(xs), _WordStack.of(ys)
     assert (xstack.masks is not None) == (q ** n <= MASK_VECTORS)
 
@@ -228,7 +210,7 @@ def test_paired_matches_distance_on_both_kernels(q, n, kinds, seed):
         assert d.dtype == np.int64 and d.tolist() == [distance(a, b) for a, b in pairs]
         assert joins.tolist() == [(a.underlying + b.underlying).dim for a, b in pairs]
 
-    check(xstack.paired(ystack), list(zip(xs, ys)))
+    check(xstack.paired(ystack), list(zip(xs, ys)))  # row t against row t, the channel's pairing
     for i, x in enumerate(xs):  # a row view shared by every row of a stack, and of a slice of it
         check(xstack[i].paired(ystack), [(x, y) for y in ys])
         check(xstack[i].paired(ystack[i:]), [(x, y) for y in ys[i:]])
