@@ -242,6 +242,7 @@ def _log_table(q: int) -> np.ndarray:
     while q ** k <= MASK_VECTORS:
         table[q ** k] = k
         k += 1
+    table.flags.writeable = False  # one cached table serves every caller
     return table
 
 
