@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import decode
 from .errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch, ShapeViolation
 from .fields import FieldCtx
 from .lattice import Multispace, VectorMultiset, _WordStack, mspan
@@ -209,7 +208,7 @@ def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int
 # ---------------------------------------------------------------------------
 
 def _channel_block(cfg: ChannelConfig, rngs, picked):
-    """Received words, distances and bound checks of one block of trials.
+    """Received words, their stack, distances and bound checks of one block of trials.
 
     picked[t] = (sent multispace, generating (m, n) array) of trial t, drawn
     from rngs[t].  The stages draw in the order of a single trial (random
@@ -239,7 +238,8 @@ def _channel_block(cfg: ChannelConfig, rngs, picked):
     # received word: rank of the received multiset, height = its length - rank
     bases, ranks = rref_batch(ctx, matmul_arrays(ctx, np.swapaxes(t_eff, 1, 2), gens))
     heights = widths - ranks
-    d, joins = sent.paired(_WordStack(ctx, n, bases[:, : ranks.max()], ranks, heights))
+    stack = _WordStack(ctx, n, bases[:, : ranks.max()], ranks, heights)
+    d, joins = sent.paired(stack)
     if cfg.mode == "full-rank":
         ok = d == 0  # the metric vanishes exactly on equal multispaces
     elif cfg.mode == "deletion":
@@ -253,7 +253,7 @@ def _channel_block(cfg: ChannelConfig, rngs, picked):
         Multispace(Subspace(ctx, n, bases[t, :r].copy()), h)
         for t, (r, h) in enumerate(zip(ranks.tolist(), heights.tolist()))
     ]
-    return received, d.tolist(), ok.tolist()
+    return received, stack, d.tolist(), ok.tolist()
 
 
 def _block_size(m_max: int, n: int) -> int:
@@ -263,8 +263,8 @@ def _block_size(m_max: int, n: int) -> int:
     return max(1, min(_BLOCK, DEFAULT_STATE_LIMIT // max(1, m_max * max(m_max, n))))
 
 
-def _trial_loop(cfg: ChannelConfig, pick, m_max: int, n: int):
-    """Yield the TrialRecord of every trial in order; the loop behind run_trials and end_to_end.
+def _trial_blocks(cfg: ChannelConfig, pick, m_max: int, n: int):
+    """Yield each block's TrialRecords, in order, with the stack of their received words.
 
     pick(rng) returns the sent multispace and its generating multiset as an
     (m, n) array with m <= m_max; it is the first draw of every trial, so
@@ -285,32 +285,43 @@ def _trial_loop(cfg: ChannelConfig, pick, m_max: int, n: int):
         picked = [pick(rng) for rng in rngs]
         for _, gen in picked:
             cfg.check_rank(len(gen))
-        received, dists, oks = _channel_block(cfg, rngs, picked)
-        for k, ((sent, gen), word, d, ok) in enumerate(zip(picked, received, dists, oks)):
-            yield TrialRecord(start + k, sent, word, len(gen) - lost, d, bound, ok)
+        received, stack, dists, oks = _channel_block(cfg, rngs, picked)
+        yield [
+            TrialRecord(start + k, sent, word, len(gen) - lost, d, bound, ok)
+            for k, ((sent, gen), word, d, ok) in enumerate(zip(picked, received, dists, oks))
+        ], stack
 
 
-def _summarize(cfg: ChannelConfig, records, code=None) -> ChannelSummary:
-    """Violations and the distance histogram of a stream of trial records.
+def _trial_loop(cfg: ChannelConfig, pick, m_max: int, n: int):
+    """Yield the TrialRecord of every trial in order, block by block."""
+    for records, _ in _trial_blocks(cfg, pick, m_max, n):
+        yield from records
 
-    With a code, every received word is decoded against it and block errors
-    are counted; a violation is then also recorded when decoding fails
-    although the channel bound guarantees unique decoding (bound <
-    min_distance / 2).
+
+def _summarize(cfg: ChannelConfig, blocks, code=None) -> ChannelSummary:
+    """Violations and the distance histogram of a stream of blocks of trial
+    records, each with the stack of its received words.
+
+    With a code, each block's received words are decoded against it at once
+    and block errors are counted; a violation is then also recorded when
+    decoding fails although the channel bound guarantees unique decoding
+    (bound < min_distance / 2).
     """
     bound = _bound_for(cfg)
     violations = 0
     block_errors = 0
     hist: dict[int, int] = {}
     max_d = 0
-    for rec in records:
-        violations += not rec.bound_satisfied
-        hist[rec.distance] = hist.get(rec.distance, 0) + 1
-        max_d = max(max_d, rec.distance)
-        if code is not None and decode(code, rec.received)[0] != rec.sent:
-            block_errors += 1
-            if bound is not None and bound < code.min_distance / 2:
-                violations += 1  # unique decoding was guaranteed
+    for records, received in blocks:
+        decoded = () if code is None else code._nearest(received)[0].tolist()
+        for k, rec in enumerate(records):
+            violations += not rec.bound_satisfied
+            hist[rec.distance] = hist.get(rec.distance, 0) + 1
+            max_d = max(max_d, rec.distance)
+            if code is not None and code.codewords[decoded[k]] != rec.sent:
+                block_errors += 1
+                if bound is not None and bound < code.min_distance / 2:
+                    violations += 1  # unique decoding was guaranteed
     errors = None if code is None else block_errors
     return ChannelSummary(cfg.trials, violations, max_d, hist, errors)
 
@@ -335,7 +346,7 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
         raise TypeError("target must be a Multispace or VectorMultiset")
     cfg.check_rank(len(gen0))
     records = list(_trial_loop(cfg, lambda rng: (sent, gen0), len(gen0), sent.n))
-    return ChannelRun(records, _summarize(cfg, records))
+    return ChannelRun(records, _summarize(cfg, [(records, None)]))
 
 
 def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
@@ -354,7 +365,7 @@ def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
         w = code.codewords[int(rng.integers(len(code)))]
         return w, w.generating_multiset().matrix
 
-    return _summarize(cfg, _trial_loop(cfg, pick, m_max, code.n), code)  # records are not kept
+    return _summarize(cfg, _trial_blocks(cfg, pick, m_max, code.n), code)  # records are not kept
 
 
 # ---------------------------------------------------------------------------

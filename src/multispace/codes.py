@@ -21,7 +21,6 @@ from .lattice import (
     count_multispaces,
     covered_neighbors,
     covering_neighbors,
-    enumerate_multispaces,
     enumerate_multispaces_up_to,
     pairwise_distances,
 )
@@ -81,11 +80,14 @@ class MultispaceCode:
                 self._min_dist = int(d[np.triu_indices(len(d), 1)].min())
         return self._min_dist
 
-    def _distances_to(self, w: Multispace) -> np.ndarray:
-        """distance(c, w) for every codeword c, against the cached codeword stack."""
+    def _nearest(self, received: _WordStack) -> tuple[np.ndarray, np.ndarray]:
+        """Index and distance of the first nearest codeword to each row of received,
+        from one (T, |C|) cross pairing against the cached codeword stack."""
         if self._stack is None:
             self._stack = _WordStack.of(self.codewords)
-        return _WordStack(self.ctx, self.n, w.underlying.basis, w.dim, w.height).paired(self._stack)[0]
+        d = received.cross(self._stack)
+        best = d.argmin(axis=1)  # the first minimum: ties break by codeword order
+        return best, d[np.arange(len(d)), best]
 
     def to_dict(self) -> dict:
         return {
@@ -128,18 +130,22 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
     if n < 0:
         raise ConfigInvalid(f"ambient dimension {n} is negative")
     rng = np.random.default_rng(seed)
-    kept: list[Multispace] = []
-    none = np.zeros(0, dtype=np.int64)  # the kept words, for one batched test per candidate:
-    stack = _WordStack(ctx, n, none.reshape(0, min(n, max(m_max, 0)), n), none, none)
+    none = np.zeros(0, dtype=np.int64)
+    kept = _WordStack(ctx, n, none.reshape(0, min(n, max(m_max, 0)), n), none, none)
     for m in range(m_max, -1, -1):
-        layer = list(enumerate_multispaces(ctx, n, m))
-        words = _WordStack.of(layer)
-        for idx in rng.permutation(len(layer)):
-            if (words[idx].paired(stack)[0] >= d_min).all():
-                kept.append(layer[idx])
-                stack.append(words[idx])
-    kept.sort(key=lambda w: w.sort_key())
-    return MultispaceCode(ctx, n, m_max, tuple(kept))
+        words = _WordStack.layer(ctx, n, m)
+        alive = (kept.cross(words) >= d_min).all(axis=0)  # struck by every word kept so far
+        keep = []
+        for idx in rng.permutation(len(words.dims)).tolist():
+            if alive[idx]:
+                keep.append(idx)
+                # strike its layer by exclusion; distinct words of one rank lie at an even
+                # distance >= 2, so only d_min > 2 strikes; elimination pairs only live words
+                if d_min > 2:
+                    live = slice(None) if words.masks is not None else np.flatnonzero(alive)
+                    alive[live] &= words[idx].paired(words[live])[0] >= d_min
+        kept.extend(words[keep])
+    return MultispaceCode(ctx, n, m_max, tuple(sorted(kept.words(), key=lambda w: w.sort_key())))
 
 
 def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> MultispaceCode:
@@ -259,9 +265,8 @@ def decode(code: MultispaceCode, received: Multispace) -> tuple[Multispace, int]
     received.ctx.check_same(code.ctx)
     if received.n != code.n:
         raise ConfigInvalid("received word has a different ambient dimension")
-    d = code._distances_to(received)
-    best = int(np.argmin(d))  # the first minimum: ties break by codeword order
-    return code.codewords[best], int(d[best])
+    best, d = code._nearest(_WordStack.of([received]))
+    return code.codewords[best[0]], int(d[0])
 
 
 def codespace_growth(ctx: FieldCtx, n: int, m: int) -> BigCount:

@@ -13,6 +13,7 @@ distance-2 graph with a distance-regularity checker.
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,14 @@ import numpy as np
 from .errors import ConfigInvalid, DimensionMismatch, FormatError, RankZero
 from .fields import FieldCtx, parse_field_spec
 from .linalg import (
+    DEFAULT_STATE_LIMIT,
     FqVector,
     Subspace,
     _check_budget,
     _odometer,
     _pad_stack,
     _rows_array,
+    _subspace_blocks,
     enumerate_subspaces,
     gaussian_binomial,
     matmul_arrays,
@@ -281,6 +284,22 @@ class _WordStack:
         bases = _pad_stack([w.underlying.basis for w in words], (dims.max(), words[0].n))
         return cls(words[0].ctx, words[0].n, bases, dims, np.array([w.height for w in words]))
 
+    @classmethod
+    def layer(cls, ctx: FieldCtx, n: int, m: int) -> "_WordStack":
+        """Every multispace of rank m >= 0, in the order of enumerate_multispaces,
+        stacked straight from the subspace blocks to depth min(n, m)."""
+        _check_budget(count_multispaces(n, m, ctx.q), "multispaces")
+        depth = min(n, m)
+        counts = [gaussian_binomial(n, k, ctx.q) for k in range(depth + 1)]
+        bases = np.zeros((sum(counts), depth, n), dtype=np.int64)
+        row = 0
+        for k in range(depth + 1):
+            for block in _subspace_blocks(ctx, n, k):
+                bases[row : row + len(block), :k] = block
+                row += len(block)
+        dims = np.repeat(np.arange(depth + 1), counts)
+        return cls(ctx, n, bases, dims, m - dims)
+
     def __getitem__(self, index) -> "_WordStack":
         """The words at index, masks carried along: an int gives one word shared by every row."""
         view = _WordStack.__new__(_WordStack)
@@ -289,45 +308,82 @@ class _WordStack:
         view.masks = None if self.masks is None else self.masks[index]
         return view
 
-    def append(self, word: "_WordStack"):
-        """Add one word, given as a row of a stack of the same GF(q)^n, as the last row."""
-        self.bases = np.concatenate([self.bases, _pad_stack([word.bases], self.bases.shape[1:])])
-        self.dims = np.append(self.dims, word.dims)
-        self.heights = np.append(self.heights, word.heights)
+    def words(self) -> list[Multispace]:
+        """Every row as a Multispace."""
+        return [
+            Multispace(Subspace(self.ctx, self.n, basis[:dim].copy()), height)
+            for basis, dim, height in zip(self.bases, self.dims.tolist(), self.heights.tolist())
+        ]
+
+    def extend(self, rows: "_WordStack"):
+        """Add the rows of a stack of the same GF(q)^n, no deeper than this one, at the end."""
+        bases = np.zeros((len(rows.dims), *self.bases.shape[1:]), dtype=np.int64)
+        bases[:, : rows.bases.shape[1]] = rows.bases
+        self.bases = np.concatenate([self.bases, bases])
+        self.dims = np.concatenate([self.dims, rows.dims])
+        self.heights = np.concatenate([self.heights, rows.heights])
         if self.masks is not None:
-            self.masks = np.append(self.masks, word.masks)
+            self.masks = np.concatenate([self.masks, rows.masks])
 
     def paired(self, other: "_WordStack") -> tuple[np.ndarray, np.ndarray]:
         """(distance(W, X), dim(W + X)) for row t of this stack, W, and row t of other, X.
 
-        A one-word view (an int index) pairs with every row of a stack as self.
+        The rows broadcast as numpy arrays do: a one-word view (an int index)
+        pairs with every row of a stack, and a (T, 1) view with a (U,) stack
+        gives (T, U) arrays.
         """
         if self.masks is not None:
             meets = _log_table(self.ctx.q)[np.bitwise_count(self.masks & other.masks)]
             joins = self.dims + other.dims - meets
         else:
+            lead = np.broadcast_shapes(np.shape(self.dims), np.shape(other.dims))
             depth = self.bases.shape[-2]
-            pairs = np.empty((len(other.bases), depth + other.bases.shape[1], self.n), dtype=np.int64)
-            pairs[:, :depth] = self.bases  # a shared word broadcasts to every row, uncopied until here
-            pairs[:, depth:] = other.bases
-            joins = rref_batch(self.ctx, pairs)[1]
+            pairs = np.empty((*lead, depth + other.bases.shape[-2], self.n), dtype=np.int64)
+            pairs[..., :depth, :] = self.bases  # broadcast over the other side, uncopied until here
+            pairs[..., depth:, :] = other.bases
+            joins = rref_batch(self.ctx, pairs.reshape(math.prod(lead), *pairs.shape[-2:]))[1].reshape(lead)
         return 2 * joins - self.dims - other.dims + np.abs(self.heights - other.heights), joins
+
+    def cross(self, other: "_WordStack") -> np.ndarray:
+        """The (T, U) matrix of distance(W, X) for every row W of this stack and X of other.
+
+        One paired call per block of rows, each block within DEFAULT_STATE_LIMIT
+        masks, or matrix entries on the elimination path: one broadcast
+        popcount or one rref_batch.
+        """
+        per_pair = 1 if self.masks is not None else (self.bases.shape[-2] + other.bases.shape[-2]) * self.n
+        step = max(1, DEFAULT_STATE_LIMIT // max(1, len(other.dims) * per_pair))
+        out = np.empty((len(self.dims), len(other.dims)), dtype=np.int64)
+        for start in range(0, len(self.dims), step):
+            out[start : start + step] = self[start : start + step, None].paired(other)[0]
+        return out
+
+
+#: Rows per cross pairing of pairwise_distances on the elimination path.  Each
+#: block also pairs its own lower triangle: at 16 rows that waste, about 8 pairs
+#: per row, costs about as much as the rref_batch call per row it saves.
+_PAIRWISE_ROWS = 16
 
 
 def pairwise_distances(xs) -> np.ndarray:
     """Symmetric integer matrix of lattice distances d[i, j] = distance(xs[i], xs[j]).
 
-    Each unordered pair is evaluated once and the diagonal is 0; each row is
-    one paired call of the stack of xs against its own tail.
+    Masked stacks take it from one cross pairing with themselves.  On the
+    elimination path each block of _PAIRWISE_ROWS rows is crossed with its
+    own tail, so each unordered pair is eliminated about once.
     """
     xs = list(xs)
     for x in xs:
         xs[0]._check_compatible(x)
+    if not xs:
+        return np.zeros((0, 0), dtype=np.int64)
+    stack = _WordStack.of(xs)
+    if stack.masks is not None:
+        return stack.cross(stack)
     d = np.zeros((len(xs), len(xs)), dtype=np.int64)
-    if xs:
-        stack = _WordStack.of(xs)
-        for i in range(len(xs) - 1):
-            d[i, i + 1 :] = stack[i].paired(stack[i + 1 :])[0]
+    for start in range(0, len(xs), _PAIRWISE_ROWS):
+        d[start : start + _PAIRWISE_ROWS, start:] = stack[start : start + _PAIRWISE_ROWS].cross(stack[start:])
+    d = np.triu(d, 1)
     return d + d.T
 
 

@@ -7,7 +7,7 @@ zero rows dropped, so equality and hashing are structural.
 
 import functools
 from collections.abc import Sequence
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -490,8 +490,9 @@ def subspace_distance(a: Subspace, b: Subspace) -> int:
     return 2 * dim_sum - a.dim - b.dim
 
 
-def enumerate_subspaces(ctx: FieldCtx, n: int, k: int):
-    """Yield every k-dimensional subspace of GF(q)^n exactly once.
+def _subspace_blocks(ctx: FieldCtx, n: int, k: int):
+    """Yield the canonical bases of every k-dimensional subspace of GF(q)^n,
+    one (q^f, k, n) block per pivot-column set (Schubert cell) with f free entries.
 
     Order: pivot-column sets lexicographically, then free entries in
     odometer order (row-major, last position fastest).
@@ -499,23 +500,20 @@ def enumerate_subspaces(ctx: FieldCtx, n: int, k: int):
     if not 0 <= k <= n:
         return
     _check_budget(gaussian_binomial(n, k, ctx.q), "subspaces")
-    if k == 0:
-        yield Subspace.zero(ctx, n)
-        return
     q = ctx.q
     for pivots in combinations(range(n), k):
-        pivset = set(pivots)
-        free = [
-            (i, c)
-            for i in range(k)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivset
-        ]
-        base = np.zeros((k, n), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            base[i, pc] = 1
-        for assignment in product(range(q), repeat=len(free)):
-            m = base.copy()
-            for (i, c), val in zip(free, assignment):
-                m[i, c] = val
-            yield Subspace(ctx, n, m)
+        free = [(i, c) for i in range(k) for c in range(pivots[i] + 1, n) if c not in pivots]
+        f = len(free)
+        block = np.zeros((q ** f, k, n), dtype=np.int64)
+        block[:, range(k), pivots] = 1
+        if f:
+            rows, cols = zip(*free)
+            block[:, rows, cols] = np.arange(q ** f)[:, None] // q ** np.arange(f - 1, -1, -1) % q
+        yield block
+
+
+def enumerate_subspaces(ctx: FieldCtx, n: int, k: int):
+    """Yield every k-dimensional subspace of GF(q)^n exactly once, in the order of _subspace_blocks."""
+    for block in _subspace_blocks(ctx, n, k):
+        for basis in block:
+            yield Subspace(ctx, n, basis)

@@ -1,7 +1,10 @@
-"""Shared brute-force oracles: multiplicities, the lattice poset, covers by
-containment, RREF by definition, the packing bound over every BFS ball, the
-greedy code by single distances and by one elimination per candidate, the
-channel's trial-by-trial loop and the literal root product."""
+"""Shared brute-force oracles: multiplicities, subspaces entry by entry, the
+lattice poset, covers by containment, RREF by definition, the packing bound
+over every BFS ball, the greedy code by single distances and by one
+elimination per candidate, the channel's trial-by-trial loop and the literal
+root product."""
+
+from itertools import combinations, product
 
 import numpy as np
 
@@ -58,6 +61,22 @@ def multiplicity_oracle(b: VectorMultiset, state_limit: int | None = DEFAULT_STA
         return {FqVector(ctx, sums[i]): int(c) for i, c in zip(idx, counts)}
     uniq, counts = np.unique(sums, axis=0, return_counts=True)
     return {FqVector(ctx, row): int(c) for row, c in zip(uniq, counts)}
+
+
+def subspaces_by_entry(ctx, n, k):
+    """Every k-dimensional subspace of GF(q)^n as a canonical basis, built entry by
+    entry: pivot-column sets lexicographically, then free entries in odometer order
+    (row-major, last position fastest)."""
+    for pivots in combinations(range(n), k):
+        free = [(i, c) for i in range(k) for c in range(pivots[i] + 1, n) if c not in pivots]
+        base = np.zeros((k, n), dtype=np.int64)
+        for i, pc in enumerate(pivots):
+            base[i, pc] = 1
+        for assignment in product(range(ctx.q), repeat=len(free)):
+            m = base.copy()
+            for (i, c), val in zip(free, assignment):
+                m[i, c] = val
+            yield m
 
 
 def poset_elements(ctx, n, m_max):

@@ -27,7 +27,7 @@ from multispace.channel import (
     write_trial_csv,
     ChannelSummary,
 )
-from multispace.codes import MultispaceCode
+from multispace.codes import MultispaceCode, greedy_code
 from multispace.errors import (
     BoundViolation,
     ConfigInvalid,
@@ -362,6 +362,25 @@ def test_runs_longer_than_one_block_match_the_serial_loop(mode, s):
     code = MultispaceCode(F3, 2, 4, words)
     cfg = ChannelConfig(mode, channel._BLOCK + 44, s, seed=int(rng.integers(1 << 30)), random_generator=True)
     _check_both_entry_points(words[0], code, cfg)
+
+
+@pytest.mark.parametrize("ctx, n, m_max, d_min, low, mode", [
+    (F2, 4, 4, 2, 1, "rank-deficient"),  # masked
+    (F2, 7, 2, 3, 1, "rank-deficient"),  # q^n = 128: elimination
+    (F2, 3, 3, 2, 2, "deletion"),  # every received word lies as near to two codewords or more
+])
+def test_block_decoding_over_several_blocks_matches_the_serial_loop(ctx, n, m_max, d_min, low, mode):
+    greedy = greedy_code(ctx, n, m_max, d_min, seed=0)
+    code = MultispaceCode(ctx, n, m_max, tuple(w for w in greedy if w.rank >= low))
+    cfg = ChannelConfig(mode, 600, 1, seed=7)
+    assert end_to_end(code, cfg) == serial_trial_loop(cfg, _code_pick(code), code).summary
+    blocks = list(channel._trial_blocks(cfg, _code_pick(code), m_max, n))
+    assert len(blocks) == 3
+    if low == 2:  # the tie break against a distance loop: the first nearest codeword
+        for records, received in blocks:
+            d = np.array([[distance(r.received, c) for c in code] for r in records])
+            assert ((d == d.min(axis=1, keepdims=True)).sum(axis=1) >= 2).all()
+            assert code._nearest(received)[0].tolist() == d.argmin(axis=1).tolist()
 
 
 @pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1), ("rank-deficient", 1),

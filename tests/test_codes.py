@@ -112,6 +112,9 @@ def test_greedy_matches_the_distance_loop(ctx, n, m_max, d_min, seed):
     (field(2, 6), 1, 3, 2),
     (F3, 4, 2, 2),  # q^n > 64: elimination
     (F2, 7, 1, 2),
+    (F2, 4, 4, 2),  # masked, d_min 2: no strikes inside a layer
+    (F3, 4, 3, 3),  # elimination, d_min 3: each kept word strikes the live words of its layer
+    (F2, 7, 2, 3),
 ])
 def test_greedy_matches_the_serial_elimination_loop(ctx, n, m_max, d_min):
     for seed in (0, 1, 2):
@@ -166,6 +169,9 @@ def test_optimal_size_limit_is_checked_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(codes, "enumerate_multispaces_up_to", refuse)
     monkeypatch.setattr(lattice, "enumerate_multispaces", refuse)
+    monkeypatch.setattr(lattice, "_subspace_blocks", refuse)
+    monkeypatch.setattr(linalg, "_subspace_blocks", refuse)
+    monkeypatch.setattr(lattice._WordStack, "layer", refuse)
     with pytest.raises(LimitExceeded, match="65539"):
         exhaustive_optimal_code(field(2, 16), 2, 1, 1)
 
@@ -255,6 +261,9 @@ def test_packing_bound_and_ball_size_enumerate_nothing(monkeypatch):
         (lattice, "enumerate_multispaces"),
         (lattice, "enumerate_subspaces"),
         (linalg, "enumerate_subspaces"),
+        (lattice, "_subspace_blocks"),
+        (linalg, "_subspace_blocks"),
+        (lattice._WordStack, "layer"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     assert sphere_packing_bound(F3, 2, 3, 5) == want

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
     random_multiset,
     random_multispace,
 )
+from multispace import lattice
 from multispace.errors import FormatError, LimitExceeded, RankZero
 from multispace.fields import field
 from multispace.lattice import (
@@ -43,7 +45,7 @@ from multispace.lattice import (
     multiset_leq,
     pairwise_distances,
 )
-from multispace.linalg import FqVector, Subspace, span, subspace_distance
+from multispace.linalg import FqVector, Subspace, _pad_stack, span, subspace_distance
 
 F2 = field(2)
 F3 = field(3)
@@ -215,6 +217,44 @@ def test_pairwise_distances_match_distance_loop(q, n, kinds, zero_dims, seed):
         check(xstack[i].paired(ystack), [(x, y) for y in ys])
         check(xstack[i].paired(ystack[i:]), [(x, y) for y in ys[i:]])
         check(ystack[i].paired(_WordStack.of([x])), [(ys[i], x)])  # against a one-word stack
+
+
+@pytest.mark.parametrize("ctx, n, m", [(F3, 4, 1), (F2, 4, 2)])
+def test_pairwise_distances_over_several_row_blocks(ctx, n, m):
+    # 41 words past the mask limit (blocks of rows against their tails), 51 masked words
+    words = list(enumerate_multispaces(ctx, n, m))
+    assert len(words) > 2 * lattice._PAIRWISE_ROWS
+    assert pairwise_distances(words).tolist() == [[distance(a, b) for b in words] for a in words]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 16]),
+    n=st.integers(0, 6),
+    sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    pads=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    limit=st.sampled_from([1, 40, lattice.DEFAULT_STATE_LIMIT]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_cross_pairing_matches_distance_loop(q, n, sizes, pads, limit, seed):
+    # T = 1, U = 1 and zero words on either side; each stack padded to its own depth,
+    # and a small entry limit splits the rows into blocks
+    ctx = {2: F2, 3: F3, 4: F4, 16: F16}[q]
+    rng = np.random.default_rng(seed)
+
+    def stack(size, pad):
+        words = [random_multispace(ctx, n, rng) for _ in range(size)]
+        dims = np.array([w.dim for w in words], dtype=np.int64)
+        depth = min(n, max([0, *dims]) + pad)
+        bases = _pad_stack([w.underlying.basis for w in words], (depth, n))
+        return words, _WordStack(ctx, n, bases, dims, np.array([w.height for w in words], dtype=np.int64))
+
+    (xs, xstack), (ys, ystack) = stack(sizes[0], pads[0]), stack(sizes[1], pads[1])
+    assert (xstack.masks is not None) == (q ** n <= MASK_VECTORS)
+    with mock.patch.object(lattice, "DEFAULT_STATE_LIMIT", limit):
+        d = xstack.cross(ystack)
+    assert d.dtype == np.int64 and d.shape == (len(xs), len(ys))
+    assert d.tolist() == [[distance(x, y) for y in ys] for x in xs]
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,10 +453,25 @@ def test_enumerate_multispaces_counts():
     assert len(words) == len(set(words)) == count_multispaces(2, 2, 4)
 
 
+@pytest.mark.parametrize("ctx, n, m", [
+    (F2, 0, 0), (F2, 0, 2), (F3, 2, 0), (F2, 3, 2), (F2, 3, 5), (F3, 3, 2),  # masked
+    (F4, 3, 3), (F2, 6, 3), (F3, 4, 2), (F2, 7, 1), (F16, 2, 2),  # q^n = 64, then elimination
+])
+def test_layer_stack_matches_the_enumerated_words(ctx, n, m):
+    words = list(enumerate_multispaces(ctx, n, m))
+    got, want = _WordStack.layer(ctx, n, m), _WordStack.of(words)
+    assert got.bases.dtype == np.int64 and got.bases.shape == want.bases.shape == (len(words), min(n, m), n)
+    for name in ("bases", "dims", "heights", "masks"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.words() == words
+
+
 def test_enumerate_multispaces_budget():
     words = enumerate_multispaces(F2, 25, 1)  # 2^25 multispaces
     with pytest.raises(LimitExceeded, match="33554432 multispaces"):
         next(words)
+    with pytest.raises(LimitExceeded, match="33554432 multispaces"):
+        _WordStack.layer(F2, 25, 1)
     assert list(enumerate_multispaces(F2, 3, -1)) == []
     assert list(enumerate_multispaces(F2, -1, 2)) == []
 

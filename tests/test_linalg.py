@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
-from helpers import is_rref_by_definition
+from helpers import is_rref_by_definition, subspaces_by_entry
 from hypothesis import given, settings, strategies as st
 
 from multispace.errors import (
@@ -21,6 +22,7 @@ from multispace.linalg import (
     FqVector,
     Subspace,
     _check_budget,
+    _subspace_blocks,
     enumerate_subspaces,
     is_rref,
     matmul_arrays,
@@ -271,6 +273,24 @@ def test_enumerate_subspaces_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("ctx", [F2, F3, F4])
+def test_subspace_blocks_match_the_per_entry_enumerator(ctx):
+    def entries(bases):
+        return [(b.dtype, b.shape, b.tobytes()) for b in bases]
+
+    for n in range(6):
+        for k in range(n + 1):
+            want = entries(subspaces_by_entry(ctx, n, k))
+            blocks = list(_subspace_blocks(ctx, n, k))
+            assert len(blocks) == math.comb(n, k)  # one block per pivot-column set
+            for block in blocks:
+                free = round(math.log(len(block), ctx.q))
+                assert block.dtype == np.int64 and block.shape == (ctx.q ** free, k, n)
+            assert entries(b for block in blocks for b in block) == want
+            assert entries(s.basis for s in enumerate_subspaces(ctx, n, k)) == want
+            assert len(want) == gaussian_binomial(n, k, ctx.q)
+
+
 def test_enumerate_subspaces_limit():
     with pytest.raises(LimitExceeded):
         list(enumerate_subspaces(F2, 30, 1))
@@ -280,9 +300,9 @@ def test_budget_is_checked_before_the_first_item():
     _check_budget(DEFAULT_STATE_LIMIT, "items")
     with pytest.raises(LimitExceeded):
         _check_budget(DEFAULT_STATE_LIMIT + 1, "items")
-    lines = enumerate_subspaces(F2, 21, 1)  # 2^21 - 1 lines
-    with pytest.raises(LimitExceeded, match="2097151 subspaces"):
-        next(lines)
+    for lines in (enumerate_subspaces(F2, 21, 1), _subspace_blocks(F2, 21, 1)):  # 2^21 - 1 lines
+        with pytest.raises(LimitExceeded, match="2097151 subspaces"):
+            next(lines)
     with pytest.raises(LimitExceeded, match="2097152 vectors"):
         Subspace.full(F2, 21).vector_array()
 
