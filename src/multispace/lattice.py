@@ -360,8 +360,8 @@ class _WordStack:
 
 
 #: Rows per cross pairing of pairwise_distances on the elimination path.  Each
-#: block also pairs its own lower triangle: at 16 rows that waste, about 8 pairs
-#: per row, costs about as much as the rref_batch call per row it saves.
+#: block also eliminates its own lower triangle, about 8 wasted pairs per row
+#: at 16 rows, and saves the fixed cost of 15 rref_batch calls in 16.
 _PAIRWISE_ROWS = 16
 
 
