@@ -30,7 +30,7 @@ import numpy as np
 from .errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch, ShapeViolation
 from .fields import FieldCtx
 from .lattice import Multispace, VectorMultiset, _WordStack, mspan
-from .linalg import DEFAULT_STATE_LIMIT, FqMatrix, Subspace, _check_budget, _pad_stack, matmul_arrays, rref_batch
+from .linalg import DEFAULT_STATE_LIMIT, FqMatrix, _check_budget, _pad_stack, matmul_arrays, rref_batch
 
 #: mode -> (rank the sent multispace needs, proven distance bound), in units of s;
 #: a bound of None means the mode is observational only
@@ -249,11 +249,7 @@ def _channel_block(cfg: ChannelConfig, rngs, picked):
         ok = (d <= 2 * s) & (widths == sent.dims + sent.heights) & (joins == sent.dims)
     else:
         ok = np.ones(len(picked), dtype=bool)  # compound: observational only
-    received = [
-        Multispace(Subspace(ctx, n, bases[t, :r].copy()), h)
-        for t, (r, h) in enumerate(zip(ranks.tolist(), heights.tolist()))
-    ]
-    return received, stack, d.tolist(), ok.tolist()
+    return stack.words(), stack, d.tolist(), ok.tolist()
 
 
 def _block_size(m_max: int, n: int) -> int:

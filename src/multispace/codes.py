@@ -134,7 +134,9 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
     kept = _WordStack(ctx, n, none.reshape(0, min(n, max(m_max, 0)), n), none, none)
     for m in range(m_max, -1, -1):
         words = _WordStack.layer(ctx, n, m)
-        alive = (kept.cross(words) >= d_min).all(axis=0)  # struck by every word kept so far
+        alive = np.ones(len(words.dims), dtype=bool)
+        for _, cols, d in kept.cross_blocks(words):  # strike the words too near any word kept so far
+            alive[cols] &= (d >= d_min).all(axis=0)
         keep = []
         for idx in rng.permutation(len(words.dims)).tolist():
             if alive[idx]:

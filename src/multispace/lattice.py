@@ -344,33 +344,43 @@ class _WordStack:
             joins = rref_batch(self.ctx, pairs.reshape(math.prod(lead), *pairs.shape[-2:]))[1].reshape(lead)
         return 2 * joins - self.dims - other.dims + np.abs(self.heights - other.heights), joins
 
-    def cross(self, other: "_WordStack") -> np.ndarray:
-        """The (T, U) matrix of distance(W, X) for every row W of this stack and X of other.
+    def cross_blocks(self, other: "_WordStack"):
+        """Yield (rows, columns, distances): the (T, U) distance matrix of every
+        row W of this stack against every row X of other, one slice of rows
+        and columns at a time.
 
-        One paired call per block of rows, each block within DEFAULT_STATE_LIMIT
-        masks, or matrix entries on the elimination path: one broadcast
-        popcount or one rref_batch.
+        Each block is one paired call within DEFAULT_STATE_LIMIT masks, or
+        matrix entries on the elimination path: one broadcast popcount or one
+        rref_batch.  Columns split only when one row passes the limit, and a
+        block holds one pair when a single pair does.
         """
         per_pair = 1 if self.masks is not None else (self.bases.shape[-2] + other.bases.shape[-2]) * self.n
-        step = max(1, DEFAULT_STATE_LIMIT // max(1, len(other.dims) * per_pair))
+        cols = max(1, min(len(other.dims), DEFAULT_STATE_LIMIT // max(1, per_pair)))
+        rows = max(1, DEFAULT_STATE_LIMIT // (cols * max(1, per_pair)))
+        for r in range(0, len(self.dims), rows):
+            for c in range(0, len(other.dims), cols):
+                row, col = slice(r, r + rows), slice(c, c + cols)
+                yield row, col, self[row, None].paired(other[col])[0]
+
+    def cross(self, other: "_WordStack") -> np.ndarray:
+        """The (T, U) matrix of distance(W, X) for every row W of this stack and X of other."""
         out = np.empty((len(self.dims), len(other.dims)), dtype=np.int64)
-        for start in range(0, len(self.dims), step):
-            out[start : start + step] = self[start : start + step, None].paired(other)[0]
+        for rows, cols, d in self.cross_blocks(other):
+            out[rows, cols] = d
         return out
 
 
-#: Rows per cross pairing of pairwise_distances on the elimination path.  Each
-#: block also eliminates its own lower triangle, about 8 wasted pairs per row
-#: at 16 rows, and saves the fixed cost of 15 rref_batch calls in 16.
+#: Rows per cross pairing of pairwise_distances.  Each block also pairs its
+#: own lower triangle, about 8 wasted pairs per row at 16 rows, and saves the
+#: fixed cost of 15 paired calls in 16.
 _PAIRWISE_ROWS = 16
 
 
 def pairwise_distances(xs) -> np.ndarray:
     """Symmetric integer matrix of lattice distances d[i, j] = distance(xs[i], xs[j]).
 
-    Masked stacks take it from one cross pairing with themselves.  On the
-    elimination path each block of _PAIRWISE_ROWS rows is crossed with its
-    own tail, so each unordered pair is eliminated about once.
+    Each block of _PAIRWISE_ROWS rows is crossed with its own tail, so each
+    unordered pair is measured about once.
     """
     xs = list(xs)
     for x in xs:
@@ -378,8 +388,6 @@ def pairwise_distances(xs) -> np.ndarray:
     if not xs:
         return np.zeros((0, 0), dtype=np.int64)
     stack = _WordStack.of(xs)
-    if stack.masks is not None:
-        return stack.cross(stack)
     d = np.zeros((len(xs), len(xs)), dtype=np.int64)
     for start in range(0, len(xs), _PAIRWISE_ROWS):
         d[start : start + _PAIRWISE_ROWS, start:] = stack[start : start + _PAIRWISE_ROWS].cross(stack[start:])

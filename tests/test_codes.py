@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,6 +121,14 @@ def test_greedy_matches_the_serial_elimination_loop(ctx, n, m_max, d_min):
     for seed in (0, 1, 2):
         code = greedy_code(ctx, n, m_max, d_min, seed=seed)
         assert code.codewords == serial_greedy_code(ctx, n, m_max, d_min, seed)
+
+
+@pytest.mark.parametrize("ctx, n, m_max, d_min", [(F2, 5, 3, 3), (F3, 4, 3, 3)])
+def test_greedy_strikes_layers_over_several_cross_blocks(ctx, n, m_max, d_min):
+    # a small entry limit splits each kept x layer pairing into blocks of rows and of columns
+    with mock.patch.object(lattice, "DEFAULT_STATE_LIMIT", 40):
+        code = greedy_code(ctx, n, m_max, d_min, seed=1)
+    assert code.codewords == serial_greedy_code(ctx, n, m_max, d_min, 1)
 
 
 def test_greedy_needs_a_nonnegative_dimension():

@@ -238,7 +238,7 @@ def test_pairwise_distances_over_several_row_blocks(ctx, n, m):
 )
 def test_cross_pairing_matches_distance_loop(q, n, sizes, pads, limit, seed):
     # T = 1, U = 1 and zero words on either side; each stack padded to its own depth,
-    # and a small entry limit splits the rows into blocks
+    # and a small entry limit splits the rows, and columns too, into blocks
     ctx = {2: F2, 3: F3, 4: F4, 16: F16}[q]
     rng = np.random.default_rng(seed)
 
@@ -253,8 +253,16 @@ def test_cross_pairing_matches_distance_loop(q, n, sizes, pads, limit, seed):
     assert (xstack.masks is not None) == (q ** n <= MASK_VECTORS)
     with mock.patch.object(lattice, "DEFAULT_STATE_LIMIT", limit):
         d = xstack.cross(ystack)
+        blocks = list(xstack.cross_blocks(ystack))
     assert d.dtype == np.int64 and d.shape == (len(xs), len(ys))
     assert d.tolist() == [[distance(x, y) for y in ys] for x in xs]
+    # the blocks tile the matrix once, each within the limit unless it holds a single pair
+    per_pair = 1 if xstack.masks is not None else (xstack.bases.shape[1] + ystack.bases.shape[1]) * n
+    tiles = np.zeros(d.shape, dtype=np.int64)
+    for rows, cols, block in blocks:
+        assert block.size == 1 or block.size * per_pair <= limit
+        tiles[rows, cols] += 1
+    assert (tiles == 1).all()
 
 
 @settings(max_examples=60, deadline=None)
