@@ -35,13 +35,11 @@ from .fields import Embedding, FieldCtx, FieldElement, extension, field, parse_f
 from .linalg import (
     DEFAULT_STATE_LIMIT,
     FqMatrix,
-    FqVector,
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
     is_rref,
     rref,
-    span,
     subspace_distance,
     subspace_leq,
 )
@@ -69,6 +67,7 @@ from .lattice import (
     mspan,
     multiset_leq,
     pairwise_distances,
+    span,
 )
 from .qpoly import (
     LinearizedPoly,

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 
-from .channel import ChannelConfig, end_to_end, run_trials, write_trial_csv
+from .channel import MODES, ChannelConfig, end_to_end, run_trials, write_trial_csv
 from .codes import (
     MultispaceCode,
     ball_size,
@@ -96,31 +96,27 @@ def _digit_limit_error(limit) -> ConfigInvalid:
     return ConfigInvalid(f"values pass Python's limit of {limit} decimal digits for printing an int")
 
 
-def _has_int_of(obj, bound: int) -> bool:
-    """True iff an int in the JSON-like obj has absolute value at least bound."""
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, list):
-        return any(_has_int_of(v, bound) for v in obj)
-    return isinstance(obj, int) and abs(obj) >= bound
+def _text(render) -> str:
+    """render(), with an int too long for Python to print (past
+    sys.get_int_max_str_digits()) turned into an input error, not a traceback.
+
+    Every output is formatted through here before its file is opened, so an
+    error writes nothing.
+    """
+    try:
+        return render()
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise _digit_limit_error(sys.get_int_max_str_digits()) from exc
 
 
 def _emit(args, doc: dict, table):
-    """Write doc as JSON, or the lines table() returns under any other format.
-
-    Every output goes through here, so an int too long for Python to print
-    (sys.get_int_max_str_digits(), 0 = no limit) is an input error found
-    before anything is formatted, not a traceback.
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit and _has_int_of(doc, 10 ** limit):
-        raise _digit_limit_error(limit)
+    """Write doc as JSON, or the lines table() returns under any other format."""
     fmt = _pick_format(args)
+    text = _text(lambda: json.dumps(doc, indent=2) if fmt == "json" else "\n".join(table()))
     with _output_file(args.output) as fh:
-        if fmt == "json":
-            fh.write(json.dumps(doc, indent=2) + "\n")
-        else:
-            fh.write("\n".join(table()) + "\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +247,9 @@ def cmd_search(args) -> int:
 
     if args.output:
         # --output names the code file; the stats summary goes to stdout
+        text = _text(lambda: json.dumps(doc, indent=2))
         with _output_file(args.output) as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(text + "\n")
         args.output = None
         doc = {"written": True, "size": len(code), "min_distance": verified, "packing_bound": bound}
     _emit(args, doc, table)
@@ -377,7 +374,7 @@ def build_parser() -> _Parser:
 
     sp = add("simulate", cmd_simulate, help="channel simulation against a code file")
     sp.add_argument("code")
-    sp.add_argument("--mode", choices=["full-rank", "deletion", "rank-deficient", "compound"], required=True)
+    sp.add_argument("--mode", choices=MODES, required=True)
     sp.add_argument("--s", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)

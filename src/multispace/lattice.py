@@ -22,7 +22,6 @@ from .errors import ConfigInvalid, DimensionMismatch, FormatError, RankZero
 from .fields import FieldCtx, parse_field_spec
 from .linalg import (
     DEFAULT_STATE_LIMIT,
-    FqVector,
     Subspace,
     _check_budget,
     _odometer,
@@ -33,7 +32,6 @@ from .linalg import (
     gaussian_binomial,
     matmul_arrays,
     rref_batch,
-    span,
     subspace_distance,
 )
 
@@ -55,10 +53,6 @@ class VectorMultiset:
         self.n = n
         self.matrix = _rows_array(ctx, n, rows)
         self.matrix.flags.writeable = False
-
-    @property
-    def vectors(self):
-        return tuple(FqVector(self.ctx, row) for row in self.matrix)
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -203,6 +197,13 @@ class Multispace:
 # ---------------------------------------------------------------------------
 # Multispan
 # ---------------------------------------------------------------------------
+
+def span(b: VectorMultiset) -> Subspace:
+    """Canonical span of the rows of a vector multiset."""
+    if not isinstance(b, VectorMultiset):
+        raise TypeError("span takes a VectorMultiset")
+    return Subspace.from_array(b.ctx, b.n, b.matrix)
+
 
 def mspan(b: VectorMultiset) -> Multispace:
     """Multispan: underlying space is the span, height is |b| - dim."""

@@ -1,6 +1,7 @@
-"""Vectors, matrices and canonical subspaces over GF(q).
+"""Matrices and canonical subspaces over GF(q).
 
-Matrices are numpy arrays of integer encodings tied to a FieldCtx.
+Matrices are numpy arrays of integer encodings tied to a FieldCtx, and a
+vector is one row of such an array.
 A Subspace is always stored through its reduced-row-echelon basis with
 zero rows dropped, so equality and hashing are structural.
 """
@@ -12,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError, LimitExceeded, NotCanonical
-from .fields import FieldCtx, FieldElement, parse_field_spec
+from .fields import FieldCtx, parse_field_spec
 
 #: The one enumeration budget: no enumerator yields more items than this.
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -90,69 +91,6 @@ def _pad_stack(arrays, shape) -> np.ndarray:
     for t, a in enumerate(arrays):
         out[t, : a.shape[0], : a.shape[1]] = a
     return out
-
-
-class FqVector:
-    """A vector in GF(q)^n, stored as an array of element encodings."""
-
-    __slots__ = ("ctx", "coords")
-
-    def __init__(self, ctx: FieldCtx, coords):
-        self.ctx = ctx
-        self.coords = _as_array(ctx, coords).reshape(-1)
-        self.coords.flags.writeable = False
-
-    @classmethod
-    def zero(cls, ctx, n):
-        return cls(ctx, np.zeros(n, dtype=np.int64))
-
-    @classmethod
-    def unit(cls, ctx, n, i):
-        c = np.zeros(n, dtype=np.int64)
-        c[i] = 1
-        return cls(ctx, c)
-
-    @property
-    def n(self):
-        return self.coords.shape[0]
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i) -> FieldElement:
-        return FieldElement(int(self.coords[i]), self.ctx)
-
-    def __add__(self, other: "FqVector"):
-        self.ctx.check_same(other.ctx)
-        if self.n != other.n:
-            raise DimensionMismatch("vector lengths differ")
-        return FqVector(self.ctx, self.ctx.add_arr(self.coords, other.coords))
-
-    def __sub__(self, other: "FqVector"):
-        self.ctx.check_same(other.ctx)
-        if self.n != other.n:
-            raise DimensionMismatch("vector lengths differ")
-        return FqVector(self.ctx, self.ctx.sub_arr(self.coords, other.coords))
-
-    def scale(self, c) -> "FqVector":
-        cv = c.value if isinstance(c, FieldElement) else int(c)
-        return FqVector(self.ctx, self.ctx.mul_arr(np.full(self.n, cv, dtype=np.int64), self.coords))
-
-    def is_zero(self):
-        return not self.coords.any()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqVector)
-            and self.ctx == other.ctx
-            and np.array_equal(self.coords, other.coords)
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.coords.tobytes()))
-
-    def __repr__(self):
-        return f"FqVector({list(map(int, self.coords))} over GF({self.ctx.p}^{self.ctx.e}))"
 
 
 class FqMatrix:
@@ -392,12 +330,6 @@ class Subspace:
         stacked = np.vstack([self.basis, _rows_array(self.ctx, self.n, v)])
         return rref_array(self.ctx, stacked)[1] == self.dim
 
-    def contains(self, v: FqVector) -> bool:
-        self.ctx.check_same(v.ctx)
-        if v.n != self.n:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        return self.contains_array(v.coords)
-
     def __le__(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         return self.dim <= other.dim and other.contains_array(self.basis)
@@ -455,29 +387,6 @@ class Subspace:
 # ---------------------------------------------------------------------------
 # Module-level operation names
 # ---------------------------------------------------------------------------
-
-def span(vectors, ctx: FieldCtx | None = None, n: int | None = None) -> Subspace:
-    """Canonical span of a vector multiset / list of FqVector / FqMatrix rows.
-
-    ctx and n are required only when the input carries no vectors.
-    """
-    if hasattr(vectors, "matrix") and hasattr(vectors, "ctx"):  # VectorMultiset
-        return Subspace.from_array(vectors.ctx, vectors.n, vectors.matrix)
-    if isinstance(vectors, FqMatrix):
-        return Subspace.from_array(vectors.ctx, vectors.cols, vectors.array)
-    vecs = list(vectors)
-    if not vecs:
-        if ctx is None or n is None:
-            raise ValueError("empty span needs explicit ctx and n")
-        return Subspace.zero(ctx, n)
-    c0 = vecs[0].ctx
-    n0 = vecs[0].n
-    for v in vecs[1:]:
-        c0.check_same(v.ctx)
-        if v.n != n0:
-            raise DimensionMismatch("mixed vector lengths in span")
-    return Subspace.from_array(c0, n0, np.stack([v.coords for v in vecs]))
-
 
 def subspace_leq(a: Subspace, b: Subspace) -> bool:
     return a <= b

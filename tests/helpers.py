@@ -31,7 +31,6 @@ from multispace.lattice import (
 from multispace.linalg import (
     DEFAULT_STATE_LIMIT,
     FqMatrix,
-    FqVector,
     Subspace,
     _odometer,
     _pad_stack,
@@ -45,7 +44,8 @@ def multiplicity_oracle(b: VectorMultiset, state_limit: int | None = DEFAULT_STA
     """Exact multiplicity function of the multispan, by literal brute force.
 
     Materializes the sum of every one of the q^|b| coefficient tuples and
-    counts them.  Independent of mspan(); used as its test oracle.
+    counts them.  Independent of mspan(); used as its test oracle.  Keys are
+    vectors as tuples of encodings.
     """
     ctx, n, m = b.ctx, b.n, len(b)
     total = ctx.q ** m
@@ -53,14 +53,14 @@ def multiplicity_oracle(b: VectorMultiset, state_limit: int | None = DEFAULT_STA
         raise LimitExceeded(f"q^m = {total} exceeds limit {state_limit}")
     sums = _odometer(ctx, b.matrix)
     if n == 0:
-        return {FqVector(ctx, []): int(total)}
+        return {(): int(total)}
     if ctx.q ** n < 2 ** 62:
         qpow = (ctx.q ** np.arange(n)).astype(np.int64)
         keys = sums @ qpow
         _, idx, counts = np.unique(keys, return_index=True, return_counts=True)
-        return {FqVector(ctx, sums[i]): int(c) for i, c in zip(idx, counts)}
+        return {tuple(sums[i].tolist()): int(c) for i, c in zip(idx, counts)}
     uniq, counts = np.unique(sums, axis=0, return_counts=True)
-    return {FqVector(ctx, row): int(c) for row, c in zip(uniq, counts)}
+    return {tuple(row.tolist()): int(c) for row, c in zip(uniq, counts)}
 
 
 def subspaces_by_entry(ctx, n, k):

@@ -46,7 +46,7 @@ from multispace.lattice import (
     mspan,
     multiset_leq,
 )
-from multispace.linalg import Subspace, span, subspace_distance, subspace_leq
+from multispace.linalg import Subspace, subspace_distance, subspace_leq
 from multispace.qpoly import poly_from_multispace, roots_multiset
 
 F2, F3, F4, F5 = field(2), field(3), field(4 // 2, 2), field(5)
@@ -82,7 +82,7 @@ def test_criterion_02_multiplicity_oracle():
         b = random_multiset(ctx, n, m, rng)
         w = mspan(b)
         mu = multiplicity_oracle(b, state_limit=1 << 16)
-        support = {tuple(v.coords) for v in mu}
+        support = set(mu)
         spanned = {tuple(r) for r in w.underlying.vector_array()}
         uniform = set(mu.values()) == {q ** (m - w.dim)}
         if support != spanned or not uniform or sum(mu.values()) != q ** m:

@@ -44,7 +44,7 @@ from multispace.lattice import (
     enumerate_multispaces,
     mspan,
 )
-from multispace.linalg import DEFAULT_STATE_LIMIT, FqMatrix, FqVector, Subspace, rref_array, subspace_leq
+from multispace.linalg import DEFAULT_STATE_LIMIT, FqMatrix, Subspace, rref_array, subspace_leq
 
 F2 = field(2)
 F3 = field(3)

@@ -327,14 +327,17 @@ def test_count_past_the_int_print_limit_is_an_error(capsys, n, m):
     (["--format", "table", "bound", "2", "300", "150", "1"], 1),
     (["--format", "json", "search", "2", "300", "150", "1"], 2),
     (["--format", "json", "enumerate", "2", "300", "150"], 2),
+    (["--format", "json", "bound", "2", "300", "150", "1", "--output", "{out}"], 1),
 ])
-def test_values_past_the_int_print_limit_exit_cleanly(capsys, argv, exit_code):
-    # bound's packing bound and space size are computed, then refused on output;
-    # search and enumerate are refused by the enumeration budget, whose message
-    # must not print the count itself
-    code, out, err = run(capsys, *argv)
+def test_values_past_the_int_print_limit_exit_cleanly(capsys, tmp_path, argv, exit_code):
+    # bound's packing bound and space size are computed, then refused on output,
+    # which is formatted before its file is opened; search and enumerate are
+    # refused by the enumeration budget, whose message must not print the count itself
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, *(a.format(out=out_file) for a in argv))
     assert code == exit_code and out == "" and "Traceback" not in err
     assert ("decimal digits" in err) if exit_code == 1 else ("at least 2^" in err)
+    assert not out_file.exists()
 
 
 def test_count_just_inside_the_int_print_limit(capsys):

@@ -33,7 +33,7 @@ from multispace.lattice import (
     enumerate_multispaces,
     enumerate_multispaces_up_to,
 )
-from multispace.linalg import FqVector, Subspace, span
+from multispace.linalg import Subspace
 
 F2 = field(2)
 F3 = field(3)

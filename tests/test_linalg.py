@@ -15,11 +15,10 @@ from multispace.errors import (
     NotCanonical,
 )
 from multispace.fields import field
-from multispace.lattice import gaussian_binomial
+from multispace.lattice import VectorMultiset, gaussian_binomial, span
 from multispace.linalg import (
     DEFAULT_STATE_LIMIT,
     FqMatrix,
-    FqVector,
     Subspace,
     _check_budget,
     _subspace_blocks,
@@ -29,7 +28,6 @@ from multispace.linalg import (
     rref,
     rref_array,
     rref_batch,
-    span,
     subspace_distance,
     subspace_leq,
 )
@@ -39,6 +37,11 @@ F3 = field(3)
 F4 = field(2, 2)
 F5 = field(5)
 F16 = field(2, 4)
+E1, E2, E3 = np.eye(3, dtype=np.int64)
+
+
+def span_rows(ctx, *rows):
+    return span(VectorMultiset(ctx, len(rows[0]), rows))
 
 
 def brute_span_vectors(ctx, rows):
@@ -95,12 +98,13 @@ def test_rref_preserves_row_space():
 
 
 def test_span_examples():
-    assert span([], ctx=F2, n=3).dim == 0
-    e1, e2 = FqVector.unit(F2, 3, 0), FqVector.unit(F2, 3, 1)
-    s = span([e1, e1 + e2])
+    assert span(VectorMultiset(F2, 3, [])) == Subspace.zero(F2, 3)
+    s = span_rows(F2, E1, [1, 1, 0])
     assert s.dim == 2 and s.basis.tolist() == [[1, 0, 0], [0, 1, 0]]
-    z = FqVector.zero(F2, 3)
-    assert span([z, z]).dim == 0
+    assert span_rows(F2, [0, 0, 0], [0, 0, 0]).dim == 0
+    for other in ([E1], E1, FqMatrix(F2, [E1])):  # one input: a VectorMultiset
+        with pytest.raises(TypeError):
+            span(other)
 
 
 def test_span_canonical_under_shuffle_and_rescale():
@@ -122,22 +126,20 @@ def test_span_canonical_under_shuffle_and_rescale():
 
 
 def test_subspace_sum_examples():
-    e1, e2 = FqVector.unit(F2, 3, 0), FqVector.unit(F2, 3, 1)
-    a = span([e1])
+    a = span_rows(F2, E1)
     zero = Subspace.zero(F2, 3)
     assert a + zero == a
     assert a + a == a
-    s = span([e1]) + span([e2])
+    s = span_rows(F2, E1) + span_rows(F2, E2)
     assert s.basis.tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_intersection_examples():
-    e1, e2, e3 = (FqVector.unit(F2, 3, i) for i in range(3))
-    a = span([e1, e2])
+    a = span_rows(F2, E1, E2)
     assert a.intersect(a) == a
-    assert span([e1]).intersect(span([e2])).dim == 0
-    got = span([e1, e2]).intersect(span([e2, e3]))
-    assert got == span([e2])
+    assert span_rows(F2, E1).intersect(span_rows(F2, E2)).dim == 0
+    got = span_rows(F2, E1, E2).intersect(span_rows(F2, E2, E3))
+    assert got == span_rows(F2, E2)
 
 
 @pytest.mark.parametrize("ctx,n", [(F2, 4), (F2, 6), (F2, 12), (F3, 3), (F4, 3), (F5, 3)])
@@ -180,15 +182,17 @@ def test_contains_array_refuses_malformed_input():
 
 def test_contains_and_leq():
     zero = Subspace.zero(F2, 3)
-    assert zero.contains(FqVector.zero(F2, 3))
-    e1, e2 = FqVector.unit(F2, 3, 0), FqVector.unit(F2, 3, 1)
-    assert not span([e1]).contains(e2)
-    v = FqVector(F3, [1, 1, 0])
-    assert span([v]).contains(v.scale(2))  # scalar closure in GF(3)
-    assert subspace_leq(zero, span([e1]))
-    assert subspace_leq(span([e1]), span([e1, e2]))
-    assert not subspace_leq(span([e1, e2]), span([e1]))
-    assert not subspace_leq(span([e2]), span([e1]))
+    assert zero.contains_array([0, 0, 0])
+    assert not span_rows(F2, E1).contains_array(E2)
+    v = [1, 1, 0]
+    line = span_rows(F3, v)
+    for c in range(3):  # scalar closure in GF(3)
+        assert line.contains_array([F3.mul(c, x) for x in v])
+    assert not line.contains_array([1, 2, 0])
+    assert subspace_leq(zero, span_rows(F2, E1))
+    assert subspace_leq(span_rows(F2, E1), span_rows(F2, E1, E2))
+    assert not subspace_leq(span_rows(F2, E1, E2), span_rows(F2, E1))
+    assert not subspace_leq(span_rows(F2, E2), span_rows(F2, E1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -223,7 +227,14 @@ def test_contains_and_leq_match_member_sets(ctx, n, rand):
     members = {tuple(v) for v in b.vector_array()}
     assert (a <= b) == members.issuperset(tuple(v) for v in a.vector_array())
     for v in rng.integers(0, ctx.q, size=(4, n)):
-        assert b.contains(FqVector(ctx, v)) == (tuple(v) in members)
+        assert b.contains_array(v) == (tuple(v) in members)
+    # a stack of 0-4 members, one of them replaced by a random vector half the time,
+    # lies in b exactly when every row does
+    vecs = b.vector_array()
+    stack = vecs[rng.integers(0, len(vecs), size=int(rng.integers(0, 5)))]
+    if len(stack) and rng.random() < 0.5:
+        stack[rng.integers(0, len(stack))] = rng.integers(0, ctx.q, size=n)
+    assert b.contains_array(stack) == members.issuperset(map(tuple, stack))
 
 
 @settings(max_examples=200, deadline=None)
@@ -368,8 +379,7 @@ def test_matmul_of_stacks_is_the_product_of_each_entry(ctx):
 
 
 def test_subspace_json_round_trip():
-    e1, e2 = FqVector.unit(F4, 3, 0), FqVector.unit(F4, 3, 1)
-    s = span([e1.scale(2), e2])
+    s = span_rows(F4, [2, 0, 0], E2)
     d = s.to_dict()
     assert d["q-spec"] == "2^2/7"
     assert Subspace.from_dict(d) == s
@@ -381,18 +391,3 @@ def test_subspace_json_strict_rejects_noncanonical():
         Subspace.from_dict(bad)
     fixed = Subspace.from_dict(bad, strict=False)
     assert fixed == Subspace.full(F3, 2)
-
-
-def test_vector_operations_and_errors():
-    v = FqVector(F3, [1, 2, 0])
-    w = FqVector(F3, [2, 2, 1])
-    assert (v + w).coords.tolist() == [0, 1, 1]
-    assert (v - w).coords.tolist() == [2, 0, 2]
-    assert v.scale(2).coords.tolist() == [2, 1, 0]
-    assert v[1].value == 2
-    with pytest.raises(DimensionMismatch):
-        v + FqVector(F3, [1, 2])
-    with pytest.raises(ContextMismatch):
-        v + FqVector(F2, [1, 0, 1])
-    with pytest.raises(ValueError):
-        FqVector(F3, [5, 0, 0])
