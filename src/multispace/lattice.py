@@ -5,10 +5,10 @@ subspace and every member has the same multiplicity q^t.  It is stored
 losslessly as (underlying subspace, height t); rank = dim + height and
 the multiset has q^rank members counted with multiplicity.
 
-This module provides the multispan operator, the graded modular lattice
-of all multispaces with meet/join/rank/distance, counting and cover
-formulas, deterministic enumeration, Hasse-diagram export, and the
-distance-2 graph with a distance-regularity checker.
+This module provides the span and multispan of a vector multiset, the
+graded modular lattice of all multispaces with meet/join/rank/distance,
+counting and cover formulas, deterministic enumeration, Hasse-diagram
+export, and the distance-2 graph with a distance-regularity checker.
 """
 
 import functools
