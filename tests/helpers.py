@@ -2,7 +2,7 @@
 lattice poset, covers by containment, RREF by definition, the packing bound
 over every BFS ball, the greedy code by single distances and by one
 elimination per candidate, the channel's trial-by-trial loop and the literal
-root product."""
+root product.  Also span_rows, the span of a few row vectors."""
 
 from itertools import combinations, product
 
@@ -27,6 +27,7 @@ from multispace.lattice import (
     enumerate_multispaces_up_to,
     mspan,
     multiset_leq,
+    span,
 )
 from multispace.linalg import (
     DEFAULT_STATE_LIMIT,
@@ -38,6 +39,11 @@ from multispace.linalg import (
     rref_batch,
 )
 from multispace.qpoly import vector_field_iso
+
+
+def span_rows(ctx, *rows):
+    """The span of the given row vectors, through span's one input."""
+    return span(VectorMultiset(ctx, len(rows[0]), rows))
 
 
 def multiplicity_oracle(b: VectorMultiset, state_limit: int | None = DEFAULT_STATE_LIMIT) -> dict:

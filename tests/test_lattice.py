@@ -17,6 +17,7 @@ from helpers import (
     poset_elements,
     random_multiset,
     random_multispace,
+    span_rows,
 )
 from multispace import lattice
 from multispace.errors import FormatError, LimitExceeded, RankZero
@@ -54,10 +55,6 @@ F4 = field(2, 2)
 F16 = field(2, 4)
 
 E1, E2 = np.eye(3, dtype=np.int64)[:2]
-
-
-def f2_span(*rows):
-    return span(VectorMultiset(F2, 3, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +125,7 @@ def test_multiplicity_oracle_limit():
 # ---------------------------------------------------------------------------
 
 def test_meet_examples():
-    a = Multispace(f2_span(E1), 0)
+    a = Multispace(span_rows(F2, E1), 0)
     b = Multispace(Subspace.zero(F2, 3), 1)
     bottom = Multispace.bottom(F2, 3)
     assert meet(a, a) == a
@@ -138,11 +135,11 @@ def test_meet_examples():
 
 def test_join_examples():
     bottom = Multispace.bottom(F2, 3)
-    a = Multispace(f2_span(E1), 0)
-    b = Multispace(f2_span(E2), 1)
+    a = Multispace(span_rows(F2, E1), 0)
+    b = Multispace(span_rows(F2, E2), 1)
     assert join(a, bottom) == a
     j = join(a, b)
-    assert j == Multispace(f2_span(E1, E2), 1) and j.rank == 3
+    assert j == Multispace(span_rows(F2, E1, E2), 1) and j.rank == 3
 
 
 def test_rank_valuation_random():
@@ -155,15 +152,15 @@ def test_rank_valuation_random():
 
 
 def test_distance_examples():
-    a = Multispace(f2_span(E1), 0)
+    a = Multispace(span_rows(F2, E1), 0)
     b = Multispace(Subspace.zero(F2, 3), 1)
     assert distance(a, a) == 0
     assert distance(a, b) == 2
     # height-0 pairs: plain subspace distance
     rng = np.random.default_rng(1)
     for _ in range(20):
-        s1 = Multispace(f2_span(rng.integers(0, 2, 3)), 0)
-        s2 = Multispace(f2_span(rng.integers(0, 2, 3)), 0)
+        s1 = Multispace(span_rows(F2, rng.integers(0, 2, 3)), 0)
+        s2 = Multispace(span_rows(F2, rng.integers(0, 2, 3)), 0)
         assert distance(s1, s2) == subspace_distance(s1.underlying, s2.underlying)
 
 
@@ -286,8 +283,8 @@ def test_gamma_graph_distances_match_per_source_bfs(ctx, n, m):
 
 def test_multiset_leq_examples():
     bottom = Multispace.bottom(F2, 3)
-    a = Multispace(f2_span(E1), 1)
-    b = Multispace(f2_span(E1), 0)
+    a = Multispace(span_rows(F2, E1), 1)
+    b = Multispace(span_rows(F2, E1), 0)
     assert multiset_leq(bottom, a)
     assert not multiset_leq(a, b)  # multiplicity 2 > 1
     assert multiset_leq(b, a)
@@ -541,7 +538,7 @@ def test_gamma_graph_distance_is_half_metric():
 # ---------------------------------------------------------------------------
 
 def test_multispace_json_round_trip():
-    w = Multispace(f2_span(E1, E2), 2)
+    w = Multispace(span_rows(F2, E1, E2), 2)
     d = w.to_dict()
     assert d["height"] == 2
     assert Multispace.from_dict(d) == w

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from helpers import is_rref_by_definition, subspaces_by_entry
+from helpers import is_rref_by_definition, span_rows, subspaces_by_entry
 from hypothesis import given, settings, strategies as st
 
 from multispace.errors import (
@@ -38,10 +38,6 @@ F4 = field(2, 2)
 F5 = field(5)
 F16 = field(2, 4)
 E1, E2, E3 = np.eye(3, dtype=np.int64)
-
-
-def span_rows(ctx, *rows):
-    return span(VectorMultiset(ctx, len(rows[0]), rows))
 
 
 def brute_span_vectors(ctx, rows):

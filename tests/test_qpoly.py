@@ -10,6 +10,7 @@ from helpers import (
     literal_product,
     random_multispace,
     root_multiplicities_by_division,
+    span_rows,
 )
 from multispace import fields, qpoly
 from multispace.errors import (
@@ -20,7 +21,7 @@ from multispace.errors import (
     RootsNotInField,
 )
 from multispace.fields import extension, field
-from multispace.lattice import Multispace, VectorMultiset, enumerate_multispaces, span
+from multispace.lattice import Multispace, enumerate_multispaces
 from multispace.linalg import Subspace, _odometer
 from multispace.qpoly import (
     LinearizedPoly,
@@ -58,7 +59,7 @@ def test_height_one_zero_space_gives_x_squared():
 
 
 def test_line_in_f4():
-    w = Multispace(span(VectorMultiset(F2, 2, [[1, 0]])), 0)
+    w = Multispace(span_rows(F2, [1, 0]), 0)
     L = poly_from_multispace(w)
     assert sorted(L.coeffs) == [0, 1]  # exponents {q^0, q^1} = {1, 2}
     phi_v = vector_field_iso(F2, 2).to_field_array(np.array([[1, 0]]))[0]
@@ -97,7 +98,7 @@ def test_x_q_minus_x_recovers_the_base_line():
         L = LinearizedPoly(ctx.q, big, {1: 1, 0: big.neg(1)})
         w = roots_multiset(L)
         assert w.height == 0
-        assert w.underlying == span(VectorMultiset(ctx, n, np.eye(n, dtype=np.int64)[:1]))
+        assert w.underlying == span_rows(ctx, np.eye(n, dtype=np.int64)[0])
 
 
 def test_eval_is_linear_and_matches_dense():
@@ -122,7 +123,7 @@ def test_eval_is_linear_and_matches_dense():
 
 
 def test_multiplicities_by_synthetic_division():
-    w = Multispace(span(VectorMultiset(F2, 2, [[1, 0]])), 2)  # two roots, multiplicity 4
+    w = Multispace(span_rows(F2, [1, 0]), 2)  # two roots, multiplicity 4
     dense = dense_of(poly_from_multispace(w))
     mults = root_multiplicities_by_division(dense)
     assert set(mults.values()) == {4}
