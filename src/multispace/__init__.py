@@ -31,15 +31,13 @@ from .errors import (
     ShapeViolation,
     TooFewCodewords,
 )
-from .fields import Embedding, FieldCtx, FieldElement, extension, field, parse_field_spec
+from .fields import Embedding, FieldCtx, extension, field, parse_field_spec
 from .linalg import (
     DEFAULT_STATE_LIMIT,
-    FqMatrix,
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
     is_rref,
-    rref,
     subspace_distance,
     subspace_leq,
 )

@@ -27,10 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, ConfigInvalid, SamplingFailed, ShapeMismatch, ShapeViolation
+from .errors import (
+    BoundViolation,
+    ConfigInvalid,
+    DimensionMismatch,
+    SamplingFailed,
+    ShapeMismatch,
+    ShapeViolation,
+)
 from .fields import FieldCtx
 from .lattice import Multispace, VectorMultiset, _WordStack, mspan
-from .linalg import DEFAULT_STATE_LIMIT, FqMatrix, _check_budget, _pad_stack, matmul_arrays, rref_batch
+from .linalg import DEFAULT_STATE_LIMIT, _as_array, _check_budget, _pad_stack, matmul_arrays, rref_batch
 
 #: mode -> (rank the sent multispace needs, proven distance bound), in units of s;
 #: a bound of None means the mode is observational only
@@ -130,17 +137,20 @@ class ChannelRun:
 # Transforms and random matrices
 # ---------------------------------------------------------------------------
 
-def apply_transform(b: VectorMultiset, T: FqMatrix) -> VectorMultiset:
-    """b'_j = sum_i T[i][j] b_i; output has one vector per column of T."""
-    b.ctx.check_same(T.ctx)
-    if T.rows != len(b):
-        raise ShapeMismatch(f"T has {T.rows} rows but the multiset has {len(b)} vectors")
-    out = matmul_arrays(b.ctx, T.array.T, b.matrix)
+def apply_transform(b: VectorMultiset, T) -> VectorMultiset:
+    """b'_j = sum_i T[i][j] b_i for a matrix T of encodings over b's field;
+    output has one vector per column of T."""
+    T = _as_array(b.ctx, T)
+    if T.ndim != 2:
+        raise DimensionMismatch(f"T has shape {T.shape}; it must be two-dimensional")
+    if len(T) != len(b):
+        raise ShapeMismatch(f"T has {len(T)} rows but the multiset has {len(b)} vectors")
+    out = matmul_arrays(b.ctx, T.T, b.matrix)
     return VectorMultiset(b.ctx, b.n, out)
 
 
-def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> FqMatrix:
-    return FqMatrix(ctx, rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64))
+def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> np.ndarray:
+    return rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64)
 
 
 def _full_rank_batch(ctx: FieldCtx, rngs, rows, cols, max_tries: int) -> np.ndarray:
@@ -191,16 +201,16 @@ def _rank_batch(ctx: FieldCtx, rngs, rows, cols, r, max_tries: int) -> np.ndarra
     return out
 
 
-def random_full_rank(ctx: FieldCtx, m: int, rng, max_tries: int = _MAX_TRIES) -> FqMatrix:
+def random_full_rank(ctx: FieldCtx, m: int, rng, max_tries: int = _MAX_TRIES) -> np.ndarray:
     """Uniform invertible m x m matrix by rejection (success rate > 0.288)."""
-    return FqMatrix(ctx, _full_rank_batch(ctx, [rng], [m], [m], max_tries)[0])
+    return _full_rank_batch(ctx, [rng], [m], [m], max_tries)[0]
 
 
-def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int = _MAX_TRIES) -> FqMatrix:
+def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int = _MAX_TRIES) -> np.ndarray:
     """Random rows x cols matrix of exact rank r, as a full-rank A (rows x r) times B (r x cols)."""
     if r > min(rows, cols) or r < 0:
         raise ConfigInvalid(f"rank {r} impossible for a {rows}x{cols} matrix")
-    return FqMatrix(ctx, _rank_batch(ctx, [rng], [rows], [cols], [r], max_tries)[0])
+    return _rank_batch(ctx, [rng], [rows], [cols], [r], max_tries)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,6 @@ class FieldCtx:
     """Immutable description of GF(p^e) plus precomputed arithmetic tables.
 
     Construct through :func:`field` so equal parameters share one instance.
-    Raw integer encodings are accepted everywhere; :class:`FieldElement`
-    is the ergonomic wrapper used at API boundaries.
     """
 
     def __init__(self, p: int, e: int = 1, modulus: int | None = None):
@@ -223,9 +221,6 @@ class FieldCtx:
             # digit tables for characteristic-p addition in odd extensions
             self._dig = _digits(np.arange(q), p, e)
             self._neg = -self._dig % p @ self._pvec
-        # zero/one shortcuts
-        self.zero = 0
-        self.one = 1
 
     # -- identity ------------------------------------------------------------
 
@@ -251,10 +246,6 @@ class FieldCtx:
     def check_same(self, other: "FieldCtx"):
         if self != other:
             raise ContextMismatch(f"field contexts differ: {self} vs {other}")
-
-    def check_value(self, v: int):
-        if not 0 <= v < self.q:
-            raise ValueError(f"encoding {v} out of range for {self}")
 
     # -- scalar arithmetic on encodings ---------------------------------------
 
@@ -313,8 +304,8 @@ class FieldCtx:
         k = pow(b, i, self.q - 1) if self.q > 2 else 0
         return self._exp[(self._log[a] * k) % (self.q - 1)]
 
-    def _check_power_base(self, base: int):
-        # base must be p^j and q must be a power of base
+    def _check_power_base(self, base: int) -> int:
+        """The degree j of base = p^j over GF(p); q must be a power of base."""
         b, p = base, self.p
         j = 0
         while b > 1 and b % p == 0:
@@ -322,6 +313,7 @@ class FieldCtx:
             j += 1
         if b != 1 or j == 0 or self.e % j != 0:
             raise ContextMismatch(f"{base} is not a valid tower base for {self}")
+        return j
 
     # -- vectorized arithmetic on arrays of encodings --------------------------
 
@@ -379,84 +371,6 @@ class FieldCtx:
         k = pow(b, i, self.q - 1)
         out = self._exp_np[(self._log_np[a] * k) % (self.q - 1)]
         return np.where(a == 0, 0, out)
-
-    # -- element factory -------------------------------------------------------
-
-    def element(self, v: int) -> "FieldElement":
-        self.check_value(v)
-        return FieldElement(v, self)
-
-
-class FieldElement:
-    """An element of a fixed GF(q), wrapping its integer encoding."""
-
-    __slots__ = ("value", "ctx")
-
-    def __init__(self, value: int, ctx: FieldCtx):
-        self.value = value
-        self.ctx = ctx
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            self.ctx.check_same(other.ctx)
-            return other.value
-        if isinstance(other, (int, np.integer)):
-            self.ctx.check_value(int(other))
-            return int(other)
-        raise TypeError(f"cannot combine FieldElement with {type(other)!r}")
-
-    def __add__(self, other):
-        return FieldElement(self.ctx.add(self.value, self._coerce(other)), self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.ctx.sub(self.value, self._coerce(other)), self.ctx)
-
-    def __rsub__(self, other):
-        return FieldElement(self.ctx.sub(self._coerce(other), self.value), self.ctx)
-
-    def __mul__(self, other):
-        return FieldElement(self.ctx.mul(self.value, self._coerce(other)), self.ctx)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.ctx.div(self.value, self._coerce(other)), self.ctx)
-
-    def __neg__(self):
-        return FieldElement(self.ctx.neg(self.value), self.ctx)
-
-    def __pow__(self, k: int):
-        return FieldElement(self.ctx.pow(self.value, k), self.ctx)
-
-    def inverse(self):
-        return FieldElement(self.ctx.inv(self.value), self.ctx)
-
-    def frobenius(self, i: int = 1, base: int | None = None):
-        return FieldElement(self.ctx.frobenius(self.value, i, base), self.ctx)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.value == other.value
-        if isinstance(other, (int, np.integer)):
-            return self.value == int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.ctx))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __index__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"GF({self.ctx.p}^{self.ctx.e}:{self.value})" if self.ctx.e > 1 else f"GF({self.ctx.p}:{self.value})"
 
 
 def field(p: int, e: int = 1, modulus: int | None = None) -> FieldCtx:
@@ -558,10 +472,6 @@ class Embedding:
 
     def embed_int(self, v: int) -> int:
         return int(self.table[v])
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        self.small.check_same(x.ctx)
-        return FieldElement(int(self.table[x.value]), self.big)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,13 +1,12 @@
 """Matrices and canonical subspaces over GF(q).
 
-Matrices are numpy arrays of integer encodings tied to a FieldCtx, and a
-vector is one row of such an array.
+Matrices are int64 numpy arrays of integer encodings, passed along with
+their FieldCtx, and a vector is one row of such an array.
 A Subspace is always stored through its reduced-row-echelon basis with
 zero rows dropped, so equality and hashing are structural.
 """
 
 import functools
-from collections.abc import Sequence
 from itertools import combinations
 
 import numpy as np
@@ -62,9 +61,12 @@ def _odometer(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
 
 def _as_array(ctx: FieldCtx, rows) -> np.ndarray:
     try:
-        a = np.asarray(rows, dtype=np.int64)
+        raw = np.asarray(rows)
+        a = raw.astype(np.int64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"entries are not integer encodings: {exc}") from exc
+    if raw.size and raw.dtype.kind not in "biuO":  # a cast would truncate 1.5 or parse "1"
+        raise FormatError(f"entries of dtype {raw.dtype} are not integer encodings")
     if a.size and (a.min() < 0 or a.max() >= ctx.q):
         raise FormatError(f"encodings out of range for {ctx}")
     return a
@@ -91,71 +93,6 @@ def _pad_stack(arrays, shape) -> np.ndarray:
     for t, a in enumerate(arrays):
         out[t, : a.shape[0], : a.shape[1]] = a
     return out
-
-
-class FqMatrix:
-    """A rows x cols matrix over GF(q)."""
-
-    __slots__ = ("ctx", "array")
-
-    def __init__(self, ctx: FieldCtx, entries):
-        self.ctx = ctx
-        a = _as_array(ctx, entries)
-        if a.ndim != 2:
-            raise DimensionMismatch("matrix entries must be two-dimensional")
-        self.array = a
-        self.array.flags.writeable = False
-
-    @classmethod
-    def zeros(cls, ctx, rows, cols):
-        return cls(ctx, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, ctx, n):
-        return cls(ctx, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_rows(cls, ctx, rows: Sequence[Sequence[int]]):
-        return cls(ctx, [list(map(int, r)) for r in rows])
-
-    @property
-    def rows(self):
-        return self.array.shape[0]
-
-    @property
-    def cols(self):
-        return self.array.shape[1]
-
-    @property
-    def shape(self):
-        return self.array.shape
-
-    @property
-    def T(self):
-        return FqMatrix(self.ctx, self.array.T.copy())
-
-    def __matmul__(self, other: "FqMatrix"):
-        self.ctx.check_same(other.ctx)
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        return FqMatrix(self.ctx, matmul_arrays(self.ctx, self.array, other.array))
-
-    def rank(self) -> int:
-        return rref_array(self.ctx, self.array)[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqMatrix)
-            and self.ctx == other.ctx
-            and self.shape == other.shape
-            and np.array_equal(self.array, other.array)
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.shape, self.array.tobytes()))
-
-    def __repr__(self):
-        return f"FqMatrix({self.array.tolist()} over GF({self.ctx.p}^{self.ctx.e}))"
 
 
 def matmul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,12 +172,6 @@ def rref_batch(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), cols)
     order = np.argsort(lead, axis=1, kind="stable")
     return a[entries[:, None], order], rows - free.sum(axis=1)
-
-
-def rref(m: FqMatrix) -> tuple[FqMatrix, int]:
-    """RREF of a matrix (same shape, zero rows kept) and its rank."""
-    a, rank, _ = rref_array(m.ctx, m.array)
-    return FqMatrix(m.ctx, a), rank
 
 
 def is_rref(ctx: FieldCtx, a: np.ndarray) -> bool:

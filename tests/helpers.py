@@ -31,10 +31,10 @@ from multispace.lattice import (
 )
 from multispace.linalg import (
     DEFAULT_STATE_LIMIT,
-    FqMatrix,
     Subspace,
     _odometer,
     _pad_stack,
+    matmul_arrays,
     rref_array,
     rref_batch,
 )
@@ -204,28 +204,29 @@ def serial_greedy_code(ctx, n, m_max, d_min, seed):
 # The channel one trial and one elimination at a time
 # ---------------------------------------------------------------------------
 
-def full_rank_draw(ctx, rows, cols, rng, max_tries=1000) -> FqMatrix:
+def full_rank_draw(ctx, rows, cols, rng, max_tries=1000) -> np.ndarray:
     """Uniform rows x cols matrix of rank min(rows, cols), by rejection."""
     for _ in range(max_tries):
         cand = random_matrix(ctx, rows, cols, rng)
-        if rref_array(ctx, cand.array)[1] == min(rows, cols):
+        if rref_array(ctx, cand)[1] == min(rows, cols):
             return cand
     raise SamplingFailed(f"rejection sampling failed to find a full-rank {rows}x{cols} matrix")
 
 
-def rank_draw(ctx, rows, cols, r, rng, max_tries=1000) -> FqMatrix:
+def rank_draw(ctx, rows, cols, r, rng, max_tries=1000) -> np.ndarray:
     """Random rows x cols matrix of exact rank r, as a full-rank A (rows x r) times B (r x cols)."""
     if r > min(rows, cols) or r < 0:
         raise ConfigInvalid(f"rank {r} impossible for a {rows}x{cols} matrix")
     if r == 0:
-        return FqMatrix.zeros(ctx, rows, cols)
-    out = full_rank_draw(ctx, rows, r, rng, max_tries) @ full_rank_draw(ctx, r, cols, rng, max_tries)
-    if rref_array(ctx, out.array)[1] != r:
+        return np.zeros((rows, cols), dtype=np.int64)
+    a = full_rank_draw(ctx, rows, r, rng, max_tries)
+    out = matmul_arrays(ctx, a, full_rank_draw(ctx, r, cols, rng, max_tries))
+    if rref_array(ctx, out)[1] != r:
         raise ShapeViolation(f"product of full-rank factors lost rank {r}")
     return out
 
 
-def effective_transform(ctx, m, cfg, rng, max_tries=1000) -> FqMatrix:
+def effective_transform(ctx, m, cfg, rng, max_tries=1000) -> np.ndarray:
     """The channel matrix of one trial, drawn stage by stage."""
     s = cfg.s
     if cfg.mode == "full-rank":
@@ -234,10 +235,10 @@ def effective_transform(ctx, m, cfg, rng, max_tries=1000) -> FqMatrix:
         return rank_draw(ctx, m, m, m - s, rng, max_tries)
     mix = full_rank_draw(ctx, m, m, rng, max_tries)
     keep = np.sort(rng.permutation(m)[: m - s])
-    stage1 = FqMatrix(ctx, mix.array[:, keep])
+    stage1 = mix[:, keep]
     if cfg.mode == "deletion":
         return stage1
-    return stage1 @ rank_draw(ctx, m - s, m - s, m - 2 * s, rng, max_tries)  # compound
+    return matmul_arrays(ctx, stage1, rank_draw(ctx, m - s, m - s, m - 2 * s, rng, max_tries))  # compound
 
 
 def _serial_trial_ok(cfg, sent, received, d) -> bool:
@@ -251,7 +252,7 @@ def _serial_trial_ok(cfg, sent, received, d) -> bool:
 
 
 def serial_trial_loop(cfg, pick, code=None, max_tries=1000) -> ChannelRun:
-    """The channel trial loop one trial at a time, with FqMatrix, apply_transform,
+    """The channel trial loop one trial at a time, with matmul_arrays, apply_transform,
     mspan, distance and decode per trial; the oracle of channel._trial_loop,
     taking the same pick(rng) -> (sent multispace, generating (m, n) array)."""
     bound = _bound_for(cfg)

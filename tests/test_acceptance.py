@@ -44,7 +44,6 @@ from multispace.lattice import (
     join,
     meet,
     mspan,
-    multiset_leq,
 )
 from multispace.linalg import Subspace, subspace_distance, subspace_leq
 from multispace.qpoly import poly_from_multispace, roots_multiset

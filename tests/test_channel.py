@@ -21,7 +21,6 @@ from multispace.channel import (
     ChannelRun,
     raise_on_violation,
     random_full_rank,
-    random_matrix,
     random_rank,
     run_trials,
     write_trial_csv,
@@ -31,6 +30,8 @@ from multispace.codes import MultispaceCode, greedy_code
 from multispace.errors import (
     BoundViolation,
     ConfigInvalid,
+    DimensionMismatch,
+    FormatError,
     LimitExceeded,
     MultispaceError,
     SamplingFailed,
@@ -44,7 +45,7 @@ from multispace.lattice import (
     enumerate_multispaces,
     mspan,
 )
-from multispace.linalg import DEFAULT_STATE_LIMIT, FqMatrix, Subspace, rref_array, subspace_leq
+from multispace.linalg import DEFAULT_STATE_LIMIT, Subspace, rref_array, subspace_leq
 
 F2 = field(2)
 F3 = field(3)
@@ -57,17 +58,34 @@ NEED_PER_S = {"full-rank": 0, "deletion": 1, "rank-deficient": 1, "compound": 2}
 
 def test_apply_transform_identity_and_zero():
     b = VectorMultiset(F2, 3, [[1, 0, 0], [0, 1, 0]])
-    assert apply_transform(b, FqMatrix.identity(F2, 2)) == b
-    zeroed = apply_transform(b, FqMatrix.zeros(F2, 2, 3))
+    assert apply_transform(b, np.eye(2, dtype=np.int64)) == b
+    zeroed = apply_transform(b, np.zeros((2, 3), dtype=np.int64))
     assert mspan(zeroed) == Multispace(Subspace.zero(F2, 3), 3)
     with pytest.raises(ShapeMismatch):
-        apply_transform(b, FqMatrix.identity(F2, 3))
+        apply_transform(b, np.eye(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("T, error", [
+    pytest.param([["a", 0], [0, 1]], FormatError, id="string"),
+    pytest.param([[None, 0], [0, 1]], FormatError, id="none"),
+    pytest.param([[1.5, 0], [0, 1]], FormatError, id="float"),
+    pytest.param([[2, 0], [0, 1]], FormatError, id="past-q"),
+    pytest.param([[-1, 0], [0, 1]], FormatError, id="negative"),
+    pytest.param([1, 0], DimensionMismatch, id="1-d"),
+    pytest.param(np.zeros((2, 2, 2), dtype=np.int64), DimensionMismatch, id="3-d"),
+    pytest.param([], DimensionMismatch, id="empty"),
+    pytest.param([[1, 0, 1]], ShapeMismatch, id="one-row-for-two-vectors"),
+])
+def test_apply_transform_refuses_malformed_matrices(T, error):
+    b = VectorMultiset(F2, 3, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(error) as info:
+        apply_transform(b, T)
+    assert isinstance(info.value, MultispaceError)
 
 
 def test_apply_transform_columns_combine():
     b = VectorMultiset(F3, 2, [[1, 0], [0, 1]])
-    t = FqMatrix.from_rows(F3, [[1, 2], [1, 0]])
-    out = apply_transform(b, t)
+    out = apply_transform(b, [[1, 2], [1, 0]])
     # b'_0 = 1*b_0 + 1*b_1, b'_1 = 2*b_0 + 0*b_1
     assert out.matrix.tolist() == [[1, 1], [2, 0]]
 
@@ -88,11 +106,11 @@ def test_random_matrix_ranks():
         assert random_full_rank(ctx, 0, rng).shape == (0, 0)
         for m in (1, 3, 5):
             t = random_full_rank(ctx, m, rng)
-            assert rref_array(ctx, t.array)[1] == m
+            assert rref_array(ctx, t)[1] == m
         for (rows, cols, r) in [(4, 4, 2), (3, 5, 0), (5, 3, 3), (4, 2, 1)]:
             t = random_rank(ctx, rows, cols, r, rng)
             assert t.shape == (rows, cols)
-            assert rref_array(ctx, t.array)[1] == r
+            assert rref_array(ctx, t)[1] == r
     with pytest.raises(ConfigInvalid):
         random_rank(F2, 2, 2, 3, rng)
     # an exhausted try budget is a toolkit error, not a bare RuntimeError
@@ -260,7 +278,7 @@ def test_closed_form_t_rank_matches_elimination(q, mode, data):
             gen = apply_transform(gen0, full_rank_draw(ctx, m, m, trial_rng))
         t_eff = effective_transform(ctx, m, cfg, trial_rng)
         assert mspan(apply_transform(gen, t_eff)) == record.received
-        assert record.t_rank == rref_array(ctx, t_eff.array)[1]
+        assert record.t_rank == rref_array(ctx, t_eff)[1]
 
 
 def test_summary_keys_of_both_entry_points():

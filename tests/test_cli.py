@@ -360,13 +360,16 @@ def test_emitted_json_reaccepted_bit_exact(capsys):
 
 def test_bad_input_is_an_error_not_a_traceback(capsys):
     # out-of-range encodings, a negative height, a coefficient >= q, code files
-    # whose dimension is not an integer or whose rank cap is infinite
+    # whose dimension is not an integer or whose rank cap is infinite, and
+    # float encodings, which a cast to int would truncate
     bad = [
         ("mspan", json.dumps({"q-spec": "2", "n": 2, "vectors": [[0, 5]]})),
         ("poly", json.dumps({"q-spec": "2", "n": 3, "basis": [], "height": -1})),
         ("roots", json.dumps({"base-q": 2, "field": "2^2/7", "coeffs": {"0": 4}})),
         ("simulate", json.dumps({"q-spec": "2", "n": "2^2", "m_max": 2, "codewords": []}), "--mode", "full-rank"),
         ("simulate", '{"q-spec": "2", "n": 2, "m_max": 1e400, "codewords": []}', "--mode", "full-rank"),
+        ("roots", json.dumps({"base-q": 2, "field": "2^2/7", "coeffs": {"1": 1.5}})),
+        ("mspan", json.dumps({"q-spec": "2", "n": 2, "vectors": [[0, 1.0]]})),
     ]
     for argv in bad:
         code, _, err = run(capsys, *argv)

@@ -9,7 +9,7 @@ from multispace.errors import (
     NotIrreducible,
     NotPrime,
 )
-from multispace.fields import Embedding, FieldCtx, extension, field, parse_field_spec
+from multispace.fields import FieldCtx, extension, field, parse_field_spec
 from multispace.linalg import Subspace
 
 
@@ -62,6 +62,27 @@ def test_f4_modulus_is_the_unique_irreducible_quadratic():
             reducible.add(4 + ((a + b) % 2) * 2 + (a * b) % 2)
     assert reducible == {4, 5, 6}
     assert field(2, 2).modulus == 7
+
+
+@pytest.mark.parametrize("p, e", [(2, e) for e in range(2, 7)] + [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_modulus_builds_exactly_when_irreducible(p, e):
+    # products of two monic factors of degrees i and e - i; reduction modulo
+    # x^(e+1) leaves a product of degree e as it is
+    reducible = {
+        poly_mulmod(a, b, p ** (e + 1), p)
+        for i in range(1, e // 2 + 1)
+        for a in range(p ** i, 2 * p ** i)
+        for b in range(p ** (e - i), 2 * p ** (e - i))
+    }
+    irreducible = []
+    for m in range(p ** e, 2 * p ** e):  # every monic polynomial of degree e
+        if m in reducible:
+            with pytest.raises(NotIrreducible):
+                field(p, e, m)
+        else:
+            assert field(p, e, m).modulus == m
+            irreducible.append(m)
+    assert irreducible and field(p, e).modulus == irreducible[0]
 
 
 def test_construction_errors():
@@ -180,22 +201,16 @@ def test_frobenius_examples_and_periodicity():
         f16.frobenius(3, 1, base=8)  # 8 = 2^3 does not divide the tower
 
 
-def test_element_wrapper():
+def test_scalar_ops_on_encodings():
     f5 = field(5)
-    a, b = f5.element(2), f5.element(4)
-    assert (a + b).value == 1
-    assert (a * b).value == 3
-    assert (-a).value == 3
-    assert (a - b).value == 3
-    assert (a / b).value == f5.mul(2, f5.inv(4))
-    assert (a ** 4).value == 1
-    assert a.inverse().value == 3
-    assert a == 2 and a != b
-    assert len({a, f5.element(2)}) == 1
-    with pytest.raises(ContextMismatch):
-        a + field(3).element(1)
-    with pytest.raises(DivisionByZero):
-        f5.element(0).inverse()
+    a, b = 2, 4
+    assert f5.add(a, b) == 1
+    assert f5.mul(a, b) == 3
+    assert f5.neg(a) == 3
+    assert f5.sub(a, b) == 3
+    assert f5.div(a, b) == f5.mul(2, f5.inv(4)) == 3
+    assert f5.pow(a, 4) == 1
+    assert f5.inv(a) == 3  # the inverse of zero: test_prime_field_arithmetic
 
 
 def test_field_spec_parsing():
