@@ -16,9 +16,10 @@ Modes:
 Every trial draws its own PRNG substream (PCG64 seeded through
 SeedSequence(seed).spawn), so results are independent of scheduling and
 reproducible from (config, seed) alone.  Trials run in blocks as arrays:
-each stage of a block draws for all its trials at once, rejection sampling
-redraws in rounds, and ranks, multispans and distances are batched
-eliminations, while every substream sees the calls of a one-trial loop.
+each stage of a block draws for all its trials, rejection sampling runs
+each trial's loop to acceptance on the rank-only kernel rank_array, and
+multispans and distances are batched eliminations, while every substream
+sees the calls of a one-trial loop.
 """
 
 import csv
@@ -31,13 +32,22 @@ from .errors import (
     BoundViolation,
     ConfigInvalid,
     DimensionMismatch,
+    FormatError,
     SamplingFailed,
     ShapeMismatch,
     ShapeViolation,
 )
-from .fields import FieldCtx
+from .fields import FieldCtx, strict_int
 from .lattice import Multispace, VectorMultiset, _WordStack, mspan
-from .linalg import DEFAULT_STATE_LIMIT, _as_array, _check_budget, _pad_stack, matmul_arrays, rref_batch
+from .linalg import (
+    DEFAULT_STATE_LIMIT,
+    _as_array,
+    _check_budget,
+    _pad_stack,
+    matmul_arrays,
+    rank_array,
+    rref_batch,
+)
 
 #: mode -> (rank the sent multispace needs, proven distance bound), in units of s;
 #: a bound of None means the mode is observational only
@@ -66,8 +76,17 @@ class ChannelConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ConfigInvalid(f"unknown mode {self.mode!r}; pick one of {MODES}")
+        try:
+            for name in ("trials", "s", "seed"):
+                strict_int(getattr(self, name), name)
+        except FormatError as exc:
+            raise ConfigInvalid(str(exc)) from exc
+        if not isinstance(self.random_generator, (bool, np.bool_)):
+            raise ConfigInvalid(f"random_generator {self.random_generator!r} is not a bool")
         if self.trials < 0:
             raise ConfigInvalid("trials must be nonnegative")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed {self.seed} is negative")
         if self.s < 0:
             raise ConfigInvalid("error weight s must be nonnegative")
         if self.mode == "full-rank" and self.s:
@@ -156,27 +175,21 @@ def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> np.ndarray:
 def _full_rank_batch(ctx: FieldCtx, rngs, rows, cols, max_tries: int) -> np.ndarray:
     """One uniform rows[i] x cols[i] matrix of rank min(rows[i], cols[i]) per rngs[i].
 
-    Batched rejection: in each round every pending trial draws its next
-    candidate from its own generator, one rref_batch ranks all candidates,
-    and only the rejected trials draw again, so each generator sees the calls
-    of a one-trial rejection loop.  The matrices come zero-padded into one
-    (len(rngs), max rows, max cols) stack; zero rows and columns change no rank.
+    The trials run in order, each a one-trial rejection loop: draw a
+    candidate from the trial's own generator until rank_array accepts it.
+    The matrices come zero-padded into one (len(rngs), max rows, max cols)
+    stack; zero rows and columns change no rank.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     out = np.zeros((len(rngs), rows.max(), cols.max()), dtype=np.int64)
-    full = np.minimum(rows, cols)
-    pending = np.arange(len(rngs))
-    for _ in range(max_tries):
-        if not len(pending):
-            break
-        draws = [rngs[i].integers(0, ctx.q, size=(rows[i], cols[i]), dtype=np.int64) for i in pending]
-        cand = _pad_stack(draws, out.shape[1:])
-        ok = rref_batch(ctx, cand)[1] == full[pending]
-        out[pending[ok]] = cand[ok]
-        pending = pending[~ok]
-    if len(pending):
-        i = pending[0]
-        raise SamplingFailed(f"rejection sampling failed to find a full-rank {rows[i]}x{cols[i]} matrix")
+    for i, (rng, r, c) in enumerate(zip(rngs, rows.tolist(), cols.tolist())):
+        for _ in range(max_tries):
+            cand = random_matrix(ctx, r, c, rng)
+            if rank_array(ctx, cand) == min(r, c):
+                out[i, :r, :c] = cand
+                break
+        else:
+            raise SamplingFailed(f"rejection sampling failed to find a full-rank {r}x{c} matrix")
     return out
 
 

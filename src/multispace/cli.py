@@ -221,6 +221,8 @@ def cmd_roots(args) -> int:
 
 def cmd_search(args) -> int:
     ctx = parse_field_spec(args.q_spec)
+    if args.seed < 0:  # greedy_code refuses it too; the optimal search records it
+        raise ConfigInvalid(f"seed {args.seed} is negative")
     if args.optimal:
         code = exhaustive_optimal_code(ctx, args.n, args.m_max, args.d_min)
     else:

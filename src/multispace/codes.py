@@ -13,7 +13,7 @@ from .errors import (
     LimitExceeded,
     TooFewCodewords,
 )
-from .fields import FieldCtx, parse_field_spec
+from .fields import FieldCtx, parse_field_spec, strict_int
 from .lattice import (
     BigCount,
     Multispace,
@@ -101,7 +101,8 @@ class MultispaceCode:
     @classmethod
     def from_dict(cls, d: dict) -> "MultispaceCode":
         try:
-            spec, n, m_max, words = d["q-spec"], int(d["n"]), int(d["m_max"]), list(d["codewords"])
+            spec, words = d["q-spec"], list(d["codewords"])
+            n, m_max = strict_int(d["n"], "n"), strict_int(d["m_max"], "m_max")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad code object: {exc}") from exc
         return cls(parse_field_spec(spec), n, m_max, tuple(Multispace.from_dict(w) for w in words))
@@ -129,6 +130,8 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
         raise ConfigInvalid("d_min must be >= 1")
     if n < 0:
         raise ConfigInvalid(f"ambient dimension {n} is negative")
+    if seed < 0:
+        raise ConfigInvalid(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)
     none = np.zeros(0, dtype=np.int64)
     kept = _WordStack(ctx, n, none.reshape(0, min(n, max(m_max, 0)), n), none, none)

@@ -390,6 +390,14 @@ def _field(p: int, e: int, modulus: int | None) -> FieldCtx:
     return FieldCtx(p, e, modulus)
 
 
+def strict_int(value, name: str) -> int:
+    """value as an int, for integer fields of documents and settings; a bool,
+    float or string is refused with FormatError, not cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise FormatError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 def parse_field_spec(s: str) -> FieldCtx:
     """Parse ``"p"``, ``"p^e"`` or ``"p^e/modulus-int"`` into a context."""
     if not isinstance(s, str):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, FormatError, RankZero
-from .fields import FieldCtx, parse_field_spec
+from .fields import FieldCtx, parse_field_spec, strict_int
 from .linalg import (
     DEFAULT_STATE_LIMIT,
     Subspace,
@@ -82,7 +82,7 @@ class VectorMultiset:
     @classmethod
     def from_dict(cls, d: dict) -> "VectorMultiset":
         try:
-            spec, n, rows = d["q-spec"], int(d["n"]), d["vectors"]
+            spec, n, rows = d["q-spec"], strict_int(d["n"], "n"), d["vectors"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad vector multiset object: {exc}") from exc
         if n < 1:
@@ -186,7 +186,7 @@ class Multispace:
     @classmethod
     def from_dict(cls, d: dict, strict: bool = True) -> "Multispace":
         try:
-            height = int(d["height"])
+            height = strict_int(d["height"], "height")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad multispace object: {exc}") from exc
         if height < 0:

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError, LimitExceeded, NotCanonical
-from .fields import FieldCtx, parse_field_spec
+from .fields import FieldCtx, parse_field_spec, strict_int
 
 #: The one enumeration budget: no enumerator yields more items than this.
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -135,6 +135,104 @@ def rref_array(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int]
         pivots.append(c)
         r += 1
     return a, r, pivots
+
+
+def rank_array(ctx: FieldCtx, a: np.ndarray) -> int:
+    """Rank of one matrix, by forward elimination on Python values.
+
+    The rank alone needs no pivot scaling or back substitution, and a small
+    matrix is eliminated faster in plain Python than through numpy calls.
+    Over GF(2) each row is one Python int of any width, reduced by XOR
+    against the kept row with the same leading bit; over other fields the
+    rows are lists, reduced column by column with the context's exp/log/inv
+    lists and, in odd extension fields, Zech logarithms (log(1 + g^k) by k),
+    so no table grows past q.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.size == 0:
+        return 0
+    if ctx.q == 2:
+        packed = np.packbits(a, axis=1)  # each row padded to whole bytes
+        bits = 8 * packed.shape[1]  # the rows, last first, are the bits-wide fields of one int
+        whole, mask = int.from_bytes(packed.tobytes(), "big"), (1 << bits) - 1
+        lead: dict[int, int] = {}
+        for shift in range(0, bits * len(a), bits):
+            x = whole >> shift & mask
+            while x:
+                h = x.bit_length()
+                y = lead.get(h)
+                if y is None:
+                    lead[h] = x
+                    break
+                x ^= y
+        return len(lead)
+    eliminate = _eliminator(ctx)
+    rows = a.tolist()
+    rank = 0
+    for _ in range(a.shape[1]):  # column 0 of the rows left; each pass drops it
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            rows = [row[1:] for row in rows]
+            continue
+        piv = rows.pop(k)
+        rank += 1
+        if not rows:
+            break
+        rows = eliminate(rows, piv)
+    return rank
+
+
+@functools.lru_cache(maxsize=None)
+def _eliminator(ctx: FieldCtx):
+    """For q > 2, the function (rows, piv) -> [row[1:] - (row[0] / piv[0]) piv[1:] for row in rows]
+    on lists of encodings."""
+    p, exp, log, q1 = ctx.p, ctx._exp, ctx._log, ctx.q - 1
+    if ctx.e == 1:
+        inv = ctx._inv
+
+        def eliminate(rows, piv):
+            ip, tail = inv[piv[0]], piv[1:]
+            out = []
+            for row in rows:
+                f = row[0] * ip % p
+                out.append([(v - f * w) % p for v, w in zip(row[1:], tail)] if f else row[1:])
+            return out
+        return eliminate
+    if p == 2:
+        def eliminate(rows, piv):
+            lp, ltail = log[piv[0]], [log[w] if w else None for w in piv[1:]]
+            out = []
+            for row in rows:
+                if row[0]:
+                    f = log[row[0]] - lp
+                    out.append([v if lw is None else v ^ exp[(f + lw) % q1] for v, lw in zip(row[1:], ltail)])
+                else:
+                    out.append(row[1:])
+            return out
+        return eliminate
+    # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0; and -1 = g^half
+    ones = ctx.add_arr(np.ones(q1, dtype=np.int64), ctx._exp_np)
+    zech = np.where(ones == 0, -1, ctx._log_np[ones]).tolist()
+    half = q1 // 2
+
+    def add(v, t):  # v + g^t
+        if not v:
+            return exp[t]
+        lv = log[v]
+        z = zech[(t - lv) % q1]
+        return 0 if z < 0 else exp[(lv + z) % q1]
+
+    def eliminate(rows, piv):
+        lp, ltail = log[piv[0]] - half, [log[w] if w else None for w in piv[1:]]
+        out = []
+        for row in rows:
+            if row[0]:
+                f = log[row[0]] - lp  # the log of -row[0] / piv[0]
+                out.append([v if lw is None else add(v, (f + lw) % q1) for v, lw in zip(row[1:], ltail)])
+            else:
+                out.append(row[1:])
+        return out
+    return eliminate
 
 
 def rref_batch(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +405,7 @@ class Subspace:
     @classmethod
     def from_dict(cls, d: dict, strict: bool = True) -> "Subspace":
         try:
-            spec, n, rows = d["q-spec"], int(d["n"]), d["basis"]
+            spec, n, rows = d["q-spec"], strict_int(d["n"], "n"), d["basis"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad subspace object: {exc}") from exc
         if n < 1:

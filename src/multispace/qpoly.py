@@ -25,7 +25,7 @@ from .errors import (
     RootsNotInField,
     ShapeViolation,
 )
-from .fields import FieldCtx, _digits, _embedding, extension, field, parse_field_spec
+from .fields import FieldCtx, _digits, _embedding, extension, field, parse_field_spec, strict_int
 from .lattice import Multispace
 from .linalg import Subspace, _as_array, _rows_array, rref_array
 
@@ -175,7 +175,7 @@ class LinearizedPoly:
     @classmethod
     def from_dict(cls, d: dict) -> "LinearizedPoly":
         try:
-            spec, base_q = d["field"], int(d["base-q"])
+            spec, base_q = d["field"], strict_int(d["base-q"], "base-q")
             coeffs = {int(i): c for i, c in d["coeffs"].items()}
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad linearized polynomial object: {exc}") from exc

@@ -9,6 +9,7 @@ from helpers import (
     full_rank_draw,
     random_multiset,
     random_multispace,
+    rank_draw,
     serial_trial_loop,
 )
 from multispace import channel
@@ -120,6 +121,39 @@ def test_random_matrix_ranks():
         random_rank(F2, 3, 3, 2, rng, max_tries=0)
 
 
+def _next_value(draw, seed):
+    """The matrix draw(rng) returns, and the generator's next value after it."""
+    rng = np.random.default_rng(seed)
+    out = draw(rng)
+    return out.tolist(), int(rng.integers(2 ** 62))
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F4], ids=["GF(2)", "GF(3)", "GF(4)"])
+def test_samplers_leave_each_generator_where_the_serial_draws_do(ctx):
+    for seed in range(8):
+        assert _next_value(lambda rng: random_full_rank(ctx, 5, rng), seed) == _next_value(
+            lambda rng: full_rank_draw(ctx, 5, 5, rng), seed)
+        assert _next_value(lambda rng: random_rank(ctx, 6, 4, 3, rng), seed) == _next_value(
+            lambda rng: rank_draw(ctx, 6, 4, 3, rng), seed)
+
+
+@pytest.mark.parametrize("mode,s,random_generator", [("full-rank", 0, True), ("deletion", 1, False),
+                                                     ("rank-deficient", 2, True), ("compound", 1, False)])
+def test_a_channel_block_leaves_each_generator_where_the_serial_trial_does(mode, s, random_generator):
+    cfg = ChannelConfig(mode, trials=6, s=s, seed=0, random_generator=random_generator)
+    for ctx in (F2, F3, F4):
+        words = [Multispace(Subspace.full(ctx, 3), h) for h in range(2, 8)]  # ranks 5 to 10
+        picked = [(w, w.generating_multiset().matrix) for w in words]
+        rngs = [np.random.default_rng(k) for k in range(len(words))]
+        channel._channel_block(cfg, rngs, picked)
+        for k, (_, gen) in enumerate(picked):
+            rng = np.random.default_rng(k)
+            if random_generator:
+                full_rank_draw(ctx, len(gen), len(gen), rng)
+            effective_transform(ctx, len(gen), cfg, rng)
+            assert rngs[k].integers(2 ** 62) == rng.integers(2 ** 62)
+
+
 def test_deletion_distance_is_exactly_s():
     rng = np.random.default_rng(2)
     for s in (1, 2):
@@ -202,6 +236,25 @@ def test_config_validation():
     w = Multispace.bottom(F2, 3)
     with pytest.raises(ConfigInvalid):
         run_trials(w, ChannelConfig("deletion", trials=1, s=1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"trials": 2.5}, {"trials": True}, {"trials": "3"}, {"s": 1.5}, {"s": True},
+     {"seed": -1}, {"seed": 1.0}, {"seed": None}, {"random_generator": "no"}],
+    ids=["float-trials", "bool-trials", "str-trials", "float-s", "bool-s", "negative-seed", "float-seed", "no-seed",
+         "str-random-generator"],
+)
+def test_config_refuses_malformed_settings_before_any_trial(settings):
+    cfg = ChannelConfig("deletion", **{"trials": 3, "s": 1, "seed": 0, **settings})
+    with pytest.raises(ConfigInvalid):
+        cfg.validate()
+    w = Multispace(Subspace.full(F2, 2), 1)
+    with pytest.raises(ConfigInvalid):
+        run_trials(w, cfg)
+    with pytest.raises(ConfigInvalid):
+        end_to_end(MultispaceCode(F2, 2, 3, (w,)), cfg)
+    ChannelConfig("deletion", trials=np.int64(3), s=np.int64(1), seed=np.int64(5)).validate()
 
 
 def test_end_to_end_full_rank_never_errs():

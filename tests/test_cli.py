@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import multispace.cli as cli
 from multispace.channel import ChannelRun, ChannelSummary
-from multispace.codes import greedy_code
+from multispace.codes import MultispaceCode, greedy_code
 from multispace.errors import ConfigInvalid, FormatError
 from multispace.fields import field
 from multispace.lattice import Multispace, VectorMultiset
@@ -384,6 +385,37 @@ def test_bad_input_is_an_error_not_a_traceback(capsys):
     assert code == 1 and out == "" and "must be nonnegative" in err
     with pytest.raises(ConfigInvalid):
         cli.cmd_count(cli.build_parser().parse_args(["count", "2", "3", "-1"]))
+
+
+_INTEGER_FIELDS = [
+    (Subspace.from_dict, json.loads(W_LINE), "n"),
+    (VectorMultiset.from_dict, {"q-spec": "2", "n": 3, "vectors": [[1, 0, 0]]}, "n"),
+    (Multispace.from_dict, json.loads(W_LINE), "height"),
+    (MultispaceCode.from_dict, json.loads(W_CODE), "n"),
+    (MultispaceCode.from_dict, json.loads(W_CODE), "m_max"),
+    (LinearizedPoly.from_dict, {"base-q": 2, "field": "2^2/7", "coeffs": {"0": 1}}, "base-q"),
+]
+
+
+@pytest.mark.parametrize("reader,doc,key", _INTEGER_FIELDS,
+                         ids=["subspace-n", "multiset-n", "height", "code-n", "m_max", "base-q"])
+@pytest.mark.parametrize("value", [3.9, 1.0, 2.0, True, "3"])
+def test_integer_fields_refuse_floats_bools_and_strings(reader, doc, key, value):
+    reader(doc)
+    with pytest.raises(FormatError, match=re.escape(f"{key} {value!r} is not an integer")):
+        reader({**doc, key: value})
+
+
+def test_settings_that_are_not_nonnegative_integers_exit_1(capsys):
+    for argv in [
+        ("poly", json.dumps({"q-spec": "2", "n": 3.9, "basis": [], "height": 1.7})),
+        ("simulate", W_CODE, "--mode", "full-rank", "--seed", "-1"),
+        ("simulate", W_CODE, "--mode", "full-rank", "--seed", "-1", "--end-to-end"),
+        ("search", "2", "3", "2", "2", "--seed", "-1"),
+        ("search", "2", "2", "1", "2", "--optimal", "--seed", "-1"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 def test_poly_of_huge_height(capsys):

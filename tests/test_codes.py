@@ -136,6 +136,11 @@ def test_greedy_needs_a_nonnegative_dimension():
         greedy_code(F2, -1, 2, 2)
 
 
+def test_greedy_refuses_a_negative_seed_before_any_work():
+    with pytest.raises(ConfigInvalid, match="seed -1 is negative"):
+        greedy_code(F2, 3, 2, 2, seed=-1)
+
+
 def test_greedy_deterministic():
     a = greedy_code(F3, 2, 3, 2, seed=5)
     b = greedy_code(F3, 2, 3, 2, seed=5)

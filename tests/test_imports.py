@@ -1,7 +1,9 @@
-"""Every imported name is used: an AST scan of the repository's Python files.
+"""AST scans of the repository's Python files.
 
-Package ``__init__.py`` files are exempt, since their imports are the
-public re-exports.
+Every imported name is used; package ``__init__.py`` files are exempt,
+since their imports are the public re-exports.  The library under ``src``
+holds no ``assert`` statement: ``python -O`` strips them, so its runtime
+checks raise explicitly.
 """
 
 import ast
@@ -44,3 +46,20 @@ def test_no_unused_imports():
     assert len(FILES) > 20
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in FILES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def assert_lines(source: str) -> list[int]:
+    """The lines of a module's assert statements."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_scan_finds_asserts():
+    source = "def f(x):\n    assert x, 'no'\n    if x:\n        raise ValueError\n    assert_x = 1\n    assert (x)\n"
+    assert assert_lines(source) == [2, 6]
+
+
+def test_no_asserts_in_the_library():
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert len(library) > 5
+    found = {str(path.relative_to(ROOT)): assert_lines(path.read_text()) for path in library}
+    assert {path: lines for path, lines in found.items() if lines} == {}

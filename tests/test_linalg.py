@@ -23,6 +23,7 @@ from multispace.linalg import (
     enumerate_subspaces,
     is_rref,
     matmul_arrays,
+    rank_array,
     rref_array,
     rref_batch,
     subspace_distance,
@@ -33,6 +34,7 @@ F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
 F5 = field(5)
+F9 = field(3, 2)
 F16 = field(2, 4)
 E1, E2, E3 = np.eye(3, dtype=np.int64)
 
@@ -212,6 +214,48 @@ def test_rref_batch_matches_rref_array_on_every_entry(ctx, batch, rows, cols, se
     for t in range(batch):
         red, rank, _ = rref_array(ctx, a[t])
         assert rrefs[t].tobytes() == red.tobytes() and ranks[t] == rank
+
+
+def _of_random_rank(ctx, rows, cols, rng):
+    """A rows x cols matrix through a random inner dimension, so its rank is often short of full."""
+    k = int(rng.integers(0, min(rows, cols) + 1))
+    return matmul_arrays(ctx, rng.integers(0, ctx.q, size=(rows, k)), rng.integers(0, ctx.q, size=(k, cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ctx=st.sampled_from([F2, F3, F5, F4, F9, F16]),
+    rows=st.integers(0, 9),
+    cols=st.integers(0, 9),
+    low_rank=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rank_array_matches_rref_array(ctx, rows, cols, low_rank, seed):
+    rng = np.random.default_rng(seed)
+    a = _of_random_rank(ctx, rows, cols, rng) if low_rank else rng.integers(0, ctx.q, size=(rows, cols))
+    given_a = a.copy()
+    assert rank_array(ctx, a) == rref_array(ctx, a)[1]
+    assert np.array_equal(a, given_a)  # the input is not modified
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 80), cols=st.integers(60, 260), low_rank=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_array_over_gf2_has_no_width_limit(rows, cols, low_rank, seed):
+    """Rows past 62 columns would overflow an int64 bit packing; Python ints do not."""
+    rng = np.random.default_rng(seed)
+    a = _of_random_rank(F2, rows, cols, rng) if low_rank else rng.integers(0, 2, size=(rows, cols))
+    assert rank_array(F2, a) == rref_array(F2, a)[1]
+
+
+@pytest.mark.parametrize("ctx", [field(2, 16), field(3, 10)], ids=["GF(2^16)", "GF(3^10)"])
+def test_rank_array_in_the_largest_fields(ctx):
+    rng = np.random.default_rng(ctx.q)
+    for rows, cols in [(1, 1), (3, 3), (5, 4), (4, 7), (6, 6)]:
+        for a in (rng.integers(0, ctx.q, size=(rows, cols)), _of_random_rank(ctx, rows, cols, rng)):
+            assert rank_array(ctx, a) == rref_array(ctx, a)[1]
+    a = rng.integers(0, ctx.q, size=(4, 5))
+    a[3] = ctx.sub_arr(a[0], ctx.mul_arr(a[1], np.full(5, 7)))  # row 3 = row 0 - 7 row 1
+    assert rank_array(ctx, a) == rref_array(ctx, a)[1] == 3
 
 
 @settings(max_examples=150, deadline=None)
