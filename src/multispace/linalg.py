@@ -62,11 +62,15 @@ def _odometer(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
 def _as_array(ctx: FieldCtx, rows) -> np.ndarray:
     try:
         raw = np.asarray(rows)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"entries are not integer encodings: {exc}") from exc
+    # Refuse before the cast: it would truncate 1.5, parse "1", or overflow 9e18.
+    if raw.size and raw.dtype.kind not in "biuO":
+        raise FormatError(f"entries of dtype {raw.dtype} are not integer encodings")
+    try:
         a = raw.astype(np.int64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"entries are not integer encodings: {exc}") from exc
-    if raw.size and raw.dtype.kind not in "biuO":  # a cast would truncate 1.5 or parse "1"
-        raise FormatError(f"entries of dtype {raw.dtype} are not integer encodings")
     if a.size and (a.min() < 0 or a.max() >= ctx.q):
         raise FormatError(f"encodings out of range for {ctx}")
     return a

@@ -165,7 +165,8 @@ def test_dimension_modularity():
 def test_contains_array_refuses_malformed_input():
     with pytest.raises(FormatError):
         Subspace.from_array(F4, 2, [[1, 0]]).contains_array([[0, 7]])  # 7 is no encoding of GF(4)
-    for not_int in ([[1.5, 0]], [[1.0, 0]], [["1", "0"]]):  # a cast would make them 1
+    # A cast would make the first three 1 and warn of overflow on the last.
+    for not_int in ([[1.5, 0]], [[1.0, 0]], [["1", "0"]], [[9.3e18, 0]]):
         with pytest.raises(FormatError):
             Subspace.from_array(F2, 2, not_int)
     line = Subspace.from_array(F2, 2, [[1, 0]])
