@@ -230,20 +230,19 @@ def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int
 # Trials
 # ---------------------------------------------------------------------------
 
-def _channel_block(cfg: ChannelConfig, rngs, picked):
+def _channel_block(cfg: ChannelConfig, rngs, sent: _WordStack, gens: np.ndarray):
     """Received words, their stack, distances and bound checks of one block of trials.
 
-    picked[t] = (sent multispace, generating (m, n) array) of trial t, drawn
-    from rngs[t].  The stages draw in the order of a single trial (random
-    generator; mix, deletion permutation and rank-deficient factors of the
-    mode), each stage for the whole block at once, so every generator sees
-    the same calls in the same order as a one-trial loop.  All arrays are
-    zero-padded to the block's largest m; zero rows change no rank.
+    Trial t sends row t of the stack sent, whose generating multiset is
+    gens[t, :m] for its rank m, and draws from rngs[t].  The stages draw in
+    the order of a single trial (random generator; mix, deletion permutation
+    and rank-deficient factors of the mode), each stage for the whole block
+    at once, so every generator sees the same calls in the same order as a
+    one-trial loop.  All arrays are zero-padded to the block's largest m;
+    zero rows change no rank.
     """
-    sent = _WordStack.of([w for w, _ in picked])
     ctx, n, s = sent.ctx, sent.n, cfg.s
-    ms = np.array([len(gen) for _, gen in picked])
-    gens = _pad_stack([gen for _, gen in picked], (ms.max(), n))
+    ms = sent.dims + sent.heights
     if cfg.random_generator:
         mix = _full_rank_batch(ctx, rngs, ms, ms, _MAX_TRIES)
         gens = matmul_arrays(ctx, np.swapaxes(mix, 1, 2), gens)
@@ -268,10 +267,11 @@ def _channel_block(cfg: ChannelConfig, rngs, picked):
     elif cfg.mode == "deletion":
         ok = d == s  # distance is exactly s, not merely bounded
     elif cfg.mode == "rank-deficient":
-        # rank preserved, and dim(S + R) = dim S puts the received space inside the sent one
-        ok = (d <= 2 * s) & (widths == sent.dims + sent.heights) & (joins == sent.dims)
+        # the rank is preserved, as the received multiset keeps all m vectors,
+        # and dim(S + R) = dim S puts the received space inside the sent one
+        ok = (d <= 2 * s) & (joins == sent.dims)
     else:
-        ok = np.ones(len(picked), dtype=bool)  # compound: observational only
+        ok = np.ones(len(rngs), dtype=bool)  # compound: observational only
     return stack.words(), stack, d.tolist(), ok.tolist()
 
 
@@ -282,62 +282,76 @@ def _block_size(m_max: int, n: int) -> int:
     return max(1, min(_BLOCK, DEFAULT_STATE_LIMIT // max(1, m_max * max(m_max, n))))
 
 
-def _trial_blocks(cfg: ChannelConfig, pick, m_max: int, n: int):
-    """Yield each block's TrialRecords, in order, with the stack of their received words.
+def _one_word_source(sent: Multispace, gen: np.ndarray) -> tuple:
+    """The source of _trial_blocks that holds the one word sent, generated by the (m, n) array gen."""
+    return (sent,), _WordStack.of([sent]), gen[None]
 
-    pick(rng) returns the sent multispace and its generating multiset as an
-    (m, n) array with m <= m_max; it is the first draw of every trial, so
+
+def _trial_blocks(cfg: ChannelConfig, source, pick):
+    """Yield each block's TrialRecords, in order, with the stack of their
+    received words and the array of the indices of their sent words.
+
+    source is (words, stack, generators), as MultispaceCode._source gives
+    it: word i is words[i] and row i of stack, and its generating multiset
+    of m = rank rows is generators[i, :m].  pick(rng) returns the index of
+    the word a trial sends; it is the first draw of every trial, so
     end-to-end runs draw the codeword index before the channel matrices.
-    Trials run in blocks of _block_size(m_max, n): every word of a block is
-    picked and rank-checked before any channel draw, and the block's draws,
+    Trials run in blocks of _block_size(largest m, n): every word of a block
+    is picked and rank-checked before any channel draw, its rows and
+    generators are taken from the source by index, and the block's draws,
     multispans and distances are batched eliminations, so memory grows with
     the block, not the trials.
     """
+    words, stack, gens = source
     bound = _bound_for(cfg)
     # rank(T_eff) = m - lost in closed form: every stage has full rank except
     # the rank-deficient one, whose rank _rank_batch checks
     lost = _need(cfg)
-    block = _block_size(m_max, n)
+    block = _block_size(gens.shape[1], stack.n)
     root = np.random.SeedSequence(cfg.seed)
     for start in range(0, cfg.trials, block):
         rngs = [np.random.default_rng(ss) for ss in root.spawn(min(block, cfg.trials - start))]
-        picked = [pick(rng) for rng in rngs]
-        for _, gen in picked:
-            cfg.check_rank(len(gen))
-        received, stack, dists, oks = _channel_block(cfg, rngs, picked)
+        picked = np.array([pick(rng) for rng in rngs])
+        sent = stack[picked]
+        ms = (sent.dims + sent.heights).tolist()
+        for m in ms:
+            cfg.check_rank(m)
+        received, rstack, dists, oks = _channel_block(cfg, rngs, sent, gens[picked, : max(ms)])
         yield [
-            TrialRecord(start + k, sent, word, len(gen) - lost, d, bound, ok)
-            for k, ((sent, gen), word, d, ok) in enumerate(zip(picked, received, dists, oks))
-        ], stack
+            TrialRecord(start + k, words[i], word, m - lost, d, bound, ok)
+            for k, (i, m, word, d, ok) in enumerate(zip(picked.tolist(), ms, received, dists, oks))
+        ], rstack, picked
 
 
-def _trial_loop(cfg: ChannelConfig, pick, m_max: int, n: int):
+def _trial_loop(cfg: ChannelConfig, source, pick):
     """Yield the TrialRecord of every trial in order, block by block."""
-    for records, _ in _trial_blocks(cfg, pick, m_max, n):
+    for records, _, _ in _trial_blocks(cfg, source, pick):
         yield from records
 
 
 def _summarize(cfg: ChannelConfig, blocks, code=None) -> ChannelSummary:
     """Violations and the distance histogram of a stream of blocks of trial
-    records, each with the stack of its received words.
+    records, each with the stack of its received words and the indices of
+    its sent words.
 
-    With a code, each block's received words are decoded against it at once
-    and block errors are counted; a violation is then also recorded when
-    decoding fails although the channel bound guarantees unique decoding
-    (bound < min_distance / 2).
+    With a code, each block's received words are decoded against it at once,
+    and a trial is a block error when the decoded index differs from the
+    sent one (the codewords are distinct); a violation is then also recorded
+    when decoding fails although the channel bound guarantees unique
+    decoding (bound < min_distance / 2).
     """
     bound = _bound_for(cfg)
     violations = 0
     block_errors = 0
     hist: dict[int, int] = {}
     max_d = 0
-    for records, received in blocks:
-        decoded = () if code is None else code._nearest(received)[0].tolist()
+    for records, received, sent in blocks:
+        wrong = () if code is None else (code._nearest(received)[0] != sent).tolist()
         for k, rec in enumerate(records):
             violations += not rec.bound_satisfied
             hist[rec.distance] = hist.get(rec.distance, 0) + 1
             max_d = max(max_d, rec.distance)
-            if code is not None and code.codewords[decoded[k]] != rec.sent:
+            if code is not None and wrong[k]:
                 block_errors += 1
                 if bound is not None and bound < code.min_distance / 2:
                     violations += 1  # unique decoding was guaranteed
@@ -364,8 +378,8 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
     else:
         raise TypeError("target must be a Multispace or VectorMultiset")
     cfg.check_rank(len(gen0))
-    records = list(_trial_loop(cfg, lambda rng: (sent, gen0), len(gen0), sent.n))
-    return ChannelRun(records, _summarize(cfg, [(records, None)]))
+    records = list(_trial_loop(cfg, _one_word_source(sent, gen0), lambda rng: 0))
+    return ChannelRun(records, _summarize(cfg, [(records, None, None)]))
 
 
 def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
@@ -379,12 +393,8 @@ def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
         raise ConfigInvalid("end-to-end run needs a nonempty code")
     m_max = max(w.rank for w in code)
     _check_budget(m_max ** 2, "channel matrix entries")
-
-    def pick(rng):
-        w = code.codewords[int(rng.integers(len(code)))]
-        return w, w.generating_multiset().matrix
-
-    return _summarize(cfg, _trial_blocks(cfg, pick, m_max, code.n), code)  # records are not kept
+    blocks = _trial_blocks(cfg, code._source(), lambda rng: int(rng.integers(len(code))))
+    return _summarize(cfg, blocks, code)  # records are not kept
 
 
 # ---------------------------------------------------------------------------

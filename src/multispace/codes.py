@@ -21,7 +21,6 @@ from .lattice import (
     count_multispaces,
     covered_neighbors,
     covering_neighbors,
-    enumerate_multispaces_up_to,
     pairwise_distances,
 )
 from .linalg import _check_budget, gaussian_binomial
@@ -33,7 +32,7 @@ CLIQUE_LIMIT = 64
 class MultispaceCode:
     """An ordered set of distinct multispaces of rank <= m_max."""
 
-    __slots__ = ("ctx", "n", "m_max", "codewords", "_min_dist", "_stack")
+    __slots__ = ("ctx", "n", "m_max", "codewords", "_min_dist", "_stack", "_gens")
 
     def __init__(self, ctx: FieldCtx, n: int, m_max: int, codewords: tuple):
         seen = set()
@@ -52,6 +51,7 @@ class MultispaceCode:
         self.codewords = tuple(codewords)
         self._min_dist = None
         self._stack = None
+        self._gens = None
 
     def __len__(self):
         return len(self.codewords)
@@ -80,12 +80,28 @@ class MultispaceCode:
                 self._min_dist = int(d[np.triu_indices(len(d), 1)].min())
         return self._min_dist
 
+    def _words(self) -> _WordStack:
+        """The codewords as one stack, built once."""
+        if self._stack is None:
+            self._stack = _WordStack.of(self.codewords)
+        return self._stack
+
+    def _source(self) -> tuple:
+        """(codewords, their stack, their generators), built once: the canonical
+        generating multiset of codeword i, its basis and then zero rows, is
+        generators[i, :rank], zero-padded to the largest rank.  Callers bound
+        the largest rank first."""
+        stack = self._words()
+        if self._gens is None:
+            self._gens = np.zeros((len(self), max(w.rank for w in self), self.n), dtype=np.int64)
+            self._gens[:, : stack.bases.shape[1]] = stack.bases
+            self._gens.flags.writeable = False
+        return self.codewords, stack, self._gens
+
     def _nearest(self, received: _WordStack) -> tuple[np.ndarray, np.ndarray]:
         """Index and distance of the first nearest codeword to each row of received,
         from one (T, |C|) cross pairing against the cached codeword stack."""
-        if self._stack is None:
-            self._stack = _WordStack.of(self.codewords)
-        d = received.cross(self._stack)
+        d = received.cross(self._words())
         best = d.argmin(axis=1)  # the first minimum: ties break by codeword order
         return best, d[np.arange(len(d)), best]
 
@@ -133,8 +149,7 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
     if seed < 0:
         raise ConfigInvalid(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)
-    none = np.zeros(0, dtype=np.int64)
-    kept = _WordStack(ctx, n, none.reshape(0, min(n, max(m_max, 0)), n), none, none)
+    kept = _WordStack.empty(ctx, n, min(n, max(m_max, 0)))
     for m in range(m_max, -1, -1):
         words = _WordStack.layer(ctx, n, m)
         alive = np.ones(len(words.dims), dtype=bool)
@@ -159,15 +174,26 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
     The compatibility graph joins pairs at distance >= d_min; a code is
     exactly a clique.  Certified optimal; ground set capped at CLIQUE_LIMIT,
     which is checked on the counting formula before anything is enumerated.
+    The ground set is the rank layers 0..m_max stacked in order, and only the
+    chosen rows become Multispace.
     """
     if d_min < 1:
         raise ConfigInvalid("d_min must be >= 1")
     v = codespace_growth(ctx, n, m_max)
     if v > CLIQUE_LIMIT:
         raise LimitExceeded(f"ground set of {v} exceeds clique-search limit {CLIQUE_LIMIT}")
-    elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
-    far = pairwise_distances(elems) >= d_min
-    np.fill_diagonal(far, False)
+    ground = _WordStack.empty(ctx, n, min(n, max(m_max, 0)))
+    for m in range(m_max + 1):
+        ground.extend(_WordStack.layer(ctx, n, m))
+    best = _max_clique(ground.pairwise() >= d_min)
+    return MultispaceCode(ctx, n, m_max, tuple(ground[best].words()))
+
+
+def _max_clique(adjacency: np.ndarray) -> list[int]:
+    """The ascending indices of the first maximum clique that branch and bound
+    finds in a boolean graph; the diagonal is ignored."""
+    v = len(adjacency)
+    far = adjacency & ~np.eye(v, dtype=bool)
     compat = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(far, axis=1, bitorder="little")]
     best: list[int] = []
 
@@ -187,8 +213,7 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
             expand(current + [i], candidates & compat[i])
 
     expand([], (1 << v) - 1)
-    words = tuple(elems[i] for i in sorted(best))
-    return MultispaceCode(ctx, n, m_max, words)
+    return sorted(best)
 
 
 def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:

@@ -14,6 +14,7 @@ export, and the distance-2 graph with a distance-regularity checker.
 import functools
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +251,57 @@ def _log_table(q: int) -> np.ndarray:
     return table
 
 
+def _membership_masks(ctx: FieldCtx, n: int, bases: np.ndarray) -> np.ndarray:
+    """The uint64 membership mask of each (depth, n) basis of a stack: bit
+    sum v_i q^i is set iff v is a member; zero rows of a padded basis add no bit."""
+    places = ctx.q ** np.arange(n, dtype=np.int64)
+    bits = np.left_shift(np.uint64(1), (_odometer(ctx, bases) @ places).astype(np.uint64))
+    return np.bitwise_or.reduce(bits, axis=-1)
+
+
+#: The subspace tables kept, by (field, n), least recently used first.
+_TABLES: OrderedDict = OrderedDict()
+
+
+def _subspace_table(ctx: FieldCtx, n: int, depth: int) -> tuple:
+    """(bases, dims, masks): every subspace of GF(q)^n of dim <= depth, or of a
+    deeper table, by ascending dim and then in the order of _subspace_blocks.
+
+    bases is (count, table depth, n), each canonical basis zero-padded; masks
+    holds their membership masks when q^n <= MASK_VECTORS, else it is None.
+    The arrays are read-only, since every caller shares them.  One table is
+    kept per (field, n), at the deepest depth asked for so far, and a rank-m
+    layer reads its first rows; the dims <= k come first, so a shallower
+    request is a prefix.  The kept tables hold at most DEFAULT_STATE_LIMIT
+    basis entries together: the least recently used goes first, and a table
+    past the limit is built for its caller and not kept.
+    """
+    key = (ctx, n)
+    table = _TABLES.get(key)
+    if table is not None and table[0].shape[1] >= depth:
+        _TABLES.move_to_end(key)
+        return table
+    counts = [gaussian_binomial(n, k, ctx.q) for k in range(depth + 1)]
+    bases = np.zeros((sum(counts), depth, n), dtype=np.int64)
+    row = 0
+    for k in range(depth + 1):
+        for block in _subspace_blocks(ctx, n, k):
+            bases[row : row + len(block), :k] = block
+            row += len(block)
+    dims = np.repeat(np.arange(depth + 1), counts)
+    masks = _membership_masks(ctx, n, bases) if ctx.q ** n <= MASK_VECTORS else None
+    table = (bases, dims, masks)
+    for a in table:
+        if a is not None:
+            a.flags.writeable = False
+    if bases.size <= DEFAULT_STATE_LIMIT:
+        _TABLES.pop(key, None)
+        _TABLES[key] = table
+        while sum(kept[0].size for kept in _TABLES.values()) > DEFAULT_STATE_LIMIT:
+            _TABLES.popitem(last=False)
+    return table
+
+
 class _WordStack:
     """Multispaces of one GF(q)^n as a zero-padded (T, depth, n) stack of
     bases, depth at least every dim, with (T,) arrays of their dims and
@@ -258,25 +310,24 @@ class _WordStack:
     The one place that measures distance on a batch, as
     d = 2 dim(W + X) - dim W - dim X + |ht W - ht X|.  When q^n <= MASK_VECTORS
     each word's subspace is also a uint64 membership mask, bit sum v_i q^i set
-    iff v is a member, built once per stack; then |W ^ X| = popcount(w & x) is
-    a power of q and dim(W + X) = dim W + dim X - log_q |W ^ X| needs no
-    elimination.  Larger spaces take rank [W; X] = dim(W + X) from one batched
-    elimination.
+    iff v is a member, built once per stack or read from the subspace table;
+    then |W ^ X| = popcount(w & x) is a power of q and
+    dim(W + X) = dim W + dim X - log_q |W ^ X| needs no elimination.  Larger
+    spaces take rank [W; X] = dim(W + X) from one batched elimination.
     """
 
     __slots__ = ("ctx", "n", "bases", "dims", "heights", "masks")
 
-    def __init__(self, ctx: FieldCtx, n: int, bases: np.ndarray, dims, heights):
+    def __init__(self, ctx: FieldCtx, n: int, bases: np.ndarray, dims, heights, masks=None):
+        """masks, when given, are those of bases; otherwise they are built when q^n <= MASK_VECTORS."""
         self.ctx = ctx
         self.n = n
         self.bases = bases
         self.dims = dims
         self.heights = heights
-        self.masks = None
-        if ctx.q ** n <= MASK_VECTORS:
-            places = ctx.q ** np.arange(n, dtype=np.int64)
-            bits = np.left_shift(np.uint64(1), (_odometer(ctx, bases) @ places).astype(np.uint64))
-            self.masks = np.bitwise_or.reduce(bits, axis=-1)
+        self.masks = masks
+        if masks is None and ctx.q ** n <= MASK_VECTORS:
+            self.masks = _membership_masks(ctx, n, bases)
 
     @classmethod
     def of(cls, words) -> "_WordStack":
@@ -286,20 +337,23 @@ class _WordStack:
         return cls(words[0].ctx, words[0].n, bases, dims, np.array([w.height for w in words]))
 
     @classmethod
+    def empty(cls, ctx: FieldCtx, n: int, depth: int) -> "_WordStack":
+        """A stack of no words, to be extended with words of dim at most depth."""
+        none = np.zeros(0, dtype=np.int64)
+        masks = np.zeros(0, dtype=np.uint64) if ctx.q ** n <= MASK_VECTORS else None
+        return cls(ctx, n, none.reshape(0, depth, n), none, none, masks)
+
+    @classmethod
     def layer(cls, ctx: FieldCtx, n: int, m: int) -> "_WordStack":
-        """Every multispace of rank m >= 0, in the order of enumerate_multispaces,
-        stacked straight from the subspace blocks to depth min(n, m)."""
-        _check_budget(count_multispaces(n, m, ctx.q), "multispaces")
+        """Every multispace of rank m >= 0, in the order of enumerate_multispaces: the
+        first rows of the subspace table of GF(q)^n, cut to depth min(n, m), with
+        heights m - dim.  The bases, dims and masks are read-only views of the table."""
+        count = count_multispaces(n, m, ctx.q)
+        _check_budget(count, "multispaces")
         depth = min(n, m)
-        counts = [gaussian_binomial(n, k, ctx.q) for k in range(depth + 1)]
-        bases = np.zeros((sum(counts), depth, n), dtype=np.int64)
-        row = 0
-        for k in range(depth + 1):
-            for block in _subspace_blocks(ctx, n, k):
-                bases[row : row + len(block), :k] = block
-                row += len(block)
-        dims = np.repeat(np.arange(depth + 1), counts)
-        return cls(ctx, n, bases, dims, m - dims)
+        bases, dims, masks = _subspace_table(ctx, n, depth)
+        return cls(ctx, n, bases[:count, :depth], dims[:count], m - dims[:count],
+                   None if masks is None else masks[:count])
 
     def __getitem__(self, index) -> "_WordStack":
         """The words at index, masks carried along: an int gives one word shared by every row."""
@@ -370,30 +424,34 @@ class _WordStack:
             out[rows, cols] = d
         return out
 
+    def pairwise(self) -> np.ndarray:
+        """The symmetric (T, T) matrix of distances between the rows.
 
-#: Rows per cross pairing of pairwise_distances.  Each block also pairs its
+        Each block of _PAIRWISE_ROWS rows is crossed with its own tail, so each
+        unordered pair is measured about once.
+        """
+        t = len(self.dims)
+        d = np.zeros((t, t), dtype=np.int64)
+        for start in range(0, t, _PAIRWISE_ROWS):
+            d[start : start + _PAIRWISE_ROWS, start:] = self[start : start + _PAIRWISE_ROWS].cross(self[start:])
+        d = np.triu(d, 1)
+        return d + d.T
+
+
+#: Rows per cross pairing of _WordStack.pairwise.  Each block also pairs its
 #: own lower triangle, about 8 wasted pairs per row at 16 rows, and saves the
 #: fixed cost of 15 paired calls in 16.
 _PAIRWISE_ROWS = 16
 
 
 def pairwise_distances(xs) -> np.ndarray:
-    """Symmetric integer matrix of lattice distances d[i, j] = distance(xs[i], xs[j]).
-
-    Each block of _PAIRWISE_ROWS rows is crossed with its own tail, so each
-    unordered pair is measured about once.
-    """
+    """Symmetric integer matrix of lattice distances d[i, j] = distance(xs[i], xs[j])."""
     xs = list(xs)
     for x in xs:
         xs[0]._check_compatible(x)
     if not xs:
         return np.zeros((0, 0), dtype=np.int64)
-    stack = _WordStack.of(xs)
-    d = np.zeros((len(xs), len(xs)), dtype=np.int64)
-    for start in range(0, len(xs), _PAIRWISE_ROWS):
-        d[start : start + _PAIRWISE_ROWS, start:] = stack[start : start + _PAIRWISE_ROWS].cross(stack[start:])
-    d = np.triu(d, 1)
-    return d + d.T
+    return _WordStack.of(xs).pairwise()
 
 
 def distance(a: Multispace, b: Multispace) -> int:
@@ -569,8 +627,11 @@ class GammaGraph:
 
 
 def gamma_graph(ctx: FieldCtx, n: int, m: int) -> GammaGraph:
-    verts = tuple(enumerate_multispaces(ctx, n, m))
-    return GammaGraph(ctx, n, m, verts, pairwise_distances(verts) == 2)
+    """Γ on the rank-m layer, its adjacency from the layer's stack; empty for a negative n or m."""
+    if min(n, m) < 0:
+        return GammaGraph(ctx, n, m, (), np.zeros((0, 0), dtype=bool))
+    layer = _WordStack.layer(ctx, n, m)
+    return GammaGraph(ctx, n, m, tuple(layer.words()), layer.pairwise() == 2)
 
 
 @dataclass

@@ -176,13 +176,18 @@ class LinearizedPoly:
     def from_dict(cls, d: dict) -> "LinearizedPoly":
         try:
             spec, base_q = d["field"], strict_int(d["base-q"], "base-q")
-            coeffs = {int(i): c for i, c in d["coeffs"].items()}
+            coeffs = {_q_index(k): c for k, c in d["coeffs"].items()}
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad linearized polynomial object: {exc}") from exc
-        ctx = parse_field_spec(spec)
-        if any(i < 0 for i in coeffs):
-            raise FormatError("bad linearized polynomial object: q-indices must be nonnegative")
-        return cls(base_q, ctx, coeffs)
+        return cls(base_q, parse_field_spec(spec), coeffs)
+
+
+def _q_index(key) -> int:
+    """A coefficient key as its q-index: only a canonical ASCII decimal is one,
+    so no two keys name the same index and no sign, space or underscore is read."""
+    if not (isinstance(key, str) and key.isascii() and key.isdecimal() and str(int(key)) == key):
+        raise FormatError(f"q-index {key!r} is not a nonnegative decimal integer")
+    return int(key)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared brute-force oracles: multiplicities, subspaces entry by entry, the
 lattice poset, covers by containment, RREF by definition, the packing bound
 over every BFS ball, the greedy code by single distances and by one
-elimination per candidate, the channel's trial-by-trial loop and the literal
+elimination per candidate, the optimal code and the gamma graph over words
+enumerated one by one, the channel's trial-by-trial loop and the literal
 root product.  Also span_rows, the span of a few row vectors."""
 
 from itertools import combinations, product
@@ -17,7 +18,7 @@ from multispace.channel import (
     apply_transform,
     random_matrix,
 )
-from multispace.codes import ball, decode
+from multispace.codes import _max_clique, ball, decode
 from multispace.errors import ConfigInvalid, LimitExceeded, SamplingFailed, ShapeViolation
 from multispace.lattice import (
     Multispace,
@@ -27,6 +28,7 @@ from multispace.lattice import (
     enumerate_multispaces_up_to,
     mspan,
     multiset_leq,
+    pairwise_distances,
     span,
 )
 from multispace.linalg import (
@@ -198,6 +200,20 @@ def serial_greedy_code(ctx, n, m_max, d_min, seed):
             if all(2 * j - w.dim - k.dim + abs(w.height - k.height) >= d_min for j, k in zip(joins, kept)):
                 kept.append(w)
     return tuple(sorted(kept, key=lambda w: w.sort_key()))
+
+
+def optimal_code_by_elements(ctx, n, m_max, d_min):
+    """exhaustive_optimal_code's codewords from every multispace of rank <= m_max,
+    enumerated one by one, and their pairwise distances, through the same clique search."""
+    elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
+    return tuple(elems[i] for i in _max_clique(pairwise_distances(elems) >= d_min))
+
+
+def gamma_by_elements(ctx, n, m):
+    """The vertices and adjacency of gamma_graph from the rank-m multispaces,
+    enumerated one by one, and their pairwise distances."""
+    verts = tuple(enumerate_multispaces(ctx, n, m))
+    return verts, pairwise_distances(verts) == 2
 
 
 # ---------------------------------------------------------------------------

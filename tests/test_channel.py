@@ -143,14 +143,14 @@ def test_a_channel_block_leaves_each_generator_where_the_serial_trial_does(mode,
     cfg = ChannelConfig(mode, trials=6, s=s, seed=0, random_generator=random_generator)
     for ctx in (F2, F3, F4):
         words = [Multispace(Subspace.full(ctx, 3), h) for h in range(2, 8)]  # ranks 5 to 10
-        picked = [(w, w.generating_multiset().matrix) for w in words]
+        _, stack, gens = MultispaceCode(ctx, 3, 10, tuple(words))._source()
         rngs = [np.random.default_rng(k) for k in range(len(words))]
-        channel._channel_block(cfg, rngs, picked)
-        for k, (_, gen) in enumerate(picked):
+        channel._channel_block(cfg, rngs, stack, gens)
+        for k, w in enumerate(words):
             rng = np.random.default_rng(k)
             if random_generator:
-                full_rank_draw(ctx, len(gen), len(gen), rng)
-            effective_transform(ctx, len(gen), cfg, rng)
+                full_rank_draw(ctx, w.rank, w.rank, rng)
+            effective_transform(ctx, w.rank, cfg, rng)
             assert rngs[k].integers(2 ** 62) == rng.integers(2 ** 62)
 
 
@@ -368,10 +368,17 @@ def _assert_same_records(records, serial):
         assert _record_fields(records) == _record_fields(serial.records)
 
 
-def _code_pick(code):
+def _index_pick(code):
     """end_to_end's pick: the codeword index is each trial's first draw."""
+    return lambda rng: int(rng.integers(len(code)))
+
+
+def _code_pick(code):
+    """The serial loop's pick of the same codeword, with its generating multiset."""
+    index = _index_pick(code)
+
     def pick(rng):
-        w = code.codewords[int(rng.integers(len(code)))]
+        w = code.codewords[index(rng)]
         return w, w.generating_multiset().matrix
     return pick
 
@@ -388,8 +395,7 @@ def _check_both_entry_points(target, code, cfg):
     if not isinstance(serial, type):
         assert run.summary == serial.summary
     serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
-    m_max = max(w.rank for w in code)
-    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, _code_pick(code), m_max, code.n))), serial)
+    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, code._source(), _index_pick(code)))), serial)
     summary = _outcome(lambda: end_to_end(code, cfg))
     assert summary == (serial if isinstance(serial, type) else serial.summary)
 
@@ -445,13 +451,29 @@ def test_block_decoding_over_several_blocks_matches_the_serial_loop(ctx, n, m_ma
     code = MultispaceCode(ctx, n, m_max, tuple(w for w in greedy if w.rank >= low))
     cfg = ChannelConfig(mode, 600, 1, seed=7)
     assert end_to_end(code, cfg) == serial_trial_loop(cfg, _code_pick(code), code).summary
-    blocks = list(channel._trial_blocks(cfg, _code_pick(code), m_max, n))
+    blocks = list(channel._trial_blocks(cfg, code._source(), _index_pick(code)))
     assert len(blocks) == 3
     if low == 2:  # the tie break against a distance loop: the first nearest codeword
-        for records, received in blocks:
+        for records, received, _ in blocks:
             d = np.array([[distance(r.received, c) for c in code] for r in records])
             assert ((d == d.min(axis=1, keepdims=True)).sum(axis=1) >= 2).all()
             assert code._nearest(received)[0].tolist() == d.argmin(axis=1).tolist()
+
+
+def test_block_errors_by_index_equal_block_errors_by_codeword_when_every_decode_is_a_tie():
+    # the rank-3 words of the greedy (F2,3,3,2) code under deletion s = 1: every received
+    # word lies as near to several codewords (see the test above), and 126 of 400 lost ties
+    # decode to another codeword
+    greedy = greedy_code(F2, 3, 3, 2, seed=0)
+    code = MultispaceCode(F2, 3, 3, tuple(w for w in greedy if w.rank > 1))
+    cfg = ChannelConfig("deletion", 400, 1, seed=7)
+    by_index = by_word = 0
+    for records, received, sent in channel._trial_blocks(cfg, code._source(), _index_pick(code)):
+        assert [code.codewords[i] for i in sent.tolist()] == [r.sent for r in records]
+        decoded = code._nearest(received)[0].tolist()
+        by_index += sum(i != j for i, j in zip(decoded, sent.tolist()))
+        by_word += sum(code.codewords[i] != r.sent for i, r in zip(decoded, records))
+    assert end_to_end(code, cfg).block_errors == by_index == by_word == 126
 
 
 @pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1), ("rank-deficient", 1),
@@ -466,7 +488,8 @@ def test_both_loops_raise_alike_on_an_exhausted_try_budget(monkeypatch, mode, s)
     else:
         assert serial is SamplingFailed
     monkeypatch.setattr(channel, "_MAX_TRIES", 0)
-    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, lambda rng: (w, gen), w.rank, w.n))), serial)
+    source = channel._one_word_source(w, gen)
+    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, source, lambda rng: 0))), serial)
 
 
 @pytest.mark.parametrize("mode", ["deletion", "rank-deficient", "compound"])
@@ -476,7 +499,7 @@ def test_both_loops_refuse_a_codeword_of_too_small_a_rank(mode):
     cfg = ChannelConfig(mode, trials=20, s=1, seed=0)
     serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
     assert serial is ConfigInvalid
-    assert _outcome(lambda: list(_trial_loop(cfg, _code_pick(code), 4, 2))) is ConfigInvalid
+    assert _outcome(lambda: list(_trial_loop(cfg, code._source(), _index_pick(code)))) is ConfigInvalid
     assert _outcome(lambda: end_to_end(code, cfg)) is ConfigInvalid
 
 

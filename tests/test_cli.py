@@ -387,6 +387,13 @@ def test_bad_input_is_an_error_not_a_traceback(capsys):
         cli.cmd_count(cli.build_parser().parse_args(["count", "2", "3", "-1"]))
 
 
+def test_roots_refuses_q_indices_that_are_not_canonical_decimals(capsys):
+    for key in ("1_0", " 2", "+1", "\u0663", "01"):
+        doc = json.dumps({"base-q": 2, "field": "2^3", "coeffs": {"0": 1, key: 1}})
+        code, out, err = run(capsys, "roots", doc)
+        assert code == 1 and out == "" and err.startswith("error:") and "q-index" in err
+
+
 _INTEGER_FIELDS = [
     (Subspace.from_dict, json.loads(W_LINE), "n"),
     (VectorMultiset.from_dict, {"q-spec": "2", "n": 3, "vectors": [[1, 0, 0]]}, "n"),

@@ -3,17 +3,25 @@ import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import greedy_by_distance_loop, packing_bound_oracle, random_multispace, serial_greedy_code
+from helpers import (
+    greedy_by_distance_loop,
+    optimal_code_by_elements,
+    packing_bound_oracle,
+    random_multispace,
+    serial_greedy_code,
+)
 from hypothesis import given, settings, strategies as st
 
 import multispace
 from multispace import codes, lattice, linalg
 from multispace.codes import (
+    CLIQUE_LIMIT,
     MultispaceCode,
     ball,
     ball_size,
@@ -28,6 +36,7 @@ from multispace.errors import ConfigInvalid, EmptyCode, LimitExceeded, TooFewCod
 from multispace.fields import field, parse_field_spec
 from multispace.lattice import (
     Multispace,
+    _WordStack,
     count_covering,
     distance,
     enumerate_multispaces,
@@ -123,6 +132,40 @@ def test_greedy_matches_the_serial_elimination_loop(ctx, n, m_max, d_min):
         assert code.codewords == serial_greedy_code(ctx, n, m_max, d_min, seed)
 
 
+@pytest.mark.parametrize("ctx, n, m_max, d_min", [
+    (F2, 6, 2, 3),  # q^n = 64, masked
+    (F4, 3, 3, 2),
+    (F3, 4, 2, 2),  # q^n > 64: elimination
+    (F2, 7, 2, 3),
+])
+def test_greedy_reads_layers_from_a_deeper_table_than_it_needs(ctx, n, m_max, d_min):
+    # every layer is a prefix of one table: built deeper first, or to depth m_max
+    # by greedy itself, the codes agree with the serial loop
+    deep = min(n, m_max + 1)
+    for deep_first in (True, False):
+        with mock.patch.object(lattice, "_TABLES", OrderedDict()):
+            if deep_first:
+                _WordStack.layer(ctx, n, deep)
+            code = greedy_code(ctx, n, m_max, d_min, seed=3)
+            assert lattice._TABLES[ctx, n][0].shape[1] == (deep if deep_first else min(n, m_max))
+        assert code.codewords == serial_greedy_code(ctx, n, m_max, d_min, 3)
+
+
+#: every (q, n <= 3, m_max <= 3) whose ground set the clique search takes on
+_OPTIMAL_GRID = [
+    (q, n, m_max) for q in (2, 3, 4) for n in range(4) for m_max in range(4)
+    if codespace_growth(field(2, 2) if q == 4 else field(q), n, m_max) <= CLIQUE_LIMIT
+]
+
+
+@pytest.mark.parametrize("q, n, m_max", _OPTIMAL_GRID)
+def test_optimal_code_matches_the_per_element_search(q, n, m_max):
+    ctx = field(2, 2) if q == 4 else field(q)
+    for d_min in range(1, 5):
+        assert exhaustive_optimal_code(ctx, n, m_max, d_min).codewords == optimal_code_by_elements(
+            ctx, n, m_max, d_min)
+
+
 @pytest.mark.parametrize("ctx, n, m_max, d_min", [(F2, 5, 3, 3), (F3, 4, 3, 3)])
 def test_greedy_strikes_layers_over_several_cross_blocks(ctx, n, m_max, d_min):
     # a small entry limit splits each kept x layer pairing into blocks of rows and of columns
@@ -181,7 +224,7 @@ def test_optimal_size_limit_is_checked_before_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated before the size check")
 
-    monkeypatch.setattr(codes, "enumerate_multispaces_up_to", refuse)
+    monkeypatch.setattr(lattice, "_subspace_table", refuse)
     monkeypatch.setattr(lattice, "enumerate_multispaces", refuse)
     monkeypatch.setattr(lattice, "_subspace_blocks", refuse)
     monkeypatch.setattr(linalg, "_subspace_blocks", refuse)
@@ -269,7 +312,7 @@ def test_packing_bound_and_ball_size_enumerate_nothing(monkeypatch):
 
     for module, name in [
         (codes, "ball"),
-        (codes, "enumerate_multispaces_up_to"),
+        (lattice, "_subspace_table"),
         (codes, "covered_neighbors"),
         (codes, "covering_neighbors"),
         (lattice, "enumerate_multispaces"),

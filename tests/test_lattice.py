@@ -1,4 +1,5 @@
 import itertools
+from collections import OrderedDict
 from fractions import Fraction
 from unittest import mock
 
@@ -12,6 +13,7 @@ from helpers import (
     brute_lub,
     cover_matrix,
     covers_by_containment,
+    gamma_by_elements,
     leq_matrix,
     multiplicity_oracle,
     poset_elements,
@@ -20,6 +22,7 @@ from helpers import (
     span_rows,
 )
 from multispace import lattice
+from multispace.codes import MultispaceCode
 from multispace.errors import FormatError, LimitExceeded, RankZero
 from multispace.fields import field
 from multispace.lattice import (
@@ -53,6 +56,7 @@ F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
 F16 = field(2, 4)
+FIELDS = {2: F2, 3: F3, 4: F4}
 
 E1, E2 = np.eye(3, dtype=np.int64)[:2]
 
@@ -273,6 +277,70 @@ def test_graph_distances_match_per_source_bfs(v, density, seed):
     upper = np.triu(np.random.default_rng(seed).random((v, v)) < density, 1)
     g = GammaGraph(F2, 0, 0, tuple(range(v)), upper | upper.T)
     assert np.array_equal(g.graph_distances(), bfs_distances(g.adjacency))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_gamma_graph_matches_the_per_element_graph(q):
+    ctx = FIELDS[q]
+    for n, m in itertools.product(range(4), range(4)):
+        g = gamma_graph(ctx, n, m)
+        verts, adjacency = gamma_by_elements(ctx, n, m)
+        assert g.vertices == verts
+        assert g.adjacency.dtype == bool and np.array_equal(g.adjacency, adjacency)
+    for n, m in [(2, -1), (-1, 2)]:  # no multispace has a negative rank or ambient dimension
+        assert gamma_graph(ctx, n, m).vertices == gamma_by_elements(ctx, n, m)[0] == ()
+
+
+# ---------------------------------------------------------------------------
+# The subspace table behind every layer
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), n=st.integers(0, 4), ranks=st.lists(st.integers(0, 5), min_size=1, max_size=3))
+def test_every_layer_is_the_enumerated_level_whichever_table_is_built_first(q, n, ranks):
+    # ranks in any order: a shallow table first, then a deeper one replaces it, or the reverse
+    ctx = FIELDS[q]
+    with mock.patch.object(lattice, "_TABLES", OrderedDict()):
+        for m in ranks:
+            layer = _WordStack.layer(ctx, n, m)
+            words = list(enumerate_multispaces(ctx, n, m))
+            assert layer.words() == words
+            assert layer.heights.tolist() == [w.height for w in words]
+            assert layer.bases.shape[1] == min(n, m)
+            assert (layer.masks is not None) == (q ** n <= MASK_VECTORS)
+            if layer.masks is not None:
+                assert layer.masks.tolist() == _WordStack.of(words).masks.tolist()
+        assert lattice._TABLES[ctx, n][0].shape[1] == min(n, max(ranks))
+
+
+def test_cached_arrays_are_read_only():
+    for ctx, n in [(F2, 4), (F3, 4)]:  # masked, and past the mask limit
+        layer = _WordStack.layer(ctx, n, 3)
+        code = MultispaceCode(ctx, n, 3, tuple(layer.words()[:5]))
+        cached = [*lattice._subspace_table(ctx, n, 3), layer.bases, layer.dims, layer.masks, code._source()[2]]
+        for a in cached:
+            if a is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+
+@pytest.mark.parametrize("limit", [1, 100, 700, 5000])
+def test_the_kept_tables_stay_within_the_state_limit(limit):
+    # F2^3 to depth 2 holds 15 x 2 x 3 = 90 basis entries and F3^4 to depth 2 holds
+    # 171 x 2 x 4 = 1368: a small limit keeps some tables or none, evicting the least
+    # recently used, and outputs do not change
+    cases = [(F2, 3, 2), (F3, 4, 2), (F2, 3, 1), (F4, 2, 2), (F2, 4, 3), (F2, 3, 2)]
+    want = [(list(enumerate_multispaces(ctx, n, m)), gamma_by_elements(ctx, n, m)[1]) for ctx, n, m in cases]
+    with mock.patch.object(lattice, "_TABLES", OrderedDict()), mock.patch.object(lattice, "DEFAULT_STATE_LIMIT", limit):
+        for (ctx, n, m), (words, adjacency) in zip(cases, want):
+            assert _WordStack.layer(ctx, n, m).words() == words
+            assert np.array_equal(gamma_graph(ctx, n, m).adjacency, adjacency)
+            assert sum(bases.size for bases, _, _ in lattice._TABLES.values()) <= limit
+            if (ctx, n) in lattice._TABLES:
+                assert list(lattice._TABLES)[-1] == (ctx, n)  # the one just read is the most recent
+        kept = list(lattice._TABLES)
+    assert kept == {1: [], 100: [(F2, 3)], 700: [(F4, 2), (F2, 3)],
+                    5000: [(F3, 4), (F4, 2), (F2, 4), (F2, 3)]}[limit]
 
 
 @pytest.mark.parametrize("ctx, n, m", [(F2, 4, 3), (F3, 3, 2), (F2, 3, 2), (F4, 2, 2)])

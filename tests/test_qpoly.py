@@ -216,6 +216,18 @@ def test_poly_json_round_trip():
         LinearizedPoly.from_dict({"coeffs": {}})
 
 
+@pytest.mark.parametrize("coeffs", [{"1_0": 1}, {" 2": 1}, {"2 ": 1}, {"+1": 1}, {"-1": 1}, {"\u0663": 1},
+                                    {"": 1}, {"1.0": 1}, {"1": 3, "01": 5}, {"00": 1}],
+                         ids=["underscore", "leading-space", "trailing-space", "plus", "minus", "arabic-indic",
+                              "empty", "decimal-point", "leading-zero", "double-zero"])
+def test_poly_json_refuses_q_indices_that_are_not_canonical_decimals(coeffs):
+    doc = {"base-q": 2, "field": "2^3", "coeffs": coeffs}
+    with pytest.raises(FormatError, match="q-index"):
+        LinearizedPoly.from_dict(doc)
+    doc["coeffs"] = {"0": 1, "10": 1, str(10 ** 30): 1}
+    assert sorted(LinearizedPoly.from_dict(doc).coeffs) == [0, 10, 10 ** 30]
+
+
 def test_iso_round_trip_and_linearity():
     for ctx, n in [(F2, 3), (F3, 2), (field(2, 2), 2)]:
         iso = vector_field_iso(ctx, n)
