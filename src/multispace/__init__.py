@@ -48,6 +48,7 @@ from .lattice import (
     Multispace,
     RegularityReport,
     VectorMultiset,
+    codespace_growth,
     count_covered,
     count_covering,
     count_multispaces,
@@ -78,7 +79,6 @@ from .codes import (
     MultispaceCode,
     ball,
     ball_size,
-    codespace_growth,
     decode,
     exhaustive_optimal_code,
     greedy_code,

@@ -19,7 +19,10 @@ reproducible from (config, seed) alone.  Trials run in blocks as arrays:
 each stage of a block draws for all its trials, rejection sampling runs
 each trial's loop to acceptance on the rank-only kernel rank_array, and
 multispans and distances are batched eliminations, while every substream
-sees the calls of a one-trial loop.
+sees the calls of a one-trial loop.  A block comes out as columns (sent
+indices, received words as one stack, distances, bound checks); one
+summary reads them for both entry points, and only run_trials turns them
+into TrialRecords.
 """
 
 import csv
@@ -231,7 +234,7 @@ def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int
 # ---------------------------------------------------------------------------
 
 def _channel_block(cfg: ChannelConfig, rngs, sent: _WordStack, gens: np.ndarray):
-    """Received words, their stack, distances and bound checks of one block of trials.
+    """The stack of received words, the distances and the bound checks of one block of trials.
 
     Trial t sends row t of the stack sent, whose generating multiset is
     gens[t, :m] for its rank m, and draws from rngs[t].  The stages draw in
@@ -272,7 +275,7 @@ def _channel_block(cfg: ChannelConfig, rngs, sent: _WordStack, gens: np.ndarray)
         ok = (d <= 2 * s) & (joins == sent.dims)
     else:
         ok = np.ones(len(rngs), dtype=bool)  # compound: observational only
-    return stack.words(), stack, d.tolist(), ok.tolist()
+    return stack, d, ok
 
 
 def _block_size(m_max: int, n: int) -> int:
@@ -282,57 +285,35 @@ def _block_size(m_max: int, n: int) -> int:
     return max(1, min(_BLOCK, DEFAULT_STATE_LIMIT // max(1, m_max * max(m_max, n))))
 
 
-def _one_word_source(sent: Multispace, gen: np.ndarray) -> tuple:
-    """The source of _trial_blocks that holds the one word sent, generated by the (m, n) array gen."""
-    return (sent,), _WordStack.of([sent]), gen[None]
+def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray, pick):
+    """Yield (sent indices, received stack, distances, bound checks) of each
+    block of trials, in order, as arrays with one row per trial.
 
-
-def _trial_blocks(cfg: ChannelConfig, source, pick):
-    """Yield each block's TrialRecords, in order, with the stack of their
-    received words and the array of the indices of their sent words.
-
-    source is (words, stack, generators), as MultispaceCode._source gives
-    it: word i is words[i] and row i of stack, and its generating multiset
-    of m = rank rows is generators[i, :m].  pick(rng) returns the index of
-    the word a trial sends; it is the first draw of every trial, so
-    end-to-end runs draw the codeword index before the channel matrices.
-    Trials run in blocks of _block_size(largest m, n): every word of a block
-    is picked and rank-checked before any channel draw, its rows and
-    generators are taken from the source by index, and the block's draws,
-    multispans and distances are batched eliminations, so memory grows with
-    the block, not the trials.
+    Word i is row i of stack, and its generating multiset of m = rank rows
+    is gens[i, :m], as MultispaceCode._source gives them.  pick(rng) returns
+    the index of the word a trial sends; it is the first draw of every
+    trial, so end-to-end runs draw the codeword index before the channel
+    matrices.  Trials run in blocks of _block_size(largest m, n): every word
+    of a block is picked and rank-checked before any channel draw, its rows
+    and generators are taken by index, and the block's draws, multispans and
+    distances are batched eliminations, so memory grows with the block, not
+    the trials.  No Multispace is built.
     """
-    words, stack, gens = source
-    bound = _bound_for(cfg)
-    # rank(T_eff) = m - lost in closed form: every stage has full rank except
-    # the rank-deficient one, whose rank _rank_batch checks
-    lost = _need(cfg)
     block = _block_size(gens.shape[1], stack.n)
     root = np.random.SeedSequence(cfg.seed)
     for start in range(0, cfg.trials, block):
         rngs = [np.random.default_rng(ss) for ss in root.spawn(min(block, cfg.trials - start))]
         picked = np.array([pick(rng) for rng in rngs])
         sent = stack[picked]
-        ms = (sent.dims + sent.heights).tolist()
-        for m in ms:
+        ms = sent.dims + sent.heights
+        for m in ms.tolist():
             cfg.check_rank(m)
-        received, rstack, dists, oks = _channel_block(cfg, rngs, sent, gens[picked, : max(ms)])
-        yield [
-            TrialRecord(start + k, words[i], word, m - lost, d, bound, ok)
-            for k, (i, m, word, d, ok) in enumerate(zip(picked.tolist(), ms, received, dists, oks))
-        ], rstack, picked
-
-
-def _trial_loop(cfg: ChannelConfig, source, pick):
-    """Yield the TrialRecord of every trial in order, block by block."""
-    for records, _, _ in _trial_blocks(cfg, source, pick):
-        yield from records
+        yield picked, *_channel_block(cfg, rngs, sent, gens[picked, : ms.max()])
 
 
 def _summarize(cfg: ChannelConfig, blocks, code=None) -> ChannelSummary:
-    """Violations and the distance histogram of a stream of blocks of trial
-    records, each with the stack of its received words and the indices of
-    its sent words.
+    """Violations and the distance histogram of the blocks _trial_blocks yields,
+    as Python ints.
 
     With a code, each block's received words are decoded against it at once,
     and a trial is a block error when the decoded index differs from the
@@ -341,20 +322,19 @@ def _summarize(cfg: ChannelConfig, blocks, code=None) -> ChannelSummary:
     decoding (bound < min_distance / 2).
     """
     bound = _bound_for(cfg)
-    violations = 0
-    block_errors = 0
+    violations = block_errors = max_d = 0
     hist: dict[int, int] = {}
-    max_d = 0
-    for records, received, sent in blocks:
-        wrong = () if code is None else (code._nearest(received)[0] != sent).tolist()
-        for k, rec in enumerate(records):
-            violations += not rec.bound_satisfied
-            hist[rec.distance] = hist.get(rec.distance, 0) + 1
-            max_d = max(max_d, rec.distance)
-            if code is not None and wrong[k]:
-                block_errors += 1
-                if bound is not None and bound < code.min_distance / 2:
-                    violations += 1  # unique decoding was guaranteed
+    for sent, received, d, ok in blocks:
+        violations += len(ok) - int(ok.sum())
+        values, counts = np.unique(d, return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
+            hist[value] = hist.get(value, 0) + count
+        max_d = max(max_d, int(d.max()))
+        if code is not None:
+            wrong = int((code._nearest(received)[0] != sent).sum())
+            block_errors += wrong
+            if wrong and bound is not None and bound < code.min_distance / 2:
+                violations += wrong  # unique decoding was guaranteed
     errors = None if code is None else block_errors
     return ChannelSummary(cfg.trials, violations, max_d, hist, errors)
 
@@ -378,23 +358,28 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
     else:
         raise TypeError("target must be a Multispace or VectorMultiset")
     cfg.check_rank(len(gen0))
-    records = list(_trial_loop(cfg, _one_word_source(sent, gen0), lambda rng: 0))
-    return ChannelRun(records, _summarize(cfg, [(records, None, None)]))
+    blocks = list(_trial_blocks(cfg, _WordStack.of([sent]), gen0[None], lambda rng: 0))
+    # rank(T_eff) = m - _need(cfg) in closed form: every stage has full rank
+    # except the rank-deficient one, whose rank _rank_batch checks
+    t_rank, bound = len(gen0) - _need(cfg), _bound_for(cfg)
+    trials = (t for _, stack, d, ok in blocks for t in zip(stack.words(), d.tolist(), ok.tolist()))
+    records = [TrialRecord(i, sent, word, t_rank, dist, bound, good) for i, (word, dist, good) in enumerate(trials)]
+    return ChannelRun(records, _summarize(cfg, blocks))
 
 
 def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
     """Sample codewords, run the channel, decode, and count block errors.
 
-    A codeword too small for the mode's error weight raises ConfigInvalid
-    in the first block of trials that samples it.
+    The trials stay columns: no TrialRecord and no received Multispace is
+    built.  A codeword too small for the mode's error weight raises
+    ConfigInvalid in the first block of trials that samples it.
     """
     cfg.validate()
     if len(code) == 0:
         raise ConfigInvalid("end-to-end run needs a nonempty code")
-    m_max = max(w.rank for w in code)
-    _check_budget(m_max ** 2, "channel matrix entries")
-    blocks = _trial_blocks(cfg, code._source(), lambda rng: int(rng.integers(len(code))))
-    return _summarize(cfg, blocks, code)  # records are not kept
+    _check_budget(code._max_rank ** 2, "channel matrix entries")
+    blocks = _trial_blocks(cfg, *code._source(), lambda rng: int(rng.integers(len(code))))
+    return _summarize(cfg, blocks, code)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .lattice import (
     BigCount,
     Multispace,
     _WordStack,
-    count_multispaces,
+    codespace_growth,
     covered_neighbors,
     covering_neighbors,
     pairwise_distances,
@@ -32,10 +32,11 @@ CLIQUE_LIMIT = 64
 class MultispaceCode:
     """An ordered set of distinct multispaces of rank <= m_max."""
 
-    __slots__ = ("ctx", "n", "m_max", "codewords", "_min_dist", "_stack", "_gens")
+    __slots__ = ("ctx", "n", "m_max", "codewords", "_max_rank", "_min_dist", "_stack", "_gens")
 
     def __init__(self, ctx: FieldCtx, n: int, m_max: int, codewords: tuple):
         seen = set()
+        self._max_rank = 0  # the largest codeword rank
         for w in codewords:
             w.ctx.check_same(ctx)
             if w.n != n:
@@ -45,6 +46,7 @@ class MultispaceCode:
             if w in seen:
                 raise ConfigInvalid("duplicate codeword")
             seen.add(w)
+            self._max_rank = max(self._max_rank, w.rank)
         self.ctx = ctx
         self.n = n
         self.m_max = m_max
@@ -87,16 +89,16 @@ class MultispaceCode:
         return self._stack
 
     def _source(self) -> tuple:
-        """(codewords, their stack, their generators), built once: the canonical
+        """(the codeword stack, their generators), built once: the canonical
         generating multiset of codeword i, its basis and then zero rows, is
         generators[i, :rank], zero-padded to the largest rank.  Callers bound
         the largest rank first."""
         stack = self._words()
         if self._gens is None:
-            self._gens = np.zeros((len(self), max(w.rank for w in self), self.n), dtype=np.int64)
+            self._gens = np.zeros((len(self), self._max_rank, self.n), dtype=np.int64)
             self._gens[:, : stack.bases.shape[1]] = stack.bases
             self._gens.flags.writeable = False
-        return self.codewords, stack, self._gens
+        return stack, self._gens
 
     def _nearest(self, received: _WordStack) -> tuple[np.ndarray, np.ndarray]:
         """Index and distance of the first nearest codeword to each row of received,
@@ -297,8 +299,3 @@ def decode(code: MultispaceCode, received: Multispace) -> tuple[Multispace, int]
         raise ConfigInvalid("received word has a different ambient dimension")
     best, d = code._nearest(_WordStack.of([received]))
     return code.codewords[best[0]], int(d[0])
-
-
-def codespace_growth(ctx: FieldCtx, n: int, m: int) -> BigCount:
-    """Size of the rank-<=m code space: sum of the per-rank counts."""
-    return sum(count_multispaces(n, j, ctx.q) for j in range(m + 1))

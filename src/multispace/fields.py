@@ -478,9 +478,6 @@ class Embedding:
         if not np.array_equal(t[muls], big.mul_arr(t[a], t[b])):
             raise AssertionError("embedding fails multiplicativity")
 
-    def embed_int(self, v: int) -> int:
-        return int(self.table[v])
-
 
 @functools.lru_cache(maxsize=None)
 def _embedding(small: FieldCtx, big: FieldCtx) -> Embedding:

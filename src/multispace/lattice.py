@@ -470,6 +470,17 @@ def count_multispaces(n: int, m: int, q: int) -> BigCount:
     return sum(gaussian_binomial(n, k, q) for k in range(0, min(m, n) + 1))
 
 
+def codespace_growth(ctx: FieldCtx, n: int, m: int) -> BigCount:
+    """Size of the rank-<=m code space, in closed form: each k-dimensional
+    subspace with k <= m carries the m - k + 1 heights 0..m-k.  It is 0 for a
+    negative m."""
+    if m < 0:
+        return 0
+    if n < 0:
+        raise ConfigInvalid("n and m must be nonnegative")
+    return sum(gaussian_binomial(n, k, ctx.q) * (m - k + 1) for k in range(min(n, m) + 1))
+
+
 def count_covered(w: Multispace) -> BigCount:
     """How many multispaces w covers in the lattice."""
     if w.rank == 0:
@@ -499,8 +510,15 @@ def enumerate_multispaces(ctx: FieldCtx, n: int, m: int):
             yield Multispace(s, m - k)
 
 
+def _check_total(ctx: FieldCtx, n: int, m_max: int) -> None:
+    """Refuse, before the first item, a walk over every multispace of rank <= m_max."""
+    if min(n, m_max) >= 0:
+        _check_budget(codespace_growth(ctx, n, m_max), "multispaces")
+
+
 def enumerate_multispaces_up_to(ctx: FieldCtx, n: int, m_max: int):
     """Every multispace of rank 0..m_max, ascending rank."""
+    _check_total(ctx, n, m_max)
     for m in range(m_max + 1):
         yield from enumerate_multispaces(ctx, n, m)
 
@@ -537,6 +555,7 @@ def covered_neighbors(w: Multispace) -> list[Multispace]:
 
 def hasse_edges(ctx: FieldCtx, n: int, m_max: int):
     """All cover pairs (lower, upper) with rank(upper) <= m_max."""
+    _check_total(ctx, n, m_max)
     for m in range(m_max):
         for w in enumerate_multispaces(ctx, n, m):
             for up in covering_neighbors(w):
@@ -557,6 +576,7 @@ def hasse_dot(ctx: FieldCtx, n: int, m_max: int) -> HasseDiagram:
     Node labels are "rank:dim:hash"; height-0 nodes (plain subspaces) are
     drawn filled light blue.
     """
+    _check_total(ctx, n, m_max)
     ranks: list[list[Multispace]] = []
     ids: dict[Multispace, str] = {}
     for m in range(m_max + 1):

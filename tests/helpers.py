@@ -269,8 +269,9 @@ def _serial_trial_ok(cfg, sent, received, d) -> bool:
 
 def serial_trial_loop(cfg, pick, code=None, max_tries=1000) -> ChannelRun:
     """The channel trial loop one trial at a time, with matmul_arrays, apply_transform,
-    mspan, distance and decode per trial; the oracle of channel._trial_loop,
-    taking the same pick(rng) -> (sent multispace, generating (m, n) array)."""
+    mspan, distance and decode per trial; the oracle of channel._trial_blocks,
+    run_trials and end_to_end.  pick(rng) -> (sent multispace, generating (m, n) array)
+    makes the first draw of each trial, as the index pick of _trial_blocks does."""
     bound = _bound_for(cfg)
     lost = _need(cfg)
     records = []
@@ -428,7 +429,7 @@ def coordinate_map_oracle(iso, rows) -> np.ndarray:
     for row in np.asarray(rows).tolist():
         acc = 0
         for c, x_i in zip(row, x_pows):
-            acc = big.add(acc, big.mul(iso.emb.embed_int(c), x_i))
+            acc = big.add(acc, big.mul(int(iso.emb.table[c]), x_i))
         out.append(acc)
     return np.asarray(out, dtype=np.int64)
 

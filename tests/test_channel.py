@@ -16,7 +16,7 @@ from multispace import channel
 from multispace.channel import (
     MODES,
     ChannelConfig,
-    _trial_loop,
+    TrialRecord,
     apply_transform,
     end_to_end,
     ChannelRun,
@@ -42,6 +42,7 @@ from multispace.fields import field
 from multispace.lattice import (
     Multispace,
     VectorMultiset,
+    _WordStack,
     distance,
     enumerate_multispaces,
     mspan,
@@ -143,7 +144,7 @@ def test_a_channel_block_leaves_each_generator_where_the_serial_trial_does(mode,
     cfg = ChannelConfig(mode, trials=6, s=s, seed=0, random_generator=random_generator)
     for ctx in (F2, F3, F4):
         words = [Multispace(Subspace.full(ctx, 3), h) for h in range(2, 8)]  # ranks 5 to 10
-        _, stack, gens = MultispaceCode(ctx, 3, 10, tuple(words))._source()
+        stack, gens = MultispaceCode(ctx, 3, 10, tuple(words))._source()
         rngs = [np.random.default_rng(k) for k in range(len(words))]
         channel._channel_block(cfg, rngs, stack, gens)
         for k, w in enumerate(words):
@@ -368,6 +369,19 @@ def _assert_same_records(records, serial):
         assert _record_fields(records) == _record_fields(serial.records)
 
 
+def _block_records(cfg, code, pick):
+    """TrialRecords built from the columns _trial_blocks yields for code, as run_trials builds
+    them for its one word; the sent word of each trial is read back from its index."""
+    stack, gens = code._source()
+    t_ranks = (stack.dims + stack.heights - channel._need(cfg)).tolist()
+    bound = channel._bound_for(cfg)
+    records = []
+    for sent, received, d, ok in channel._trial_blocks(cfg, stack, gens, pick):
+        for i, word, dist, good in zip(sent.tolist(), received.words(), d.tolist(), ok.tolist()):
+            records.append(TrialRecord(len(records), code.codewords[i], word, t_ranks[i], dist, bound, good))
+    return records
+
+
 def _index_pick(code):
     """end_to_end's pick: the codeword index is each trial's first draw."""
     return lambda rng: int(rng.integers(len(code)))
@@ -395,7 +409,7 @@ def _check_both_entry_points(target, code, cfg):
     if not isinstance(serial, type):
         assert run.summary == serial.summary
     serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
-    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, code._source(), _index_pick(code)))), serial)
+    _assert_same_records(_outcome(lambda: _block_records(cfg, code, _index_pick(code))), serial)
     summary = _outcome(lambda: end_to_end(code, cfg))
     assert summary == (serial if isinstance(serial, type) else serial.summary)
 
@@ -451,11 +465,11 @@ def test_block_decoding_over_several_blocks_matches_the_serial_loop(ctx, n, m_ma
     code = MultispaceCode(ctx, n, m_max, tuple(w for w in greedy if w.rank >= low))
     cfg = ChannelConfig(mode, 600, 1, seed=7)
     assert end_to_end(code, cfg) == serial_trial_loop(cfg, _code_pick(code), code).summary
-    blocks = list(channel._trial_blocks(cfg, code._source(), _index_pick(code)))
+    blocks = list(channel._trial_blocks(cfg, *code._source(), _index_pick(code)))
     assert len(blocks) == 3
     if low == 2:  # the tie break against a distance loop: the first nearest codeword
-        for records, received, _ in blocks:
-            d = np.array([[distance(r.received, c) for c in code] for r in records])
+        for _, received, _, _ in blocks:
+            d = np.array([[distance(r, c) for c in code] for r in received.words()])
             assert ((d == d.min(axis=1, keepdims=True)).sum(axis=1) >= 2).all()
             assert code._nearest(received)[0].tolist() == d.argmin(axis=1).tolist()
 
@@ -467,13 +481,35 @@ def test_block_errors_by_index_equal_block_errors_by_codeword_when_every_decode_
     greedy = greedy_code(F2, 3, 3, 2, seed=0)
     code = MultispaceCode(F2, 3, 3, tuple(w for w in greedy if w.rank > 1))
     cfg = ChannelConfig("deletion", 400, 1, seed=7)
+    serial = iter(serial_trial_loop(cfg, _code_pick(code), code).records)
     by_index = by_word = 0
-    for records, received, sent in channel._trial_blocks(cfg, code._source(), _index_pick(code)):
+    for sent, received, _, _ in channel._trial_blocks(cfg, *code._source(), _index_pick(code)):
+        records = [next(serial) for _ in sent]
         assert [code.codewords[i] for i in sent.tolist()] == [r.sent for r in records]
         decoded = code._nearest(received)[0].tolist()
         by_index += sum(i != j for i, j in zip(decoded, sent.tolist()))
         by_word += sum(code.codewords[i] != r.sent for i, r in zip(decoded, records))
     assert end_to_end(code, cfg).block_errors == by_index == by_word == 126
+
+
+@pytest.mark.parametrize("mode,s,random_generator", [("full-rank", 0, True), ("deletion", 1, False),
+                                                     ("rank-deficient", 1, True), ("compound", 1, False)])
+def test_end_to_end_builds_no_record_and_no_multispace(monkeypatch, mode, s, random_generator):
+    """end_to_end reads the trials as columns: with TrialRecord, _WordStack.words and
+    Multispace construction all refused, its summary still equals the serial loop's."""
+    greedy = greedy_code(F2, 4, 4, 2, seed=0)
+    code = MultispaceCode(F2, 4, 4, tuple(w for w in greedy if w.rank >= 2))
+    cfg = ChannelConfig(mode, channel._BLOCK + 44, s, seed=5, random_generator=random_generator)
+    serial = serial_trial_loop(cfg, _code_pick(code), code).summary
+    code.min_distance  # cached before Multispace is refused
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("end_to_end built a record or a multispace")
+
+    monkeypatch.setattr(channel, "TrialRecord", refuse)
+    monkeypatch.setattr(_WordStack, "words", refuse)
+    monkeypatch.setattr(Multispace, "__init__", refuse)
+    assert end_to_end(code, cfg) == serial
 
 
 @pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1), ("rank-deficient", 1),
@@ -488,8 +524,8 @@ def test_both_loops_raise_alike_on_an_exhausted_try_budget(monkeypatch, mode, s)
     else:
         assert serial is SamplingFailed
     monkeypatch.setattr(channel, "_MAX_TRIES", 0)
-    source = channel._one_word_source(w, gen)
-    _assert_same_records(_outcome(lambda: list(_trial_loop(cfg, source, lambda rng: 0))), serial)
+    code = MultispaceCode(F2, 3, w.rank, (w,))  # its one generating multiset is gen
+    _assert_same_records(_outcome(lambda: _block_records(cfg, code, lambda rng: 0)), serial)
 
 
 @pytest.mark.parametrize("mode", ["deletion", "rank-deficient", "compound"])
@@ -499,7 +535,7 @@ def test_both_loops_refuse_a_codeword_of_too_small_a_rank(mode):
     cfg = ChannelConfig(mode, trials=20, s=1, seed=0)
     serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
     assert serial is ConfigInvalid
-    assert _outcome(lambda: list(_trial_loop(cfg, code._source(), _index_pick(code)))) is ConfigInvalid
+    assert _outcome(lambda: _block_records(cfg, code, _index_pick(code))) is ConfigInvalid
     assert _outcome(lambda: end_to_end(code, cfg)) is ConfigInvalid
 
 

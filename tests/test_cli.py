@@ -290,6 +290,18 @@ def test_limit_exit_code(capsys):
     assert code == 2 and "limit" in err.lower()
 
 
+@pytest.mark.parametrize("argv, total", [
+    (["hasse", "2", "1", "10000000"], "20000001 multispaces"),
+    (["search", "2", "2", "100000000", "3", "--optimal"], "ground set of 500000000"),
+])
+def test_a_huge_rank_cap_is_refused_on_the_closed_form_total(capsys, argv, total):
+    # no rank layer passes a limit; the total does, and it is counted without a loop over ranks
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and total in err and "Traceback" not in err
+
+
 def test_enumeration_within_budget_ignores_ambient_size(capsys):
     # q^n = 2^21 is over the budget, but rank 0 holds a single multispace
     code, out, _ = run(capsys, "--format", "json", "enumerate", "2", "21", "0")

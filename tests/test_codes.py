@@ -423,6 +423,26 @@ def test_codespace_growth():
     assert abs(total / (m * 16) - 1) <= 0.1
 
 
+def _per_rank_growth(ctx, n, m):
+    """The code space size as the per-rank sum, or the toolkit error it raises."""
+    try:
+        return sum(lattice.count_multispaces(n, j, ctx.q) for j in range(m + 1))
+    except ConfigInvalid as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_closed_form_codespace_growth_equals_the_per_rank_sum(q):
+    ctx = field(2, 2) if q == 4 else field(q)
+    for n in range(-2, 7):
+        for m in range(-2, 12):
+            try:
+                got = codespace_growth(ctx, n, m)
+            except ConfigInvalid as exc:
+                got = type(exc)
+            assert got == _per_rank_growth(ctx, n, m), (n, m)
+
+
 def test_code_json_round_trip():
     code = greedy_code(F2, 3, 2, 2, seed=0)
     d = code.to_dict()

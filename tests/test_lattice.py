@@ -38,6 +38,7 @@ from multispace.lattice import (
     covering_neighbors,
     distance,
     enumerate_multispaces,
+    enumerate_multispaces_up_to,
     gamma_graph,
     gaussian_binomial,
     hasse_dot,
@@ -317,7 +318,7 @@ def test_cached_arrays_are_read_only():
     for ctx, n in [(F2, 4), (F3, 4)]:  # masked, and past the mask limit
         layer = _WordStack.layer(ctx, n, 3)
         code = MultispaceCode(ctx, n, 3, tuple(layer.words()[:5]))
-        cached = [*lattice._subspace_table(ctx, n, 3), layer.bases, layer.dims, layer.masks, code._source()[2]]
+        cached = [*lattice._subspace_table(ctx, n, 3), layer.bases, layer.dims, layer.masks, code._source()[1]]
         for a in cached:
             if a is not None:
                 with pytest.raises(ValueError, match="read-only"):
@@ -551,6 +552,26 @@ def test_enumerate_multispaces_budget():
         _WordStack.layer(F2, 25, 1)
     assert list(enumerate_multispaces(F2, 3, -1)) == []
     assert list(enumerate_multispaces(F2, -1, 2)) == []
+
+
+@pytest.mark.parametrize("n, m_max, total", [
+    (0, 10 ** 7, 10 ** 7 + 1),  # one multispace per rank: no layer passes the budget, the total does
+    (1, 10 ** 7, 2 * 10 ** 7 + 1),
+    (2, lattice.DEFAULT_STATE_LIMIT, 5 * lattice.DEFAULT_STATE_LIMIT),
+])
+def test_walks_up_to_a_rank_check_the_total_before_the_first_item(n, m_max, total):
+    for start in (lambda: next(enumerate_multispaces_up_to(F2, n, m_max)),
+                  lambda: next(hasse_edges(F2, n, m_max)),
+                  lambda: hasse_dot(F2, n, m_max)):
+        with pytest.raises(LimitExceeded, match=f"{total} multispaces"):
+            start()
+
+
+@pytest.mark.parametrize("n, m_max", [(-1, 3), (3, -1), (-2, -2)])
+def test_walks_up_to_a_rank_are_empty_for_a_negative_n_or_m(n, m_max):
+    assert list(enumerate_multispaces_up_to(F2, n, m_max)) == []
+    assert list(hasse_edges(F2, n, m_max)) == []
+    assert hasse_dot(F2, n, m_max).nodes == 0
 
 
 def test_hasse_edges_small():
