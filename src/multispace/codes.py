@@ -3,6 +3,7 @@ prescribed minimum lattice distance, plus search, bounds and decoding.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -181,6 +182,8 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
     """
     if d_min < 1:
         raise ConfigInvalid("d_min must be >= 1")
+    if n < 0:
+        raise ConfigInvalid(f"ambient dimension {n} is negative")
     v = codespace_growth(ctx, n, m_max)
     if v > CLIQUE_LIMIT:
         raise LimitExceeded(f"ground set of {v} exceeds clique-search limit {CLIQUE_LIMIT}")
@@ -277,6 +280,13 @@ def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCo
     Ball sizes vary with the center, so the minimum over all centers keeps
     the bound sound; GL_n(q) keeps distance and rank and is transitive on the
     centers of one (dim, height), so nothing is enumerated.
+
+    Per dim k, with r the radius, only the heights t <= r and
+    t >= m_max - k - r are visited; between them every ball is as large as
+    at t = r.  There, each term of _class_ball_size has slack s = r - d_S in
+    [0, r] and j <= k + r - s (as d_S >= |k - j|), so t - s >= 0 and
+    t + s <= m_max - k - r + s <= m_max - j: it counts the 2s + 1 heights
+    t - s .. t + s, whatever t.
     """
     if d_min < 1:
         raise ConfigInvalid("d_min must be >= 1")
@@ -286,7 +296,8 @@ def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCo
     total = codespace_growth(ctx, n, m_max)
     if radius == 0:
         return total
-    classes = ((k, t) for k in range(min(n, m_max) + 1) for t in range(m_max - k + 1))
+    classes = ((k, t) for k in range(min(n, m_max) + 1) for top in [m_max - k]
+               for t in chain(range(min(radius, top) + 1), range(max(radius + 1, top - radius), top + 1)))
     return total // min(_class_ball_size(ctx.q, n, k, t, radius, m_max) for k, t in classes)
 
 

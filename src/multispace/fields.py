@@ -30,21 +30,6 @@ from .errors import (
 FIELD_SIZE_LIMIT = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -57,6 +42,10 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _digits(values, p: int, width: int) -> np.ndarray:
@@ -81,11 +70,7 @@ def _mat_pow(m: np.ndarray, k: int, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pdeg(v: int, p: int) -> int:
-    d = -1
-    while v:
-        v //= p
-        d += 1
-    return d
+    return len(_pcoeffs(v, p)) - 1
 
 
 def _pcoeffs(v: int, p: int) -> list[int]:

@@ -553,9 +553,17 @@ def covered_neighbors(w: Multispace) -> list[Multispace]:
     return out
 
 
+def _cover_pairs(q: int, n: int, m_max: int) -> BigCount:
+    """Cover pairs up to rank m_max: each (U, t) below it, with dim U = k and m_max - k
+    heights, is covered by (U, t + 1) and the [n-k, 1]_q spaces U + <v>."""
+    return sum(gaussian_binomial(n, k, q) * (m_max - k) * (1 + gaussian_binomial(n - k, 1, q))
+               for k in range(min(n, m_max - 1) + 1))
+
+
 def hasse_edges(ctx: FieldCtx, n: int, m_max: int):
     """All cover pairs (lower, upper) with rank(upper) <= m_max."""
     _check_total(ctx, n, m_max)
+    _check_budget(_cover_pairs(ctx.q, n, m_max), "cover pairs")
     for m in range(m_max):
         for w in enumerate_multispaces(ctx, n, m):
             for up in covering_neighbors(w):
@@ -577,6 +585,7 @@ def hasse_dot(ctx: FieldCtx, n: int, m_max: int) -> HasseDiagram:
     drawn filled light blue.
     """
     _check_total(ctx, n, m_max)
+    _check_budget(_cover_pairs(ctx.q, n, m_max), "cover pairs")
     ranks: list[list[Multispace]] = []
     ids: dict[Multispace, str] = {}
     for m in range(m_max + 1):

@@ -141,16 +141,21 @@ def rref_array(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int]
     return a, r, pivots
 
 
+#: Largest field whose rank_array eliminates on q x q lookup tables: each table
+#: has at most 2^16 entries, and every entry is a small int that CPython shares.
+RANK_TABLE_LIMIT = 256
+
+
 def rank_array(ctx: FieldCtx, a: np.ndarray) -> int:
     """Rank of one matrix, by forward elimination on Python values.
 
     The rank alone needs no pivot scaling or back substitution, and a small
     matrix is eliminated faster in plain Python than through numpy calls.
     Over GF(2) each row is one Python int of any width, reduced by XOR
-    against the kept row with the same leading bit; over other fields the
-    rows are lists, reduced column by column with the context's exp/log/inv
-    lists and, in odd extension fields, Zech logarithms (log(1 + g^k) by k),
-    so no table grows past q.
+    against the kept row with the same leading bit.  Over other fields with
+    at most RANK_TABLE_LIMIT elements the rows are lists, reduced column by
+    column as v - f w through the field's q x q multiplication and
+    subtraction tables.  Larger fields take the rank from rref_array.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.size == 0:
@@ -170,7 +175,9 @@ def rank_array(ctx: FieldCtx, a: np.ndarray) -> int:
                     break
                 x ^= y
         return len(lead)
-    eliminate = _eliminator(ctx)
+    if ctx.q > RANK_TABLE_LIMIT:
+        return rref_array(ctx, a)[1]
+    mul, sub = _rank_tables(ctx)
     rows = a.tolist()
     rank = 0
     for _ in range(a.shape[1]):  # column 0 of the rows left; each pass drops it
@@ -182,61 +189,20 @@ def rank_array(ctx: FieldCtx, a: np.ndarray) -> int:
         rank += 1
         if not rows:
             break
-        rows = eliminate(rows, piv)
+        ip, tail = ctx.inv(piv[0]), piv[1:]
+        out = []
+        for row in rows:
+            f = mul[mul[row[0]][ip]]  # row[0] / piv[0] times each entry
+            out.append([sub[v][f[w]] for v, w in zip(row[1:], tail)] if row[0] else row[1:])
+        rows = out
     return rank
 
 
 @functools.lru_cache(maxsize=None)
-def _eliminator(ctx: FieldCtx):
-    """For q > 2, the function (rows, piv) -> [row[1:] - (row[0] / piv[0]) piv[1:] for row in rows]
-    on lists of encodings."""
-    p, exp, log, q1 = ctx.p, ctx._exp, ctx._log, ctx.q - 1
-    if ctx.e == 1:
-        inv = ctx._inv
-
-        def eliminate(rows, piv):
-            ip, tail = inv[piv[0]], piv[1:]
-            out = []
-            for row in rows:
-                f = row[0] * ip % p
-                out.append([(v - f * w) % p for v, w in zip(row[1:], tail)] if f else row[1:])
-            return out
-        return eliminate
-    if p == 2:
-        def eliminate(rows, piv):
-            lp, ltail = log[piv[0]], [log[w] if w else None for w in piv[1:]]
-            out = []
-            for row in rows:
-                if row[0]:
-                    f = log[row[0]] - lp
-                    out.append([v if lw is None else v ^ exp[(f + lw) % q1] for v, lw in zip(row[1:], ltail)])
-                else:
-                    out.append(row[1:])
-            return out
-        return eliminate
-    # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0; and -1 = g^half
-    ones = ctx.add_arr(np.ones(q1, dtype=np.int64), ctx._exp_np)
-    zech = np.where(ones == 0, -1, ctx._log_np[ones]).tolist()
-    half = q1 // 2
-
-    def add(v, t):  # v + g^t
-        if not v:
-            return exp[t]
-        lv = log[v]
-        z = zech[(t - lv) % q1]
-        return 0 if z < 0 else exp[(lv + z) % q1]
-
-    def eliminate(rows, piv):
-        lp, ltail = log[piv[0]] - half, [log[w] if w else None for w in piv[1:]]
-        out = []
-        for row in rows:
-            if row[0]:
-                f = log[row[0]] - lp  # the log of -row[0] / piv[0]
-                out.append([v if lw is None else add(v, (f + lw) % q1) for v, lw in zip(row[1:], ltail)])
-            else:
-                out.append(row[1:])
-        return out
-    return eliminate
+def _rank_tables(ctx: FieldCtx) -> tuple[list, list]:
+    """The q x q nested lists mul[a][b] = a b and sub[a][b] = a - b."""
+    x = np.arange(ctx.q, dtype=np.int64)
+    return ctx.mul_arr(x[:, None], x[None, :]).tolist(), ctx.sub_arr(x[:, None], x[None, :]).tolist()
 
 
 def rref_batch(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

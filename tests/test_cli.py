@@ -5,7 +5,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import multispace.cli as cli
 from multispace.channel import ChannelRun, ChannelSummary
@@ -302,6 +302,22 @@ def test_a_huge_rank_cap_is_refused_on_the_closed_form_total(capsys, argv, total
     assert code == 2 and out == "" and total in err and "Traceback" not in err
 
 
+def test_hasse_is_refused_on_its_cover_pairs(capsys):
+    # 702124 nodes are within the budget; their 2100224 cover pairs are not
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hasse", "2", "11", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "2100224 cover pairs" in err and "Traceback" not in err
+
+
+def test_packing_bound_of_a_huge_rank_cap(capsys):
+    # the smallest ball is found without a loop over the 10^5 heights
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--format", "json", "bound", "2", "2", "100000", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out) == {"packing_bound": 250000, "space_size": 500000}
+
+
 def test_enumeration_within_budget_ignores_ambient_size(capsys):
     # q^n = 2^21 is over the budget, but rank 0 holds a single multispace
     code, out, _ = run(capsys, "--format", "json", "enumerate", "2", "21", "0")
@@ -538,6 +554,7 @@ def _argv(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(_argv())
+@example(["search", "2", "-1", "-1", "1", "--optimal"])  # a negative n passed the clique limit
 def test_cli_fuzz_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -233,6 +233,13 @@ def test_optimal_size_limit_is_checked_before_enumeration(monkeypatch):
         exhaustive_optimal_code(field(2, 16), 2, 1, 1)
 
 
+@pytest.mark.parametrize("m_max", [-1, 0, 2])
+def test_optimal_needs_a_nonnegative_dimension(m_max):
+    # codespace_growth is 0 for a negative m_max, so the clique limit alone let n = -1 through
+    with pytest.raises(ConfigInvalid, match="ambient dimension -1 is negative"):
+        exhaustive_optimal_code(F2, -1, m_max, 1)
+
+
 def test_ball_examples():
     bottom = Multispace.bottom(F2, 3)
     assert ball_size(bottom, 0, 3) == 1
@@ -301,6 +308,22 @@ def test_closed_form_ball_size_matches_bfs_and_distance_filter(data):
 )
 def test_packing_bound_matches_the_bfs_oracle(ctx, n, m_max, d_min):
     assert sphere_packing_bound(ctx, n, m_max, d_min) == packing_bound_oracle(ctx, n, m_max, d_min)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_packing_bound_skips_the_heights_where_ball_sizes_are_constant(q):
+    ctx = F4 if q == 4 else field(q)
+    for n in range(7):
+        for m_max in range(16):
+            total = codespace_growth(ctx, n, m_max)
+            for radius in range(7):  # d_min 1..14
+                every_class = [
+                    codes._class_ball_size(q, n, k, t, radius, m_max)
+                    for k in range(min(n, m_max) + 1)
+                    for t in range(m_max - k + 1)
+                ]
+                for d_min in (2 * radius + 1, 2 * radius + 2):
+                    assert sphere_packing_bound(ctx, n, m_max, d_min) == total // min(every_class)
 
 
 def test_packing_bound_and_ball_size_enumerate_nothing(monkeypatch):

@@ -9,7 +9,7 @@ from multispace.errors import (
     NotIrreducible,
     NotPrime,
 )
-from multispace.fields import FieldCtx, extension, field, parse_field_spec
+from multispace.fields import FieldCtx, _is_prime, extension, field, parse_field_spec
 from multispace.linalg import Subspace
 
 
@@ -83,6 +83,14 @@ def test_modulus_builds_exactly_when_irreducible(p, e):
             assert field(p, e, m).modulus == m
             irreducible.append(m)
     assert irreducible and field(p, e).modulus == irreducible[0]
+
+
+def test_primality_matches_a_sieve():
+    limit = 1 << 12
+    composite = set()
+    for d in range(2, limit):
+        composite.update(range(d * d, limit, d))
+    assert [n for n in range(-3, limit) if _is_prime(n)] == [n for n in range(2, limit) if n not in composite]
 
 
 def test_construction_errors():

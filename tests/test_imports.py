@@ -3,7 +3,8 @@
 Every imported name is used; package ``__init__.py`` files are exempt,
 since their imports are the public re-exports.  The library under ``src``
 holds no ``assert`` statement: ``python -O`` strips them, so its runtime
-checks raise explicitly.
+checks raise explicitly.  Only ``fields.py`` reads FieldCtx's private
+arithmetic tables, so one module decides how to compute in GF(q).
 """
 
 import ast
@@ -63,3 +64,28 @@ def test_no_asserts_in_the_library():
     assert len(library) > 5
     found = {str(path.relative_to(ROOT)): assert_lines(path.read_text()) for path in library}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+#: FieldCtx's private arithmetic tables; other modules go through its methods.
+FIELD_TABLES = {"_exp", "_log", "_inv", "_exp_np", "_log_np", "_inv_np", "_dig", "_neg"}
+
+
+def field_table_reads(source: str) -> list[str]:
+    """The FieldCtx table attributes a module reads, with their lines."""
+    return sorted(
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES
+    )
+
+
+def test_scan_finds_field_table_reads():
+    source = "def f(ctx):\n    exp, log = ctx._exp, ctx._log\n    return ctx.inv(1), ctx._inv_np[2], ctx._expo\n"
+    assert field_table_reads(source) == ["_exp (line 2)", "_inv_np (line 3)", "_log (line 2)"]
+
+
+def test_only_fields_reads_the_field_tables():
+    library = sorted(path for path in (ROOT / "src").rglob("*.py") if path.name != "fields.py")
+    assert len(library) > 5
+    found = {str(path.relative_to(ROOT)): field_table_reads(path.read_text()) for path in library}
+    assert {path: reads for path, reads in found.items() if reads} == {}

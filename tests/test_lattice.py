@@ -574,6 +574,22 @@ def test_walks_up_to_a_rank_are_empty_for_a_negative_n_or_m(n, m_max):
     assert hasse_dot(F2, n, m_max).nodes == 0
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_cover_pair_count_matches_hasse_edges(q):
+    ctx = field(q)
+    for n in range(5):
+        for m_max in range(5):
+            assert lattice._cover_pairs(q, n, m_max) == len(list(hasse_edges(ctx, n, m_max)))
+
+
+def test_hasse_walks_check_the_cover_pairs_before_the_first_item():
+    # 702124 nodes are within the budget; their 2100224 cover pairs are not
+    assert lattice.codespace_growth(F2, 11, 2) <= lattice.DEFAULT_STATE_LIMIT
+    for start in (lambda: next(hasse_edges(F2, 11, 2)), lambda: hasse_dot(F2, 11, 2)):
+        with pytest.raises(LimitExceeded, match="2100224 cover pairs"):
+            start()
+
+
 def test_hasse_edges_small():
     edges = list(hasse_edges(F2, 3, 1))
     assert len(edges) == 8

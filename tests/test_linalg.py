@@ -7,6 +7,7 @@ import pytest
 from helpers import is_rref_by_definition, span_rows, subspaces_by_entry
 from hypothesis import given, settings, strategies as st
 
+from multispace import linalg
 from multispace.errors import (
     DimensionMismatch,
     FormatError,
@@ -34,8 +35,11 @@ F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
 F5 = field(5)
+F7 = field(7)
 F9 = field(3, 2)
 F16 = field(2, 4)
+F256 = field(2, 8)
+F512 = field(2, 9)
 E1, E2, E3 = np.eye(3, dtype=np.int64)
 
 
@@ -225,7 +229,8 @@ def _of_random_rank(ctx, rows, cols, rng):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    ctx=st.sampled_from([F2, F3, F5, F4, F9, F16]),
+    # GF(2^8) is the largest field on lookup tables and GF(2^9) the first past them
+    ctx=st.sampled_from([F2, F3, F5, F7, F4, F9, F16, F256, F512]),
     rows=st.integers(0, 9),
     cols=st.integers(0, 9),
     low_rank=st.booleans(),
@@ -237,6 +242,17 @@ def test_rank_array_matches_rref_array(ctx, rows, cols, low_rank, seed):
     given_a = a.copy()
     assert rank_array(ctx, a) == rref_array(ctx, a)[1]
     assert np.array_equal(a, given_a)  # the input is not modified
+
+
+def test_rank_array_builds_no_tables_past_the_limit(monkeypatch):
+    assert F256.q == linalg.RANK_TABLE_LIMIT < F512.q
+
+    def refuse(ctx):
+        raise AssertionError(f"tables built for {ctx}")
+
+    monkeypatch.setattr(linalg, "_rank_tables", refuse)
+    a = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 511]])
+    assert rank_array(F512, a) == rref_array(F512, a)[1] == 2
 
 
 @settings(max_examples=60, deadline=None)
