@@ -10,8 +10,9 @@ Modes:
   rank-deficient  square T of rank m - s: distance at most 2s, with the
                   underlying space contained in the sent one and the rank
                   preserved
-  compound        deletion followed by rank deficiency; distances are
-                  reported without assertion (no proven compound bound)
+  compound        deletion, then rank deficiency s on the m - s survivors:
+                  distance between s and 3s, with the underlying space
+                  contained in the sent one and the rank m - s
 
 Every trial draws its own PRNG substream (PCG64 seeded through
 SeedSequence(seed).spawn), so results are independent of scheduling and
@@ -52,13 +53,12 @@ from .linalg import (
     rref_batch,
 )
 
-#: mode -> (rank the sent multispace needs, proven distance bound), in units of s;
-#: a bound of None means the mode is observational only
+#: mode -> (rank the channel takes away, least distance, largest distance), in units of s
 _MODE_TABLE = {
-    "full-rank": (0, 0),
-    "deletion": (1, 1),
-    "rank-deficient": (1, 2),
-    "compound": (2, None),
+    "full-rank": (0, 0, 0),
+    "deletion": (1, 1, 1),
+    "rank-deficient": (1, 0, 2),
+    "compound": (2, 1, 3),
 }
 MODES = tuple(_MODE_TABLE)
 
@@ -106,9 +106,8 @@ def _need(cfg: ChannelConfig) -> int:
     return _MODE_TABLE[cfg.mode][0] * cfg.s
 
 
-def _bound_for(cfg: ChannelConfig) -> int | None:
-    factor = _MODE_TABLE[cfg.mode][1]
-    return None if factor is None else factor * cfg.s
+def _bound_for(cfg: ChannelConfig) -> int:
+    return _MODE_TABLE[cfg.mode][2] * cfg.s
 
 
 @dataclass
@@ -118,7 +117,7 @@ class TrialRecord:
     received: Multispace
     t_rank: int
     distance: int
-    bound: int | None
+    bound: int
     bound_satisfied: bool
 
 
@@ -243,6 +242,17 @@ def _channel_block(cfg: ChannelConfig, rngs, sent: _WordStack, gens: np.ndarray)
     at once, so every generator sees the same calls in the same order as a
     one-trial loop.  All arrays are zero-padded to the block's largest m;
     zero rows change no rank.
+
+    A trial is ok when least*s <= d <= most*s, by _MODE_TABLE, and the
+    received space lies in the sent one, dim(S + R) = dim S, which every
+    mode keeps: received vectors combine sent ones.  The received rank is
+    the received multiset's length by construction.  Compound's window:
+    let W be the sent word (rank m), I the word after deletion and R the
+    received one.  Deletion gives I <= W, rank I = m - s and d(I, W) = s;
+    the second stage is the rank-deficient channel on I's m - s vectors
+    with deficiency s, so d(R, I) <= 2s and rank R = m - s.  The triangle
+    inequality gives d(R, W) <= 3s, and d = rank(W v R) - rank(W ^ R) is at
+    least |rank W - rank R| = s.
     """
     ctx, n, s = sent.ctx, sent.n, cfg.s
     ms = sent.dims + sent.heights
@@ -265,17 +275,8 @@ def _channel_block(cfg: ChannelConfig, rngs, sent: _WordStack, gens: np.ndarray)
     heights = widths - ranks
     stack = _WordStack(ctx, n, bases[:, : ranks.max()], ranks, heights)
     d, joins = sent.paired(stack)
-    if cfg.mode == "full-rank":
-        ok = d == 0  # the metric vanishes exactly on equal multispaces
-    elif cfg.mode == "deletion":
-        ok = d == s  # distance is exactly s, not merely bounded
-    elif cfg.mode == "rank-deficient":
-        # the rank is preserved, as the received multiset keeps all m vectors,
-        # and dim(S + R) = dim S puts the received space inside the sent one
-        ok = (d <= 2 * s) & (joins == sent.dims)
-    else:
-        ok = np.ones(len(rngs), dtype=bool)  # compound: observational only
-    return stack, d, ok
+    _, least, most = _MODE_TABLE[cfg.mode]
+    return stack, d, (least * s <= d) & (d <= most * s) & (joins == sent.dims)
 
 
 def _block_size(m_max: int, n: int) -> int:
@@ -333,7 +334,7 @@ def _summarize(cfg: ChannelConfig, blocks, code=None) -> ChannelSummary:
         if code is not None:
             wrong = int((code._nearest(received)[0] != sent).sum())
             block_errors += wrong
-            if wrong and bound is not None and bound < code.min_distance / 2:
+            if wrong and bound < code.min_distance / 2:
                 violations += wrong  # unique decoding was guaranteed
     errors = None if code is None else block_errors
     return ChannelSummary(cfg.trials, violations, max_d, hist, errors)
@@ -389,21 +390,10 @@ def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
 def write_trial_csv(records: list[TrialRecord], fileobj):
     """One CSV row per trial; multispaces embedded as JSON strings."""
     writer = csv.writer(fileobj)
-    writer.writerow(
-        ["index", "sent", "received", "t_rank", "distance", "bound", "bound_satisfied"]
-    )
+    writer.writerow(["index", "sent", "received", "t_rank", "distance", "bound", "bound_satisfied"])
     for r in records:
-        writer.writerow(
-            [
-                r.index,
-                json.dumps(r.sent.to_dict()),
-                json.dumps(r.received.to_dict()),
-                r.t_rank,
-                r.distance,
-                "" if r.bound is None else r.bound,
-                int(r.bound_satisfied),
-            ]
-        )
+        sent, received = json.dumps(r.sent.to_dict()), json.dumps(r.received.to_dict())
+        writer.writerow([r.index, sent, received, r.t_rank, r.distance, r.bound, int(r.bound_satisfied)])
 
 
 def raise_on_violation(summary) -> None:

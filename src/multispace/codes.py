@@ -22,7 +22,6 @@ from .lattice import (
     codespace_growth,
     covered_neighbors,
     covering_neighbors,
-    pairwise_distances,
 )
 from .linalg import _check_budget, gaussian_binomial
 
@@ -79,7 +78,7 @@ class MultispaceCode:
             if len(self.codewords) <= 1:
                 self._min_dist = math.inf
             else:
-                d = pairwise_distances(self.codewords)
+                d = self._words().pairwise()
                 self._min_dist = int(d[np.triu_indices(len(d), 1)].min())
         return self._min_dist
 
@@ -221,6 +220,13 @@ def _max_clique(adjacency: np.ndarray) -> list[int]:
     return sorted(best)
 
 
+def _check_ball(center: Multispace, radius: int, m_max: int) -> None:
+    if center.rank > m_max:
+        raise ConfigInvalid(f"center rank {center.rank} exceeds m_max {m_max}")
+    if radius < 0:
+        raise ConfigInvalid(f"radius {radius} is negative")
+
+
 def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:
     """All multispaces of rank <= m_max within lattice distance <= radius.
 
@@ -228,8 +234,7 @@ def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:
     cover steps have distance 1 and meets realize geodesics inside the
     truncation, so BFS depth equals the metric.
     """
-    if center.rank > m_max or radius < 0:
-        raise ConfigInvalid(f"need center rank <= m_max and radius {radius} >= 0")
+    _check_ball(center, radius, m_max)
     _check_budget(center.ctx.q ** center.n, "ambient vectors")
     seen = {center}
     frontier = [center]
@@ -251,8 +256,7 @@ def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:
 
 def ball_size(center: Multispace, radius: int, m_max: int) -> BigCount:
     """len(ball(center, radius, m_max)), in closed form; nothing is enumerated."""
-    if center.rank > m_max or radius < 0:
-        raise ConfigInvalid(f"need center rank <= m_max and radius {radius} >= 0")
+    _check_ball(center, radius, m_max)
     return _class_ball_size(center.ctx.q, center.n, center.dim, center.height, radius, m_max)
 
 

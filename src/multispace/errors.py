@@ -55,7 +55,7 @@ class FormatError(MultispaceError, ValueError):
 
 
 class ShapeViolation(MultispaceError, RuntimeError):
-    """A result failed an internal rank or shape check (implementation bug)."""
+    """A result failed an internal rank, shape or consistency check (implementation bug)."""
 
 
 class RootsNotInField(MultispaceError, ValueError):

@@ -25,6 +25,7 @@ from .errors import (
     FormatError,
     NotIrreducible,
     NotPrime,
+    ShapeViolation,
 )
 
 FIELD_SIZE_LIMIT = 1 << 16
@@ -127,7 +128,7 @@ def _smallest_irreducible(p: int, e: int) -> int:
         cand = base + low  # monic of degree e
         if _is_irreducible(cand, p):
             return cand
-    raise AssertionError("no irreducible polynomial found")  # cannot happen
+    raise ShapeViolation("no irreducible polynomial found")  # cannot happen
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +448,7 @@ class Embedding:
     def _verify(self):
         small, big, t = self.small, self.big, self.table
         if len(np.unique(t)) != small.q or t[0] != 0 or t[1] != 1:
-            raise AssertionError("embedding is not injective/unital")
+            raise ShapeViolation("embedding is not injective/unital")
         q = small.q
         if q <= 256:
             a = np.repeat(np.arange(q), q)
@@ -459,9 +460,9 @@ class Embedding:
         adds = small.add_arr(a, b)
         muls = small.mul_arr(a, b)
         if not np.array_equal(t[adds], big.add_arr(t[a], t[b])):
-            raise AssertionError("embedding fails additivity")
+            raise ShapeViolation("embedding fails additivity")
         if not np.array_equal(t[muls], big.mul_arr(t[a], t[b])):
-            raise AssertionError("embedding fails multiplicativity")
+            raise ShapeViolation("embedding fails multiplicativity")
 
 
 @functools.lru_cache(maxsize=None)

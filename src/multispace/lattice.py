@@ -607,15 +607,15 @@ def hasse_dot(ctx: FieldCtx, n: int, m_max: int) -> HasseDiagram:
                 f'    {ids[w]} [label="{w.rank}:{w.dim}:{w.label_hash()}"{style}];'
             )
         lines.append("  }")
-    n_edges = 0
-    for lower, upper in hasse_edges(ctx, n, m_max):
-        lines.append(f"  {ids[lower]} -> {ids[upper]};")
-        n_edges += 1
+    head = len(lines)
+    # the cover pairs of hasse_edges, in its order, from the layers listed above
+    lines += [f"  {ids[w]} -> {ids[up]};" for layer in ranks[:-1] for w in layer for up in covering_neighbors(w)]
+    edges = len(lines) - head
     lines.append("}")
     return HasseDiagram(
         dot="\n".join(lines) + "\n",
         nodes=sum(len(layer) for layer in ranks),
-        edges=n_edges,
+        edges=edges,
         rank_sizes=[len(layer) for layer in ranks],
     )
 

@@ -264,7 +264,9 @@ def _serial_trial_ok(cfg, sent, received, d) -> bool:
         return d == cfg.s
     if cfg.mode == "rank-deficient":
         return d <= 2 * cfg.s and received.rank == sent.rank and received.underlying <= sent.underlying
-    return True
+    # compound: deletion at exactly s, then the rank-deficient 2s, keep the received word
+    # within s..3s of the sent one, inside it, and of rank m - s
+    return cfg.s <= d <= 3 * cfg.s and received.rank == sent.rank - cfg.s and received.underlying <= sent.underlying
 
 
 def serial_trial_loop(cfg, pick, code=None, max_tries=1000) -> ChannelRun:
@@ -296,7 +298,7 @@ def serial_trial_loop(cfg, pick, code=None, max_tries=1000) -> ChannelRun:
         max_d = max(max_d, d)
         if code is not None and decode(code, received)[0] != sent:
             block_errors += 1
-            if bound is not None and bound < code.min_distance / 2:
+            if bound < code.min_distance / 2:
                 violations += 1
     errors = None if code is None else block_errors
     return ChannelRun(records, ChannelSummary(cfg.trials, violations, max_d, hist, errors))

@@ -196,11 +196,59 @@ def test_rank_deficient_bound_containment_and_rank():
                 assert subspace_leq(rec.received.underlying, w.underlying)
 
 
-def test_compound_mode_reports_without_assertion():
+def _assert_compound_window(run, sent, s):
+    """Every compound record lies within s..3s of the sent word, inside it, at rank m - s."""
+    assert run.summary.violations == 0
+    for rec in run.records:
+        assert s <= rec.distance <= 3 * s == rec.bound and rec.bound_satisfied
+        assert rec.received.rank == sent.rank - s
+        assert subspace_leq(rec.received.underlying, sent.underlying)
+
+
+def test_compound_distance_lies_between_s_and_3s_with_containment_and_rank():
+    rng = np.random.default_rng(5)
+    for s in (1, 2):
+        for _ in range(8):
+            w = random_multispace(F2, 4, rng)
+            if w.rank < 2 * s:
+                continue
+            run = run_trials(w, ChannelConfig("compound", trials=40, s=s, seed=int(rng.integers(1 << 30))))
+            _assert_compound_window(run, w, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), explicit=st.booleans(), random_generator=st.booleans(), data=st.data())
+def test_compound_window_over_canonical_and_explicit_generators(q, explicit, random_generator, data):
+    ctx = FIELDS[q]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="input seed"))
+    n = data.draw(st.integers(1, 4), label="n")
+    if explicit:
+        target = random_multiset(ctx, n, data.draw(st.integers(2, 7), label="m"), rng)
+        sent = mspan(target)
+    else:
+        target = sent = random_multispace(ctx, n, rng, max_height=4)
+    s = data.draw(st.integers(0, sent.rank // 2), label="s")
+    cfg = ChannelConfig("compound", trials=data.draw(st.integers(1, 12), label="trials"), s=s,
+                        seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"), random_generator=random_generator)
+    _assert_compound_window(run_trials(target, cfg), sent, s)
+
+
+def test_compound_reaches_3s():
     w = Multispace(Subspace.full(F2, 3), 1)  # rank 4, enough for two error stages
     run = run_trials(w, ChannelConfig("compound", trials=30, s=1, seed=9))
-    assert run.summary.violations == 0
-    assert sum(run.summary.histogram.values()) == 30
+    _assert_compound_window(run, w, 1)
+    assert 3 in run.summary.histogram
+
+
+def test_end_to_end_counts_a_compound_decode_failure_inside_the_unique_radius(monkeypatch):
+    # min distance 8 > 2 * 3s at s = 1: every trial decodes, and a wrong decision is a violation
+    code = MultispaceCode(F2, 4, 4, (Multispace(Subspace.full(F2, 4), 0), Multispace(Subspace.zero(F2, 4), 4)))
+    cfg = ChannelConfig("compound", trials=50, s=1, seed=3)
+    summary = end_to_end(code, cfg)
+    assert summary.block_errors == summary.violations == 0
+    monkeypatch.setattr(MultispaceCode, "_nearest", lambda self, received: (np.full(len(received.dims), -1), None))
+    summary = end_to_end(code, cfg)
+    assert summary.block_errors == summary.violations == 50
 
 
 def test_run_trials_with_explicit_generator():

@@ -381,6 +381,22 @@ def test_negative_radius_and_rank_cap_are_errors(capsys):
         assert code == 1 and out == "" and message in err and "Traceback" not in err
 
 
+#: rank 2: a line of GF(2)^3 at height 1
+W_RANK2 = json.dumps({"q-spec": "2", "n": 3, "basis": [[1, 0, 0]], "height": 1})
+
+
+def test_ball_names_a_center_above_the_rank_cap(capsys):
+    code, out, err = run(capsys, "--format", "json", "ball", W_RANK2, "1", "1")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "center rank 2 exceeds m_max 1" in err and "radius" not in err
+
+
+def test_ball_names_a_negative_radius(capsys):
+    code, out, err = run(capsys, "--format", "json", "ball", W_RANK2, "-2", "3")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "radius -2 is negative" in err and "center" not in err
+
+
 def test_emitted_json_reaccepted_bit_exact(capsys):
     code, out, _ = run(capsys, "--format", "json", "join", W_LINE, W_Z1)
     w = Multispace.from_dict(json.loads(out))

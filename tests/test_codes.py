@@ -59,6 +59,18 @@ def test_min_distance_of_full_rank_one_level():
     assert min_distance(code) == 2
 
 
+def test_min_distance_and_decoding_share_one_codeword_stack(monkeypatch):
+    words = tuple(enumerate_multispaces_up_to(F3, 2, 2))
+    code = MultispaceCode(F3, 2, 2, words)
+    stacks = []
+    of = _WordStack.of.__func__
+    monkeypatch.setattr(_WordStack, "of", classmethod(lambda cls, xs: stacks.append(len(xs)) or of(cls, xs)))
+    assert code.min_distance == min(distance(a, b) for i, a in enumerate(words) for b in words[i + 1 :])
+    code._nearest(code._words())
+    code._source()
+    assert stacks == [len(words)]
+
+
 def test_equal_rank_distances_are_even():
     words = list(enumerate_multispaces(F2, 3, 2))
     for i, a in enumerate(words):
@@ -273,6 +285,13 @@ def test_negative_radius_is_an_error():
         for fn in (ball, ball_size):
             with pytest.raises(ConfigInvalid, match="radius -1"):
                 fn(center, -1, 2)
+
+
+def test_a_center_above_the_rank_cap_is_named():
+    center = Multispace(Subspace.from_array(F2, 3, [[1, 0, 0]]), 1)  # rank 2
+    for fn in (ball, ball_size):
+        with pytest.raises(ConfigInvalid, match="center rank 2 exceeds m_max 1"):
+            fn(center, 1, 1)
 
 
 @settings(max_examples=80, deadline=None)

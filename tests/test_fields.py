@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from multispace.errors import (
     DivisionByZero,
     FieldTooLarge,
     FormatError,
+    MultispaceError,
     NotIrreducible,
     NotPrime,
+    ShapeViolation,
 )
 from multispace.fields import FieldCtx, _is_prime, extension, field, parse_field_spec
 from multispace.linalg import Subspace
@@ -263,6 +267,21 @@ def test_embedding_into_extension():
         for b in range(4):
             assert int(emb.table[small.mul(a, b)]) == big.mul(int(emb.table[a]), int(emb.table[b]))
             assert int(emb.table[small.add(a, b)]) == big.add(int(emb.table[a]), int(emb.table[b]))
+
+
+def test_a_broken_embedding_is_a_toolkit_error():
+    small = field(2, 2)
+    big, emb = extension(small, 2)
+    x = int(emb.table[2])
+    z = next(v for v in range(2, big.q) if v not in emb.table.tolist())  # outside the image of GF(4)
+    # not injective; 1 + alpha not sent to 1 + x; additive but alpha^2 = alpha + 1 not kept
+    for table, message in (([0, 1, x, x], "injective"), ([0, 1, x, z], "additivity"),
+                           ([0, 1, z, big.add(z, 1)], "multiplicativity")):
+        broken = copy.copy(emb)
+        broken.table = np.array(table)
+        with pytest.raises(ShapeViolation, match=message) as info:
+            broken._verify()
+        assert isinstance(info.value, MultispaceError)
 
 
 def test_embedding_odd_characteristic():

@@ -3,7 +3,8 @@
 Every imported name is used; package ``__init__.py`` files are exempt,
 since their imports are the public re-exports.  The library under ``src``
 holds no ``assert`` statement: ``python -O`` strips them, so its runtime
-checks raise explicitly.  Only ``fields.py`` reads FieldCtx's private
+checks raise explicitly, and none raises ``AssertionError``, which is no
+``MultispaceError`` and would end the CLI in a traceback.  Only ``fields.py`` reads FieldCtx's private
 arithmetic tables, so one module decides how to compute in GF(q).
 """
 
@@ -63,6 +64,32 @@ def test_no_asserts_in_the_library():
     library = sorted((ROOT / "src").rglob("*.py"))
     assert len(library) > 5
     found = {str(path.relative_to(ROOT)): assert_lines(path.read_text()) for path in library}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def assertion_raises(source: str) -> list[int]:
+    """The lines of a module's raise statements of AssertionError, called or bare."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        and isinstance(exc := node.exc.func if isinstance(node.exc, ast.Call) else node.exc, ast.Name)
+        and exc.id == "AssertionError"
+    )
+
+
+def test_scan_finds_assertion_raises():
+    source = (
+        "def f(x):\n    if x:\n        raise AssertionError('no')\n    if not x:\n        raise AssertionError\n"
+        "    raise ValueError('AssertionError')\n    raise\n"
+    )
+    assert assertion_raises(source) == [3, 5]
+
+
+def test_no_assertion_raises_in_the_library():
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert len(library) > 5
+    found = {str(path.relative_to(ROOT)): assertion_raises(path.read_text()) for path in library}
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 

@@ -22,6 +22,7 @@ from helpers import (
     span_rows,
 )
 from multispace import lattice
+from multispace.channel import random_full_rank
 from multispace.codes import MultispaceCode
 from multispace.errors import FormatError, LimitExceeded, RankZero
 from multispace.fields import field
@@ -51,7 +52,7 @@ from multispace.lattice import (
     pairwise_distances,
     span,
 )
-from multispace.linalg import Subspace, _pad_stack, subspace_distance
+from multispace.linalg import Subspace, _pad_stack, matmul_arrays, subspace_distance
 
 F2 = field(2)
 F3 = field(3)
@@ -231,6 +232,30 @@ def test_pairwise_distances_over_several_row_blocks(ctx, n, m):
     words = list(enumerate_multispaces(ctx, n, m))
     assert len(words) > 2 * lattice._PAIRWISE_ROWS
     assert pairwise_distances(words).tolist() == [[distance(a, b) for b in words] for a in words]
+
+
+#: (field, n, masked): two spaces on the mask path of _WordStack, three on the elimination path
+METAMORPHIC_SPACES = [(F2, 4, True), (F3, 3, True), (F2, 7, False), (F3, 4, False), (F4, 4, False)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=st.sampled_from(METAMORPHIC_SPACES), count=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_an_invertible_map_keeps_every_rank_and_distance(space, count, seed):
+    """d(gW, gX) = d(W, X) and rank gW = rank W for a random invertible g, on both
+    representations of _WordStack and through lattice.distance."""
+    ctx, n, masked = space
+    rng = np.random.default_rng(seed)
+    words = [random_multispace(ctx, n, rng) for _ in range(count)]
+    g = random_full_rank(ctx, n, rng)
+    moved = [Multispace(Subspace.from_array(ctx, n, matmul_arrays(ctx, w.underlying.basis, g)), w.height)
+             for w in words]
+    assert [(w.dim, w.rank) for w in moved] == [(w.dim, w.rank) for w in words]
+    before, after = _WordStack.of(words), _WordStack.of(moved)
+    assert (before.masks is not None) == (after.masks is not None) == masked
+    d = before.pairwise()
+    assert after.pairwise().tolist() == d.tolist()
+    for i in range(count - 1):
+        assert distance(moved[i], moved[i + 1]) == distance(words[i], words[i + 1]) == d[i, i + 1]
 
 
 @settings(max_examples=100, deadline=None)
