@@ -36,12 +36,11 @@ from .errors import (
     BoundViolation,
     ConfigInvalid,
     DimensionMismatch,
-    FormatError,
     SamplingFailed,
     ShapeMismatch,
     ShapeViolation,
 )
-from .fields import FieldCtx, strict_int
+from .fields import FieldCtx, check_settings
 from .lattice import Multispace, VectorMultiset, _WordStack, mspan
 from .linalg import (
     DEFAULT_STATE_LIMIT,
@@ -79,19 +78,11 @@ class ChannelConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ConfigInvalid(f"unknown mode {self.mode!r}; pick one of {MODES}")
-        try:
-            for name in ("trials", "s", "seed"):
-                strict_int(getattr(self, name), name)
-        except FormatError as exc:
-            raise ConfigInvalid(str(exc)) from exc
+        check_settings(("trials", self.trials, 0, "trials must be nonnegative"),
+                       ("s", self.s, 0, "error weight s must be nonnegative"),
+                       ("seed", self.seed, 0, f"seed {self.seed} is negative"))
         if not isinstance(self.random_generator, (bool, np.bool_)):
             raise ConfigInvalid(f"random_generator {self.random_generator!r} is not a bool")
-        if self.trials < 0:
-            raise ConfigInvalid("trials must be nonnegative")
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed {self.seed} is negative")
-        if self.s < 0:
-            raise ConfigInvalid("error weight s must be nonnegative")
         if self.mode == "full-rank" and self.s:
             raise ConfigInvalid("full-rank mode takes no error weight")
 
@@ -174,7 +165,7 @@ def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> np.ndarray:
     return rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64)
 
 
-def _full_rank_batch(ctx: FieldCtx, rngs, rows, cols, max_tries: int) -> np.ndarray:
+def _full_rank_batch(ctx: FieldCtx, rngs, rows, cols) -> np.ndarray:
     """One uniform rows[i] x cols[i] matrix of rank min(rows[i], cols[i]) per rngs[i].
 
     The trials run in order, each a one-trial rejection loop: draw a
@@ -185,7 +176,7 @@ def _full_rank_batch(ctx: FieldCtx, rngs, rows, cols, max_tries: int) -> np.ndar
     rows, cols = np.asarray(rows), np.asarray(cols)
     out = np.zeros((len(rngs), rows.max(), cols.max()), dtype=np.int64)
     for i, (rng, r, c) in enumerate(zip(rngs, rows.tolist(), cols.tolist())):
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             cand = random_matrix(ctx, r, c, rng)
             if rank_array(ctx, cand) == min(r, c):
                 out[i, :r, :c] = cand
@@ -195,7 +186,7 @@ def _full_rank_batch(ctx: FieldCtx, rngs, rows, cols, max_tries: int) -> np.ndar
     return out
 
 
-def _rank_batch(ctx: FieldCtx, rngs, rows, cols, r, max_tries: int) -> np.ndarray:
+def _rank_batch(ctx: FieldCtx, rngs, rows, cols, r) -> np.ndarray:
     """One rows[i] x cols[i] matrix of exact rank r[i] per rngs[i], zero-padded into one stack.
 
     Each is a full-rank A (rows x r) times a full-rank B (r x cols), A drawn
@@ -206,8 +197,8 @@ def _rank_batch(ctx: FieldCtx, rngs, rows, cols, r, max_tries: int) -> np.ndarra
     live = np.flatnonzero(r > 0)
     if len(live):
         drawers = [rngs[i] for i in live]
-        a = _full_rank_batch(ctx, drawers, rows[live], r[live], max_tries)
-        b = _full_rank_batch(ctx, drawers, r[live], cols[live], max_tries)
+        a = _full_rank_batch(ctx, drawers, rows[live], r[live])
+        b = _full_rank_batch(ctx, drawers, r[live], cols[live])
         prod = matmul_arrays(ctx, a, b)
         lost = np.flatnonzero(rref_batch(ctx, prod)[1] != r[live])  # full-rank factors give rank r
         if len(lost):
@@ -216,16 +207,16 @@ def _rank_batch(ctx: FieldCtx, rngs, rows, cols, r, max_tries: int) -> np.ndarra
     return out
 
 
-def random_full_rank(ctx: FieldCtx, m: int, rng, max_tries: int = _MAX_TRIES) -> np.ndarray:
+def random_full_rank(ctx: FieldCtx, m: int, rng) -> np.ndarray:
     """Uniform invertible m x m matrix by rejection (success rate > 0.288)."""
-    return _full_rank_batch(ctx, [rng], [m], [m], max_tries)[0]
+    return _full_rank_batch(ctx, [rng], [m], [m])[0]
 
 
-def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng, max_tries: int = _MAX_TRIES) -> np.ndarray:
+def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng) -> np.ndarray:
     """Random rows x cols matrix of exact rank r, as a full-rank A (rows x r) times B (r x cols)."""
     if r > min(rows, cols) or r < 0:
         raise ConfigInvalid(f"rank {r} impossible for a {rows}x{cols} matrix")
-    return _rank_batch(ctx, [rng], [rows], [cols], [r], max_tries)[0]
+    return _rank_batch(ctx, [rng], [rows], [cols], [r])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +248,19 @@ def _channel_block(cfg: ChannelConfig, rngs, sent: _WordStack, gens: np.ndarray)
     ctx, n, s = sent.ctx, sent.n, cfg.s
     ms = sent.dims + sent.heights
     if cfg.random_generator:
-        mix = _full_rank_batch(ctx, rngs, ms, ms, _MAX_TRIES)
+        mix = _full_rank_batch(ctx, rngs, ms, ms)
         gens = matmul_arrays(ctx, np.swapaxes(mix, 1, 2), gens)
     if cfg.mode == "rank-deficient":
-        t_eff = _rank_batch(ctx, rngs, ms, ms, ms - s, _MAX_TRIES)
+        t_eff = _rank_batch(ctx, rngs, ms, ms, ms - s)
     else:
-        t_eff = _full_rank_batch(ctx, rngs, ms, ms, _MAX_TRIES)
+        t_eff = _full_rank_batch(ctx, rngs, ms, ms)
     widths = ms  # columns of T_eff: the length of each received multiset
     if cfg.mode in ("deletion", "compound"):  # keep m - s of the mixed columns
         widths = ms - s
         kept = [a[:m, np.sort(rng.permutation(m)[: m - s])] for a, rng, m in zip(t_eff, rngs, ms.tolist())]
         t_eff = _pad_stack(kept, (ms.max(), widths.max()))
     if cfg.mode == "compound":  # then a rank-deficient square stage on the survivors
-        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, rngs, widths, widths, ms - 2 * s, _MAX_TRIES))
+        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, rngs, widths, widths, ms - 2 * s))
     # received word: rank of the received multiset, height = its length - rank
     bases, ranks = rref_batch(ctx, matmul_arrays(ctx, np.swapaxes(t_eff, 1, 2), gens))
     heights = widths - ranks

@@ -23,6 +23,7 @@ import sys
 from .channel import MODES, ChannelConfig, end_to_end, run_trials, write_trial_csv
 from .codes import (
     MultispaceCode,
+    _check_search,
     ball_size,
     codespace_growth,
     exhaustive_optimal_code,
@@ -221,8 +222,7 @@ def cmd_roots(args) -> int:
 
 def cmd_search(args) -> int:
     ctx = parse_field_spec(args.q_spec)
-    if args.seed < 0:  # greedy_code refuses it too; the optimal search records it
-        raise ConfigInvalid(f"seed {args.seed} is negative")
+    _check_search(args.n, args.m_max, args.d_min, args.seed)  # the optimal search records the seed too
     if args.optimal:
         code = exhaustive_optimal_code(ctx, args.n, args.m_max, args.d_min)
     else:

@@ -14,7 +14,7 @@ from .errors import (
     LimitExceeded,
     TooFewCodewords,
 )
-from .fields import FieldCtx, parse_field_spec, strict_int
+from .fields import FieldCtx, ambient_dim, check_settings, parse_field_spec, reading, strict_int
 from .lattice import (
     BigCount,
     Multispace,
@@ -118,11 +118,11 @@ class MultispaceCode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultispaceCode":
-        try:
+        with reading("code"):
             spec, words = d["q-spec"], list(d["codewords"])
-            n, m_max = strict_int(d["n"], "n"), strict_int(d["m_max"], "m_max")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"bad code object: {exc}") from exc
+            n, m_max = ambient_dim(d["n"]), strict_int(d["m_max"], "m_max")
+            if m_max < 0:
+                raise FormatError(f"m_max {m_max} is negative")
         return cls(parse_field_spec(spec), n, m_max, tuple(Multispace.from_dict(w) for w in words))
 
 
@@ -131,6 +131,13 @@ def min_distance(code: MultispaceCode) -> int:
     if len(code) < 2:
         raise TooFewCodewords("minimum distance needs two codewords")
     return int(code.min_distance)
+
+
+def _check_search(n, m_max, d_min, seed=0) -> None:
+    """The one check of code-search settings, made before any layer is built."""
+    check_settings(("n", n, 0, f"ambient dimension {n} is negative"),
+                   ("m_max", m_max, 0, f"m_max = {m_max} must be nonnegative"),
+                   ("d_min", d_min, 1, "d_min must be >= 1"), ("seed", seed, 0, f"seed {seed} is negative"))
 
 
 def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) -> MultispaceCode:
@@ -144,14 +151,9 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
     compatible and cannot conflict with anything two or more ranks
     below), which a shuffle across ranks does not guarantee.
     """
-    if d_min < 1:
-        raise ConfigInvalid("d_min must be >= 1")
-    if n < 0:
-        raise ConfigInvalid(f"ambient dimension {n} is negative")
-    if seed < 0:
-        raise ConfigInvalid(f"seed {seed} is negative")
+    _check_search(n, m_max, d_min, seed)
     rng = np.random.default_rng(seed)
-    kept = _WordStack.empty(ctx, n, min(n, max(m_max, 0)))
+    kept = _WordStack.empty(ctx, n, min(n, m_max))
     for m in range(m_max, -1, -1):
         words = _WordStack.layer(ctx, n, m)
         alive = np.ones(len(words.dims), dtype=bool)
@@ -179,14 +181,11 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
     The ground set is the rank layers 0..m_max stacked in order, and only the
     chosen rows become Multispace.
     """
-    if d_min < 1:
-        raise ConfigInvalid("d_min must be >= 1")
-    if n < 0:
-        raise ConfigInvalid(f"ambient dimension {n} is negative")
+    _check_search(n, m_max, d_min)
     v = codespace_growth(ctx, n, m_max)
     if v > CLIQUE_LIMIT:
         raise LimitExceeded(f"ground set of {v} exceeds clique-search limit {CLIQUE_LIMIT}")
-    ground = _WordStack.empty(ctx, n, min(n, max(m_max, 0)))
+    ground = _WordStack.empty(ctx, n, min(n, m_max))
     for m in range(m_max + 1):
         ground.extend(_WordStack.layer(ctx, n, m))
     best = _max_clique(ground.pairwise() >= d_min)
@@ -223,8 +222,7 @@ def _max_clique(adjacency: np.ndarray) -> list[int]:
 def _check_ball(center: Multispace, radius: int, m_max: int) -> None:
     if center.rank > m_max:
         raise ConfigInvalid(f"center rank {center.rank} exceeds m_max {m_max}")
-    if radius < 0:
-        raise ConfigInvalid(f"radius {radius} is negative")
+    check_settings(("radius", radius, 0, f"radius {radius} is negative"))
 
 
 def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:
@@ -292,10 +290,7 @@ def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCo
     t + s <= m_max - k - r + s <= m_max - j: it counts the 2s + 1 heights
     t - s .. t + s, whatever t.
     """
-    if d_min < 1:
-        raise ConfigInvalid("d_min must be >= 1")
-    if m_max < 0:
-        raise ConfigInvalid(f"m_max = {m_max} must be nonnegative")
+    _check_search(n, m_max, d_min)
     radius = (d_min - 1) // 2
     total = codespace_growth(ctx, n, m_max)
     if radius == 0:

@@ -14,11 +14,13 @@ All operations exist both for plain ints (scalar hot paths) and for
 numpy arrays of encodings (vectorized linear algebra).
 """
 
+import contextlib
 import functools
 
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     ContextMismatch,
     DivisionByZero,
     FieldTooLarge,
@@ -287,7 +289,7 @@ class FieldCtx:
         self._check_power_base(b)
         if a == 0:
             return 0
-        k = pow(b, i, self.q - 1) if self.q > 2 else 0
+        k = pow(b, i, self.q - 1)
         return self._exp[(self._log[a] * k) % (self.q - 1)]
 
     def _check_power_base(self, base: int) -> int:
@@ -382,6 +384,36 @@ def strict_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise FormatError(f"{name} {value!r} is not an integer")
     return int(value)
+
+
+def check_settings(*rules) -> None:
+    """The one check of integer run settings, before any work: each rule
+    (name, value, least, message) needs strict_int(value) >= least, else ConfigInvalid."""
+    for name, value, least, message in rules:
+        try:
+            strict_int(value, name)
+        except FormatError as exc:
+            raise ConfigInvalid(str(exc)) from exc
+        if value < least:
+            raise ConfigInvalid(message)
+
+
+@contextlib.contextmanager
+def reading(what: str):
+    """The one reader rule for JSON documents: a missing or mistyped field read
+    inside the block becomes FormatError("bad <what> object: ...")."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad {what} object: {exc}") from exc
+
+
+def ambient_dim(value) -> int:
+    """A document's ambient dimension n, an integer >= 1; read inside reading()."""
+    n = strict_int(value, "n")
+    if n < 1:
+        raise FormatError(f"ambient dimension {n} is not positive")
+    return n
 
 
 def parse_field_spec(s: str) -> FieldCtx:

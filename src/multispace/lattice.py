@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, FormatError, RankZero
-from .fields import FieldCtx, parse_field_spec, strict_int
+from .fields import FieldCtx, ambient_dim, parse_field_spec, reading, strict_int
 from .linalg import (
     DEFAULT_STATE_LIMIT,
     Subspace,
@@ -77,17 +77,13 @@ class VectorMultiset:
         return {
             "q-spec": self.ctx.spec,
             "n": self.n,
-            "vectors": [[int(v) for v in row] for row in self.matrix],
+            "vectors": self.matrix.tolist(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "VectorMultiset":
-        try:
-            spec, n, rows = d["q-spec"], strict_int(d["n"], "n"), d["vectors"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"bad vector multiset object: {exc}") from exc
-        if n < 1:
-            raise FormatError(f"bad vector multiset object: ambient dimension {n} is not positive")
+        with reading("vector multiset"):
+            spec, n, rows = d["q-spec"], ambient_dim(d["n"]), d["vectors"]
         return cls(parse_field_spec(spec), n, rows)
 
 
@@ -185,14 +181,12 @@ class Multispace:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict, strict: bool = True) -> "Multispace":
-        try:
+    def from_dict(cls, d: dict) -> "Multispace":
+        with reading("multispace"):
             height = strict_int(d["height"], "height")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"bad multispace object: {exc}") from exc
-        if height < 0:
-            raise FormatError(f"bad multispace object: height {height} is negative")
-        return cls(Subspace.from_dict(d, strict=strict), height)
+            if height < 0:
+                raise FormatError(f"height {height} is negative")
+        return cls(Subspace.from_dict(d), height)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +245,12 @@ def _log_table(q: int) -> np.ndarray:
     return table
 
 
-def _membership_masks(ctx: FieldCtx, n: int, bases: np.ndarray) -> np.ndarray:
+def _membership_masks(ctx: FieldCtx, n: int, bases: np.ndarray) -> np.ndarray | None:
     """The uint64 membership mask of each (depth, n) basis of a stack: bit
-    sum v_i q^i is set iff v is a member; zero rows of a padded basis add no bit."""
+    sum v_i q^i is set iff v is a member; zero rows of a padded basis add no bit.
+    None when q^n > MASK_VECTORS: the one place that picks the representation."""
+    if ctx.q ** n > MASK_VECTORS:
+        return None
     places = ctx.q ** np.arange(n, dtype=np.int64)
     bits = np.left_shift(np.uint64(1), (_odometer(ctx, bases) @ places).astype(np.uint64))
     return np.bitwise_or.reduce(bits, axis=-1)
@@ -289,8 +286,7 @@ def _subspace_table(ctx: FieldCtx, n: int, depth: int) -> tuple:
             bases[row : row + len(block), :k] = block
             row += len(block)
     dims = np.repeat(np.arange(depth + 1), counts)
-    masks = _membership_masks(ctx, n, bases) if ctx.q ** n <= MASK_VECTORS else None
-    table = (bases, dims, masks)
+    table = (bases, dims, _membership_masks(ctx, n, bases))
     for a in table:
         if a is not None:
             a.flags.writeable = False
@@ -319,15 +315,13 @@ class _WordStack:
     __slots__ = ("ctx", "n", "bases", "dims", "heights", "masks")
 
     def __init__(self, ctx: FieldCtx, n: int, bases: np.ndarray, dims, heights, masks=None):
-        """masks, when given, are those of bases; otherwise they are built when q^n <= MASK_VECTORS."""
+        """masks, when given, are those of bases; otherwise _membership_masks builds them."""
         self.ctx = ctx
         self.n = n
         self.bases = bases
         self.dims = dims
         self.heights = heights
-        self.masks = masks
-        if masks is None and ctx.q ** n <= MASK_VECTORS:
-            self.masks = _membership_masks(ctx, n, bases)
+        self.masks = _membership_masks(ctx, n, bases) if masks is None else masks
 
     @classmethod
     def of(cls, words) -> "_WordStack":
@@ -340,8 +334,7 @@ class _WordStack:
     def empty(cls, ctx: FieldCtx, n: int, depth: int) -> "_WordStack":
         """A stack of no words, to be extended with words of dim at most depth."""
         none = np.zeros(0, dtype=np.int64)
-        masks = np.zeros(0, dtype=np.uint64) if ctx.q ** n <= MASK_VECTORS else None
-        return cls(ctx, n, none.reshape(0, depth, n), none, none, masks)
+        return cls(ctx, n, none.reshape(0, depth, n), none, none)
 
     @classmethod
     def layer(cls, ctx: FieldCtx, n: int, m: int) -> "_WordStack":
@@ -485,15 +478,12 @@ def count_covered(w: Multispace) -> BigCount:
     """How many multispaces w covers in the lattice."""
     if w.rank == 0:
         raise RankZero("the bottom element covers nothing")
-    q = w.ctx.q
-    base = sum(q ** i for i in range(w.dim))
-    return base if w.height == 0 else 1 + base
+    return gaussian_binomial(w.dim, 1, w.ctx.q) + (w.height > 0)  # its hyperplanes, and the height drop
 
 
 def count_covering(w: Multispace) -> BigCount:
     """How many multispaces cover w in the lattice."""
-    q = w.ctx.q
-    return 1 + sum(q ** i for i in range(w.n - w.dim))
+    return 1 + gaussian_binomial(w.n - w.dim, 1, w.ctx.q)  # the height bump and the lines of the quotient
 
 
 # ---------------------------------------------------------------------------

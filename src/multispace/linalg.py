@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError, LimitExceeded, NotCanonical
-from .fields import FieldCtx, parse_field_spec, strict_int
+from .fields import FieldCtx, ambient_dim, parse_field_spec, reading
 
 #: The one enumeration budget: no enumerator yields more items than this.
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -340,8 +340,7 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        stacked = np.vstack([self.basis, other.basis]) if self.dim + other.dim else np.zeros((0, self.n), dtype=np.int64)
-        return Subspace.from_array(self.ctx, self.n, stacked)
+        return Subspace.from_array(self.ctx, self.n, np.vstack([self.basis, other.basis]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: RREF of [[A A],[B 0]]; rows with zero left half give the intersection."""
@@ -369,18 +368,14 @@ class Subspace:
         return {
             "q-spec": self.ctx.spec,
             "n": self.n,
-            "basis": [[int(v) for v in row] for row in self.basis],
+            "basis": self.basis.tolist(),
         }
 
     @classmethod
-    def from_dict(cls, d: dict, strict: bool = True) -> "Subspace":
-        try:
-            spec, n, rows = d["q-spec"], strict_int(d["n"], "n"), d["basis"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"bad subspace object: {exc}") from exc
-        if n < 1:
-            raise FormatError(f"bad subspace object: ambient dimension {n} is not positive")
-        return cls.from_basis(parse_field_spec(spec), n, rows, strict=strict)
+    def from_dict(cls, d: dict) -> "Subspace":
+        with reading("subspace"):
+            spec, n, rows = d["q-spec"], ambient_dim(d["n"]), d["basis"]
+        return cls.from_basis(parse_field_spec(spec), n, rows)
 
 
 # ---------------------------------------------------------------------------

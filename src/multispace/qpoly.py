@@ -25,7 +25,7 @@ from .errors import (
     RootsNotInField,
     ShapeViolation,
 )
-from .fields import FieldCtx, _digits, _embedding, extension, field, parse_field_spec, strict_int
+from .fields import FieldCtx, _digits, _embedding, extension, field, parse_field_spec, reading, strict_int
 from .lattice import Multispace
 from .linalg import Subspace, _as_array, _rows_array, rref_array
 
@@ -174,11 +174,9 @@ class LinearizedPoly:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearizedPoly":
-        try:
+        with reading("linearized polynomial"):
             spec, base_q = d["field"], strict_int(d["base-q"], "base-q")
             coeffs = {_q_index(k): c for k, c in d["coeffs"].items()}
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"bad linearized polynomial object: {exc}") from exc
         return cls(base_q, parse_field_spec(spec), coeffs)
 
 
@@ -220,7 +218,7 @@ def poly_from_multispace(w: Multispace, big: FieldCtx | None = None) -> Lineariz
     return LinearizedPoly(q, F, {i + h: F.frobenius(ci, h, q) for i, ci in enumerate(c)})
 
 
-def roots_multiset(L: LinearizedPoly, big: FieldCtx | None = None) -> Multispace:
+def roots_multiset(L: LinearizedPoly) -> Multispace:
     """Recover the multispace whose members are the roots of L.
 
     The roots of a nonzero linearized L over GF(q^n) are the kernel K of
@@ -234,8 +232,6 @@ def roots_multiset(L: LinearizedPoly, big: FieldCtx | None = None) -> Multispace
     a multispace.
     """
     F = L.ctx
-    if big is not None:
-        F.check_same(big)
     if L.is_zero():
         raise NotAMultispace("zero polynomial has no root multiset")
     e = F._check_power_base(L.base_q)

@@ -102,7 +102,7 @@ def test_full_rank_preserves_mspan():
             assert mspan(apply_transform(b, t)) == w
 
 
-def test_random_matrix_ranks():
+def test_random_matrix_ranks(monkeypatch):
     rng = np.random.default_rng(1)
     for ctx in (F2, F3):
         assert random_full_rank(ctx, 0, rng).shape == (0, 0)
@@ -116,10 +116,11 @@ def test_random_matrix_ranks():
     with pytest.raises(ConfigInvalid):
         random_rank(F2, 2, 2, 3, rng)
     # an exhausted try budget is a toolkit error, not a bare RuntimeError
+    monkeypatch.setattr(channel, "_MAX_TRIES", 0)
     with pytest.raises(SamplingFailed):
-        random_full_rank(F2, 3, rng, max_tries=0)
+        random_full_rank(F2, 3, rng)
     with pytest.raises(SamplingFailed):
-        random_rank(F2, 3, 3, 2, rng, max_tries=0)
+        random_rank(F2, 3, 3, 2, rng)
 
 
 def _next_value(draw, seed):
@@ -629,7 +630,7 @@ def test_peak_memory_of_a_high_rank_word_stays_within_a_few_blocks(monkeypatch):
 
 @pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1)])
 def test_a_channel_that_loses_rank_is_flagged(monkeypatch, mode, s):
-    def singular(ctx, rngs, rows, cols, max_tries):
+    def singular(ctx, rngs, rows, cols):
         return np.zeros((len(rngs), max(rows), max(cols)), dtype=np.int64)
 
     monkeypatch.setattr(channel, "_full_rank_batch", singular)

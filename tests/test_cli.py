@@ -335,6 +335,21 @@ def test_simulate_codeword_out_of_range(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"q-spec": "2", "n": -1, "m_max": -5, "codewords": []}, "ambient dimension -1 is not positive"),
+    ({"q-spec": "2", "n": 0, "m_max": 1, "codewords": []}, "ambient dimension 0 is not positive"),
+    ({"q-spec": "2", "n": 3, "m_max": -5, "codewords": []}, "m_max -5 is negative"),
+    ({"q-spec": "2", "n": 3, "m_max": True, "codewords": []}, "m_max True is not an integer"),
+])
+@pytest.mark.parametrize("end_to_end", [False, True])
+def test_a_code_document_needs_a_positive_n_and_a_nonnegative_rank_cap(capsys, doc, message, end_to_end):
+    with pytest.raises(FormatError) as exc:
+        MultispaceCode.from_dict(doc)
+    assert str(exc.value) == f"bad code object: {message}"
+    argv = ["simulate", json.dumps(doc), "--mode", "full-rank", "--trials", "2"] + ["--end-to-end"] * end_to_end
+    assert run(capsys, *argv) == (1, "", f"error: bad code object: {message}\n")
+
+
 def test_count_of_a_huge_ambient_dimension(capsys):
     code, out, _ = run(capsys, "--format", "json", "count", "2", "5000", "2")
     assert code == 0

@@ -19,7 +19,7 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 
 import multispace
-from multispace import codes, lattice, linalg
+from multispace import cli, codes, lattice, linalg
 from multispace.codes import (
     CLIQUE_LIMIT,
     MultispaceCode,
@@ -117,7 +117,7 @@ def test_greedy_meets_contract():
 
 
 @settings(max_examples=40, deadline=None)
-@given(ctx=st.sampled_from([F2, F3, F4]), n=st.integers(0, 3), m_max=st.integers(-1, 3),
+@given(ctx=st.sampled_from([F2, F3, F4]), n=st.integers(0, 3), m_max=st.integers(0, 3),
        d_min=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_greedy_matches_the_distance_loop(ctx, n, m_max, d_min, seed):
     code = greedy_code(ctx, n, m_max, d_min, seed=seed)
@@ -232,15 +232,20 @@ def test_optimal_size_limit():
         exhaustive_optimal_code(F2, 3, 5, 2)  # 72 elements
 
 
-def test_optimal_size_limit_is_checked_before_enumeration(monkeypatch):
+def _refuse_layers(monkeypatch):
+    """Make every way of enumerating a layer fail the test."""
     def refuse(*args):
-        raise AssertionError("enumerated before the size check")
+        raise AssertionError("enumerated before the checks")
 
     monkeypatch.setattr(lattice, "_subspace_table", refuse)
     monkeypatch.setattr(lattice, "enumerate_multispaces", refuse)
     monkeypatch.setattr(lattice, "_subspace_blocks", refuse)
     monkeypatch.setattr(linalg, "_subspace_blocks", refuse)
     monkeypatch.setattr(lattice._WordStack, "layer", refuse)
+
+
+def test_optimal_size_limit_is_checked_before_enumeration(monkeypatch):
+    _refuse_layers(monkeypatch)
     with pytest.raises(LimitExceeded, match="65539"):
         exhaustive_optimal_code(field(2, 16), 2, 1, 1)
 
@@ -250,6 +255,62 @@ def test_optimal_needs_a_nonnegative_dimension(m_max):
     # codespace_growth is 0 for a negative m_max, so the clique limit alone let n = -1 through
     with pytest.raises(ConfigInvalid, match="ambient dimension -1 is negative"):
         exhaustive_optimal_code(F2, -1, m_max, 1)
+
+
+#: (setting, bad value, message) for the code-search settings; the good ones are n 3, m_max 2, d_min 2, seed 0
+BAD_SETTINGS = [
+    ("n", 3.0, "n 3.0 is not an integer"),
+    ("n", True, "n True is not an integer"),
+    ("n", -1, "ambient dimension -1 is negative"),
+    ("m_max", 2.0, "m_max 2.0 is not an integer"),
+    ("m_max", False, "m_max False is not an integer"),
+    ("m_max", -1, "m_max = -1 must be nonnegative"),
+    ("d_min", 2.0, "d_min 2.0 is not an integer"),
+    ("d_min", 2.5, "d_min 2.5 is not an integer"),
+    ("d_min", True, "d_min True is not an integer"),
+    ("d_min", 0, "d_min must be >= 1"),
+    ("seed", 1.5, "seed 1.5 is not an integer"),
+    ("seed", True, "seed True is not an integer"),
+    ("seed", -1, "seed -1 is negative"),
+]
+
+
+#: the code-search entry points, each called with (n, m_max, d_min, seed); only greedy_code takes a seed
+SEARCHES = {
+    "greedy": lambda n, m_max, d_min, seed: greedy_code(F2, n, m_max, d_min, seed=seed),
+    "optimal": lambda n, m_max, d_min, seed: exhaustive_optimal_code(F2, n, m_max, d_min),
+    "bound": lambda n, m_max, d_min, seed: sphere_packing_bound(F2, n, m_max, d_min),
+}
+
+
+@pytest.mark.parametrize("entry, name, value, message", [
+    (entry, *bad) for entry in SEARCHES for bad in BAD_SETTINGS if entry == "greedy" or bad[0] != "seed"
+])
+def test_every_search_entry_refuses_bad_settings_before_any_layer(monkeypatch, entry, name, value, message):
+    _refuse_layers(monkeypatch)
+    with pytest.raises(ConfigInvalid) as exc:
+        SEARCHES[entry](**{"n": 3, "m_max": 2, "d_min": 2, "seed": 0, name: value})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["2", "-1", "2", "2"], "ambient dimension -1 is negative"),
+    (["2", "3", "-1", "2"], "m_max = -1 must be nonnegative"),
+    (["2", "3", "2", "0"], "d_min must be >= 1"),
+    (["2", "3", "2", "2", "--seed", "-1"], "seed -1 is negative"),
+])
+@pytest.mark.parametrize("optimal", [False, True])
+def test_cli_search_refuses_bad_settings_before_any_layer(monkeypatch, capsys, argv, message, optimal):
+    _refuse_layers(monkeypatch)
+    assert cli.main(["search", *argv] + ["--optimal"] * optimal) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_a_negative_rank_cap_is_refused_not_an_empty_code():
+    for search in (lambda: greedy_code(F2, 3, -1, 2), lambda: exhaustive_optimal_code(F2, 3, -1, 2)):
+        with pytest.raises(ConfigInvalid, match="m_max = -1 must be nonnegative"):
+            search()
 
 
 def test_ball_examples():
@@ -285,6 +346,9 @@ def test_negative_radius_is_an_error():
         for fn in (ball, ball_size):
             with pytest.raises(ConfigInvalid, match="radius -1"):
                 fn(center, -1, 2)
+            for radius in (1.5, True):  # a float or bool radius is refused, not a bare TypeError
+                with pytest.raises(ConfigInvalid, match=f"radius {radius} is not an integer"):
+                    fn(center, radius, 2)
 
 
 def test_a_center_above_the_rank_cap_is_named():

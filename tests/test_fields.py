@@ -198,6 +198,19 @@ def test_frobenius_base_q_is_identity():
             assert ctx.frobenius(a, 1, base=ctx.q) == a
 
 
+def test_frobenius_takes_every_index_negative_included():
+    # over GF(2), q - 1 = 1 and pow(2, i, 1) == 0 for every i, so no guard is needed
+    f2 = field(2)
+    for i in range(-5, 6):
+        assert pow(2, i, 1) == 0
+        for a in (0, 1):
+            assert f2.frobenius(a, i) == a == int(f2.frobenius_arr(np.array([a]), i)[0])
+    for ctx in (field(2, 2), field(3, 2), field(2, 4)):
+        for a in range(ctx.q):
+            assert ctx.frobenius(ctx.frobenius(a, -1), 1) == a  # index -1 undoes index 1
+            assert ctx.frobenius(a, -1) == int(ctx.frobenius_arr(np.array([a]), -1)[0])
+
+
 def test_frobenius_examples_and_periodicity():
     f4 = field(2, 2)
     assert f4.frobenius(2, 1, base=2) == 3  # x^2 = x + 1 mod x^2+x+1

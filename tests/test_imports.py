@@ -5,7 +5,9 @@ since their imports are the public re-exports.  The library under ``src``
 holds no ``assert`` statement: ``python -O`` strips them, so its runtime
 checks raise explicitly, and none raises ``AssertionError``, which is no
 ``MultispaceError`` and would end the CLI in a traceback.  Only ``fields.py`` reads FieldCtx's private
-arithmetic tables, so one module decides how to compute in GF(q).
+arithmetic tables, so one module decides how to compute in GF(q).  Only the
+reader rule ``fields.reading`` catches ``KeyError``, so every JSON document
+is read by one rule.
 """
 
 import ast
@@ -116,3 +118,39 @@ def test_only_fields_reads_the_field_tables():
     assert len(library) > 5
     found = {str(path.relative_to(ROOT)): field_table_reads(path.read_text()) for path in library}
     assert {path: reads for path, reads in found.items() if reads} == {}
+
+
+
+def key_error_handlers(source: str) -> list[str]:
+    """The except handlers of a module that name KeyError, as "function (line N)", in source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(getattr(t, "id", getattr(t, "attr", None)) == "KeyError" for t in types):
+                    found.append(f"{where} (line {child.lineno})")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_key_error_handlers():
+    source = (
+        "try:\n    x = {}[1]\nexcept KeyError:\n    pass\n"
+        "def f(d):\n    try:\n        return d['a']\n    except (TypeError, KeyError) as exc:\n"
+        "        raise ValueError('KeyError') from exc\n    except ValueError:\n        pass\n"
+        "    def g():\n        try:\n            pass\n        except builtins.KeyError:\n            pass\n"
+        "        except:\n            pass\n    return g\n"
+    )
+    assert key_error_handlers(source) == ["<module> (line 3)", "f (line 8)", "g (line 15)"]
+
+
+def test_only_the_reader_rule_catches_key_errors():
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert len(library) > 5
+    found = {str(path.relative_to(ROOT)): key_error_handlers(path.read_text()) for path in library}
+    where = {path: [h.split(" (")[0] for h in handlers] for path, handlers in found.items() if handlers}
+    assert where == {"src/multispace/fields.py": ["reading"]}

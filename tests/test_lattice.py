@@ -339,6 +339,26 @@ def test_every_layer_is_the_enumerated_level_whichever_table_is_built_first(q, n
         assert lattice._TABLES[ctx, n][0].shape[1] == min(n, max(ranks))
 
 
+@pytest.mark.parametrize("ctx, n", [(F2, 6), (F3, 3), (F4, 3), (F2, 7), (F3, 4), (F4, 4)])
+def test_one_rule_picks_masks_for_tables_stacks_and_empty_stacks(ctx, n):
+    masked = ctx.q ** n <= MASK_VECTORS
+    layer = _WordStack.layer(ctx, n, 2)
+    assert (lattice._membership_masks(ctx, n, layer.bases) is None) == (not masked)
+    assert (layer.masks is None) == (not masked)
+    for depth in range(4):  # an empty stack builds through __init__ like any other
+        empty = _WordStack.empty(ctx, n, depth)
+        assert empty.bases.shape == (0, depth, n)
+        if masked:
+            assert empty.masks.shape == (0,) and empty.masks.dtype == np.uint64
+        else:
+            assert empty.masks is None
+        if depth >= 2:
+            empty.extend(layer)
+            assert empty.words() == layer.words()
+            if masked:
+                assert empty.masks.tolist() == layer.masks.tolist()
+
+
 def test_cached_arrays_are_read_only():
     for ctx, n in [(F2, 4), (F3, 4)]:  # masked, and past the mask limit
         layer = _WordStack.layer(ctx, n, 3)
@@ -538,6 +558,18 @@ def test_cover_neighbors_match_formulas_and_brute_force():
             assert {index[u] for u in ups} == set(np.nonzero(cov[i, :])[0])
 
 
+def test_cover_counts_are_the_geometric_sums():
+    # [k, 1]_q = 1 + q + ... + q^(k-1): the hyperplanes of a k-space, or the lines of a k-dim quotient
+    for ctx in (F2, F3, F4, F16):
+        for n in (1, 2, 5, 40):
+            for k in sorted({0, 1, n // 2, n}):
+                for height in (0, 3):
+                    w = Multispace(Subspace(ctx, n, np.eye(n, dtype=np.int64)[:k].copy()), height)
+                    assert count_covering(w) == 1 + sum(ctx.q ** i for i in range(n - k))
+                    if w.rank:
+                        assert count_covered(w) == sum(ctx.q ** i for i in range(k)) + (height > 0)
+
+
 def test_covered_neighbors_checks_the_hyperplane_count():
     w = Multispace(Subspace.full(F2, 21), 0)  # 2^21 - 1 hyperplanes
     with pytest.raises(LimitExceeded, match="2097151 subspaces"):
@@ -679,6 +711,8 @@ def test_multispace_json_round_trip():
 def test_vector_multiset_round_trip():
     b = VectorMultiset(F3, 2, [[1, 2], [0, 1], [1, 2]])
     assert VectorMultiset.from_dict(b.to_dict()) == b
+    assert b.to_dict()["vectors"] == [[1, 2], [0, 1], [1, 2]]
+    assert all(type(v) is int for row in b.to_dict()["vectors"] for v in row)
     assert len(b) == 3
     assert b.matrix[2].tolist() == [1, 2]
 

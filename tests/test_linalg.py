@@ -435,9 +435,26 @@ def test_subspace_json_round_trip():
     assert Subspace.from_dict(d) == s
 
 
+def test_subspace_json_writes_plain_ints():
+    for s in (span_rows(F4, [2, 3, 1], [0, 1, 3]), Subspace.zero(F3, 2), Subspace.full(F16, 3)):
+        basis = s.to_dict()["basis"]
+        assert basis == [[int(v) for v in row] for row in s.basis]
+        assert all(type(v) is int for row in basis for v in row)
+
+
+def test_sum_of_two_zero_spaces_is_the_zero_space():
+    # np.vstack of two (0, n) int64 bases is already (0, n) int64
+    for ctx in (F2, F3, F4):
+        for n in (0, 1, 4):
+            zero = Subspace.zero(ctx, n)
+            total = zero + zero
+            assert total == zero and total.basis.shape == (0, n) and total.basis.dtype == np.int64
+            assert zero + Subspace.full(ctx, n) == Subspace.full(ctx, n)
+
+
 def test_subspace_json_strict_rejects_noncanonical():
     bad = {"q-spec": "3", "n": 2, "basis": [[2, 0], [0, 1]]}
     with pytest.raises(NotCanonical):
         Subspace.from_dict(bad)
-    fixed = Subspace.from_dict(bad, strict=False)
+    fixed = Subspace.from_basis(F3, 2, bad["basis"], strict=False)  # documents are always read strictly
     assert fixed == Subspace.full(F3, 2)

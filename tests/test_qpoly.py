@@ -14,7 +14,6 @@ from helpers import (
 )
 from multispace import fields, qpoly
 from multispace.errors import (
-    ContextMismatch,
     DimensionMismatch,
     FormatError,
     NotAMultispace,
@@ -276,13 +275,6 @@ def test_round_trips_in_large_extensions(ctx, n):
     for _ in range(4):
         w = random_multispace(ctx, n, rng, max_height=2)
         assert roots_multiset(poly_from_multispace(w)) == w
-
-
-def test_roots_multiset_big_field_mismatch():
-    big, _ = extension(F2, 2)
-    L = LinearizedPoly(2, big, {0: 1})
-    with pytest.raises(ContextMismatch):
-        roots_multiset(L, big=field(2, 3))
 
 
 def test_random_round_trips():
