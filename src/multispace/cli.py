@@ -31,7 +31,7 @@ from .codes import (
     sphere_packing_bound,
 )
 from .errors import BoundViolation, ConfigInvalid, FormatError, LimitExceeded, MultispaceError
-from .fields import parse_field_spec
+from .fields import check_settings, parse_field_spec
 from .lattice import (
     Multispace,
     VectorMultiset,
@@ -124,9 +124,14 @@ def _emit(args, doc: dict, table):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _check_n_and_rank(n, m) -> None:
+    """The ambient dimension and the rank (or rank cap) of a lattice command, before any work."""
+    message = f"n = {n} and m = {m} must be nonnegative"
+    check_settings(("n", n, 0, message), ("m", m, 0, message))
+
+
 def cmd_count(args) -> int:
-    if args.n < 0 or args.m < 0:
-        raise ConfigInvalid(f"n = {args.n} and m = {args.m} must be nonnegative")
+    _check_n_and_rank(args.n, args.m)
     ctx = parse_field_spec(args.q_spec)
     limit = sys.get_int_max_str_digits() or math.inf  # 0 means no limit
     k = min(args.m, args.n // 2)  # refuse before counting if [n, k]_q >= q^(k(n-k)) is too long
@@ -151,6 +156,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _check_n_and_rank(args.n, args.m)
     ctx = parse_field_spec(args.q_spec)
     words = list(enumerate_multispaces(ctx, args.n, args.m))
     doc = {"q-spec": ctx.spec, "n": args.n, "m": args.m, "multispaces": [w.to_dict() for w in words]}
@@ -160,6 +166,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_hasse(args) -> int:
+    _check_n_and_rank(args.n, args.m_max)
     ctx = parse_field_spec(args.q_spec)
     hd = hasse_dot(ctx, args.n, args.m_max)
     with _output_file(args.output) as fh:
@@ -223,6 +230,8 @@ def cmd_roots(args) -> int:
 def cmd_search(args) -> int:
     ctx = parse_field_spec(args.q_spec)
     _check_search(args.n, args.m_max, args.d_min, args.seed)  # the optimal search records the seed too
+    # a code file of n = 0 could not be read back: documents need n >= 1
+    check_settings(("n", args.n, 1, f"ambient dimension {args.n} is not positive"))
     if args.optimal:
         code = exhaustive_optimal_code(ctx, args.n, args.m_max, args.d_min)
     else:

@@ -16,6 +16,7 @@ numpy arrays of encodings (vectorized linear algebra).
 
 import contextlib
 import functools
+import operator
 
 import numpy as np
 
@@ -88,10 +89,14 @@ def _pmod(a: int, m: int, p: int) -> int:
     dm = _pdeg(m, p)
     if dm < 0:
         raise ZeroDivisionError("polynomial modulus is zero")
+    if p == 2:  # the encoding is the bit string of the coefficients: subtract shifted m by XOR
+        while a.bit_length() > dm:
+            a ^= m << (a.bit_length() - 1 - dm)
+        return a
     cm = _pcoeffs(m, p)
     lead_inv = pow(cm[-1], p - 2, p)
     ca = _pcoeffs(a, p)
-    while len(ca) - 1 >= dm and any(ca):
+    while len(ca) - 1 >= dm:
         da = len(ca) - 1
         if ca[da] == 0:
             ca.pop()
@@ -352,13 +357,48 @@ class FieldCtx:
         out = self._exp_np[(self._log_np[a] * (k % (self.q - 1))) % (self.q - 1)]
         return np.where(a == 0, 0, out)
 
-    def frobenius_arr(self, a, i: int, base: int | None = None):
+    def frobenius_arr(self, a, i, base: int | None = None):
+        """Elementwise a ** (base ** i); the q-index i is one int or an array of
+        them (of any size), broadcast against a."""
         b = self.p if base is None else base
         self._check_power_base(b)
         a = np.asarray(a)
-        k = pow(b, i, self.q - 1)
+        i = np.asarray(i)
+        k = np.array([pow(b, int(j), self.q - 1) for j in i.flat], dtype=np.int64).reshape(i.shape)
         out = self._exp_np[(self._log_np[a] * k) % (self.q - 1)]
         return np.where(a == 0, 0, out)
+
+    def sum_arr(self, a, axis: int = 0):
+        """The field sum of a along one axis."""
+        a = np.asarray(a)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        if self.e == 1:
+            return a.sum(axis=axis) % self.p
+        return self._dig[a].sum(axis=axis % a.ndim) % self.p @ self._pvec
+
+    # -- linearized polynomials ------------------------------------------------
+
+    def annihilator_step(self, coeffs: list[int], v: int, base: int) -> list[int]:
+        """The q-coefficients of P^base - P(v)^(base-1) P, for the linearized
+        P = sum_i coeffs[i] x^(base^i): the step that adds v to the roots of a
+        subspace polynomial.  Each term is one addition of log/exp list entries:
+        log(c^base) = base log c and log(c v^(base^i)) = log c + base^i log v,
+        mod q - 1; terms are summed by XOR in characteristic 2 and by add otherwise."""
+        self._check_power_base(base)
+        exp, log, m = self._exp, self._log, self.q - 1
+        add = operator.xor if self.p == 2 else self.add
+        pv, lv = 0, log[v]
+        if v:
+            for c in coeffs:
+                if c:
+                    pv = add(pv, exp[(log[c] + lv) % m])
+                lv = lv * base % m
+        shifted = [0] + [exp[log[c] * base % m] if c else 0 for c in coeffs]
+        if not pv:
+            return shifted
+        la = log[self.neg(exp[log[pv] * (base - 1) % m])]  # -P(v)^(base-1)
+        return [add(s, exp[(log[c] + la) % m]) if c else s for s, c in zip(shifted, coeffs + [0])]
 
 
 def field(p: int, e: int = 1, modulus: int | None = None) -> FieldCtx:

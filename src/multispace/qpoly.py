@@ -59,6 +59,9 @@ class VectorFieldIso:
         if rank != en:
             raise ShapeViolation("coordinate map is singular")  # cannot happen
         self._inverse = red[:, en:]
+        #: the big-field encodings of the n unit vectors, where root finding evaluates
+        self.units = self.to_field_array(np.eye(n, dtype=np.int64))
+        self.units.flags.writeable = False
 
     def to_field_array(self, rows) -> np.ndarray:
         """Big-field encodings of an (m, n) array of coordinate vectors."""
@@ -86,6 +89,12 @@ def _vector_field_iso(ctx: FieldCtx, n: int, big: FieldCtx) -> VectorFieldIso:
 # ---------------------------------------------------------------------------
 # Linearized polynomials
 # ---------------------------------------------------------------------------
+
+#: The most (term, point) cells eval_array holds at once, so a polynomial of
+#: many terms evaluated on a whole big field takes memory in proportion to
+#: the points only.
+EVAL_CELLS = 1 << 16
+
 
 class LinearizedPoly:
     """sum_i a_i x^(q^i) with coefficients in a fixed big field GF(q^N)."""
@@ -129,13 +138,21 @@ class LinearizedPoly:
     __call__ = eval
 
     def eval_array(self, xs) -> np.ndarray:
-        """Values at an array of big-field encodings."""
+        """Values at an array of big-field encodings: every term at once, as a
+        (terms, points) array summed along its first axis, for at most
+        EVAL_CELLS cells of points at a time."""
         ctx = self.ctx
         xs = _as_array(ctx, xs)
-        acc = np.zeros_like(xs)
-        for i, c in self.coeffs.items():
-            acc = ctx.add_arr(acc, ctx.mul_arr(c, ctx.frobenius_arr(xs, i, self.base_q)))
-        return acc
+        flat = xs.reshape(-1)
+        out = np.zeros_like(flat)
+        if self.coeffs:
+            indices = np.asarray(list(self.coeffs))[:, None]
+            coeffs = np.asarray(list(self.coeffs.values()))[:, None]
+            step = max(1, EVAL_CELLS // len(coeffs))
+            for s in range(0, len(flat), step):
+                powers = ctx.frobenius_arr(flat[None, s : s + step], indices, self.base_q)
+                out[s : s + step] = ctx.sum_arr(ctx.mul_arr(coeffs, powers))
+        return out.reshape(xs.shape)
 
     def eval_domain(self) -> np.ndarray:
         """Values on every element of the big field, as an encoding array."""
@@ -200,22 +217,16 @@ def poly_from_multispace(w: Multispace, big: FieldCtx | None = None) -> Lineariz
     then raises P to the q^height-th power, which shifts every q-index by
     the height and applies Frobenius to the coefficients.
     """
-    ctx = w.ctx
-    q = ctx.q
-    iso = vector_field_iso(ctx, w.n, big)
+    q = w.ctx.q
+    iso = vector_field_iso(w.ctx, w.n, big)
     F = iso.big
     c = [1]  # q-coefficients of P = x
     for v in iso.to_field_array(w.underlying.basis).tolist():
-        pv = 0
-        for i, ci in enumerate(c):
-            pv = F.add(pv, F.mul(ci, F.frobenius(v, i, q)))
-        a = F.pow(pv, q - 1)
-        new = [0] + [F.pow(ci, q) for ci in c]
-        for i, ci in enumerate(c):
-            new[i] = F.sub(new[i], F.mul(a, ci))
-        c = new
+        c = F.annihilator_step(c, v, q)
     h = w.height
-    return LinearizedPoly(q, F, {i + h: F.frobenius(ci, h, q) for i, ci in enumerate(c)})
+    if h:
+        c = F.frobenius_arr(c, h, q).tolist()
+    return LinearizedPoly(q, F, dict(enumerate(c, start=h)))
 
 
 def roots_multiset(L: LinearizedPoly) -> Multispace:
@@ -238,9 +249,8 @@ def roots_multiset(L: LinearizedPoly) -> Multispace:
     n = F.e // e
     small = field(F.p, e)
     iso = vector_field_iso(small, n, F)
-    eye = np.eye(n, dtype=np.int64)
-    images = iso.to_vector_array(L.eval_array(iso.to_field_array(eye)))
-    red, _, pivots = rref_array(small, np.hstack([images, eye]))
+    images = iso.to_vector_array(L.eval_array(iso.units))
+    red, _, pivots = rref_array(small, np.hstack([images, np.eye(n, dtype=np.int64)]))
     # rows pivoting in the right half have a zero left half; their right
     # halves are already a reduced echelon basis of the left null space
     image_rank = sum(1 for c in pivots if c < n)

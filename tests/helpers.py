@@ -2,8 +2,9 @@
 lattice poset, covers by containment, RREF by definition, the packing bound
 over every BFS ball, the greedy code by single distances and by one
 elimination per candidate, the optimal code and the gamma graph over words
-enumerated one by one, the channel's trial-by-trial loop and the literal
-root product.  Also span_rows, the span of a few row vectors."""
+enumerated one by one, the channel's trial-by-trial loop, the literal
+root product, and the subspace-polynomial step and polynomial evaluation
+one term at a time.  Also span_rows, the span of a few row vectors."""
 
 from itertools import combinations, product
 
@@ -449,3 +450,26 @@ def literal_product(w, big=None) -> DensePoly:
     for _ in range(w.ctx.e * w.height):
         poly = poly.char_power()
     return poly
+
+
+def annihilator_step_by_scalars(F, coeffs, v, q) -> list[int]:
+    """P^q - P(v)^(q-1) P on the q-coefficients of P, one scalar field call per
+    operation: the loop that FieldCtx.annihilator_step replaced."""
+    pv = 0
+    for i, c in enumerate(coeffs):
+        pv = F.add(pv, F.mul(c, F.frobenius(v, i, q)))
+    a = F.pow(pv, q - 1)
+    new = [0] + [F.pow(c, q) for c in coeffs]
+    for i, c in enumerate(coeffs):
+        new[i] = F.sub(new[i], F.mul(a, c))
+    return new
+
+
+def eval_by_coefficient(L, xs) -> np.ndarray:
+    """L at an array of encodings, one coefficient at a time through the
+    array operations: the loop that LinearizedPoly.eval_array replaced."""
+    F = L.ctx
+    acc = np.zeros_like(np.asarray(xs, dtype=np.int64))
+    for i, c in L.coeffs.items():
+        acc = F.add_arr(acc, F.mul_arr(c, F.frobenius_arr(xs, i, L.base_q)))
+    return acc

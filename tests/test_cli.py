@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +19,9 @@ from multispace.fields import field
 from multispace.lattice import Multispace, VectorMultiset
 from multispace.linalg import Subspace
 from multispace.qpoly import LinearizedPoly
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -394,6 +401,38 @@ def test_negative_radius_and_rank_cap_are_errors(capsys):
     for argv, message in ((["ball", bottom, "-1", "2"], "radius -1"), (["bound", "2", "3", "-1", "3"], "m_max")):
         code, out, err = run(capsys, "--format", "json", *argv)
         assert code == 1 and out == "" and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "2", "-1", "2"), ("enumerate", "2", "3", "-1"),
+                                  ("hasse", "2", "-1", "2"), ("hasse", "2", "3", "-1")])
+def test_enumerate_and_hasse_refuse_a_negative_n_or_rank(capsys, tmp_path, argv):
+    out_path = tmp_path / "h.dot"
+    extra = ("--output", str(out_path)) if argv[0] == "hasse" else ()
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 1 and out == "" and "must be nonnegative" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_search_refuses_n_0_before_writing_a_code_file(capsys, tmp_path):
+    out_path = tmp_path / "c.json"
+    code, out, err = run(capsys, "search", "2", "0", "2", "1", "--output", str(out_path))
+    assert code == 1 and out == "" and "ambient dimension 0 is not positive" in err
+    assert not out_path.exists()
+    code, out, err = run(capsys, "search", "2", "-1", "2", "1")
+    assert code == 1 and "ambient dimension -1 is negative" in err  # the code-search message comes first
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    argv = ["--format", "json", "count", "2", "3", "3"]
+    proc = subprocess.run([sys.executable, "-m", "multispace", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0 and proc.stdout == out
+    assert [r["count"] for r in json.loads(proc.stdout)["rows"]] == [1, 8, 15, 16]
+    proc = subprocess.run([sys.executable, "-m", "multispace", "enumerate", "2", "-1", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == "" and "must be nonnegative" in proc.stderr
 
 
 #: rank 2: a line of GF(2)^3 at height 1

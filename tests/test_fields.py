@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from helpers import annihilator_step_by_scalars
+from hypothesis import given, settings, strategies as st
 
 from multispace.errors import (
     ContextMismatch,
@@ -180,6 +182,15 @@ def test_field_laws_exhaustive(q):
         )
 
 
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 49, 81, 3 ** 5])
+def test_scalar_addition_matches_the_digit_sum(q):
+    ctx = _ctx_of_order(q)
+    vals = np.arange(q, dtype=np.int64)
+    table = ctx.add_arr(vals[:, None], vals[None, :]).tolist()
+    assert all(ctx.add(a, b) == table[a][b] for a in range(q) for b in range(q))
+    assert all(ctx.add(a, ctx.neg(a)) == 0 for a in range(q))
+
+
 @pytest.mark.parametrize("q", ORDERS)
 def test_frobenius_is_additive(q):
     ctx = _ctx_of_order(q)
@@ -354,3 +365,54 @@ def test_tables_against_schoolbook_oracle(p, e, modulus):
     nonzero = np.arange(1, q, dtype=np.int64)
     assert np.all(ctx.mul_arr(nonzero, ctx.inv_arr(nonzero)) == 1)
     assert all(ctx.mul(a, ctx.inv(a)) == 1 for a in indices if a)
+
+
+#: fields for the array folds and the subspace-polynomial step: GF(p), GF(2^k) and GF(3^k)
+FOLD_FIELDS = [field(2), field(3), field(7), field(2, 2), field(2, 6), field(2, 12), field(3, 2), field(3, 6), field(5, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ctx=st.sampled_from(FOLD_FIELDS), shape=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sum_arr_is_a_fold_of_add_arr(ctx, shape, data, seed):
+    a = np.random.default_rng(seed).integers(0, ctx.q, size=shape)
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    folded = np.zeros(np.delete(a.shape, axis), dtype=np.int64)
+    for part in np.moveaxis(a, axis, 0):
+        folded = ctx.add_arr(folded, part)
+    out = ctx.sum_arr(a, axis=axis)
+    assert out.shape == folded.shape and np.array_equal(out, folded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ctx=st.sampled_from(FOLD_FIELDS), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_frobenius_arr_on_an_index_array_matches_each_scalar_index(ctx, data, seed):
+    base = data.draw(st.sampled_from([ctx.p ** j for j in range(1, ctx.e + 1) if ctx.e % j == 0]))
+    indices = data.draw(st.lists(st.one_of(st.integers(-9, 40), st.just(2 ** 70)), min_size=1, max_size=6))
+    xs = np.random.default_rng(seed).integers(0, ctx.q, size=7)
+    out = ctx.frobenius_arr(xs[None, :], np.array(indices, dtype=object)[:, None], base)
+    assert out.shape == (len(indices), 7)
+    for row, i in zip(out.tolist(), indices):
+        assert row == [ctx.frobenius(x, i, base) for x in xs.tolist()] == ctx.frobenius_arr(xs, i, base).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ctx=st.sampled_from(FOLD_FIELDS), data=st.data())
+def test_annihilator_step_matches_the_scalar_recursion(ctx, data):
+    base = data.draw(st.sampled_from([ctx.p ** j for j in range(1, ctx.e + 1) if ctx.e % j == 0]))
+    coeffs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=8))
+    v = data.draw(st.integers(0, ctx.q - 1))
+    assert ctx.annihilator_step(coeffs, v, base) == annihilator_step_by_scalars(ctx, coeffs, v, base)
+
+
+def test_annihilator_steps_build_the_subspace_polynomial_of_a_basis():
+    # over GF(2^6), base 2: the roots of the result are exactly the span of the points
+    F = field(2, 6)
+    points = [1, 2, 4]
+    c = [1]
+    for v in points:
+        c = F.annihilator_step(c, v, 2)
+    roots = [x for x in range(F.q) if F.sum_arr(F.mul_arr(c, F.frobenius_arr(x, np.arange(len(c)), 2))) == 0]
+    assert c[-1] == 1 and roots == list(range(8))
+    with pytest.raises(ContextMismatch):
+        F.annihilator_step([1], 1, 16)  # 16 = 2^4 is no base of GF(2^6)

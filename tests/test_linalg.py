@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 from helpers import is_rref_by_definition, span_rows, subspaces_by_entry
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multispace import linalg
 from multispace.errors import (
@@ -273,6 +273,81 @@ def test_rank_array_in_the_largest_fields(ctx):
     a = rng.integers(0, ctx.q, size=(4, 5))
     a[3] = ctx.sub_arr(a[0], ctx.mul_arr(a[1], np.full(5, 7)))  # row 3 = row 0 - 7 row 1
     assert rank_array(ctx, a) == rref_array(ctx, a)[1] == 3
+
+
+def _matrix_of_kind(ctx, rows, cols, kind, rng):
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "low rank":
+        return _of_random_rank(ctx, rows, cols, rng)
+    return rng.integers(0, ctx.q, size=(rows, cols))
+
+
+def _same_rref(ctx, a):
+    """rref_array against the numpy elimination, its large-matrix path, on a copy of a."""
+    given_a = a.copy()
+    red, rank, pivots = rref_array(ctx, a)
+    ref, ref_rank, ref_pivots = linalg._rref_numpy(ctx, a.copy())
+    assert np.array_equal(a, given_a)  # the input is not modified
+    assert red.dtype == np.int64 and red.shape == a.shape and red.tobytes() == ref.tobytes()
+    assert (rank, pivots) == (ref_rank, ref_pivots)
+    assert all(type(c) is int for c in pivots)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    # GF(2^8) is the largest field on lookup tables and GF(2^9) the first past them;
+    # up to 24 x 24 reaches past ROW_CELL_LIMIT and past two rows per column
+    ctx=st.sampled_from([F2, F3, F4, F5, F9, F16, F256, F512]),
+    rows=st.integers(1, 24),
+    cols=st.integers(1, 24),
+    kind=st.sampled_from(["random", "low rank", "zero"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(ctx=F3, rows=1, cols=24, kind="random", seed=0)
+@example(ctx=F4, rows=24, cols=1, kind="random", seed=0)
+@example(ctx=F256, rows=12, cols=16, kind="low rank", seed=1)  # at the cell limit
+@example(ctx=F16, rows=13, cols=15, kind="random", seed=2)  # just past it
+def test_rref_array_matches_the_numpy_elimination(ctx, rows, cols, kind, seed):
+    _same_rref(ctx, _matrix_of_kind(ctx, rows, cols, kind, np.random.default_rng(seed)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 90),
+    cols=st.integers(1, 200),
+    kind=st.sampled_from(["random", "low rank", "zero"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(rows=5, cols=56, kind="random", seed=0)  # the widest rows packed through an int64
+@example(rows=5, cols=57, kind="random", seed=0)  # the narrowest packed as bytes
+@example(rows=70, cols=65, kind="low rank", seed=1)
+@example(rows=600, cols=12, kind="low rank", seed=2)  # tall, with many repeated rows
+def test_rref_array_over_gf2_matches_the_numpy_elimination_at_any_width(rows, cols, kind, seed):
+    _same_rref(F2, _matrix_of_kind(F2, rows, cols, kind, np.random.default_rng(seed)))
+
+
+def test_rref_array_path_follows_the_field_and_the_cell_limit(monkeypatch):
+    taken = []
+    for name in ("_rref_bits", "_rref_lists", "_rref_numpy"):
+        def spy(*args, _name=name, _fn=getattr(linalg, name)):
+            taken.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    limit = linalg.ROW_CELL_LIMIT
+    cases = [
+        (F2, (300, 300), "_rref_bits"),
+        (F3, (6, 12), "_rref_lists"),
+        (F256, (12, limit // 12), "_rref_lists"),
+        (F256, (12, limit // 12 + 1), "_rref_numpy"),  # past the cell limit
+        (F3, (13, 6), "_rref_numpy"),  # more than two rows per column
+        (F512, (2, 2), "_rref_numpy"),  # past the table limit
+    ]
+    for ctx, shape, path in cases:
+        taken.clear()
+        rref_array(ctx, np.ones(shape, dtype=np.int64))
+        assert taken == [path], (ctx, shape)
 
 
 @settings(max_examples=150, deadline=None)

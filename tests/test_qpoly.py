@@ -7,6 +7,7 @@ from helpers import (
     coordinate_map_oracle,
     dense_degree,
     dense_of,
+    eval_by_coefficient,
     literal_product,
     random_multispace,
     root_multiplicities_by_division,
@@ -355,6 +356,34 @@ def test_roots_match_brute_force_zero_count(L):
     lead = L.coeffs[L.q_degree]
     monic = poly_from_multispace(w, big)
     assert L.coeffs == {i: big.mul(lead, c) for i, c in monic.coeffs.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(linearized_polys(), st.lists(st.integers(0, 3), max_size=2), st.integers(0, 2 ** 32 - 1))
+def test_eval_array_matches_the_loop_over_coefficients(L, shape, seed):
+    xs = np.random.default_rng(seed).integers(0, L.ctx.q, size=shape)
+    out = L.eval_array(xs)
+    assert out.shape == xs.shape and out.dtype == np.int64
+    assert np.array_equal(out, eval_by_coefficient(L, xs))
+    far = LinearizedPoly(L.base_q, L.ctx, {**L.coeffs, 2 ** 70: 1})  # a q-index past int64
+    assert np.array_equal(far.eval_array(xs), eval_by_coefficient(far, xs))
+
+
+def test_eval_array_bounds_the_cells_it_holds(monkeypatch):
+    f16 = field(2, 4)
+    L = LinearizedPoly(2, f16, {0: 3, 1: 7, 2: 1, 5: 9})
+    xs = np.arange(16).reshape(4, 4)
+    whole = L.eval_array(xs)
+    monkeypatch.setattr(qpoly, "EVAL_CELLS", 9)  # two points per pass
+    assert np.array_equal(L.eval_array(xs), whole)
+    assert np.array_equal(whole, eval_by_coefficient(L, xs))
+
+
+def test_the_coordinate_map_keeps_its_unit_vectors():
+    for ctx, n in [(F2, 5), (F3, 3), (F4, 2)]:
+        iso = vector_field_iso(ctx, n)
+        assert iso.units.tolist() == iso.to_field_array(np.eye(n, dtype=np.int64)).tolist()
+        assert not iso.units.flags.writeable
 
 
 def test_round_trip_builds_one_embedding_and_one_coordinate_map(monkeypatch):
