@@ -14,9 +14,11 @@ Modes:
                   distance between s and 3s, with the underlying space
                   contained in the sent one and the rank m - s
 
-Every trial draws its own PRNG substream (PCG64 seeded through
-SeedSequence(seed).spawn), so results are independent of scheduling and
-reproducible from (config, seed) alone.  Trials run in blocks as arrays:
+Every trial draws its own PRNG substream, so results are independent of
+scheduling and reproducible from (config, seed) alone: trial i draws from
+default_rng(SeedSequence(seed).spawn(i + 1)[i]), and _trial_generators
+builds a block's generators with exactly those PCG64 states in one
+vectorised pass of SeedSequence's hash.  Trials run in blocks as arrays:
 each stage of a block draws for all its trials, rejection sampling runs
 each trial's loop to acceptance on the rank-only kernel rank_array, and
 multispans and distances are batched eliminations, while every substream
@@ -27,6 +29,7 @@ into TrialRecords.
 """
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -220,6 +223,84 @@ def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Seeding
+# ---------------------------------------------------------------------------
+
+#: numpy's SeedSequence hashes (NEP 19, after O'Neill's seed_seq_fe): (first
+#: constant, multiplier) of the entropy hash A and the state hash B, and the mix
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = (1 << 32) - 1
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads from a nonnegative int; 0 is [0]."""
+    out = [value & _WORD]
+    while value > _WORD:
+        value >>= 32
+        out.append(value & _WORD)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_consts(first: int, mult: int, k: int, n: int) -> np.ndarray:
+    """A hash's constants first * mult^j mod 2^32 for j = k .. k + n, as uint32."""
+    return np.array([first * pow(mult, j, 1 << 32) & _WORD for j in range(k, k + n + 1)], dtype=np.uint32)
+
+
+def _hashmix(x, hash_: tuple[int, int], k: int, n: int) -> np.ndarray:
+    """SeedSequence's hashmix of x, broadcast against the hash's n constants from the k-th on."""
+    c = _hash_consts(*hash_, k, n)
+    v = (x ^ c[:-1]) * c[1:]
+    return v ^ (v >> 16)
+
+
+class _StateWords:
+    """Hands PCG64 the four state words computed for it.  It is registered as an
+    ISeedSequence on first use, so that importing the package does not import
+    numpy.random (about 16 ms)."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _trial_generators(seed: int, start: int, count: int) -> list:
+    """Exactly [default_rng(ss) for ss in SeedSequence(seed).spawn(start + count)[start:]],
+    the generators of trials start .. start + count - 1, in one vectorised pass.
+
+    Child i is SeedSequence(seed, spawn_key=(i,)): the root's entropy pool,
+    SeedSequence(seed).pool, with the words of i mixed in after (the child's
+    zero padding hashes as the root's own run-out).  Only those words differ,
+    so they are mixed into (children, 4) uint32 arrays; an index of 2^32 or
+    more has more words, so the children are split where their count
+    changes.  The PCG64 state words are hashed from the pools the same way,
+    and each child gets its own C-contiguous row: PCG64 reads them from memory.
+    """
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    pool = np.random.SeedSequence(seed).pool
+    hashed = 4 * max(4, len(_words(int(seed))))  # the A constants the root's entropy used up
+    out = []
+    lo, stop = start, start + count
+    while lo < stop:
+        hi = min(stop, (lo | _WORD) + 1)  # the children whose key words past the first are lo's
+        low = np.arange(lo & _WORD, (lo & _WORD) + hi - lo, dtype=np.uint32)[:, None]
+        mixed = pool  # broadcast against the first key word's (children, 4) hashes
+        for j, key in enumerate([low] + _words(lo)[1:]):  # each word hashed once per pool word
+            r = np.uint32(_MIX_L) * mixed - np.uint32(_MIX_R) * _hashmix(key, _HASH_A, hashed + 4 * j, 4)
+            mixed = r ^ (r >> 16)
+        state = _hashmix(np.concatenate((mixed, mixed), axis=1), _HASH_B, 0, 8)  # generate_state(4, uint64)
+        rows = state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+        out += [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in rows]
+        lo = hi
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Trials
 # ---------------------------------------------------------------------------
 
@@ -292,9 +373,8 @@ def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray, pick)
     the trials.  No Multispace is built.
     """
     block = _block_size(gens.shape[1], stack.n)
-    root = np.random.SeedSequence(cfg.seed)
     for start in range(0, cfg.trials, block):
-        rngs = [np.random.default_rng(ss) for ss in root.spawn(min(block, cfg.trials - start))]
+        rngs = _trial_generators(cfg.seed, start, min(block, cfg.trials - start))
         picked = np.array([pick(rng) for rng in rngs])
         sent = stack[picked]
         ms = sent.dims + sent.heights

@@ -310,9 +310,9 @@ def rank_array(ctx: FieldCtx, a: np.ndarray) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _rank_tables(ctx: FieldCtx) -> tuple[list, list]:
-    """The q x q nested lists mul[a][b] = a b and sub[a][b] = a - b."""
-    x = np.arange(ctx.q, dtype=np.int64)
-    return ctx.mul_arr(x[:, None], x[None, :]).tolist(), ctx.sub_arr(x[:, None], x[None, :]).tolist()
+    """The q x q nested lists mul[a][b] = a b and sub[a][b] = a - b, read from the field's tables."""
+    _, sub, mul = ctx.op_tables()
+    return mul.tolist(), sub.tolist()
 
 
 def rref_batch(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

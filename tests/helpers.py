@@ -2,9 +2,11 @@
 lattice poset, covers by containment, RREF by definition, the packing bound
 over every BFS ball, the greedy code by single distances and by one
 elimination per candidate, the optimal code and the gamma graph over words
-enumerated one by one, the channel's trial-by-trial loop, the literal
-root product, and the subspace-polynomial step and polynomial evaluation
-one term at a time.  Also span_rows, the span of a few row vectors."""
+enumerated one by one, the channel's trial-by-trial loop and numpy's own
+spawned trial generators, the literal root product, the subspace-polynomial
+step and polynomial evaluation one term at a time, and array arithmetic
+through the log/exp and digit tables.  Also span_rows, the span of a few
+row vectors."""
 
 from itertools import combinations, product
 
@@ -473,3 +475,48 @@ def eval_by_coefficient(L, xs) -> np.ndarray:
     for i, c in L.coeffs.items():
         acc = F.add_arr(acc, F.mul_arr(c, F.frobenius_arr(xs, i, L.base_q)))
     return acc
+
+
+def spawned_generators(seed, start, count) -> list:
+    """numpy's own generators of trials start .. start + count - 1: the
+    spawned children of SeedSequence(seed), as the channel built them before
+    channel._trial_generators."""
+    return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(start + count)[start:]]
+
+
+def keyed_generators(seed, start, count) -> list:
+    """The same generators by their spawn keys, which spawn gives child i as
+    (i,): usable at indices far past what spawn can count up to."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(start, start + count)]
+
+
+def add_by_digits(F, a, b) -> np.ndarray:
+    """a + b by XOR, mod p, or digit by digit: the rule FieldCtx.add_arr
+    followed before its q x q tables."""
+    a, b = np.asarray(a), np.asarray(b)
+    if F.p == 2:
+        return a ^ b
+    if F.e == 1:
+        return (a + b) % F.p
+    return (F._dig[a] + F._dig[b]) % F.p @ F._pvec
+
+
+def sub_by_digits(F, a, b) -> np.ndarray:
+    """a - b as a + (-b) by the digit rule: what FieldCtx.sub_arr computed
+    before its q x q tables."""
+    a, b = np.asarray(a), np.asarray(b)
+    if F.p == 2:
+        return a ^ b
+    if F.e == 1:
+        return (a - b) % F.p
+    return add_by_digits(F, a, F._neg[b])
+
+
+def mul_by_logs(F, a, b) -> np.ndarray:
+    """a b mod p, or through the log/exp tables with zero kept apart: what
+    FieldCtx.mul_arr computed before its q x q tables."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if F.e == 1:
+        return a * b % F.p
+    out = F._exp_np[(F._log_np[a] + F._log_np[b]) % (F.q - 1)]
+    return np.where((a == 0) | (b == 0), 0, out)

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     effective_transform,
     full_rank_draw,
+    keyed_generators,
     random_multiset,
     random_multispace,
     rank_draw,
     serial_trial_loop,
+    spawned_generators,
 )
 from multispace import channel
 from multispace.channel import (
@@ -154,6 +156,39 @@ def test_a_channel_block_leaves_each_generator_where_the_serial_trial_does(mode,
                 full_rank_draw(ctx, w.rank, w.rank, rng)
             effective_transform(ctx, w.rank, cfg, rng)
             assert rngs[k].integers(2 ** 62) == rng.integers(2 ** 62)
+
+
+def _assert_same_generators(ours, theirs):
+    """Equal states, then equal matrix and permutation draws, generator by generator."""
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert a.bit_generator.state == b.bit_generator.state
+        for q, shape in ((3, (4, 5)), (256, (2, 3))):
+            assert a.integers(0, q, shape).tolist() == b.integers(0, q, shape).tolist()
+        assert a.permutation(9).tolist() == b.permutation(9).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 130 + 17, np.int32(7), np.uint64(2 ** 64 - 1)])
+def test_trial_generators_equal_numpys_spawned_generators(seed):
+    # seeds of one to five entropy words, and numpy integers; every (start, count) pair of a block
+    for start in (0, 255, 256, 1000):
+        for count in (0, 1, 8, 256):
+            _assert_same_generators(channel._trial_generators(seed, start, count),
+                                    spawned_generators(seed, start, count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 140), start=st.integers(0, 600), count=st.integers(0, 40))
+def test_trial_generators_equal_numpys_spawned_generators_on_drawn_seeds(seed, start, count):
+    _assert_same_generators(channel._trial_generators(seed, start, count), spawned_generators(seed, start, count))
+
+
+@pytest.mark.parametrize("start", [2 ** 32 - 3, 2 ** 64 - 2, 2 ** 96 - 1])
+def test_trial_generators_take_numpys_key_words_past_2_to_the_32(start):
+    # an index of 2^32 or more spawns with two or more key words; these runs cross each step
+    assert np.random.SeedSequence(7).spawn(3)[2].spawn_key == (2,)  # the key spawn gives child 2
+    for seed in (0, 2 ** 64 + 5):
+        _assert_same_generators(channel._trial_generators(seed, start, 6), keyed_generators(seed, start, 6))
 
 
 def test_deletion_distance_is_exactly_s():

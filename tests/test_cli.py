@@ -435,6 +435,14 @@ def test_python_dash_m_runs_the_command_line(capsys):
     assert proc.returncode == 1 and proc.stdout == "" and "must be nonnegative" in proc.stderr
 
 
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # a command that draws nothing pays no numpy.random import; the channel loads it on its first trials
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, multispace; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == ["False"]
+
 #: rank 2: a line of GF(2)^3 at height 1
 W_RANK2 = json.dumps({"q-spec": "2", "n": 3, "basis": [[1, 0, 0]], "height": 1})
 

@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from helpers import annihilator_step_by_scalars
+from helpers import add_by_digits, annihilator_step_by_scalars, mul_by_logs, sub_by_digits
 from hypothesis import given, settings, strategies as st
 
 from multispace.errors import (
@@ -10,13 +10,14 @@ from multispace.errors import (
     DivisionByZero,
     FieldTooLarge,
     FormatError,
+    LimitExceeded,
     MultispaceError,
     NotIrreducible,
     NotPrime,
     ShapeViolation,
 )
-from multispace.fields import FieldCtx, _is_prime, extension, field, parse_field_spec
-from multispace.linalg import Subspace
+from multispace.fields import ARRAY_TABLE_LIMIT, FieldCtx, _is_prime, extension, field, parse_field_spec
+from multispace.linalg import Subspace, _rank_tables
 
 
 def poly_mulmod(a, b, mod, p):
@@ -416,3 +417,56 @@ def test_annihilator_steps_build_the_subspace_polynomial_of_a_basis():
     assert c[-1] == 1 and roots == list(range(8))
     with pytest.raises(ContextMismatch):
         F.annihilator_step([1], 1, 16)  # 16 = 2^4 is no base of GF(2^6)
+
+
+#: every field whose array arithmetic gathers from q x q tables, and two just past the limit
+GATHER_FIELDS = sorted((field(p, e) for p in range(2, ARRAY_TABLE_LIMIT + 1) if _is_prime(p)
+                       for e in range(1, 7) if 2 < p ** e <= ARRAY_TABLE_LIMIT), key=lambda F: F.q)
+PAST_THE_LIMIT = [field(2, 7), field(3, 4)]
+#: (array op, its oracle by the log/exp and digit rules)
+ARRAY_OPS = [("add_arr", add_by_digits), ("sub_arr", sub_by_digits), ("mul_arr", mul_by_logs)]
+
+
+@pytest.mark.parametrize("ctx", GATHER_FIELDS + PAST_THE_LIMIT, ids=lambda F: f"GF({F.q})")
+def test_array_ops_match_the_log_exp_and_digit_rules(ctx):
+    x = np.arange(ctx.q, dtype=np.int64)
+    rng = np.random.default_rng(ctx.q)
+    pairs = [
+        (x[:, None], x[None, :]),  # every pair, broadcast
+        (rng.integers(0, ctx.q, (3, 1, 4)), rng.integers(0, ctx.q, (5, 1))),
+        (np.array(ctx.q - 1), np.array(2)),  # 0-d
+        (int(rng.integers(ctx.q)), rng.integers(0, ctx.q, 6)),  # a plain int against an array
+        (np.zeros((0, 3), dtype=np.int64), x[:3]),  # empty
+        (rng.integers(0, ctx.q, (4, 2)).astype(np.uint8), rng.integers(0, ctx.q, 2).astype(np.int32)),
+    ]
+    for name, oracle in ARRAY_OPS:
+        for a, b in pairs:
+            out, want = getattr(ctx, name)(a, b), oracle(ctx, a, b)
+            assert np.shape(out) == np.shape(want) and np.array_equal(out, want), (name, np.shape(a), np.shape(b))
+
+
+def test_tables_are_built_on_first_use_and_only_up_to_the_limit():
+    for ctx in (FieldCtx(3, 2), FieldCtx(2, 6)):  # fresh contexts, not the cached ones
+        assert ctx._tables is None
+        ctx.mul_arr(np.arange(ctx.q), 1)
+        assert ctx._tables is not None and not any(t.flags.writeable for t in ctx._tables)
+    for ctx in (FieldCtx(2, 7), FieldCtx(3, 4)):  # past the limit: every op, and op_tables, keep none
+        x = np.arange(ctx.q)
+        for name, _ in ARRAY_OPS:
+            getattr(ctx, name)(x[:, None], x)
+        tables = ctx.op_tables()
+        assert ctx._tables is None
+        for table, (_, oracle) in zip(tables, ARRAY_OPS):
+            assert np.array_equal(table, oracle(ctx, x[:, None], x))
+
+
+@pytest.mark.parametrize("ctx", [field(3), field(2, 2), field(3, 3), field(2, 7), field(2, 8)],
+                         ids=lambda F: f"GF({F.q})")
+def test_rank_tables_are_the_field_tables_as_lists(ctx):
+    _, sub, mul = ctx.op_tables()
+    assert _rank_tables(ctx) == (mul.tolist(), sub.tolist())
+
+
+def test_op_tables_refuse_a_field_past_256_elements():
+    with pytest.raises(LimitExceeded):
+        field(2, 9).op_tables()  # 2^18 entries each

@@ -7,7 +7,9 @@ checks raise explicitly, and none raises ``AssertionError``, which is no
 ``MultispaceError`` and would end the CLI in a traceback.  Only ``fields.py`` reads FieldCtx's private
 arithmetic tables, so one module decides how to compute in GF(q).  Only the
 reader rule ``fields.reading`` catches ``KeyError``, so every JSON document
-is read by one rule.
+is read by one rule.  Only ``channel._trial_generators`` names
+``SeedSequence`` or calls a ``spawn`` method, so every trial generator is
+seeded on one path.
 """
 
 import ast
@@ -95,8 +97,12 @@ def test_no_assertion_raises_in_the_library():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
-#: FieldCtx's private arithmetic tables; other modules go through its methods.
-FIELD_TABLES = {"_exp", "_log", "_inv", "_exp_np", "_log_np", "_inv_np", "_dig", "_neg"}
+#: FieldCtx's private arithmetic tables, with the q x q op tables, their gather and the
+#: rules they are built by; other modules go through its methods.
+FIELD_TABLES = {
+    "_exp", "_log", "_inv", "_exp_np", "_log_np", "_inv_np", "_dig", "_neg",
+    "_tables", "_gather", "_flat_tables", "_add_rule", "_sub_rule", "_mul_rule",
+}
 
 
 def field_table_reads(source: str) -> list[str]:
@@ -109,8 +115,12 @@ def field_table_reads(source: str) -> list[str]:
 
 
 def test_scan_finds_field_table_reads():
-    source = "def f(ctx):\n    exp, log = ctx._exp, ctx._log\n    return ctx.inv(1), ctx._inv_np[2], ctx._expo\n"
-    assert field_table_reads(source) == ["_exp (line 2)", "_inv_np (line 3)", "_log (line 2)"]
+    source = (
+        "def f(ctx):\n    exp, log = ctx._exp, ctx._log\n    return ctx.inv(1), ctx._inv_np[2], ctx._expo\n"
+        "def g(ctx, a):\n    return ctx._tables[2][a], ctx._mul_rule(a, a), ctx.op_tables()\n"
+    )
+    assert field_table_reads(source) == [
+        "_exp (line 2)", "_inv_np (line 3)", "_log (line 2)", "_mul_rule (line 5)", "_tables (line 5)"]
 
 
 def test_only_fields_reads_the_field_tables():
@@ -154,3 +164,42 @@ def test_only_the_reader_rule_catches_key_errors():
     found = {str(path.relative_to(ROOT)): key_error_handlers(path.read_text()) for path in library}
     where = {path: [h.split(" (")[0] for h in handlers] for path, handlers in found.items() if handlers}
     assert where == {"src/multispace/fields.py": ["reading"]}
+
+
+def seeding_sites(source: str) -> list[str]:
+    """Where a module names SeedSequence (a name, an attribute or an import) or
+    calls a method spawn, as "function (line N)", in source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            named = (
+                (isinstance(child, ast.Name) and child.id == "SeedSequence")
+                or (isinstance(child, ast.Attribute) and child.attr == "SeedSequence")
+                or (isinstance(child, ast.alias) and child.name.split(".")[-1] == "SeedSequence")
+                or (isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "spawn")
+            )
+            if named:
+                found.append(f"{where} (line {child.lineno})")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_seeding_sites():
+    source = (
+        "import numpy as np\nfrom numpy.random import SeedSequence as S\n"
+        "def f(seed):\n    return np.random.SeedSequence(seed).spawn(3)\n"
+        "def g(ss):\n    return [ss.spawn(1), 'SeedSequence', spawn(2), ss.spawn_key]\n"
+        "root = S(0)\n"
+    )
+    assert seeding_sites(source) == ["<module> (line 2)", "f (line 4)", "f (line 4)", "g (line 6)"]
+
+
+def test_only_the_seeding_helper_seeds_generators():
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert len(library) > 5
+    found = {str(path.relative_to(ROOT)): seeding_sites(path.read_text()) for path in library}
+    where = {path: sorted({s.split(" (")[0] for s in sites}) for path, sites in found.items() if sites}
+    assert where == {"src/multispace/channel.py": ["_trial_generators"]}

@@ -38,6 +38,8 @@ F5 = field(5)
 F7 = field(7)
 F9 = field(3, 2)
 F16 = field(2, 4)
+F27 = field(3, 3)
+F64 = field(2, 6)
 F256 = field(2, 8)
 F512 = field(2, 9)
 E1, E2, E3 = np.eye(3, dtype=np.int64)
@@ -197,9 +199,9 @@ def test_contains_and_leq():
     assert not subspace_leq(span_rows(F2, E2), span_rows(F2, E1))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=320, deadline=None)
 @given(
-    ctx=st.sampled_from([F2, F3, F4, F16]),
+    ctx=st.sampled_from([F2, F3, F4, F5, F9, F16, F27, F64]),
     batch=st.integers(0, 40),
     rows=st.integers(0, 8),
     cols=st.integers(0, 8),
