@@ -161,7 +161,7 @@ def apply_transform(b: VectorMultiset, T) -> VectorMultiset:
     if len(T) != len(b):
         raise ShapeMismatch(f"T has {len(T)} rows but the multiset has {len(b)} vectors")
     out = matmul_arrays(b.ctx, T.T, b.matrix)
-    return VectorMultiset(b.ctx, b.n, out)
+    return VectorMultiset._of(b.ctx, b.n, out)
 
 
 def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> np.ndarray:

@@ -30,7 +30,7 @@ from .codes import (
     greedy_code,
     sphere_packing_bound,
 )
-from .errors import BoundViolation, ConfigInvalid, FormatError, LimitExceeded, MultispaceError
+from .errors import ConfigInvalid, FormatError, LimitExceeded, MultispaceError
 from .fields import check_settings, parse_field_spec
 from .lattice import (
     Multispace,
@@ -323,68 +323,29 @@ def build_parser() -> _Parser:
     output = argparse.ArgumentParser(add_help=False)  # every subcommand takes --output
     output.add_argument("--output")
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, parents=[output], **kwargs)
+    def add(name, fn, summary, *positional):
+        sp = sub.add_parser(name, parents=[output], help=summary)
         sp.set_defaults(func=fn)
+        for arg in positional:  # the dimensions, ranks and radii are ints
+            sp.add_argument(arg, type=int if arg in ("n", "m", "m_max", "d_min", "radius") else str)
         return sp
 
-    sp = add("count", cmd_count, help="per-rank multispace counts and cumulative code-space size")
-    sp.add_argument("q_spec")
-    sp.add_argument("n", type=int)
-    sp.add_argument("m", type=int)
-
-    sp = add("enumerate", cmd_enumerate, help="list all multispaces of one rank")
-    sp.add_argument("q_spec")
-    sp.add_argument("n", type=int)
-    sp.add_argument("m", type=int)
-
-    sp = add("hasse", cmd_hasse, help="DOT Hasse diagram up to a rank cap")
-    sp.add_argument("q_spec")
-    sp.add_argument("n", type=int)
-    sp.add_argument("m_max", type=int)
-
-    sp = add("distance", cmd_distance, help="lattice distance with its decomposition")
-    sp.add_argument("w1")
-    sp.add_argument("w2")
-
-    sp = add("meet", cmd_meet, help="greatest lower bound of two multispaces")
-    sp.add_argument("w1")
-    sp.add_argument("w2")
-
-    sp = add("join", cmd_join, help="least upper bound of two multispaces")
-    sp.add_argument("w1")
-    sp.add_argument("w2")
-
-    sp = add("mspan", cmd_mspan, help="multispan of a vector multiset")
-    sp.add_argument("vectors")
-
-    sp = add("poly", cmd_poly, help="linearized polynomial of a multispace")
-    sp.add_argument("w")
-
-    sp = add("roots", cmd_roots, help="multispace of the roots of a linearized polynomial")
-    sp.add_argument("poly")
-
-    sp = add("search", cmd_search, help="greedy or certified-optimal code construction")
-    sp.add_argument("q_spec")
-    sp.add_argument("n", type=int)
-    sp.add_argument("m_max", type=int)
-    sp.add_argument("d_min", type=int)
+    add("count", cmd_count, "per-rank multispace counts and cumulative code-space size", "q_spec", "n", "m")
+    add("enumerate", cmd_enumerate, "list all multispaces of one rank", "q_spec", "n", "m")
+    add("hasse", cmd_hasse, "DOT Hasse diagram up to a rank cap", "q_spec", "n", "m_max")
+    add("distance", cmd_distance, "lattice distance with its decomposition", "w1", "w2")
+    add("meet", cmd_meet, "greatest lower bound of two multispaces", "w1", "w2")
+    add("join", cmd_join, "least upper bound of two multispaces", "w1", "w2")
+    add("mspan", cmd_mspan, "multispan of a vector multiset", "vectors")
+    add("poly", cmd_poly, "linearized polynomial of a multispace", "w")
+    add("roots", cmd_roots, "multispace of the roots of a linearized polynomial", "poly")
+    sp = add("search", cmd_search, "greedy or certified-optimal code construction", "q_spec", "n", "m_max", "d_min")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--optimal", action="store_true")
+    add("ball", cmd_ball, "metric ball size around a multispace", "center", "radius", "m_max")
+    add("bound", cmd_bound, "sphere-packing upper bound on code size", "q_spec", "n", "m_max", "d_min")
 
-    sp = add("ball", cmd_ball, help="metric ball size around a multispace")
-    sp.add_argument("center")
-    sp.add_argument("radius", type=int)
-    sp.add_argument("m_max", type=int)
-
-    sp = add("bound", cmd_bound, help="sphere-packing upper bound on code size")
-    sp.add_argument("q_spec")
-    sp.add_argument("n", type=int)
-    sp.add_argument("m_max", type=int)
-    sp.add_argument("d_min", type=int)
-
-    sp = add("simulate", cmd_simulate, help="channel simulation against a code file")
-    sp.add_argument("code")
+    sp = add("simulate", cmd_simulate, "channel simulation against a code file", "code")
     sp.add_argument("--mode", choices=MODES, required=True)
     sp.add_argument("--s", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1000)
@@ -411,9 +372,6 @@ def main(argv=None) -> int:
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 2
-    except BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 3
     except MultispaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,30 +30,38 @@ CLIQUE_LIMIT = 64
 
 
 class MultispaceCode:
-    """An ordered set of distinct multispaces of rank <= m_max."""
+    """An ordered set of distinct multispaces of rank <= m_max.
+
+    __init__ checks n, m_max and every codeword; _of trusts a code the
+    library built, whose codewords are distinct words of ctx and n.
+    """
 
     __slots__ = ("ctx", "n", "m_max", "codewords", "_max_rank", "_min_dist", "_stack", "_gens")
 
     def __init__(self, ctx: FieldCtx, n: int, m_max: int, codewords: tuple):
-        seen = set()
-        self._max_rank = 0  # the largest codeword rank
+        check_settings(("n", n, 0, f"ambient dimension {n} is negative"),
+                       ("m_max", m_max, 0, f"m_max = {m_max} must be nonnegative"))
+        codewords = tuple(codewords)
         for w in codewords:
             w.ctx.check_same(ctx)
             if w.n != n:
                 raise ConfigInvalid("codeword ambient dimension differs")
             if w.rank > m_max:
                 raise ConfigInvalid(f"codeword rank {w.rank} exceeds m_max {m_max}")
-            if w in seen:
-                raise ConfigInvalid("duplicate codeword")
-            seen.add(w)
-            self._max_rank = max(self._max_rank, w.rank)
-        self.ctx = ctx
-        self.n = n
-        self.m_max = m_max
-        self.codewords = tuple(codewords)
-        self._min_dist = None
-        self._stack = None
-        self._gens = None
+        if len(set(codewords)) < len(codewords):
+            raise ConfigInvalid("duplicate codeword")
+        self._fill(ctx, n, m_max, codewords)
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, n: int, m_max: int, codewords: tuple) -> "MultispaceCode":
+        code = cls.__new__(cls)
+        code._fill(ctx, n, m_max, codewords)
+        return code
+
+    def _fill(self, ctx, n, m_max, codewords):
+        self.ctx, self.n, self.m_max, self.codewords = ctx, n, m_max, codewords
+        self._max_rank = max((w.rank for w in codewords), default=0)  # the largest codeword rank
+        self._min_dist = self._stack = self._gens = None
 
     def __len__(self):
         return len(self.codewords)
@@ -169,7 +177,7 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
                     live = slice(None) if words.masks is not None else np.flatnonzero(alive)
                     alive[live] &= words[idx].paired(words[live])[0] >= d_min
         kept.extend(words[keep])
-    return MultispaceCode(ctx, n, m_max, tuple(sorted(kept.words(), key=lambda w: w.sort_key())))
+    return MultispaceCode._of(ctx, n, m_max, tuple(sorted(kept.words(), key=lambda w: w.sort_key())))
 
 
 def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> MultispaceCode:
@@ -189,7 +197,7 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
     for m in range(m_max + 1):
         ground.extend(_WordStack.layer(ctx, n, m))
     best = _max_clique(ground.pairwise() >= d_min)
-    return MultispaceCode(ctx, n, m_max, tuple(ground[best].words()))
+    return MultispaceCode._of(ctx, n, m_max, tuple(ground[best].words()))
 
 
 def _max_clique(adjacency: np.ndarray) -> list[int]:

@@ -165,7 +165,7 @@ class FieldCtx:
 
     def __init__(self, p: int, e: int = 1, modulus: int | None = None):
         if e < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise ConfigInvalid("extension degree must be >= 1")
         # size first, so a huge p or e is refused before p ** e or a primality test
         if p >= 2 and (e >= FIELD_SIZE_LIMIT.bit_length() or p ** e > FIELD_SIZE_LIMIT):
             raise FieldTooLarge(f"q = {p}^{e} exceeds limit {FIELD_SIZE_LIMIT}")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, FormatError, RankZero
-from .fields import FieldCtx, ambient_dim, parse_field_spec, reading, strict_int
+from .errors import ConfigInvalid, RankZero
+from .fields import FieldCtx, ambient_dim, check_settings, parse_field_spec, reading, strict_int
 from .linalg import (
     DEFAULT_STATE_LIMIT,
     Subspace,
@@ -44,7 +44,8 @@ class VectorMultiset:
     """An ordered multiset of vectors in GF(q)^n (rows of a matrix).
 
     Order is irrelevant to the multispan but kept so channel transforms
-    can act on positions.
+    can act on positions.  __init__ checks the rows; _of trusts an array
+    the library built.
     """
 
     __slots__ = ("ctx", "n", "matrix")
@@ -54,6 +55,13 @@ class VectorMultiset:
         self.n = n
         self.matrix = _rows_array(ctx, n, rows)
         self.matrix.flags.writeable = False
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, n: int, matrix: np.ndarray) -> "VectorMultiset":
+        b = cls.__new__(cls)
+        b.ctx, b.n, b.matrix = ctx, n, matrix
+        matrix.flags.writeable = False
+        return b
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -88,15 +96,21 @@ class VectorMultiset:
 
 
 class Multispace:
-    """A multispace, canonically (underlying subspace, height)."""
+    """A multispace, canonically (underlying subspace, height).  __init__
+    checks the height; _of trusts the int height of a library-built word."""
 
     __slots__ = ("underlying", "height")
 
     def __init__(self, underlying: Subspace, height: int):
-        if height < 0:
-            raise ValueError("height must be nonnegative")
+        check_settings(("height", height, 0, f"height {height} is negative"))
         self.underlying = underlying
         self.height = int(height)
+
+    @classmethod
+    def _of(cls, underlying: Subspace, height: int) -> "Multispace":
+        w = cls.__new__(cls)
+        w.underlying, w.height = underlying, height
+        return w
 
     @classmethod
     def bottom(cls, ctx, n):
@@ -125,11 +139,6 @@ class Multispace:
     def size(self) -> BigCount:
         """Multiset cardinality q^rank."""
         return self.ctx.q ** self.rank
-
-    def _check_compatible(self, other: "Multispace"):
-        self.ctx.check_same(other.ctx)
-        if self.n != other.n:
-            raise DimensionMismatch("ambient dimensions differ")
 
     def __eq__(self, other):
         return (
@@ -173,7 +182,7 @@ class Multispace:
         rows = np.vstack(
             [self.underlying.basis, np.zeros((self.height, self.n), dtype=np.int64)]
         )
-        return VectorMultiset(self.ctx, self.n, rows)
+        return VectorMultiset._of(self.ctx, self.n, rows)
 
     def to_dict(self) -> dict:
         d = self.underlying.to_dict()
@@ -182,11 +191,9 @@ class Multispace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Multispace":
-        with reading("multispace"):
-            height = strict_int(d["height"], "height")
-            if height < 0:
-                raise FormatError(f"height {height} is negative")
-        return cls(Subspace.from_dict(d), height)
+        underlying = Subspace.from_dict(d)
+        with reading("multispace"):  # a height refused by __init__ is a FormatError here
+            return cls(underlying, d["height"])
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +204,13 @@ def span(b: VectorMultiset) -> Subspace:
     """Canonical span of the rows of a vector multiset."""
     if not isinstance(b, VectorMultiset):
         raise TypeError("span takes a VectorMultiset")
-    return Subspace.from_array(b.ctx, b.n, b.matrix)
+    return Subspace._span(b.ctx, b.n, b.matrix)
 
 
 def mspan(b: VectorMultiset) -> Multispace:
     """Multispan: underlying space is the span, height is |b| - dim."""
     underlying = span(b)
-    return Multispace(underlying, len(b) - underlying.dim)
+    return Multispace._of(underlying, len(b) - underlying.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +219,17 @@ def mspan(b: VectorMultiset) -> Multispace:
 
 def multiset_leq(a: Multispace, b: Multispace) -> bool:
     """Multiset containment: support contained and multiplicity <= multiplicity."""
-    a._check_compatible(b)
-    return a.height <= b.height and a.underlying <= b.underlying
+    return a.underlying <= b.underlying and a.height <= b.height
 
 
 def meet(a: Multispace, b: Multispace) -> Multispace:
     """Greatest lower bound = multiset intersection."""
-    a._check_compatible(b)
-    return Multispace(a.underlying.intersect(b.underlying), min(a.height, b.height))
+    return Multispace._of(a.underlying.intersect(b.underlying), min(a.height, b.height))
 
 
 def join(a: Multispace, b: Multispace) -> Multispace:
     """Least upper bound: sum of underlyings, max of heights."""
-    a._check_compatible(b)
-    return Multispace(a.underlying + b.underlying, max(a.height, b.height))
+    return Multispace._of(a.underlying + b.underlying, max(a.height, b.height))
 
 
 #: An ambient space of at most this many vectors keeps each subspace as one
@@ -359,7 +363,7 @@ class _WordStack:
     def words(self) -> list[Multispace]:
         """Every row as a Multispace."""
         return [
-            Multispace(Subspace(self.ctx, self.n, basis[:dim].copy()), height)
+            Multispace._of(Subspace(self.ctx, self.n, basis[:dim].copy()), height)
             for basis, dim, height in zip(self.bases, self.dims.tolist(), self.heights.tolist())
         ]
 
@@ -441,7 +445,7 @@ def pairwise_distances(xs) -> np.ndarray:
     """Symmetric integer matrix of lattice distances d[i, j] = distance(xs[i], xs[j])."""
     xs = list(xs)
     for x in xs:
-        xs[0]._check_compatible(x)
+        xs[0].underlying._check_compatible(x.underlying)
     if not xs:
         return np.zeros((0, 0), dtype=np.int64)
     return _WordStack.of(xs).pairwise()
@@ -492,12 +496,13 @@ def count_covering(w: Multispace) -> BigCount:
 
 def enumerate_multispaces(ctx: FieldCtx, n: int, m: int):
     """Every multispace of rank exactly m, ascending dim then subspace order."""
+    n, m = strict_int(n, "n"), strict_int(m, "m")  # so each height m - k is an int
     if min(m, n) < 0:
         return  # no multispace has a negative rank or ambient dimension
     _check_budget(count_multispaces(n, m, ctx.q), "multispaces")
     for k in range(0, min(m, n) + 1):
         for s in enumerate_subspaces(ctx, n, k):
-            yield Multispace(s, m - k)
+            yield Multispace._of(s, m - k)
 
 
 def _check_total(ctx: FieldCtx, n: int, m_max: int) -> None:
@@ -521,9 +526,8 @@ def covering_neighbors(w: Multispace) -> list[Multispace]:
     for line in enumerate_subspaces(w.ctx, len(nonpivot), 1):
         v = np.zeros((1, w.n), dtype=np.int64)
         v[0, nonpivot] = line.basis[0]  # a line of the quotient by u; u + <v> covers u
-        sup = Subspace.from_array(w.ctx, w.n, np.vstack([u.basis, v]))
-        out.append(Multispace(sup, w.height))
-    out.append(Multispace(u, w.height + 1))
+        out.append(Multispace._of(Subspace._span(w.ctx, w.n, np.vstack([u.basis, v])), w.height))
+    out.append(Multispace._of(u, w.height + 1))
     return out
 
 
@@ -537,9 +541,9 @@ def covered_neighbors(w: Multispace) -> list[Multispace]:
         # hyperplanes of u = images of hyperplanes of the coordinate space GF(q)^dim
         for combo in enumerate_subspaces(w.ctx, u.dim, u.dim - 1):
             rows = matmul_arrays(w.ctx, combo.basis, u.basis)
-            out.append(Multispace(Subspace.from_array(w.ctx, w.n, rows), w.height))
+            out.append(Multispace._of(Subspace._span(w.ctx, w.n, rows), w.height))
     if w.height > 0:
-        out.append(Multispace(u, w.height - 1))
+        out.append(Multispace._of(u, w.height - 1))
     return out
 
 

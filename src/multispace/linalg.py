@@ -11,8 +11,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatError, LimitExceeded, NotCanonical
-from .fields import FieldCtx, ambient_dim, parse_field_spec, reading
+from .errors import ConfigInvalid, DimensionMismatch, FormatError, LimitExceeded, NotCanonical
+from .fields import FieldCtx, ambient_dim, check_settings, parse_field_spec, reading
 
 #: The one enumeration budget: no enumerator yields more items than this.
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -37,7 +37,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     division is exact, and nothing recurses on n.
     """
     if q < 2:
-        raise ValueError("q must be at least 2")
+        raise ConfigInvalid("q must be at least 2")
     if k < 0 or k > n:
         return 0
     out = 1
@@ -77,7 +77,8 @@ def _as_array(ctx: FieldCtx, rows) -> np.ndarray:
 
 
 def _rows_array(ctx: FieldCtx, n: int, rows) -> np.ndarray:
-    """Coerce to an (m, n) array of encodings; [] becomes 0 x n."""
+    """Coerce to an (m, n) array of encodings, n an int >= 0; [] becomes 0 x n."""
+    check_settings(("n", n, 0, f"ambient dimension {n} is negative"))
     a = _as_array(ctx, rows)
     if a.size == 0 and a.ndim <= 1:
         try:
@@ -363,7 +364,8 @@ class Subspace:
     """A subspace of GF(q)^n in canonical (RREF basis) form.
 
     The zero space is an explicit 0 x n matrix.  Two subspaces are equal
-    iff their canonical bases are identical.
+    iff their canonical bases are identical.  The classmethods check their
+    input; __init__ and _span trust arrays the library built.
     """
 
     __slots__ = ("ctx", "n", "basis", "dim")
@@ -380,16 +382,20 @@ class Subspace:
 
     @classmethod
     def zero(cls, ctx, n):
-        return cls(ctx, n, np.zeros((0, n), dtype=np.int64))
+        return cls(ctx, n, _rows_array(ctx, n, []))
 
     @classmethod
     def full(cls, ctx, n):
-        return cls(ctx, n, np.eye(n, dtype=np.int64))
+        return cls(ctx, n, np.eye(cls.zero(ctx, n).n, dtype=np.int64))  # zero checks n
 
     @classmethod
     def from_array(cls, ctx, n, rows) -> "Subspace":
         """Span of arbitrary row vectors, brought to canonical form by elimination."""
-        a = _rows_array(ctx, n, rows)
+        return cls._span(ctx, n, _rows_array(ctx, n, rows))
+
+    @classmethod
+    def _span(cls, ctx, n, a: np.ndarray) -> "Subspace":
+        """from_array of an (m, n) encoding array the library built: nothing is checked."""
         red, rank, _ = rref_array(ctx, a)
         return cls(ctx, n, red[:rank].copy())
 
@@ -401,7 +407,7 @@ class Subspace:
             if not is_rref(ctx, a):
                 raise NotCanonical("basis rows are not in reduced row echelon form")
             return cls(ctx, n, a.copy())
-        return cls.from_array(ctx, n, a)
+        return cls._span(ctx, n, a)
 
     # -- basic protocol ---------------------------------------------------------
 
@@ -441,7 +447,7 @@ class Subspace:
 
     def __le__(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return self.dim <= other.dim and other.contains_array(self.basis)
+        return self.dim <= other.dim and rref_array(self.ctx, np.vstack([other.basis, self.basis]))[1] == other.dim
 
     def __lt__(self, other: "Subspace") -> bool:
         return self.dim < other.dim and self <= other
@@ -450,14 +456,14 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_array(self.ctx, self.n, np.vstack([self.basis, other.basis]))
+        return Subspace._span(self.ctx, self.n, np.vstack([self.basis, other.basis]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: RREF of [[A A],[B 0]]; rows with zero left half give the intersection."""
         self._check_compatible(other)
         n = self.n
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ctx, n)
+            return self if self.dim == 0 else other
         top = np.hstack([self.basis, self.basis])
         bot = np.hstack([other.basis, np.zeros_like(other.basis)])
         red, rank, pivots = rref_array(self.ctx, np.vstack([top, bot]))

@@ -25,7 +25,8 @@ from .errors import (
     RootsNotInField,
     ShapeViolation,
 )
-from .fields import FieldCtx, _digits, _embedding, extension, field, parse_field_spec, reading, strict_int
+from .fields import FieldCtx, _digits, _embedding, check_settings, extension, field, parse_field_spec, reading
+from .fields import strict_int
 from .lattice import Multispace
 from .linalg import Subspace, _as_array, _rows_array, rref_array
 
@@ -41,9 +42,12 @@ class VectorFieldIso:
     where X is the residue class of the big field's modulus variable and
     phi the deterministic subfield embedding.  The map is GF(p)-linear, so
     it is stored as one en x en matrix on base-p digits, with its inverse.
+    The to_* methods check their input; _field_array and _vector_array trust
+    arrays the library built.
     """
 
     def __init__(self, ctx: FieldCtx, n: int, big: FieldCtx):
+        check_settings(("n", n, 1, f"ambient dimension {n} is not positive"))
         if big.p != ctx.p or big.e != ctx.e * n:
             raise ContextMismatch(f"{big} is not GF(q^{n}) for q = {ctx.q}")
         self.ctx = ctx
@@ -60,18 +64,22 @@ class VectorFieldIso:
             raise ShapeViolation("coordinate map is singular")  # cannot happen
         self._inverse = red[:, en:]
         #: the big-field encodings of the n unit vectors, where root finding evaluates
-        self.units = self.to_field_array(np.eye(n, dtype=np.int64))
+        self.units = self._field_array(np.eye(n, dtype=np.int64))
         self.units.flags.writeable = False
 
     def to_field_array(self, rows) -> np.ndarray:
         """Big-field encodings of an (m, n) array of coordinate vectors."""
-        rows = _rows_array(self.ctx, self.n, rows)
+        return self._field_array(_rows_array(self.ctx, self.n, rows))
+
+    def _field_array(self, rows: np.ndarray) -> np.ndarray:
         digits = _digits(rows, self.ctx.p, self.ctx.e).reshape(-1, self.big.e)
         return digits @ self._matrix.T % self.ctx.p @ self.big._pvec
 
     def to_vector_array(self, xs) -> np.ndarray:
         """Coordinate vectors, shape (m, n), of big-field encodings, read flat."""
-        xs = _as_array(self.big, xs).reshape(-1)
+        return self._vector_array(_as_array(self.big, xs).reshape(-1))
+
+    def _vector_array(self, xs: np.ndarray) -> np.ndarray:
         digits = _digits(xs, self.ctx.p, self.big.e) @ self._inverse.T % self.ctx.p
         return digits.reshape(len(xs), self.n, self.ctx.e) @ self.ctx._pvec
 
@@ -97,18 +105,31 @@ EVAL_CELLS = 1 << 16
 
 
 class LinearizedPoly:
-    """sum_i a_i x^(q^i) with coefficients in a fixed big field GF(q^N)."""
+    """sum_i a_i x^(q^i) with coefficients in a fixed big field GF(q^N).
+
+    __init__ checks the base, q-indices and coefficients; _of trusts the
+    nonzero int coefficients, by int q-index, of a library-built polynomial.
+    """
 
     __slots__ = ("base_q", "ctx", "coeffs")
 
     def __init__(self, base_q: int, ctx: FieldCtx, coeffs: dict[int, int]):
-        ctx._check_power_base(base_q)
+        ctx._check_power_base(strict_int(base_q, "base-q"))
+        for i in coeffs:
+            if strict_int(i, "q-index") < 0:
+                raise FormatError(f"q-index {i} is negative")
         values = _as_array(ctx, list(coeffs.values()))
         if values.ndim != 1:
             raise FormatError("each coefficient must be one encoding")
         self.base_q = base_q
         self.ctx = ctx
         self.coeffs = {int(i): c for i, c in zip(coeffs, values.tolist()) if c}
+
+    @classmethod
+    def _of(cls, base_q: int, ctx: FieldCtx, coeffs: dict[int, int]) -> "LinearizedPoly":
+        L = cls.__new__(cls)
+        L.base_q, L.ctx, L.coeffs = base_q, ctx, coeffs
+        return L
 
     def is_zero(self):
         return not self.coeffs
@@ -117,7 +138,7 @@ class LinearizedPoly:
     def q_degree(self) -> int:
         """Largest i with a nonzero coefficient (the multispace rank)."""
         if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
+            raise NotAMultispace("zero polynomial has no degree")
         return max(self.coeffs)
 
     def __eq__(self, other):
@@ -141,8 +162,10 @@ class LinearizedPoly:
         """Values at an array of big-field encodings: every term at once, as a
         (terms, points) array summed along its first axis, for at most
         EVAL_CELLS cells of points at a time."""
+        return self._eval(_as_array(self.ctx, xs))
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
         ctx = self.ctx
-        xs = _as_array(ctx, xs)
         flat = xs.reshape(-1)
         out = np.zeros_like(flat)
         if self.coeffs:
@@ -156,7 +179,7 @@ class LinearizedPoly:
 
     def eval_domain(self) -> np.ndarray:
         """Values on every element of the big field, as an encoding array."""
-        return self.eval_array(np.arange(self.ctx.q, dtype=np.int64))
+        return self._eval(np.arange(self.ctx.q, dtype=np.int64))
 
     def text(self) -> str:
         if not self.coeffs:
@@ -192,7 +215,7 @@ class LinearizedPoly:
     @classmethod
     def from_dict(cls, d: dict) -> "LinearizedPoly":
         with reading("linearized polynomial"):
-            spec, base_q = d["field"], strict_int(d["base-q"], "base-q")
+            spec, base_q = d["field"], d["base-q"]
             coeffs = {_q_index(k): c for k, c in d["coeffs"].items()}
         return cls(base_q, parse_field_spec(spec), coeffs)
 
@@ -221,12 +244,12 @@ def poly_from_multispace(w: Multispace, big: FieldCtx | None = None) -> Lineariz
     iso = vector_field_iso(w.ctx, w.n, big)
     F = iso.big
     c = [1]  # q-coefficients of P = x
-    for v in iso.to_field_array(w.underlying.basis).tolist():
+    for v in iso._field_array(w.underlying.basis).tolist():
         c = F.annihilator_step(c, v, q)
     h = w.height
     if h:
         c = F.frobenius_arr(c, h, q).tolist()
-    return LinearizedPoly(q, F, dict(enumerate(c, start=h)))
+    return LinearizedPoly._of(q, F, {i: a for i, a in enumerate(c, start=h) if a})
 
 
 def roots_multiset(L: LinearizedPoly) -> Multispace:
@@ -249,7 +272,7 @@ def roots_multiset(L: LinearizedPoly) -> Multispace:
     n = F.e // e
     small = field(F.p, e)
     iso = vector_field_iso(small, n, F)
-    images = iso.to_vector_array(L.eval_array(iso.units))
+    images = iso._vector_array(L._eval(iso.units))
     red, _, pivots = rref_array(small, np.hstack([images, np.eye(n, dtype=np.int64)]))
     # rows pivoting in the right half have a zero left half; their right
     # halves are already a reduced echelon basis of the left null space
@@ -258,4 +281,4 @@ def roots_multiset(L: LinearizedPoly) -> Multispace:
     h = min(L.coeffs)
     if kernel.dim != L.q_degree - h:
         raise RootsNotInField(f"polynomial does not split over {F}")
-    return Multispace(kernel, h)
+    return Multispace._of(kernel, h)

@@ -4,12 +4,16 @@ Every imported name is used; package ``__init__.py`` files are exempt,
 since their imports are the public re-exports.  The library under ``src``
 holds no ``assert`` statement: ``python -O`` strips them, so its runtime
 checks raise explicitly, and none raises ``AssertionError``, which is no
-``MultispaceError`` and would end the CLI in a traceback.  Only ``fields.py`` reads FieldCtx's private
+``MultispaceError`` and would end the CLI in a traceback, nor a bare
+``ValueError``, which names no toolkit error.  Only ``fields.py`` reads FieldCtx's private
 arithmetic tables, so one module decides how to compute in GF(q).  Only the
 reader rule ``fields.reading`` catches ``KeyError``, so every JSON document
 is read by one rule.  Only ``channel._trial_generators`` names
 ``SeedSequence`` or calls a ``spawn`` method, so every trial generator is
-seeded on one path.
+seeded on one path.  Only the public entry points named in
+``CHECKING_ENTRIES`` call the input checks ``_as_array`` and ``_rows_array``,
+a checking constructor or a checking method, so input is checked once at the
+boundary and every value the library built takes a trusted path.
 """
 
 import ast
@@ -71,14 +75,14 @@ def test_no_asserts_in_the_library():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
-def assertion_raises(source: str) -> list[int]:
-    """The lines of a module's raise statements of AssertionError, called or bare."""
+def named_raises(source: str, name: str) -> list[int]:
+    """The lines of a module's raise statements of the exception called name, called or bare."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Raise)
         and isinstance(exc := node.exc.func if isinstance(node.exc, ast.Call) else node.exc, ast.Name)
-        and exc.id == "AssertionError"
+        and exc.id == name
     )
 
 
@@ -87,13 +91,28 @@ def test_scan_finds_assertion_raises():
         "def f(x):\n    if x:\n        raise AssertionError('no')\n    if not x:\n        raise AssertionError\n"
         "    raise ValueError('AssertionError')\n    raise\n"
     )
-    assert assertion_raises(source) == [3, 5]
+    assert named_raises(source, "AssertionError") == [3, 5]
 
 
 def test_no_assertion_raises_in_the_library():
     library = sorted((ROOT / "src").rglob("*.py"))
     assert len(library) > 5
-    found = {str(path.relative_to(ROOT)): assertion_raises(path.read_text()) for path in library}
+    found = {str(path.relative_to(ROOT)): named_raises(path.read_text(), "AssertionError") for path in library}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_scan_finds_value_error_raises():
+    source = (
+        "def f(x):\n    if x:\n        raise ValueError('no')\n    if not x:\n        raise ValueError\n"
+        "    raise FormatError('ValueError')\n    raise ConfigInvalid(ValueError)\n    raise\n"
+    )
+    assert named_raises(source, "ValueError") == [3, 5]
+
+
+def test_no_value_error_raises_in_the_library():
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert len(library) > 5
+    found = {str(path.relative_to(ROOT)): named_raises(path.read_text(), "ValueError") for path in library}
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
@@ -203,3 +222,62 @@ def test_only_the_seeding_helper_seeds_generators():
     found = {str(path.relative_to(ROOT)): seeding_sites(path.read_text()) for path in library}
     where = {path: sorted({s.split(" (")[0] for s in sites}) for path, sites in found.items() if sites}
     assert where == {"src/multispace/channel.py": ["_trial_generators"]}
+
+
+#: The input checks, and the checking entry points and constructors that run
+#: them: a call of any of these names is a check of raw input.
+CHECKS = {
+    "_as_array", "_rows_array", "from_array", "from_basis", "contains_array", "to_field_array",
+    "to_vector_array", "eval_array", "VectorMultiset", "Multispace", "LinearizedPoly", "MultispaceCode",
+}
+
+#: The public entry points that make such calls, by module; every other
+#: construction in the library passes values it built through a trusted path.
+CHECKING_ENTRIES = {
+    "src/multispace/channel.py": ["apply_transform"],
+    "src/multispace/lattice.py": ["VectorMultiset.__init__"],
+    "src/multispace/linalg.py": ["Subspace.contains_array", "Subspace.from_array", "Subspace.from_basis",
+                                 "Subspace.from_dict", "Subspace.zero", "_rows_array"],
+    "src/multispace/qpoly.py": ["LinearizedPoly.__init__", "LinearizedPoly.eval", "LinearizedPoly.eval_array",
+                                "VectorFieldIso.to_field_array", "VectorFieldIso.to_vector_array"],
+}
+
+
+def checking_calls(source: str) -> list[str]:
+    """Where a module calls a name of CHECKS, as "Class.method (line N)" or
+    "function (line N)" ("<module>" outside any function), in source order."""
+    found = []
+
+    def visit(node, where, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) in CHECKS:
+                found.append(f"{where} (line {child.lineno})")
+            if isinstance(child, ast.ClassDef):
+                visit(child, where, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{cls}.{child.name}" if cls else child.name)
+            else:
+                visit(child, where, cls)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_checking_calls():
+    source = (
+        "x = _as_array(ctx, [1])\n"
+        "class A:\n    def f(self, rows):\n        return linalg._rows_array(self.ctx, 2, rows)\n"
+        "    def g(self):\n        def inner():\n            return Multispace(u, 1), Multispace._of(u, 1)\n"
+        "        return inner\n"
+        "def h(rows):\n    return _as_array_like(rows), '_as_array', _rows_array, cls(rows)\n"
+        "def k(iso, rows):\n    return [iso.to_field_array(r) for r in rows]\n"
+    )
+    assert checking_calls(source) == ["<module> (line 1)", "A.f (line 4)", "inner (line 7)", "k (line 12)"]
+
+
+def test_only_the_public_entry_points_check_raw_input():
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert len(library) > 5
+    found = {str(path.relative_to(ROOT)): checking_calls(path.read_text()) for path in library}
+    where = {path: sorted({c.split(" (")[0] for c in calls}) for path, calls in found.items() if calls}
+    assert where == CHECKING_ENTRIES

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,15 @@ def test_encodings_out_of_range_are_refused():
     for coeffs in ({0: [1]}, {0: [1], 1: [2]}, {0: 1, 1: [2]}, {0: "1"}):
         with pytest.raises(FormatError):
             LinearizedPoly(2, f16, coeffs)
+    # q-indices and the base are plain ints: no float, string or bool is read as one
+    for coeffs, message in (({-1: 1}, "q-index -1 is negative"), ({-1: 1, 1: 1}, "q-index -1 is negative"),
+                            ({1.5: 1}, "q-index 1.5 is not"), ({"1": 1}, "q-index '1' is not"),
+                            ({True: 1}, "q-index True is not")):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            LinearizedPoly(2, f16, coeffs)
+    for base in (2.0, "2", True):
+        with pytest.raises(FormatError, match=re.escape(f"base-q {base!r} is not an integer")):
+            LinearizedPoly(base, f16, {0: 1})
 
 
 def test_multiplicities_by_synthetic_division():
