@@ -19,10 +19,11 @@ scheduling and reproducible from (config, seed) alone: trial i draws from
 default_rng(SeedSequence(seed).spawn(i + 1)[i]), and _trial_generators
 builds a block's generators with exactly those PCG64 states in one
 vectorised pass of SeedSequence's hash.  Trials run in blocks as arrays:
-each stage of a block draws for all its trials, rejection sampling runs
-each trial's loop to acceptance on the rank-only kernel rank_array, and
-multispans and distances are batched eliminations, while every substream
-sees the calls of a one-trial loop.  A block comes out as columns (sent
+_Draws reads each trial's raw PCG64 words ahead and maps them as numpy
+would, each stage of a block draws for all its trials, rejection sampling
+ranks rounds of candidates at once with rank_batch, and multispans and
+distances are batched eliminations, while every trial takes the draws of
+a one-trial loop.  A block comes out as columns (sent
 indices, received words as one stack, distances, bound checks); one
 summary reads them for both entry points, and only run_trials turns them
 into TrialRecords.
@@ -31,6 +32,7 @@ into TrialRecords.
 import csv
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +49,13 @@ from .fields import FieldCtx, check_settings
 from .lattice import Multispace, VectorMultiset, _WordStack, mspan
 from .linalg import (
     DEFAULT_STATE_LIMIT,
+    RANK_TABLE_LIMIT,
+    ROW_CELL_LIMIT,
     _as_array,
     _check_budget,
-    _pad_stack,
+    _list_echelon,
     matmul_arrays,
-    rank_array,
+    rank_batch,
     rref_batch,
 )
 
@@ -68,6 +72,8 @@ MODES = tuple(_MODE_TABLE)
 _BLOCK = 256
 #: candidates a rejection sampler draws for one matrix before it gives up
 _MAX_TRIES = 1000
+#: rounds of at most this many trials rank their candidates one by one
+_ROW_TRIALS = 8
 
 
 @dataclass(frozen=True)
@@ -168,58 +174,202 @@ def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> np.ndarray:
     return rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64)
 
 
-def _full_rank_batch(ctx: FieldCtx, rngs, rows, cols) -> np.ndarray:
-    """One uniform rows[i] x cols[i] matrix of rank min(rows[i], cols[i]) per rngs[i].
+class _Draws:
+    """The draws of trial generators, read ahead from their raw PCG64 words.
 
-    The trials run in order, each a one-trial rejection loop: draw a
-    candidate from the trial's own generator until rank_array accepts it.
-    The matrices come zero-padded into one (len(rngs), max rows, max cols)
-    stack; zero rows and columns change no rank.
+    FIELD_SIZE_LIMIT keeps every bound a trial draws below 2^32, so each draw
+    is numpy's next_uint32: the low, then the high half of a raw word.
+    integers(0, q) maps a half u to (u q) >> 32 and passes over u while
+    (u q) mod 2^32 < (2^32 - q) mod q (Lemire); permutation(m) swaps i, from
+    m - 1 down to 1, with the first u & mask <= i, mask the least 2^b - 1 >= i.
+    Row t of buf holds trial t's halves, and cursor pos[t] moves past those taken.
+    """
+
+    def __init__(self, gens, words: int = 0):
+        self.raw = [g.bit_generator.random_raw for g in gens]
+        self.buf = np.array([raw(words) for raw in self.raw], dtype="<u8").reshape(len(gens), words).view("<u4")
+        self.pos, self.base = np.zeros((2, len(gens)), dtype=np.int64)  # base: halves dropped before column 0
+        self.end = np.full(len(gens), 2 * words)  # halves held
+
+    @classmethod
+    def serve(cls, rng, sample):
+        """sample(draws)[0] on one caller's PCG64 generator, which is then moved as
+        numpy's own draws would move it: one state write back to where it began, an
+        advance past all but the last word taken, and the 32-bit draws of its halves."""
+        bg, draws = rng.bit_generator, cls([rng])
+        state = bg.state
+        if state["bit_generator"] != "PCG64":
+            raise ConfigInvalid(f"the samplers read PCG64 words, not {state['bit_generator']}")
+        held = state["has_uint32"]
+        draws.buf, draws.end[0] = np.array([[state["uinteger"]]][:held], dtype=np.uint32).reshape(1, held), held
+        out = sample(draws)[0]
+        used = int(draws.base[0] + draws.pos[0])  # halves taken, the held one first
+        bg.state, raw = state, used - held
+        if held and used:
+            rng.integers(1 << 32, dtype=np.uint32)  # one next_uint32: the held half
+        if raw > 0:
+            bg.advance((raw - 1) // 2)
+            for _ in range(2 - raw % 2):
+                rng.integers(1 << 32, dtype=np.uint32)
+        return out
+
+    def halves(self, trials, width: int) -> np.ndarray:
+        """The next width halves of each of trials, (len(trials), width); a read
+        takes a round more than asked and drops the halves the rows used."""
+        short = int((self.pos[trials] + width - self.end[trials]).max(initial=0))
+        if short > 0:  # every row keeps a run of the most halves a row holds, from or before its cursor
+            words, held = max(64, (short + width + 1) // 2), (self.end - self.pos).max()
+            start = np.minimum(self.pos, self.buf.shape[1] - held)
+            buf = np.zeros((len(start), held + 2 * words), dtype=np.uint32)
+            buf[:, :held] = _runs(self.buf, held)[np.arange(len(start)), start]
+            self.buf, self.base, self.pos, self.end = buf, self.base + start, self.pos - start, self.end - start
+            new = np.array([self.raw[t](words) for t in trials.tolist()], dtype="<u8").view("<u4")
+            _runs(self.buf, 2 * words)[trials, self.end[trials]] = new
+            self.end[trials] += 2 * words
+        return _runs(self.buf, width)[trials, self.pos[trials]]
+
+    def values(self, trials, q: int, count: int):
+        """The next count draws of integers(0, q) of each of trials, (len(trials),
+        count), and ends: the first v take ends[:, v] halves, or v if ends is None."""
+        threshold, width = ((1 << 32) - q) % q, count
+        if threshold == 0:  # q a power of two passes over no half
+            return self.halves(trials, count) >> (33 - q.bit_length()), None
+        while True:
+            u = self.halves(trials, width).astype(np.uint64) * np.uint64(q)
+            if (u[:, :count] & np.uint64(_WORD)).min(initial=threshold) >= threshold:
+                return (u[:, :count] >> np.uint64(32)).astype(np.int64), None
+            kept = (u & np.uint64(_WORD)) >= threshold
+            if (kept.sum(axis=1) >= count).all():
+                at = np.argsort(~kept, axis=1, kind="stable")[:, :count]
+                ends = np.concatenate((np.zeros((len(trials), 1), dtype=np.int64), at + 1), axis=1)
+                return (np.take_along_axis(u, at, axis=1) >> np.uint64(32)).astype(np.int64), ends
+            width *= 2
+
+    def skip(self, trials, counts, ends=None):
+        """Move each of trials' cursors past its first counts draws of values."""
+        self.pos[trials] += counts if ends is None else ends[np.arange(len(trials)), counts]
+
+    def below(self, count: int) -> np.ndarray:
+        """integers(count) of every trial, 1 <= count <= 2^32; count 1 draws nothing."""
+        trials = np.arange(len(self.raw))
+        if count == 1:
+            return np.zeros(len(trials), dtype=np.int64)
+        vals, ends = self.values(trials, count, 1)
+        self.skip(trials, 1, ends)
+        return vals[:, 0]
+
+    def permutations(self, ms: list[int]) -> list[list[int]]:
+        """permutation(m) of every trial, each for its m."""
+        out, used = [], []
+        for t, (m, row) in enumerate(zip(ms, self.halves(np.arange(len(ms)), 2 * max(ms) + 16).tolist())):
+            perm, k = list(range(m)), 0
+            for i in range(m - 1, 0, -1):
+                mask = (1 << i.bit_length()) - 1
+                while k == len(row) or row[k] & mask > i:
+                    if k == len(row):  # a long run of passed-over halves: read on
+                        row = self.halves(np.array([t]), 2 * k)[0].tolist()
+                    else:
+                        k += 1
+                j = row[k] & mask
+                perm[i], perm[j], k = perm[j], perm[i], k + 1
+            out.append(perm)
+            used.append(k)
+        self.pos += used
+        return out
+
+
+def _runs(a: np.ndarray, width: int) -> np.ndarray:
+    """A (rows, cols - width + 1, width) view of the runs of width entries of each row of a C-contiguous a."""
+    return np.ndarray((len(a), a.shape[1] - width + 1, width), a.dtype, a, 0, (a.strides[0], *a.strides[1:] * 2))
+
+
+def _full_rank_batch(ctx: FieldCtx, draws: _Draws, rows, cols) -> np.ndarray:
+    """One uniform rows[t] x cols[t] matrix of rank min(rows[t], cols[t]) per trial t.
+
+    Each trial keeps the first full-rank candidate random_matrix would draw.
+    Trials draw rounds of k candidates, so many that a trial finds none with
+    chance about 1 / (8 trials) at the hardest shape's miss rate, 1 - prod
+    (1 - q^(i - c)) over i < r <= c; its cursor moves past the first accepted
+    or all k.  A round ranks at once with rank_batch, or, for at most
+    _ROW_TRIALS trials over 2 < q <= RANK_TABLE_LIMIT, where numpy's cost per
+    call would not pay, each trial's 8 candidates in turn on rref_array's
+    list rows, up to the first accepted (none with chance below 0.44^8).
+    No trial takes over _MAX_TRIES candidates, a round holds at most
+    DEFAULT_STATE_LIMIT cells, and the matrices come zero-padded into one stack.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
-    out = np.zeros((len(rngs), rows.max(), cols.max()), dtype=np.int64)
-    for i, (rng, r, c) in enumerate(zip(rngs, rows.tolist(), cols.tolist())):
-        for _ in range(_MAX_TRIES):
-            cand = random_matrix(ctx, r, c, rng)
-            if rank_array(ctx, cand) == min(r, c):
-                out[i, :r, :c] = cand
-                break
+    out = np.zeros((len(rows), rows.max(), cols.max()), dtype=np.int64)
+    live, tried = np.flatnonzero(rows * cols), 0  # an empty matrix takes no draw
+    while len(live):
+        r, c = rows[live], cols[live]
+        shape, cells = (r.max(), c.max()), r * c
+        rowwise = len(live) <= _ROW_TRIALS and 2 < ctx.q <= RANK_TABLE_LIMIT and cells.max() <= ROW_CELL_LIMIT
+        if rowwise:  # ranked in turn, candidates past the first accepted cost only their draws
+            k = 8
         else:
-            raise SamplingFailed(f"rejection sampling failed to find a full-rank {r}x{c} matrix")
+            shapes = set(zip(np.minimum(r, c).tolist(), np.maximum(r, c).tolist()))
+            miss = 1 - min(math.prod(1 - float(ctx.q) ** (i - b) for i in range(a)) for a, b in shapes)
+            k = 1 if miss < 1e-9 else math.ceil(math.log(8 * len(live)) / -math.log(miss))
+        k = min(k, _MAX_TRIES - tried, max(1, DEFAULT_STATE_LIMIT // (len(live) * shape[0] * shape[1])))
+        if k <= 0:
+            raise SamplingFailed(f"rejection sampling failed to find a full-rank {r[0]}x{c[0]} matrix")
+        vals, ends = draws.values(live, ctx.q, k * cells.max())
+        if rowwise:
+            first = []
+            for t, v, m, n in zip(live.tolist(), vals.tolist(), r.tolist(), c.tolist()):
+                first.append(i := _first_full_rank(ctx, v, m, n, k))
+                out[t, :m, :n].flat = v[i * m * n : (i + 1) * m * n]  # nothing when i = k
+            done = (first := np.array(first)) < k
+        else:
+            cand = vals[:, : k * shape[0] * shape[1]].reshape(len(live), k, *shape)
+            if (r != shape[0]).any() or (c != shape[1]).any():  # mixed shapes: rows of each trial's own width
+                at = np.minimum(np.arange(k)[:, None] * cells[:, None, None] + np.arange(shape[0]) * c[:, None, None],
+                                vals.shape[1] - shape[1])
+                i, j = np.arange(shape[0])[:, None], np.arange(shape[1])
+                inside = (i < r[:, None, None, None]) & (j < c[:, None, None, None])
+                cand = np.where(inside, _runs(vals, shape[1])[np.arange(len(live))[:, None, None], at], 0)
+            ok = rank_batch(ctx, cand.reshape(-1, *shape)).reshape(len(live), k) == np.minimum(r, c)[:, None]
+            first = ok.argmax(axis=1)
+            done = ok[np.arange(len(live)), first]
+            out[live[done], : shape[0], : shape[1]] = cand[done, first[done]]
+        draws.skip(live, np.where(done, first + 1, k) * cells, ends)
+        live, tried = live[~done], tried + k
     return out
 
 
-def _rank_batch(ctx: FieldCtx, rngs, rows, cols, r) -> np.ndarray:
-    """One rows[i] x cols[i] matrix of exact rank r[i] per rngs[i], zero-padded into one stack.
+def _first_full_rank(ctx: FieldCtx, vals: list[int], rows: int, cols: int, k: int) -> int:
+    """The first of k rows x cols candidates, laid one after another row by row
+    in vals, that has full rank on rref_array's list rows; k if none."""
+    for i in range(k):
+        cand = [vals[j : j + cols] for j in range(i * rows * cols, (i + 1) * rows * cols, cols)]
+        if len(_list_echelon(ctx, cand)) == min(rows, cols):
+            return i
+    return k
+
+
+def _rank_batch(ctx: FieldCtx, draws: _Draws, rows, cols, r) -> np.ndarray:
+    """One rows[t] x cols[t] matrix of exact rank r[t] per trial t, zero-padded into one stack.
 
     Each is a full-rank A (rows x r) times a full-rank B (r x cols), A drawn
     before B; a trial with r = 0 draws nothing and gets the zero matrix.
     """
-    rows, cols, r = np.asarray(rows), np.asarray(cols), np.asarray(r)
-    out = np.zeros((len(rngs), rows.max(), cols.max()), dtype=np.int64)
-    live = np.flatnonzero(r > 0)
-    if len(live):
-        drawers = [rngs[i] for i in live]
-        a = _full_rank_batch(ctx, drawers, rows[live], r[live])
-        b = _full_rank_batch(ctx, drawers, r[live], cols[live])
-        prod = matmul_arrays(ctx, a, b)
-        lost = np.flatnonzero(rref_batch(ctx, prod)[1] != r[live])  # full-rank factors give rank r
-        if len(lost):
-            raise ShapeViolation(f"product of full-rank factors lost rank {r[live[lost[0]]]}")
-        out[live, : prod.shape[1], : prod.shape[2]] = prod
-    return out
+    prod = matmul_arrays(ctx, _full_rank_batch(ctx, draws, rows, r), _full_rank_batch(ctx, draws, r, cols))
+    lost = np.flatnonzero(rank_batch(ctx, prod) != r)  # full-rank factors give rank r
+    if len(lost):
+        raise ShapeViolation(f"product of full-rank factors lost rank {r[lost[0]]}")
+    return prod
 
 
 def random_full_rank(ctx: FieldCtx, m: int, rng) -> np.ndarray:
     """Uniform invertible m x m matrix by rejection (success rate > 0.288)."""
-    return _full_rank_batch(ctx, [rng], [m], [m])[0]
+    return _Draws.serve(rng, lambda draws: _full_rank_batch(ctx, draws, [m], [m]))
 
 
 def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng) -> np.ndarray:
     """Random rows x cols matrix of exact rank r, as a full-rank A (rows x r) times B (r x cols)."""
     if r > min(rows, cols) or r < 0:
         raise ConfigInvalid(f"rank {r} impossible for a {rows}x{cols} matrix")
-    return _rank_batch(ctx, [rng], [rows], [cols], [r])[0]
+    return _Draws.serve(rng, lambda draws: _rank_batch(ctx, draws, *np.array([[rows], [cols], [r]])))
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +454,16 @@ def _trial_generators(seed: int, start: int, count: int) -> list:
 # Trials
 # ---------------------------------------------------------------------------
 
-def _channel_block(cfg: ChannelConfig, rngs, sent: _WordStack, gens: np.ndarray):
+def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np.ndarray):
     """The stack of received words, the distances and the bound checks of one block of trials.
 
     Trial t sends row t of the stack sent, whose generating multiset is
-    gens[t, :m] for its rank m, and draws from rngs[t].  The stages draw in
-    the order of a single trial (random generator; mix, deletion permutation
-    and rank-deficient factors of the mode), each stage for the whole block
-    at once, so every generator sees the same calls in the same order as a
-    one-trial loop.  All arrays are zero-padded to the block's largest m;
-    zero rows change no rank.
+    gens[t, :m] for its rank m, and takes trial t of draws.  The stages draw
+    in the order of a single trial (random generator; mix, deletion
+    permutation and rank-deficient factors of the mode), each stage for the
+    whole block at once, so every trial takes the draws of a one-trial
+    loop.  All arrays are zero-padded to the block's largest m; zero rows
+    change no rank.
 
     A trial is ok when least*s <= d <= most*s, by _MODE_TABLE, and the
     received space lies in the sent one, dim(S + R) = dim S, which every
@@ -329,19 +479,21 @@ def _channel_block(cfg: ChannelConfig, rngs, sent: _WordStack, gens: np.ndarray)
     ctx, n, s = sent.ctx, sent.n, cfg.s
     ms = sent.dims + sent.heights
     if cfg.random_generator:
-        mix = _full_rank_batch(ctx, rngs, ms, ms)
+        mix = _full_rank_batch(ctx, draws, ms, ms)
         gens = matmul_arrays(ctx, np.swapaxes(mix, 1, 2), gens)
     if cfg.mode == "rank-deficient":
-        t_eff = _rank_batch(ctx, rngs, ms, ms, ms - s)
+        t_eff = _rank_batch(ctx, draws, ms, ms, ms - s)
     else:
-        t_eff = _full_rank_batch(ctx, rngs, ms, ms)
+        t_eff = _full_rank_batch(ctx, draws, ms, ms)
     widths = ms  # columns of T_eff: the length of each received multiset
     if cfg.mode in ("deletion", "compound"):  # keep m - s of the mixed columns
-        widths = ms - s
-        kept = [a[:m, np.sort(rng.permutation(m)[: m - s])] for a, rng, m in zip(t_eff, rngs, ms.tolist())]
-        t_eff = _pad_stack(kept, (ms.max(), widths.max()))
+        widths, top = ms - s, ms.max() - s
+        kept = [sorted(p[: m - s]) + [0] * (top - m + s) for p, m in zip(draws.permutations(ms.tolist()), ms.tolist())]
+        kept = np.array(kept, dtype=np.int64).reshape(len(ms), 1, top)  # padded with column 0, then zeroed
+        t_eff = t_eff[np.arange(len(ms))[:, None, None], np.arange(ms.max())[:, None], kept]
+        t_eff *= np.arange(top) < widths[:, None, None]
     if cfg.mode == "compound":  # then a rank-deficient square stage on the survivors
-        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, rngs, widths, widths, ms - 2 * s))
+        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, draws, widths, widths, ms - 2 * s))
     # received word: rank of the received multiset, height = its length - rank
     bases, ranks = rref_batch(ctx, matmul_arrays(ctx, np.swapaxes(t_eff, 1, 2), gens))
     heights = widths - ranks
@@ -358,29 +510,29 @@ def _block_size(m_max: int, n: int) -> int:
     return max(1, min(_BLOCK, DEFAULT_STATE_LIMIT // max(1, m_max * max(m_max, n))))
 
 
-def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray, pick):
+def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray):
     """Yield (sent indices, received stack, distances, bound checks) of each
     block of trials, in order, as arrays with one row per trial.
 
     Word i is row i of stack, and its generating multiset of m = rank rows
-    is gens[i, :m], as MultispaceCode._source gives them.  pick(rng) returns
-    the index of the word a trial sends; it is the first draw of every
-    trial, so end-to-end runs draw the codeword index before the channel
-    matrices.  Trials run in blocks of _block_size(largest m, n): every word
-    of a block is picked and rank-checked before any channel draw, its rows
-    and generators are taken by index, and the block's draws, multispans and
-    distances are batched eliminations, so memory grows with the block, not
-    the trials.  No Multispace is built.
+    is gens[i, :m], as MultispaceCode._source gives them.  Each trial's
+    first draw is integers(len(stack)), the index of the word it sends; a
+    stack of one word takes no draw.  Trials run in blocks of
+    _block_size(largest m, n): every word of a block is picked and
+    rank-checked before any channel draw, its rows and generators are taken
+    by index, and the block's draws, multispans and distances are batched,
+    so memory grows with the block, not the trials.  No Multispace is built.
     """
     block = _block_size(gens.shape[1], stack.n)
+    words = min(8 + 16 * gens.shape[1] ** 2, DEFAULT_STATE_LIMIT // (8 * block))  # the pick and about two stages
     for start in range(0, cfg.trials, block):
-        rngs = _trial_generators(cfg.seed, start, min(block, cfg.trials - start))
-        picked = np.array([pick(rng) for rng in rngs])
+        draws = _Draws(_trial_generators(cfg.seed, start, min(block, cfg.trials - start)), words)
+        picked = draws.below(len(stack.dims))
         sent = stack[picked]
         ms = sent.dims + sent.heights
         for m in ms.tolist():
             cfg.check_rank(m)
-        yield picked, *_channel_block(cfg, rngs, sent, gens[picked, : ms.max()])
+        yield picked, *_channel_block(cfg, draws, sent, gens[picked, : ms.max()])
 
 
 def _summarize(cfg: ChannelConfig, blocks, code=None) -> ChannelSummary:
@@ -430,7 +582,7 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
     else:
         raise TypeError("target must be a Multispace or VectorMultiset")
     cfg.check_rank(len(gen0))
-    blocks = list(_trial_blocks(cfg, _WordStack.of([sent]), gen0[None], lambda rng: 0))
+    blocks = list(_trial_blocks(cfg, _WordStack.of([sent]), gen0[None]))
     # rank(T_eff) = m - _need(cfg) in closed form: every stage has full rank
     # except the rank-deficient one, whose rank _rank_batch checks
     t_rank, bound = len(gen0) - _need(cfg), _bound_for(cfg)
@@ -450,7 +602,7 @@ def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
     if len(code) == 0:
         raise ConfigInvalid("end-to-end run needs a nonempty code")
     _check_budget(code._max_rank ** 2, "channel matrix entries")
-    blocks = _trial_blocks(cfg, *code._source(), lambda rng: int(rng.integers(len(code))))
+    blocks = _trial_blocks(cfg, *code._source())
     return _summarize(cfg, blocks, code)
 
 

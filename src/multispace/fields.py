@@ -466,6 +466,8 @@ def field(p: int, e: int = 1, modulus: int | None = None) -> FieldCtx:
     arithmetic, so it becomes x, the default; any other modulus of a prime
     field is refused by FieldCtx.
     """
+    check_settings(("p", p, None, ""), ("e", e, 1, "extension degree must be >= 1"),
+                   *[("modulus", modulus, None, "")] * (modulus is not None))
     if e == 1 and modulus is not None and p <= modulus < 2 * p:
         modulus = None
     return _field(p, e, modulus)
@@ -486,13 +488,14 @@ def strict_int(value, name: str) -> int:
 
 def check_settings(*rules) -> None:
     """The one check of integer run settings, before any work: each rule
-    (name, value, least, message) needs strict_int(value) >= least, else ConfigInvalid."""
+    (name, value, least, message) needs strict_int(value) >= least (any int
+    for least None), else ConfigInvalid."""
     for name, value, least, message in rules:
         try:
             strict_int(value, name)
         except FormatError as exc:
             raise ConfigInvalid(str(exc)) from exc
-        if value < least:
+        if least is not None and value < least:
             raise ConfigInvalid(message)
 
 
@@ -601,8 +604,13 @@ def _embedding(small: FieldCtx, big: FieldCtx) -> Embedding:
     return Embedding(small, big)
 
 
-@functools.lru_cache(maxsize=None)
 def extension(ctx: FieldCtx, times: int) -> tuple[FieldCtx, Embedding]:
     """GF(q^times) built over the same prime, with the embedding of GF(q)."""
+    check_settings(("times", times, 1, "extension degree must be >= 1"))
+    return _extension(ctx, times)
+
+
+@functools.lru_cache(maxsize=None)
+def _extension(ctx: FieldCtx, times: int) -> tuple[FieldCtx, Embedding]:
     big = field(ctx.p, ctx.e * times)
     return big, _embedding(ctx, big)

@@ -462,8 +462,8 @@ def distance(a: Multispace, b: Multispace) -> int:
 
 def count_multispaces(n: int, m: int, q: int) -> BigCount:
     """Number of rank-m multispaces over GF(q)^n: sum of Gaussian binomials."""
-    if n < 0 or m < 0:
-        raise ConfigInvalid("n and m must be nonnegative")
+    check_settings(("n", n, 0, "n and m must be nonnegative"), ("m", m, 0, "n and m must be nonnegative"),
+                   ("q", q, 2, "q must be at least 2"))
     return sum(gaussian_binomial(n, k, q) for k in range(0, min(m, n) + 1))
 
 
@@ -651,6 +651,7 @@ class GammaGraph:
 
 def gamma_graph(ctx: FieldCtx, n: int, m: int) -> GammaGraph:
     """Γ on the rank-m layer, its adjacency from the layer's stack; empty for a negative n or m."""
+    check_settings(("n", n, None, ""), ("m", m, None, ""))
     if min(n, m) < 0:
         return GammaGraph(ctx, n, m, (), np.zeros((0, 0), dtype=bool))
     layer = _WordStack.layer(ctx, n, m)

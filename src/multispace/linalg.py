@@ -290,23 +290,36 @@ def _rref_lists(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int
     return red, len(done), [c for c, _ in reversed(done)]
 
 
-def rank_array(ctx: FieldCtx, a: np.ndarray) -> int:
-    """Rank of one matrix, by the forward pass of rref_array's row kernel.
+def rank_batch(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
+    """Rank of every matrix of a (T, r, c) stack, by a forward pass; a is not written.
 
-    The rank alone needs no pivot scaling or back substitution.  Over GF(2)
-    each row is one Python int of any width; over other fields with at most
-    RANK_TABLE_LIMIT elements the rows are lists reduced through the field's
-    q x q multiplication and subtraction tables.  Larger fields take the
-    rank from rref_array.
+    A column's pivot is the row with the largest entry there; each row times
+    the pivot, less the pivot row times the row's entry, clears the column and
+    the pivot row, so the rank counts the columns with a pivot.  GF(2) rows of
+    at most 63 entries are one int64 each (M4RI), column 0 the highest bit, so
+    a row holds the column in turn iff it is at least its bit; wider ones take
+    rref_array's Python ints.  Other stacks run as one (r, c, T) array.
     """
-    a = np.asarray(a, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    if ctx.q == 2:
-        return len(_bit_echelon(_bit_rows(a)[0], a.shape[1]))
-    if ctx.q > RANK_TABLE_LIMIT:
-        return rref_array(ctx, a)[1]
-    return len(_list_echelon(ctx, a.tolist()))
+    batch, rows, cols = a.shape
+    rank = np.zeros(batch, dtype=np.int64)
+    if a.size and ctx.q == 2 and cols > 63:  # wider rows are Python ints, one matrix at a time
+        rank[:] = [len(_bit_echelon(_bit_rows(m)[0], cols)) for m in a]
+    elif a.size and ctx.q == 2:
+        bits = 1 << np.arange(cols - 1, -1, -1)
+        x = (a @ bits).T.copy()  # (rows, T)
+        for bit in bits.tolist():
+            piv = x.max(axis=0)
+            x ^= (x >= bit) * piv
+            rank += piv >= bit
+    elif a.size:
+        x, entries = a.transpose(1, 2, 0).copy(), np.arange(batch)  # (rows, cols, T)
+        for c in range(cols):
+            col = x[:, c]
+            piv = x[col.argmax(axis=0), c:, entries].T  # the pivot row from column c on
+            rank += piv[0] != 0
+            lead, right = np.where(piv[0] != 0, piv[0], 1), x[:, c + 1 :]
+            x[:, c + 1 :] = ctx.sub_arr(ctx.mul_arr(lead, right), ctx.mul_arr(col[:, None], piv[None, 1:]))
+    return rank
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from .errors import (
     RootsNotInField,
     ShapeViolation,
 )
-from .fields import FieldCtx, _digits, _embedding, check_settings, extension, field, parse_field_spec, reading
+from .fields import FieldCtx, _digits, _embedding, _extension, _field, check_settings, field, parse_field_spec, reading
 from .fields import strict_int
 from .lattice import Multispace
 from .linalg import Subspace, _as_array, _rows_array, rref_array
@@ -86,7 +86,8 @@ class VectorFieldIso:
 
 def vector_field_iso(ctx: FieldCtx, n: int, big: FieldCtx | None = None) -> VectorFieldIso:
     """The coordinate map GF(q)^n -> big, by default the GF(q^n) of extension(ctx, n); one per field pair."""
-    return _vector_field_iso(ctx, n, extension(ctx, n)[0] if big is None else big)
+    check_settings(("n", n, 1, f"ambient dimension {n} is not positive"))
+    return _vector_field_iso(ctx, n, _extension(ctx, n)[0] if big is None else big)
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,7 +242,7 @@ def poly_from_multispace(w: Multispace, big: FieldCtx | None = None) -> Lineariz
     the height and applies Frobenius to the coefficients.
     """
     q = w.ctx.q
-    iso = vector_field_iso(w.ctx, w.n, big)
+    iso = _vector_field_iso(w.ctx, w.n, _extension(w.ctx, w.n)[0] if big is None else big)
     F = iso.big
     c = [1]  # q-coefficients of P = x
     for v in iso._field_array(w.underlying.basis).tolist():
@@ -270,8 +271,8 @@ def roots_multiset(L: LinearizedPoly) -> Multispace:
         raise NotAMultispace("zero polynomial has no root multiset")
     e = F._check_power_base(L.base_q)
     n = F.e // e
-    small = field(F.p, e)
-    iso = vector_field_iso(small, n, F)
+    small = _field(F.p, e, None)
+    iso = _vector_field_iso(small, n, F)
     images = iso._vector_array(L._eval(iso.units))
     red, _, pivots = rref_array(small, np.hstack([images, np.eye(n, dtype=np.int64)]))
     # rows pivoting in the right half have a zero left half; their right

@@ -40,7 +40,7 @@ from multispace.errors import (
     SamplingFailed,
     ShapeMismatch,
 )
-from multispace.fields import field
+from multispace.fields import FIELD_SIZE_LIMIT, _is_prime, field
 from multispace.lattice import (
     Multispace,
     VectorMultiset,
@@ -141,6 +141,107 @@ def test_samplers_leave_each_generator_where_the_serial_draws_do(ctx):
             lambda rng: rank_draw(ctx, 6, 4, 3, rng), seed)
 
 
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered half"])
+def test_samplers_leave_the_callers_generator_in_the_serial_draws_state(buffered):
+    # a scalar draw first leaves the high half of its word buffered in the generator
+    samplers = [(random_full_rank, (m,), full_rank_draw, (m, m)) for m in (0, 1, 5)]
+    samplers += [(random_rank, shape, rank_draw, shape) for shape in ((6, 4, 3), (3, 5, 2), (4, 4, 0))]
+    for ctx in (F2, F3, F4):
+        for seed in range(6):
+            for ours, our_args, serial, serial_args in samplers:
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                if buffered:
+                    assert a.integers(7) == b.integers(7)
+                assert ours(ctx, *our_args, a).tolist() == serial(ctx, *serial_args, b).tolist()
+                assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_samplers_refuse_a_generator_whose_draws_they_cannot_read():
+    with pytest.raises(ConfigInvalid, match="PCG64"):
+        random_full_rank(F2, 3, np.random.Generator(np.random.MT19937(0)))
+
+
+def _field_sizes(limit):
+    """Every field size q = p^e the toolkit builds, up to limit."""
+    return sorted(p ** e for p in range(2, limit + 1) if _is_prime(p)
+                  for e in range(1, limit.bit_length()) if p ** e <= limit)
+
+
+def _assert_same_next_draw(draws, rngs):
+    """The next draw of each trial's cursor is its generator's next draw; a bound of 2^31 + 1
+    passes over about half of all halves, so the cursor must sit on the right one."""
+    assert draws.below(2 ** 31 + 1).tolist() == [int(rng.integers(2 ** 31 + 1)) for rng in rngs]
+
+
+def test_draws_are_numpys_bounded_integers_for_every_field_size():
+    sizes = _field_sizes(FIELD_SIZE_LIMIT)
+    assert len(sizes) == 6635 and sizes[-1] == FIELD_SIZE_LIMIT
+    one = np.array([0])
+    for q in sizes:
+        draws, rng = channel._Draws([np.random.default_rng(q)]), np.random.default_rng(q)
+        vals, ends = draws.values(one, q, 12)
+        draws.skip(one, 12, ends)
+        assert vals.tolist() == [rng.integers(0, q, (3, 4)).ravel().tolist()]
+        _assert_same_next_draw(draws, [rng])
+
+
+def test_draws_pass_over_the_halves_numpy_passes_over():
+    # q = 64489 passes over a half u when u q mod 2^32 < 64385, about once in 66700 draws;
+    # these seeds meet one in their first 2^16 draws
+    q, count, one = 64489, 1 << 16, np.array([0])
+    assert ((1 << 32) - q) % q == 64385
+    for seed in (1, 2):
+        draws, rng = channel._Draws([np.random.default_rng(seed)]), np.random.default_rng(seed)
+        vals, ends = draws.values(one, q, count)
+        assert ends is not None and ends[0, -1] == count + 1  # one half passed over
+        draws.skip(one, count, ends)
+        assert vals[0].tolist() == rng.integers(0, q, count).tolist()
+        _assert_same_next_draw(draws, [rng])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_draws_are_numpys_past_the_halves_passed_over(seed):
+    # integers(2^31 + 1) passes over about half of all halves: Lemire's rule, draw after draw
+    draws, rng = channel._Draws([np.random.default_rng(seed)]), np.random.default_rng(seed)
+    for _ in range(200):
+        _assert_same_next_draw(draws, [rng])
+    assert draws.below(1).tolist() == [0] == [rng.integers(1)]  # a bound of 1 draws nothing
+    _assert_same_next_draw(draws, [rng])
+
+
+def test_permutations_are_numpys():
+    for seed in range(20):
+        draws = channel._Draws([np.random.default_rng(seed) for _ in range(10)])
+        rngs = [np.random.default_rng(seed) for _ in range(10)]
+        assert draws.permutations(list(range(10))) == [rng.permutation(m).tolist() for m, rng in zip(range(10), rngs)]
+        _assert_same_next_draw(draws, rngs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=6), data=st.data())
+def test_draws_follow_each_generator_through_a_mix_of_draws(seeds, data):
+    """Bounded integers for some trials at a time, scalar draws and permutations, one
+    after another: every trial's cursor stays on its own generator's stream while the
+    buffer reads ahead and drops what the trials used."""
+    draws = channel._Draws([np.random.default_rng(seed) for seed in seeds], data.draw(st.integers(0, 40)))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(["values", "below", "permutations"]))
+        if kind == "values":
+            trials = np.array(sorted(data.draw(st.sets(st.integers(0, len(seeds) - 1), min_size=1))))
+            q, count = data.draw(st.sampled_from([2, 3, 4, 7, 256, 65521])), data.draw(st.integers(0, 300))
+            vals, ends = draws.values(trials, q, count)
+            draws.skip(trials, count, ends)
+            assert vals.tolist() == [rngs[t].integers(0, q, count).tolist() for t in trials]
+        elif kind == "below":
+            count = data.draw(st.sampled_from([1, 2, 5, 2 ** 31 + 1, 2 ** 32]))
+            assert draws.below(count).tolist() == [int(rng.integers(count)) for rng in rngs]
+        else:
+            ms = data.draw(st.lists(st.integers(0, 12), min_size=len(seeds), max_size=len(seeds)))
+            assert draws.permutations(ms) == [rng.permutation(m).tolist() for m, rng in zip(ms, rngs)]
+    _assert_same_next_draw(draws, rngs)
+
+
 @pytest.mark.parametrize("mode,s,random_generator", [("full-rank", 0, True), ("deletion", 1, False),
                                                      ("rank-deficient", 2, True), ("compound", 1, False)])
 def test_a_channel_block_leaves_each_generator_where_the_serial_trial_does(mode, s, random_generator):
@@ -148,14 +249,14 @@ def test_a_channel_block_leaves_each_generator_where_the_serial_trial_does(mode,
     for ctx in (F2, F3, F4):
         words = [Multispace(Subspace.full(ctx, 3), h) for h in range(2, 8)]  # ranks 5 to 10
         stack, gens = MultispaceCode(ctx, 3, 10, tuple(words))._source()
+        draws = channel._Draws([np.random.default_rng(k) for k in range(len(words))])
+        channel._channel_block(cfg, draws, stack, gens)
         rngs = [np.random.default_rng(k) for k in range(len(words))]
-        channel._channel_block(cfg, rngs, stack, gens)
-        for k, w in enumerate(words):
-            rng = np.random.default_rng(k)
+        for w, rng in zip(words, rngs):
             if random_generator:
                 full_rank_draw(ctx, w.rank, w.rank, rng)
             effective_transform(ctx, w.rank, cfg, rng)
-            assert rngs[k].integers(2 ** 62) == rng.integers(2 ** 62)
+        _assert_same_next_draw(draws, rngs)
 
 
 def _assert_same_generators(ours, theirs):
@@ -453,30 +554,24 @@ def _assert_same_records(records, serial):
         assert _record_fields(records) == _record_fields(serial.records)
 
 
-def _block_records(cfg, code, pick):
+def _block_records(cfg, code):
     """TrialRecords built from the columns _trial_blocks yields for code, as run_trials builds
     them for its one word; the sent word of each trial is read back from its index."""
     stack, gens = code._source()
     t_ranks = (stack.dims + stack.heights - channel._need(cfg)).tolist()
     bound = channel._bound_for(cfg)
     records = []
-    for sent, received, d, ok in channel._trial_blocks(cfg, stack, gens, pick):
+    for sent, received, d, ok in channel._trial_blocks(cfg, stack, gens):
         for i, word, dist, good in zip(sent.tolist(), received.words(), d.tolist(), ok.tolist()):
             records.append(TrialRecord(len(records), code.codewords[i], word, t_ranks[i], dist, bound, good))
     return records
 
 
-def _index_pick(code):
-    """end_to_end's pick: the codeword index is each trial's first draw."""
-    return lambda rng: int(rng.integers(len(code)))
-
-
 def _code_pick(code):
-    """The serial loop's pick of the same codeword, with its generating multiset."""
-    index = _index_pick(code)
-
+    """The serial loop's pick of a codeword, with its generating multiset: the
+    codeword index is each trial's first draw, as in end_to_end."""
     def pick(rng):
-        w = code.codewords[index(rng)]
+        w = code.codewords[int(rng.integers(len(code)))]
         return w, w.generating_multiset().matrix
     return pick
 
@@ -493,7 +588,7 @@ def _check_both_entry_points(target, code, cfg):
     if not isinstance(serial, type):
         assert run.summary == serial.summary
     serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
-    _assert_same_records(_outcome(lambda: _block_records(cfg, code, _index_pick(code))), serial)
+    _assert_same_records(_outcome(lambda: _block_records(cfg, code)), serial)
     summary = _outcome(lambda: end_to_end(code, cfg))
     assert summary == (serial if isinstance(serial, type) else serial.summary)
 
@@ -549,7 +644,7 @@ def test_block_decoding_over_several_blocks_matches_the_serial_loop(ctx, n, m_ma
     code = MultispaceCode(ctx, n, m_max, tuple(w for w in greedy if w.rank >= low))
     cfg = ChannelConfig(mode, 600, 1, seed=7)
     assert end_to_end(code, cfg) == serial_trial_loop(cfg, _code_pick(code), code).summary
-    blocks = list(channel._trial_blocks(cfg, *code._source(), _index_pick(code)))
+    blocks = list(channel._trial_blocks(cfg, *code._source()))
     assert len(blocks) == 3
     if low == 2:  # the tie break against a distance loop: the first nearest codeword
         for _, received, _, _ in blocks:
@@ -567,7 +662,7 @@ def test_block_errors_by_index_equal_block_errors_by_codeword_when_every_decode_
     cfg = ChannelConfig("deletion", 400, 1, seed=7)
     serial = iter(serial_trial_loop(cfg, _code_pick(code), code).records)
     by_index = by_word = 0
-    for sent, received, _, _ in channel._trial_blocks(cfg, *code._source(), _index_pick(code)):
+    for sent, received, _, _ in channel._trial_blocks(cfg, *code._source()):
         records = [next(serial) for _ in sent]
         assert [code.codewords[i] for i in sent.tolist()] == [r.sent for r in records]
         decoded = code._nearest(received)[0].tolist()
@@ -609,7 +704,7 @@ def test_both_loops_raise_alike_on_an_exhausted_try_budget(monkeypatch, mode, s)
         assert serial is SamplingFailed
     monkeypatch.setattr(channel, "_MAX_TRIES", 0)
     code = MultispaceCode(F2, 3, w.rank, (w,))  # its one generating multiset is gen
-    _assert_same_records(_outcome(lambda: _block_records(cfg, code, lambda rng: 0)), serial)
+    _assert_same_records(_outcome(lambda: _block_records(cfg, code)), serial)
 
 
 @pytest.mark.parametrize("mode", ["deletion", "rank-deficient", "compound"])
@@ -619,7 +714,7 @@ def test_both_loops_refuse_a_codeword_of_too_small_a_rank(mode):
     cfg = ChannelConfig(mode, trials=20, s=1, seed=0)
     serial = _outcome(lambda: serial_trial_loop(cfg, _code_pick(code), code))
     assert serial is ConfigInvalid
-    assert _outcome(lambda: _block_records(cfg, code, _index_pick(code))) is ConfigInvalid
+    assert _outcome(lambda: _block_records(cfg, code)) is ConfigInvalid
     assert _outcome(lambda: end_to_end(code, cfg)) is ConfigInvalid
 
 
@@ -665,8 +760,8 @@ def test_peak_memory_of_a_high_rank_word_stays_within_a_few_blocks(monkeypatch):
 
 @pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1)])
 def test_a_channel_that_loses_rank_is_flagged(monkeypatch, mode, s):
-    def singular(ctx, rngs, rows, cols):
-        return np.zeros((len(rngs), max(rows), max(cols)), dtype=np.int64)
+    def singular(ctx, draws, rows, cols):
+        return np.zeros((len(rows), max(rows), max(cols)), dtype=np.int64)
 
     monkeypatch.setattr(channel, "_full_rank_batch", singular)
     w = Multispace(Subspace.full(F3, 2), 1)

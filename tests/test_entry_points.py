@@ -1,9 +1,10 @@
 """Input is checked once, at the public entry points, and trusted inside.
 
 One table runs the public constructors and checking methods of the value
-types (Subspace, VectorMultiset, Multispace, VectorFieldIso, MultispaceCode)
-against float, bool, string, negative, out-of-range and wrongly shaped
-input, and expects the documented toolkit error.  LinearizedPoly's cases
+types (Subspace, VectorMultiset, Multispace, VectorFieldIso, MultispaceCode),
+the cached factories (field, extension, vector_field_iso) and the counting
+and layer functions against float, bool, string, negative, out-of-range and
+wrongly shaped input, and expects the documented toolkit error.  LinearizedPoly's cases
 extend test_qpoly's test_encodings_out_of_range_are_refused, and
 apply_transform has its own table in test_channel; the cases those tables and
 the malformed-input tests of test_linalg and test_qpoly hold are not
@@ -25,13 +26,15 @@ from multispace.errors import (
     NotAMultispace,
     NotCanonical,
 )
-from multispace.fields import FieldCtx, field
+from multispace.fields import FieldCtx, extension, field
 from multispace.lattice import (
     Multispace,
     VectorMultiset,
+    count_multispaces,
     covered_neighbors,
     covering_neighbors,
     enumerate_multispaces,
+    gamma_graph,
     mspan,
 )
 from multispace.linalg import Subspace, gaussian_binomial
@@ -73,6 +76,16 @@ CASES = [
     ("binomial-q-1", lambda: gaussian_binomial(3, 1, 1), ConfigInvalid, "q must be at least 2"),
     ("enumerate-float-m", lambda: list(enumerate_multispaces(F2, 3, 2.0)), FormatError, "m 2.0 is not an integer"),
     ("zero-poly-degree", lambda: LinearizedPoly(2, F16, {}).q_degree, NotAMultispace, "no degree"),
+    # the cached and counting entry points: a float equal to an int shared its cache entry or met range()
+    ("field-float-degree", lambda: field(2, 2.0), ConfigInvalid, "e 2.0 is not an integer"),
+    ("field-float-prime", lambda: field(3.0), ConfigInvalid, "p 3.0 is not an integer"),
+    ("field-float-modulus", lambda: field(2, 2, 7.0), ConfigInvalid, "modulus 7.0 is not an integer"),
+    ("extension-float-times", lambda: extension(F2, 2.0), ConfigInvalid, "times 2.0 is not an integer"),
+    ("cached-iso-float-n", lambda: vector_field_iso(F2, 2.0), ConfigInvalid, "n 2.0 is not an integer"),
+    ("count-float-m", lambda: count_multispaces(3, 2.5, 2), ConfigInvalid, "m 2.5 is not an integer"),
+    ("count-bool-q", lambda: count_multispaces(3, 2, True), ConfigInvalid, "q True is not an integer"),
+    ("gamma-float-n", lambda: gamma_graph(F2, 3.0, 1), ConfigInvalid, "n 3.0 is not an integer"),
+    ("gamma-string-m", lambda: gamma_graph(F2, 3, "1"), ConfigInvalid, "m '1' is not an integer"),
     # refused with this error before as well
     ("multiset-float-entry", lambda: VectorMultiset(F2, 2, [[1.5, 0]]), FormatError, "dtype float64"),
     ("multiset-string-entry", lambda: VectorMultiset(F2, 2, [["1", 0]]), FormatError, "not integer encodings"),

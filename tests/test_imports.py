@@ -13,7 +13,10 @@ is read by one rule.  Only ``channel._trial_generators`` names
 seeded on one path.  Only the public entry points named in
 ``CHECKING_ENTRIES`` call the input checks ``_as_array`` and ``_rows_array``,
 a checking constructor or a checking method, so input is checked once at the
-boundary and every value the library built takes a trusted path.
+boundary and every value the library built takes a trusted path.  In
+``channel.py`` only ``_Draws`` and ``random_matrix`` name the generator
+methods ``integers``, ``permutation`` and ``random_raw``, so no trial
+generator is read beside the stream that reads it ahead.
 """
 
 import ast
@@ -281,3 +284,45 @@ def test_only_the_public_entry_points_check_raw_input():
     found = {str(path.relative_to(ROOT)): checking_calls(path.read_text()) for path in library}
     where = {path: sorted({c.split(" (")[0] for c in calls}) for path, calls in found.items() if calls}
     assert where == CHECKING_ENTRIES
+
+
+#: The Generator and BitGenerator methods that draw from a trial's stream.
+STREAM_READS = {"integers", "permutation", "random_raw"}
+
+
+def stream_reads(source: str) -> list[str]:
+    """Where a module names a method of STREAM_READS (called or not), as
+    "Class.method (line N)" or "function (line N)", in source order."""
+    found = []
+
+    def visit(node, where, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in STREAM_READS:
+                found.append(f"{where} (line {child.lineno})")
+            if isinstance(child, ast.ClassDef):
+                visit(child, where, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{cls}.{child.name}" if cls else child.name)
+            else:
+                visit(child, where, cls)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_stream_reads():
+    source = (
+        "def pick(rng):\n    return rng.integers(3), 'rng.permutation(3)'\n"
+        "class Reader:\n    def __init__(self, gens):\n        self.raw = [g.bit_generator.random_raw for g in gens]\n"
+        "    def perm(self, rng):\n        return sorted(rng.permutation(4)), integers(2)\n"
+        "first = rng.integers\n"
+    )
+    assert stream_reads(source) == ["pick (line 2)", "Reader.__init__ (line 5)", "Reader.perm (line 7)",
+                                    "<module> (line 8)"]
+
+
+def test_only_the_draw_stream_reads_trial_generators():
+    # a generator read beside a stream that already read ahead from it would
+    # silently shift every later draw of its trial
+    found = stream_reads((ROOT / "src" / "multispace" / "channel.py").read_text())
+    assert sorted({site.split(" (")[0].split(".")[0] for site in found}) == ["_Draws", "random_matrix"]

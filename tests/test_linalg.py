@@ -24,7 +24,7 @@ from multispace.linalg import (
     enumerate_subspaces,
     is_rref,
     matmul_arrays,
-    rank_array,
+    rank_batch,
     rref_array,
     rref_batch,
     subspace_distance,
@@ -229,60 +229,70 @@ def _of_random_rank(ctx, rows, cols, rng):
     return matmul_arrays(ctx, rng.integers(0, ctx.q, size=(rows, k)), rng.integers(0, ctx.q, size=(k, cols)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    # GF(2^8) is the largest field on lookup tables and GF(2^9) the first past them
-    ctx=st.sampled_from([F2, F3, F5, F7, F4, F9, F16, F256, F512]),
-    rows=st.integers(0, 9),
-    cols=st.integers(0, 9),
-    low_rank=st.booleans(),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_rank_array_matches_rref_array(ctx, rows, cols, low_rank, seed):
-    rng = np.random.default_rng(seed)
-    a = _of_random_rank(ctx, rows, cols, rng) if low_rank else rng.integers(0, ctx.q, size=(rows, cols))
-    given_a = a.copy()
-    assert rank_array(ctx, a) == rref_array(ctx, a)[1]
-    assert np.array_equal(a, given_a)  # the input is not modified
-
-
-def test_rank_array_builds_no_tables_past_the_limit(monkeypatch):
-    assert F256.q == linalg.RANK_TABLE_LIMIT < F512.q
-
-    def refuse(ctx):
-        raise AssertionError(f"tables built for {ctx}")
-
-    monkeypatch.setattr(linalg, "_rank_tables", refuse)
-    a = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 511]])
-    assert rank_array(F512, a) == rref_array(F512, a)[1] == 2
-
-
-@settings(max_examples=60, deadline=None)
-@given(rows=st.integers(0, 80), cols=st.integers(60, 260), low_rank=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_rank_array_over_gf2_has_no_width_limit(rows, cols, low_rank, seed):
-    """Rows past 62 columns would overflow an int64 bit packing; Python ints do not."""
-    rng = np.random.default_rng(seed)
-    a = _of_random_rank(F2, rows, cols, rng) if low_rank else rng.integers(0, 2, size=(rows, cols))
-    assert rank_array(F2, a) == rref_array(F2, a)[1]
-
-
-@pytest.mark.parametrize("ctx", [field(2, 16), field(3, 10)], ids=["GF(2^16)", "GF(3^10)"])
-def test_rank_array_in_the_largest_fields(ctx):
-    rng = np.random.default_rng(ctx.q)
-    for rows, cols in [(1, 1), (3, 3), (5, 4), (4, 7), (6, 6)]:
-        for a in (rng.integers(0, ctx.q, size=(rows, cols)), _of_random_rank(ctx, rows, cols, rng)):
-            assert rank_array(ctx, a) == rref_array(ctx, a)[1]
-    a = rng.integers(0, ctx.q, size=(4, 5))
-    a[3] = ctx.sub_arr(a[0], ctx.mul_arr(a[1], np.full(5, 7)))  # row 3 = row 0 - 7 row 1
-    assert rank_array(ctx, a) == rref_array(ctx, a)[1] == 3
-
-
 def _matrix_of_kind(ctx, rows, cols, kind, rng):
     if kind == "zero":
         return np.zeros((rows, cols), dtype=np.int64)
     if kind == "low rank":
         return _of_random_rank(ctx, rows, cols, rng)
     return rng.integers(0, ctx.q, size=(rows, cols))
+
+
+def _same_ranks(ctx, a):
+    """rank_batch of a stack against rref_array, matrix by matrix; the stack is not written."""
+    given_a = a.copy()
+    ranks = rank_batch(ctx, a)
+    assert ranks.dtype == np.int64 and ranks.tolist() == [rref_array(ctx, m)[1] for m in a]
+    assert np.array_equal(a, given_a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # GF(2^8) is the largest field on lookup tables and GF(2^9) the first past them;
+    # GF(2) rows of up to 63 entries are packed into one word, wider ones are not
+    ctx=st.sampled_from([F2, F3, F5, F7, F4, F9, F16, F256, F512]),
+    batch=st.integers(0, 6),
+    rows=st.integers(0, 9),
+    cols=st.one_of(st.integers(0, 9), st.sampled_from([63, 64, 65])),
+    kind=st.sampled_from(["random", "low rank", "zero"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rank_batch_matches_rref_array(ctx, batch, rows, cols, kind, seed):
+    rng = np.random.default_rng(seed)
+    stack = [_matrix_of_kind(ctx, rows, cols, kind, rng) for _ in range(batch)]
+    _same_ranks(ctx, np.array(stack, dtype=np.int64).reshape(batch, rows, cols))
+
+
+def test_rank_batch_builds_no_tables_past_the_limit(monkeypatch):
+    assert F256.q == linalg.RANK_TABLE_LIMIT < F512.q
+
+    def refuse(ctx):
+        raise AssertionError(f"tables built for {ctx}")
+
+    monkeypatch.setattr(linalg, "_rank_tables", refuse)
+    a = np.array([[[1, 2, 3], [2, 4, 6], [0, 0, 511]], [[1, 0, 0], [0, 1, 0], [0, 0, 511]]])
+    assert rank_batch(F512, a).tolist() == [rref_array(F512, m)[1] for m in a] == [2, 3]
+    assert F512._tables is None  # nor the q x q tables of small fields
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(0, 3), rows=st.integers(0, 80), cols=st.integers(60, 260),
+       kind=st.sampled_from(["random", "low rank", "zero"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_batch_over_gf2_has_no_width_limit(batch, rows, cols, kind, seed):
+    """Rows past 63 columns do not fit one int64 word; they run on the cell path."""
+    rng = np.random.default_rng(seed)
+    stack = [_matrix_of_kind(F2, rows, cols, kind, rng) for _ in range(batch)]
+    _same_ranks(F2, np.array(stack, dtype=np.int64).reshape(batch, rows, cols))
+
+
+@pytest.mark.parametrize("ctx", [field(2, 16), field(3, 10)], ids=["GF(2^16)", "GF(3^10)"])
+def test_rank_batch_in_the_largest_fields(ctx):
+    rng = np.random.default_rng(ctx.q)
+    for rows, cols in [(1, 1), (3, 3), (5, 4), (4, 7), (6, 6)]:
+        for kind in ("random", "low rank", "zero"):
+            _same_ranks(ctx, np.array([_matrix_of_kind(ctx, rows, cols, kind, rng) for _ in range(4)]))
+    a = rng.integers(0, ctx.q, size=(4, 5))
+    a[3] = ctx.sub_arr(a[0], ctx.mul_arr(a[1], np.full(5, 7)))  # row 3 = row 0 - 7 row 1
+    assert rank_batch(ctx, a[None]).tolist() == [rref_array(ctx, a)[1]] == [3]
 
 
 def _same_rref(ctx, a):

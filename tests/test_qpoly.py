@@ -405,7 +405,7 @@ def test_round_trip_builds_one_embedding_and_one_coordinate_map(monkeypatch):
             _init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
-    fields.extension.cache_clear()  # a fresh GF(2)^12: nothing built yet
+    fields._extension.cache_clear()  # a fresh GF(2)^12: nothing built yet
     fields._embedding.cache_clear()
     qpoly._vector_field_iso.cache_clear()
     w = Multispace(Subspace.from_array(F2, 12, np.eye(12, dtype=np.int64)[:3]), 1)
