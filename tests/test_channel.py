@@ -210,10 +210,10 @@ def test_scalar_draws_are_numpys_past_the_halves_passed_over(seed):
 
 
 def test_permutations_are_numpys():
-    for seed in range(20):
-        draws = channel._Draws([np.random.default_rng(seed) for _ in range(10)])
-        rngs = [np.random.default_rng(seed) for _ in range(10)]
-        assert draws.permutations(list(range(10))) == [rng.permutation(m).tolist() for m, rng in zip(range(10), rngs)]
+    for seed in range(20):  # trial m draws permutation(m), m = 0 .. 9, each from its own stream
+        draws = channel._Draws([np.random.default_rng([seed, m]) for m in range(10)])
+        rngs = [np.random.default_rng([seed, m]) for m in range(10)]
+        assert draws.permutations(list(range(10))) == [rng.permutation(m).tolist() for m, rng in enumerate(rngs)]
         _assert_same_next_draw(draws, rngs)
 
 
