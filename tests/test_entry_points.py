@@ -4,8 +4,9 @@ One table runs the public constructors and checking methods of the value
 types (Subspace, VectorMultiset, Multispace, VectorFieldIso, MultispaceCode),
 the cached factories (field, extension, vector_field_iso) and the counting
 and layer functions against float, bool, string, negative, out-of-range and
-wrongly shaped input, and expects the documented toolkit error.  LinearizedPoly's cases
-extend test_qpoly's test_encodings_out_of_range_are_refused, and
+wrongly shaped input, and expects the documented toolkit error.
+LinearizedPoly's cases extend test_qpoly's
+test_encodings_out_of_range_are_refused, and
 apply_transform has its own table in test_channel; the cases those tables and
 the malformed-input tests of test_linalg and test_qpoly hold are not
 repeated.  The oracles check that each value the library builds on its
