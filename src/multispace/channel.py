@@ -21,9 +21,10 @@ builds a block's generators with exactly those PCG64 states in one
 vectorised pass of SeedSequence's hash.  Trials run in blocks as arrays:
 _Draws reads each trial's raw PCG64 words ahead and maps them as numpy
 would, each stage of a block draws for all its trials, rejection sampling
-ranks rounds of candidates at once with rank_batch, and multispans and
-distances are batched eliminations, while every trial takes the draws of
-a one-trial loop.  A block comes out as columns (sent
+ranks rounds of candidates at once with rank_batch (two back-to-back stages
+of one cell count in one pass), multispans are one batched elimination and
+distances a membership check, while every trial takes the draws of a
+one-trial loop.  A block comes out as columns (sent
 indices, received words as one stack, distances, bound checks); one
 summary reads them for both entry points, and only run_trials turns them
 into TrialRecords.
@@ -337,6 +338,43 @@ def _full_rank_batch(ctx: FieldCtx, draws: _Draws, rows, cols) -> np.ndarray:
     return out
 
 
+def _full_rank_pair(ctx: FieldCtx, draws: _Draws, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """_full_rank_batch(rows, cols), then _full_rank_batch(cols, rows), in one rank pass.
+
+    Both stages hold rows x cols cells, so chunk i of a trial's draws is candidate i
+    of either (the second ranked transposed): a trial keeps the first full-rank chunk
+    and the next after it, where two single-stage calls would read them.  When all
+    trials share one shape, each draws k chunks, so many that fewer than two pass
+    with chance at most 1 / (8 trials); trials that fall short, and blocks of mixed
+    shapes, take the two single-stage calls from where they began.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    t, r, c = len(rows), int(rows.max()), int(cols.max())
+    first, second = np.zeros((t, r, c), dtype=np.int64), np.zeros((t, c, r), dtype=np.int64)
+    done = np.zeros(t, dtype=bool)
+    if r * c and (rows == r).all() and (cols == c).all():
+        hit = math.prod(1 - float(ctx.q) ** (i - max(r, c)) for i in range(min(r, c)))
+        k = 2
+        while (1 - hit) ** k + k * hit * (1 - hit) ** (k - 1) > 1 / (8 * t):
+            k += 1
+        k = min(k, _MAX_TRIES, DEFAULT_STATE_LIMIT // (2 * t * r * c))
+        if k >= 2:
+            vals, ends = draws.values(np.arange(t), ctx.q, k * r * c)
+            cand, late = vals.reshape(t, k, r, c), vals.reshape(t, k, c, r)
+            both = cand if r == c else np.concatenate([cand, late.swapaxes(2, 3)], axis=1)
+            ok = rank_batch(ctx, both.reshape(-1, r, c)).reshape(t, -1, k) == min(r, c)
+            i = ok[:, 0].argmax(axis=1)
+            later = ok[:, -1] & (np.arange(k) > i[:, None])  # a square chunk is one matrix in either stage
+            j = later.argmax(axis=1)
+            done = ok[np.arange(t), 0, i] & later[np.arange(t), j]
+            first[done], second[done] = cand[done, i[done]], late[done, j[done]]
+            draws.skip(np.flatnonzero(done), (j[done] + 1) * r * c, None if ends is None else ends[done])
+    if not done.all():
+        first[~done] = _full_rank_batch(ctx, draws, rows * ~done, cols)[~done]
+        second[~done] = _full_rank_batch(ctx, draws, cols * ~done, rows)[~done]
+    return first, second
+
+
 def _first_full_rank(ctx: FieldCtx, vals: list[int], rows: int, cols: int, k: int) -> int:
     """The first of k rows x cols candidates, laid one after another row by row
     in vals, that has full rank on rref_array's list rows; k if none."""
@@ -351,9 +389,14 @@ def _rank_batch(ctx: FieldCtx, draws: _Draws, rows, cols, r) -> np.ndarray:
     """One rows[t] x cols[t] matrix of exact rank r[t] per trial t, zero-padded into one stack.
 
     Each is a full-rank A (rows x r) times a full-rank B (r x cols), A drawn
-    before B; a trial with r = 0 draws nothing and gets the zero matrix.
+    before B; a trial with r = 0 draws nothing and gets the zero matrix.  Square
+    products rank A and B^T, of one shape, together.
     """
-    prod = matmul_arrays(ctx, _full_rank_batch(ctx, draws, rows, r), _full_rank_batch(ctx, draws, r, cols))
+    if np.array_equal(rows, cols):
+        a, b = _full_rank_pair(ctx, draws, rows, r)
+    else:
+        a, b = _full_rank_batch(ctx, draws, rows, r), _full_rank_batch(ctx, draws, r, cols)
+    prod = matmul_arrays(ctx, a, b)
     lost = np.flatnonzero(rank_batch(ctx, prod) != r)  # full-rank factors give rank r
     if len(lost):
         raise ShapeViolation(f"product of full-rank factors lost rank {r[lost[0]]}")
@@ -467,7 +510,9 @@ def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np
 
     A trial is ok when least*s <= d <= most*s, by _MODE_TABLE, and the
     received space lies in the sent one, dim(S + R) = dim S, which every
-    mode keeps: received vectors combine sent ones.  The received rank is
+    mode keeps: received vectors combine sent ones (Koetter and Kschischang),
+    so paired_inside checks the received rows for membership and eliminates
+    only rows outside the sent space.  The received rank is
     the received multiset's length by construction.  Compound's window:
     let W be the sent word (rank m), I the word after deletion and R the
     received one.  Deletion gives I <= W, rank I = m - s and d(I, W) = s;
@@ -478,13 +523,15 @@ def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np
     """
     ctx, n, s = sent.ctx, sent.n, cfg.s
     ms = sent.dims + sent.heights
-    if cfg.random_generator:
-        mix = _full_rank_batch(ctx, draws, ms, ms)
-        gens = matmul_arrays(ctx, np.swapaxes(mix, 1, 2), gens)
     if cfg.mode == "rank-deficient":
+        mix = _full_rank_batch(ctx, draws, ms, ms) if cfg.random_generator else None
         t_eff = _rank_batch(ctx, draws, ms, ms, ms - s)
+    elif cfg.random_generator:  # the mix and the channel matrix: two m x m stages back to back
+        mix, t_eff = _full_rank_pair(ctx, draws, ms, ms)
     else:
-        t_eff = _full_rank_batch(ctx, draws, ms, ms)
+        mix, t_eff = None, _full_rank_batch(ctx, draws, ms, ms)
+    if mix is not None:
+        gens = matmul_arrays(ctx, np.swapaxes(mix, 1, 2), gens)
     widths = ms  # columns of T_eff: the length of each received multiset
     if cfg.mode in ("deletion", "compound"):  # keep m - s of the mixed columns
         widths, top = ms - s, ms.max() - s
@@ -498,7 +545,7 @@ def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np
     bases, ranks = rref_batch(ctx, matmul_arrays(ctx, np.swapaxes(t_eff, 1, 2), gens))
     heights = widths - ranks
     stack = _WordStack(ctx, n, bases[:, : ranks.max()], ranks, heights)
-    d, joins = sent.paired(stack)
+    d, joins = sent.paired_inside(stack)
     _, least, most = _MODE_TABLE[cfg.mode]
     return stack, d, (least * s <= d) & (d <= most * s) & (joins == sent.dims)
 
@@ -530,7 +577,7 @@ def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray):
         picked = draws.below(len(stack.dims))
         sent = stack[picked]
         ms = sent.dims + sent.heights
-        for m in ms.tolist():
+        for m in ms[ms < _need(cfg)][:1].tolist():  # the first short rank, if any
             cfg.check_rank(m)
         yield picked, *_channel_block(cfg, draws, sent, gens[picked, : ms.max()])
 
@@ -550,10 +597,10 @@ def _summarize(cfg: ChannelConfig, blocks, code=None) -> ChannelSummary:
     hist: dict[int, int] = {}
     for sent, received, d, ok in blocks:
         violations += len(ok) - int(ok.sum())
-        values, counts = np.unique(d, return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
-            hist[value] = hist.get(value, 0) + count
-        max_d = max(max_d, int(d.max()))
+        counts = np.bincount(d)
+        for value in np.flatnonzero(counts).tolist():
+            hist[value] = hist.get(value, 0) + int(counts[value])
+        max_d = max(max_d, len(counts) - 1)
         if code is not None:
             wrong = int((code._nearest(received)[0] != sent).sum())
             block_errors += wrong

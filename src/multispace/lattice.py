@@ -32,7 +32,7 @@ from .linalg import (
     enumerate_subspaces,
     gaussian_binomial,
     matmul_arrays,
-    rref_batch,
+    rank_batch,
     subspace_distance,
 )
 
@@ -310,22 +310,29 @@ class _WordStack:
     The one place that measures distance on a batch, as
     d = 2 dim(W + X) - dim W - dim X + |ht W - ht X|.  When q^n <= MASK_VECTORS
     each word's subspace is also a uint64 membership mask, bit sum v_i q^i set
-    iff v is a member, built once per stack or read from the subspace table;
+    iff v is a member, read from the subspace table or built on first read;
     then |W ^ X| = popcount(w & x) is a power of q and
     dim(W + X) = dim W + dim X - log_q |W ^ X| needs no elimination.  Larger
-    spaces take rank [W; X] = dim(W + X) from one batched elimination.
+    spaces take rank [W; X] = dim(W + X) from one rank_batch.
     """
 
-    __slots__ = ("ctx", "n", "bases", "dims", "heights", "masks")
+    __slots__ = ("ctx", "n", "bases", "dims", "heights", "_masks")
 
     def __init__(self, ctx: FieldCtx, n: int, bases: np.ndarray, dims, heights, masks=None):
-        """masks, when given, are those of bases; otherwise _membership_masks builds them."""
+        """masks, when given, are those of bases; otherwise the first read builds them."""
         self.ctx = ctx
         self.n = n
         self.bases = bases
         self.dims = dims
         self.heights = heights
-        self.masks = _membership_masks(ctx, n, bases) if masks is None else masks
+        self._masks = masks
+
+    @property
+    def masks(self) -> np.ndarray | None:
+        """The membership masks of the rows, None when q^n > MASK_VECTORS."""
+        if self._masks is None and self.ctx.q ** self.n <= MASK_VECTORS:
+            self._masks = _membership_masks(self.ctx, self.n, self.bases)
+        return self._masks
 
     @classmethod
     def of(cls, words) -> "_WordStack":
@@ -353,29 +360,31 @@ class _WordStack:
                    None if masks is None else masks[:count])
 
     def __getitem__(self, index) -> "_WordStack":
-        """The words at index, masks carried along: an int gives one word shared by every row."""
-        view = _WordStack.__new__(_WordStack)
-        view.ctx, view.n = self.ctx, self.n
-        view.bases, view.dims, view.heights = self.bases[index], self.dims[index], self.heights[index]
-        view.masks = None if self.masks is None else self.masks[index]
-        return view
+        """The words at index, with the masks of this stack: an int gives one word shared by every row."""
+        masks = self.masks
+        return _WordStack(self.ctx, self.n, self.bases[index], self.dims[index], self.heights[index],
+                          None if masks is None else masks[index])
 
     def words(self) -> list[Multispace]:
-        """Every row as a Multispace."""
-        return [
-            Multispace._of(Subspace(self.ctx, self.n, basis[:dim].copy()), height)
-            for basis, dim, height in zip(self.bases, self.dims.tolist(), self.heights.tolist())
-        ]
+        """Every row as a Multispace; equal rows, keyed by their bytes, share one."""
+        keys = [row.tobytes() for row in np.concatenate([self.bases.reshape(len(self.dims), -1),
+                                                         self.heights[:, None]], axis=1)]
+        words: dict[bytes, Multispace] = {}
+        for key, basis, dim, height in zip(keys, self.bases, self.dims.tolist(), self.heights.tolist()):
+            if key not in words:
+                words[key] = Multispace._of(Subspace(self.ctx, self.n, basis[:dim].copy()), height)
+        return [words[key] for key in keys]
 
     def extend(self, rows: "_WordStack"):
         """Add the rows of a stack of the same GF(q)^n, no deeper than this one, at the end."""
+        masks = self.masks
+        if masks is not None:
+            self._masks = np.concatenate([masks, rows.masks])
         bases = np.zeros((len(rows.dims), *self.bases.shape[1:]), dtype=np.int64)
         bases[:, : rows.bases.shape[1]] = rows.bases
         self.bases = np.concatenate([self.bases, bases])
         self.dims = np.concatenate([self.dims, rows.dims])
         self.heights = np.concatenate([self.heights, rows.heights])
-        if self.masks is not None:
-            self.masks = np.concatenate([self.masks, rows.masks])
 
     def paired(self, other: "_WordStack") -> tuple[np.ndarray, np.ndarray]:
         """(distance(W, X), dim(W + X)) for row t of this stack, W, and row t of other, X.
@@ -393,8 +402,39 @@ class _WordStack:
             pairs = np.empty((*lead, depth + other.bases.shape[-2], self.n), dtype=np.int64)
             pairs[..., :depth, :] = self.bases  # broadcast over the other side, uncopied until here
             pairs[..., depth:, :] = other.bases
-            joins = rref_batch(self.ctx, pairs.reshape(math.prod(lead), *pairs.shape[-2:]))[1].reshape(lead)
+            joins = rank_batch(self.ctx, pairs.reshape(math.prod(lead), *pairs.shape[-2:])).reshape(lead)
         return 2 * joins - self.dims - other.dims + np.abs(self.heights - other.heights), joins
+
+    def paired_inside(self, other: "_WordStack") -> tuple[np.ndarray, np.ndarray]:
+        """paired, for rows X of other expected to lie inside their partners W.
+
+        Each basis row v of X is tested for membership in W: one bit of W's mask
+        when q^n <= MASK_VECTORS, else a zero residual v - v[pivots W] W, W being
+        in RREF; zero rows pass, and W's zero padding adds nothing.  Then
+        dim(W + X) = dim W, so d = dim W - dim X + |ht W - ht X|.  Only rows that
+        fail go through paired, so a word outside its partner is measured.
+        """
+        lead = np.broadcast_shapes(np.shape(self.dims), np.shape(other.dims))
+        if self.masks is not None:
+            codes = (other.bases @ self.ctx.q ** np.arange(self.n, dtype=np.int64)).astype(np.uint64)
+            inside = (self.masks[..., None] >> codes & np.uint64(1)).all(axis=-1)
+        else:
+            w, x = (np.broadcast_to(s.bases, (*lead, *s.bases.shape[-2:])) for s in (self, other))
+            pivots = (w != 0).argmax(axis=-1)  # column 0 for a zero row, which adds nothing
+            coeffs = np.take_along_axis(x, pivots[..., None, :], axis=-1)  # v[pivots W] of every row v
+            inside = (matmul_arrays(self.ctx, coeffs, w) == x).all(axis=(-2, -1))
+        joins = np.broadcast_to(self.dims, lead).copy()
+        d = np.array(joins - other.dims + np.abs(self.heights - other.heights))
+        if not inside.all():
+            out = ~inside
+            d[out], joins[out] = self._rows_at(lead, out).paired(other._rows_at(lead, out))
+        return d, joins
+
+    def _rows_at(self, lead, index) -> "_WordStack":
+        """The rows at index of this stack broadcast to the shape lead, as a new stack."""
+        bases = np.broadcast_to(self.bases, (*lead, *self.bases.shape[-2:]))[index]
+        dims, heights = (np.broadcast_to(a, lead)[index] for a in (self.dims, self.heights))
+        return _WordStack(self.ctx, self.n, bases, dims, heights)
 
     def cross_blocks(self, other: "_WordStack"):
         """Yield (rows, columns, distances): the (T, U) distance matrix of every
@@ -403,7 +443,7 @@ class _WordStack:
 
         Each block is one paired call within DEFAULT_STATE_LIMIT masks, or
         matrix entries on the elimination path: one broadcast popcount or one
-        rref_batch.  Columns split only when one row passes the limit, and a
+        rank_batch.  Columns split only when one row passes the limit, and a
         block holds one pair when a single pair does.
         """
         per_pair = 1 if self.masks is not None else (self.bases.shape[-2] + other.bases.shape[-2]) * self.n

@@ -50,6 +50,8 @@ def _odometer(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     """All q^k combinations sum c_i rows[..., i, :] of each (k, n) matrix of a
     (..., k, n) stack, as a (..., q^k, n) stack; the last coefficient fastest."""
     *lead, k, n = rows.shape
+    if ctx.e == 1:  # every coefficient vector at once, as the loop below orders them
+        return (np.arange(ctx.q ** k)[:, None] // ctx.q ** np.arange(k - 1, -1, -1) % ctx.q) @ rows % ctx.p
     coeffs = np.arange(ctx.q, dtype=np.int64)[:, None]
     out = np.zeros((*lead, 1, n), dtype=np.int64)
     for i in range(k):
@@ -305,12 +307,8 @@ def rank_batch(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
     if a.size and ctx.q == 2 and cols > 63:  # wider rows are Python ints, one matrix at a time
         rank[:] = [len(_bit_echelon(_bit_rows(m)[0], cols)) for m in a]
     elif a.size and ctx.q == 2:
-        bits = 1 << np.arange(cols - 1, -1, -1)
-        x = (a @ bits).T.copy()  # (rows, T)
-        for bit in bits.tolist():
-            piv = x.max(axis=0)
-            x ^= (x >= bit) * piv
-            rank += piv >= bit
+        pivots, bits = _packed_pivots(a)
+        rank[:] = (pivots >= bits[:, None]).sum(axis=0)
     elif a.size:
         x, entries = a.transpose(1, 2, 0).copy(), np.arange(batch)  # (rows, cols, T)
         for c in range(cols):
@@ -320,6 +318,20 @@ def rank_batch(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
             lead, right = np.where(piv[0] != 0, piv[0], 1), x[:, c + 1 :]
             x[:, c + 1 :] = ctx.sub_arr(ctx.mul_arr(lead, right), ctx.mul_arr(col[:, None], piv[None, 1:]))
     return rank
+
+
+def _packed_pivots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward pass of rank_batch over a GF(2) (T, r, c <= 63) stack: (pivots, bits),
+    bits[j] the weight of column j and pivots[j] each matrix's largest row left at
+    column j, its pivot row there iff it is at least bits[j].  Every row is below
+    2 bits[j] then, and XOR with the pivot clears the column, the pivot row too."""
+    bits = 1 << np.arange(a.shape[2] - 1, -1, -1)
+    x = (a @ bits).T.copy()  # (rows, T)
+    pivots = np.empty((len(bits), len(a)), dtype=np.int64)
+    for j, bit in enumerate(bits.tolist()):
+        pivots[j] = piv = x.max(axis=0)
+        x ^= (x >= bit) * piv
+    return pivots, bits
 
 
 @functools.lru_cache(maxsize=None)
@@ -332,7 +344,8 @@ def _rank_tables(ctx: FieldCtx) -> tuple[list, list]:
 def rref_batch(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of every matrix of a (T, m, n) stack at once.
 
-    Returns (rrefs, ranks); entry t equals rref_array(ctx, a[t])[:2].  Each
+    Returns (rrefs, ranks); entry t equals rref_array(ctx, a[t])[:2].  GF(2)
+    rows of at most 63 entries run on rank_batch's packed rows.  Otherwise each
     column's pivot is the first unused nonzero row of each entry, so no rows
     are swapped; a pivot row is zero left of its pivot, so sorting the rows
     by their first nonzero column (zero rows last) gives the echelon order.
@@ -341,6 +354,8 @@ def rref_batch(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     batch, rows, cols = a.shape
     if a.size == 0:
         return a, np.zeros(batch, dtype=np.int64)
+    if ctx.q == 2 and cols <= 63:
+        return _rref_packed(a)
     free = np.ones((batch, rows), dtype=bool)  # rows that hold no pivot yet
     entries = np.arange(batch)
     for c in range(cols):
@@ -364,6 +379,21 @@ def rref_batch(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), cols)
     order = np.argsort(lead, axis=1, kind="stable")
     return a[entries[:, None], order], rows - free.sum(axis=1)
+
+
+def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rref_batch over GF(2) on the packed rows of rank_batch: its pivot rows, each
+    cleared at every pivot right of its own from the last pivot up, then sorted in
+    descending order, which is the echelon order with zero rows last, and unpacked."""
+    _, rows, cols = a.shape
+    pivots, bits = _packed_pivots(a)
+    pivots *= pivots >= bits[:, None]  # zero where a column has no pivot
+    for j in range(cols - 1, 0, -1):
+        pivots[:j] ^= (pivots[:j] >> (cols - 1 - j) & 1) * pivots[j]
+    kept = np.sort(pivots, axis=0)[::-1][: min(rows, cols)].T  # (T, the most pivots a matrix can hold)
+    out = np.zeros_like(a)
+    out[:, : kept.shape[1]] = kept[:, :, None] >> np.arange(cols - 1, -1, -1) & 1
+    return out, (pivots != 0).sum(axis=0)
 
 
 def is_rref(ctx: FieldCtx, a: np.ndarray) -> bool:

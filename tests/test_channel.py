@@ -14,7 +14,7 @@ from helpers import (
     serial_trial_loop,
     spawned_generators,
 )
-from multispace import channel
+from multispace import channel, lattice
 from multispace.channel import (
     MODES,
     ChannelConfig,
@@ -766,3 +766,123 @@ def test_a_channel_that_loses_rank_is_flagged(monkeypatch, mode, s):
     monkeypatch.setattr(channel, "_full_rank_batch", singular)
     w = Multispace(Subspace.full(F3, 2), 1)
     assert run_trials(w, ChannelConfig(mode, trials=5, s=s, seed=0)).summary.violations == 5
+
+
+def _assert_fused_as_two_calls(ctx, rows, cols, seeds):
+    """_full_rank_pair against _full_rank_batch(rows, cols), then (cols, rows), on
+    generators of the same seeds: both matrices and every trial's cursor."""
+    fused, serial = (channel._Draws([np.random.default_rng(seed) for seed in seeds]) for _ in range(2))
+    first, second = channel._full_rank_pair(ctx, fused, rows, cols)
+    assert np.array_equal(first, channel._full_rank_batch(ctx, serial, rows, cols))
+    assert np.array_equal(second, channel._full_rank_batch(ctx, serial, cols, rows))
+    assert np.array_equal(fused.base + fused.pos, serial.base + serial.pos)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_fused_stages_take_the_draws_of_two_single_stage_calls(q):
+    # the mix and the channel matrix are m x m; the factors A (m x r) and B (r x m)
+    for m in (1, 2, 3, 5, 8):
+        for r in range(1, m + 1):
+            for trials in (1, 6, 32):
+                seeds = [[q, m, r, t] for t in range(trials)]
+                _assert_fused_as_two_calls(FIELDS[q], np.full(trials, m), np.full(trials, r), seeds)
+    # mixed shapes, and a trial that draws nothing, take the single-stage calls
+    _assert_fused_as_two_calls(FIELDS[q], np.array([4, 2, 4, 0]), np.array([4, 2, 1, 3]), [[q, t] for t in range(4)])
+
+
+def test_trials_short_of_two_full_rank_chunks_take_the_single_stage_calls(monkeypatch):
+    trials, m = 32, 3
+    live = []
+    single = channel._full_rank_batch
+
+    def spy(ctx, draws, rows, cols):
+        live.append(int(np.count_nonzero(np.asarray(rows) * cols)))
+        return single(ctx, draws, rows, cols)
+
+    monkeypatch.setattr(channel, "_full_rank_batch", spy)
+    # a state limit of two chunks per trial and stage: both must have full rank, chance 0.58 over GF(5)
+    monkeypatch.setattr(channel, "DEFAULT_STATE_LIMIT", 4 * trials * m * m)
+    _assert_fused_as_two_calls(F5, np.full(trials, m), np.full(trials, m), [[11, t] for t in range(trials)])
+    assert len(live) == 4 and live[2:] == [trials, trials]  # the fallback, then the reference
+    assert 0 < live[0] == live[1] < trials
+
+
+@pytest.mark.parametrize("tries", [0, 1, 2, 3])
+@pytest.mark.parametrize("mode,s,random_generator", [("full-rank", 0, True), ("deletion", 1, True),
+                                                       ("rank-deficient", 1, False), ("compound", 1, False)])
+def test_a_small_try_budget_raises_on_fused_stages_as_on_single_ones(monkeypatch, tries, mode, s, random_generator):
+    w = Multispace(Subspace.full(F2, 6), 2)  # rank 8: an 8 x 8 candidate has full rank with chance 0.29
+    gen = w.generating_multiset().matrix
+    cfg = ChannelConfig(mode, trials=32, s=s, seed=9, random_generator=random_generator)
+    serial = _outcome(lambda: serial_trial_loop(cfg, lambda rng: (w, gen), max_tries=tries))
+    assert serial is SamplingFailed
+    monkeypatch.setattr(channel, "_MAX_TRIES", tries)
+    assert _outcome(lambda: run_trials(w, cfg)) is SamplingFailed
+
+
+@pytest.mark.parametrize("ctx, n", [(F2, 4), (F3, 4)], ids=["masked", "past the mask limit"])
+def test_a_received_row_outside_the_sent_space_is_measured(monkeypatch, ctx, n):
+    sent = Multispace(Subspace.from_array(ctx, n, [[1, 1, 0, 0], [0, 0, 1, 0]]), 1)
+    outside = np.array([0, 1, 0, 0])  # zero at both pivots, so no member of the sent space
+    eliminate = channel.rref_batch
+
+    def tampered(ctx, a):
+        bases, ranks = eliminate(ctx, a)
+        bases[0, 0] = outside  # trial 0's first received basis row
+        return bases, ranks
+
+    pairings = []
+    paired_inside = _WordStack.paired_inside
+
+    def spy(self, other):
+        out = paired_inside(self, other)
+        pairings.append((out, self.paired(other)))
+        return out
+
+    monkeypatch.setattr(channel, "rref_batch", tampered)
+    monkeypatch.setattr(_WordStack, "paired_inside", spy)
+    run = run_trials(sent, ChannelConfig("full-rank", trials=5, seed=2))
+    [((d, joins), (want_d, want_joins))] = pairings
+    assert np.array_equal(d, want_d) and np.array_equal(joins, want_joins)
+    assert joins[0] == sent.dim + 1 and (joins[1:] == sent.dim).all()
+    assert run.summary.violations == 1 and not run.records[0].bound_satisfied
+    assert run.records[0].distance == d[0] > 0
+
+
+def test_run_trials_masks_only_the_sent_word_and_decoding_masks_the_received(monkeypatch):
+    built = []
+    masks = lattice._membership_masks
+
+    def spy(ctx, n, bases):
+        built.append(bases.shape[:-2])
+        return masks(ctx, n, bases)
+
+    monkeypatch.setattr(lattice, "_membership_masks", spy)
+    w = Multispace(Subspace.full(F2, 4), 1)
+    run = run_trials(w, ChannelConfig("full-rank", trials=40, seed=3))
+    assert built == [(1,)]  # the one sent word's stack; the received stack is never masked
+    assert all(r.received is run.records[0].received for r in run.records)  # one word per distinct row
+    code = MultispaceCode(F2, 4, 5, (w, Multispace(Subspace.zero(F2, 4), 5)))
+    built.clear()
+    end_to_end(code, ChannelConfig("full-rank", trials=8, seed=3))
+    assert built == [(2,), (8,)]  # the codewords, then the received words to decode
+
+
+def test_a_short_rank_is_named_in_trial_order():
+    code = MultispaceCode(F2, 2, 2, (Multispace.bottom(F2, 2), Multispace(Subspace.full(F2, 2), 0)))
+    named = set()
+    for seed in range(8):  # compound with s = 2 needs rank 4; every trial picks rank 0 or 2
+        first = int(np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).integers(2))
+        with pytest.raises(ConfigInvalid, match=f"needs rank >= 4, got {code.codewords[first].rank}$"):
+            end_to_end(code, ChannelConfig("compound", trials=6, s=2, seed=seed))
+        named.add(first)
+    assert named == {0, 1}
+
+
+def test_histograms_count_blocks_in_the_order_values_first_appear():
+    cfg = ChannelConfig("rank-deficient", trials=7, s=2)
+    blocks = [(None, None, np.array([4, 2, 2]), np.ones(3, dtype=bool)),
+              (None, None, np.array([0, 4, 3, 0]), np.array([True, False, True, True]))]
+    summary = channel._summarize(cfg, blocks)
+    assert list(summary.histogram.items()) == [(2, 2), (4, 2), (0, 2), (3, 1)]
+    assert (summary.violations, summary.max_distance) == (1, 4)

@@ -296,6 +296,76 @@ def test_cross_pairing_matches_distance_loop(q, n, sizes, pads, limit, seed):
     assert (tiles == 1).all()
 
 
+def _word_inside(ctx, n, w, rng):
+    """A word whose subspace lies in w's: the span of random combinations of w's basis."""
+    coeffs = rng.integers(0, ctx.q, size=(int(rng.integers(0, w.dim + 2)), w.dim))
+    return Multispace(Subspace.from_array(ctx, n, matmul_arrays(ctx, coeffs, w.underlying.basis)),
+                      int(rng.integers(0, 4)))
+
+
+def _padded_stack(ctx, n, words, pad):
+    """The stack of words padded with zero rows past their largest dim, up to n."""
+    dims = np.array([w.dim for w in words], dtype=np.int64)
+    bases = _pad_stack([w.underlying.basis for w in words], (min(n, dims.max() + pad), n))
+    return _WordStack(ctx, n, bases, dims, np.array([w.height for w in words], dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 16]),
+    n=st.integers(0, 7),
+    size=st.integers(1, 6),
+    outside=st.sampled_from([0.0, 0.3, 1.0]),
+    pads=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_containment_pairing_equals_the_elimination_pairing(q, n, size, outside, pads, seed):
+    # rows inside their partners, and with chance `outside` a row drawn freely, which may
+    # not be; zero words, zero padding on both sides, n = 0, and q^n on both sides of
+    # MASK_VECTORS (bit tests and residuals); one-word views broadcast like numpy arrays
+    ctx = {2: F2, 3: F3, 4: F4, 16: F16}[q]
+    rng = np.random.default_rng(seed)
+    ws = [random_multispace(ctx, n, rng) for _ in range(size)]
+    xs = [random_multispace(ctx, n, rng) if rng.random() < outside else _word_inside(ctx, n, w, rng) for w in ws]
+    w, x = _padded_stack(ctx, n, ws, pads[0]), _padded_stack(ctx, n, xs, pads[1])
+    for a, b in [(w, x), (w[0], x), (w, x[size - 1]), (w[0], x[0]), (w[:, None], x), (w, x[::-1])]:
+        (d, joins), (want_d, want_joins) = a.paired_inside(b), a.paired(b)
+        assert np.shape(d) == np.shape(want_d) and np.shape(joins) == np.shape(want_joins)
+        assert np.array_equal(d, want_d) and np.array_equal(joins, want_joins)
+    assert np.array_equal(w.paired_inside(x)[0], [distance(a, b) for a, b in zip(ws, xs)])
+
+
+@pytest.mark.parametrize("ctx, n", [(F2, 6), (F3, 3), (F4, 3), (F16, 1), (F2, 0), (F2, 7), (F3, 4)])
+def test_lazy_masks_equal_eager_ones_on_every_view_and_slice(ctx, n):
+    rng = np.random.default_rng(n)
+    words = [random_multispace(ctx, n, rng) for _ in range(9)]
+    stack = _WordStack.of(words)
+    assert stack._masks is None  # nothing is built before the first read
+    eager = lattice._membership_masks(ctx, n, stack.bases)
+    assert (eager is None) == (ctx.q ** n > MASK_VECTORS)
+    for index in [3, slice(2, 7), slice(None, None, -2), np.array([4, 0, 4]), np.arange(9) % 3 == 0,
+                  (slice(1, 5), None)]:
+        view = _WordStack.of(words)[index]  # a view takes its stack's masks
+        rows = _WordStack(ctx, n, stack.bases[index], stack.dims[index], stack.heights[index])
+        for lazy in (view, rows, view[...]):
+            if eager is None:
+                assert lazy.masks is None
+            else:
+                assert lazy.masks.dtype == np.uint64 and np.array_equal(lazy.masks, eager[index])
+    grown = _WordStack.empty(ctx, n, stack.bases.shape[1])  # extended before any read
+    grown.extend(_WordStack.of(words[:4]))
+    grown.extend(_WordStack.of(words[4:]))
+    assert grown.words() == words
+    assert eager is None and grown.masks is None or np.array_equal(grown.masks, eager)
+
+
+def test_equal_rows_share_one_word():
+    w, v = Multispace(Subspace.full(F2, 2), 1), Multispace(Subspace.zero(F2, 2), 3)
+    words = _WordStack.of([w, v, w, w, v]).words()
+    assert words == [w, v, w, w, v]
+    assert words[0] is words[2] is words[3] and words[1] is words[4] and words[0] is not words[1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(v=st.integers(0, 14), density=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
 def test_graph_distances_match_per_source_bfs(v, density, seed):

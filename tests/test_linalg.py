@@ -262,6 +262,29 @@ def test_rank_batch_matches_rref_array(ctx, batch, rows, cols, kind, seed):
     _same_ranks(ctx, np.array(stack, dtype=np.int64).reshape(batch, rows, cols))
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    # rows of 63 entries are the widest packed into one int64 word, 64 the first past them
+    batch=st.integers(0, 6),
+    rows=st.integers(0, 70),
+    cols=st.sampled_from([1, 2, 7, 63, 64]),
+    kind=st.sampled_from(["random", "low rank", "zero"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_packed_gf2_rref_batch_matches_rref_array(batch, rows, cols, kind, seed):
+    rng = np.random.default_rng(seed)
+    a = np.array([_matrix_of_kind(F2, rows, cols, kind, rng) for _ in range(batch)], dtype=np.int64)
+    a = a.reshape(batch, rows, cols)
+    given_a = a.copy()
+    rrefs, ranks = rref_batch(F2, a)
+    assert np.array_equal(a, given_a)
+    assert rrefs.shape == a.shape and rrefs.dtype == np.int64 and ranks.dtype == np.int64
+    for t in range(batch):
+        red, rank, _ = rref_array(F2, a[t])
+        assert rrefs[t].tobytes() == red.tobytes() and ranks[t] == rank
+        assert is_rref(F2, rrefs[t, :rank]) and not rrefs[t, rank:].any()
+
+
 def test_rank_batch_builds_no_tables_past_the_limit(monkeypatch):
     assert F256.q == linalg.RANK_TABLE_LIMIT < F512.q
 
@@ -392,6 +415,21 @@ def test_is_rref_matches_the_definition(ctx, rows, n, rand):
         bumped = red.copy()
         bumped[rng.integers(len(red)), rng.integers(n)] = rng.integers(ctx.q)
         assert is_rref(ctx, bumped) == is_rref_by_definition(bumped)
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F5, F4, F9], ids=lambda ctx: f"q={ctx.q}")
+def test_odometer_lists_every_combination_last_coefficient_fastest(ctx):
+    rng = np.random.default_rng(ctx.q)
+    for k in range(4):
+        rows = rng.integers(0, ctx.q, size=(2, k, 3))
+        got = linalg._odometer(ctx, rows)
+        assert got.shape == (2, ctx.q ** k, 3)
+        for t in range(2):
+            want = [[0] * 3 for _ in itertools.product(range(ctx.q), repeat=k)]
+            for v, coeffs in zip(want, itertools.product(range(ctx.q), repeat=k)):
+                for c, row in zip(coeffs, rows[t].tolist()):
+                    v[:] = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(v, row)]
+            assert got[t].tolist() == want
 
 
 @pytest.mark.parametrize(
