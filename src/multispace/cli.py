@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .channel import MODES, ChannelConfig, end_to_end, run_trials, write_trial_csv
 from .codes import (
@@ -112,10 +113,40 @@ def _text(render) -> str:
         raise _digit_limit_error(sys.get_int_max_str_digits()) from exc
 
 
+def _json(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2), byte for byte, in one pass.
+
+    json.dumps with an indent runs the pure-Python encoder.  Here dicts and
+    lists (tuples too) recurse, an int is str, an all-int list is one join and
+    a str, as a value or a key, is the C string encoder's.  json itself writes
+    everything else, so floats, bool, None and keys that are not str come out,
+    and values it refuses fail, as in json.dumps; a key alone is written as
+    json writes {key: 0}.  indent is the newline and indent that precede doc.
+    """
+    kind = type(doc)
+    if kind is int:
+        return str(doc)
+    if kind is str:
+        return encode_basestring_ascii(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [(encode_basestring_ascii(key) if type(key) is str else json.dumps({key: 0})[1:-4])
+                 + ": " + _json(value, inner) for key, value in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = map(str, doc) if all(type(x) is int for x in doc) else [_json(x, inner) for x in doc]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(doc)
+
+
 def _emit(args, doc: dict, table):
     """Write doc as JSON, or the lines table() returns under any other format."""
     fmt = _pick_format(args)
-    text = _text(lambda: json.dumps(doc, indent=2) if fmt == "json" else "\n".join(table()))
+    text = _text(lambda: _json(doc) if fmt == "json" else "\n".join(table()))
     with _output_file(args.output) as fh:
         fh.write(text + "\n")
 
@@ -258,7 +289,7 @@ def cmd_search(args) -> int:
 
     if args.output:
         # --output names the code file; the stats summary goes to stdout
-        text = _text(lambda: json.dumps(doc, indent=2))
+        text = _text(lambda: _json(doc))
         with _output_file(args.output) as fh:
             fh.write(text + "\n")
         args.output = None

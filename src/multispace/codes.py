@@ -53,15 +53,19 @@ class MultispaceCode:
         self._fill(ctx, n, m_max, codewords)
 
     @classmethod
-    def _of(cls, ctx: FieldCtx, n: int, m_max: int, codewords: tuple) -> "MultispaceCode":
+    def _of(cls, ctx: FieldCtx, n: int, m_max: int, codewords: tuple,
+            stack: _WordStack | None = None, min_dist=None) -> "MultispaceCode":
+        """A code the library built; a search hands over what it already measured:
+        the stack of the codewords, in their order and laid out as _WordStack.of
+        lays them out, and their minimum distance."""
         code = cls.__new__(cls)
-        code._fill(ctx, n, m_max, codewords)
+        code._fill(ctx, n, m_max, codewords, stack, min_dist)
         return code
 
-    def _fill(self, ctx, n, m_max, codewords):
+    def _fill(self, ctx, n, m_max, codewords, stack=None, min_dist=None):
         self.ctx, self.n, self.m_max, self.codewords = ctx, n, m_max, codewords
         self._max_rank = max((w.rank for w in codewords), default=0)  # the largest codeword rank
-        self._min_dist = self._stack = self._gens = None
+        self._stack, self._min_dist, self._gens = stack, min_dist, None
 
     def __len__(self):
         return len(self.codewords)
@@ -83,11 +87,7 @@ class MultispaceCode:
     def min_distance(self):
         """Cached pairwise minimum distance; +inf for codes of size <= 1."""
         if self._min_dist is None:
-            if len(self.codewords) <= 1:
-                self._min_dist = math.inf
-            else:
-                d = self._words().pairwise()
-                self._min_dist = int(d[np.triu_indices(len(d), 1)].min())
+            self._min_dist = math.inf if len(self.codewords) <= 1 else _closest(self._words().pairwise())
         return self._min_dist
 
     def _words(self) -> _WordStack:
@@ -134,6 +134,15 @@ class MultispaceCode:
         return cls(parse_field_spec(spec), n, m_max, tuple(Multispace.from_dict(w) for w in words))
 
 
+def _closest(d: np.ndarray):
+    """The smallest entry off the diagonal of a square distance matrix, which
+    it overwrites; +inf below two rows."""
+    if len(d) <= 1:
+        return math.inf
+    np.fill_diagonal(d, np.iinfo(d.dtype).max)
+    return int(d.min())
+
+
 def min_distance(code: MultispaceCode) -> int:
     """Exact pairwise minimum distance; needs at least two codewords."""
     if len(code) < 2:
@@ -177,7 +186,9 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
                     live = slice(None) if words.masks is not None else np.flatnonzero(alive)
                     alive[live] &= words[idx].paired(words[live])[0] >= d_min
         kept.extend(words[keep])
-    return MultispaceCode._of(ctx, n, m_max, tuple(sorted(kept.words(), key=lambda w: w.sort_key())))
+    words = kept.words()
+    order = sorted(range(len(words)), key=lambda i: words[i].sort_key())
+    return MultispaceCode._of(ctx, n, m_max, tuple(words[i] for i in order), kept.take(order))
 
 
 def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> MultispaceCode:
@@ -196,35 +207,85 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
     ground = _WordStack.empty(ctx, n, min(n, m_max))
     for m in range(m_max + 1):
         ground.extend(_WordStack.layer(ctx, n, m))
-    best = _max_clique(ground.pairwise() >= d_min)
-    return MultispaceCode._of(ctx, n, m_max, tuple(ground[best].words()))
+    d = ground.pairwise()
+    best = _max_clique(d >= d_min)
+    chosen = ground.take(best)
+    return MultispaceCode._of(ctx, n, m_max, tuple(chosen.words()), chosen, _closest(d[np.ix_(best, best)]))
 
 
 def _max_clique(adjacency: np.ndarray) -> list[int]:
-    """The ascending indices of the first maximum clique that branch and bound
-    finds in a boolean graph; the diagonal is ignored."""
+    """The ascending indices of the lexicographically first maximum clique of a
+    boolean graph; the diagonal is ignored.
+
+    Plain branch and bound, which walks cliques in ascending lexicographic
+    order and keeps one only when it beats the incumbent, returns this clique
+    too.  Here two passes over int bitsets are bounded by _colour_classes: a
+    clique among some candidates holds at most one vertex of each colour.
+    The first finds the clique number omega by Tomita and Seki's MCQ, highest
+    colour first, from the walk's first clique.  The second walks as plain
+    branch and bound does and returns the first clique of size omega,
+    dropping a branch once its candidates cannot complete one.
+    """
     v = len(adjacency)
     far = adjacency & ~np.eye(v, dtype=bool)
     compat = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(far, axis=1, bitorder="little")]
-    best: list[int] = []
+    dive, candidates = [], (1 << v) - 1  # the walk's first clique: always the lowest candidate
+    while candidates:
+        i = (candidates & -candidates).bit_length() - 1
+        dive.append(i)
+        candidates &= compat[i] & (candidates - 1)
+    omega = len(dive)
 
-    def expand(current: list[int], candidates: int):
-        nonlocal best
-        if not candidates:
-            if len(current) > len(best):
-                best = current[:]
-            return
-        if len(current) + candidates.bit_count() <= len(best):
-            return  # bound: cannot beat the incumbent
+    def grow(size: int, candidates: int):
+        nonlocal omega
+        classes = _colour_classes(candidates, compat)
+        for colour in range(len(classes), 0, -1):
+            for i in classes[colour - 1]:
+                if size + colour <= omega:
+                    return  # the vertices left hold at most `colour` colours
+                inner = candidates & compat[i]
+                if inner:
+                    grow(size + 1, inner)
+                elif size + 1 > omega:
+                    omega = size + 1
+                candidates &= ~(1 << i)
+
+    def first(current: list[int], candidates: int) -> list[int] | None:
+        if len(current) == omega:
+            return current
+        tops = sorted((members[-1] for members in _colour_classes(candidates, compat)), reverse=True)
         while candidates:
-            if len(current) + candidates.bit_count() <= len(best):
-                return
             i = (candidates & -candidates).bit_length() - 1
+            while tops[-1] < i:
+                tops.pop()  # a colour with no candidate left
+            if len(current) + len(tops) < omega:
+                return None
             candidates &= candidates - 1
-            expand(current + [i], candidates & compat[i])
+            found = first(current + [i], candidates & compat[i])
+            if found is not None:
+                return found
+        return None
 
-    expand([], (1 << v) - 1)
-    return sorted(best)
+    grow(0, (1 << v) - 1)
+    return dive if omega == len(dive) else first([], (1 << v) - 1)
+
+
+def _colour_classes(candidates: int, compat: list[int]) -> list[list[int]]:
+    """A greedy colouring of the candidate vertices: independent sets, each
+    filled from the lowest free index up, so it ends at its largest member.
+    The colours with a member >= i colour the candidates >= i."""
+    classes = []
+    while candidates:
+        members, free, taken = [], candidates, 0
+        while free:
+            low = free & -free
+            i = low.bit_length() - 1
+            members.append(i)
+            taken |= low
+            free &= ~compat[i] ^ low  # i and its neighbours leave this colour
+        candidates &= ~taken
+        classes.append(members)
+    return classes
 
 
 def _check_ball(center: Multispace, radius: int, m_max: int) -> None:

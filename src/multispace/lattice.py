@@ -365,6 +365,14 @@ class _WordStack:
         return _WordStack(self.ctx, self.n, self.bases[index], self.dims[index], self.heights[index],
                           None if masks is None else masks[index])
 
+    def take(self, index) -> "_WordStack":
+        """The rows at index, with their masks, as a new stack laid out as `of` lays
+        out their words: bases cut to the largest dim among them."""
+        dims = self.dims[index]
+        masks = self.masks
+        return _WordStack(self.ctx, self.n, self.bases[:, : dims.max(initial=0)][index], dims,
+                          self.heights[index], None if masks is None else masks[index])
+
     def words(self) -> list[Multispace]:
         """Every row as a Multispace; equal rows, keyed by their bytes, share one."""
         keys = [row.tobytes() for row in np.concatenate([self.bases.reshape(len(self.dims), -1),
@@ -675,17 +683,21 @@ class GammaGraph:
         """All-pairs BFS distances; -1 marks unreachable pairs.
 
         Every source runs at once: row s of the frontier is source s's, and one
-        boolean matrix product per level takes every frontier one step.
+        matrix product per level takes every frontier one step.  The product is
+        float64, which BLAS computes (numpy's bool and int64 products do not),
+        and exact: each entry counts at most V vertices.
         """
-        frontier = np.eye(len(self.vertices), dtype=bool)
-        dist = np.where(frontier, 0, -1)
-        seen = frontier.copy()
+        adjacency = self.adjacency.astype(np.float64)
+        seen = np.eye(len(self.vertices), dtype=bool)
+        dist = np.where(seen, 0, -1)
+        frontier = seen.astype(np.float64)
         d = 0
         while frontier.any():
-            frontier = (frontier @ self.adjacency) & ~seen
+            reached = (frontier @ adjacency > 0) & ~seen
             d += 1
-            dist[frontier] = d
-            seen |= frontier
+            dist[reached] = d
+            seen |= reached
+            frontier = reached.astype(np.float64)
         return dist
 
 
@@ -725,16 +737,17 @@ def is_distance_regular(g: GammaGraph) -> RegularityReport:
             False,
             {"reason": "disconnected", "pair": (g.vertices[i], g.vertices[j])},
         )
-    adj_int = g.adjacency.astype(np.int64)
+    adjacency = g.adjacency.astype(np.float64)  # exact, as in graph_distances
+    spheres = {}  # delta -> counts[u, v] = |N(u) ∩ sphere_delta(v)|, which serves c, a and b
     diam = int(dist.max())
     for k in range(diam + 1):
         mask = dist == k
         if not mask.any():
             continue
         for name, delta in (("c", k - 1), ("a", k), ("b", k + 1)):
-            sphere = (dist == delta).astype(np.int64)
-            counts = adj_int @ sphere  # counts[u, v] = |N(u) ∩ sphere_delta(v)|
-            vals = counts[mask]
+            if delta not in spheres:
+                spheres[delta] = adjacency @ (dist == delta).astype(np.float64)
+            vals = spheres[delta][mask]
             if vals.min() != vals.max():
                 pairs = np.argwhere(mask)
                 lo = pairs[int(np.argmin(vals))]

@@ -471,7 +471,9 @@ class Subspace:
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(int(np.nonzero(r)[0][0]) for r in self.basis)
+        if self.dim == 0:
+            return ()  # an n = 0 basis has no column to argmax over
+        return tuple((self.basis != 0).argmax(axis=1).tolist())
 
     def sort_key(self):
         return (self.dim, self.pivots, self.basis.tobytes())

@@ -1,12 +1,13 @@
 """Shared brute-force oracles: multiplicities, subspaces entry by entry, the
 lattice poset, covers by containment, RREF by definition, the packing bound
 over every BFS ball, the greedy code by single distances and by one
-elimination per candidate, the optimal code and the gamma graph over words
-enumerated one by one, the channel's trial-by-trial loop and numpy's own
-spawned trial generators, the literal root product, the subspace-polynomial
-step and polynomial evaluation one term at a time, and array arithmetic
-through the log/exp and digit tables.  Also span_rows, the span of a few
-row vectors."""
+elimination per candidate, the maximum clique by plain branch and bound, the
+optimal code and the gamma graph over words enumerated one by one, graph
+distances and distance regularity by bool and int64 matrix products, the
+channel's trial-by-trial loop and numpy's own spawned trial generators, the
+literal root product, the subspace-polynomial step and polynomial evaluation
+one term at a time, and array arithmetic through the log/exp and digit
+tables.  Also span_rows, the span of a few row vectors."""
 
 from itertools import combinations, product
 
@@ -21,10 +22,11 @@ from multispace.channel import (
     apply_transform,
     random_matrix,
 )
-from multispace.codes import _max_clique, ball, decode
+from multispace.codes import ball, decode
 from multispace.errors import ConfigInvalid, LimitExceeded, SamplingFailed, ShapeViolation
 from multispace.lattice import (
     Multispace,
+    RegularityReport,
     VectorMultiset,
     distance,
     enumerate_multispaces,
@@ -205,11 +207,87 @@ def serial_greedy_code(ctx, n, m_max, d_min, seed):
     return tuple(sorted(kept, key=lambda w: w.sort_key()))
 
 
+def max_clique_by_bound(adjacency: np.ndarray) -> list[int]:
+    """The ascending indices of the first maximum clique that plain branch and
+    bound finds in a boolean graph, bounded by the candidate count alone; the
+    diagonal is ignored.  It keeps the first clique that strictly beats its
+    incumbent, so it returns the lexicographically first maximum clique."""
+    v = len(adjacency)
+    far = adjacency & ~np.eye(v, dtype=bool)
+    compat = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(far, axis=1, bitorder="little")]
+    best: list[int] = []
+
+    def expand(current: list[int], candidates: int):
+        nonlocal best
+        if not candidates:
+            if len(current) > len(best):
+                best = current[:]
+            return
+        if len(current) + candidates.bit_count() <= len(best):
+            return  # bound: cannot beat the incumbent
+        while candidates:
+            if len(current) + candidates.bit_count() <= len(best):
+                return
+            i = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            expand(current + [i], candidates & compat[i])
+
+    expand([], (1 << v) - 1)
+    return sorted(best)
+
+
 def optimal_code_by_elements(ctx, n, m_max, d_min):
     """exhaustive_optimal_code's codewords from every multispace of rank <= m_max,
-    enumerated one by one, and their pairwise distances, through the same clique search."""
+    enumerated one by one, and their pairwise distances, through plain branch and bound."""
     elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
-    return tuple(elems[i] for i in _max_clique(pairwise_distances(elems) >= d_min))
+    return tuple(elems[i] for i in max_clique_by_bound(pairwise_distances(elems) >= d_min))
+
+
+def graph_distances_by_bool_products(adjacency: np.ndarray) -> np.ndarray:
+    """GammaGraph.graph_distances by boolean matrix products, which numpy runs
+    without BLAS: every source at once, one product per level."""
+    frontier = np.eye(len(adjacency), dtype=bool)
+    dist = np.where(frontier, 0, -1)
+    seen = frontier.copy()
+    d = 0
+    while frontier.any():
+        frontier = (frontier @ adjacency) & ~seen
+        d += 1
+        dist[frontier] = d
+        seen |= frontier
+    return dist
+
+
+def regularity_by_int64_products(g) -> RegularityReport:
+    """is_distance_regular with int64 products, one for each intersection
+    number at each distance, over the boolean products' distances."""
+    if not g.vertices:
+        return RegularityReport(True, None)
+    dist = graph_distances_by_bool_products(g.adjacency)
+    bad = np.argwhere(dist < 0)
+    if len(bad):
+        i, j = map(int, bad[0])
+        return RegularityReport(False, {"reason": "disconnected", "pair": (g.vertices[i], g.vertices[j])})
+    adj_int = g.adjacency.astype(np.int64)
+    for k in range(int(dist.max()) + 1):
+        mask = dist == k
+        if not mask.any():
+            continue
+        for name, delta in (("c", k - 1), ("a", k), ("b", k + 1)):
+            vals = (adj_int @ (dist == delta).astype(np.int64))[mask]
+            if vals.min() != vals.max():
+                pairs = np.argwhere(mask)
+                lo, hi = pairs[int(np.argmin(vals))], pairs[int(np.argmax(vals))]
+                return RegularityReport(False, {
+                    "reason": "intersection number not constant",
+                    "distance": k,
+                    "parameter": name,
+                    "pair_low": (g.vertices[lo[0]], g.vertices[lo[1]]),
+                    "value_low": int(vals.min()),
+                    "pair_high": (g.vertices[hi[0]], g.vertices[hi[1]]),
+                    "value_high": int(vals.max()),
+                })
+    return RegularityReport(True, None)
 
 
 def gamma_by_elements(ctx, n, m):

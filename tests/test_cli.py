@@ -391,6 +391,45 @@ def test_values_past_the_int_print_limit_exit_cleanly(capsys, tmp_path, argv, ex
     assert not out_file.exists()
 
 
+_JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 200) | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_JSON_KEYS, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_JSON_DOCS)
+@example(doc={"a": [], "b": {}, "c": [[1, -2], [2 ** 70]], "é\n\"\u2028": [0.5, -0.0, float("nan"), float("inf")],
+              3: True, 1.5: None, None: (), False: [{}]})
+def test_the_json_writer_writes_the_bytes_of_json_dumps(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{(1, 2): 0}, [1, {2}], {"a": [object()]}, 2 + 1j])
+def test_the_json_writer_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        cli._json(doc)
+
+
+@pytest.mark.parametrize("doc", [10 ** 5000, [1, 10 ** 5000], [[1], 10 ** 5000], {"n": 10 ** 5000}, {10 ** 5000: 0}],
+                         ids=["int", "all-int list", "mixed list", "value", "key"])
+def test_the_json_writer_turns_an_int_past_the_print_limit_into_an_input_error(doc):
+    # each place an int can stand takes its own path through the writer
+    message = str(cli._digit_limit_error(sys.get_int_max_str_digits()))
+    with pytest.raises(ConfigInvalid, match=re.escape(message)):
+        cli._text(lambda: cli._json(doc))
+
+
+def test_a_json_document_past_the_int_print_limit_exits_1_with_the_digit_limit_message(capsys):
+    code, out, err = run(capsys, "--format", "json", "bound", "2", "300", "150", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {cli._digit_limit_error(sys.get_int_max_str_digits())}\n"
+
+
 def test_count_just_inside_the_int_print_limit(capsys):
     code, out, _ = run(capsys, "--format", "json", "count", "2", "238", "238")
     assert code == 0 and len(str(json.loads(out)["rows"][-1]["cumulative"])) == 4266

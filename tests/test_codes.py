@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from helpers import (
     greedy_by_distance_loop,
+    max_clique_by_bound,
     optimal_code_by_elements,
     packing_bound_oracle,
     random_multispace,
@@ -176,6 +177,40 @@ def test_optimal_code_matches_the_per_element_search(q, n, m_max):
     for d_min in range(1, 5):
         assert exhaustive_optimal_code(ctx, n, m_max, d_min).codewords == optimal_code_by_elements(
             ctx, n, m_max, d_min)
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=st.integers(0, 40), density=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_clique_search_returns_the_plain_branch_and_bound_clique(v, density, seed):
+    # the diagonal is random too: both searches ignore it
+    upper = np.random.default_rng(seed).random((v, v)) < density
+    adjacency = upper | upper.T
+    assert codes._max_clique(adjacency) == max_clique_by_bound(adjacency)
+
+
+#: (search, ctx, n, m_max, d_min) with q^n on both sides of MASK_VECTORS for each q
+_HANDOFF = [("greedy", *case) for case in (
+    (F2, 4, 3, 3), (F2, 7, 2, 3), (F3, 3, 2, 2), (F3, 4, 2, 3), (F4, 3, 2, 2), (F4, 4, 2, 3))] + [
+    ("optimal", *case) for case in (
+    (F2, 3, 3, 3), (F2, 7, 0, 1), (F3, 3, 2, 2), (F3, 4, 1, 2), (F4, 3, 1, 2), (F4, 4, 0, 1))]
+
+
+@pytest.mark.parametrize("search, ctx, n, m_max, d_min", _HANDOFF)
+def test_a_searched_code_hands_over_the_stack_and_distance_of_its_codewords(search, ctx, n, m_max, d_min):
+    if search == "greedy":
+        code = greedy_code(ctx, n, m_max, d_min, seed=2)
+    else:
+        code = exhaustive_optimal_code(ctx, n, m_max, d_min)
+        assert code._min_dist is not None  # read off the clique's block of the search's distances
+    assert code._stack is not None
+    built = MultispaceCode(ctx, n, m_max, code.codewords)
+    handed, rebuilt = code._words(), built._words()
+    assert (ctx.q ** n <= lattice.MASK_VECTORS) == (handed.masks is not None)
+    for name in ("bases", "dims", "heights", "masks"):
+        a, b = getattr(handed, name), getattr(rebuilt, name)
+        assert (a is None and b is None) or (a.shape == b.shape and np.array_equal(a, b)), name
+    assert code.min_distance == built.min_distance
+    assert code._source()[1].tolist() == built._source()[1].tolist()
 
 
 @pytest.mark.parametrize("ctx, n, m_max, d_min", [(F2, 5, 3, 3), (F3, 4, 3, 3)])

@@ -16,7 +16,9 @@ a checking constructor or a checking method, so input is checked once at the
 boundary and every value the library built takes a trusted path.  In
 ``channel.py`` only ``_Draws`` and ``random_matrix`` name the generator
 methods ``integers``, ``permutation`` and ``random_raw``, so no trial
-generator is read beside the stream that reads it ahead.
+generator is read beside the stream that reads it ahead.  Only the JSON
+writer ``cli._json`` may call ``dumps`` with an indent, so every indented
+document is written by one writer.
 """
 
 import ast
@@ -326,3 +328,41 @@ def test_only_the_draw_stream_reads_trial_generators():
     # silently shift every later draw of its trial
     found = stream_reads((ROOT / "src" / "multispace" / "channel.py").read_text())
     assert sorted({site.split(" (")[0].split(".")[0] for site in found}) == ["_Draws", "random_matrix"]
+
+
+def indented_json_dumps(source: str) -> list[str]:
+    """Where a module calls dumps (json.dumps or an imported dumps) with an
+    indent keyword, as "function (line N)" ("<module>" outside any function)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", getattr(child.func, "attr", None)) == "dumps"
+                and any(keyword.arg == "indent" for keyword in child.keywords)
+            ):
+                found.append(f"{where} (line {child.lineno})")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_indented_json_dumps():
+    source = (
+        "import json\nfrom json import dumps\ntext = json.dumps({}, indent=2)\n"
+        "def f(doc):\n    return json.dumps(doc), dumps(doc, indent=None), json.loads('indent')\n"
+        "def g(doc, **kw):\n    return json.dumps(doc, **kw), encoder.dumps(doc, sort_keys=True, indent=4)\n"
+    )
+    assert indented_json_dumps(source) == ["<module> (line 3)", "f (line 5)", "g (line 7)"]
+
+
+def test_only_the_json_writer_indents_json():
+    # cli._json writes the bytes of json.dumps(doc, indent=2) for _emit and
+    # search --output alike; an indented dumps elsewhere is a second path to them
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert len(library) > 5
+    found = {str(path.relative_to(ROOT)): indented_json_dumps(path.read_text()) for path in library}
+    where = {path: sorted({s.split(" (")[0] for s in sites}) for path, sites in found.items() if sites}
+    assert where in ({}, {"src/multispace/cli.py": ["_json"]})

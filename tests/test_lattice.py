@@ -14,11 +14,13 @@ from helpers import (
     cover_matrix,
     covers_by_containment,
     gamma_by_elements,
+    graph_distances_by_bool_products,
     leq_matrix,
     multiplicity_oracle,
     poset_elements,
     random_multiset,
     random_multispace,
+    regularity_by_int64_products,
     span_rows,
 )
 from multispace import lattice
@@ -373,6 +375,47 @@ def test_graph_distances_match_per_source_bfs(v, density, seed):
     upper = np.triu(np.random.default_rng(seed).random((v, v)) < density, 1)
     g = GammaGraph(F2, 0, 0, tuple(range(v)), upper | upper.T)
     assert np.array_equal(g.graph_distances(), bfs_distances(g.adjacency))
+
+
+def _structured_graphs():
+    """Named graphs with known regularity: a cycle, a path, K_{3,3}, the
+    Petersen graph, a triangle beside an edge, a triangular prism, and Γ graphs
+    on both outcomes."""
+    v = 7
+    cycle = np.zeros((v, v), dtype=bool)
+    cycle[np.arange(v), (np.arange(v) + 1) % v] = True
+    path = cycle.copy()
+    path[v - 1, 0] = False
+    k33 = np.zeros((6, 6), dtype=bool)
+    k33[:3, 3:] = True
+    outer, inner = np.arange(5), np.arange(5, 10)
+    petersen = np.zeros((10, 10), dtype=bool)
+    petersen[outer, (outer + 1) % 5] = petersen[outer, inner] = True
+    petersen[inner, 5 + (inner + 2) % 5] = True
+    split = np.zeros((5, 5), dtype=bool)
+    split[[0, 0, 1, 3], [1, 2, 2, 4]] = True
+    prism = np.zeros((6, 6), dtype=bool)  # 3-regular, with a_1 = 1 on triangle edges and 0 across
+    prism[[0, 0, 1, 3, 3, 4, 0, 1, 2], [1, 2, 2, 4, 5, 5, 3, 4, 5]] = True
+    graphs = [GammaGraph(F2, 0, 0, tuple(range(len(a))), a | a.T) for a in (cycle, path, k33, petersen, split, prism)]
+    return graphs + [gamma_graph(F2, 3, 2), gamma_graph(F2, 4, 1), gamma_graph(F3, 2, 2), gamma_graph(F2, 2, 0)]
+
+
+@pytest.mark.parametrize("g", _structured_graphs(), ids=lambda g: f"{len(g.vertices)}-vertices")
+def test_graph_kernels_match_the_bool_and_int64_products_on_named_graphs(g):
+    assert np.array_equal(g.graph_distances(), graph_distances_by_bool_products(g.adjacency))
+    new, old = is_distance_regular(g), regularity_by_int64_products(g)
+    assert (new.regular, new.witness) == (old.regular, old.witness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(v=st.integers(1, 24), density=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_graph_kernels_match_the_bool_and_int64_products(v, density, seed):
+    # sparse random graphs are disconnected, dense ones connected and rarely regular
+    upper = np.triu(np.random.default_rng(seed).random((v, v)) < density, 1)
+    g = GammaGraph(F2, 0, 0, tuple(range(v)), upper | upper.T)
+    assert np.array_equal(g.graph_distances(), graph_distances_by_bool_products(g.adjacency))
+    new, old = is_distance_regular(g), regularity_by_int64_products(g)
+    assert (new.regular, new.witness) == (old.regular, old.witness)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
