@@ -48,6 +48,10 @@ FIELD_SIZE_LIMIT = 1 << 16
 #: 2-vCPU host.
 ARRAY_TABLE_LIMIT = 64
 
+#: Largest field with q x q tables (op_tables), on which linalg's row kernel eliminates:
+#: each has at most 2^16 entries, and every entry is a small int that CPython shares.
+RANK_TABLE_LIMIT = 256
+
 
 def _prime_factors(n: int) -> list[int]:
     out = []
@@ -367,8 +371,8 @@ class FieldCtx:
 
     def op_tables(self) -> tuple:
         """The read-only q x q arrays add[a, b] = a + b, sub[a, b] = a - b and
-        mul[a, b] = a b, for a field of at most 256 elements (2^16 entries each)."""
-        if self.q > 256:
+        mul[a, b] = a b, for a field of at most RANK_TABLE_LIMIT elements."""
+        if self.q > RANK_TABLE_LIMIT:
             raise LimitExceeded(f"q x q tables of {self} would hold {self.q ** 2} entries each")
         return tuple(t.reshape(self.q, self.q) for t in self._tables or self._flat_tables())
 

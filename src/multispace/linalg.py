@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, FormatError, LimitExceeded, NotCanonical
-from .fields import FieldCtx, ambient_dim, check_settings, parse_field_spec, reading
+from .fields import RANK_TABLE_LIMIT, FieldCtx, ambient_dim, check_settings, parse_field_spec, reading
 
 #: The one enumeration budget: no enumerator yields more items than this.
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -116,10 +116,6 @@ def matmul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Largest field whose rows are eliminated on q x q lookup tables: each table
-#: has at most 2^16 entries, and every entry is a small int that CPython shares.
-RANK_TABLE_LIMIT = 256
-
 #: Largest matrix, in cells, that rref_array reduces on list rows through the
 #: tables when 2 < q <= RANK_TABLE_LIMIT, for at most two rows per column.
 #: Python rows cost table lookups per row and cell at each pivot, numpy a fixed
@@ -137,7 +133,7 @@ def rref_array(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int]
     """Reduced row echelon form; returns (rref, rank, pivot columns).
 
     A small matrix is eliminated faster in plain Python than through numpy
-    calls, so the rows go through the row kernel of rank_array, then back
+    calls, so the rows go through the row kernel's forward pass, then back
     substitution: over GF(2) at every size, and over other fields of at most
     RANK_TABLE_LIMIT elements up to ROW_CELL_LIMIT cells and two rows per
     column.  Larger fields and matrices are eliminated column by column in
@@ -295,36 +291,46 @@ def _rref_lists(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int
 def rank_batch(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
     """Rank of every matrix of a (T, r, c) stack, by a forward pass; a is not written.
 
-    A column's pivot is the row with the largest entry there; each row times
-    the pivot, less the pivot row times the row's entry, clears the column and
-    the pivot row, so the rank counts the columns with a pivot.  GF(2) rows of
-    at most 63 entries are one int64 each (M4RI), column 0 the highest bit, so
-    a row holds the column in turn iff it is at least its bit; wider ones take
-    rref_array's Python ints.  Other stacks run as one (r, c, T) array.
+    GF(2) rows of at most 63 entries are one int64 each (M4RI), column 0 the
+    highest bit, so a row holds the column in turn iff it is at least its bit;
+    wider ones take rref_array's Python ints.  Other fields run on _pivot_rows.
     """
     batch, rows, cols = a.shape
-    rank = np.zeros(batch, dtype=np.int64)
-    if a.size and ctx.q == 2 and cols > 63:  # wider rows are Python ints, one matrix at a time
-        rank[:] = [len(_bit_echelon(_bit_rows(m)[0], cols)) for m in a]
-    elif a.size and ctx.q == 2:
+    if not a.size:
+        return np.zeros(batch, dtype=np.int64)
+    if ctx.q == 2 and cols > 63:  # wider rows are Python ints, one matrix at a time
+        return np.array([len(_bit_echelon(_bit_rows(m)[0], cols)) for m in a], dtype=np.int64)
+    if ctx.q == 2:
         pivots, bits = _packed_pivots(a)
-        rank[:] = (pivots >= bits[:, None]).sum(axis=0)
-    elif a.size:
-        x, entries = a.transpose(1, 2, 0).copy(), np.arange(batch)  # (rows, cols, T)
-        for c in range(cols):
-            col = x[:, c]
-            piv = x[col.argmax(axis=0), c:, entries].T  # the pivot row from column c on
-            rank += piv[0] != 0
-            lead, right = np.where(piv[0] != 0, piv[0], 1), x[:, c + 1 :]
-            x[:, c + 1 :] = ctx.sub_arr(ctx.mul_arr(lead, right), ctx.mul_arr(col[:, None], piv[None, 1:]))
-    return rank
+        return (pivots >= bits[:, None]).sum(axis=0)
+    return sum((has for _, _, has in _pivot_rows(ctx, a)), np.zeros(batch, dtype=np.int64))
+
+
+def _pivot_rows(ctx: FieldCtx, a: np.ndarray):
+    """The forward pass of rank_batch and rref_batch over a (T, r, c) stack of a
+    field other than GF(2), as one (r, c, T) array.  A column's pivot is the row
+    with the largest entry there; each row times the pivot, less the pivot row
+    times the row's entry, clears the column and the pivot row.  Yields (j, piv,
+    has) per column j: piv is the (c - j, T) pivot row from column j on, zero
+    where has marks no pivot; the pass reads both after the yield."""
+    x, entries = a.transpose(1, 2, 0).copy(), np.arange(len(a))
+    for j in range(a.shape[2]):
+        col = x[:, j]
+        piv = x[col.argmax(axis=0), j:, entries].T
+        has = piv[0] != 0
+        piv *= has  # argmax takes row 0 of an all-zero column, which need not be zero further right
+        yield j, piv, has
+        if j + 1 < a.shape[2]:
+            lead, right = np.where(has, piv[0], 1), x[:, j + 1 :]
+            right[...] = ctx.sub_arr(ctx.mul_arr(lead, right), ctx.mul_arr(col[:, None], piv[None, 1:]))
 
 
 def _packed_pivots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forward pass of rank_batch over a GF(2) (T, r, c <= 63) stack: (pivots, bits),
-    bits[j] the weight of column j and pivots[j] each matrix's largest row left at
-    column j, its pivot row there iff it is at least bits[j].  Every row is below
-    2 bits[j] then, and XOR with the pivot clears the column, the pivot row too."""
+    """The forward pass of rank_batch and rref_batch over a GF(2) (T, r, c <= 63)
+    stack: (pivots, bits), bits[j] the weight of column j and pivots[j] each
+    matrix's largest row left at column j, its pivot row there iff it is at least
+    bits[j].  Every row is below 2 bits[j] then, and XOR with the pivot clears
+    the column, the pivot row too."""
     bits = 1 << np.arange(a.shape[2] - 1, -1, -1)
     x = (a @ bits).T.copy()  # (rows, T)
     pivots = np.empty((len(bits), len(a)), dtype=np.int64)
@@ -344,56 +350,44 @@ def _rank_tables(ctx: FieldCtx) -> tuple[list, list]:
 def rref_batch(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of every matrix of a (T, m, n) stack at once.
 
-    Returns (rrefs, ranks); entry t equals rref_array(ctx, a[t])[:2].  GF(2)
-    rows of at most 63 entries run on rank_batch's packed rows.  Otherwise each
-    column's pivot is the first unused nonzero row of each entry, so no rows
-    are swapped; a pivot row is zero left of its pivot, so sorting the rows
-    by their first nonzero column (zero rows last) gives the echelon order.
+    Returns (rrefs, ranks); entry t equals rref_array(ctx, a[t])[:2], and a is
+    not written.  Each row form takes rank_batch's forward pass, then back
+    substitution clears each pivot row at every pivot right of its own, from
+    the last pivot up.  GF(2) rows of at most 63 entries are packed, and their
+    pivot rows sorted in descending order are in echelon order, zero rows last;
+    wider ones are Python ints, one matrix at a time.  Over other fields, the
+    i-th pivot row of matrix t from _pivot_rows goes to row i, in echelon order
+    as it arrives, and is scaled to a leading 1 before back substitution.
     """
-    a = np.array(a, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
     batch, rows, cols = a.shape
     if a.size == 0:
-        return a, np.zeros(batch, dtype=np.int64)
+        return a.copy(), np.zeros(batch, dtype=np.int64)
     if ctx.q == 2 and cols <= 63:
-        return _rref_packed(a)
-    free = np.ones((batch, rows), dtype=bool)  # rows that hold no pivot yet
-    entries = np.arange(batch)
-    for c in range(cols):
-        # factors: the multiple of the pivot row that each row loses (a mask over GF(2))
-        factors = a[:, :, c] != 0 if ctx.q == 2 else a[:, :, c].copy()
-        cand = free & (factors != 0)
-        r = cand.argmax(axis=1)  # row 0 where an entry has no pivot in this column
-        has = cand[entries, r]
-        right = a[:, :, c:]  # a pivot row is zero left of its pivot column
-        piv = right[entries, r] * has[:, None]  # zero rows void the update where has is False
-        if ctx.q != 2:
-            piv = ctx.mul_arr(piv, ctx.inv_arr(np.where(has, piv[:, 0], 1))[:, None])
-            right[entries[has], r[has]] = piv[has]
-        factors[entries, r] = 0
-        if ctx.q == 2:
-            right ^= factors[:, :, None] & piv[:, None, :]
-        else:
-            right[...] = ctx.sub_arr(right, ctx.mul_arr(factors[:, :, None], piv[:, None, :]))
-        free[entries[has], r[has]] = False
-    nonzero = a != 0
-    lead = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), cols)
-    order = np.argsort(lead, axis=1, kind="stable")
-    return a[entries[:, None], order], rows - free.sum(axis=1)
-
-
-def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rref_batch over GF(2) on the packed rows of rank_batch: its pivot rows, each
-    cleared at every pivot right of its own from the last pivot up, then sorted in
-    descending order, which is the echelon order with zero rows last, and unpacked."""
-    _, rows, cols = a.shape
-    pivots, bits = _packed_pivots(a)
-    pivots *= pivots >= bits[:, None]  # zero where a column has no pivot
-    for j in range(cols - 1, 0, -1):
-        pivots[:j] ^= (pivots[:j] >> (cols - 1 - j) & 1) * pivots[j]
-    kept = np.sort(pivots, axis=0)[::-1][: min(rows, cols)].T  # (T, the most pivots a matrix can hold)
-    out = np.zeros_like(a)
-    out[:, : kept.shape[1]] = kept[:, :, None] >> np.arange(cols - 1, -1, -1) & 1
-    return out, (pivots != 0).sum(axis=0)
+        pivots, bits = _packed_pivots(a)
+        pivots *= pivots >= bits[:, None]  # zero where a column has no pivot
+        for j in range(cols - 1, 0, -1):
+            pivots[:j] ^= (pivots[:j] >> (cols - 1 - j) & 1) * pivots[j]
+        kept = np.sort(pivots, axis=0)[::-1][: min(rows, cols)].T  # (T, the most pivots a matrix can hold)
+        out = np.zeros_like(a)
+        out[:, : kept.shape[1]] = kept[:, :, None] >> np.arange(cols - 1, -1, -1) & 1
+        return out, (pivots != 0).sum(axis=0)
+    if ctx.q == 2:
+        rrefs, ranks, _ = zip(*map(_rref_bits, a))
+        return np.array(rrefs), np.array(ranks, dtype=np.int64)
+    entries, rank = np.arange(batch), np.zeros(batch, dtype=np.int64)
+    red = np.zeros((batch, rows + 1, cols), dtype=np.int64)  # a spare row: no pivot writes zeros at row rank
+    for c, piv, has in _pivot_rows(ctx, a):
+        red[entries, rank, c:] = piv.T
+        rank += has
+    top = red[:, : rank.max()]
+    where = (top != 0).argmax(axis=2)  # each row's pivot column; 0 past the rank
+    lead = top[entries[:, None], np.arange(top.shape[1]), where]
+    top[...] = ctx.mul_arr(top, ctx.inv_arr(np.where(lead != 0, lead, 1))[:, :, None])
+    for i in range(top.shape[1] - 1, 0, -1):
+        factors = top[entries, :i, where[:, i]]  # (T, i): the rows above at row i's pivot
+        top[:, :i] = ctx.sub_arr(top[:, :i], ctx.mul_arr(factors[:, :, None], top[:, i, None]))
+    return red[:, :rows], rank
 
 
 def is_rref(ctx: FieldCtx, a: np.ndarray) -> bool:

@@ -40,10 +40,8 @@ from multispace.linalg import (
     DEFAULT_STATE_LIMIT,
     Subspace,
     _odometer,
-    _pad_stack,
     matmul_arrays,
     rref_array,
-    rref_batch,
 )
 from multispace.qpoly import vector_field_iso
 
@@ -192,16 +190,16 @@ def greedy_by_distance_loop(ctx, n, m_max, d_min, seed):
 
 
 def serial_greedy_code(ctx, n, m_max, d_min, seed):
-    """greedy_code's codewords by the per-candidate elimination loop: one
-    rref_batch of the stacked bases [w; k] of the candidate w and every kept k."""
+    """greedy_code's codewords by the per-candidate elimination loop: the rank of
+    the stacked bases [w; k] of the candidate w and every kept k, each from
+    rref_array, so the oracle shares no batched kernel with greedy_code."""
     rng = np.random.default_rng(seed)
     kept = []
     for m in range(m_max, -1, -1):
         layer = list(enumerate_multispaces(ctx, n, m))
         for idx in rng.permutation(len(layer)):
             w = layer[idx]
-            pairs = [np.vstack([w.underlying.basis, k.underlying.basis]) for k in kept]
-            joins = rref_batch(ctx, _pad_stack(pairs, (w.dim + min(n, m_max), n)))[1].tolist()
+            joins = [rref_array(ctx, np.vstack([w.underlying.basis, k.underlying.basis]))[1] for k in kept]
             if all(2 * j - w.dim - k.dim + abs(w.height - k.height) >= d_min for j, k in zip(joins, kept)):
                 kept.append(w)
     return tuple(sorted(kept, key=lambda w: w.sort_key()))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,11 +239,17 @@ def _matrix_of_kind(ctx, rows, cols, kind, rng):
 
 
 def _same_ranks(ctx, a):
-    """rank_batch of a stack against rref_array, matrix by matrix; the stack is not written."""
+    """rank_batch and rref_batch of a stack against rref_array, matrix by matrix
+    and rref_batch entry for entry; the stack is not written."""
     given_a = a.copy()
     ranks = rank_batch(ctx, a)
-    assert ranks.dtype == np.int64 and ranks.tolist() == [rref_array(ctx, m)[1] for m in a]
+    rrefs, rref_ranks = rref_batch(ctx, a)
     assert np.array_equal(a, given_a)
+    expected = [rref_array(ctx, m)[:2] for m in a]
+    assert ranks.dtype == rref_ranks.dtype == np.int64 and rrefs.dtype == np.int64 and rrefs.shape == a.shape
+    assert ranks.tolist() == rref_ranks.tolist() == [rank for _, rank in expected]
+    for t, (red, _) in enumerate(expected):
+        assert rrefs[t].tobytes() == red.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -294,14 +301,30 @@ def test_rank_batch_builds_no_tables_past_the_limit(monkeypatch):
     monkeypatch.setattr(linalg, "_rank_tables", refuse)
     a = np.array([[[1, 2, 3], [2, 4, 6], [0, 0, 511]], [[1, 0, 0], [0, 1, 0], [0, 0, 511]]])
     assert rank_batch(F512, a).tolist() == [rref_array(F512, m)[1] for m in a] == [2, 3]
+    rrefs, ranks = rref_batch(F512, a)
+    assert ranks.tolist() == [2, 3] and all(np.array_equal(r, rref_array(F512, m)[0]) for r, m in zip(rrefs, a))
     assert F512._tables is None  # nor the q x q tables of small fields
+
+
+def test_peak_memory_of_rref_batch_stays_within_a_few_outputs():
+    """The pivot rows go to an array the size of the output, plus one spare row;
+    one row kept per column would take about 250 outputs on this wide stack."""
+    a = np.random.default_rng(0).integers(0, 3, size=(8, 2, 500))
+    rref_batch(F3, a)  # one-time allocations
+    tracemalloc.start()
+    try:
+        rrefs, _ = rref_batch(F3, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * a.nbytes == 10 * rrefs.nbytes
 
 
 @settings(max_examples=60, deadline=None)
 @given(batch=st.integers(0, 3), rows=st.integers(0, 80), cols=st.integers(60, 260),
        kind=st.sampled_from(["random", "low rank", "zero"]), seed=st.integers(0, 2 ** 32 - 1))
 def test_rank_batch_over_gf2_has_no_width_limit(batch, rows, cols, kind, seed):
-    """Rows past 63 columns do not fit one int64 word; they run on the cell path."""
+    """Rows past 63 columns do not fit one int64 word; they run on Python ints."""
     rng = np.random.default_rng(seed)
     stack = [_matrix_of_kind(F2, rows, cols, kind, rng) for _ in range(batch)]
     _same_ranks(F2, np.array(stack, dtype=np.int64).reshape(batch, rows, cols))
