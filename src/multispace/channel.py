@@ -57,6 +57,7 @@ from .linalg import (
     _list_echelon,
     matmul_arrays,
     rank_batch,
+    rref_array,
     rref_batch,
 )
 
@@ -171,10 +172,6 @@ def apply_transform(b: VectorMultiset, T) -> VectorMultiset:
     return VectorMultiset._of(b.ctx, b.n, out)
 
 
-def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> np.ndarray:
-    return rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64)
-
-
 class _Draws:
     """The draws of trial generators, read ahead from their raw PCG64 words.
 
@@ -191,28 +188,6 @@ class _Draws:
         self.buf = np.array([raw(words) for raw in self.raw], dtype="<u8").reshape(len(gens), words).view("<u4")
         self.pos, self.base = np.zeros((2, len(gens)), dtype=np.int64)  # base: halves dropped before column 0
         self.end = np.full(len(gens), 2 * words)  # halves held
-
-    @classmethod
-    def serve(cls, rng, sample):
-        """sample(draws)[0] on one caller's PCG64 generator, which is then moved as
-        numpy's own draws would move it: one state write back to where it began, an
-        advance past all but the last word taken, and the 32-bit draws of its halves."""
-        bg, draws = rng.bit_generator, cls([rng])
-        state = bg.state
-        if state["bit_generator"] != "PCG64":
-            raise ConfigInvalid(f"the samplers read PCG64 words, not {state['bit_generator']}")
-        held = state["has_uint32"]
-        draws.buf, draws.end[0] = np.array([[state["uinteger"]]][:held], dtype=np.uint32).reshape(1, held), held
-        out = sample(draws)[0]
-        used = int(draws.base[0] + draws.pos[0])  # halves taken, the held one first
-        bg.state, raw = state, used - held
-        if held and used:
-            rng.integers(1 << 32, dtype=np.uint32)  # one next_uint32: the held half
-        if raw > 0:
-            bg.advance((raw - 1) // 2)
-            for _ in range(2 - raw % 2):
-                rng.integers(1 << 32, dtype=np.uint32)
-        return out
 
     def halves(self, trials, width: int) -> np.ndarray:
         """The next width halves of each of trials, (len(trials), width); a read
@@ -287,7 +262,8 @@ def _runs(a: np.ndarray, width: int) -> np.ndarray:
 def _full_rank_batch(ctx: FieldCtx, draws: _Draws, rows, cols) -> np.ndarray:
     """One uniform rows[t] x cols[t] matrix of rank min(rows[t], cols[t]) per trial t.
 
-    Each trial keeps the first full-rank candidate random_matrix would draw.
+    Trial t takes exactly the draws and the matrix of the serial loop that defines
+    it, _draw_full_rank(ctx, rows[t], cols[t], rng) on the trial's generator.
     Trials draw rounds of k candidates, so many that a trial finds none with
     chance about 1 / (8 trials) at the hardest shape's miss rate, 1 - prod
     (1 - q^(i - c)) over i < r <= c; its cursor moves past the first accepted
@@ -385,34 +361,54 @@ def _first_full_rank(ctx: FieldCtx, vals: list[int], rows: int, cols: int, k: in
     return k
 
 
-def _rank_batch(ctx: FieldCtx, draws: _Draws, rows, cols, r) -> np.ndarray:
-    """One rows[t] x cols[t] matrix of exact rank r[t] per trial t, zero-padded into one stack.
-
-    Each is a full-rank A (rows x r) times a full-rank B (r x cols), A drawn
-    before B; a trial with r = 0 draws nothing and gets the zero matrix.  Square
-    products rank A and B^T, of one shape, together.
-    """
-    if np.array_equal(rows, cols):
-        a, b = _full_rank_pair(ctx, draws, rows, r)
-    else:
-        a, b = _full_rank_batch(ctx, draws, rows, r), _full_rank_batch(ctx, draws, r, cols)
-    prod = matmul_arrays(ctx, a, b)
+def _rank_batch(ctx: FieldCtx, draws: _Draws, m, r) -> np.ndarray:
+    """One m[t] x m[t] matrix of exact rank r[t] per trial t, zero-padded into one stack:
+    a full-rank A (m x r) times a full-rank B (r x m), A drawn before B and both ranked
+    in one pass; a trial with r = 0 draws nothing and gets the zero matrix."""
+    prod = matmul_arrays(ctx, *_full_rank_pair(ctx, draws, m, r))
     lost = np.flatnonzero(rank_batch(ctx, prod) != r)  # full-rank factors give rank r
     if len(lost):
         raise ShapeViolation(f"product of full-rank factors lost rank {r[lost[0]]}")
     return prod
 
 
+def _check_shape(rows, cols) -> None:
+    """Refuse, before any draw, a rows x cols matrix that is no shape or past the budget."""
+    check_settings(("rows", rows, 0, f"rows {rows} is negative"), ("cols", cols, 0, f"cols {cols} is negative"))
+    _check_budget(rows * cols, "channel matrix entries")
+
+
+def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> np.ndarray:
+    _check_shape(rows, cols)
+    return rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64)
+
+
+def _draw_full_rank(ctx: FieldCtx, rows: int, cols: int, rng) -> np.ndarray:
+    """The first random_matrix candidate of rank min(rows, cols), of at most _MAX_TRIES."""
+    for _ in range(_MAX_TRIES):
+        cand = random_matrix(ctx, rows, cols, rng)
+        if rref_array(ctx, cand)[1] == min(rows, cols):
+            return cand
+    raise SamplingFailed(f"rejection sampling failed to find a full-rank {rows}x{cols} matrix")
+
+
 def random_full_rank(ctx: FieldCtx, m: int, rng) -> np.ndarray:
     """Uniform invertible m x m matrix by rejection (success rate > 0.288)."""
-    return _Draws.serve(rng, lambda draws: _full_rank_batch(ctx, draws, [m], [m]))
+    check_settings(("m", m, 0, f"m {m} is negative"))  # random_matrix checks the budget before a draw
+    return _draw_full_rank(ctx, m, m, rng)
 
 
 def random_rank(ctx: FieldCtx, rows: int, cols: int, r: int, rng) -> np.ndarray:
-    """Random rows x cols matrix of exact rank r, as a full-rank A (rows x r) times B (r x cols)."""
+    """Random rows x cols matrix of exact rank r, as a full-rank A (rows x r) times B (r x cols);
+    for r = 0 both are empty, draw nothing, and give the zero matrix."""
+    _check_shape(rows, cols)
+    check_settings(("r", r, None, ""))
     if r > min(rows, cols) or r < 0:
         raise ConfigInvalid(f"rank {r} impossible for a {rows}x{cols} matrix")
-    return _Draws.serve(rng, lambda draws: _rank_batch(ctx, draws, *np.array([[rows], [cols], [r]])))
+    prod = matmul_arrays(ctx, _draw_full_rank(ctx, rows, r, rng), _draw_full_rank(ctx, r, cols, rng))
+    if rref_array(ctx, prod)[1] != r:  # full-rank factors give rank r
+        raise ShapeViolation(f"product of full-rank factors lost rank {r}")
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +521,7 @@ def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np
     ms = sent.dims + sent.heights
     if cfg.mode == "rank-deficient":
         mix = _full_rank_batch(ctx, draws, ms, ms) if cfg.random_generator else None
-        t_eff = _rank_batch(ctx, draws, ms, ms, ms - s)
+        t_eff = _rank_batch(ctx, draws, ms, ms - s)
     elif cfg.random_generator:  # the mix and the channel matrix: two m x m stages back to back
         mix, t_eff = _full_rank_pair(ctx, draws, ms, ms)
     else:
@@ -540,7 +536,7 @@ def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np
         t_eff = t_eff[np.arange(len(ms))[:, None, None], np.arange(ms.max())[:, None], kept]
         t_eff *= np.arange(top) < widths[:, None, None]
     if cfg.mode == "compound":  # then a rank-deficient square stage on the survivors
-        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, draws, widths, widths, ms - 2 * s))
+        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, draws, widths, ms - 2 * s))
     # received word: rank of the received multiset, height = its length - rank
     bases, ranks = rref_batch(ctx, matmul_arrays(ctx, np.swapaxes(t_eff, 1, 2), gens))
     heights = widths - ranks

@@ -289,9 +289,9 @@ def _colour_classes(candidates: int, compat: list[int]) -> list[list[int]]:
 
 
 def _check_ball(center: Multispace, radius: int, m_max: int) -> None:
+    check_settings(("m_max", m_max, None, ""), ("radius", radius, 0, f"radius {radius} is negative"))
     if center.rank > m_max:
         raise ConfigInvalid(f"center rank {center.rank} exceeds m_max {m_max}")
-    check_settings(("radius", radius, 0, f"radius {radius} is negative"))
 
 
 def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:

@@ -587,7 +587,7 @@ class Embedding:
         if len(np.unique(t)) != small.q or t[0] != 0 or t[1] != 1:
             raise ShapeViolation("embedding is not injective/unital")
         q = small.q
-        if q <= 256:
+        if q <= RANK_TABLE_LIMIT:  # every pair: at most 2^16, the bound of the q x q tables
             a = np.repeat(np.arange(q), q)
             b = np.tile(np.arange(q), q)
         else:

@@ -519,6 +519,7 @@ def codespace_growth(ctx: FieldCtx, n: int, m: int) -> BigCount:
     """Size of the rank-<=m code space, in closed form: each k-dimensional
     subspace with k <= m carries the m - k + 1 heights 0..m-k.  It is 0 for a
     negative m."""
+    check_settings(("n", n, None, ""), ("m", m, None, ""))
     if m < 0:
         return 0
     if n < 0:
@@ -555,6 +556,7 @@ def enumerate_multispaces(ctx: FieldCtx, n: int, m: int):
 
 def _check_total(ctx: FieldCtx, n: int, m_max: int) -> None:
     """Refuse, before the first item, a walk over every multispace of rank <= m_max."""
+    check_settings(("n", n, None, ""), ("m_max", m_max, None, ""))
     if min(n, m_max) >= 0:
         _check_budget(codespace_growth(ctx, n, m_max), "multispaces")
 

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, FormatError, LimitExceeded, NotCanonical
+from .errors import DimensionMismatch, FormatError, LimitExceeded, NotCanonical
 from .fields import RANK_TABLE_LIMIT, FieldCtx, ambient_dim, check_settings, parse_field_spec, reading
 
 #: The one enumeration budget: no enumerator yields more items than this.
@@ -29,15 +29,14 @@ def _check_budget(count: int, what: str) -> None:
         raise LimitExceeded(f"{shown} {what} exceed the enumeration limit {DEFAULT_STATE_LIMIT}")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of GF(q)^n (exact integer).
 
     Walks the row [n, i+1] = [n, i] (q^(n-i) - 1) / (q^(i+1) - 1); each
     division is exact, and nothing recurses on n.
     """
-    if q < 2:
-        raise ConfigInvalid("q must be at least 2")
+    check_settings(("n", n, None, ""), ("k", k, None, ""), ("q", q, 2, "q must be at least 2"))
     if k < 0 or k > n:
         return 0
     out = 1
@@ -572,6 +571,7 @@ def _subspace_blocks(ctx: FieldCtx, n: int, k: int):
 
 def enumerate_subspaces(ctx: FieldCtx, n: int, k: int):
     """Yield every k-dimensional subspace of GF(q)^n exactly once, in the order of _subspace_blocks."""
+    check_settings(("n", n, None, ""), ("k", k, None, ""))
     for block in _subspace_blocks(ctx, n, k):
         for basis in block:
             yield Subspace(ctx, n, basis)

@@ -156,9 +156,46 @@ def test_samplers_leave_the_callers_generator_in_the_serial_draws_state(buffered
                 assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_samplers_refuse_a_generator_whose_draws_they_cannot_read():
-    with pytest.raises(ConfigInvalid, match="PCG64"):
-        random_full_rank(F2, 3, np.random.Generator(np.random.MT19937(0)))
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered half"])
+def test_samplers_take_the_serial_draws_of_any_generator(bit_generator, buffered):
+    samplers = [(random_full_rank, (m,), full_rank_draw, (m, m)) for m in (0, 1, 5)]
+    samplers += [(random_rank, shape, rank_draw, shape) for shape in ((6, 4, 3), (3, 5, 2), (4, 4, 0))]
+    for ctx in (F2, F3, F4):
+        for seed in range(3):
+            for ours, our_args, serial, serial_args in samplers:
+                a, b = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+                if buffered:
+                    assert a.integers(7) == b.integers(7)
+                assert ours(ctx, *our_args, a).tolist() == serial(ctx, *serial_args, b).tolist()
+                assert _plain(a.bit_generator.state) == _plain(b.bit_generator.state)
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, so that states compare with ==."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+#: sampler calls that their size checks refuse; test_entry_points checks the messages
+BAD_SIZES = {
+    "negative-m": lambda rng: random_full_rank(F2, -1, rng),
+    "float-m": lambda rng: random_full_rank(F2, 2.5, rng),
+    "m-past-budget": lambda rng: random_full_rank(F2, 1025, rng),
+    "float-r": lambda rng: random_rank(F2, 3, 3, 1.0, rng),
+    "r-past-shape": lambda rng: random_rank(F2, 3, 3, 4, rng),
+    "past-budget": lambda rng: random_rank(F2, 1 << 20, 2, 0, rng),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_SIZES.values()), ids=list(BAD_SIZES))
+def test_samplers_refuse_bad_sizes_before_any_draw(call):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(MultispaceError):
+        call(rng)
+    assert rng.bit_generator.state == state
 
 
 def _field_sizes(limit):

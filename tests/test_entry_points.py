@@ -2,8 +2,8 @@
 
 One table runs the public constructors and checking methods of the value
 types (Subspace, VectorMultiset, Multispace, VectorFieldIso, MultispaceCode),
-the cached factories (field, extension, vector_field_iso) and the counting
-and layer functions against float, bool, string, negative, out-of-range and
+the cached factories (field, extension, vector_field_iso), the counting
+and layer functions and the channel's samplers against float, bool, string, negative, out-of-range and
 wrongly shaped input, and expects the documented toolkit error.
 LinearizedPoly's cases extend test_qpoly's
 test_encodings_out_of_range_are_refused, and
@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multispace.codes import MultispaceCode, greedy_code
+from multispace.channel import random_full_rank, random_matrix, random_rank
+from multispace.codes import MultispaceCode, ball, ball_size, greedy_code
 from multispace.errors import (
     ConfigInvalid,
     ContextMismatch,
     DimensionMismatch,
     FormatError,
+    LimitExceeded,
     MultispaceError,
     NotAMultispace,
     NotCanonical,
@@ -31,20 +33,24 @@ from multispace.fields import FieldCtx, extension, field
 from multispace.lattice import (
     Multispace,
     VectorMultiset,
+    codespace_growth,
     count_multispaces,
     covered_neighbors,
     covering_neighbors,
     enumerate_multispaces,
     gamma_graph,
+    hasse_dot,
+    hasse_edges,
     mspan,
 )
-from multispace.linalg import Subspace, gaussian_binomial
+from multispace.linalg import Subspace, enumerate_subspaces, gaussian_binomial
 from multispace.qpoly import LinearizedPoly, VectorFieldIso, poly_from_multispace, vector_field_iso
 
 F2, F3, F4, F16 = field(2), field(3), field(2, 2), field(2, 4)
 LINE = Subspace.from_array(F2, 3, [[1, 0, 1]])
 WORD = Multispace(LINE, 1)
 ISO = vector_field_iso(F2, 2)
+RNG = np.random.default_rng(0)
 
 #: (id, call, documented error, text the message holds).  The cases before the
 #: comment failed before the entry points checked them: the input was accepted,
@@ -87,6 +93,21 @@ CASES = [
     ("count-bool-q", lambda: count_multispaces(3, 2, True), ConfigInvalid, "q True is not an integer"),
     ("gamma-float-n", lambda: gamma_graph(F2, 3.0, 1), ConfigInvalid, "n 3.0 is not an integer"),
     ("gamma-string-m", lambda: gamma_graph(F2, 3, "1"), ConfigInvalid, "m '1' is not an integer"),
+    ("ball-string-m-max", lambda: ball(WORD, 1, "3"), ConfigInvalid, "m_max '3' is not an integer"),
+    ("ball-float-m-max", lambda: ball(WORD, 1, 3.5), ConfigInvalid, "m_max 3.5 is not an integer"),
+    ("ball-size-float-m-max", lambda: ball_size(WORD, 1, 2.5), ConfigInvalid, "m_max 2.5 is not an integer"),
+    ("hasse-dot-float-m-max", lambda: hasse_dot(F2, 3, 2.0), ConfigInvalid, "m_max 2.0 is not an integer"),
+    ("hasse-edges-float-n", lambda: list(hasse_edges(F2, 3.0, 2)), ConfigInvalid, "n 3.0 is not an integer"),
+    ("growth-float-m", lambda: codespace_growth(F2, 3, 2.5), ConfigInvalid, "m 2.5 is not an integer"),
+    ("subspaces-float-k", lambda: list(enumerate_subspaces(F2, 3, 1.0)), ConfigInvalid, "k 1.0 is not an integer"),
+    ("binomial-float-n", lambda: gaussian_binomial(3.0, 1, 2), ConfigInvalid, "n 3.0 is not an integer"),
+    # the samplers handed their sizes to numpy unchecked
+    ("full-rank-negative-m", lambda: random_full_rank(F2, -1, RNG), ConfigInvalid, "m -1 is negative"),
+    ("full-rank-float-m", lambda: random_full_rank(F2, 2.5, RNG), ConfigInvalid, "m 2.5 is not an integer"),
+    ("matrix-negative-rows", lambda: random_matrix(F2, -1, 2, RNG), ConfigInvalid, "rows -1 is negative"),
+    ("rank-float-r", lambda: random_rank(F2, 3, 3, 1.0, RNG), ConfigInvalid, "r 1.0 is not an integer"),
+    ("full-rank-past-budget", lambda: random_full_rank(F2, 1025, RNG), LimitExceeded, "channel matrix entries"),
+    ("rank-past-budget", lambda: random_rank(F2, 1 << 20, 2, 0, RNG), LimitExceeded, "channel matrix entries"),
     # refused with this error before as well
     ("multiset-float-entry", lambda: VectorMultiset(F2, 2, [[1.5, 0]]), FormatError, "dtype float64"),
     ("multiset-string-entry", lambda: VectorMultiset(F2, 2, [["1", 0]]), FormatError, "not integer encodings"),

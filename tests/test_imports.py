@@ -14,9 +14,10 @@ seeded on one path.  Only the public entry points named in
 ``CHECKING_ENTRIES`` call the input checks ``_as_array`` and ``_rows_array``,
 a checking constructor or a checking method, so input is checked once at the
 boundary and every value the library built takes a trusted path.  In
-``channel.py`` only ``_Draws`` and ``random_matrix`` name the generator
-methods ``integers``, ``permutation`` and ``random_raw``, so no trial
-generator is read beside the stream that reads it ahead.  Only the JSON
+``channel.py`` only ``_Draws.__init__`` and ``random_matrix`` name the
+generator methods ``integers``, ``permutation`` and ``random_raw``, so no
+trial generator is read beside the stream that reads it ahead, and no
+sampler moves a generator but by its own draws.  Only the JSON
 writer ``cli._json`` may call ``dumps`` with an indent, so every indented
 document is written by one writer.
 """
@@ -327,7 +328,7 @@ def test_only_the_draw_stream_reads_trial_generators():
     # a generator read beside a stream that already read ahead from it would
     # silently shift every later draw of its trial
     found = stream_reads((ROOT / "src" / "multispace" / "channel.py").read_text())
-    assert sorted({site.split(" (")[0].split(".")[0] for site in found}) == ["_Draws", "random_matrix"]
+    assert sorted({site.split(" (")[0] for site in found}) == ["_Draws.__init__", "random_matrix"]
 
 
 def indented_json_dumps(source: str) -> list[str]:
