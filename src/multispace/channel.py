@@ -553,21 +553,24 @@ def _block_size(m_max: int, n: int) -> int:
     return max(1, min(_BLOCK, DEFAULT_STATE_LIMIT // max(1, m_max * max(m_max, n))))
 
 
-def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray):
+def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray | None = None):
     """Yield (sent indices, received stack, distances, bound checks) of each
     block of trials, in order, as arrays with one row per trial.
 
-    Word i is row i of stack, and its generating multiset of m = rank rows
-    is gens[i, :m], as MultispaceCode._source gives them.  Each trial's
-    first draw is integers(len(stack)), the index of the word it sends; a
-    stack of one word takes no draw.  Trials run in blocks of
-    _block_size(largest m, n): every word of a block is picked and
-    rank-checked before any channel draw, its rows and generators are taken
-    by index, and the block's draws, multispans and distances are batched,
-    so memory grows with the block, not the trials.  No Multispace is built.
+    Word i is row i of stack.  Its generating multiset of m = rank rows is
+    gens[i, :m] when the caller has explicit generators, and otherwise the
+    canonical one, its basis and then zero rows, which each block pads from
+    its sent rows.  Each trial's first draw is integers(len(stack)), the
+    index of the word it sends; a stack of one word takes no draw.  Trials
+    run in blocks of _block_size(largest m, n): every word of a block is
+    picked and rank-checked before any channel draw, its rows and
+    generators are taken by index, and the block's draws, multispans and
+    distances are batched, so memory grows with the block, not the trials.
+    No Multispace is built.
     """
-    block = _block_size(gens.shape[1], stack.n)
-    words = min(8 + 16 * gens.shape[1] ** 2, DEFAULT_STATE_LIMIT // (8 * block))  # the pick and about two stages
+    top = int((stack.dims + stack.heights).max())
+    block = _block_size(top, stack.n)
+    words = min(8 + 16 * top ** 2, DEFAULT_STATE_LIMIT // (8 * block))  # the pick and about two stages
     for start in range(0, cfg.trials, block):
         draws = _Draws(_trial_generators(cfg.seed, start, min(block, cfg.trials - start)), words)
         picked = draws.below(len(stack.dims))
@@ -575,7 +578,13 @@ def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray):
         ms = sent.dims + sent.heights
         for m in ms[ms < _need(cfg)][:1].tolist():  # the first short rank, if any
             cfg.check_rank(m)
-        yield picked, *_channel_block(cfg, draws, sent, gens[picked, : ms.max()])
+        if gens is None:  # each basis, then zero rows; basis rows past the block's largest rank are padding
+            rows = np.zeros((len(ms), ms.max(), stack.n), dtype=np.int64)
+            depth = min(ms.max(), sent.bases.shape[1])
+            rows[:, :depth] = sent.bases[:, :depth]
+        else:
+            rows = gens[picked, : ms.max()]
+        yield picked, *_channel_block(cfg, draws, sent, rows)
 
 
 def _summarize(cfg: ChannelConfig, blocks, code=None) -> ChannelSummary:
@@ -616,19 +625,17 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
     # the m x m channel matrices of a huge m are refused before the first trial
     if isinstance(target, VectorMultiset):
         _check_budget(len(target) ** 2, "channel matrix entries")
-        gen0 = target.matrix
-        sent = mspan(target)
+        sent, gens = mspan(target), target.matrix[None]
     elif isinstance(target, Multispace):
         _check_budget(target.rank ** 2, "channel matrix entries")
-        sent = target
-        gen0 = target.generating_multiset().matrix
+        sent, gens = target, None
     else:
         raise TypeError("target must be a Multispace or VectorMultiset")
-    cfg.check_rank(len(gen0))
-    blocks = list(_trial_blocks(cfg, _WordStack.of([sent]), gen0[None]))
+    cfg.check_rank(sent.rank)
+    blocks = list(_trial_blocks(cfg, _WordStack.of([sent]), gens))
     # rank(T_eff) = m - _need(cfg) in closed form: every stage has full rank
     # except the rank-deficient one, whose rank _rank_batch checks
-    t_rank, bound = len(gen0) - _need(cfg), _bound_for(cfg)
+    t_rank, bound = sent.rank - _need(cfg), _bound_for(cfg)
     trials = (t for _, stack, d, ok in blocks for t in zip(stack.words(), d.tolist(), ok.tolist()))
     records = [TrialRecord(i, sent, word, t_rank, dist, bound, good) for i, (word, dist, good) in enumerate(trials)]
     return ChannelRun(records, _summarize(cfg, blocks))
@@ -644,8 +651,8 @@ def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
     cfg.validate()
     if len(code) == 0:
         raise ConfigInvalid("end-to-end run needs a nonempty code")
-    _check_budget(code._max_rank ** 2, "channel matrix entries")
-    blocks = _trial_blocks(cfg, *code._source())
+    _check_budget(max(w.rank for w in code) ** 2, "channel matrix entries")
+    blocks = _trial_blocks(cfg, code._words())
     return _summarize(cfg, blocks, code)
 
 

@@ -36,7 +36,7 @@ class MultispaceCode:
     library built, whose codewords are distinct words of ctx and n.
     """
 
-    __slots__ = ("ctx", "n", "m_max", "codewords", "_max_rank", "_min_dist", "_stack", "_gens")
+    __slots__ = ("ctx", "n", "m_max", "codewords", "_min_dist", "_stack")
 
     def __init__(self, ctx: FieldCtx, n: int, m_max: int, codewords: tuple):
         check_settings(("n", n, 0, f"ambient dimension {n} is negative"),
@@ -56,16 +56,14 @@ class MultispaceCode:
     def _of(cls, ctx: FieldCtx, n: int, m_max: int, codewords: tuple,
             stack: _WordStack | None = None, min_dist=None) -> "MultispaceCode":
         """A code the library built; a search hands over what it already measured:
-        the stack of the codewords, in their order and laid out as _WordStack.of
-        lays them out, and their minimum distance."""
+        the stack of the codewords, in their order, and their minimum distance."""
         code = cls.__new__(cls)
         code._fill(ctx, n, m_max, codewords, stack, min_dist)
         return code
 
     def _fill(self, ctx, n, m_max, codewords, stack=None, min_dist=None):
         self.ctx, self.n, self.m_max, self.codewords = ctx, n, m_max, codewords
-        self._max_rank = max((w.rank for w in codewords), default=0)  # the largest codeword rank
-        self._stack, self._min_dist, self._gens = stack, min_dist, None
+        self._stack, self._min_dist = stack, min_dist
 
     def __len__(self):
         return len(self.codewords)
@@ -95,18 +93,6 @@ class MultispaceCode:
         if self._stack is None:
             self._stack = _WordStack.of(self.codewords)
         return self._stack
-
-    def _source(self) -> tuple:
-        """(the codeword stack, their generators), built once: the canonical
-        generating multiset of codeword i, its basis and then zero rows, is
-        generators[i, :rank], zero-padded to the largest rank.  Callers bound
-        the largest rank first."""
-        stack = self._words()
-        if self._gens is None:
-            self._gens = np.zeros((len(self), self._max_rank, self.n), dtype=np.int64)
-            self._gens[:, : stack.bases.shape[1]] = stack.bases
-            self._gens.flags.writeable = False
-        return stack, self._gens
 
     def _nearest(self, received: _WordStack) -> tuple[np.ndarray, np.ndarray]:
         """Index and distance of the first nearest codeword to each row of received,
@@ -188,7 +174,7 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
         kept.extend(words[keep])
     words = kept.words()
     order = sorted(range(len(words)), key=lambda i: words[i].sort_key())
-    return MultispaceCode._of(ctx, n, m_max, tuple(words[i] for i in order), kept.take(order))
+    return MultispaceCode._of(ctx, n, m_max, tuple(words[i] for i in order), kept[order])
 
 
 def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> MultispaceCode:
@@ -209,7 +195,7 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
         ground.extend(_WordStack.layer(ctx, n, m))
     d = ground.pairwise()
     best = _max_clique(d >= d_min)
-    chosen = ground.take(best)
+    chosen = ground[best]
     return MultispaceCode._of(ctx, n, m_max, tuple(chosen.words()), chosen, _closest(d[np.ix_(best, best)]))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, RankZero
-from .fields import FieldCtx, ambient_dim, check_settings, parse_field_spec, reading, strict_int
+from .fields import FieldCtx, ambient_dim, check_settings, parse_field_spec, reading
 from .linalg import (
     DEFAULT_STATE_LIMIT,
     Subspace,
@@ -365,14 +365,6 @@ class _WordStack:
         return _WordStack(self.ctx, self.n, self.bases[index], self.dims[index], self.heights[index],
                           None if masks is None else masks[index])
 
-    def take(self, index) -> "_WordStack":
-        """The rows at index, with their masks, as a new stack laid out as `of` lays
-        out their words: bases cut to the largest dim among them."""
-        dims = self.dims[index]
-        masks = self.masks
-        return _WordStack(self.ctx, self.n, self.bases[:, : dims.max(initial=0)][index], dims,
-                          self.heights[index], None if masks is None else masks[index])
-
     def words(self) -> list[Multispace]:
         """Every row as a Multispace; equal rows, keyed by their bytes, share one."""
         keys = [row.tobytes() for row in np.concatenate([self.bases.reshape(len(self.dims), -1),
@@ -545,7 +537,8 @@ def count_covering(w: Multispace) -> BigCount:
 
 def enumerate_multispaces(ctx: FieldCtx, n: int, m: int):
     """Every multispace of rank exactly m, ascending dim then subspace order."""
-    n, m = strict_int(n, "n"), strict_int(m, "m")  # so each height m - k is an int
+    check_settings(("n", n, None, ""), ("m", m, None, ""))
+    n, m = int(n), int(m)  # so each height m - k is a Python int
     if min(m, n) < 0:
         return  # no multispace has a negative rank or ambient dimension
     _check_budget(count_multispaces(n, m, ctx.q), "multispaces")

@@ -311,15 +311,23 @@ def _pivot_rows(ctx: FieldCtx, a: np.ndarray):
     with the largest entry there; each row times the pivot, less the pivot row
     times the row's entry, clears the column and the pivot row.  Yields (j, piv,
     has) per column j: piv is the (c - j, T) pivot row from column j on, zero
-    where has marks no pivot; the pass reads both after the yield."""
+    where has marks no pivot; the pass reads both after the yield.  Once every
+    matrix of a wide stack (r < c) holds r pivots, every row is cleared and no
+    column right of j holds a pivot, so the pass stops there."""
     x, entries = a.transpose(1, 2, 0).copy(), np.arange(len(a))
-    for j in range(a.shape[2]):
+    rows, cols = a.shape[1:]
+    held = np.zeros(len(a), dtype=np.int64)  # pivots so far, counted on wide stacks only
+    for j in range(cols):
         col = x[:, j]
         piv = x[col.argmax(axis=0), j:, entries].T
         has = piv[0] != 0
         piv *= has  # argmax takes row 0 of an all-zero column, which need not be zero further right
         yield j, piv, has
-        if j + 1 < a.shape[2]:
+        if rows < cols:
+            held += has
+            if j + 1 >= rows and (held == rows).all():
+                return
+        if j + 1 < cols:
             lead, right = np.where(has, piv[0], 1), x[:, j + 1 :]
             right[...] = ctx.sub_arr(ctx.mul_arr(lead, right), ctx.mul_arr(col[:, None], piv[None, 1:]))
 

@@ -285,7 +285,9 @@ def test_a_channel_block_leaves_each_generator_where_the_serial_trial_does(mode,
     cfg = ChannelConfig(mode, trials=6, s=s, seed=0, random_generator=random_generator)
     for ctx in (F2, F3, F4):
         words = [Multispace(Subspace.full(ctx, 3), h) for h in range(2, 8)]  # ranks 5 to 10
-        stack, gens = MultispaceCode(ctx, 3, 10, tuple(words))._source()
+        stack = MultispaceCode(ctx, 3, 10, tuple(words))._words()
+        gens = np.zeros((len(words), 10, 3), dtype=np.int64)  # each basis, then zero rows
+        gens[:, :3] = stack.bases
         draws = channel._Draws([np.random.default_rng(k) for k in range(len(words))])
         channel._channel_block(cfg, draws, stack, gens)
         rngs = [np.random.default_rng(k) for k in range(len(words))]
@@ -594,11 +596,11 @@ def _assert_same_records(records, serial):
 def _block_records(cfg, code):
     """TrialRecords built from the columns _trial_blocks yields for code, as run_trials builds
     them for its one word; the sent word of each trial is read back from its index."""
-    stack, gens = code._source()
+    stack = code._words()
     t_ranks = (stack.dims + stack.heights - channel._need(cfg)).tolist()
     bound = channel._bound_for(cfg)
     records = []
-    for sent, received, d, ok in channel._trial_blocks(cfg, stack, gens):
+    for sent, received, d, ok in channel._trial_blocks(cfg, stack):
         for i, word, dist, good in zip(sent.tolist(), received.words(), d.tolist(), ok.tolist()):
             records.append(TrialRecord(len(records), code.codewords[i], word, t_ranks[i], dist, bound, good))
     return records
@@ -681,7 +683,7 @@ def test_block_decoding_over_several_blocks_matches_the_serial_loop(ctx, n, m_ma
     code = MultispaceCode(ctx, n, m_max, tuple(w for w in greedy if w.rank >= low))
     cfg = ChannelConfig(mode, 600, 1, seed=7)
     assert end_to_end(code, cfg) == serial_trial_loop(cfg, _code_pick(code), code).summary
-    blocks = list(channel._trial_blocks(cfg, *code._source()))
+    blocks = list(channel._trial_blocks(cfg, code._words()))
     assert len(blocks) == 3
     if low == 2:  # the tie break against a distance loop: the first nearest codeword
         for _, received, _, _ in blocks:
@@ -699,7 +701,7 @@ def test_block_errors_by_index_equal_block_errors_by_codeword_when_every_decode_
     cfg = ChannelConfig("deletion", 400, 1, seed=7)
     serial = iter(serial_trial_loop(cfg, _code_pick(code), code).records)
     by_index = by_word = 0
-    for sent, received, _, _ in channel._trial_blocks(cfg, *code._source()):
+    for sent, received, _, _ in channel._trial_blocks(cfg, code._words()):
         records = [next(serial) for _ in sent]
         assert [code.codewords[i] for i in sent.tolist()] == [r.sent for r in records]
         decoded = code._nearest(received)[0].tolist()

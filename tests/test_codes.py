@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import multispace
 from multispace import cli, codes, lattice, linalg
+from multispace.channel import MODES, ChannelConfig, end_to_end
 from multispace.codes import (
     CLIQUE_LIMIT,
     MultispaceCode,
@@ -68,7 +69,7 @@ def test_min_distance_and_decoding_share_one_codeword_stack(monkeypatch):
     monkeypatch.setattr(_WordStack, "of", classmethod(lambda cls, xs: stacks.append(len(xs)) or of(cls, xs)))
     assert code.min_distance == min(distance(a, b) for i, a in enumerate(words) for b in words[i + 1 :])
     code._nearest(code._words())
-    code._source()
+    end_to_end(code, ChannelConfig("full-rank", trials=3))
     assert stacks == [len(words)]
 
 
@@ -206,11 +207,37 @@ def test_a_searched_code_hands_over_the_stack_and_distance_of_its_codewords(sear
     built = MultispaceCode(ctx, n, m_max, code.codewords)
     handed, rebuilt = code._words(), built._words()
     assert (ctx.q ** n <= lattice.MASK_VECTORS) == (handed.masks is not None)
-    for name in ("bases", "dims", "heights", "masks"):
+    for name in ("dims", "heights", "masks"):
         a, b = getattr(handed, name), getattr(rebuilt, name)
         assert (a is None and b is None) or (a.shape == b.shape and np.array_equal(a, b)), name
+    # a handed-over stack may be padded deeper than the rebuilt one: each basis is the same
+    for a, b, dim in zip(handed.bases, rebuilt.bases, handed.dims.tolist()):
+        assert a[:dim].tolist() == b[:dim].tolist()
     assert code.min_distance == built.min_distance
-    assert code._source()[1].tolist() == built._source()[1].tolist()
+
+
+def _summary_or_error(code, cfg):
+    try:
+        return end_to_end(code, cfg)
+    except ConfigInvalid as exc:  # a codeword too small for the mode, met in the first block
+        return str(exc)
+
+
+@pytest.mark.parametrize("search, ctx, n, m_max, d_min", _HANDOFF + [("optimal", F2, 1, 1, 3), ("optimal", F2, 2, 2, 5)])
+def test_a_searched_code_sends_and_decodes_as_its_rebuilt_code(search, ctx, n, m_max, d_min):
+    # the last two optima are the rank-0 word alone, handed over in a stack of depth 1 and 2
+    if search == "greedy":
+        code = greedy_code(ctx, n, m_max, d_min, seed=2)
+    else:
+        code = exhaustive_optimal_code(ctx, n, m_max, d_min)
+    built = MultispaceCode(ctx, n, m_max, code.codewords)
+    for mode in MODES:
+        for s in {0, 0 if mode == "full-rank" else 1}:
+            cfg = ChannelConfig(mode, 120, s, seed=4, random_generator=s == 0)
+            assert _summary_or_error(code, cfg) == _summary_or_error(built, cfg), (mode, s)
+    rng = np.random.default_rng(5)
+    for w in list(code.codewords) + [random_multispace(ctx, n, rng) for _ in range(20)]:
+        assert decode(code, w) == decode(built, w)
 
 
 @pytest.mark.parametrize("ctx, n, m_max, d_min", [(F2, 5, 3, 3), (F3, 4, 3, 3)])

@@ -25,7 +25,6 @@ from helpers import (
 )
 from multispace import lattice
 from multispace.channel import random_full_rank
-from multispace.codes import MultispaceCode
 from multispace.errors import FormatError, LimitExceeded, RankZero
 from multispace.fields import field
 from multispace.lattice import (
@@ -475,8 +474,7 @@ def test_one_rule_picks_masks_for_tables_stacks_and_empty_stacks(ctx, n):
 def test_cached_arrays_are_read_only():
     for ctx, n in [(F2, 4), (F3, 4)]:  # masked, and past the mask limit
         layer = _WordStack.layer(ctx, n, 3)
-        code = MultispaceCode(ctx, n, 3, tuple(layer.words()[:5]))
-        cached = [*lattice._subspace_table(ctx, n, 3), layer.bases, layer.dims, layer.masks, code._source()[1]]
+        cached = [*lattice._subspace_table(ctx, n, 3), layer.bases, layer.dims, layer.masks]
         for a in cached:
             if a is not None:
                 with pytest.raises(ValueError, match="read-only"):

@@ -320,6 +320,21 @@ def test_peak_memory_of_rref_batch_stays_within_a_few_outputs():
     assert peak <= 10 * a.nbytes == 10 * rrefs.nbytes
 
 
+def test_the_pivot_pass_stops_once_every_matrix_of_a_wide_stack_holds_its_pivots():
+    """The forward pass ends at the column of the last matrix's last pivot;
+    a matrix short of full rank keeps it to the last column."""
+    a = np.random.default_rng(0).integers(0, 3, size=(8, 2, 500))
+    last = max(rref_array(F3, m)[2][-1] for m in a)
+    assert rank_batch(F3, a).tolist() == [2] * 8 and last < 10
+    assert [j for j, _, _ in linalg._pivot_rows(F3, a)] == list(range(last + 1))
+    _same_ranks(F3, a)
+    a[3, 1] = a[3, 0]
+    assert len(list(linalg._pivot_rows(F3, a))) == 500
+    _same_ranks(F3, a)
+    rng = np.random.default_rng(1)
+    _same_ranks(F3, np.array([_of_random_rank(F3, 4, 9, rng) for _ in range(300)]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(batch=st.integers(0, 3), rows=st.integers(0, 80), cols=st.integers(60, 260),
        kind=st.sampled_from(["random", "low rank", "zero"]), seed=st.integers(0, 2 ** 32 - 1))
