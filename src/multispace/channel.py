@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BoundViolation,
     ConfigInvalid,
     DimensionMismatch,
     SamplingFailed,
@@ -180,28 +179,26 @@ class _Draws:
     integers(0, q) maps a half u to (u q) >> 32 and passes over u while
     (u q) mod 2^32 < (2^32 - q) mod q (Lemire); permutation(m) swaps i, from
     m - 1 down to 1, with the first u & mask <= i, mask the least 2^b - 1 >= i.
-    Row t of buf holds trial t's halves, and cursor pos[t] moves past those taken.
+    Row t of buf holds as many of trial t's halves as every other row, from
+    the first that some row has not taken on, and cursor pos[t] moves past
+    those taken.
     """
 
     def __init__(self, gens, words: int = 0):
         self.raw = [g.bit_generator.random_raw for g in gens]
         self.buf = np.array([raw(words) for raw in self.raw], dtype="<u8").reshape(len(gens), words).view("<u4")
-        self.pos, self.base = np.zeros((2, len(gens)), dtype=np.int64)  # base: halves dropped before column 0
-        self.end = np.full(len(gens), 2 * words)  # halves held
+        self.pos = np.zeros(len(gens), dtype=np.int64)
 
     def halves(self, trials, width: int) -> np.ndarray:
-        """The next width halves of each of trials, (len(trials), width); a read
-        takes a round more than asked and drops the halves the rows used."""
-        short = int((self.pos[trials] + width - self.end[trials]).max(initial=0))
-        if short > 0:  # every row keeps a run of the most halves a row holds, from or before its cursor
-            words, held = max(64, (short + width + 1) // 2), (self.end - self.pos).max()
-            start = np.minimum(self.pos, self.buf.shape[1] - held)
-            buf = np.zeros((len(start), held + 2 * words), dtype=np.uint32)
-            buf[:, :held] = _runs(self.buf, held)[np.arange(len(start)), start]
-            self.buf, self.base, self.pos, self.end = buf, self.base + start, self.pos - start, self.end - start
-            new = np.array([self.raw[t](words) for t in trials.tolist()], dtype="<u8").view("<u4")
-            _runs(self.buf, 2 * words)[trials, self.end[trials]] = new
-            self.end[trials] += 2 * words
+        """The next width halves of each of trials, (len(trials), width); when one
+        of them runs short, the columns every row has taken are dropped and every
+        trial reads on a round more than asked."""
+        short = int((self.pos[trials] + width).max(initial=0)) - self.buf.shape[1]
+        if short > 0:
+            lo, words = int(self.pos.min()), max(64, (short + width + 1) // 2)
+            new = np.array([raw(words) for raw in self.raw], dtype="<u8").view("<u4")
+            self.buf = np.concatenate((self.buf[:, lo:], new), axis=1)
+            self.pos -= lo
         return _runs(self.buf, width)[trials, self.pos[trials]]
 
     def values(self, trials, q: int, count: int):
@@ -566,9 +563,11 @@ def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray | None
     picked and rank-checked before any channel draw, its rows and
     generators are taken by index, and the block's draws, multispans and
     distances are batched, so memory grows with the block, not the trials.
-    No Multispace is built.
+    No Multispace is built.  The m x m channel matrices of the largest m
+    are refused past the entry budget before the first trial.
     """
     top = int((stack.dims + stack.heights).max())
+    _check_budget(top ** 2, "channel matrix entries")
     block = _block_size(top, stack.n)
     words = min(8 + 16 * top ** 2, DEFAULT_STATE_LIMIT // (8 * block))  # the pick and about two stages
     for start in range(0, cfg.trials, block):
@@ -622,12 +621,9 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
     generator is used) or an explicit generating VectorMultiset.
     """
     cfg.validate()
-    # the m x m channel matrices of a huge m are refused before the first trial
     if isinstance(target, VectorMultiset):
-        _check_budget(len(target) ** 2, "channel matrix entries")
         sent, gens = mspan(target), target.matrix[None]
     elif isinstance(target, Multispace):
-        _check_budget(target.rank ** 2, "channel matrix entries")
         sent, gens = target, None
     else:
         raise TypeError("target must be a Multispace or VectorMultiset")
@@ -651,7 +647,6 @@ def end_to_end(code, cfg: ChannelConfig) -> ChannelSummary:
     cfg.validate()
     if len(code) == 0:
         raise ConfigInvalid("end-to-end run needs a nonempty code")
-    _check_budget(max(w.rank for w in code) ** 2, "channel matrix entries")
     blocks = _trial_blocks(cfg, code._words())
     return _summarize(cfg, blocks, code)
 
@@ -667,9 +662,3 @@ def write_trial_csv(records: list[TrialRecord], fileobj):
     for r in records:
         sent, received = json.dumps(r.sent.to_dict()), json.dumps(r.received.to_dict())
         writer.writerow([r.index, sent, received, r.t_rank, r.distance, r.bound, int(r.bound_satisfied)])
-
-
-def raise_on_violation(summary) -> None:
-    """Turn a nonzero violation count into a BoundViolation error."""
-    if summary.violations:
-        raise BoundViolation(f"{summary.violations} trials violated a proven bound")

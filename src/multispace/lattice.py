@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, RankZero
+from .errors import ConfigInvalid, LimitExceeded, RankZero
 from .fields import FieldCtx, ambient_dim, check_settings, parse_field_spec, reading
 from .linalg import (
     DEFAULT_STATE_LIMIT,
@@ -235,6 +235,10 @@ def join(a: Multispace, b: Multispace) -> Multispace:
 #: An ambient space of at most this many vectors keeps each subspace as one
 #: uint64 membership mask: one machine word per subspace.
 MASK_VECTORS = 64
+#: A stack of words keeps heights below this as int64, so that every distance it forms fits in
+#: int64.  A rank layer's stack keeps its heights m - dim as int64 for any m below 2^63 and is not
+#: held to this limit: its callers pair it only with words of rank at most their m_max.
+HEIGHT_LIMIT = 1 << 62
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,16 +334,19 @@ class _WordStack:
     @property
     def masks(self) -> np.ndarray | None:
         """The membership masks of the rows, None when q^n > MASK_VECTORS."""
-        if self._masks is None and self.ctx.q ** self.n <= MASK_VECTORS:
+        if self._masks is None:
             self._masks = _membership_masks(self.ctx, self.n, self.bases)
         return self._masks
 
     @classmethod
     def of(cls, words) -> "_WordStack":
-        """The stack of a nonempty sequence of words of one GF(q)^n, padded to its largest dim."""
+        """The stack of a nonempty sequence of words of one GF(q)^n, padded to its largest dim;
+        heights of HEIGHT_LIMIT or more keep them all as exact Python ints."""
         dims = np.array([w.dim for w in words])
         bases = _pad_stack([w.underlying.basis for w in words], (dims.max(), words[0].n))
-        return cls(words[0].ctx, words[0].n, bases, dims, np.array([w.height for w in words]))
+        heights = [w.height for w in words]
+        heights = np.array(heights, dtype=np.int64 if max(heights) < HEIGHT_LIMIT else object)
+        return cls(words[0].ctx, words[0].n, bases, dims, heights)
 
     @classmethod
     def empty(cls, ctx: FieldCtx, n: int, depth: int) -> "_WordStack":
@@ -391,8 +398,11 @@ class _WordStack:
 
         The rows broadcast as numpy arrays do: a one-word view (an int index)
         pairs with every row of a stack, and a (T, 1) view with a (U,) stack
-        gives (T, U) arrays.
+        gives (T, U) arrays.  A stack of words with a height of HEIGHT_LIMIT or
+        more is refused.
         """
+        if self.heights.dtype == object or other.heights.dtype == object:
+            raise LimitExceeded("heights of 2^62 or more exceed the distance kernel's int64 limit")
         if self.masks is not None:
             meets = _log_table(self.ctx.q)[np.bitwise_count(self.masks & other.masks)]
             joins = self.dims + other.dims - meets

@@ -22,7 +22,6 @@ from multispace.channel import (
     apply_transform,
     end_to_end,
     ChannelRun,
-    raise_on_violation,
     random_full_rank,
     random_rank,
     run_trials,
@@ -31,7 +30,6 @@ from multispace.channel import (
 )
 from multispace.codes import MultispaceCode, greedy_code
 from multispace.errors import (
-    BoundViolation,
     ConfigInvalid,
     DimensionMismatch,
     FormatError,
@@ -246,6 +244,24 @@ def test_scalar_draws_are_numpys_past_the_halves_passed_over(seed):
     _assert_same_next_draw(draws, [rng])
 
 
+def test_a_read_on_drops_the_halves_every_trial_has_taken():
+    # 100 reads of 1000 halves: one trial's buffer keeps what is unread plus one read-on
+    one, rng = np.array([0]), np.random.default_rng(3)
+    draws = channel._Draws([np.random.default_rng(3)], 8)
+    for _ in range(100):
+        vals, ends = draws.values(one, 2, 1000)
+        draws.skip(one, 1000, ends)
+        assert vals[0].tolist() == rng.integers(0, 2, 1000).tolist()
+        assert draws.buf.shape[1] <= 4 * 1000
+    # a trial that lags keeps its halves while another reads far ahead
+    draws = channel._Draws([np.random.default_rng(3), np.random.default_rng(4)], 8)
+    draws.skip(np.array([1]), 50)
+    for _ in range(20):
+        draws.skip(one, 1000, draws.values(one, 2, 1000)[1])
+    assert draws.halves(np.array([1]), 4)[0].tolist() == np.random.default_rng(4).bit_generator.random_raw(27).astype(
+        "<u8").view("<u4")[50:].tolist()
+
+
 def test_permutations_are_numpys():
     for seed in range(20):  # trial m draws permutation(m), m = 0 .. 9, each from its own stream
         draws = channel._Draws([np.random.default_rng([seed, m]) for m in range(10)])
@@ -259,7 +275,7 @@ def test_permutations_are_numpys():
 def test_draws_follow_each_generator_through_a_mix_of_draws(seeds, data):
     """Bounded integers for some trials at a time, scalar draws and permutations, one
     after another: every trial's cursor stays on its own generator's stream while the
-    buffer reads ahead and drops what the trials used."""
+    buffer reads ahead."""
     draws = channel._Draws([np.random.default_rng(seed) for seed in seeds], data.draw(st.integers(0, 40)))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     for _ in range(data.draw(st.integers(1, 12))):
@@ -507,12 +523,9 @@ def test_end_to_end_outside_guarantee_reports_rate():
     assert 0.0 <= summary.block_error_rate <= 1.0
 
 
-def test_summary_serialization_and_violation_raise():
+def test_summary_serialization():
     ok = ChannelSummary(trials=5, violations=0, max_distance=1, histogram={1: 5})
-    raise_on_violation(ok)
     assert ok.to_dict()["histogram"] == {"1": 5}
-    with pytest.raises(BoundViolation):
-        raise_on_violation(ChannelSummary(trials=5, violations=2, max_distance=9, histogram={}))
 
 
 def test_trial_csv(tmp_path):
@@ -770,6 +783,29 @@ def test_huge_height_is_refused_before_any_trial(mode, s):
         end_to_end(code, ChannelConfig(mode, trials=0, s=s, seed=0))
 
 
+def test_an_oversized_channel_matrix_is_refused_before_any_generator(monkeypatch):
+    # 1025^2 entries pass the 2^20 budget, from a multiset's length or a word's rank
+    def unreached(*args):
+        raise AssertionError("a trial generator was built")
+
+    monkeypatch.setattr(channel, "_trial_generators", unreached)
+    cfg = ChannelConfig("deletion", trials=3, s=1, seed=0)
+    for target in (VectorMultiset(F2, 2, [[1, 0]] * 1025), Multispace(Subspace.full(F2, 2), 1023)):
+        with pytest.raises(LimitExceeded, match="channel matrix entries"):
+            run_trials(target, cfg)
+
+
+def test_end_to_end_reads_the_cached_stack_not_the_codewords_ranks(monkeypatch):
+    code = MultispaceCode(F2, 3, 2, tuple(enumerate_multispaces(F2, 3, 2)))
+    code._words()
+
+    def unread(self):
+        raise AssertionError("a codeword's rank was read")
+
+    monkeypatch.setattr(Multispace, "rank", property(unread))
+    assert end_to_end(code, ChannelConfig("deletion", trials=40, s=1, seed=5)).trials == 40
+
+
 def test_blocks_shrink_to_the_state_limit_as_the_rank_grows():
     assert channel._block_size(64, 64) == channel._BLOCK  # small words keep whole blocks
     for m in (1, 65, 128, 300, 1024):
@@ -809,12 +845,13 @@ def test_a_channel_that_loses_rank_is_flagged(monkeypatch, mode, s):
 
 def _assert_fused_as_two_calls(ctx, rows, cols, seeds):
     """_full_rank_pair against _full_rank_batch(rows, cols), then (cols, rows), on
-    generators of the same seeds: both matrices and every trial's cursor."""
+    generators of the same seeds: both matrices and the halves every trial reads next."""
     fused, serial = (channel._Draws([np.random.default_rng(seed) for seed in seeds]) for _ in range(2))
     first, second = channel._full_rank_pair(ctx, fused, rows, cols)
     assert np.array_equal(first, channel._full_rank_batch(ctx, serial, rows, cols))
     assert np.array_equal(second, channel._full_rank_batch(ctx, serial, cols, rows))
-    assert np.array_equal(fused.base + fused.pos, serial.base + serial.pos)
+    trials = np.arange(len(seeds))
+    assert np.array_equal(fused.halves(trials, 64), serial.halves(trials, 64))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

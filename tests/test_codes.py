@@ -43,6 +43,7 @@ from multispace.lattice import (
     distance,
     enumerate_multispaces,
     enumerate_multispaces_up_to,
+    pairwise_distances,
 )
 from multispace.linalg import Subspace
 
@@ -85,6 +86,22 @@ def test_min_distance_needs_two_codewords():
     assert single.min_distance == math.inf
     with pytest.raises(TooFewCodewords):
         min_distance(single)
+
+
+@pytest.mark.parametrize("height", [2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 63 + 5, 2 ** 64 + 5, 2 ** 70])
+def test_kernel_distances_are_exact_below_the_height_limit_and_refused_from_it(height):
+    # int64 heights below 2^62 keep every distance within int64; taller ones stay exact and are refused
+    low, tall = Multispace.bottom(F2, 2), Multispace(Subspace.full(F2, 2), height)
+    near = Multispace(Subspace.full(F2, 2), height - 1)
+    code = MultispaceCode(F2, 2, height + 2, (low, tall))
+    if height < lattice.HEIGHT_LIMIT:
+        assert pairwise_distances([low, tall]).tolist() == [[0, distance(low, tall)], [distance(low, tall), 0]]
+        assert min_distance(code) == distance(low, tall)
+        assert decode(code, near) == (tall, distance(tall, near))
+        return
+    for call in (lambda: pairwise_distances([low, tall]), lambda: min_distance(code), lambda: decode(code, near)):
+        with pytest.raises(LimitExceeded, match=r"2\^62"):
+            call()
 
 
 def test_code_validation():

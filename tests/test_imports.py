@@ -17,7 +17,9 @@ boundary and every value the library built takes a trusted path.  In
 ``channel.py`` only ``_Draws.__init__`` and ``random_matrix`` name the
 generator methods ``integers``, ``permutation`` and ``random_raw``, so no
 trial generator is read beside the stream that reads it ahead, and no
-sampler moves a generator but by its own draws.  Only the JSON
+sampler moves a generator but by its own draws.  In ``channel.py`` only
+``_trial_blocks`` and ``_check_shape`` call ``_check_budget``, so a run's
+channel matrices are refused once, before the first block.  Only the JSON
 writer ``cli._json`` may call ``dumps`` with an indent, so every indented
 document is written by one writer.
 """
@@ -249,14 +251,14 @@ CHECKING_ENTRIES = {
 }
 
 
-def checking_calls(source: str) -> list[str]:
-    """Where a module calls a name of CHECKS, as "Class.method (line N)" or
+def checking_calls(source: str, names=CHECKS) -> list[str]:
+    """Where a module calls one of names, as "Class.method (line N)" or
     "function (line N)" ("<module>" outside any function), in source order."""
     found = []
 
     def visit(node, where, cls=None):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) in CHECKS:
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) in names:
                 found.append(f"{where} (line {child.lineno})")
             if isinstance(child, ast.ClassDef):
                 visit(child, where, child.name)
@@ -287,6 +289,21 @@ def test_only_the_public_entry_points_check_raw_input():
     found = {str(path.relative_to(ROOT)): checking_calls(path.read_text()) for path in library}
     where = {path: sorted({c.split(" (")[0] for c in calls}) for path, calls in found.items() if calls}
     assert where == CHECKING_ENTRIES
+
+
+def test_scan_finds_budget_checks():
+    source = (
+        "def f(n):\n    _check_budget(n ** 2, 'entries')\n"
+        "class A:\n    def g(self, n):\n        return linalg._check_budget(n, 'x'), _check_budgets(n)\n"
+        "_check_budget(1, 'module')\nchecker = _check_budget\n"
+    )
+    assert checking_calls(source, {"_check_budget"}) == ["f (line 2)", "A.g (line 5)", "<module> (line 6)"]
+
+
+def test_only_the_trial_blocks_and_the_shape_check_budget_channel_matrices():
+    # one refusal per run, from the stack's largest rank before the first block, and one per sampler call
+    found = checking_calls((ROOT / "src" / "multispace" / "channel.py").read_text(), {"_check_budget"})
+    assert sorted({site.split(" (")[0] for site in found}) == ["_check_shape", "_trial_blocks"]
 
 
 #: The Generator and BitGenerator methods that draw from a trial's stream.
