@@ -569,9 +569,10 @@ def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray | None
     top = int((stack.dims + stack.heights).max())
     _check_budget(top ** 2, "channel matrix entries")
     block = _block_size(top, stack.n)
-    words = min(8 + 16 * top ** 2, DEFAULT_STATE_LIMIT // (8 * block))  # the pick and about two stages
     for start in range(0, cfg.trials, block):
-        draws = _Draws(_trial_generators(cfg.seed, start, min(block, cfg.trials - start)), words)
+        count = min(block, cfg.trials - start)
+        words = min(8 + 16 * top ** 2, DEFAULT_STATE_LIMIT // (8 * count))  # the pick and about two stages
+        draws = _Draws(_trial_generators(cfg.seed, start, count), words)
         picked = draws.below(len(stack.dims))
         sent = stack[picked]
         ms = sent.dims + sent.heights

@@ -19,6 +19,7 @@ from .lattice import (
     BigCount,
     Multispace,
     _WordStack,
+    _check_total,
     codespace_growth,
     covered_neighbors,
     covering_neighbors,
@@ -152,9 +153,11 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
     contract.  The descending-rank order makes the code size strictly
     increasing in m_max for d_min = 2 (a whole new top layer is mutually
     compatible and cannot conflict with anything two or more ranks
-    below), which a shuffle across ranks does not guarantee.
+    below), which a shuffle across ranks does not guarantee.  A search over
+    more than DEFAULT_STATE_LIMIT multispaces in total is refused first.
     """
     _check_search(n, m_max, d_min, seed)
+    _check_total(ctx, n, m_max)
     rng = np.random.default_rng(seed)
     kept = _WordStack.empty(ctx, n, min(n, m_max))
     for m in range(m_max, -1, -1):

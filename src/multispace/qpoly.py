@@ -6,9 +6,12 @@ GF(q^n), where phi is the fixed coordinate isomorphism GF(q)^n -> GF(q^n)
 and P_U is the monic subspace polynomial of U.  P_U is linearized, so it
 is built on its q-coefficients by the recursion
 P_{U+<v>} = P_U^q - P_U(v)^(q-1) P_U over a basis of U: O(rank^2) field
-operations, with no bound on the degree q^rank.  Conversely the roots of
-a nonzero linearized L form the kernel of the GF(q)-linear map
-x -> L(x), read off from n evaluations and one n x 2n elimination; L
+operations, with no bound on the degree q^rank.  The whole space
+U = GF(q)^n skips the recursion: P_U = x^(q^n) - x, written in O(n)
+steps.  Conversely the roots of a nonzero linearized L form the kernel
+of the GF(q)-linear map x -> L(x), read off from n evaluations, taken
+from the coordinate map's table of unit powers (x^(q^n) = x on GF(q^n),
+so q-index i reads row i mod n), and one n x 2n elimination; L
 splits over GF(q^n) exactly when that kernel has dimension
 q_degree - h, where h is the lowest q-index of L, and every root then
 has multiplicity q^h (Lidl & Niederreiter, Finite Fields, Ch. 3 Sec. 4).
@@ -63,9 +66,12 @@ class VectorFieldIso:
         if rank != en:
             raise ShapeViolation("coordinate map is singular")  # cannot happen
         self._inverse = red[:, en:]
-        #: the big-field encodings of the n unit vectors, where root finding evaluates
+        #: the big-field encodings of the n unit vectors
         self.units = self._field_array(np.eye(n, dtype=np.int64))
         self.units.flags.writeable = False
+        #: row i: the units' q^i-th powers, i < n; x^(q^n) = x, so row i mod n serves q-index i
+        self.unit_powers = big.frobenius_arr(self.units, np.arange(n)[:, None], ctx.q)
+        self.unit_powers.flags.writeable = False
 
     def to_field_array(self, rows) -> np.ndarray:
         """Big-field encodings of an (m, n) array of coordinate vectors."""
@@ -240,13 +246,22 @@ def poly_from_multispace(w: Multispace, big: FieldCtx | None = None) -> Lineariz
     applies P <- P^q - P(v)^(q-1) P on the q-coefficients; the height
     then raises P to the q^height-th power, which shifts every q-index by
     the height and applies Frobenius to the coefficients.
+
+    The whole space U = GF(q)^n takes x^(q^n) - x at once.  phi is a
+    bijection, so phi(U) = GF(q^n); every a in GF(q^n) has a^(q^n) = a, so
+    x^(q^n) - x is a monic polynomial of degree q^n with the q^n distinct
+    roots GF(q^n).  The recursion gives the monic polynomial of degree q^n
+    whose roots are phi(U), each once; the two are equal.
     """
     q = w.ctx.q
     iso = _vector_field_iso(w.ctx, w.n, _extension(w.ctx, w.n)[0] if big is None else big)
     F = iso.big
-    c = [1]  # q-coefficients of P = x
-    for v in iso._field_array(w.underlying.basis).tolist():
-        c = F.annihilator_step(c, v, q)
+    if w.dim == w.n:
+        c = [F.neg(1)] + [0] * (w.n - 1) + [1]  # x^(q^n) - x
+    else:
+        c = [1]  # q-coefficients of P = x
+        for v in iso._field_array(w.underlying.basis).tolist():
+            c = F.annihilator_step(c, v, q)
     h = w.height
     if h:
         c = F.frobenius_arr(c, h, q).tolist()
@@ -258,7 +273,9 @@ def roots_multiset(L: LinearizedPoly) -> Multispace:
 
     The roots of a nonzero linearized L over GF(q^n) are the kernel K of
     the GF(q)-linear map x -> L(x), found as the left null space of its
-    matrix on the images of the unit vectors.  With h the lowest q-index
+    matrix on the images of the unit vectors.  A unit u lies in GF(q^n),
+    where u^(q^n) = u, so the term a_i x^(q^i) takes row i mod n of the
+    coordinate map's unit_powers.  With h the lowest q-index
     of L, L = M^(q^h) for a separable M of q-degree q_degree - h, so L
     splits over GF(q^n) iff dim K = q_degree - h, and then its root
     multiset is the multispace (K, h).  RootsNotInField is raised when L
@@ -273,7 +290,8 @@ def roots_multiset(L: LinearizedPoly) -> Multispace:
     n = F.e // e
     small = _field(F.p, e, None)
     iso = _vector_field_iso(small, n, F)
-    images = iso._vector_array(L._eval(iso.units))
+    powers = iso.unit_powers[[i % n for i in L.coeffs]]  # mod on Python ints: q-indices past int64 too
+    images = iso._vector_array(F.sum_arr(F.mul_arr(np.array(list(L.coeffs.values()))[:, None], powers)))
     red, _, pivots = rref_array(small, np.hstack([images, np.eye(n, dtype=np.int64)]))
     # rows pivoting in the right half have a zero left half; their right
     # halves are already a reduced echelon basis of the left null space

@@ -5,9 +5,10 @@ elimination per candidate, the maximum clique by plain branch and bound, the
 optimal code and the gamma graph over words enumerated one by one, graph
 distances and distance regularity by bool and int64 matrix products, the
 channel's trial-by-trial loop and numpy's own spawned trial generators, the
-literal root product, the subspace-polynomial step and polynomial evaluation
-one term at a time, and array arithmetic through the log/exp and digit
-tables.  Also span_rows, the span of a few row vectors."""
+literal root product, the subspace-polynomial step, the whole-space
+polynomial by that step, root finding by evaluating every term, polynomial
+evaluation one term at a time, and array arithmetic through the log/exp and
+digit tables.  Also span_rows, the span of a few row vectors."""
 
 from itertools import combinations, product
 
@@ -23,7 +24,8 @@ from multispace.channel import (
     random_matrix,
 )
 from multispace.codes import ball, decode
-from multispace.errors import ConfigInvalid, LimitExceeded, SamplingFailed, ShapeViolation
+from multispace.errors import ConfigInvalid, LimitExceeded, RootsNotInField, SamplingFailed, ShapeViolation
+from multispace.fields import field
 from multispace.lattice import (
     Multispace,
     RegularityReport,
@@ -43,7 +45,7 @@ from multispace.linalg import (
     matmul_arrays,
     rref_array,
 )
-from multispace.qpoly import vector_field_iso
+from multispace.qpoly import LinearizedPoly, vector_field_iso
 
 
 def span_rows(ctx, *rows):
@@ -541,6 +543,36 @@ def annihilator_step_by_scalars(F, coeffs, v, q) -> list[int]:
     for i, c in enumerate(coeffs):
         new[i] = F.sub(new[i], F.mul(a, c))
     return new
+
+
+def whole_space_poly_by_recursion(ctx, n, height) -> LinearizedPoly:
+    """The polynomial of (GF(q)^n, height): FieldCtx.annihilator_step over the
+    unit basis, then the height step, the recursion that x^(q^n) - x replaced."""
+    iso = vector_field_iso(ctx, n)
+    F, c = iso.big, [1]
+    for v in iso.units.tolist():
+        c = F.annihilator_step(c, v, ctx.q)
+    if height:
+        c = F.frobenius_arr(c, height, ctx.q).tolist()
+    return LinearizedPoly(ctx.q, F, dict(enumerate(c, start=height)))
+
+
+def roots_by_evaluation(L) -> Multispace:
+    """roots_multiset with every term evaluated on the units, L._eval(iso.units),
+    the path the coordinate map's table of unit powers replaced."""
+    F = L.ctx
+    e = F._check_power_base(L.base_q)
+    n = F.e // e
+    small = field(F.p, e)
+    iso = vector_field_iso(small, n, F)
+    images = iso._vector_array(L._eval(iso.units))
+    red, _, pivots = rref_array(small, np.hstack([images, np.eye(n, dtype=np.int64)]))
+    image_rank = sum(1 for c in pivots if c < n)
+    kernel = Subspace(small, n, red[image_rank:, n:].copy())
+    h = min(L.coeffs)
+    if kernel.dim != L.q_degree - h:
+        raise RootsNotInField(f"polynomial does not split over {F}")
+    return Multispace._of(kernel, h)
 
 
 def eval_by_coefficient(L, xs) -> np.ndarray:

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -260,6 +261,31 @@ def test_a_read_on_drops_the_halves_every_trial_has_taken():
         draws.skip(one, 1000, draws.values(one, 2, 1000)[1])
     assert draws.halves(np.array([1]), 4)[0].tolist() == np.random.default_rng(4).bit_generator.random_raw(27).astype(
         "<u8").view("<u4")[50:].tolist()
+
+
+@pytest.mark.parametrize("mode, s", [("full-rank", 0), ("deletion", 1), ("rank-deficient", 1), ("compound", 1)])
+def test_a_short_block_reads_ahead_for_the_trials_it_holds(monkeypatch, mode, s):
+    # 32 trials at rank 8 plan 8 + 16 * 8^2 words each; a read-ahead sized for a full
+    # 256-trial block (512 words) makes every trial read on once
+    reads = []
+    trial_generators = channel._trial_generators
+
+    def counted(seed, start, count):  # generators whose raw reads are logged
+        def reader(raw):
+            return SimpleNamespace(random_raw=lambda k: reads.append(k) or raw(k))
+
+        return [SimpleNamespace(bit_generator=reader(g.bit_generator.random_raw))
+                for g in trial_generators(seed, start, count)]
+
+    w = Multispace(Subspace.zero(F2, 4), 8)
+    for seed in range(5):
+        cfg = ChannelConfig(mode, 32, s, seed, True)
+        expected = run_trials(w, cfg).records
+        monkeypatch.setattr(channel, "_trial_generators", counted)
+        reads.clear()
+        assert run_trials(w, cfg).records == expected
+        monkeypatch.undo()
+        assert reads == [8 + 16 * 8 ** 2] * 32
 
 
 def test_permutations_are_numpys():

@@ -300,6 +300,9 @@ def test_limit_exit_code(capsys):
 @pytest.mark.parametrize("argv, total", [
     (["hasse", "2", "1", "10000000"], "20000001 multispaces"),
     (["search", "2", "2", "100000000", "3", "--optimal"], "ground set of 500000000"),
+    # greedy: one layer past int64 heights, and 2^62 + 1 layers built one by one
+    (["search", "2", "1", "4611686018427387904", "1"], "9223372036854775809 multispaces"),
+    (["search", "2", "1", "18446744073709551616", "1"], "at least 2^65 multispaces"),
 ])
 def test_a_huge_rank_cap_is_refused_on_the_closed_form_total(capsys, argv, total):
     # no rank layer passes a limit; the total does, and it is counted without a loop over ranks

@@ -109,6 +109,7 @@ CASES = [
     ("rank-float-r", lambda: random_rank(F2, 3, 3, 1.0, RNG), ConfigInvalid, "r 1.0 is not an integer"),
     ("full-rank-past-budget", lambda: random_full_rank(F2, 1025, RNG), LimitExceeded, "channel matrix entries"),
     ("rank-past-budget", lambda: random_rank(F2, 1 << 20, 2, 0, RNG), LimitExceeded, "channel matrix entries"),
+    ("greedy-past-budget", lambda: greedy_code(F2, 1, 1 << 62, 1), LimitExceeded, "9223372036854775809 multispaces"),
     # refused with this error before as well
     ("multiset-float-entry", lambda: VectorMultiset(F2, 2, [[1.5, 0]]), FormatError, "dtype float64"),
     ("multiset-string-entry", lambda: VectorMultiset(F2, 2, [["1", 0]]), FormatError, "not integer encodings"),

@@ -13,7 +13,9 @@ from helpers import (
     literal_product,
     random_multispace,
     root_multiplicities_by_division,
+    roots_by_evaluation,
     span_rows,
+    whole_space_poly_by_recursion,
 )
 from multispace import fields, qpoly
 from multispace.errors import (
@@ -35,6 +37,7 @@ from multispace.qpoly import (
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
+F5 = field(5)
 
 
 def dense_product_oracle(w, iso):
@@ -332,8 +335,9 @@ def test_closed_form_matches_literal_product(w):
 
 @st.composite
 def linearized_polys(draw):
-    """Nonzero linearized polynomials over GF(q^n), q^n <= 256; half of
-    them scaled multispace polynomials, so both outcomes of roots occur."""
+    """Nonzero linearized polynomials over GF(q^n), q^n <= 256, with q-indices
+    past n; half of them scaled multispace polynomials, so both outcomes of
+    roots occur."""
     ctx = draw(st.sampled_from([F2, F3, F4]))
     n = draw(st.integers(1, {2: 8, 3: 5, 4: 4}[ctx.q]))
     big, _ = extension(ctx, n)
@@ -343,7 +347,7 @@ def linearized_polys(draw):
         coeffs = {i: big.mul(c, v) for i, v in poly_from_multispace(w).coeffs.items()}
     else:
         coeffs = draw(st.dictionaries(
-            st.integers(0, 6), st.integers(1, big.q - 1), min_size=1, max_size=5
+            st.integers(0, max(6, 3 * n)), st.integers(1, big.q - 1), min_size=1, max_size=5
         ))
     return LinearizedPoly(ctx.q, big, coeffs)
 
@@ -391,10 +395,41 @@ def test_eval_array_bounds_the_cells_it_holds(monkeypatch):
 
 
 def test_the_coordinate_map_keeps_its_unit_vectors():
-    for ctx, n in [(F2, 5), (F3, 3), (F4, 2)]:
+    for ctx, n in [(F2, 5), (F3, 3), (F4, 2), (F2, 1)]:
         iso = vector_field_iso(ctx, n)
         assert iso.units.tolist() == iso.to_field_array(np.eye(n, dtype=np.int64)).tolist()
         assert not iso.units.flags.writeable
+        powers = [[iso.big.frobenius(u, i, ctx.q) for u in iso.units.tolist()] for i in range(n)]
+        assert iso.unit_powers.tolist() == powers
+        assert not iso.unit_powers.flags.writeable
+
+
+@pytest.mark.parametrize("ctx, n_max", [(F2, 12), (F3, 6), (F4, 6), (F5, 4)], ids=["GF(2)", "GF(3)", "GF(4)", "GF(5)"])
+def test_whole_space_polynomial_is_the_recursions(ctx, n_max):
+    # x^(q^n) - x, raised to the q^h-th power, against the annihilator step over the unit basis
+    for n in range(1, n_max + 1):
+        for h in (0, 1, 7, 2 ** 70):
+            w = Multispace(Subspace.full(ctx, n), h)
+            L = poly_from_multispace(w)
+            assert L == whole_space_poly_by_recursion(ctx, n, h)
+            assert sorted(L.coeffs) == [h, h + n] and L.coeffs[h + n] == 1
+            assert roots_multiset(L) == w
+
+
+def _roots_or_refusal(find, L):
+    try:
+        return find(L)
+    except RootsNotInField:
+        return RootsNotInField
+
+
+@settings(max_examples=200, deadline=None)
+@given(linearized_polys())
+def test_roots_from_unit_powers_match_evaluating_every_term(L):
+    assert _roots_or_refusal(roots_multiset, L) == _roots_or_refusal(roots_by_evaluation, L)
+    shifted = {i + 2 ** 70: c for i, c in L.coeffs.items()}  # q-indices past int64
+    far = LinearizedPoly(L.base_q, L.ctx, shifted)
+    assert _roots_or_refusal(roots_multiset, far) == _roots_or_refusal(roots_by_evaluation, far)
 
 
 def test_round_trip_builds_one_embedding_and_one_coordinate_map(monkeypatch):
