@@ -1,18 +1,11 @@
 """Random-linear-network-coding channel acting on generating multisets.
 
-The transmitter sends a generating multiset of a multispace; the channel
-multiplies the tuple of sent vectors by a random matrix T over GF(q).
-Modes:
-
-  full-rank       square T of full rank: the multispace is preserved
-  deletion        full-rank mix, then s of the mixed vectors are dropped:
-                  the received multispace sits at distance exactly s below
-  rank-deficient  square T of rank m - s: distance at most 2s, with the
-                  underlying space contained in the sent one and the rank
-                  preserved
-  compound        deletion, then rank deficiency s on the m - s survivors:
-                  distance between s and 3s, with the underlying space
-                  contained in the sent one and the rank m - s
+The transmitter sends a generating multiset of a multispace through the stages
+of a mode, after Koetter and Kschischang's operator channel: each maps w
+vectors gens to T^T gens for a random T over GF(q).  full, a square T of full
+rank, keeps the word; delete keeps w - s of the vectors, exactly s below it;
+deficient, a square T of rank w - s, moves it at most 2s.  A mode's rank loss
+and distance window are the sums over its stages (_STAGES, _channel_block).
 
 Every trial draws its own PRNG substream, so results are independent of
 scheduling and reproducible from (config, seed) alone: trial i draws from
@@ -20,18 +13,19 @@ default_rng(SeedSequence(seed).spawn(i + 1)[i]), and _trial_generators
 builds a block's generators with exactly those PCG64 states in one
 vectorised pass of SeedSequence's hash.  Trials run in blocks as arrays:
 _Draws reads each trial's raw PCG64 words ahead and maps them as numpy
-would, each stage of a block draws for all its trials, rejection sampling
-ranks rounds of candidates at once with rank_batch (two back-to-back stages
-of one cell count in one pass), multispans are one batched elimination and
-distances a membership check, while every trial takes the draws of a
-one-trial loop.  A block comes out as columns (sent
-indices, received words as one stack, distances, bound checks); one
-summary reads them for both entry points, and only run_trials turns them
-into TrialRecords.
+would, each draw of a block's stages is made for all its trials, rejection
+sampling ranks rounds of candidates at once with rank_batch (a matrix and
+its transpose drawn back to back in one pass), multispans are one batched
+elimination and distances a membership check, while every trial takes the
+draws of a one-trial loop.  A block comes out as columns (sent indices,
+received words as one stack, distances, bound checks); one summary reads
+them for both entry points, and only run_trials builds TrialRecords.
 """
 
+import collections
 import csv
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -60,15 +54,6 @@ from .linalg import (
     rref_batch,
 )
 
-#: mode -> (rank the channel takes away, least distance, largest distance), in units of s
-_MODE_TABLE = {
-    "full-rank": (0, 0, 0),
-    "deletion": (1, 1, 1),
-    "rank-deficient": (1, 0, 2),
-    "compound": (2, 1, 3),
-}
-MODES = tuple(_MODE_TABLE)
-
 #: at most this many trials are drawn and eliminated together; arrays grow with blocks, not trials
 _BLOCK = 256
 #: candidates a rejection sampler draws for one matrix before it gives up
@@ -93,22 +78,13 @@ class ChannelConfig:
                        ("seed", self.seed, 0, f"seed {self.seed} is negative"))
         if not isinstance(self.random_generator, (bool, np.bool_)):
             raise ConfigInvalid(f"random_generator {self.random_generator!r} is not a bool")
-        if self.mode == "full-rank" and self.s:
-            raise ConfigInvalid("full-rank mode takes no error weight")
+        if self.s and not any(_channel(self)[1:]):  # stages that move nothing take no weight
+            raise ConfigInvalid(f"{self.mode} mode takes no error weight")
 
     def check_rank(self, m: int):
-        need = _need(self)
+        need = _channel(self)[1]
         if m < need:
             raise ConfigInvalid(f"mode {self.mode} with s={self.s} needs rank >= {need}, got {m}")
-
-
-def _need(cfg: ChannelConfig) -> int:
-    """Rank the channel takes away: rank(T_eff) = m - _need(cfg)."""
-    return _MODE_TABLE[cfg.mode][0] * cfg.s
-
-
-def _bound_for(cfg: ChannelConfig) -> int:
-    return _MODE_TABLE[cfg.mode][2] * cfg.s
 
 
 @dataclass
@@ -271,7 +247,6 @@ def _full_rank_batch(ctx: FieldCtx, draws: _Draws, rows, cols) -> np.ndarray:
     No trial takes over _MAX_TRIES candidates, a round holds at most
     DEFAULT_STATE_LIMIT cells, and the matrices come zero-padded into one stack.
     """
-    rows, cols = np.asarray(rows), np.asarray(cols)
     out = np.zeros((len(rows), rows.max(), cols.max()), dtype=np.int64)
     live, tried = np.flatnonzero(rows * cols), 0  # an empty matrix takes no draw
     while len(live):
@@ -314,14 +289,13 @@ def _full_rank_batch(ctx: FieldCtx, draws: _Draws, rows, cols) -> np.ndarray:
 def _full_rank_pair(ctx: FieldCtx, draws: _Draws, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     """_full_rank_batch(rows, cols), then _full_rank_batch(cols, rows), in one rank pass.
 
-    Both stages hold rows x cols cells, so chunk i of a trial's draws is candidate i
+    Both matrices hold rows x cols cells, so chunk i of a trial's draws is candidate i
     of either (the second ranked transposed): a trial keeps the first full-rank chunk
-    and the next after it, where two single-stage calls would read them.  When all
-    trials share one shape, each draws k chunks, so many that fewer than two pass
-    with chance at most 1 / (8 trials); trials that fall short, and blocks of mixed
-    shapes, take the two single-stage calls from where they began.
+    and the next after it, where two single calls would read them.  When all trials
+    share one shape, each draws k chunks, so many that fewer than two pass with
+    chance at most 1 / (8 trials); trials that fall short, and blocks of mixed
+    shapes, take the two single calls from where they began.
     """
-    rows, cols = np.asarray(rows), np.asarray(cols)
     t, r, c = len(rows), int(rows.max()), int(cols.max())
     first, second = np.zeros((t, r, c), dtype=np.int64), np.zeros((t, c, r), dtype=np.int64)
     done = np.zeros(t, dtype=bool)
@@ -356,17 +330,6 @@ def _first_full_rank(ctx: FieldCtx, vals: list[int], rows: int, cols: int, k: in
         if len(_list_echelon(ctx, cand)) == min(rows, cols):
             return i
     return k
-
-
-def _rank_batch(ctx: FieldCtx, draws: _Draws, m, r) -> np.ndarray:
-    """One m[t] x m[t] matrix of exact rank r[t] per trial t, zero-padded into one stack:
-    a full-rank A (m x r) times a full-rank B (r x m), A drawn before B and both ranked
-    in one pass; a trial with r = 0 draws nothing and gets the zero matrix."""
-    prod = matmul_arrays(ctx, *_full_rank_pair(ctx, draws, m, r))
-    lost = np.flatnonzero(rank_batch(ctx, prod) != r)  # full-rank factors give rank r
-    if len(lost):
-        raise ShapeViolation(f"product of full-rank factors lost rank {r[lost[0]]}")
-    return prod
 
 
 def _check_shape(rows, cols) -> None:
@@ -487,60 +450,97 @@ def _trial_generators(seed: int, start: int, count: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Trials
+# Stages and trials
 # ---------------------------------------------------------------------------
+
+def _transform(ctx: FieldCtx, gens: np.ndarray, w: np.ndarray, s: int, t: np.ndarray) -> np.ndarray:
+    """T^T gens for each trial's stage matrix T: the vectors its columns combine."""
+    return matmul_arrays(ctx, np.swapaxes(t, 1, 2), gens)
+
+
+def _delete(ctx: FieldCtx, gens: np.ndarray, w: np.ndarray, s: int, perms: list[list[int]]) -> np.ndarray:
+    """The rows sorted(perm[:w - s]) of gens, padded with row 0, zeroed, to the block's largest w - s."""
+    top = int(w.max()) - s
+    kept = np.array([sorted(p[: m - s]) + [0] * (top - m + s) for p, m in zip(perms, w.tolist())], dtype=np.int64)
+    return gens[np.arange(len(w))[:, None], kept] * (np.arange(top)[:, None] < (w - s)[:, None, None])
+
+
+def _deficient(ctx: FieldCtx, gens: np.ndarray, w: np.ndarray, s: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T^T gens for T = A B, of rank w - s from its full-rank factors."""
+    t = matmul_arrays(ctx, a, b)
+    lost = np.flatnonzero(rank_batch(ctx, t) != w - s)  # full-rank factors give rank w - s
+    if len(lost):
+        raise ShapeViolation(f"product of full-rank factors lost rank {(w - s)[lost[0]]}")
+    return _transform(ctx, gens, w, s, t)
+
+
+#: A stage on each trial's w vectors: its draws in order, (a, b) a full-rank (w - a s) x (w - b s)
+#: matrix and (a, None) permutation(w - a s); run(ctx, gens, w, s, *drawn), the vectors it passes
+#: on; its (rank loss, least, largest distance) in units of s, least also the drop in length.
+_Stage = collections.namedtuple("_Stage", "shapes run window")
+_FULL = _Stage(((0, 0),), _transform, (0, 0, 0))
+_DELETE = _Stage(((0, None),), _delete, (1, 1, 1))
+_DEFICIENT = _Stage(((0, 1), (1, 0)), _deficient, (1, 0, 2))
+#: mode -> its stages, in the order a trial draws them
+_STAGES = {"full-rank": (_FULL,), "deletion": (_FULL, _DELETE), "rank-deficient": (_DEFICIENT,),
+           "compound": (_FULL, _DELETE, _DEFICIENT)}
+MODES = tuple(_STAGES)
+
+
+def _channel(cfg: ChannelConfig) -> tuple:
+    """(stages, rank loss, least, largest distance) of cfg: its mode's stages in the order
+    a trial draws them, a random generator's mix first, and the sums of their windows
+    times s (proof at _channel_block); rank losses add, as a deficient stage comes last."""
+    stages = (_FULL,) * bool(cfg.random_generator) + _STAGES[cfg.mode]
+    return stages, *(cfg.s * sum(col) for col in zip(*(stage.window for stage in stages)))
+
+
+def _draw(ctx: FieldCtx, draws: _Draws, ms: np.ndarray, s: int, stages: tuple, drops: list) -> list:
+    """The draws of stages, which lose drops[i] s of the length m before stage i, in order and each
+    for every trial of the block.  A matrix whose next is its transpose is drawn with it by
+    _full_rank_pair, pairs counted from the last draw back (the mix with the channel matrix,
+    A with B): a pair takes the draws and matrices of two single calls, so no output changes."""
+    specs = [(d + a, b if b is None else d + b) for stage, d in zip(stages, drops) for a, b in stage.shapes]
+    out, paired = [], [False] * (len(specs) + 1)  # draw i with i + 1; the last entry stands for none
+    for i in range(len(specs) - 2, -1, -1):
+        (a, b), (a2, b2) = specs[i : i + 2]
+        paired[i] = not paired[i + 1] and None not in (b, b2) and a * s == b2 * s and b * s == a2 * s
+    for i, (a, b) in enumerate(specs):
+        if b is None:
+            out.append(draws.permutations((ms - a * s).tolist()))
+        elif paired[i]:
+            out += _full_rank_pair(ctx, draws, ms - a * s, ms - b * s)
+        elif not paired[i - 1]:  # else drawn with the one before
+            out.append(_full_rank_batch(ctx, draws, ms - a * s, ms - b * s))
+    return out
+
 
 def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np.ndarray):
     """The stack of received words, the distances and the bound checks of one block of trials.
 
     Trial t sends row t of the stack sent, whose generating multiset is
-    gens[t, :m] for its rank m, and takes trial t of draws.  The stages draw
-    in the order of a single trial (random generator; mix, deletion
-    permutation and rank-deficient factors of the mode), each stage for the
-    whole block at once, so every trial takes the draws of a one-trial
-    loop.  All arrays are zero-padded to the block's largest m; zero rows
-    change no rank.
+    gens[t, :m] for its rank m, and takes trial t of draws: first the
+    stages' draws, in a single trial's order and each for the whole block,
+    then the stages in order.  Arrays are zero-padded; zero rows change no
+    rank.  A trial is ok when least <= d <= most, by _channel, and the
+    received space lies in the sent one, as every stage's vectors combine
+    the ones it got (paired_inside eliminates only rows outside it).
 
-    A trial is ok when least*s <= d <= most*s, by _MODE_TABLE, and the
-    received space lies in the sent one, dim(S + R) = dim S, which every
-    mode keeps: received vectors combine sent ones (Koetter and Kschischang),
-    so paired_inside checks the received rows for membership and eliminates
-    only rows outside the sent space.  The received rank is
-    the received multiset's length by construction.  Compound's window:
-    let W be the sent word (rank m), I the word after deletion and R the
-    received one.  Deletion gives I <= W, rank I = m - s and d(I, W) = s;
-    the second stage is the rank-deficient channel on I's m - s vectors
-    with deficiency s, so d(R, I) <= 2s and rank R = m - s.  The triangle
-    inequality gives d(R, W) <= 3s, and d = rank(W v R) - rank(W ^ R) is at
-    least |rank W - rank R| = s.
+    Windows add.  With W_i the word after stage i of k, d(W_(i-1), W_i) <=
+    most_i s (module docstring), so d(W_0, W_k) <= sum most_i s by the
+    triangle inequality; and d = rank(W_0 v W_k) - rank(W_0 ^ W_k) >=
+    |rank W_0 - rank W_k|, the drop in the multiset's length, sum least_i s.
     """
-    ctx, n, s = sent.ctx, sent.n, cfg.s
-    ms = sent.dims + sent.heights
-    if cfg.mode == "rank-deficient":
-        mix = _full_rank_batch(ctx, draws, ms, ms) if cfg.random_generator else None
-        t_eff = _rank_batch(ctx, draws, ms, ms - s)
-    elif cfg.random_generator:  # the mix and the channel matrix: two m x m stages back to back
-        mix, t_eff = _full_rank_pair(ctx, draws, ms, ms)
-    else:
-        mix, t_eff = None, _full_rank_batch(ctx, draws, ms, ms)
-    if mix is not None:
-        gens = matmul_arrays(ctx, np.swapaxes(mix, 1, 2), gens)
-    widths = ms  # columns of T_eff: the length of each received multiset
-    if cfg.mode in ("deletion", "compound"):  # keep m - s of the mixed columns
-        widths, top = ms - s, ms.max() - s
-        kept = [sorted(p[: m - s]) + [0] * (top - m + s) for p, m in zip(draws.permutations(ms.tolist()), ms.tolist())]
-        kept = np.array(kept, dtype=np.int64).reshape(len(ms), 1, top)  # padded with column 0, then zeroed
-        t_eff = t_eff[np.arange(len(ms))[:, None, None], np.arange(ms.max())[:, None], kept]
-        t_eff *= np.arange(top) < widths[:, None, None]
-    if cfg.mode == "compound":  # then a rank-deficient square stage on the survivors
-        t_eff = matmul_arrays(ctx, t_eff, _rank_batch(ctx, draws, widths, ms - 2 * s))
-    # received word: rank of the received multiset, height = its length - rank
-    bases, ranks = rref_batch(ctx, matmul_arrays(ctx, np.swapaxes(t_eff, 1, 2), gens))
-    heights = widths - ranks
-    stack = _WordStack(ctx, n, bases[:, : ranks.max()], ranks, heights)
+    ctx, s, ms = sent.ctx, cfg.s, sent.dims + sent.heights
+    stages, _, least, most = _channel(cfg)
+    drops = list(itertools.accumulate((stage.window[1] for stage in stages), initial=0))  # length lost, in s
+    drawn = iter(_draw(ctx, draws, ms, s, stages, drops))
+    for stage, drop in zip(stages, drops):
+        gens = stage.run(ctx, gens, ms - drop * s, s, *[next(drawn) for _ in stage.shapes])
+    bases, ranks = rref_batch(ctx, gens)  # the received word's rank; its height is its length - rank
+    stack = _WordStack(ctx, sent.n, bases[:, : ranks.max()], ranks, ms - drops[-1] * s - ranks)
     d, joins = sent.paired_inside(stack)
-    _, least, most = _MODE_TABLE[cfg.mode]
-    return stack, d, (least * s <= d) & (d <= most * s) & (joins == sent.dims)
+    return stack, d, (least <= d) & (d <= most) & (joins == sent.dims)
 
 
 def _block_size(m_max: int, n: int) -> int:
@@ -568,7 +568,7 @@ def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray | None
     """
     top = int((stack.dims + stack.heights).max())
     _check_budget(top ** 2, "channel matrix entries")
-    block = _block_size(top, stack.n)
+    block, need = _block_size(top, stack.n), _channel(cfg)[1]
     for start in range(0, cfg.trials, block):
         count = min(block, cfg.trials - start)
         words = min(8 + 16 * top ** 2, DEFAULT_STATE_LIMIT // (8 * count))  # the pick and about two stages
@@ -576,7 +576,7 @@ def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray | None
         picked = draws.below(len(stack.dims))
         sent = stack[picked]
         ms = sent.dims + sent.heights
-        for m in ms[ms < _need(cfg)][:1].tolist():  # the first short rank, if any
+        for m in ms[ms < need][:1].tolist():  # the first short rank, if any
             cfg.check_rank(m)
         if gens is None:  # each basis, then zero rows; basis rows past the block's largest rank are padding
             rows = np.zeros((len(ms), ms.max(), stack.n), dtype=np.int64)
@@ -597,7 +597,7 @@ def _summarize(cfg: ChannelConfig, blocks, code=None) -> ChannelSummary:
     when decoding fails although the channel bound guarantees unique
     decoding (bound < min_distance / 2).
     """
-    bound = _bound_for(cfg)
+    bound = _channel(cfg)[3]
     violations = block_errors = max_d = 0
     hist: dict[int, int] = {}
     for sent, received, d, ok in blocks:
@@ -630,9 +630,8 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
         raise TypeError("target must be a Multispace or VectorMultiset")
     cfg.check_rank(sent.rank)
     blocks = list(_trial_blocks(cfg, _WordStack.of([sent]), gens))
-    # rank(T_eff) = m - _need(cfg) in closed form: every stage has full rank
-    # except the rank-deficient one, whose rank _rank_batch checks
-    t_rank, bound = sent.rank - _need(cfg), _bound_for(cfg)
+    _, loss, _, bound = _channel(cfg)  # rank(T_eff) = m - loss in closed form
+    t_rank = sent.rank - loss
     trials = (t for _, stack, d, ok in blocks for t in zip(stack.words(), d.tolist(), ok.tolist()))
     records = [TrialRecord(i, sent, word, t_rank, dist, bound, good) for i, (word, dist, good) in enumerate(trials)]
     return ChannelRun(records, _summarize(cfg, blocks))

@@ -24,7 +24,7 @@ from .lattice import (
     covered_neighbors,
     covering_neighbors,
 )
-from .linalg import _check_budget, gaussian_binomial
+from .linalg import _check_budget, _shown, gaussian_binomial
 
 #: Largest ground set the branch-and-bound clique search takes on.
 CLIQUE_LIMIT = 64
@@ -192,7 +192,7 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
     _check_search(n, m_max, d_min)
     v = codespace_growth(ctx, n, m_max)
     if v > CLIQUE_LIMIT:
-        raise LimitExceeded(f"ground set of {v} exceeds clique-search limit {CLIQUE_LIMIT}")
+        raise LimitExceeded(f"ground set of {_shown(v)} exceeds clique-search limit {CLIQUE_LIMIT}")
     ground = _WordStack.empty(ctx, n, min(n, m_max))
     for m in range(m_max + 1):
         ground.extend(_WordStack.layer(ctx, n, m))

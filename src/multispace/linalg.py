@@ -18,15 +18,15 @@ from .fields import RANK_TABLE_LIMIT, FieldCtx, ambient_dim, check_settings, par
 DEFAULT_STATE_LIMIT = 1 << 20
 
 
-def _check_budget(count: int, what: str) -> None:
-    """Refuse, before the first item, an enumeration that would yield count items.
+def _shown(count: int) -> int | str:
+    """count, or past 64 bits its power of two: a count can have more digits than Python prints for an int."""
+    return count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
 
-    A count past 64 bits is named by its power of two: a count can have more
-    digits than Python prints for an int.
-    """
+
+def _check_budget(count: int, what: str) -> None:
+    """Refuse, before the first item, an enumeration that would yield count items."""
     if count > DEFAULT_STATE_LIMIT:
-        shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
-        raise LimitExceeded(f"{shown} {what} exceed the enumeration limit {DEFAULT_STATE_LIMIT}")
+        raise LimitExceeded(f"{_shown(count)} {what} exceed the enumeration limit {DEFAULT_STATE_LIMIT}")
 
 
 @functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3

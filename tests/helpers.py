@@ -18,8 +18,6 @@ from multispace.channel import (
     ChannelRun,
     ChannelSummary,
     TrialRecord,
-    _bound_for,
-    _need,
     apply_transform,
     random_matrix,
 )
@@ -338,6 +336,11 @@ def effective_transform(ctx, m, cfg, rng, max_tries=1000) -> np.ndarray:
     return matmul_arrays(ctx, stage1, rank_draw(ctx, m - s, m - s, m - 2 * s, rng, max_tries))  # compound
 
 
+#: mode -> (rank the channel takes away, largest distance) in units of s, written
+#: out here apart from the channel's stage table
+LOSS_AND_BOUND = {"full-rank": (0, 0), "deletion": (1, 1), "rank-deficient": (1, 2), "compound": (2, 3)}
+
+
 def _serial_trial_ok(cfg, sent, received, d) -> bool:
     if cfg.mode == "full-rank":
         return received == sent
@@ -355,8 +358,7 @@ def serial_trial_loop(cfg, pick, code=None, max_tries=1000) -> ChannelRun:
     mspan, distance and decode per trial; the oracle of channel._trial_blocks,
     run_trials and end_to_end.  pick(rng) -> (sent multispace, generating (m, n) array)
     makes the first draw of each trial, as the index pick of _trial_blocks does."""
-    bound = _bound_for(cfg)
-    lost = _need(cfg)
+    lost, bound = (cfg.s * k for k in LOSS_AND_BOUND[cfg.mode])
     records = []
     violations = block_errors = max_d = 0
     hist = {}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    LOSS_AND_BOUND,
     effective_transform,
     full_rank_draw,
     keyed_generators,
@@ -636,8 +637,8 @@ def _block_records(cfg, code):
     """TrialRecords built from the columns _trial_blocks yields for code, as run_trials builds
     them for its one word; the sent word of each trial is read back from its index."""
     stack = code._words()
-    t_ranks = (stack.dims + stack.heights - channel._need(cfg)).tolist()
-    bound = channel._bound_for(cfg)
+    lost, bound = (cfg.s * k for k in LOSS_AND_BOUND[cfg.mode])
+    t_ranks = (stack.dims + stack.heights - lost).tolist()
     records = []
     for sent, received, d, ok in channel._trial_blocks(cfg, stack):
         for i, word, dist, good in zip(sent.tolist(), received.words(), d.tolist(), ok.tolist()):
@@ -892,6 +893,38 @@ def test_fused_stages_take_the_draws_of_two_single_stage_calls(q):
     _assert_fused_as_two_calls(FIELDS[q], np.array([4, 2, 4, 0]), np.array([4, 2, 1, 3]), [[q, t] for t in range(4)])
 
 
+@pytest.mark.parametrize("mode,s,random_generator,calls", [
+    ("full-rank", 0, False, ["one"]),
+    ("full-rank", 0, True, ["pair"]),  # the mix with the channel matrix
+    ("deletion", 1, True, ["pair"]),
+    ("rank-deficient", 1, False, ["pair"]),  # A with B
+    ("rank-deficient", 1, True, ["one", "pair"]),
+    ("rank-deficient", 0, True, ["one", "pair"]),  # three m x m matrices: the last two pair
+    ("compound", 1, False, ["one", "pair"]),
+    ("compound", 1, True, ["pair", "pair"]),
+])
+def test_a_matrix_drawn_right_before_its_transpose_shares_its_rank_pass(monkeypatch, mode, s, random_generator, calls):
+    seen, inside = [], []
+    single, fused = channel._full_rank_batch, channel._full_rank_pair
+
+    def one(*args):
+        seen.extend([] if inside else ["one"])  # a pair's own fallback is not a draw of the block
+        return single(*args)
+
+    def pair(*args):
+        seen.append("pair")
+        inside.append(True)
+        try:
+            return fused(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(channel, "_full_rank_batch", one)
+    monkeypatch.setattr(channel, "_full_rank_pair", pair)
+    run_trials(Multispace(Subspace.full(F3, 2), 2), ChannelConfig(mode, 4, s, 1, random_generator))
+    assert seen == calls
+
+
 def test_trials_short_of_two_full_rank_chunks_take_the_single_stage_calls(monkeypatch):
     trials, m = 32, 3
     live = []
@@ -920,6 +953,51 @@ def test_a_small_try_budget_raises_on_fused_stages_as_on_single_ones(monkeypatch
     assert serial is SamplingFailed
     monkeypatch.setattr(channel, "_MAX_TRIES", tries)
     assert _outcome(lambda: run_trials(w, cfg)) is SamplingFailed
+
+
+@pytest.mark.parametrize("random_generator", [False, True])
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_each_mode_takes_its_rank_loss_and_distance_window(s, random_generator):
+    # (rank loss, least distance, largest distance), written out rather than read from the stage table
+    want = {"full-rank": (0, 0, 0), "deletion": (s, s, s), "rank-deficient": (s, 0, 2 * s),
+            "compound": (2 * s, s, 3 * s)}
+    assert {mode: channel._channel(ChannelConfig(mode, 1, s, 0, random_generator))[1:] for mode in MODES} == want
+
+
+def test_a_distance_below_the_window_is_flagged(monkeypatch):
+    # a deleted word's length puts it at least s from the sent one, so only a faulty
+    # distance falls below the window; one that reads d - 1 is caught by the least end
+    paired_inside = _WordStack.paired_inside
+
+    def short(self, other):
+        d, joins = paired_inside(self, other)
+        return d - 1, joins
+
+    monkeypatch.setattr(_WordStack, "paired_inside", short)
+    run = run_trials(Multispace(Subspace.full(F3, 2), 2), ChannelConfig("deletion", trials=5, s=1, seed=0))
+    assert run.summary.violations == 5 and run.summary.histogram == {0: 5}
+
+
+@pytest.mark.parametrize("ctx", [F2, F3], ids=["masked", "past the mask limit"])
+def test_a_received_space_outside_the_sent_one_is_flagged_inside_the_window(monkeypatch, ctx):
+    """Rank-deficient s = 1 on (U, 1), dim U = 2: where the received space is U,
+    one received basis row is swapped for a vector outside U.  Then d = 2 lies
+    inside [0, 2s], so only the containment check can flag the trial."""
+    sent = Multispace(Subspace.from_array(ctx, 4, [[1, 1, 0, 0], [0, 0, 1, 0]]), 1)
+    eliminate, tampered = channel.rref_batch, []
+
+    def tamper(ctx, a):
+        bases, ranks = eliminate(ctx, a)
+        whole = np.flatnonzero(ranks == 2)  # received space U, basis [1 1 0 0; 0 0 1 0]
+        bases[whole, 0] = [0, 1, 0, 0]  # zero at both pivots, so outside U
+        tampered.extend(whole.tolist())
+        return bases, ranks
+
+    monkeypatch.setattr(channel, "rref_batch", tamper)
+    run = run_trials(sent, ChannelConfig("rank-deficient", trials=20, s=1, seed=3))
+    assert 0 < len(tampered) < 20 and run.summary.violations == len(tampered)
+    assert [i for i, record in enumerate(run.records) if not record.bound_satisfied] == tampered
+    assert all(run.records[i].distance == 2 for i in tampered)  # inside the window
 
 
 @pytest.mark.parametrize("ctx, n", [(F2, 4), (F3, 4)], ids=["masked", "past the mask limit"])

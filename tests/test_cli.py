@@ -303,6 +303,8 @@ def test_limit_exit_code(capsys):
     # greedy: one layer past int64 heights, and 2^62 + 1 layers built one by one
     (["search", "2", "1", "4611686018427387904", "1"], "9223372036854775809 multispaces"),
     (["search", "2", "1", "18446744073709551616", "1"], "at least 2^65 multispaces"),
+    # a ground set past the 4300 digits Python prints for an int is named by its power of two
+    (["search", "2^16", "63", "30", "3", "--optimal"], "ground set of at least 2^15840 exceeds"),
 ])
 def test_a_huge_rank_cap_is_refused_on_the_closed_form_total(capsys, argv, total):
     # no rank layer passes a limit; the total does, and it is counted without a loop over ranks

@@ -21,7 +21,10 @@ sampler moves a generator but by its own draws.  In ``channel.py`` only
 ``_trial_blocks`` and ``_check_shape`` call ``_check_budget``, so a run's
 channel matrices are refused once, before the first block.  Only the JSON
 writer ``cli._json`` may call ``dumps`` with an indent, so every indented
-document is written by one writer.
+document is written by one writer.  In ``channel.py``, ``_channel_block``
+reads neither ``.mode`` nor ``.random_generator``, and a mode's name is a
+string only in the stage table ``_STAGES``, so a mode is its stages and no
+branch on a mode's name comes back.
 """
 
 import ast
@@ -384,3 +387,44 @@ def test_only_the_json_writer_indents_json():
     found = {str(path.relative_to(ROOT)): indented_json_dumps(path.read_text()) for path in library}
     where = {path: sorted({s.split(" (")[0] for s in sites}) for path, sites in found.items() if sites}
     assert where in ({}, {"src/multispace/cli.py": ["_json"]})
+
+
+#: The channel's mode names, written out apart from channel.MODES.
+MODE_NAMES = {"full-rank", "deletion", "rank-deficient", "compound"}
+
+
+def mode_branches(source: str) -> list[str]:
+    """Where _channel_block reads an attribute mode or random_generator, and where a
+    mode name is a string outside the assignment to _STAGES, as ".attr (line N)" or
+    "'name' (line N)", in source order."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_channel_block":
+            found += [(child.lineno, child.col_offset, f".{child.attr}") for child in ast.walk(node)
+                      if isinstance(child, ast.Attribute) and child.attr in ("mode", "random_generator")]
+        if not (isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_STAGES"]):
+            found += [(child.lineno, child.col_offset, repr(child.value)) for child in ast.walk(node)
+                      if isinstance(child, ast.Constant) and isinstance(child.value, str) and child.value in MODE_NAMES]
+    return [f"{what} (line {line})" for line, _, what in sorted(found)]
+
+
+def test_scan_finds_mode_branches():
+    source = (
+        "_STAGES = {'deletion': (1,), 'compound': (2,)}\n"
+        "def _channel_block(cfg, draws):\n    if cfg.mode == 'deletion' or cfg.random_generator:\n"
+        "        return draws.mode\n    return cfg.s, 'deletions', f'{cfg.s} compound'\n"
+        "def validate(self):\n    return self.mode != 'full-rank'\n"
+        "_OTHER = {'rank-deficient': 1}\n"
+    )
+    assert mode_branches(source) == [
+        ".mode (line 3)", "'deletion' (line 3)", ".random_generator (line 3)", ".mode (line 4)",
+        "'full-rank' (line 7)", "'rank-deficient' (line 8)",
+    ]
+
+
+def test_only_the_stage_table_names_the_channel_modes():
+    # a mode is the tuple of its stages: _channel_block runs them in one loop, with no branch on the mode
+    from multispace.channel import MODES
+
+    assert set(MODES) == MODE_NAMES
+    assert mode_branches((ROOT / "src" / "multispace" / "channel.py").read_text()) == []

@@ -235,6 +235,17 @@ def test_pairwise_distances_over_several_row_blocks(ctx, n, m):
     assert pairwise_distances(words).tolist() == [[distance(a, b) for b in words] for a in words]
 
 
+def test_the_distance_kernel_takes_heights_below_2_62_and_refuses_them_from_it():
+    # literal heights, not the limit constant: 2^62 - 1 is exact in int64, and 2^62 is the first refused
+    zero = Subspace.zero(F2, 2)
+    low = Multispace(zero, 0)
+    assert pairwise_distances([low, Multispace(zero, 2 ** 62 - 1)]).tolist() == [
+        [0, 4611686018427387903], [4611686018427387903, 0]]
+    for height in (2 ** 62, 2 ** 63 - 1):
+        with pytest.raises(LimitExceeded):
+            pairwise_distances([low, Multispace(zero, height)])
+
+
 #: (field, n, masked): two spaces on the mask path of _WordStack, three on the elimination path
 METAMORPHIC_SPACES = [(F2, 4, True), (F3, 3, True), (F2, 7, False), (F3, 4, False), (F4, 4, False)]
 
