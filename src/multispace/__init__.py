@@ -10,7 +10,6 @@ random linear network coding.
 """
 
 from .errors import (
-    BoundViolation,
     ConfigInvalid,
     ContextMismatch,
     DimensionMismatch,

@@ -16,7 +16,7 @@ _Draws reads each trial's raw PCG64 words ahead and maps them as numpy
 would, each draw of a block's stages is made for all its trials, rejection
 sampling ranks rounds of candidates at once with rank_batch (a matrix and
 its transpose drawn back to back in one pass), multispans are one batched
-elimination and distances a membership check, while every trial takes the
+elimination and distances one paired call, while every trial takes the
 draws of a one-trial loop.  A block comes out as columns (sent indices,
 received words as one stack, distances, bound checks); one summary reads
 them for both entry points, and only run_trials builds TrialRecords.
@@ -71,14 +71,12 @@ class ChannelConfig:
     random_generator: bool = False
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ConfigInvalid(f"unknown mode {self.mode!r}; pick one of {MODES}")
         check_settings(("trials", self.trials, 0, "trials must be nonnegative"),
                        ("s", self.s, 0, "error weight s must be nonnegative"),
                        ("seed", self.seed, 0, f"seed {self.seed} is negative"))
         if not isinstance(self.random_generator, (bool, np.bool_)):
             raise ConfigInvalid(f"random_generator {self.random_generator!r} is not a bool")
-        if self.s and not any(_channel(self)[1:]):  # stages that move nothing take no weight
+        if not any(_channel(self)[1:]) and self.s:  # _channel refuses an unknown mode; idle stages take no weight
             raise ConfigInvalid(f"{self.mode} mode takes no error weight")
 
     def check_rank(self, m: int):
@@ -491,6 +489,8 @@ def _channel(cfg: ChannelConfig) -> tuple:
     """(stages, rank loss, least, largest distance) of cfg: its mode's stages in the order
     a trial draws them, a random generator's mix first, and the sums of their windows
     times s (proof at _channel_block); rank losses add, as a deficient stage comes last."""
+    if cfg.mode not in _STAGES:
+        raise ConfigInvalid(f"unknown mode {cfg.mode!r}; pick one of {MODES}")
     stages = (_FULL,) * bool(cfg.random_generator) + _STAGES[cfg.mode]
     return stages, *(cfg.s * sum(col) for col in zip(*(stage.window for stage in stages)))
 
@@ -524,7 +524,7 @@ def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np
     then the stages in order.  Arrays are zero-padded; zero rows change no
     rank.  A trial is ok when least <= d <= most, by _channel, and the
     received space lies in the sent one, as every stage's vectors combine
-    the ones it got (paired_inside eliminates only rows outside it).
+    the ones it got: just then paired's dim(W + X) is dim W.
 
     Windows add.  With W_i the word after stage i of k, d(W_(i-1), W_i) <=
     most_i s (module docstring), so d(W_0, W_k) <= sum most_i s by the
@@ -539,7 +539,7 @@ def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np
         gens = stage.run(ctx, gens, ms - drop * s, s, *[next(drawn) for _ in stage.shapes])
     bases, ranks = rref_batch(ctx, gens)  # the received word's rank; its height is its length - rank
     stack = _WordStack(ctx, sent.n, bases[:, : ranks.max()], ranks, ms - drops[-1] * s - ranks)
-    d, joins = sent.paired_inside(stack)
+    d, joins = sent.paired(stack)
     return stack, d, (least <= d) & (d <= most) & (joins == sent.dims)
 
 

@@ -80,7 +80,3 @@ class ConfigInvalid(MultispaceError, ValueError):
 
 class SamplingFailed(MultispaceError, RuntimeError):
     """Rejection sampling found no acceptable candidate within its try budget."""
-
-
-class BoundViolation(MultispaceError, RuntimeError):
-    """A simulated trial violated a proven channel bound (implementation bug)."""

@@ -25,6 +25,7 @@ from .linalg import (
     DEFAULT_STATE_LIMIT,
     Subspace,
     _check_budget,
+    _check_lower_bound,
     _odometer,
     _pad_stack,
     _rows_array,
@@ -314,29 +315,22 @@ class _WordStack:
     The one place that measures distance on a batch, as
     d = 2 dim(W + X) - dim W - dim X + |ht W - ht X|.  When q^n <= MASK_VECTORS
     each word's subspace is also a uint64 membership mask, bit sum v_i q^i set
-    iff v is a member, read from the subspace table or built on first read;
+    iff v is a member, read from the subspace table or built with the stack;
     then |W ^ X| = popcount(w & x) is a power of q and
     dim(W + X) = dim W + dim X - log_q |W ^ X| needs no elimination.  Larger
     spaces take rank [W; X] = dim(W + X) from one rank_batch.
     """
 
-    __slots__ = ("ctx", "n", "bases", "dims", "heights", "_masks")
+    __slots__ = ("ctx", "n", "bases", "dims", "heights", "masks")
 
     def __init__(self, ctx: FieldCtx, n: int, bases: np.ndarray, dims, heights, masks=None):
-        """masks, when given, are those of bases; otherwise the first read builds them."""
+        """masks, when given, are those of bases; otherwise they are built here."""
         self.ctx = ctx
         self.n = n
         self.bases = bases
         self.dims = dims
         self.heights = heights
-        self._masks = masks
-
-    @property
-    def masks(self) -> np.ndarray | None:
-        """The membership masks of the rows, None when q^n > MASK_VECTORS."""
-        if self._masks is None:
-            self._masks = _membership_masks(self.ctx, self.n, self.bases)
-        return self._masks
+        self.masks = _membership_masks(ctx, n, bases) if masks is None else masks
 
     @classmethod
     def of(cls, words) -> "_WordStack":
@@ -359,6 +353,7 @@ class _WordStack:
         """Every multispace of rank m >= 0, in the order of enumerate_multispaces: the
         first rows of the subspace table of GF(q)^n, cut to depth min(n, m), with
         heights m - dim.  The bases, dims and masks are read-only views of the table."""
+        _check_lower_bound(n, min(m, n // 2), ctx.q, "multispaces")
         count = count_multispaces(n, m, ctx.q)
         _check_budget(count, "multispaces")
         depth = min(n, m)
@@ -368,9 +363,8 @@ class _WordStack:
 
     def __getitem__(self, index) -> "_WordStack":
         """The words at index, with the masks of this stack: an int gives one word shared by every row."""
-        masks = self.masks
         return _WordStack(self.ctx, self.n, self.bases[index], self.dims[index], self.heights[index],
-                          None if masks is None else masks[index])
+                          None if self.masks is None else self.masks[index])
 
     def words(self) -> list[Multispace]:
         """Every row as a Multispace; equal rows, keyed by their bytes, share one."""
@@ -384,9 +378,8 @@ class _WordStack:
 
     def extend(self, rows: "_WordStack"):
         """Add the rows of a stack of the same GF(q)^n, no deeper than this one, at the end."""
-        masks = self.masks
-        if masks is not None:
-            self._masks = np.concatenate([masks, rows.masks])
+        if self.masks is not None:
+            self.masks = np.concatenate([self.masks, rows.masks])
         bases = np.zeros((len(rows.dims), *self.bases.shape[1:]), dtype=np.int64)
         bases[:, : rows.bases.shape[1]] = rows.bases
         self.bases = np.concatenate([self.bases, bases])
@@ -414,37 +407,6 @@ class _WordStack:
             pairs[..., depth:, :] = other.bases
             joins = rank_batch(self.ctx, pairs.reshape(math.prod(lead), *pairs.shape[-2:])).reshape(lead)
         return 2 * joins - self.dims - other.dims + np.abs(self.heights - other.heights), joins
-
-    def paired_inside(self, other: "_WordStack") -> tuple[np.ndarray, np.ndarray]:
-        """paired, for rows X of other expected to lie inside their partners W.
-
-        Each basis row v of X is tested for membership in W: one bit of W's mask
-        when q^n <= MASK_VECTORS, else a zero residual v - v[pivots W] W, W being
-        in RREF; zero rows pass, and W's zero padding adds nothing.  Then
-        dim(W + X) = dim W, so d = dim W - dim X + |ht W - ht X|.  Only rows that
-        fail go through paired, so a word outside its partner is measured.
-        """
-        lead = np.broadcast_shapes(np.shape(self.dims), np.shape(other.dims))
-        if self.masks is not None:
-            codes = (other.bases @ self.ctx.q ** np.arange(self.n, dtype=np.int64)).astype(np.uint64)
-            inside = (self.masks[..., None] >> codes & np.uint64(1)).all(axis=-1)
-        else:
-            w, x = (np.broadcast_to(s.bases, (*lead, *s.bases.shape[-2:])) for s in (self, other))
-            pivots = (w != 0).argmax(axis=-1)  # column 0 for a zero row, which adds nothing
-            coeffs = np.take_along_axis(x, pivots[..., None, :], axis=-1)  # v[pivots W] of every row v
-            inside = (matmul_arrays(self.ctx, coeffs, w) == x).all(axis=(-2, -1))
-        joins = np.broadcast_to(self.dims, lead).copy()
-        d = np.array(joins - other.dims + np.abs(self.heights - other.heights))
-        if not inside.all():
-            out = ~inside
-            d[out], joins[out] = self._rows_at(lead, out).paired(other._rows_at(lead, out))
-        return d, joins
-
-    def _rows_at(self, lead, index) -> "_WordStack":
-        """The rows at index of this stack broadcast to the shape lead, as a new stack."""
-        bases = np.broadcast_to(self.bases, (*lead, *self.bases.shape[-2:]))[index]
-        dims, heights = (np.broadcast_to(a, lead)[index] for a in (self.dims, self.heights))
-        return _WordStack(self.ctx, self.n, bases, dims, heights)
 
     def cross_blocks(self, other: "_WordStack"):
         """Yield (rows, columns, distances): the (T, U) distance matrix of every
@@ -551,6 +513,7 @@ def enumerate_multispaces(ctx: FieldCtx, n: int, m: int):
     n, m = int(n), int(m)  # so each height m - k is a Python int
     if min(m, n) < 0:
         return  # no multispace has a negative rank or ambient dimension
+    _check_lower_bound(n, min(m, n // 2), ctx.q, "multispaces")
     _check_budget(count_multispaces(n, m, ctx.q), "multispaces")
     for k in range(0, min(m, n) + 1):
         for s in enumerate_subspaces(ctx, n, k):
@@ -561,6 +524,7 @@ def _check_total(ctx: FieldCtx, n: int, m_max: int) -> None:
     """Refuse, before the first item, a walk over every multispace of rank <= m_max."""
     check_settings(("n", n, None, ""), ("m_max", m_max, None, ""))
     if min(n, m_max) >= 0:
+        _check_lower_bound(n, min(m_max, n // 2), ctx.q, "multispaces")
         _check_budget(codespace_growth(ctx, n, m_max), "multispaces")
 
 

@@ -29,6 +29,13 @@ def _check_budget(count: int, what: str) -> None:
         raise LimitExceeded(f"{_shown(count)} {what} exceed the enumeration limit {DEFAULT_STATE_LIMIT}")
 
 
+def _check_lower_bound(n: int, k: int, q: int, what: str) -> None:
+    """Refuse a count of at least [n, k]_q >= 2^(k(n-k) floor(log2 q)) items, 0 <= k <= n, before it is formed."""
+    bits = k * (n - k) * (q.bit_length() - 1)
+    if bits >= 64:  # past 64 bits _shown names a count by a power of two anyway
+        raise LimitExceeded(f"at least 2^{bits} {what} exceed the enumeration limit {DEFAULT_STATE_LIMIT}")
+
+
 @functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of GF(q)^n (exact integer).
@@ -564,7 +571,11 @@ def _subspace_blocks(ctx: FieldCtx, n: int, k: int):
     """
     if not 0 <= k <= n:
         return
+    _check_lower_bound(n, k, ctx.q, "subspaces")
     _check_budget(gaussian_binomial(n, k, ctx.q), "subspaces")
+    if k == 0:  # one cell; combinations would hold all n columns, and zero refuses a huge n
+        yield Subspace.zero(ctx, n).basis[None]
+        return
     q = ctx.q
     for pivots in combinations(range(n), k):
         free = [(i, c) for i in range(k) for c in range(pivots[i] + 1, n) if c not in pivots]

@@ -495,8 +495,9 @@ def test_determinism():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
-        ChannelConfig("nonsense", trials=1).validate()
+    for check in (lambda cfg: cfg.validate(), lambda cfg: cfg.check_rank(3)):  # an unknown mode, named by both
+        with pytest.raises(ConfigInvalid, match=r"^unknown mode 'nonsense'; pick one of \("):
+            check(ChannelConfig("nonsense", trials=1))
     with pytest.raises(ConfigInvalid):
         ChannelConfig("deletion", trials=1, s=-1).validate()
     with pytest.raises(ConfigInvalid):
@@ -967,13 +968,13 @@ def test_each_mode_takes_its_rank_loss_and_distance_window(s, random_generator):
 def test_a_distance_below_the_window_is_flagged(monkeypatch):
     # a deleted word's length puts it at least s from the sent one, so only a faulty
     # distance falls below the window; one that reads d - 1 is caught by the least end
-    paired_inside = _WordStack.paired_inside
+    paired = _WordStack.paired
 
     def short(self, other):
-        d, joins = paired_inside(self, other)
+        d, joins = paired(self, other)
         return d - 1, joins
 
-    monkeypatch.setattr(_WordStack, "paired_inside", short)
+    monkeypatch.setattr(_WordStack, "paired", short)
     run = run_trials(Multispace(Subspace.full(F3, 2), 2), ChannelConfig("deletion", trials=5, s=1, seed=0))
     assert run.summary.violations == 5 and run.summary.histogram == {0: 5}
 
@@ -1012,24 +1013,23 @@ def test_a_received_row_outside_the_sent_space_is_measured(monkeypatch, ctx, n):
         return bases, ranks
 
     pairings = []
-    paired_inside = _WordStack.paired_inside
+    paired = _WordStack.paired
 
     def spy(self, other):
-        out = paired_inside(self, other)
-        pairings.append((out, self.paired(other)))
-        return out
+        pairings.append(paired(self, other))
+        return pairings[-1]
 
     monkeypatch.setattr(channel, "rref_batch", tampered)
-    monkeypatch.setattr(_WordStack, "paired_inside", spy)
+    monkeypatch.setattr(_WordStack, "paired", spy)
     run = run_trials(sent, ChannelConfig("full-rank", trials=5, seed=2))
-    [((d, joins), (want_d, want_joins))] = pairings
-    assert np.array_equal(d, want_d) and np.array_equal(joins, want_joins)
+    [(d, joins)] = pairings
+    assert d.tolist() == [distance(sent, record.received) for record in run.records]
     assert joins[0] == sent.dim + 1 and (joins[1:] == sent.dim).all()
     assert run.summary.violations == 1 and not run.records[0].bound_satisfied
     assert run.records[0].distance == d[0] > 0
 
 
-def test_run_trials_masks_only_the_sent_word_and_decoding_masks_the_received(monkeypatch):
+def test_each_stack_is_masked_once_and_decoding_reuses_the_received_masks(monkeypatch):
     built = []
     masks = lattice._membership_masks
 
@@ -1040,12 +1040,12 @@ def test_run_trials_masks_only_the_sent_word_and_decoding_masks_the_received(mon
     monkeypatch.setattr(lattice, "_membership_masks", spy)
     w = Multispace(Subspace.full(F2, 4), 1)
     run = run_trials(w, ChannelConfig("full-rank", trials=40, seed=3))
-    assert built == [(1,)]  # the one sent word's stack; the received stack is never masked
+    assert built == [(1,), (40,)]  # the one sent word's stack, then the received stack; views take slices
     assert all(r.received is run.records[0].received for r in run.records)  # one word per distinct row
     code = MultispaceCode(F2, 4, 5, (w, Multispace(Subspace.zero(F2, 4), 5)))
     built.clear()
     end_to_end(code, ChannelConfig("full-rank", trials=8, seed=3))
-    assert built == [(2,), (8,)]  # the codewords, then the received words to decode
+    assert built == [(2,), (8,)]  # the codewords, then the received words, checked and decoded
 
 
 def test_a_short_rank_is_named_in_trial_order():

@@ -314,6 +314,22 @@ def test_a_huge_rank_cap_is_refused_on_the_closed_form_total(capsys, argv, total
     assert code == 2 and out == "" and total in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # the Gaussian-binomial lower bound q^(k(n-k)) refuses before any exact count is formed
+    (["enumerate", "2^3", "18446744073709551616", "3"], 2, "at least 2^166020696663385964517 multispaces"),
+    (["hasse", "2", "9223372036854775807", "1"], 2, "at least 2^9223372036854775806 multispaces"),
+    (["search", "5", "9223372036854775808", "3", "1"], 2, "at least 2^55340232221128654830 multispaces"),
+    # rank 0 passes every budget; the zero space refuses an n numpy cannot shape
+    (["enumerate", "7", "4611686018427387904", "0"], 1, "ambient dimension 4611686018427387904 is too large"),
+    (["enumerate", "2^16", "9223372036854775808", "0"], 1, "ambient dimension 9223372036854775808 is too large"),
+])
+def test_a_huge_ambient_dimension_is_refused_before_any_count_is_formed(capsys, argv, code, message):
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert got == code and out == "" and message in err and "Traceback" not in err
+
+
 def test_hasse_is_refused_on_its_cover_pairs(capsys):
     # 702124 nodes are within the budget; their 2100224 cover pairs are not
     start = time.perf_counter()

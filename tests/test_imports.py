@@ -24,7 +24,9 @@ writer ``cli._json`` may call ``dumps`` with an indent, so every indented
 document is written by one writer.  In ``channel.py``, ``_channel_block``
 reads neither ``.mode`` nor ``.random_generator``, and a mode's name is a
 string only in the stage table ``_STAGES``, so a mode is its stages and no
-branch on a mode's name comes back.
+branch on a mode's name comes back.  Every function, method and class of
+``src`` whose name has one leading underscore is read somewhere in ``src``
+outside its own definition, so a retired path leaves no private helper behind.
 """
 
 import ast
@@ -428,3 +430,37 @@ def test_only_the_stage_table_names_the_channel_modes():
 
     assert set(MODES) == MODE_NAMES
     assert mode_branches((ROOT / "src" / "multispace" / "channel.py").read_text()) == []
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """The functions, methods and classes named _x (one leading underscore) that no
+    name or attribute of any source reads outside their own definition, as
+    "path: name (line N)"."""
+    defs, reads = [], []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defs.append((path, node))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                reads.append((path, node.lineno, getattr(node, "id", None) or getattr(node, "attr", None)))
+    return [f"{path}: {node.name} (line {node.lineno})" for path, node in defs
+            if not any(name == node.name and (where != path or not node.lineno <= line <= node.end_lineno)
+                       for where, line, name in reads)]
+
+
+def test_scan_finds_unread_privates():
+    sources = {
+        "a.py": "def _used():\n    return 1\ndef _self(n):\n    return _self(n - 1)\n"
+                "class _Kept:\n    def _read(self):\n        return 2\n    def _unread(self):\n        return '_unread'\n"
+                "def __dunder__():\n    pass\nfrom b import _imported\n",
+        "b.py": "from a import _used\nx = _used(), _Kept()._read()\ndef _imported():\n    pass\n",
+    }
+    assert unread_privates(sources) == ["a.py: _self (line 3)", "a.py: _unread (line 8)", "b.py: _imported (line 3)"]
+
+
+def test_every_private_helper_of_the_library_is_read():
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert len(library) > 5
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in library}
+    assert unread_privates(sources) == []

@@ -331,40 +331,42 @@ def _padded_stack(ctx, n, words, pad):
     pads=st.tuples(st.integers(0, 2), st.integers(0, 2)),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_containment_pairing_equals_the_elimination_pairing(q, n, size, outside, pads, seed):
-    # rows inside their partners, and with chance `outside` a row drawn freely, which may
-    # not be; zero words, zero padding on both sides, n = 0, and q^n on both sides of
-    # MASK_VECTORS (bit tests and residuals); one-word views broadcast like numpy arrays
+def test_paired_measures_words_inside_and_outside_their_partners(q, n, size, outside, pads, seed):
+    # rows inside their partners, as the channel's received words are, and with chance
+    # `outside` a row drawn freely, which may not be; zero words, zero padding on both
+    # sides, n = 0, and q^n on both sides of MASK_VECTORS (popcounts and rank_batch);
+    # one-word views broadcast like numpy arrays
     ctx = {2: F2, 3: F3, 4: F4, 16: F16}[q]
     rng = np.random.default_rng(seed)
     ws = [random_multispace(ctx, n, rng) for _ in range(size)]
     xs = [random_multispace(ctx, n, rng) if rng.random() < outside else _word_inside(ctx, n, w, rng) for w in ws]
     w, x = _padded_stack(ctx, n, ws, pads[0]), _padded_stack(ctx, n, xs, pads[1])
-    for a, b in [(w, x), (w[0], x), (w, x[size - 1]), (w[0], x[0]), (w[:, None], x), (w, x[::-1])]:
-        (d, joins), (want_d, want_joins) = a.paired_inside(b), a.paired(b)
-        assert np.shape(d) == np.shape(want_d) and np.shape(joins) == np.shape(want_joins)
-        assert np.array_equal(d, want_d) and np.array_equal(joins, want_joins)
-    assert np.array_equal(w.paired_inside(x)[0], [distance(a, b) for a, b in zip(ws, xs)])
+    rows = np.arange(size)
+    for i, j in [(rows, rows), (0, rows), (rows, size - 1), (0, 0), (rows[:, None], rows), (rows, rows[::-1])]:
+        d, joins = w[i].paired(x[j])
+        i, j = np.broadcast_arrays(i, j)
+        assert np.shape(d) == np.shape(joins) == i.shape
+        want = [(distance(ws[a], xs[b]), join(ws[a], xs[b]).dim) for a, b in zip(i.ravel(), j.ravel())]
+        assert list(zip(np.ravel(d).tolist(), np.ravel(joins).tolist())) == want
 
 
 @pytest.mark.parametrize("ctx, n", [(F2, 6), (F3, 3), (F4, 3), (F16, 1), (F2, 0), (F2, 7), (F3, 4)])
-def test_lazy_masks_equal_eager_ones_on_every_view_and_slice(ctx, n):
+def test_masks_are_built_with_the_stack_and_match_on_every_view_and_slice(ctx, n):
     rng = np.random.default_rng(n)
     words = [random_multispace(ctx, n, rng) for _ in range(9)]
     stack = _WordStack.of(words)
-    assert stack._masks is None  # nothing is built before the first read
     eager = lattice._membership_masks(ctx, n, stack.bases)
     assert (eager is None) == (ctx.q ** n > MASK_VECTORS)
     for index in [3, slice(2, 7), slice(None, None, -2), np.array([4, 0, 4]), np.arange(9) % 3 == 0,
-                  (slice(1, 5), None)]:
-        view = _WordStack.of(words)[index]  # a view takes its stack's masks
+                  (slice(1, 5), None), ...]:
+        view = stack[index]  # a view takes its stack's masks
         rows = _WordStack(ctx, n, stack.bases[index], stack.dims[index], stack.heights[index])
-        for lazy in (view, rows, view[...]):
+        for built in (view, rows, view[...]):
             if eager is None:
-                assert lazy.masks is None
+                assert built.masks is None
             else:
-                assert lazy.masks.dtype == np.uint64 and np.array_equal(lazy.masks, eager[index])
-    grown = _WordStack.empty(ctx, n, stack.bases.shape[1])  # extended before any read
+                assert built.masks.dtype == np.uint64 and np.array_equal(built.masks, eager[index])
+    grown = _WordStack.empty(ctx, n, stack.bases.shape[1])
     grown.extend(_WordStack.of(words[:4]))
     grown.extend(_WordStack.of(words[4:]))
     assert grown.words() == words

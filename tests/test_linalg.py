@@ -544,6 +544,18 @@ def test_budget_message_names_huge_counts_by_a_power_of_two():
         _check_budget(2 ** 20000 + 1, "things")  # far past the digits Python prints
 
 
+def test_a_huge_count_is_refused_on_its_lower_bound_before_it_is_formed():
+    # [n, k]_q >= q^(k(n-k)): at 64 bits the bound names the count, below it the exact count does
+    with pytest.raises(LimitExceeded, match="^18446744073709551615 subspaces exceed"):
+        next(enumerate_subspaces(F2, 64, 1))
+    with pytest.raises(LimitExceeded, match=r"^at least 2\^64 subspaces exceed"):
+        next(enumerate_subspaces(F2, 65, 1))
+    with pytest.raises(LimitExceeded, match=r"^at least 2\^55340232221128654845 subspaces exceed"):
+        next(enumerate_subspaces(F9, 2 ** 64, 1))  # floor(log2 9) = 3 bits per power of 9
+    with pytest.raises(FormatError, match="ambient dimension 4611686018427387904 is too large"):
+        next(enumerate_subspaces(F2, 2 ** 62, 0))  # one item, but no array has that many columns
+
+
 def test_budget_counts_items_not_the_ambient_space():
     # q^n = 2^21 is over the budget; the point and the whole space are one item each
     assert list(enumerate_subspaces(F2, 21, 0)) == [Subspace.zero(F2, 21)]
