@@ -4,8 +4,9 @@ The transmitter sends a generating multiset of a multispace through the stages
 of a mode, after Koetter and Kschischang's operator channel: each maps w
 vectors gens to T^T gens for a random T over GF(q).  full, a square T of full
 rank, keeps the word; delete keeps w - s of the vectors, exactly s below it;
-deficient, a square T of rank w - s, moves it at most 2s.  A mode's rank loss
-and distance window are the sums over its stages (_STAGES, _channel_block).
+deficient, a square T of rank w - s, moves it at most 2s; a random generator's
+mix M is one more full stage, and mixed, M then a full stage's T, is the pair.
+A mode's loss and window are the sums over its stages (_STAGES, _channel_block).
 
 Every trial draws its own PRNG substream, so results are independent of
 scheduling and reproducible from (config, seed) alone: trial i draws from
@@ -13,9 +14,9 @@ default_rng(SeedSequence(seed).spawn(i + 1)[i]), and _trial_generators
 builds a block's generators with exactly those PCG64 states in one
 vectorised pass of SeedSequence's hash.  Trials run in blocks as arrays:
 _Draws reads each trial's raw PCG64 words ahead and maps them as numpy
-would, each draw of a block's stages is made for all its trials, rejection
-sampling ranks rounds of candidates at once with rank_batch (a matrix and
-its transpose drawn back to back in one pass), multispans are one batched
+would, each stage makes its draws for all the block's trials, rejection
+sampling ranks rounds of candidates at once with rank_batch (a stage's two
+matrices of transposed shapes in one pass), multispans are one batched
 elimination and distances one paired call, while every trial takes the
 draws of a one-trial loop.  A block comes out as columns (sent indices,
 received words as one stack, distances, bound checks); one summary reads
@@ -451,9 +452,11 @@ def _trial_generators(seed: int, start: int, count: int) -> list:
 # Stages and trials
 # ---------------------------------------------------------------------------
 
-def _transform(ctx: FieldCtx, gens: np.ndarray, w: np.ndarray, s: int, t: np.ndarray) -> np.ndarray:
-    """T^T gens for each trial's stage matrix T: the vectors its columns combine."""
-    return matmul_arrays(ctx, np.swapaxes(t, 1, 2), gens)
+def _transform(ctx: FieldCtx, gens: np.ndarray, *ts: np.ndarray) -> np.ndarray:
+    """T^T gens for each trial's stage matrix T in turn: a mix M, then T, gives (M T)^T gens."""
+    for t in ts:
+        gens = matmul_arrays(ctx, np.swapaxes(t, 1, 2), gens)
+    return gens
 
 
 def _delete(ctx: FieldCtx, gens: np.ndarray, w: np.ndarray, s: int, perms: list[list[int]]) -> np.ndarray:
@@ -469,16 +472,19 @@ def _deficient(ctx: FieldCtx, gens: np.ndarray, w: np.ndarray, s: int, a: np.nda
     lost = np.flatnonzero(rank_batch(ctx, t) != w - s)  # full-rank factors give rank w - s
     if len(lost):
         raise ShapeViolation(f"product of full-rank factors lost rank {(w - s)[lost[0]]}")
-    return _transform(ctx, gens, w, s, t)
+    return _transform(ctx, gens, t)
 
 
-#: A stage on each trial's w vectors: its draws in order, (a, b) a full-rank (w - a s) x (w - b s)
-#: matrix and (a, None) permutation(w - a s); run(ctx, gens, w, s, *drawn), the vectors it passes
-#: on; its (rank loss, least, largest distance) in units of s, least also the drop in length.
-_Stage = collections.namedtuple("_Stage", "shapes run window")
-_FULL = _Stage(((0, 0),), _transform, (0, 0, 0))
-_DELETE = _Stage(((0, None),), _delete, (1, 1, 1))
-_DEFICIENT = _Stage(((0, 1), (1, 0)), _deficient, (1, 0, 2))
+#: A stage on each trial's w vectors: draw(ctx, draws, w, s), its matrices for the block in a
+#: trial's order (two of transposed shapes in one rank pass); run(ctx, gens, w, s, *drawn), the
+#: vectors it passes on; (rank loss, least, largest distance) in units of s, least the drop in length.
+_Stage = collections.namedtuple("_Stage", "draw run window")
+_FULL = _Stage(lambda ctx, draws, w, s: [_full_rank_batch(ctx, draws, w, w)],
+               lambda ctx, gens, w, s, t: _transform(ctx, gens, t), (0, 0, 0))
+_MIXED = _Stage(lambda ctx, draws, w, s: _full_rank_pair(ctx, draws, w, w),
+                lambda ctx, gens, w, s, mix, t: _transform(ctx, gens, mix, t), (0, 0, 0))
+_DELETE = _Stage(lambda ctx, draws, w, s: [draws.permutations(w.tolist())], _delete, (1, 1, 1))
+_DEFICIENT = _Stage(lambda ctx, draws, w, s: _full_rank_pair(ctx, draws, w, w - s), _deficient, (1, 0, 2))
 #: mode -> its stages, in the order a trial draws them
 _STAGES = {"full-rank": (_FULL,), "deletion": (_FULL, _DELETE), "rank-deficient": (_DEFICIENT,),
            "compound": (_FULL, _DELETE, _DEFICIENT)}
@@ -487,32 +493,15 @@ MODES = tuple(_STAGES)
 
 def _channel(cfg: ChannelConfig) -> tuple:
     """(stages, rank loss, least, largest distance) of cfg: its mode's stages in the order
-    a trial draws them, a random generator's mix first, and the sums of their windows
-    times s (proof at _channel_block); rank losses add, as a deficient stage comes last."""
+    a trial draws them, a random generator's mix first (merged into a leading full stage,
+    with whose matrix it shares a rank pass), and the sums of their windows times s (proof
+    at _channel_block); rank losses add, as a deficient stage comes last."""
     if cfg.mode not in _STAGES:
         raise ConfigInvalid(f"unknown mode {cfg.mode!r}; pick one of {MODES}")
-    stages = (_FULL,) * bool(cfg.random_generator) + _STAGES[cfg.mode]
+    stages = _STAGES[cfg.mode]
+    if cfg.random_generator:
+        stages = (_MIXED, *stages[1:]) if stages[0] is _FULL else (_FULL, *stages)
     return stages, *(cfg.s * sum(col) for col in zip(*(stage.window for stage in stages)))
-
-
-def _draw(ctx: FieldCtx, draws: _Draws, ms: np.ndarray, s: int, stages: tuple, drops: list) -> list:
-    """The draws of stages, which lose drops[i] s of the length m before stage i, in order and each
-    for every trial of the block.  A matrix whose next is its transpose is drawn with it by
-    _full_rank_pair, pairs counted from the last draw back (the mix with the channel matrix,
-    A with B): a pair takes the draws and matrices of two single calls, so no output changes."""
-    specs = [(d + a, b if b is None else d + b) for stage, d in zip(stages, drops) for a, b in stage.shapes]
-    out, paired = [], [False] * (len(specs) + 1)  # draw i with i + 1; the last entry stands for none
-    for i in range(len(specs) - 2, -1, -1):
-        (a, b), (a2, b2) = specs[i : i + 2]
-        paired[i] = not paired[i + 1] and None not in (b, b2) and a * s == b2 * s and b * s == a2 * s
-    for i, (a, b) in enumerate(specs):
-        if b is None:
-            out.append(draws.permutations((ms - a * s).tolist()))
-        elif paired[i]:
-            out += _full_rank_pair(ctx, draws, ms - a * s, ms - b * s)
-        elif not paired[i - 1]:  # else drawn with the one before
-            out.append(_full_rank_batch(ctx, draws, ms - a * s, ms - b * s))
-    return out
 
 
 def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np.ndarray):
@@ -533,12 +522,12 @@ def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np
     """
     ctx, s, ms = sent.ctx, cfg.s, sent.dims + sent.heights
     stages, _, least, most = _channel(cfg)
-    drops = list(itertools.accumulate((stage.window[1] for stage in stages), initial=0))  # length lost, in s
-    drawn = iter(_draw(ctx, draws, ms, s, stages, drops))
-    for stage, drop in zip(stages, drops):
-        gens = stage.run(ctx, gens, ms - drop * s, s, *[next(drawn) for _ in stage.shapes])
+    ws = [ms - drop * s for drop in itertools.accumulate((stage.window[1] for stage in stages), initial=0)]
+    drawn = [stage.draw(ctx, draws, w, s) for stage, w in zip(stages, ws)]  # w: the length before each stage
+    for stage, w, mats in zip(stages, ws, drawn):
+        gens = stage.run(ctx, gens, w, s, *mats)
     bases, ranks = rref_batch(ctx, gens)  # the received word's rank; its height is its length - rank
-    stack = _WordStack(ctx, sent.n, bases[:, : ranks.max()], ranks, ms - drops[-1] * s - ranks)
+    stack = _WordStack(ctx, sent.n, bases[:, : ranks.max()], ranks, ws[-1] - ranks)
     d, joins = sent.paired(stack)
     return stack, d, (least <= d) & (d <= most) & (joins == sent.dims)
 

@@ -44,6 +44,7 @@ from .lattice import (
     meet,
     mspan,
 )
+from .linalg import _check_budget
 from .qpoly import LinearizedPoly, poly_from_multispace, roots_multiset
 
 
@@ -161,13 +162,19 @@ def _check_n_and_rank(n, m) -> None:
     check_settings(("n", n, 0, message), ("m", m, 0, message))
 
 
+def _check_digits(ctx, n: int, m: int) -> None:
+    """Refuse counts of GF(q)^n to rank m if [n, k]_q >= q^(k(n-k)), k = min(m, n // 2), is too long to print."""
+    limit = sys.get_int_max_str_digits() or math.inf  # 0 means no limit
+    k = min(m, n // 2)
+    if k * (n - k) > (limit + 1) / math.log10(ctx.q):  # an int against a float, exact at any size
+        raise _digit_limit_error(limit)
+
+
 def cmd_count(args) -> int:
     _check_n_and_rank(args.n, args.m)
     ctx = parse_field_spec(args.q_spec)
-    limit = sys.get_int_max_str_digits() or math.inf  # 0 means no limit
-    k = min(args.m, args.n // 2)  # refuse before counting if [n, k]_q >= q^(k(n-k)) is too long
-    if k * (args.n - k) * math.log10(ctx.q) > limit + 1:
-        raise _digit_limit_error(limit)
+    _check_digits(ctx, args.n, args.m)
+    _check_budget(args.m + 1, "count rows")  # one row per rank 0..m
     rows = []
     cumulative = 0
     for j in range(args.m + 1):
@@ -307,6 +314,8 @@ def cmd_ball(args) -> int:
 
 def cmd_bound(args) -> int:
     ctx = parse_field_spec(args.q_spec)
+    _check_search(args.n, args.m_max, args.d_min)
+    _check_digits(ctx, args.n, args.m_max)
     b = sphere_packing_bound(ctx, args.n, args.m_max, args.d_min)
     space = codespace_growth(ctx, args.n, args.m_max)
     doc = {"packing_bound": b, "space_size": space}

@@ -190,9 +190,12 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
     chosen rows become Multispace.
     """
     _check_search(n, m_max, d_min)
-    v = codespace_growth(ctx, n, m_max)
-    if v > CLIQUE_LIMIT:
-        raise LimitExceeded(f"ground set of {_shown(v)} exceeds clique-search limit {CLIQUE_LIMIT}")
+    k = min(m_max, n // 2)  # the rank-k layer alone holds [n, k]_q >= q^(k(n-k)) >= 2^bits words
+    bits = k * (n - k) * (ctx.q.bit_length() - 1)
+    v = None if bits >= 64 else codespace_growth(ctx, n, m_max)  # past 64 bits the bound is shown
+    if v is None or v > CLIQUE_LIMIT:
+        shown = f"at least 2^{bits}" if v is None else _shown(v)
+        raise LimitExceeded(f"ground set of {shown} exceeds clique-search limit {CLIQUE_LIMIT}")
     ground = _WordStack.empty(ctx, n, min(n, m_max))
     for m in range(m_max + 1):
         ground.extend(_WordStack.layer(ctx, n, m))

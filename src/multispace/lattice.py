@@ -287,14 +287,13 @@ def _subspace_table(ctx: FieldCtx, n: int, depth: int) -> tuple:
     if table is not None and table[0].shape[1] >= depth:
         _TABLES.move_to_end(key)
         return table
-    counts = [gaussian_binomial(n, k, ctx.q) for k in range(depth + 1)]
-    bases = np.zeros((sum(counts), depth, n), dtype=np.int64)
+    blocks = [block for k in range(depth + 1) for block in _subspace_blocks(ctx, n, k)]  # refused before any array
+    dims = np.repeat([block.shape[1] for block in blocks], [len(block) for block in blocks])  # blocks: (count, k, n)
+    bases = np.zeros((len(dims), depth, n), dtype=np.int64)
     row = 0
-    for k in range(depth + 1):
-        for block in _subspace_blocks(ctx, n, k):
-            bases[row : row + len(block), :k] = block
-            row += len(block)
-    dims = np.repeat(np.arange(depth + 1), counts)
+    for block in blocks:
+        bases[row : row + len(block), : block.shape[1]] = block
+        row += len(block)
     table = (bases, dims, _membership_masks(ctx, n, bases))
     for a in table:
         if a is not None:

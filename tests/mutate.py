@@ -1,0 +1,149 @@
+"""The mutation table: hand-made faults of src that named tests must catch.
+
+Each mutant is one exact edit of one file under src/multispace: a source text
+that occurs there exactly once, and its replacement.  For each mutant the
+runner copies src to a temporary directory, applies the edit there, and runs
+the mutant's test files (or node ids) against the copy with ``pytest -x``.
+The mutant is killed when pytest reports a failure or an import error, or
+runs past ten minutes, and survives when every test passes.  A speed mutant
+changes no output, only the work done, so only a test that counts that work
+can kill it.
+
+Run from any directory; pytest does not collect this file:
+
+    python tests/mutate.py                # every mutant, about two minutes
+    python tests/mutate.py NAME [NAME..]  # the named mutants
+
+It prints killed or survived and the seconds each took, and exits 1 when a
+mutant survives.  Tests that start the library in a subprocess with
+PYTHONPATH set to the repository's own src (some of tests/test_cli.py) run
+the unmutated code, so no mutant here relies on them.  A mutant that lifts a
+refusal must meet a test that stops it at once, not one that runs without end
+and grows its memory: the test named by drop-count-rows-budget fails at the
+first row counted.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "multispace"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/multispace
+    old: str  # occurs exactly once in file
+    new: str
+    tests: tuple  # test files or node ids, relative to the repository root, that should kill it
+    why: str
+    speed: bool = False  # the same outputs with more work: only a counting test kills it
+
+
+CHANNEL, CODES, CLI, QPOLY = (f"tests/test_{name}.py" for name in ("channel", "codes", "cli", "qpoly"))
+MUTANTS = (
+    Mutant("deficient-window-top", "channel.py", "_deficient, (1, 0, 2))", "_deficient, (1, 0, 3))", (CHANNEL,),
+           "a rank w - s matrix moves the word at most 2s; a looser window hides violations"),
+    Mutant("delete-window-least", "channel.py", "_delete, (1, 1, 1))", "_delete, (1, 0, 1))", (CHANNEL,),
+           "least is also the drop in the multiset's length, so the received heights follow it"),
+    Mutant("delete-window-top", "channel.py", "_delete, (1, 1, 1))", "_delete, (1, 1, 2))", (CHANNEL,),
+           "deleting s vectors moves the word exactly s"),
+    Mutant("drop-containment-check", "channel.py", "(d <= most) & (joins == sent.dims)", "(d <= most)", (CHANNEL,),
+           "criterion 7: the received space lies inside the sent one, also inside the window"),
+    Mutant("drop-least-check", "channel.py", "(least <= d) & (d <= most)", "(d <= most)", (CHANNEL,),
+           "a distance below the window is a fault of the distance kernel"),
+    Mutant("sampler-accepts-any-candidate", "channel.py",
+           ".reshape(len(live), k) == np.minimum(r, c)[:, None]", ".reshape(len(live), k) >= 0", (CHANNEL,),
+           "a singular channel matrix loses rank the mode does not allow"),
+    Mutant("drop-channel-budget", "channel.py", '    _check_budget(top ** 2, "channel matrix entries")\n', "",
+           (CHANNEL,), "the m x m channel matrices are refused past the entry budget before any trial"),
+    Mutant("drop-rank-check", "channel.py", "            cfg.check_rank(m)\n", "            pass\n", (CHANNEL,),
+           "a word too small for the mode's error weight is refused, not sent"),
+    Mutant("no-mixed-stage", "channel.py", "(_MIXED, *stages[1:]) if stages[0] is _FULL else (_FULL, *stages)",
+           "(_FULL, *stages)", (CHANNEL,),
+           "the mix and a leading full-rank matrix share one rank pass", speed=True),
+    Mutant("channel-matrix-before-mix", "channel.py", "_transform(ctx, gens, mix, t)", "_transform(ctx, gens, t, mix)",
+           (CHANNEL,), "a trial applies the mix, then the channel matrix, as the serial loop draws them"),
+    Mutant("height-limit-2-63", "lattice.py", "HEIGHT_LIMIT = 1 << 62", "HEIGHT_LIMIT = 1 << 63",
+           ("tests/test_lattice.py",), "heights from 2^62 overflow the int64 distance kernel"),
+    Mutant("paired-plus-meets", "lattice.py", "joins = self.dims + other.dims - meets",
+           "joins = self.dims + other.dims + meets", ("tests/test_lattice.py",),
+           "dim(U + V) = dim U + dim V - dim(U meet V) on the masked path"),
+    Mutant("views-drop-masks", "lattice.py", "None if self.masks is None else self.masks[index])", "None)",
+           (CHANNEL,), "views share their stack's masks instead of rebuilding them", speed=True),
+    Mutant("clique-bound-ties", "codes.py", "if size + colour <= omega:", "if size + colour < omega:", (CODES,),
+           "a branch that can at best tie the incumbent clique is pruned", speed=True),
+    Mutant("packing-radius", "codes.py", "radius = (d_min - 1) // 2", "radius = d_min // 2", (CODES,),
+           "the packing radius of distance d_min is floor((d_min - 1) / 2)"),
+    Mutant("pivot-rows-stop-early", "linalg.py", "(held == rows).all()", "(held >= rows - 1).all()",
+           ("tests/test_linalg.py",), "the forward pass stops only once every matrix has its pivots"),
+    Mutant("unit-power-row-shifted", "qpoly.py", "[i % n for i", "[i % max(1, n - 1) for i", (QPOLY,),
+           "x^(q^n) = x on GF(q^n), so q-index i reads unit-power row i mod n"),
+    Mutant("unit-power-row-clamped", "qpoly.py", "[i % n for i", "[min(i, n - 1) for i", (QPOLY,),
+           "q-indices past n wrap around, not stop at the last row"),
+    Mutant("whole-space-plus-x", "qpoly.py", "c = [F.neg(1)] + [0] * (w.n - 1) + [1]",
+           "c = [1] + [0] * (w.n - 1) + [1]", (QPOLY,),
+           "the whole space is x^(q^n) - x; + x differs past characteristic 2"),
+    Mutant("drop-count-rows-budget", "cli.py", '    _check_budget(args.m + 1, "count rows")', "",
+           (f"{CLI}::test_count_refuses_more_rows_than_the_enumeration_limit_before_the_first_count",),
+           "count writes one row per rank 0..m, so a huge m is refused before the first row"),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Edit the copy src/multispace of one mutant's file."""
+    path = src / "multispace" / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run(mutant: Mutant, timeout: float = 600) -> tuple[bool, float]:
+    """(killed, seconds) of one mutant's tests on a mutated copy of src."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        apply(mutant, src)
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+        start = time.perf_counter()
+        try:
+            code = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=timeout).returncode
+        except subprocess.TimeoutExpired:
+            return True, time.perf_counter() - start
+        if code not in (0, 1, 2):  # 0 all passed, 1 a test failed, 2 a collection (import) error
+            raise SystemExit(f"{mutant.name}: pytest exited {code} on {' '.join(mutant.tests)}")
+        return code != 0, time.perf_counter() - start
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [known[name] for name in args.names] or list(MUTANTS)
+    survivors = []
+    for m in chosen:
+        killed, seconds = run(m)
+        print(f"{'killed  ' if killed else 'SURVIVED'} {seconds:7.1f} s  {m.name}{' (speed)' * m.speed}", flush=True)
+        if not killed:
+            survivors.append(m.name)
+    if survivors:
+        print(f"{len(survivors)} of {len(chosen)} survived: {', '.join(survivors)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -896,15 +896,15 @@ def test_fused_stages_take_the_draws_of_two_single_stage_calls(q):
 
 @pytest.mark.parametrize("mode,s,random_generator,calls", [
     ("full-rank", 0, False, ["one"]),
-    ("full-rank", 0, True, ["pair"]),  # the mix with the channel matrix
+    ("full-rank", 0, True, ["pair"]),  # mixed: the mix, then the channel matrix
     ("deletion", 1, True, ["pair"]),
-    ("rank-deficient", 1, False, ["pair"]),  # A with B
-    ("rank-deficient", 1, True, ["one", "pair"]),
-    ("rank-deficient", 0, True, ["one", "pair"]),  # three m x m matrices: the last two pair
+    ("rank-deficient", 1, False, ["pair"]),  # deficient: A, then B
+    ("rank-deficient", 1, True, ["one", "pair"]),  # the mix is a full stage of its own
+    ("rank-deficient", 0, True, ["one", "pair"]),  # three m x m matrices, the stages' draws alone pair them
     ("compound", 1, False, ["one", "pair"]),
     ("compound", 1, True, ["pair", "pair"]),
 ])
-def test_a_matrix_drawn_right_before_its_transpose_shares_its_rank_pass(monkeypatch, mode, s, random_generator, calls):
+def test_each_stage_that_draws_two_matrices_ranks_them_in_one_pass(monkeypatch, mode, s, random_generator, calls):
     seen, inside = [], []
     single, fused = channel._full_rank_batch, channel._full_rank_pair
 

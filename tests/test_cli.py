@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import multispace.cli as cli
+import multispace.linalg as linalg
 from multispace.channel import ChannelRun, ChannelSummary
 from multispace.codes import MultispaceCode, greedy_code
 from multispace.errors import ConfigInvalid, FormatError
@@ -319,6 +320,10 @@ def test_a_huge_rank_cap_is_refused_on_the_closed_form_total(capsys, argv, total
     (["enumerate", "2^3", "18446744073709551616", "3"], 2, "at least 2^166020696663385964517 multispaces"),
     (["hasse", "2", "9223372036854775807", "1"], 2, "at least 2^9223372036854775806 multispaces"),
     (["search", "5", "9223372036854775808", "3", "1"], 2, "at least 2^55340232221128654830 multispaces"),
+    (["search", "5", "9223372036854775808", "3", "1", "--optimal"], 2,
+     "ground set of at least 2^55340232221128654830 exceeds"),
+    # the space size has more digits than Python prints, by the same bound, before it is formed
+    (["bound", "7", "9223372036854775808", "63", "2"], 1, "decimal digits"),
     # rank 0 passes every budget; the zero space refuses an n numpy cannot shape
     (["enumerate", "7", "4611686018427387904", "0"], 1, "ambient dimension 4611686018427387904 is too large"),
     (["enumerate", "2^16", "9223372036854775808", "0"], 1, "ambient dimension 9223372036854775808 is too large"),
@@ -328,6 +333,23 @@ def test_a_huge_ambient_dimension_is_refused_before_any_count_is_formed(capsys, 
     got, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert got == code and out == "" and message in err and "Traceback" not in err
+
+
+def test_count_refuses_more_rows_than_the_enumeration_limit_before_the_first_count(capsys, monkeypatch):
+    # one row per rank 0..m; were a row counted, the run would stop here rather than write rows without end
+    def no_count(*args):
+        raise RuntimeError("a row was counted")
+
+    monkeypatch.setattr(cli, "count_multispaces", no_count)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "3", "3", "9223372036854775808")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "9223372036854775809 count rows exceed" in err and "Traceback" not in err
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "DEFAULT_STATE_LIMIT", 4)
+    assert run(capsys, "--format", "json", "count", "2", "2", "3")[0] == 0  # ranks 0..3: four rows
+    code, out, err = run(capsys, "--format", "json", "count", "2", "2", "4")
+    assert code == 2 and out == "" and "5 count rows exceed the enumeration limit 4" in err
 
 
 def test_hasse_is_refused_on_its_cover_pairs(capsys):
@@ -402,8 +424,8 @@ def test_count_past_the_int_print_limit_is_an_error(capsys, n, m):
     (["--format", "json", "bound", "2", "300", "150", "1", "--output", "{out}"], 1),
 ])
 def test_values_past_the_int_print_limit_exit_cleanly(capsys, tmp_path, argv, exit_code):
-    # bound's packing bound and space size are computed, then refused on output,
-    # which is formatted before its file is opened; search and enumerate are
+    # bound is refused on the lower bound q^(k(n-k)) of its space size before any
+    # file is opened, as count is; search and enumerate are
     # refused by the enumeration budget, whose message must not print the count itself
     out_file = tmp_path / "out.json"
     code, out, err = run(capsys, *(a.format(out=out_file) for a in argv))

@@ -206,6 +206,13 @@ def test_the_clique_search_returns_the_plain_branch_and_bound_clique(v, density,
     assert codes._max_clique(adjacency) == max_clique_by_bound(adjacency)
 
 
+def test_the_clique_search_drops_a_branch_that_can_only_tie_the_incumbent(monkeypatch):
+    # the same cliques either way, so only the work tells: a bound that keeps ties colours 513 times
+    colour, calls = codes._colour_classes, []
+    monkeypatch.setattr(codes, "_colour_classes", lambda *args: calls.append(1) or colour(*args))
+    assert len(exhaustive_optimal_code(F2, 3, 3, 3)) == 5 and len(calls) == 13
+
+
 #: (search, ctx, n, m_max, d_min) with q^n on both sides of MASK_VECTORS for each q
 _HANDOFF = [("greedy", *case) for case in (
     (F2, 4, 3, 3), (F2, 7, 2, 3), (F3, 3, 2, 2), (F3, 4, 2, 3), (F4, 3, 2, 2), (F4, 4, 2, 3))] + [

@@ -810,6 +810,11 @@ def test_gamma_trivial_graph_is_regular():
     assert rep.regular and rep.witness is None
 
 
+def test_a_gamma_graph_numpy_cannot_shape_is_refused_before_its_table_is_allocated():
+    with pytest.raises(FormatError, match="ambient dimension 4611686018427387904 is too large"):
+        gamma_graph(F2, 2 ** 62, 0)
+
+
 def test_gamma_graph_distance_is_half_metric():
     for (q, n, m) in [(2, 3, 2), (3, 2, 2)]:
         g = gamma_graph(field(q), n, m)
