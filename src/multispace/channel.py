@@ -492,16 +492,22 @@ MODES = tuple(_STAGES)
 
 
 def _channel(cfg: ChannelConfig) -> tuple:
-    """(stages, rank loss, least, largest distance) of cfg: its mode's stages in the order
-    a trial draws them, a random generator's mix first (merged into a leading full stage,
-    with whose matrix it shares a rank pass), and the sums of their windows times s (proof
-    at _channel_block); rank losses add, as a deficient stage comes last."""
+    """(stages, rank loss, least, largest distance) of cfg: _plan's stages and window sums times s."""
     if cfg.mode not in _STAGES:
         raise ConfigInvalid(f"unknown mode {cfg.mode!r}; pick one of {MODES}")
-    stages = _STAGES[cfg.mode]
-    if cfg.random_generator:
+    stages, *window = _plan(cfg.mode, bool(cfg.random_generator))
+    return stages, *(cfg.s * w for w in window)
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(mode: str, random_generator: bool) -> tuple:
+    """A mode's stages in the order a trial draws them, a random generator's mix first (merged into a
+    leading full stage, with whose matrix it shares a rank pass), and the sums of their windows in units
+    of s (proof at _channel_block), built once; rank losses add, as a deficient stage comes last."""
+    stages = _STAGES[mode]
+    if random_generator:
         stages = (_MIXED, *stages[1:]) if stages[0] is _FULL else (_FULL, *stages)
-    return stages, *(cfg.s * sum(col) for col in zip(*(stage.window for stage in stages)))
+    return stages, *map(sum, zip(*(stage.window for stage in stages)))
 
 
 def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np.ndarray):

@@ -61,6 +61,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
+def _integer(text: str) -> int:
+    """An integer argument, spelled as a JSON q-index: canonical ASCII decimal, with an optional -."""
+    if str(int(text)) != text:  # int refuses what is not a number at all
+        raise argparse.ArgumentTypeError(f"{text!r} is not a canonical decimal integer")
+    return int(text)
+
+
 def _read_json_arg(arg: str) -> dict:
     """Accept a path to a JSON file or an inline JSON literal."""
     try:
@@ -367,7 +374,7 @@ def build_parser() -> _Parser:
         sp = sub.add_parser(name, parents=[output], help=summary)
         sp.set_defaults(func=fn)
         for arg in positional:  # the dimensions, ranks and radii are ints
-            sp.add_argument(arg, type=int if arg in ("n", "m", "m_max", "d_min", "radius") else str)
+            sp.add_argument(arg, type=_integer if arg in ("n", "m", "m_max", "d_min", "radius") else str)
         return sp
 
     add("count", cmd_count, "per-rank multispace counts and cumulative code-space size", "q_spec", "n", "m")
@@ -380,17 +387,17 @@ def build_parser() -> _Parser:
     add("poly", cmd_poly, "linearized polynomial of a multispace", "w")
     add("roots", cmd_roots, "multispace of the roots of a linearized polynomial", "poly")
     sp = add("search", cmd_search, "greedy or certified-optimal code construction", "q_spec", "n", "m_max", "d_min")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_integer, default=0)
     sp.add_argument("--optimal", action="store_true")
     add("ball", cmd_ball, "metric ball size around a multispace", "center", "radius", "m_max")
     add("bound", cmd_bound, "sphere-packing upper bound on code size", "q_spec", "n", "m_max", "d_min")
 
     sp = add("simulate", cmd_simulate, "channel simulation against a code file", "code")
     sp.add_argument("--mode", choices=MODES, required=True)
-    sp.add_argument("--s", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--codeword", type=int, default=0, help="codeword index for single-word runs")
+    sp.add_argument("--s", type=_integer, default=0)
+    sp.add_argument("--trials", type=_integer, default=1000)
+    sp.add_argument("--seed", type=_integer, default=0)
+    sp.add_argument("--codeword", type=_integer, default=0, help="codeword index for single-word runs")
     sp.add_argument("--end-to-end", action="store_true", help="sample codewords and decode")
     sp.add_argument("--random-generator", action="store_true", help="send a random generating multiset")
     sp.add_argument("--trial-log", help="write per-trial CSV here")

@@ -462,6 +462,13 @@ class FieldCtx:
         la = log[self.neg(exp[log[pv] * (base - 1) % m])]  # -P(v)^(base-1)
         return [add(s, exp[(log[c] + la) % m]) if c else s for s, c in zip(shifted, coeffs + [0])]
 
+    def linearized_terms(self, coeffs: dict[int, int], powers: list[list[int]]) -> list[list[int]]:
+        """Per nonzero point x, the terms a_i x^(base^i) of sum_i a_i x^(base^i), nonzero a_i by q-index
+        i, from powers[j], the points' base^j-th powers, j < N: x^(base^N) = x, so i reads row i mod N."""
+        exp, log, m, n = self._exp, self._log, self.q - 1, len(powers)
+        rows = [(log[a], powers[i % n]) for i, a in coeffs.items()]
+        return [[exp[(la + log[row[j]]) % m] for la, row in rows] for j in range(len(powers[0]))]
+
 
 def field(p: int, e: int = 1, modulus: int | None = None) -> FieldCtx:
     """Cached factory for field contexts (same field -> same object).

@@ -258,11 +258,9 @@ def _list_echelon(ctx: FieldCtx, rows: list[list[int]]) -> list[tuple[int, list[
     return kept
 
 
-def _rref_bits(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
-    """rref_array over GF(2) on int rows: the echelon rows, then back substitution
-    from the last pivot up, so each row is cleared at every pivot right of its own."""
-    ints, bits = _bit_rows(a)
-    lead = _bit_echelon(ints, a.shape[1])
+def _bit_reduced(lead: dict[int, int]) -> list[tuple[int, int]]:
+    """Back substitution of _bit_echelon's rows from the last pivot up, each cleared at every
+    pivot right of its own: (bit_length, row) per pivot, the leftmost first."""
     done: list[tuple[int, int]] = []
     for h in sorted(lead):  # the rightmost pivot first
         x = lead[h]
@@ -270,17 +268,23 @@ def _rref_bits(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
             if x >> (g - 1) & 1:
                 x ^= y
         done.append((h, x))
-    done.reverse()
+    return done[::-1]
+
+
+def _rref_bits(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+    """rref_array over GF(2) on int rows: the echelon rows, then back substitution."""
+    ints, bits = _bit_rows(a)
+    done = _bit_reduced(_bit_echelon(ints, a.shape[1]))
     return _bit_array([x for _, x in done], a.shape, bits), len(done), [bits - h for h, _ in done]
 
 
-def _rref_lists(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
-    """rref_array on list rows: the echelon rows, each scaled to a leading 1, then
-    back substitution from the last pivot up through the field tables.  Each row
-    is kept from its pivot column on, since it is zero to the left."""
+def _list_reduced(ctx: FieldCtx, kept: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
+    """Back substitution of _list_echelon's rows through the field tables, each scaled to a
+    leading 1, from the last pivot up: (pivot column, the row from that column on, zero to
+    its left) per pivot, the leftmost first."""
     mul, sub = _rank_tables(ctx)
     done: list[tuple[int, list[int]]] = []
-    for c, tail in reversed(_list_echelon(ctx, a.tolist())):
+    for c, tail in reversed(kept):
         scale = mul[ctx.inv(tail[0])]
         row = [scale[v] for v in tail]
         for d, below in done:
@@ -288,10 +292,16 @@ def _rref_lists(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int
                 f = mul[row[d - c]]
                 row[d - c :] = [sub[v][f[w]] for v, w in zip(row[d - c :], below)]
         done.append((c, row))
+    return done[::-1]
+
+
+def _rref_lists(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+    """rref_array on list rows: the echelon rows, then back substitution."""
+    done = _list_reduced(ctx, _list_echelon(ctx, a.tolist()))
     red = np.zeros(a.shape, dtype=np.int64)
-    for i, (c, row) in enumerate(reversed(done)):
+    for i, (c, row) in enumerate(done):
         red[i, c:] = row
-    return red, len(done), [c for c, _ in reversed(done)]
+    return red, len(done), [c for c, _ in done]
 
 
 def rank_batch(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:

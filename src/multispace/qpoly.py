@@ -9,15 +9,17 @@ P_{U+<v>} = P_U^q - P_U(v)^(q-1) P_U over a basis of U: O(rank^2) field
 operations, with no bound on the degree q^rank.  The whole space
 U = GF(q)^n skips the recursion: P_U = x^(q^n) - x, written in O(n)
 steps.  Conversely the roots of a nonzero linearized L form the kernel
-of the GF(q)-linear map x -> L(x), read off from n evaluations, taken
-from the coordinate map's table of unit powers (x^(q^n) = x on GF(q^n),
-so q-index i reads row i mod n), and one n x 2n elimination; L
-splits over GF(q^n) exactly when that kernel has dimension
-q_degree - h, where h is the lowest q-index of L, and every root then
-has multiplicity q^h (Lidl & Niederreiter, Finite Fields, Ch. 3 Sec. 4).
+of the GF(q)-linear map x -> L(x), read off from its values at the n unit
+vectors (x^(q^n) = x on GF(q^n), so q-index i takes their q^(i mod n)-th
+powers) by one n x 2n elimination in linalg's row kernel, on Python ints
+and lists from the coordinate map's row tables; L splits over GF(q^n)
+exactly when that kernel has dimension q_degree - h, where h is the lowest
+q-index of L, and every root then has multiplicity q^h (Lidl &
+Niederreiter, Finite Fields, Ch. 3 Sec. 4).
 """
 
 import functools
+import operator
 
 import numpy as np
 
@@ -31,7 +33,8 @@ from .errors import (
 from .fields import FieldCtx, _digits, _embedding, _extension, _field, check_settings, field, parse_field_spec, reading
 from .fields import strict_int
 from .lattice import Multispace
-from .linalg import Subspace, _as_array, _rows_array, rref_array
+from .linalg import Subspace, _as_array, _bit_array, _bit_echelon, _bit_reduced, _list_echelon, _list_reduced
+from .linalg import _rows_array, rref_array
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +69,33 @@ class VectorFieldIso:
         if rank != en:
             raise ShapeViolation("coordinate map is singular")  # cannot happen
         self._inverse = red[:, en:]
+        eye = np.eye(n, dtype=np.int64)
         #: the big-field encodings of the n unit vectors
-        self.units = self._field_array(np.eye(n, dtype=np.int64))
+        self.units = self._field_array(eye)
         self.units.flags.writeable = False
         #: row i: the units' q^i-th powers, i < n; x^(q^n) = x, so row i mod n serves q-index i
         self.unit_powers = big.frobenius_arr(self.units, np.arange(n)[:, None], ctx.q)
         self.unit_powers.flags.writeable = False
+        self._powers, self._eye = self.unit_powers.tolist(), eye.tolist()
+        if n == 1:  # a round trip at n = 1 maps no basis row and eliminates no kernel
+            return
+        # the row tables: a coordinate row is read as its base-q value, which in characteristic 2 packs coordinate
+        # i at bit e (n - 1 - i) up and is linear (so XOR two half tables); odd p keeps a q^n table each way
+        places = ctx.q ** np.arange(n - 1, -1, -1)
+        if p != 2:
+            coords = self._vector_array(np.arange(big.q))
+            encode = np.empty(big.q, dtype=np.int64)
+            encode[coords @ places] = np.arange(big.q)  # the element of each row value
+            self._encode, self._places = encode.tolist(), places.tolist()
+            self._coords, self._add = coords.reshape(-1).tolist(), ctx.op_tables()[0].tolist()
+            return
+        bits = (self._vector_array(1 << np.arange(en)) @ places).tolist()  # each bit's packed coordinates
+        images = (self._matrix.T @ big._pvec).tolist()  # images[u e + d] = phi(2^d e_u)
+        def spans(xs):  # the XOR of every subset of xs, subset k at index k
+            return functools.reduce(lambda out, b: out + [x ^ b for x in out], xs, [0])
+        self._half = (en + 1) // 2
+        self._lo, self._hi = spans(bits[: self._half]), spans(bits[self._half :])
+        self._cols = [spans(images[u * e : u * e + e]) for u in range(n)]  # _cols[u][c] = phi(c e_u)
 
     def to_field_array(self, rows) -> np.ndarray:
         """Big-field encodings of an (m, n) array of coordinate vectors."""
@@ -88,6 +112,39 @@ class VectorFieldIso:
     def _vector_array(self, xs: np.ndarray) -> np.ndarray:
         digits = _digits(xs, self.ctx.p, self.big.e) @ self._inverse.T % self.ctx.p
         return digits.reshape(len(xs), self.n, self.ctx.e) @ self.ctx._pvec
+
+    def _field_list(self, rows: list[list[int]]) -> list[int]:
+        """Big-field encodings of coordinate rows, from the row tables."""
+        if self.ctx.p == 2:
+            return [functools.reduce(operator.xor, map(list.__getitem__, self._cols, row)) for row in rows]
+        return [self._encode[sum(map(operator.mul, row, self._places))] for row in rows]
+
+    def _images(self, terms: list[list[int]]) -> list:
+        """The coordinate row of each sum of terms, from the row tables; over GF(2) a row is one int.  Terms
+        add by XOR in characteristic 2, else coordinate-wise through the small field's addition table."""
+        ctx, n = self.ctx, self.n
+        if ctx.p != 2:
+            add, rows = self._add, ([self._coords[x * n : x * n + n] for x in t] for t in terms)
+            return [functools.reduce(lambda a, b: [add[x][y] for x, y in zip(a, b)], r) for r in rows]
+        half, mask, e, q = self._half, (1 << self._half) - 1, ctx.e, ctx.q
+        packed = [self._lo[x & mask] ^ self._hi[x >> half] for x in (functools.reduce(operator.xor, t) for t in terms)]
+        return packed if e == 1 else [[c >> s & q - 1 for s in range(e * n - e, -1, -e)] for c in packed]
+
+    def _kernel(self, terms: list[list[int]]) -> np.ndarray:
+        """The canonical basis of {c : sum_u c_u image_u = 0}, image_u the sum of terms[u]: the rows
+        [coordinates of image_u | e_u] take the row kernel's forward pass, and its rows that lead in the
+        right half, zero on the left, span that space, back substituted."""
+        ctx, n = self.ctx, self.n
+        if n == 1:  # x^q = x on GF(q): L = L(1) x, whose kernel is GF(q) or {0}
+            return np.ones((int(functools.reduce(self.big.add, terms[0]) == 0), 1), dtype=np.int64)
+        rows = self._images(terms)
+        if ctx.q == 2:  # each row one int, column 0 highest, unpacked from whole bytes
+            lead = _bit_echelon([c << n | 1 << (n - 1 - u) for u, c in enumerate(rows)], 2 * n)
+            kernel = [x << -n % 8 for _, x in _bit_reduced({h: x for h, x in lead.items() if h <= n})]
+            return _bit_array(kernel, (len(kernel), n), n + -n % 8)
+        kept = _list_echelon(ctx, [row + unit for row, unit in zip(rows, self._eye)])
+        basis = [[0] * c + row for c, row in _list_reduced(ctx, [(c - n, tail) for c, tail in kept if c >= n])]
+        return np.array(basis, dtype=np.int64).reshape(-1, n)
 
 
 def vector_field_iso(ctx: FieldCtx, n: int, big: FieldCtx | None = None) -> VectorFieldIso:
@@ -260,28 +317,25 @@ def poly_from_multispace(w: Multispace, big: FieldCtx | None = None) -> Lineariz
         c = [F.neg(1)] + [0] * (w.n - 1) + [1]  # x^(q^n) - x
     else:
         c = [1]  # q-coefficients of P = x
-        for v in iso._field_array(w.underlying.basis).tolist():
+        for v in iso._field_list(w.underlying.basis.tolist()):
             c = F.annihilator_step(c, v, q)
     h = w.height
-    if h:
-        c = F.frobenius_arr(c, h, q).tolist()
-    return LinearizedPoly._of(q, F, {i: a for i, a in enumerate(c, start=h) if a})
+    k = pow(q, h, F.q - 1)  # the height's Frobenius a -> a^(q^h), exact at any height: a^(q^N) = a
+    return LinearizedPoly._of(q, F, {i: F.pow(a, k) for i, a in enumerate(c, start=h) if a})
 
 
 def roots_multiset(L: LinearizedPoly) -> Multispace:
     """Recover the multispace whose members are the roots of L.
 
     The roots of a nonzero linearized L over GF(q^n) are the kernel K of
-    the GF(q)-linear map x -> L(x), found as the left null space of its
-    matrix on the images of the unit vectors.  A unit u lies in GF(q^n),
-    where u^(q^n) = u, so the term a_i x^(q^i) takes row i mod n of the
-    coordinate map's unit_powers.  With h the lowest q-index
-    of L, L = M^(q^h) for a separable M of q-degree q_degree - h, so L
-    splits over GF(q^n) iff dim K = q_degree - h, and then its root
-    multiset is the multispace (K, h).  RootsNotInField is raised when L
-    does not split; NotAMultispace only for the zero polynomial, since
-    the root multiset of a split nonzero linearized polynomial is always
-    a multispace.
+    the GF(q)-linear map x -> L(x), the left null space of its matrix on
+    the images of the unit vectors (VectorFieldIso._kernel).  With h the
+    lowest q-index of L, L = M^(q^h) for a separable M of q-degree
+    q_degree - h, so L splits over GF(q^n) iff dim K = q_degree - h, and
+    then its root multiset is the multispace (K, h).  RootsNotInField is
+    raised when L does not split; NotAMultispace only for the zero
+    polynomial, since the root multiset of a split nonzero linearized
+    polynomial is always a multispace.
     """
     F = L.ctx
     if L.is_zero():
@@ -290,14 +344,8 @@ def roots_multiset(L: LinearizedPoly) -> Multispace:
     n = F.e // e
     small = _field(F.p, e, None)
     iso = _vector_field_iso(small, n, F)
-    powers = iso.unit_powers[[i % n for i in L.coeffs]]  # mod on Python ints: q-indices past int64 too
-    images = iso._vector_array(F.sum_arr(F.mul_arr(np.array(list(L.coeffs.values()))[:, None], powers)))
-    red, _, pivots = rref_array(small, np.hstack([images, np.eye(n, dtype=np.int64)]))
-    # rows pivoting in the right half have a zero left half; their right
-    # halves are already a reduced echelon basis of the left null space
-    image_rank = sum(1 for c in pivots if c < n)
-    kernel = Subspace(small, n, red[image_rank:, n:].copy())
+    basis = iso._kernel(F.linearized_terms(L.coeffs, iso._powers))
     h = min(L.coeffs)
-    if kernel.dim != L.q_degree - h:
+    if len(basis) != L.q_degree - h:
         raise RootsNotInField(f"polynomial does not split over {F}")
-    return Multispace._of(kernel, h)
+    return Multispace._of(Subspace(small, n, basis), h)

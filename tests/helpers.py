@@ -6,7 +6,8 @@ optimal code and the gamma graph over words enumerated one by one, graph
 distances and distance regularity by bool and int64 matrix products, the
 channel's trial-by-trial loop and numpy's own spawned trial generators, the
 literal root product, the subspace-polynomial step, the whole-space
-polynomial by that step, root finding by evaluating every term, polynomial
+polynomial by that step, the polynomial through the coordinate map's
+arrays, root finding by evaluating every term, polynomial
 evaluation one term at a time, and array arithmetic through the log/exp and
 digit tables.  Also span_rows, the span of a few row vectors."""
 
@@ -557,6 +558,24 @@ def whole_space_poly_by_recursion(ctx, n, height) -> LinearizedPoly:
     if height:
         c = F.frobenius_arr(c, height, ctx.q).tolist()
     return LinearizedPoly(ctx.q, F, dict(enumerate(c, start=height)))
+
+
+def poly_by_arrays(w, big=None) -> LinearizedPoly:
+    """poly_from_multispace through the coordinate map's arrays: the basis rows
+    by _field_array and the height by frobenius_arr, the numpy path that the
+    map's row tables replaced."""
+    q = w.ctx.q
+    iso = vector_field_iso(w.ctx, w.n, big)
+    F = iso.big
+    if w.dim == w.n:
+        c = [F.neg(1)] + [0] * (w.n - 1) + [1]  # x^(q^n) - x
+    else:
+        c = [1]
+        for v in iso._field_array(w.underlying.basis).tolist():
+            c = F.annihilator_step(c, v, q)
+    if w.height:
+        c = F.frobenius_arr(c, w.height, q).tolist()
+    return LinearizedPoly._of(q, F, {i: a for i, a in enumerate(c, start=w.height) if a})
 
 
 def roots_by_evaluation(L) -> Multispace:

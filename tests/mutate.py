@@ -85,10 +85,20 @@ MUTANTS = (
            "the packing radius of distance d_min is floor((d_min - 1) / 2)"),
     Mutant("pivot-rows-stop-early", "linalg.py", "(held == rows).all()", "(held >= rows - 1).all()",
            ("tests/test_linalg.py",), "the forward pass stops only once every matrix has its pivots"),
-    Mutant("unit-power-row-shifted", "qpoly.py", "[i % n for i", "[i % max(1, n - 1) for i", (QPOLY,),
+    Mutant("unit-power-row-shifted", "fields.py", "powers[i % n]", "powers[i % max(1, n - 1)]", (QPOLY,),
            "x^(q^n) = x on GF(q^n), so q-index i reads unit-power row i mod n"),
-    Mutant("unit-power-row-clamped", "qpoly.py", "[i % n for i", "[min(i, n - 1) for i", (QPOLY,),
+    Mutant("unit-power-row-clamped", "fields.py", "powers[i % n]", "powers[min(i, n - 1)]", (QPOLY,),
            "q-indices past n wrap around, not stop at the last row"),
+    Mutant("coordinate-places-by-p", "qpoly.py", "places = ctx.q ** np", "places = ctx.p ** np",
+           (f"{QPOLY}::test_row_tables_match_the_coordinate_map",),
+           "a coordinate of GF(p^e) is one base-q digit of its row's value, e bits wide over GF(2^e)"),
+    Mutant("half-table-split-moved", "qpoly.py", "self._hi[x >> half]", "self._hi[x >> half + 1]",
+           (f"{QPOLY}::test_row_tables_match_the_coordinate_map",),
+           "the high half table is read from the first bit the low one leaves out"),
+    Mutant("height-exponent-one-short", "qpoly.py", "pow(q, h, F.q - 1)", "pow(q, h - 1, F.q - 1)",
+           (f"{QPOLY}::test_round_trip",), "height h raises every coefficient to the q^h-th power"),
+    Mutant("kernel-right-half-strict", "qpoly.py", "if h <= n}", "if h < n}", (f"{QPOLY}::test_round_trip",),
+           "a row that leads at column n, bit_length n, lies in the kernel too"),
     Mutant("whole-space-plus-x", "qpoly.py", "c = [F.neg(1)] + [0] * (w.n - 1) + [1]",
            "c = [1] + [0] * (w.n - 1) + [1]", (QPOLY,),
            "the whole space is x^(q^n) - x; + x differs past characteristic 2"),

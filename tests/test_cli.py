@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -29,6 +31,22 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_within(capsys, seconds, *argv):
+    """run, stopped by a wall-clock alarm in this process after seconds: a refusal
+    that has been lifted then fails the test at once, not after running on and
+    growing its memory inside pytest."""
+    def overrun(signum, frame):
+        pytest.fail(f"multispace {' '.join(argv)} still ran after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 W_LINE = json.dumps({"q-spec": "2", "n": 3, "basis": [[1, 0, 0]], "height": 0})
@@ -310,7 +328,7 @@ def test_limit_exit_code(capsys):
 def test_a_huge_rank_cap_is_refused_on_the_closed_form_total(capsys, argv, total):
     # no rank layer passes a limit; the total does, and it is counted without a loop over ranks
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
+    code, out, err = run_within(capsys, 5, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and total in err and "Traceback" not in err
 
@@ -330,7 +348,7 @@ def test_a_huge_rank_cap_is_refused_on_the_closed_form_total(capsys, argv, total
 ])
 def test_a_huge_ambient_dimension_is_refused_before_any_count_is_formed(capsys, argv, code, message):
     start = time.perf_counter()
-    got, out, err = run(capsys, *argv)
+    got, out, err = run_within(capsys, 5, *argv)
     assert time.perf_counter() - start < 1
     assert got == code and out == "" and message in err and "Traceback" not in err
 
@@ -342,7 +360,7 @@ def test_count_refuses_more_rows_than_the_enumeration_limit_before_the_first_cou
 
     monkeypatch.setattr(cli, "count_multispaces", no_count)
     start = time.perf_counter()
-    code, out, err = run(capsys, "count", "3", "3", "9223372036854775808")
+    code, out, err = run_within(capsys, 5, "count", "3", "3", "9223372036854775808")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and "9223372036854775809 count rows exceed" in err and "Traceback" not in err
     monkeypatch.undo()
@@ -355,7 +373,7 @@ def test_count_refuses_more_rows_than_the_enumeration_limit_before_the_first_cou
 def test_hasse_is_refused_on_its_cover_pairs(capsys):
     # 702124 nodes are within the budget; their 2100224 cover pairs are not
     start = time.perf_counter()
-    code, out, err = run(capsys, "hasse", "2", "11", "2")
+    code, out, err = run_within(capsys, 5, "hasse", "2", "11", "2")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and "2100224 cover pairs" in err and "Traceback" not in err
 
@@ -580,6 +598,38 @@ def test_roots_refuses_q_indices_that_are_not_canonical_decimals(capsys):
         doc = json.dumps({"base-q": 2, "field": "2^3", "coeffs": {"0": 1, key: 1}})
         code, out, err = run(capsys, "roots", doc)
         assert code == 1 and out == "" and err.startswith("error:") and "q-index" in err
+
+
+_SPELLINGS = ["1_0", " 2", "+1", "\u0663", "01"]
+_SPELLING_IDS = ["underscore", "leading-space", "plus", "arabic-indic", "leading-zero"]
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS, ids=_SPELLING_IDS)
+@pytest.mark.parametrize("argv", [
+    ["count", "2", "?", "1"], ["enumerate", "2", "3", "?"], ["hasse", "2", "2", "?"],
+    ["search", "2", "3", "2", "?"], ["search", "2", "3", "2", "2", "--seed", "?"], ["bound", "2", "?", "2", "2"],
+    ["ball", W_LINE, "?", "2"], ["simulate", W_CODE, "--mode", "full-rank", "--trials", "?"],
+    ["simulate", W_CODE, "--mode", "deletion", "--s", "?"], ["simulate", W_CODE, "--mode", "full-rank", "--seed", "?"],
+    ["simulate", W_CODE, "--mode", "full-rank", "--codeword", "?"],
+], ids=["count-n", "enumerate-m", "hasse-m_max", "search-d_min", "search-seed", "bound-n", "ball-radius",
+        "trials", "s", "simulate-seed", "codeword"])
+def test_integer_arguments_take_the_json_q_index_spelling(capsys, argv, spelling):
+    # one rule for argv and JSON keys: canonical ASCII decimal, here with an optional leading -
+    code, out, err = run(capsys, *[spelling if arg == "?" else arg for arg in argv])
+    assert code == 1 and out == "" and f"{spelling!r} is not a canonical decimal integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("-3", -3), ("18446744073709551616", 2 ** 64)])
+def test_canonical_decimals_and_their_negatives_are_read(text, value):
+    assert cli._integer(text) == value
+
+
+@pytest.mark.parametrize("text", [*_SPELLINGS, "-0", "-01", "--1", "1 ", "0x10", "1e3", "", "-"])
+def test_other_spellings_are_refused(text):
+    # int itself refuses "--1", "0x10", "1e3", "" and "-"; argparse makes either error a usage error
+    with pytest.raises((ValueError, argparse.ArgumentTypeError)):
+        cli._integer(text)
 
 
 _INTEGER_FIELDS = [

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import re
 
 import numpy as np
@@ -11,24 +13,26 @@ from helpers import (
     dense_of,
     eval_by_coefficient,
     literal_product,
+    poly_by_arrays,
     random_multispace,
     root_multiplicities_by_division,
     roots_by_evaluation,
     span_rows,
     whole_space_poly_by_recursion,
 )
-from multispace import fields, qpoly
+from multispace import fields, linalg, qpoly
 from multispace.errors import (
     DimensionMismatch,
     FormatError,
     NotAMultispace,
     RootsNotInField,
 )
-from multispace.fields import extension, field
+from multispace.fields import FieldCtx, extension, field
 from multispace.lattice import Multispace, enumerate_multispaces
 from multispace.linalg import Subspace, _odometer
 from multispace.qpoly import (
     LinearizedPoly,
+    VectorFieldIso,
     poly_from_multispace,
     roots_multiset,
     vector_field_iso,
@@ -446,3 +450,105 @@ def test_round_trip_builds_one_embedding_and_one_coordinate_map(monkeypatch):
     w = Multispace(Subspace.from_array(F2, 12, np.eye(12, dtype=np.int64)[:3]), 1)
     assert roots_multiset(poly_from_multispace(w)) == w
     assert built == {"Embedding": 1, "VectorFieldIso": 1}
+
+
+# ---------------------------------------------------------------------------
+# The round trip on the row tables against the array path
+# ---------------------------------------------------------------------------
+
+#: (p, e) of q in {2, 3, 4, 5, 7, 8, 9, 16}, with the largest n that keeps q^n <= 2^12
+_SMALL = {(2, 1): 12, (3, 1): 7, (2, 2): 6, (5, 1): 5, (7, 1): 4, (2, 3): 4, (3, 2): 3, (2, 4): 3}
+
+
+@functools.lru_cache(maxsize=None)
+def _moduli(p, e):
+    """The default modulus of GF(p^e) and the next irreducible one, where there is one."""
+    following = range(field(p, e).modulus + 1, 2 * p ** e) if e > 1 else ()  # monic of degree e
+    return None, *itertools.islice((m for m in following if fields._is_irreducible(m, p)), 1)
+
+
+@st.composite
+def coordinate_maps(draw):
+    """(GF(q), n, GF(q^n)), each field with its default modulus or another."""
+    (p, e), n_max = draw(st.sampled_from(sorted(_SMALL.items())))
+    n = draw(st.integers(1, n_max))
+    return field(p, e, draw(st.sampled_from(_moduli(p, e)))), n, field(p, e * n, draw(st.sampled_from(_moduli(p, e * n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinate_maps(), st.data())
+def test_the_round_trip_on_rows_matches_the_array_oracles(pair, data):
+    small, n, big = pair
+    dim = data.draw(st.integers(0, n))
+    pivots = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=dim, max_size=dim)))
+    free = st.integers(0, small.q - 1)
+    basis = [[int(c == pc) if c <= pc or c in pivots else data.draw(free) for c in range(n)] for pc in pivots]
+    height = data.draw(st.one_of(st.integers(0, 5), st.just(2 ** 63 + 5)))
+    w = Multispace(Subspace.from_basis(small, n, basis), height)
+    L = poly_from_multispace(w, big)
+    assert L == poly_by_arrays(w, big)
+    # the roots come back over GF(q) with its default modulus
+    assert _roots_or_refusal(roots_multiset, L) == _roots_or_refusal(roots_by_evaluation, L)
+    if small.modulus == field(small.p, small.e).modulus:
+        assert roots_multiset(L) == w
+    # one more term, or one changed: such a polynomial mostly does not split
+    index, c = data.draw(st.integers(0, 2 * n + 6)), data.draw(st.integers(1, big.q - 1))
+    M = LinearizedPoly(small.q, big, {**L.coeffs, index: c})
+    assert _roots_or_refusal(roots_multiset, M) == _roots_or_refusal(roots_by_evaluation, M)
+
+
+def test_a_one_dimensional_space_over_gf_2_16_needs_no_elimination():
+    # n = 1: x^q = x, so L = L(1) x, whose kernel is GF(q) when L(1) = 0 and {0} otherwise
+    ctx = field(2, 16)
+    for w in (Multispace.bottom(ctx, 1), Multispace(Subspace.zero(ctx, 1), 3), Multispace(Subspace.full(ctx, 1), 2),
+              Multispace(Subspace.full(ctx, 1), 2 ** 63 + 5)):
+        L = poly_from_multispace(w)
+        assert L == poly_by_arrays(w)
+        assert roots_multiset(L) == w == roots_by_evaluation(L)
+    a, b = 12345, 54321
+    for coeffs, splits in (({0: a, 1: a}, True), ({0: a, 1: b}, False), ({2: a, 5: a}, False), ({3: a}, True),
+                           ({0: a, 1: b, 2: a ^ b}, False)):
+        L = LinearizedPoly(ctx.q, ctx, coeffs)
+        roots = _roots_or_refusal(roots_multiset, L)
+        assert roots == _roots_or_refusal(roots_by_evaluation, L)
+        assert (roots is not RootsNotInField) == splits
+
+
+def _prime_powers(limit):
+    return [(p, e) for p in range(2, limit + 1) if fields._is_prime(p) for e in range(1, 7) if p ** e <= limit]
+
+
+#: every coordinate map with n >= 2 and q^n <= 2^12; at n = 1 a map keeps no row tables
+_MAPS = [((p, e), n) for p, e in _prime_powers(64) for n in range(2, 13) if (p ** e) ** n <= 1 << 12]
+
+
+def test_row_tables_match_the_coordinate_map():
+    for (p, e), n in _MAPS:
+        iso = vector_field_iso(field(p, e), n)
+        xs = list(range(iso.big.q))
+        rows = iso.to_vector_array(xs).tolist()
+        packed = [sum(c << n - 1 - i for i, c in enumerate(row)) for row in rows]  # GF(2): column 0 highest
+        assert iso._images([[x] for x in xs]) == (packed if p ** e == 2 else rows), (p, e, n)
+        assert iso._field_list(rows) == iso.to_field_array(rows).tolist() == xs, (p, e, n)
+
+
+def test_the_round_trip_does_no_array_arithmetic(monkeypatch):
+    words, polys = [], []
+    for ctx, n in [(F2, 5), (F3, 4), (F4, 3)]:
+        rng = np.random.default_rng(ctx.q)
+        words += [random_multispace(ctx, n, rng) for _ in range(12)] + [Multispace(Subspace.full(ctx, n), 2)]
+        big = vector_field_iso(ctx, n).big  # built before the patch: the map's set-up eliminates on arrays
+        polys.append(LinearizedPoly(ctx.q, big, {0: 1, 1: 1, 2: big.generator}))  # does not split
+    assert all(_roots_or_refusal(roots_by_evaluation, L) is RootsNotInField for L in polys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the round trip called an array function")
+
+    for owner, name in [(qpoly, "rref_array"), (linalg, "rref_array"), (FieldCtx, "mul_arr"), (FieldCtx, "sum_arr"),
+                        (FieldCtx, "frobenius_arr"), (VectorFieldIso, "_field_array"), (VectorFieldIso, "_vector_array")]:
+        monkeypatch.setattr(owner, name, refuse)
+    for w in words:
+        assert roots_multiset(poly_from_multispace(w)) == w
+    for L in polys:
+        with pytest.raises(RootsNotInField):
+            roots_multiset(L)
