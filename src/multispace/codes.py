@@ -3,7 +3,6 @@ prescribed minimum lattice distance, plus search, bounds and decoding.
 """
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -319,22 +318,25 @@ def ball_size(center: Multispace, radius: int, m_max: int) -> BigCount:
     return _class_ball_size(center.ctx.q, center.n, center.dim, center.height, radius, m_max)
 
 
-def _class_ball_size(q: int, n: int, k: int, t: int, radius: int, m_max: int) -> BigCount:
-    """Ball size around any center (U, t) with dim U = k.
+def _ball_terms(q: int, n: int, k: int, radius: int, m_max: int) -> list[tuple[int, int, BigCount]]:
+    """(j, s, w) per class of subspaces U' at d_S <= radius from a dim-k U: the
+    w = q^((k-i)(j-i)) [k, i]_q [n-k, j-i]_q subspaces of dim j that meet U in
+    dimension i, at d_S = k + j - 2i, with slack s = radius - d_S."""
+    return [(j, radius - (k + j - 2 * i), q ** ((k - i) * (j - i)) * gaussian_binomial(k, i, q)
+             * gaussian_binomial(n - k, j - i, q))
+            for j in range(max(0, k - radius), min(n, m_max, k + radius) + 1)
+            for i in range(max(0, (k + j - radius + 1) // 2), min(k, j) + 1)]
 
-    q^((k-i)(j-i)) [k, i]_q [n-k, j-i]_q of the j-dimensional U' meet U in
-    dimension i, at d_S = k + j - 2i; each takes every height t' >= 0 with
-    j + t' <= m_max and |t - t'| <= radius - d_S.
-    """
-    total = 0
-    for j in range(max(0, k - radius), min(n, m_max, k + radius) + 1):
-        for i in range(max(0, (k + j - radius + 1) // 2), min(k, j) + 1):
-            slack = radius - (k + j - 2 * i)
-            heights = min(m_max - j, t + slack) - max(0, t - slack) + 1
-            if heights > 0:
-                spaces = gaussian_binomial(k, i, q) * gaussian_binomial(n - k, j - i, q)
-                total += heights * q ** ((k - i) * (j - i)) * spaces
-    return total
+
+def _ball_size_at(terms: list, t: int, m_max: int) -> BigCount:
+    """Ball size around a center at height t: each class of _ball_terms takes
+    every height t' >= 0 with j + t' <= m_max and |t - t'| <= s."""
+    return sum(w * max(0, min(m_max - j, t + s) - max(0, t - s) + 1) for j, s, w in terms)
+
+
+def _class_ball_size(q: int, n: int, k: int, t: int, radius: int, m_max: int) -> BigCount:
+    """Ball size around any center (U, t) with dim U = k."""
+    return _ball_size_at(_ball_terms(q, n, k, radius, m_max), t, m_max)
 
 
 def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCount:
@@ -344,21 +346,33 @@ def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCo
     the bound sound; GL_n(q) keeps distance and rank and is transitive on the
     centers of one (dim, height), so nothing is enumerated.
 
-    Per dim k, with r the radius, only the heights t <= r and
-    t >= m_max - k - r are visited; between them every ball is as large as
-    at t = r.  There, each term of _class_ball_size has slack s = r - d_S in
-    [0, r] and j <= k + r - s (as d_S >= |k - j|), so t - s >= 0 and
-    t + s <= m_max - k - r + s <= m_max - j: it counts the 2s + 1 heights
-    t - s .. t + s, whatever t.
+    No distance exceeds min(2 m_max, n + m_max), as d_S(U, U') is at most
+    n and at most dim U + dim U', and |t - t'| at most m_max and at most
+    t + t'.  From that radius r on every ball is the whole space: the bound is 1.
+
+    Below it, per dim k, only a few heights t of [0, top], top = m_max - k,
+    are visited.  The class (j, s, w) of _ball_terms counts
+    max(0, min(m_max - j, t + s) - max(0, t - s) + 1) heights: as a function
+    of real t, continuous and linear between its breakpoints t = s,
+    t = m_max - j - s and, where the count falls to 0, t = m_max - j + s + 1.
+    The ball size, a sum of such terms with positive weights, is linear
+    between consecutive breakpoints of them all.  These are integers, so its
+    minimum over the integers of [0, top] lies at 0, at top or at a
+    breakpoint between them.
     """
     _check_search(n, m_max, d_min)
     radius = (d_min - 1) // 2
     total = codespace_growth(ctx, n, m_max)
     if radius == 0:
         return total
-    classes = ((k, t) for k in range(min(n, m_max) + 1) for top in [m_max - k]
-               for t in chain(range(min(radius, top) + 1), range(max(radius + 1, top - radius), top + 1)))
-    return total // min(_class_ball_size(ctx.q, n, k, t, radius, m_max) for k, t in classes)
+    if radius >= min(2 * m_max, n + m_max):
+        return 1
+    sizes = []
+    for k in range(min(n, m_max) + 1):
+        top, terms = m_max - k, _ball_terms(ctx.q, n, k, radius, m_max)
+        breaks = {b for j, s, _ in terms for b in (s, m_max - j - s, m_max - j + s + 1) if 0 < b < top}
+        sizes += [_ball_size_at(terms, t, m_max) for t in breaks | {0, top}]
+    return total // min(sizes)
 
 
 def decode(code: MultispaceCode, received: Multispace) -> tuple[Multispace, int]:

@@ -8,10 +8,13 @@ is the wire format used everywhere (JSON, CLI, CSV).
 
 Multiplication goes through log/antilog tables built once per context
 from the e x e GF(p) matrix of "multiply by the generator" acting on the
-base-p digit vectors of the encodings; addition is XOR in characteristic
-2 and digit-wise mod p otherwise.  A field of 3 to ARRAY_TABLE_LIMIT
-elements also builds, on first use, q x q tables of those rules, and its
-array operations gather from them.
+base-p digit vectors of the encodings.  Addition is XOR in characteristic
+2 and a read of Zech logarithms in odd characteristic: with generator g,
+a + b = a (1 + b/a) = g^(log a + Z[log b - log a]), where Z[k] = log(1 + g^k),
+from the same log/exp tables.  The array rules of a prime field add mod p,
+one numpy operation where Zech takes several gathers.  A field of 3 to
+ARRAY_TABLE_LIMIT elements also builds, on first use, q x q tables of
+those rules, and its array operations gather from them.
 All operations exist both for plain ints (scalar hot paths) and for
 numpy arrays of encodings (vectorized linear algebra).
 """
@@ -41,11 +44,10 @@ FIELD_SIZE_LIMIT = 1 << 16
 #: first use (characteristic 2 adds by XOR, which is faster still).  The gather
 #: flat[a*q + b] costs about the same for every q up to 256: 5-7 us on a
 #: (32, 6, 6) stack and 30-57 us on (256, 8, 8), against 13-29 and 170-560 us
-#: through the log/exp tables, and 1.3-2.0 ms through the digits of GF(27) and
-#: GF(81).  Memory sets the limit: with 256, channel_qpoly's peak RSS went from
-#: 42.9 to 55.5 MiB (its set-up builds GF(2^8) and GF(3^5)); with 64, at most
-#: 32 KiB a table, it reads 43.0-43.3 MiB.  Python 3.11.7, numpy 2.4.6, shared
-#: 2-vCPU host.
+#: through the log/exp tables.  Memory sets the limit: with 256, channel_qpoly's
+#: peak RSS went from 42.9 to 55.5 MiB (its set-up builds GF(2^8) and GF(3^5));
+#: with 64, at most 32 KiB a table, it reads 43.0-43.3 MiB.  Python 3.11.7,
+#: numpy 2.4.6, shared 2-vCPU host.
 ARRAY_TABLE_LIMIT = 64
 
 #: Largest field with q x q tables (op_tables), on which linalg's row kernel eliminates:
@@ -227,13 +229,13 @@ class FieldCtx:
         self.generator = g
         self._exp_np, self._log_np, self._inv_np = exp, log, inv
         self._exp, self._log, self._inv = exp.tolist(), log.tolist(), inv.tolist()
-        if p == 2 or e == 1:
-            self._dig = None
-            self._neg = None
-        else:
-            # digit tables for characteristic-p addition in odd extensions
-            self._dig = _digits(np.arange(q), p, e)
-            self._neg = -self._dig % p @ self._pvec
+        if p != 2:
+            # Zech logarithms zech[k] = log(1 + g^k): adding 1 adds 1 mod p to the
+            # constant digit enc % p of g^k's encoding; -1 marks g^k = -1, where 1 + g^k = 0
+            one_plus = exp - exp % p + (exp + 1) % p
+            zech = np.where(one_plus == 0, -1, log[one_plus])
+            self._zech_np, self._zech = zech, zech.tolist()
+            self._log_neg_one = (q - 1) // 2  # g^((q - 1)/2) = -1
 
     # -- identity ------------------------------------------------------------
 
@@ -263,25 +265,18 @@ class FieldCtx:
     # -- scalar arithmetic on encodings ---------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
-        if self.e == 1:
-            return (a + b) % p
-        out, mul = 0, 1
-        while a or b:
-            out += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        if not (a and b):
+            return a or b
+        log, m = self._log, self.q - 1
+        z = self._zech[(log[b] - log[a]) % m]
+        return 0 if z < 0 else self._exp[(log[a] + z) % m]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        if self.e == 1:
-            return (-a) % self.p
-        return int(self._neg[a])
+        return self._exp[(self._log[a] + self._log_neg_one) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -338,9 +333,7 @@ class FieldCtx:
     def neg_arr(self, a):
         if self.p == 2:
             return np.array(a, copy=True)
-        if self.e == 1:
-            return (-np.asarray(a)) % self.p
-        return self._neg[a]
+        return self._neg_rule(a)
 
     def sub_arr(self, a, b):
         if self.p != 2 and self.q <= ARRAY_TABLE_LIMIT:
@@ -376,24 +369,30 @@ class FieldCtx:
             raise LimitExceeded(f"q x q tables of {self} would hold {self.q ** 2} entries each")
         return tuple(t.reshape(self.q, self.q) for t in self._tables or self._flat_tables())
 
-    # the rules: XOR in characteristic 2, mod p in a prime field, digit-wise mod p
-    # in an odd extension; products through the log/exp tables
+    # the rules: XOR in characteristic 2, mod p in a prime field (linalg's pivot passes
+    # reach them for every q > ARRAY_TABLE_LIMIT), Zech logarithms otherwise; products by log/exp
 
     def _add_rule(self, a, b):
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.e == 1:
-            return (a + b) % p
-        digs = (self._dig[a] + self._dig[b]) % p
-        return digs @ self._pvec
+            return (a + b) % self.p
+        a, b = np.asarray(a), np.asarray(b)
+        la, m = self._log_np[a], self.q - 1
+        z = self._zech_np[(self._log_np[b] - la) % m]
+        out = np.where(z < 0, 0, self._exp_np[(la + z) % m])
+        return np.where(a == 0, b, np.where(b == 0, a, out))
+
+    def _neg_rule(self, a):
+        """-a in odd characteristic: g^(log a + log -1)."""
+        return np.where(np.equal(a, 0), 0, self._exp_np[(self._log_np[a] + self._log_neg_one) % (self.q - 1)])
 
     def _sub_rule(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.e == 1:
             return (np.asarray(a) - np.asarray(b)) % self.p
-        return self._add_rule(a, self._neg[b])
+        return self._add_rule(a, self._neg_rule(b))
 
     def _mul_rule(self, a, b):
         a = np.asarray(a)
@@ -437,7 +436,8 @@ class FieldCtx:
             return np.bitwise_xor.reduce(a, axis=axis)
         if self.e == 1:
             return a.sum(axis=axis) % self.p
-        return self._dig[a].sum(axis=axis % a.ndim) % self.p @ self._pvec
+        zero = np.zeros(np.delete(a.shape, axis), dtype=np.int64)
+        return functools.reduce(self._add_rule, np.moveaxis(a, axis, 0), zero)
 
     # -- linearized polynomials ------------------------------------------------
 

@@ -26,6 +26,7 @@ from .linalg import (
     Subspace,
     _check_budget,
     _check_lower_bound,
+    _empty,
     _odometer,
     _pad_stack,
     _rows_array,
@@ -257,8 +258,9 @@ def _log_table(q: int) -> np.ndarray:
 def _membership_masks(ctx: FieldCtx, n: int, bases: np.ndarray) -> np.ndarray | None:
     """The uint64 membership mask of each (depth, n) basis of a stack: bit
     sum v_i q^i is set iff v is a member; zero rows of a padded basis add no bit.
-    None when q^n > MASK_VECTORS: the one place that picks the representation."""
-    if ctx.q ** n > MASK_VECTORS:
+    None when q^n > MASK_VECTORS: the one place that picks the representation.
+    As q >= 2, every n >= MASK_VECTORS.bit_length() is past it, and q^n is not formed."""
+    if n >= MASK_VECTORS.bit_length() or ctx.q ** n > MASK_VECTORS:
         return None
     places = ctx.q ** np.arange(n, dtype=np.int64)
     bits = np.left_shift(np.uint64(1), (_odometer(ctx, bases) @ places).astype(np.uint64))
@@ -343,9 +345,10 @@ class _WordStack:
 
     @classmethod
     def empty(cls, ctx: FieldCtx, n: int, depth: int) -> "_WordStack":
-        """A stack of no words, to be extended with words of dim at most depth."""
+        """A stack of no words, to be extended with words of dim at most depth; an n
+        that numpy cannot shape is refused with FormatError (linalg._empty)."""
         none = np.zeros(0, dtype=np.int64)
-        return cls(ctx, n, none.reshape(0, depth, n), none, none)
+        return cls(ctx, n, _empty((0, depth, n), n), none, none)
 
     @classmethod
     def layer(cls, ctx: FieldCtx, n: int, m: int) -> "_WordStack":

@@ -84,15 +84,21 @@ def _as_array(ctx: FieldCtx, rows) -> np.ndarray:
     return a
 
 
+def _empty(shape: tuple, n: int) -> np.ndarray:
+    """Zeros of a shape that starts at 0 and ends at the ambient dimension n; an n
+    that numpy cannot shape is refused with FormatError."""
+    try:
+        return np.zeros(shape, dtype=np.int64)
+    except ValueError as exc:  # numpy refuses the dimension
+        raise FormatError(f"ambient dimension {n} is too large") from exc
+
+
 def _rows_array(ctx: FieldCtx, n: int, rows) -> np.ndarray:
     """Coerce to an (m, n) array of encodings, n an int >= 0; [] becomes 0 x n."""
     check_settings(("n", n, 0, f"ambient dimension {n} is negative"))
     a = _as_array(ctx, rows)
     if a.size == 0 and a.ndim <= 1:
-        try:
-            return np.zeros((0, n), dtype=np.int64)
-        except ValueError as exc:  # numpy refuses the dimension
-            raise FormatError(f"ambient dimension {n} is too large") from exc
+        return _empty((0, n), n)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2 or a.shape[1] != n:

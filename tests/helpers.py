@@ -1,17 +1,18 @@
 """Shared brute-force oracles: multiplicities, subspaces entry by entry, the
 lattice poset, covers by containment, RREF by definition, the packing bound
-over every BFS ball, the greedy code by single distances and by one
-elimination per candidate, the maximum clique by plain branch and bound, the
-optimal code and the gamma graph over words enumerated one by one, graph
-distances and distance regularity by bool and int64 matrix products, the
-channel's trial-by-trial loop and numpy's own spawned trial generators, the
-literal root product, the subspace-polynomial step, the whole-space
-polynomial by that step, the polynomial through the coordinate map's
-arrays, root finding by evaluating every term, polynomial
-evaluation one term at a time, and array arithmetic through the log/exp and
-digit tables.  Also span_rows, the span of a few row vectors."""
+over every BFS ball and over two ranges of heights per dim, the greedy code
+by single distances and by one elimination per candidate, the maximum clique
+by plain branch and bound, the optimal code and the gamma graph over words
+enumerated one by one, graph distances and distance regularity by bool and
+int64 matrix products, the channel's trial-by-trial loop and numpy's own
+spawned trial generators, the literal root product, the subspace-polynomial
+step, the whole-space polynomial by that step, the polynomial through the
+coordinate map's arrays, root finding by evaluating every term, polynomial
+evaluation one term at a time, and field arithmetic through the log/exp
+tables and through base-p digits built here. Also span_rows, the span of a
+few row vectors."""
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -22,13 +23,14 @@ from multispace.channel import (
     apply_transform,
     random_matrix,
 )
-from multispace.codes import ball, decode
+from multispace.codes import _class_ball_size, ball, decode
 from multispace.errors import ConfigInvalid, LimitExceeded, RootsNotInField, SamplingFailed, ShapeViolation
 from multispace.fields import field
 from multispace.lattice import (
     Multispace,
     RegularityReport,
     VectorMultiset,
+    codespace_growth,
     distance,
     enumerate_multispaces,
     enumerate_multispaces_up_to,
@@ -176,6 +178,22 @@ def packing_bound_oracle(ctx, n, m_max, d_min):
     radius = (d_min - 1) // 2
     elems = list(enumerate_multispaces_up_to(ctx, n, m_max))
     return len(elems) // min(len(ball(w, radius, m_max)) for w in elems)
+
+
+def packing_bound_by_height_ranges(ctx, n, m_max, d_min):
+    """Sphere-packing bound over the heights t <= r and t >= m_max - k - r of
+    each dim k, r the radius: the two ranges codes.sphere_packing_bound walked
+    before it read only the breakpoints of its ball sizes.  Between them every
+    ball is as large as at t = r: each term of _class_ball_size has slack
+    s = r - d_S in [0, r] and j <= k + r - s, so t - s >= 0 and
+    t + s <= m_max - j, and it counts the 2s + 1 heights t - s .. t + s."""
+    radius = (d_min - 1) // 2
+    total = codespace_growth(ctx, n, m_max)
+    if radius == 0:
+        return total
+    classes = ((k, t) for k in range(min(n, m_max) + 1) for top in [m_max - k]
+               for t in chain(range(min(radius, top) + 1), range(max(radius + 1, top - radius), top + 1)))
+    return total // min(_class_ball_size(ctx.q, n, k, t, radius, m_max) for k, t in classes)
 
 
 def greedy_by_distance_loop(ctx, n, m_max, d_min, seed):
@@ -619,26 +637,25 @@ def keyed_generators(seed, start, count) -> list:
     return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(start, start + count)]
 
 
+def _base_p_digits(F, x) -> tuple[np.ndarray, np.ndarray]:
+    """The e base-p digits of each encoding in x, on a new last axis, and the
+    place values p^i that turn digits back into encodings: built from F.p and
+    F.e alone, sharing no table with the library."""
+    places = F.p ** np.arange(F.e, dtype=np.int64)
+    return np.asarray(x, dtype=np.int64)[..., None] // places % F.p, places
+
+
 def add_by_digits(F, a, b) -> np.ndarray:
-    """a + b by XOR, mod p, or digit by digit: the rule FieldCtx.add_arr
-    followed before its q x q tables."""
-    a, b = np.asarray(a), np.asarray(b)
-    if F.p == 2:
-        return a ^ b
-    if F.e == 1:
-        return (a + b) % F.p
-    return (F._dig[a] + F._dig[b]) % F.p @ F._pvec
+    """a + b digit by digit mod p, in every field: the coefficient-vector sum
+    that FieldCtx's XOR and Zech rules stand for."""
+    (da, places), (db, _) = _base_p_digits(F, a), _base_p_digits(F, b)
+    return (da + db) % F.p @ places
 
 
 def sub_by_digits(F, a, b) -> np.ndarray:
-    """a - b as a + (-b) by the digit rule: what FieldCtx.sub_arr computed
-    before its q x q tables."""
-    a, b = np.asarray(a), np.asarray(b)
-    if F.p == 2:
-        return a ^ b
-    if F.e == 1:
-        return (a - b) % F.p
-    return add_by_digits(F, a, F._neg[b])
+    """a - b digit by digit mod p, in every field."""
+    (da, places), (db, _) = _base_p_digits(F, a), _base_p_digits(F, b)
+    return (da - db) % F.p @ places
 
 
 def mul_by_logs(F, a, b) -> np.ndarray:

@@ -11,7 +11,7 @@ can kill it.
 
 Run from any directory; pytest does not collect this file:
 
-    python tests/mutate.py                # every mutant, about two minutes
+    python tests/mutate.py                # every mutant, a few minutes
     python tests/mutate.py NAME [NAME..]  # the named mutants
 
 It prints killed or survived and the seconds each took, and exits 1 when a
@@ -48,7 +48,10 @@ class Mutant:
     speed: bool = False  # the same outputs with more work: only a counting test kills it
 
 
-CHANNEL, CODES, CLI, QPOLY = (f"tests/test_{name}.py" for name in ("channel", "codes", "cli", "qpoly"))
+CHANNEL, CODES, CLI, QPOLY, FIELDS = (f"tests/test_{name}.py"
+                                      for name in ("channel", "codes", "cli", "qpoly", "fields"))
+ACCEPTANCE = "tests/test_acceptance.py"
+ZECH = f"{FIELDS}::test_small_odd_fields_add_by_zech_logarithms_as_by_digits_on_every_pair"
 MUTANTS = (
     Mutant("deficient-window-top", "channel.py", "_deficient, (1, 0, 2))", "_deficient, (1, 0, 3))", (CHANNEL,),
            "a rank w - s matrix moves the word at most 2s; a looser window hides violations"),
@@ -105,6 +108,42 @@ MUTANTS = (
     Mutant("drop-count-rows-budget", "cli.py", '    _check_budget(args.m + 1, "count rows")', "",
            (f"{CLI}::test_count_refuses_more_rows_than_the_enumeration_limit_before_the_first_count",),
            "count writes one row per rank 0..m, so a huge m is refused before the first row"),
+    Mutant("lower-bound-from-65-bits", "linalg.py", "if bits >= 64:", "if bits >= 65:",
+           (f"{CLI}::test_a_huge_ambient_dimension_is_refused_before_any_count_is_formed",),
+           "a count of 2^64 or more is named by its lower bound, before it is formed"),
+    Mutant("ball-height-cap-one-up", "codes.py", "w * max(0, min(m_max - j, t + s)",
+           "w * max(0, min(m_max - j + 1, t + s)", (f"{CLI}::test_bound",),
+           "a word of dim j takes heights up to m_max - j, so its rank stays within m_max"),
+    Mutant("regular-b-at-distance-k", "lattice.py", '("b", k + 1)', '("b", k)',
+           ("tests/test_lattice.py::test_graph_kernels_match_the_bool_and_int64_products_on_named_graphs",),
+           "the intersection number b_k counts the neighbours at distance k + 1"),
+    Mutant("nearest-takes-the-last-minimum", "codes.py", "best = d.argmin(axis=1)",
+           "best = d.shape[1] - 1 - d[:, ::-1].argmin(axis=1)",
+           (f"{CHANNEL}::test_block_decoding_over_several_blocks_matches_the_serial_loop",),
+           "decoding ties break by codeword order: the first nearest codeword wins"),
+    Mutant("subfield-degree-from-2", "qpoly.py", "for ell in range(1, n_over_base + 1):",
+           "for ell in range(2, n_over_base + 1):", (f"{QPOLY}::test_subfield_degree_metadata",),
+           "coefficients in the base field itself have subfield degree 1"),
+    Mutant("height-drop-from-2", "lattice.py", "(w.height > 0)", "(w.height > 1)",
+           (f"{ACCEPTANCE}::test_criterion_04_cover_numbers",),
+           "every word of height 1 or more covers its height drop"),
+    Mutant("greedy-strikes-from-4", "codes.py", "if d_min > 2:", "if d_min > 3:",
+           (f"{ACCEPTANCE}::test_criterion_08_coding_suite",),
+           "distinct words of one rank can lie at distance 2 < d_min = 3, so a kept word strikes its layer"),
+    Mutant("closest-keeps-the-diagonal", "codes.py", "    np.fill_diagonal(d, np.iinfo(d.dtype).max)\n", "",
+           (f"{ACCEPTANCE}::test_criterion_08_coding_suite",),
+           "a codeword's distance 0 to itself is no minimum distance"),
+    Mutant("zech-negation-offset", "fields.py", "(q - 1) // 2", "(q - 1) // 2 + 1", (ZECH,),
+           "-1 = g^((q - 1)/2), so negation adds (q - 1)/2 to the log"),
+    Mutant("zech-constant-digit-carries", "fields.py", "(exp + 1) % p", "exp + 1", (FIELDS,),
+           "1 + g^k adds 1 mod p to the constant digit, with no carry into the next; in GF(p) the carry"
+           " reads past the log table, and the fields built as the test file is collected fail"),
+    Mutant("zech-difference-swapped", "fields.py", "(log[b] - log[a])", "(log[a] - log[b])", (ZECH,),
+           "a + b = a (1 + b/a) reads the Zech logarithm at log b - log a"),
+    Mutant("zech-array-difference-swapped", "fields.py", "(self._log_np[b] - la)", "(la - self._log_np[b])", (ZECH,),
+           "the array rule reads the Zech logarithm at log b - log a too"),
+    Mutant("zech-array-zero-case", "fields.py", "np.where(a == 0, b,", "np.where(a == 0, a,", (ZECH,),
+           "0 + b = b: zero has no logarithm, so the array rule keeps it apart"),
 )
 
 

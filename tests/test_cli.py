@@ -340,11 +340,17 @@ def test_a_huge_rank_cap_is_refused_on_the_closed_form_total(capsys, argv, total
     (["search", "5", "9223372036854775808", "3", "1"], 2, "at least 2^55340232221128654830 multispaces"),
     (["search", "5", "9223372036854775808", "3", "1", "--optimal"], 2,
      "ground set of at least 2^55340232221128654830 exceeds"),
+    # k(n - k) floor(log2 q) = 8 * 8 * 1: the bound refuses from exactly 64 bits
+    (["enumerate", "2", "16", "8"], 2, "at least 2^64 multispaces exceed the enumeration limit 1048576"),
     # the space size has more digits than Python prints, by the same bound, before it is formed
     (["bound", "7", "9223372036854775808", "63", "2"], 1, "decimal digits"),
     # rank 0 passes every budget; the zero space refuses an n numpy cannot shape
     (["enumerate", "7", "4611686018427387904", "0"], 1, "ambient dimension 4611686018427387904 is too large"),
     (["enumerate", "2^16", "9223372036854775808", "0"], 1, "ambient dimension 9223372036854775808 is too large"),
+    # so does the empty stack a search at rank cap 0 starts from, before it is made
+    (["search", "2", "18446744073709551616", "0", "1"], 1, "ambient dimension 18446744073709551616 is too large"),
+    (["search", "3^10", "9223372036854775807", "0", "2", "--optimal"], 1,
+     "ambient dimension 9223372036854775807 is too large"),
 ])
 def test_a_huge_ambient_dimension_is_refused_before_any_count_is_formed(capsys, argv, code, message):
     start = time.perf_counter()
@@ -771,3 +777,20 @@ def test_cli_fuzz_exit_codes(argv):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def test_a_search_at_rank_cap_zero_keeps_the_zero_word_without_forming_q_to_the_n(capsys):
+    # 256^(2^31) would decide the words' representation; n alone places it past the masks
+    start = time.perf_counter()
+    code, out, err = run_within(capsys, 1, "--format", "json", "search", "2^8", "2147483648", "0",
+                                "18446744073709551616")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert json.loads(out)["codewords"] == [{"q-spec": "2^8/283", "n": 2147483648, "basis": [], "height": 0}]
+
+
+def test_bound_of_a_radius_past_every_distance_is_one_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_within(capsys, 1, "--format", "json", "bound", "3", "2", "2147483648", str(10 ** 30))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == "" and json.loads(out) == {"packing_bound": 1, "space_size": 12884901888}

@@ -13,6 +13,7 @@ from helpers import (
     greedy_by_distance_loop,
     max_clique_by_bound,
     optimal_code_by_elements,
+    packing_bound_by_height_ranges,
     packing_bound_oracle,
     random_multispace,
     serial_greedy_code,
@@ -641,3 +642,13 @@ def test_code_json_round_trip():
     assert d["d_min"] == int(code.min_distance)
     back = MultispaceCode.from_dict(d)
     assert back == code
+
+
+def test_packing_bound_reads_the_same_minimum_at_the_breakpoints_as_over_two_height_ranges():
+    # every d_min up to two past the largest distance, where the bound is 1 with no ball summed
+    for ctx in (F2, F3, field(5)):
+        for n in range(5):
+            for m_max in range(12):
+                for d_min in range(1, 2 * m_max + n + 3):
+                    want = packing_bound_by_height_ranges(ctx, n, m_max, d_min)
+                    assert sphere_packing_bound(ctx, n, m_max, d_min) == want, (ctx.q, n, m_max, d_min)

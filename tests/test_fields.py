@@ -16,7 +16,15 @@ from multispace.errors import (
     NotPrime,
     ShapeViolation,
 )
-from multispace.fields import ARRAY_TABLE_LIMIT, FieldCtx, _is_prime, extension, field, parse_field_spec
+from multispace.fields import (
+    ARRAY_TABLE_LIMIT,
+    RANK_TABLE_LIMIT,
+    FieldCtx,
+    _is_prime,
+    extension,
+    field,
+    parse_field_spec,
+)
 from multispace.linalg import Subspace, _rank_tables
 
 
@@ -470,3 +478,62 @@ def test_rank_tables_are_the_field_tables_as_lists(ctx):
 def test_op_tables_refuse_a_field_past_256_elements():
     with pytest.raises(LimitExceeded):
         field(2, 9).op_tables()  # 2^18 entries each
+
+
+#: every field of odd characteristic with at most 81 elements, prime fields included
+SMALL_ODD_FIELDS = [field(p, e) for p in range(3, 82, 2) if _is_prime(p) for e in range(1, 5) if p ** e <= 81]
+#: larger odd fields: every pair for the array ops, sampled pairs for the scalar ones
+MIDDLE_ODD_FIELDS = [field(251), field(3, 5), field(3, 6)]
+#: the largest odd fields checked, on sampled pairs only
+LARGE_ODD_FIELDS = [field(3, 10), field(5, 6)]
+
+
+def odd_field_pairs(ctx, every: bool, samples: int = 20000) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (a, b) of ctx, or that many random ones, then every (a, -a)."""
+    x = np.arange(ctx.q, dtype=np.int64)
+    if every:
+        a, b = np.repeat(x, ctx.q), np.tile(x, ctx.q)
+    else:
+        a, b = np.random.default_rng(ctx.q).integers(0, ctx.q, (2, samples))
+    return np.concatenate([a, x]), np.concatenate([b, sub_by_digits(ctx, 0, x)])
+
+
+def check_scalar_ops_by_digits(ctx, a, b):
+    al, bl = a.tolist(), b.tolist()
+    assert [ctx.add(x, y) for x, y in zip(al, bl)] == add_by_digits(ctx, a, b).tolist()
+    assert [ctx.sub(x, y) for x, y in zip(al, bl)] == sub_by_digits(ctx, a, b).tolist()
+    assert [ctx.neg(x) for x in al] == sub_by_digits(ctx, 0, a).tolist()
+
+
+def check_array_ops_by_digits(ctx, a, b):
+    sums = add_by_digits(ctx, a, b)
+    assert np.array_equal(ctx.add_arr(a, b), sums)
+    assert np.array_equal(ctx.sub_arr(a, b), sub_by_digits(ctx, a, b))
+    assert np.array_equal(ctx.neg_arr(a), sub_by_digits(ctx, 0, a))
+    assert np.array_equal(ctx.sum_arr(np.stack([a, b, a])), add_by_digits(ctx, sums, a))
+    assert np.array_equal(ctx.sum_arr(np.stack([a, b]), axis=-2), sums)
+    if ctx.q <= RANK_TABLE_LIMIT:
+        x = np.arange(ctx.q, dtype=np.int64)
+        add, sub, _ = ctx.op_tables()
+        assert np.array_equal(add, add_by_digits(ctx, x[:, None], x))
+        assert np.array_equal(sub, sub_by_digits(ctx, x[:, None], x))
+
+
+@pytest.mark.parametrize("ctx", SMALL_ODD_FIELDS, ids=lambda F: f"GF({F.p}^{F.e})")
+def test_small_odd_fields_add_by_zech_logarithms_as_by_digits_on_every_pair(ctx):
+    a, b = odd_field_pairs(ctx, every=True)
+    check_scalar_ops_by_digits(ctx, a, b)
+    check_array_ops_by_digits(ctx, a, b)
+
+
+@pytest.mark.parametrize("ctx", MIDDLE_ODD_FIELDS, ids=lambda F: f"GF({F.p}^{F.e})")
+def test_middle_odd_fields_add_as_by_digits_on_every_pair_of_arrays(ctx):
+    check_array_ops_by_digits(ctx, *odd_field_pairs(ctx, every=True))
+    check_scalar_ops_by_digits(ctx, *odd_field_pairs(ctx, every=False))
+
+
+@pytest.mark.parametrize("ctx", LARGE_ODD_FIELDS, ids=lambda F: f"GF({F.p}^{F.e})")
+def test_large_odd_fields_add_as_by_digits_on_sampled_pairs(ctx):
+    a, b = odd_field_pairs(ctx, every=False)
+    check_scalar_ops_by_digits(ctx, a, b)
+    check_array_ops_by_digits(ctx, a, b)

@@ -132,8 +132,8 @@ def test_no_value_error_raises_in_the_library():
 #: FieldCtx's private arithmetic tables, with the q x q op tables, their gather and the
 #: rules they are built by; other modules go through its methods.
 FIELD_TABLES = {
-    "_exp", "_log", "_inv", "_exp_np", "_log_np", "_inv_np", "_dig", "_neg",
-    "_tables", "_gather", "_flat_tables", "_add_rule", "_sub_rule", "_mul_rule",
+    "_exp", "_log", "_inv", "_exp_np", "_log_np", "_inv_np", "_zech", "_zech_np", "_log_neg_one",
+    "_tables", "_gather", "_flat_tables", "_add_rule", "_neg_rule", "_sub_rule", "_mul_rule",
 }
 
 
