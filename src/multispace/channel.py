@@ -15,12 +15,13 @@ builds a block's generators with exactly those PCG64 states in one
 vectorised pass of SeedSequence's hash.  Trials run in blocks as arrays:
 _Draws reads each trial's raw PCG64 words ahead and maps them as numpy
 would, each stage makes its draws for all the block's trials, rejection
-sampling ranks rounds of candidates at once with rank_batch (a stage's two
-matrices of transposed shapes in one pass), multispans are one batched
-elimination and distances one paired call, while every trial takes the
-draws of a one-trial loop.  A block comes out as columns (sent indices,
-received words as one stack, distances, bound checks); one summary reads
-them for both entry points, and only run_trials builds TrialRecords.
+sampling ranks rounds of candidates at once with rank_batch (one sampler,
+_full_rank, for a stage's one matrix or its two of transposed shapes, each
+round one pass), multispans are one batched elimination and distances one
+paired call, while every trial takes the draws of a one-trial loop.  A
+block comes out as columns (sent indices, received words as one stack,
+distances, bound checks); one summary reads them for both entry points,
+and only run_trials builds TrialRecords.
 """
 
 import collections
@@ -231,94 +232,107 @@ def _runs(a: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((len(a), a.shape[1] - width + 1, width), a.dtype, a, 0, (a.strides[0], *a.strides[1:] * 2))
 
 
-def _full_rank_batch(ctx: FieldCtx, draws: _Draws, rows, cols) -> np.ndarray:
-    """One uniform rows[t] x cols[t] matrix of rank min(rows[t], cols[t]) per trial t.
+def _full_rank(ctx: FieldCtx, draws: _Draws, rows, cols, count: int = 1) -> list[np.ndarray]:
+    """count uniform full-rank matrices per trial t, rows[t] x cols[t] and then cols[t] x rows[t],
+    as count zero-padded stacks.
 
-    Trial t takes exactly the draws and the matrix of the serial loop that defines
-    it, _draw_full_rank(ctx, rows[t], cols[t], rng) on the trial's generator.
-    Trials draw rounds of k candidates, so many that a trial finds none with
-    chance about 1 / (8 trials) at the hardest shape's miss rate, 1 - prod
-    (1 - q^(i - c)) over i < r <= c; its cursor moves past the first accepted
-    or all k.  A round ranks at once with rank_batch, or, for at most
-    _ROW_TRIALS trials over 2 < q <= RANK_TABLE_LIMIT, where numpy's cost per
-    call would not pay, each trial's 8 candidates in turn on rref_array's
-    list rows, up to the first accepted (none with chance below 0.44^8).
-    No trial takes over _MAX_TRIES candidates, a round holds at most
-    DEFAULT_STATE_LIMIT cells, and the matrices come zero-padded into one stack.
+    Trial t takes exactly the draws and the matrices of _draw_full_rank called
+    count times on its generator.  Both shapes hold rows[t] cols[t] cells, so
+    chunk i of a trial's draws is candidate i of either matrix (the second
+    ranked transposed, a square chunk once): a trial keeps its first full-rank
+    chunk and, for count 2, the next one after it.  Each round draws k chunks
+    per unfinished trial (_round_size) and ranks them with one rank_batch call,
+    or, for count 1 and at most _ROW_TRIALS trials over 2 < q <=
+    RANK_TABLE_LIMIT, where numpy's cost per call would not pay, each trial's
+    8 candidates in turn on rref_array's list rows up to the first accepted.
+    A trial's cursor moves past the last chunk it kept, or all k, and one that
+    holds its first matrix looks for its second in the next round.  No trial
+    takes over _MAX_TRIES candidates for one matrix, and a round holds at most
+    DEFAULT_STATE_LIMIT cells.
     """
-    out = np.zeros((len(rows), rows.max(), cols.max()), dtype=np.int64)
-    live, tried = np.flatnonzero(rows * cols), 0  # an empty matrix takes no draw
+    top = (rows.max(), cols.max())
+    out = [np.zeros((len(rows), *top), dtype=np.int64), np.zeros((len(rows), *top[::-1]), dtype=np.int64)][:count]
+    live = np.flatnonzero(rows * cols)  # an empty matrix takes no draw
+    got = np.zeros(len(live), dtype=bool)  # holds its first of two matrices
+    tried = np.zeros(len(live), dtype=np.int64)  # candidates drawn for the matrix it seeks
     while len(live):
         r, c = rows[live], cols[live]
-        shape, cells = (r.max(), c.max()), r * c
-        rowwise = len(live) <= _ROW_TRIALS and 2 < ctx.q <= RANK_TABLE_LIMIT and cells.max() <= ROW_CELL_LIMIT
+        shape, cells = (int(r.max()), int(c.max())), r * c
+        box = shape[0] * shape[1]  # the cells of a zero-padded candidate
+        reads = 1 if count == 1 or (r == c).all() else 2  # a square chunk is one matrix in either stage
+        rowwise = (count == 1 and len(live) <= _ROW_TRIALS and 2 < ctx.q <= RANK_TABLE_LIMIT
+                   and cells.max() <= ROW_CELL_LIMIT)
         if rowwise:  # ranked in turn, candidates past the first accepted cost only their draws
             k = 8
         else:
-            shapes = set(zip(np.minimum(r, c).tolist(), np.maximum(r, c).tolist()))
-            miss = 1 - min(math.prod(1 - float(ctx.q) ** (i - b) for i in range(a)) for a, b in shapes)
-            k = 1 if miss < 1e-9 else math.ceil(math.log(8 * len(live)) / -math.log(miss))
-        k = min(k, _MAX_TRIES - tried, max(1, DEFAULT_STATE_LIMIT // (len(live) * shape[0] * shape[1])))
+            one = cells.min() == box  # every trial has the block's shape
+            k = _round_size(ctx.q, frozenset([shape] if one else zip(r.tolist(), c.tolist())), count, len(live))
+        k = min(k, _MAX_TRIES - int(tried.max()), max(1, DEFAULT_STATE_LIMIT // (reads * len(live) * box)))
         if k <= 0:
-            raise SamplingFailed(f"rejection sampling failed to find a full-rank {r[0]}x{c[0]} matrix")
+            t = int(tried.argmax())
+            m, n = (c[t], r[t]) if got[t] else (r[t], c[t])
+            raise SamplingFailed(f"rejection sampling failed to find a full-rank {m}x{n} matrix")
         vals, ends = draws.values(live, ctx.q, k * cells.max())
         if rowwise:
             first = []
             for t, v, m, n in zip(live.tolist(), vals.tolist(), r.tolist(), c.tolist()):
                 first.append(i := _first_full_rank(ctx, v, m, n, k))
-                out[t, :m, :n].flat = v[i * m * n : (i + 1) * m * n]  # nothing when i = k
-            done = (first := np.array(first)) < k
+                out[0][t, :m, :n].flat = v[i * m * n : (i + 1) * m * n]  # nothing when i = k
+            i = j = np.array(first)
+            new = done = i < k
         else:
-            cand = vals[:, : k * shape[0] * shape[1]].reshape(len(live), k, *shape)
-            if (r != shape[0]).any() or (c != shape[1]).any():  # mixed shapes: rows of each trial's own width
-                at = np.minimum(np.arange(k)[:, None] * cells[:, None, None] + np.arange(shape[0]) * c[:, None, None],
-                                vals.shape[1] - shape[1])
-                i, j = np.arange(shape[0])[:, None], np.arange(shape[1])
-                inside = (i < r[:, None, None, None]) & (j < c[:, None, None, None])
-                cand = np.where(inside, _runs(vals, shape[1])[np.arange(len(live))[:, None, None], at], 0)
-            ok = rank_batch(ctx, cand.reshape(-1, *shape)).reshape(len(live), k) == np.minimum(r, c)[:, None]
-            first = ok.argmax(axis=1)
-            done = ok[np.arange(len(live)), first]
-            out[live[done], : shape[0], : shape[1]] = cand[done, first[done]]
-        draws.skip(live, np.where(done, first + 1, k) * cells, ends)
-        live, tried = live[~done], tried + k
+            if one:
+                cand, late = vals.reshape(len(live), k, *shape), vals.reshape(len(live), k, *shape[::-1])
+            else:
+                cand = _chunks(vals, r, c, k)
+                late = cand if reads == 1 else _chunks(vals, c, r, k)
+            both = cand if reads == 1 else np.concatenate((cand, late.swapaxes(2, 3)), axis=1)
+            ranks = rank_batch(ctx, both.reshape(-1, *shape)).reshape(len(live), reads, k)
+            ok = ranks == np.minimum(r, c)[:, None, None]
+            at = np.arange(len(live))
+            i = j = ok[:, 0].argmax(axis=1)
+            new = done = ok[at, 0, i]
+            if count == 2:  # the second matrix from the chunk after the first, or from any once the first is held
+                new &= ~got
+                later = ok[:, -1] & (np.arange(k) > np.where(got, -1, i)[:, None])
+                j = later.argmax(axis=1)
+                done = (new | got) & later[at, j]
+                out[1][live[done], : shape[1], : shape[0]] = late[done, j[done]]
+            out[0][live[new], : shape[0], : shape[1]] = cand[new, i[new]]
+        draws.skip(live, np.where(done, j + 1, k) * cells, ends)
+        if done.all():
+            break
+        live, got, tried = live[~done], (got | new)[~done], np.where(new, k - 1 - i, tried + k)[~done]
     return out
 
 
-def _full_rank_pair(ctx: FieldCtx, draws: _Draws, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    """_full_rank_batch(rows, cols), then _full_rank_batch(cols, rows), in one rank pass.
+@functools.lru_cache(maxsize=4096)
+def _round_size(q: int, shapes: frozenset, need: int, trials: int) -> int:
+    """The fewest chunks per trial that hold fewer than need full-rank ones with chance at
+    most 1 / (8 trials), at the least acceptance rate of an a x b shape, prod (1 - q^(i - b))
+    over i < a <= b; cached, as blocks repeat their shapes."""
+    hit = min(math.prod(1 - float(q) ** (i - max(a, b)) for i in range(min(a, b))) for a, b in shapes)
+    if hit > 1 - 1e-9:
+        return need
+    k = math.ceil(math.log(8 * trials) / -math.log(1 - hit))  # none passes
+    while need > 1 and (1 - hit) ** k + k * hit * (1 - hit) ** (k - 1) > 1 / (8 * trials):  # or just one
+        k += 1
+    return k
 
-    Both matrices hold rows x cols cells, so chunk i of a trial's draws is candidate i
-    of either (the second ranked transposed): a trial keeps the first full-rank chunk
-    and the next after it, where two single calls would read them.  When all trials
-    share one shape, each draws k chunks, so many that fewer than two pass with
-    chance at most 1 / (8 trials); trials that fall short, and blocks of mixed
-    shapes, take the two single calls from where they began.
-    """
-    t, r, c = len(rows), int(rows.max()), int(cols.max())
-    first, second = np.zeros((t, r, c), dtype=np.int64), np.zeros((t, c, r), dtype=np.int64)
-    done = np.zeros(t, dtype=bool)
-    if r * c and (rows == r).all() and (cols == c).all():
-        hit = math.prod(1 - float(ctx.q) ** (i - max(r, c)) for i in range(min(r, c)))
-        k = 2
-        while (1 - hit) ** k + k * hit * (1 - hit) ** (k - 1) > 1 / (8 * t):
-            k += 1
-        k = min(k, _MAX_TRIES, DEFAULT_STATE_LIMIT // (2 * t * r * c))
-        if k >= 2:
-            vals, ends = draws.values(np.arange(t), ctx.q, k * r * c)
-            cand, late = vals.reshape(t, k, r, c), vals.reshape(t, k, c, r)
-            both = cand if r == c else np.concatenate([cand, late.swapaxes(2, 3)], axis=1)
-            ok = rank_batch(ctx, both.reshape(-1, r, c)).reshape(t, -1, k) == min(r, c)
-            i = ok[:, 0].argmax(axis=1)
-            later = ok[:, -1] & (np.arange(k) > i[:, None])  # a square chunk is one matrix in either stage
-            j = later.argmax(axis=1)
-            done = ok[np.arange(t), 0, i] & later[np.arange(t), j]
-            first[done], second[done] = cand[done, i[done]], late[done, j[done]]
-            draws.skip(np.flatnonzero(done), (j[done] + 1) * r * c, None if ends is None else ends[done])
-    if not done.all():
-        first[~done] = _full_rank_batch(ctx, draws, rows * ~done, cols)[~done]
-        second[~done] = _full_rank_batch(ctx, draws, cols * ~done, rows)[~done]
-    return first, second
+
+def _chunks(vals: np.ndarray, rows, cols, k: int) -> np.ndarray:
+    """Chunks 0 .. k - 1 of each trial t's draws vals[t], chunk i the rows[t] cols[t]
+    draws from i rows[t] cols[t] on, read as a rows[t] x cols[t] matrix and zero-padded
+    to the largest: (trials, k, rows.max(), cols.max()), for any shapes.  Row a of chunk
+    i starts at (i rows[t] + a) cols[t], less than (rows.max() - 1) cols.max() past the
+    trial's last chunk, so every run of cols.max() ends within a box of zeros put after
+    the draws."""
+    shape, cells = (int(rows.max()), int(cols.max())), rows * cols
+    vals = np.concatenate((vals, np.zeros((len(vals), math.prod(shape)), dtype=vals.dtype)), axis=1)
+    at = np.arange(k)[:, None] * cells[:, None, None] + np.arange(shape[0]) * cols[:, None, None]
+    i, j = np.arange(shape[0])[:, None], np.arange(shape[1])
+    inside = (i < rows[:, None, None, None]) & (j < cols[:, None, None, None])
+    return np.where(inside, _runs(vals, shape[1])[np.arange(len(vals))[:, None, None], at], 0)
 
 
 def _first_full_rank(ctx: FieldCtx, vals: list[int], rows: int, cols: int, k: int) -> int:
@@ -476,15 +490,16 @@ def _deficient(ctx: FieldCtx, gens: np.ndarray, w: np.ndarray, s: int, a: np.nda
 
 
 #: A stage on each trial's w vectors: draw(ctx, draws, w, s), its matrices for the block in a
-#: trial's order (two of transposed shapes in one rank pass); run(ctx, gens, w, s, *drawn), the
-#: vectors it passes on; (rank loss, least, largest distance) in units of s, least the drop in length.
+#: trial's order (two of transposed shapes from one _full_rank call); run(ctx, gens, w, s,
+#: *drawn), the vectors it passes on; (rank loss, least, largest distance) in units of s, least
+#: the drop in length.
 _Stage = collections.namedtuple("_Stage", "draw run window")
-_FULL = _Stage(lambda ctx, draws, w, s: [_full_rank_batch(ctx, draws, w, w)],
+_FULL = _Stage(lambda ctx, draws, w, s: _full_rank(ctx, draws, w, w),
                lambda ctx, gens, w, s, t: _transform(ctx, gens, t), (0, 0, 0))
-_MIXED = _Stage(lambda ctx, draws, w, s: _full_rank_pair(ctx, draws, w, w),
+_MIXED = _Stage(lambda ctx, draws, w, s: _full_rank(ctx, draws, w, w, 2),
                 lambda ctx, gens, w, s, mix, t: _transform(ctx, gens, mix, t), (0, 0, 0))
 _DELETE = _Stage(lambda ctx, draws, w, s: [draws.permutations(w.tolist())], _delete, (1, 1, 1))
-_DEFICIENT = _Stage(lambda ctx, draws, w, s: _full_rank_pair(ctx, draws, w, w - s), _deficient, (1, 0, 2))
+_DEFICIENT = _Stage(lambda ctx, draws, w, s: _full_rank(ctx, draws, w, w - s, 2), _deficient, (1, 0, 2))
 #: mode -> its stages, in the order a trial draws them
 _STAGES = {"full-rank": (_FULL,), "deletion": (_FULL, _DELETE), "rank-deficient": (_DEFICIENT,),
            "compound": (_FULL, _DELETE, _DEFICIENT)}

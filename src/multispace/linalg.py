@@ -129,14 +129,18 @@ def matmul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 #: Largest matrix, in cells, that rref_array reduces on list rows through the
-#: tables when 2 < q <= RANK_TABLE_LIMIT, for at most two rows per column.
-#: Python rows cost table lookups per row and cell at each pivot, numpy a fixed
-#: set of calls per pivot, so rows win on small matrices that are not tall.
-#: Measured with Python 3.11.7 and numpy 2.4.6 on a shared 2-vCPU host, numpy
-#: against rows, median of 7 over the same matrices: 6x12 GF(3) 152 / 63 us,
-#: 12x16 GF(2^8) 497 / 357 us, 12x24 GF(2^8) 507 / 552 us, 32x32 GF(3)
-#: 1.5 / 2.1 ms and 64x64 GF(16) 3.8 / 9.8 ms; tall, 24x8 GF(2^8) 364 / 392 us
-#: and 36x4 GF(3) 84 / 95 us.  GF(2) rows are Python ints, which win at every
+#: tables when 2 < q <= RANK_TABLE_LIMIT, for at most two rows per column; past
+#: that it takes rref_batch as a one-entry stack.  Python rows cost table
+#: lookups per row and cell at each pivot, numpy a fixed set of calls per
+#: pivot, so rows win on small matrices.  Measured with Python 3.11.7 and numpy
+#: 2.4.6 on a shared 2-vCPU host, the batch against rows, median of 7 over the
+#: same random matrices: 6x12 GF(3) 155 / 30 us, 12x16 GF(2^8) 547 / 216 us,
+#: 20x20 GF(3) 827 / 486 us, 24x24 GF(16) 573 / 626 us, 32x32 GF(3) 1.03 /
+#: 1.18 ms and 64x64 GF(16) 2.1 / 8.5 ms; tall, 24x8 GF(2^8) 291 / 143 us and
+#: 96x2 GF(16) 45 / 65 us.  Rows would win up to about 400 cells and ten rows
+#: per column, but the channel's sampler ranks its small rounds on rows up to
+#: this limit too, and there one rank_batch call already wins at 8 trials of
+#: 8x8, so the limit stays.  GF(2) rows are Python ints, which win at every
 #: measured size, so they have no limit.
 ROW_CELL_LIMIT = 192
 
@@ -148,9 +152,9 @@ def rref_array(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int]
     calls, so the rows go through the row kernel's forward pass, then back
     substitution: over GF(2) at every size, and over other fields of at most
     RANK_TABLE_LIMIT elements up to ROW_CELL_LIMIT cells and two rows per
-    column.  Larger fields and matrices are eliminated column by column in
-    numpy.  The RREF of a matrix is unique, so every path returns the same
-    array.
+    column.  Larger fields and matrices take rref_batch as a one-entry stack,
+    each pivot the first nonzero of a row of the RREF.  The RREF of a matrix
+    is unique, so every path returns the same array.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.size == 0:
@@ -160,34 +164,8 @@ def rref_array(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int]
     rows, cols = a.shape
     if ctx.q <= RANK_TABLE_LIMIT and a.size <= ROW_CELL_LIMIT and rows <= 2 * cols:
         return _rref_lists(ctx, a)
-    return _rref_numpy(ctx, a.copy())
-
-
-def _rref_numpy(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
-    """rref_array column by column on the whole array; a is overwritten."""
-    rows, cols = a.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        if r == rows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        if a[r, c] != 1:
-            a[r] = ctx.mul_arr(a[r], np.full(cols, ctx.inv(int(a[r, c])), dtype=np.int64))
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if len(other):
-            factors = a[other, c : c + 1]
-            a[other] = ctx.sub_arr(a[other], ctx.mul_arr(factors, a[r][None, :]))
-        pivots.append(c)
-        r += 1
-    return a, r, pivots
+    (red,), (rank,) = rref_batch(ctx, a[None])
+    return red, int(rank), (red[:rank] != 0).argmax(axis=1).tolist()
 
 
 def _bit_rows(a: np.ndarray) -> tuple[list[int], int]:

@@ -1,5 +1,6 @@
 """Shared brute-force oracles: multiplicities, subspaces entry by entry, the
-lattice poset, covers by containment, RREF by definition, the packing bound
+lattice poset, covers by containment, RREF by definition and by a column-by-column
+numpy elimination, the packing bound
 over every BFS ball and over two ranges of heights per dim, the greedy code
 by single distances and by one elimination per candidate, the maximum clique
 by plain branch and bound, the optimal code and the gamma graph over words
@@ -170,6 +171,33 @@ def is_rref_by_definition(a) -> bool:
             return False
         prev = piv
     return True
+
+
+def rref_by_columns(ctx, a):
+    """(rref, rank, pivot columns) of a, eliminated column by column in numpy: each
+    column's first nonzero at or below the next pivot row is swapped up, scaled to 1
+    and cleared from every other row; a is overwritten."""
+    rows, cols = a.shape
+    r = 0
+    pivots: list[int] = []
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        if a[r, c] != 1:
+            a[r] = ctx.mul_arr(a[r], np.full(cols, ctx.inv(int(a[r, c])), dtype=np.int64))
+        other = np.nonzero(a[:, c])[0]
+        other = other[other != r]
+        if len(other):
+            a[other] = ctx.sub_arr(a[other], ctx.mul_arr(a[other, c : c + 1], a[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return a, r, pivots
 
 
 def packing_bound_oracle(ctx, n, m_max, d_min):

@@ -5,7 +5,10 @@ that occurs there exactly once, and its replacement.  For each mutant the
 runner copies src to a temporary directory, applies the edit there, and runs
 the mutant's test files (or node ids) against the copy with ``pytest -x``.
 The mutant is killed when pytest reports a failure or an import error, or
-runs past ten minutes, and survives when every test passes.  A speed mutant
+runs past ten minutes, and survives when every test passes.  A node id
+that does not collect under the mutant (pytest exits 4, as when the mutant
+breaks the import of the id's module) kills it when the id collects on the
+unmutated src, and stops the run as a stale entry otherwise.  A speed mutant
 changes no output, only the work done, so only a test that counts that work
 can kill it.
 
@@ -52,6 +55,8 @@ CHANNEL, CODES, CLI, QPOLY, FIELDS = (f"tests/test_{name}.py"
                                       for name in ("channel", "codes", "cli", "qpoly", "fields"))
 ACCEPTANCE = "tests/test_acceptance.py"
 ZECH = f"{FIELDS}::test_small_odd_fields_add_by_zech_logarithms_as_by_digits_on_every_pair"
+SHAPES = f"{CHANNEL}::test_full_rank_takes_the_serial_draws_at_any_shapes"
+TWO_CALLS = f"{CHANNEL}::test_two_matrices_take_the_draws_of_two_single_calls"
 MUTANTS = (
     Mutant("deficient-window-top", "channel.py", "_deficient, (1, 0, 2))", "_deficient, (1, 0, 3))", (CHANNEL,),
            "a rank w - s matrix moves the word at most 2s; a looser window hides violations"),
@@ -64,14 +69,22 @@ MUTANTS = (
     Mutant("drop-least-check", "channel.py", "(least <= d) & (d <= most)", "(d <= most)", (CHANNEL,),
            "a distance below the window is a fault of the distance kernel"),
     Mutant("sampler-accepts-any-candidate", "channel.py",
-           ".reshape(len(live), k) == np.minimum(r, c)[:, None]", ".reshape(len(live), k) >= 0", (CHANNEL,),
+           "ok = ranks == np.minimum(r, c)[:, None, None]", "ok = ranks >= 0", (CHANNEL,),
            "a singular channel matrix loses rank the mode does not allow"),
+    Mutant("second-matrix-reuses-the-first-chunk", "channel.py", "(np.arange(k) > np.where(got, -1, i)[:, None])",
+           "(np.arange(k) >= np.where(got, -1, i)[:, None])", (SHAPES, TWO_CALLS),
+           "the serial loop draws the second matrix after the first: a chunk serves one of them"),
+    Mutant("finished-cursor-past-every-chunk", "channel.py", "np.where(done, j + 1, k) * cells", "k * cells",
+           (SHAPES, TWO_CALLS), "a finished trial's next draw follows the last chunk it kept, not the whole round"),
+    Mutant("chunks-unpadded", "channel.py",
+           "    vals = np.concatenate((vals, np.zeros((len(vals), math.prod(shape)), dtype=vals.dtype)), axis=1)\n", "",
+           (SHAPES,), "a row of a padded box may run past the last draw, when the tallest trial is not the widest"),
     Mutant("drop-channel-budget", "channel.py", '    _check_budget(top ** 2, "channel matrix entries")\n', "",
            (CHANNEL,), "the m x m channel matrices are refused past the entry budget before any trial"),
     Mutant("drop-rank-check", "channel.py", "            cfg.check_rank(m)\n", "            pass\n", (CHANNEL,),
            "a word too small for the mode's error weight is refused, not sent"),
     Mutant("no-mixed-stage", "channel.py", "(_MIXED, *stages[1:]) if stages[0] is _FULL else (_FULL, *stages)",
-           "(_FULL, *stages)", (CHANNEL,),
+           "(_FULL, *stages)", (f"{CHANNEL}::test_each_stage_ranks_all_its_matrices_once_per_round",),
            "the mix and a leading full-rank matrix share one rank pass", speed=True),
     Mutant("channel-matrix-before-mix", "channel.py", "_transform(ctx, gens, mix, t)", "_transform(ctx, gens, t, mix)",
            (CHANNEL,), "a trial applies the mix, then the channel matrix, as the serial loop draws them"),
@@ -86,6 +99,9 @@ MUTANTS = (
            "a branch that can at best tie the incumbent clique is pruned", speed=True),
     Mutant("packing-radius", "codes.py", "radius = (d_min - 1) // 2", "radius = d_min // 2", (CODES,),
            "the packing radius of distance d_min is floor((d_min - 1) / 2)"),
+    Mutant("rref-pivots-from-zero-rows", "linalg.py", "(red[:rank] != 0).argmax(axis=1)", "(red != 0).argmax(axis=1)",
+           ("tests/test_linalg.py::test_rref_array_matches_the_numpy_elimination",),
+           "past the row kernel, the pivots are read from the rank's rows only: a zero row has none"),
     Mutant("pivot-rows-stop-early", "linalg.py", "(held == rows).all()", "(held >= rows - 1).all()",
            ("tests/test_linalg.py",), "the forward pass stops only once every matrix has its pivots"),
     Mutant("unit-power-row-shifted", "fields.py", "powers[i % n]", "powers[i % max(1, n - 1)]", (QPOLY,),
@@ -169,9 +185,18 @@ def run(mutant: Mutant, timeout: float = 600) -> tuple[bool, float]:
             code = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=timeout).returncode
         except subprocess.TimeoutExpired:
             return True, time.perf_counter() - start
-        if code not in (0, 1, 2):  # 0 all passed, 1 a test failed, 2 a collection (import) error
+        if code == 4 and not collects(mutant.tests):  # a node id not found, stale unless the mutant broke it
+            raise SystemExit(f"{mutant.name}: {' '.join(mutant.tests)} do not collect on the unmutated src")
+        if code not in (0, 1, 2, 4):  # 0 all passed, 1 a test failed, 2 a collection (import) error, 4 above
             raise SystemExit(f"{mutant.name}: pytest exited {code} on {' '.join(mutant.tests)}")
         return code != 0, time.perf_counter() - start
+
+
+def collects(tests) -> bool:
+    """Whether pytest collects every one of tests on the unmutated src."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode == 0
 
 
 def main(argv=None) -> int:

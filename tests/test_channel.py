@@ -1,9 +1,10 @@
+import itertools
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     LOSS_AND_BOUND,
@@ -863,84 +864,156 @@ def test_peak_memory_of_a_high_rank_word_stays_within_a_few_blocks(monkeypatch):
 
 @pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1)])
 def test_a_channel_that_loses_rank_is_flagged(monkeypatch, mode, s):
-    def singular(ctx, draws, rows, cols):
-        return np.zeros((len(rows), max(rows), max(cols)), dtype=np.int64)
+    def singular(ctx, draws, rows, cols, count=1):
+        return [np.zeros((len(rows), max(rows), max(cols)), dtype=np.int64)] * count
 
-    monkeypatch.setattr(channel, "_full_rank_batch", singular)
+    monkeypatch.setattr(channel, "_full_rank", singular)
     w = Multispace(Subspace.full(F3, 2), 1)
     assert run_trials(w, ChannelConfig(mode, trials=5, s=s, seed=0)).summary.violations == 5
 
 
-def _assert_fused_as_two_calls(ctx, rows, cols, seeds):
-    """_full_rank_pair against _full_rank_batch(rows, cols), then (cols, rows), on
-    generators of the same seeds: both matrices and the halves every trial reads next."""
-    fused, serial = (channel._Draws([np.random.default_rng(seed) for seed in seeds]) for _ in range(2))
-    first, second = channel._full_rank_pair(ctx, fused, rows, cols)
-    assert np.array_equal(first, channel._full_rank_batch(ctx, serial, rows, cols))
-    assert np.array_equal(second, channel._full_rank_batch(ctx, serial, cols, rows))
-    trials = np.arange(len(seeds))
-    assert np.array_equal(fused.halves(trials, 64), serial.halves(trials, 64))
+def _serial_full_rank(ctx, rows, cols, count, seeds, max_tries=1000):
+    """Each trial's count matrices by full_rank_draw on its own generator, rows x cols and
+    then cols x rows, an empty one taking no draw; and the generators after them."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    mats = []
+    for r, c, rng in zip(rows.tolist(), cols.tolist(), rngs):
+        for k in range(count):
+            mats.append(full_rank_draw(ctx, r, c, rng, max_tries) if r * c else np.zeros((r, c), dtype=np.int64))
+            r, c = c, r
+    return mats, rngs
+
+
+def _assert_as_serial(ctx, rows, cols, count, seeds):
+    """_full_rank against the serial draws of each trial: every matrix, zero outside
+    its own shape, and the draw each generator makes next."""
+    draws = channel._Draws([np.random.default_rng(seed) for seed in seeds])
+    got = channel._full_rank(ctx, draws, rows, cols, count)
+    want, rngs = _serial_full_rank(ctx, rows, cols, count, seeds)
+    assert len(got) == count
+    for t, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+        for k in range(count):
+            padded = np.zeros(got[k].shape[1:], dtype=np.int64)
+            padded[:r, :c] = want[count * t + k]
+            assert np.array_equal(got[k][t], padded), (t, k)
+            r, c = c, r
+    _assert_same_next_draw(draws, rngs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5]), count=st.sampled_from([1, 2]),
+       shapes=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=3 * channel._ROW_TRIALS),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(q=2, count=1, shapes=[(7, 2)] + [(2, 4)] * 9, seed=0)  # the tallest is not the widest: a 7 x 4 box
+@example(q=3, count=2, shapes=[(7, 2)] + [(2, 4)] * 9, seed=1)
+@example(q=4, count=2, shapes=[(1, 6), (6, 1), (0, 5), (3, 0), (2, 2)] * 2, seed=2)  # zero cells, a box past all
+@example(q=5, count=1, shapes=[(5, 3), (0, 0), (3, 5), (4, 4)] * 3, seed=3)
+def test_full_rank_takes_the_serial_draws_at_any_shapes(q, count, shapes, seed):
+    rows, cols = (np.array(side, dtype=np.int64) for side in zip(*shapes))
+    _assert_as_serial(FIELDS[q], rows, cols, count, [[seed, t] for t in range(len(shapes))])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_fused_stages_take_the_draws_of_two_single_stage_calls(q):
-    # the mix and the channel matrix are m x m; the factors A (m x r) and B (r x m)
-    for m in (1, 2, 3, 5, 8):
-        for r in range(1, m + 1):
-            for trials in (1, 6, 32):
-                seeds = [[q, m, r, t] for t in range(trials)]
-                _assert_fused_as_two_calls(FIELDS[q], np.full(trials, m), np.full(trials, r), seeds)
-    # mixed shapes, and a trial that draws nothing, take the single-stage calls
-    _assert_fused_as_two_calls(FIELDS[q], np.array([4, 2, 4, 0]), np.array([4, 2, 1, 3]), [[q, t] for t in range(4)])
+def test_two_matrices_take_the_draws_of_two_single_calls(q):
+    """count 2 against _full_rank(rows, cols), then (cols, rows), on generators of the same seeds."""
+    shapes = [(np.full(trials, m), np.full(trials, r)) for m in (1, 2, 3, 5, 8) for r in range(1, m + 1)
+              for trials in (1, 6, 32)]  # the mix and channel matrix (m x m); the factors A (m x r) and B (r x m)
+    shapes.append((np.array([4, 2, 4, 0, 3]), np.array([4, 2, 1, 3, 5])))  # mixed, and a trial that draws nothing
+    for n, (rows, cols) in enumerate(shapes):
+        seeds = [[q, n, t] for t in range(len(rows))]
+        both, single = (channel._Draws([np.random.default_rng(seed) for seed in seeds]) for _ in range(2))
+        first, second = channel._full_rank(FIELDS[q], both, rows, cols, 2)
+        assert np.array_equal(first, channel._full_rank(FIELDS[q], single, rows, cols)[0])
+        assert np.array_equal(second, channel._full_rank(FIELDS[q], single, cols, rows)[0])
+        trials = np.arange(len(rows))
+        assert np.array_equal(both.halves(trials, 64), single.halves(trials, 64))
 
 
-@pytest.mark.parametrize("mode,s,random_generator,calls", [
-    ("full-rank", 0, False, ["one"]),
-    ("full-rank", 0, True, ["pair"]),  # mixed: the mix, then the channel matrix
-    ("deletion", 1, True, ["pair"]),
-    ("rank-deficient", 1, False, ["pair"]),  # deficient: A, then B
-    ("rank-deficient", 1, True, ["one", "pair"]),  # the mix is a full stage of its own
-    ("rank-deficient", 0, True, ["one", "pair"]),  # three m x m matrices, the stages' draws alone pair them
-    ("compound", 1, False, ["one", "pair"]),
-    ("compound", 1, True, ["pair", "pair"]),
+@pytest.mark.parametrize("mode,s,random_generator,counts", [
+    ("full-rank", 0, False, [1]),
+    ("full-rank", 0, True, [2]),  # mixed: the mix, then the channel matrix
+    ("deletion", 1, True, [2]),
+    ("rank-deficient", 1, False, [2]),  # deficient: A, then B
+    ("rank-deficient", 1, True, [1, 2]),  # the mix is a full stage of its own
+    ("rank-deficient", 0, True, [1, 2]),  # three m x m matrices, the stages' draws alone pair them
+    ("compound", 1, False, [1, 2]),
+    ("compound", 1, True, [2, 2]),
 ])
-def test_each_stage_that_draws_two_matrices_ranks_them_in_one_pass(monkeypatch, mode, s, random_generator, calls):
-    seen, inside = [], []
-    single, fused = channel._full_rank_batch, channel._full_rank_pair
+def test_each_stage_ranks_all_its_matrices_once_per_round(monkeypatch, mode, s, random_generator, counts):
+    """Each stage is one _full_rank call, and each of its rounds one rank_batch call,
+    whether it draws one matrix or two."""
+    calls, inside, sampler = [], [], channel._full_rank
 
-    def one(*args):
-        seen.extend([] if inside else ["one"])  # a pair's own fallback is not a draw of the block
-        return single(*args)
-
-    def pair(*args):
-        seen.append("pair")
+    def spy(ctx, draws, rows, cols, count=1):
+        calls.append([count, 0, 0])  # count, rounds, rank_batch calls
         inside.append(True)
         try:
-            return fused(*args)
+            return sampler(ctx, draws, rows, cols, count)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(channel, "_full_rank_batch", one)
-    monkeypatch.setattr(channel, "_full_rank_pair", pair)
-    run_trials(Multispace(Subspace.full(F3, 2), 2), ChannelConfig(mode, 4, s, 1, random_generator))
-    assert seen == calls
+    def counted(at, fn):
+        def wrapped(*args):
+            if inside:  # a deficient stage's own rank check is no round
+                calls[-1][at] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(channel, "_full_rank", spy)
+    monkeypatch.setattr(channel._Draws, "values", counted(1, channel._Draws.values))
+    monkeypatch.setattr(channel, "rank_batch", counted(2, channel.rank_batch))
+    # more trials than a row-kernel round takes: every round is one rank_batch call
+    run_trials(Multispace(Subspace.full(F3, 2), 2), ChannelConfig(mode, 2 * channel._ROW_TRIALS, s, 1, random_generator))
+    assert [count for count, _, _ in calls] == counts
+    assert all(rounds == ranks >= 1 for _, rounds, ranks in calls)
 
 
-def test_trials_short_of_two_full_rank_chunks_take_the_single_stage_calls(monkeypatch):
-    trials, m = 32, 3
-    live = []
-    single = channel._full_rank_batch
+def test_a_trial_finds_its_second_matrix_in_a_later_round(monkeypatch):
+    """With two 3 x 3 chunks per trial and round, each of full rank with chance 0.76 over
+    GF(5), a trial that finds its first matrix in the first round but not its second
+    looks for the second in a later round, from the chunk after the round."""
+    trials, m, rounds = 32, 3, []
+    seeds = [[11, t] for t in range(trials)]
+    tries = []  # the candidates each trial's serial loop draws for its first and second matrix
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        tries.append([next(n for n in itertools.count(1) if rref_array(F5, rng.integers(0, 5, (m, m)))[1] == m)
+                      for _ in range(2)])
+    assert any(first <= 2 < first + second for first, second in tries)
+    values = channel._Draws.values
 
-    def spy(ctx, draws, rows, cols):
-        live.append(int(np.count_nonzero(np.asarray(rows) * cols)))
-        return single(ctx, draws, rows, cols)
+    def spy(self, live, q, count):
+        rounds.append(len(live))
+        return values(self, live, q, count)
 
-    monkeypatch.setattr(channel, "_full_rank_batch", spy)
-    # a state limit of two chunks per trial and stage: both must have full rank, chance 0.58 over GF(5)
-    monkeypatch.setattr(channel, "DEFAULT_STATE_LIMIT", 4 * trials * m * m)
-    _assert_fused_as_two_calls(F5, np.full(trials, m), np.full(trials, m), [[11, t] for t in range(trials)])
-    assert len(live) == 4 and live[2:] == [trials, trials]  # the fallback, then the reference
-    assert 0 < live[0] == live[1] < trials
+    monkeypatch.setattr(channel._Draws, "values", spy)
+    monkeypatch.setattr(channel, "DEFAULT_STATE_LIMIT", 2 * trials * m * m)
+    _assert_as_serial(F5, np.full(trials, m), np.full(trials, m), 2, seeds)
+    assert rounds[:2] == [trials, sum(first + second > 2 for first, second in tries)]
+
+
+@pytest.mark.parametrize("tries", [2, 3, 4])
+def test_a_try_budget_counts_per_matrix_when_trials_reach_their_second_in_different_rounds(monkeypatch, tries):
+    """A state limit of one 4 x 4 chunk per trial of the block, each of full rank with chance
+    0.56 over GF(3): trials find their first matrix in different rounds, and the budget
+    counts each matrix's candidates from where that trial began it, so the sampler raises
+    just when the serial loop does."""
+    trials, m = 4, 4
+    rows = np.full(trials, m)
+    monkeypatch.setattr(channel, "DEFAULT_STATE_LIMIT", trials * m * m)
+    monkeypatch.setattr(channel, "_MAX_TRIES", tries)
+    outcomes = set()
+    for seed in range(16):
+        seeds = [[seed, t] for t in range(trials)]
+        serial = _outcome(lambda: _serial_full_rank(F3, rows, rows, 2, seeds, tries)[0])
+        ours = _outcome(lambda: channel._full_rank(F3, channel._Draws([np.random.default_rng(s) for s in seeds]),
+                                                   rows, rows, 2))
+        if serial is SamplingFailed:
+            assert ours is SamplingFailed
+        else:
+            assert [a.tolist() for a in ours] == [np.array(serial[k::2]).tolist() for k in range(2)]
+        outcomes.add(serial is SamplingFailed)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("tries", [0, 1, 2, 3])

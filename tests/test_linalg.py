@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import is_rref_by_definition, span_rows, subspaces_by_entry
+from helpers import is_rref_by_definition, rref_by_columns, span_rows, subspaces_by_entry
 from hypothesis import example, given, settings, strategies as st
 
 from multispace import linalg
@@ -357,10 +357,10 @@ def test_rank_batch_in_the_largest_fields(ctx):
 
 
 def _same_rref(ctx, a):
-    """rref_array against the numpy elimination, its large-matrix path, on a copy of a."""
+    """rref_array against the column-by-column numpy elimination, on a copy of a."""
     given_a = a.copy()
     red, rank, pivots = rref_array(ctx, a)
-    ref, ref_rank, ref_pivots = linalg._rref_numpy(ctx, a.copy())
+    ref, ref_rank, ref_pivots = rref_by_columns(ctx, a.copy())
     assert np.array_equal(a, given_a)  # the input is not modified
     assert red.dtype == np.int64 and red.shape == a.shape and red.tobytes() == ref.tobytes()
     assert (rank, pivots) == (ref_rank, ref_pivots)
@@ -381,6 +381,7 @@ def _same_rref(ctx, a):
 @example(ctx=F4, rows=24, cols=1, kind="random", seed=0)
 @example(ctx=F256, rows=12, cols=16, kind="low rank", seed=1)  # at the cell limit
 @example(ctx=F16, rows=13, cols=15, kind="random", seed=2)  # just past it
+@example(ctx=F9, rows=20, cols=6, kind="random", seed=3)  # tall: zero rows below the rank
 def test_rref_array_matches_the_numpy_elimination(ctx, rows, cols, kind, seed):
     _same_rref(ctx, _matrix_of_kind(ctx, rows, cols, kind, np.random.default_rng(seed)))
 
@@ -402,7 +403,7 @@ def test_rref_array_over_gf2_matches_the_numpy_elimination_at_any_width(rows, co
 
 def test_rref_array_path_follows_the_field_and_the_cell_limit(monkeypatch):
     taken = []
-    for name in ("_rref_bits", "_rref_lists", "_rref_numpy"):
+    for name in ("_rref_bits", "_rref_lists", "rref_batch"):
         def spy(*args, _name=name, _fn=getattr(linalg, name)):
             taken.append(_name)
             return _fn(*args)
@@ -413,9 +414,9 @@ def test_rref_array_path_follows_the_field_and_the_cell_limit(monkeypatch):
         (F2, (300, 300), "_rref_bits"),
         (F3, (6, 12), "_rref_lists"),
         (F256, (12, limit // 12), "_rref_lists"),
-        (F256, (12, limit // 12 + 1), "_rref_numpy"),  # past the cell limit
-        (F3, (13, 6), "_rref_numpy"),  # more than two rows per column
-        (F512, (2, 2), "_rref_numpy"),  # past the table limit
+        (F256, (12, limit // 12 + 1), "rref_batch"),  # past the cell limit
+        (F3, (13, 6), "rref_batch"),  # more than two rows per column
+        (F512, (2, 2), "rref_batch"),  # past the table limit
     ]
     for ctx, shape, path in cases:
         taken.clear()

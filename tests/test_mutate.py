@@ -1,5 +1,5 @@
 """The mutation table of tests/mutate.py stays in step with src, and its runner
-tells a killed mutant from unmutated code."""
+tells a killed mutant from unmutated code and from a stale node id."""
 
 import dataclasses
 
@@ -32,3 +32,20 @@ def test_the_runner_refuses_text_that_is_not_in_src(tmp_path):
     with pytest.raises(SystemExit, match="occurs 0 times"):
         mutate.apply(missing, tmp_path)
     assert (tmp_path / "multispace" / "qpoly.py").read_text() == (mutate.SRC / "qpoly.py").read_text()
+
+
+def test_every_mutants_tests_collect_on_the_unmutated_src():
+    assert mutate.collects(sorted({test for m in mutate.MUTANTS for test in m.tests}))
+
+
+def test_a_mutant_that_breaks_the_import_of_a_named_test_is_killed():
+    broken = mutate.Mutant("broken-import", "qpoly.py", "places = ctx.q ** np", "places = ctx.q ** np)",
+                           ("tests/test_qpoly.py::test_round_trip",), "a syntax error in a module the test imports")
+    assert mutate.run(broken, timeout=120)[0]
+
+
+def test_the_runner_refuses_a_node_id_that_does_not_collect():
+    stale = mutate.Mutant("stale", "qpoly.py", "places = ctx.q ** np", "places = ctx.q ** np",
+                          ("tests/test_qpoly.py::no_such_test",), "a test renamed away")
+    with pytest.raises(SystemExit, match="do not collect on the unmutated src"):
+        mutate.run(stale, timeout=120)
