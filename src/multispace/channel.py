@@ -15,13 +15,13 @@ builds a block's generators with exactly those PCG64 states in one
 vectorised pass of SeedSequence's hash.  Trials run in blocks as arrays:
 _Draws reads each trial's raw PCG64 words ahead and maps them as numpy
 would, each stage makes its draws for all the block's trials, rejection
-sampling ranks rounds of candidates at once with rank_batch (one sampler,
-_full_rank, for a stage's one matrix or its two of transposed shapes, each
-round one pass), multispans are one batched elimination and distances one
-paired call, while every trial takes the draws of a one-trial loop.  A
-block comes out as columns (sent indices, received words as one stack,
-distances, bound checks); one summary reads them for both entry points,
-and only run_trials builds TrialRecords.
+sampling ranks each round of candidates with one rank_batch call (one
+sampler, _full_rank, for a stage's one matrix or its two of transposed
+shapes, at any trial count and field), multispans are one batched
+elimination and distances one paired call, while every trial takes the
+draws of a one-trial loop.  A block comes out as columns (sent indices,
+received words as one stack, distances, bound checks); one summary reads
+them for both entry points, and only run_trials builds TrialRecords.
 """
 
 import collections
@@ -45,11 +45,8 @@ from .fields import FieldCtx, check_settings
 from .lattice import Multispace, VectorMultiset, _WordStack, mspan
 from .linalg import (
     DEFAULT_STATE_LIMIT,
-    RANK_TABLE_LIMIT,
-    ROW_CELL_LIMIT,
     _as_array,
     _check_budget,
-    _list_echelon,
     matmul_arrays,
     rank_batch,
     rref_array,
@@ -60,8 +57,6 @@ from .linalg import (
 _BLOCK = 256
 #: candidates a rejection sampler draws for one matrix before it gives up
 _MAX_TRIES = 1000
-#: rounds of at most this many trials rank their candidates one by one
-_ROW_TRIALS = 8
 
 
 @dataclass(frozen=True)
@@ -241,10 +236,7 @@ def _full_rank(ctx: FieldCtx, draws: _Draws, rows, cols, count: int = 1) -> list
     chunk i of a trial's draws is candidate i of either matrix (the second
     ranked transposed, a square chunk once): a trial keeps its first full-rank
     chunk and, for count 2, the next one after it.  Each round draws k chunks
-    per unfinished trial (_round_size) and ranks them with one rank_batch call,
-    or, for count 1 and at most _ROW_TRIALS trials over 2 < q <=
-    RANK_TABLE_LIMIT, where numpy's cost per call would not pay, each trial's
-    8 candidates in turn on rref_array's list rows up to the first accepted.
+    per unfinished trial (_round_size) and ranks them with one rank_batch call.
     A trial's cursor moves past the last chunk it kept, or all k, and one that
     holds its first matrix looks for its second in the next round.  No trial
     takes over _MAX_TRIES candidates for one matrix, and a round holds at most
@@ -260,45 +252,32 @@ def _full_rank(ctx: FieldCtx, draws: _Draws, rows, cols, count: int = 1) -> list
         shape, cells = (int(r.max()), int(c.max())), r * c
         box = shape[0] * shape[1]  # the cells of a zero-padded candidate
         reads = 1 if count == 1 or (r == c).all() else 2  # a square chunk is one matrix in either stage
-        rowwise = (count == 1 and len(live) <= _ROW_TRIALS and 2 < ctx.q <= RANK_TABLE_LIMIT
-                   and cells.max() <= ROW_CELL_LIMIT)
-        if rowwise:  # ranked in turn, candidates past the first accepted cost only their draws
-            k = 8
-        else:
-            one = cells.min() == box  # every trial has the block's shape
-            k = _round_size(ctx.q, frozenset([shape] if one else zip(r.tolist(), c.tolist())), count, len(live))
+        one = cells.min() == box  # every trial has the block's shape
+        k = _round_size(ctx.q, frozenset([shape] if one else zip(r.tolist(), c.tolist())), count, len(live))
         k = min(k, _MAX_TRIES - int(tried.max()), max(1, DEFAULT_STATE_LIMIT // (reads * len(live) * box)))
         if k <= 0:
             t = int(tried.argmax())
             m, n = (c[t], r[t]) if got[t] else (r[t], c[t])
             raise SamplingFailed(f"rejection sampling failed to find a full-rank {m}x{n} matrix")
         vals, ends = draws.values(live, ctx.q, k * cells.max())
-        if rowwise:
-            first = []
-            for t, v, m, n in zip(live.tolist(), vals.tolist(), r.tolist(), c.tolist()):
-                first.append(i := _first_full_rank(ctx, v, m, n, k))
-                out[0][t, :m, :n].flat = v[i * m * n : (i + 1) * m * n]  # nothing when i = k
-            i = j = np.array(first)
-            new = done = i < k
+        if one:
+            cand, late = vals.reshape(len(live), k, *shape), vals.reshape(len(live), k, *shape[::-1])
         else:
-            if one:
-                cand, late = vals.reshape(len(live), k, *shape), vals.reshape(len(live), k, *shape[::-1])
-            else:
-                cand = _chunks(vals, r, c, k)
-                late = cand if reads == 1 else _chunks(vals, c, r, k)
-            both = cand if reads == 1 else np.concatenate((cand, late.swapaxes(2, 3)), axis=1)
-            ranks = rank_batch(ctx, both.reshape(-1, *shape)).reshape(len(live), reads, k)
-            ok = ranks == np.minimum(r, c)[:, None, None]
-            at = np.arange(len(live))
-            i = j = ok[:, 0].argmax(axis=1)
-            new = done = ok[at, 0, i]
-            if count == 2:  # the second matrix from the chunk after the first, or from any once the first is held
-                new &= ~got
-                later = ok[:, -1] & (np.arange(k) > np.where(got, -1, i)[:, None])
-                j = later.argmax(axis=1)
-                done = (new | got) & later[at, j]
-                out[1][live[done], : shape[1], : shape[0]] = late[done, j[done]]
-            out[0][live[new], : shape[0], : shape[1]] = cand[new, i[new]]
+            cand = _chunks(vals, r, c, k)
+            late = cand if reads == 1 else _chunks(vals, c, r, k)
+        both = cand if reads == 1 else np.concatenate((cand, late.swapaxes(2, 3)), axis=1)
+        ranks = rank_batch(ctx, both.reshape(-1, *shape)).reshape(len(live), reads, k)
+        ok = ranks == np.minimum(r, c)[:, None, None]
+        at = np.arange(len(live))
+        i = j = ok[:, 0].argmax(axis=1)
+        new = done = ok[at, 0, i]
+        if count == 2:  # the second matrix from the chunk after the first, or from any once the first is held
+            new &= ~got
+            later = ok[:, -1] & (np.arange(k) > np.where(got, -1, i)[:, None])
+            j = later.argmax(axis=1)
+            done = (new | got) & later[at, j]
+            out[1][live[done], : shape[1], : shape[0]] = late[done, j[done]]
+        out[0][live[new], : shape[0], : shape[1]] = cand[new, i[new]]
         draws.skip(live, np.where(done, j + 1, k) * cells, ends)
         if done.all():
             break
@@ -333,16 +312,6 @@ def _chunks(vals: np.ndarray, rows, cols, k: int) -> np.ndarray:
     i, j = np.arange(shape[0])[:, None], np.arange(shape[1])
     inside = (i < rows[:, None, None, None]) & (j < cols[:, None, None, None])
     return np.where(inside, _runs(vals, shape[1])[np.arange(len(vals))[:, None, None], at], 0)
-
-
-def _first_full_rank(ctx: FieldCtx, vals: list[int], rows: int, cols: int, k: int) -> int:
-    """The first of k rows x cols candidates, laid one after another row by row
-    in vals, that has full rank on rref_array's list rows; k if none."""
-    for i in range(k):
-        cand = [vals[j : j + cols] for j in range(i * rows * cols, (i + 1) * rows * cols, cols)]
-        if len(_list_echelon(ctx, cand)) == min(rows, cols):
-            return i
-    return k
 
 
 def _check_shape(rows, cols) -> None:

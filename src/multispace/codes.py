@@ -85,7 +85,8 @@ class MultispaceCode:
     def min_distance(self):
         """Cached pairwise minimum distance; +inf for codes of size <= 1."""
         if self._min_dist is None:
-            self._min_dist = math.inf if len(self.codewords) <= 1 else _closest(self._words().pairwise())
+            blocks = () if len(self.codewords) <= 1 else (d for _, d in self._words().tail_blocks())
+            self._min_dist = _closest(blocks)
         return self._min_dist
 
     def _words(self) -> _WordStack:
@@ -120,13 +121,16 @@ class MultispaceCode:
         return cls(parse_field_spec(spec), n, m_max, tuple(Multispace.from_dict(w) for w in words))
 
 
-def _closest(d: np.ndarray):
-    """The smallest entry off the diagonal of a square distance matrix, which
-    it overwrites; +inf below two rows."""
-    if len(d) <= 1:
-        return math.inf
-    np.fill_diagonal(d, np.iinfo(d.dtype).max)
-    return int(d.min())
+def _closest(blocks):
+    """The smallest entry off the diagonal of blocks of a square distance matrix,
+    each its rows from some i on against its columns from i on (as
+    _WordStack.tail_blocks yields them), which it overwrites; +inf when there
+    is none."""
+    top = least = np.iinfo(np.int64).max
+    for d in blocks:
+        np.fill_diagonal(d, top)
+        least = min(least, int(d.min(initial=top)))
+    return math.inf if least == top else least
 
 
 def min_distance(code: MultispaceCode) -> int:
@@ -201,7 +205,7 @@ def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> Mu
     d = ground.pairwise()
     best = _max_clique(d >= d_min)
     chosen = ground[best]
-    return MultispaceCode._of(ctx, n, m_max, tuple(chosen.words()), chosen, _closest(d[np.ix_(best, best)]))
+    return MultispaceCode._of(ctx, n, m_max, tuple(chosen.words()), chosen, _closest([d[np.ix_(best, best)]]))
 
 
 def _max_clique(adjacency: np.ndarray) -> list[int]:

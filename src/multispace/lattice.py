@@ -435,21 +435,27 @@ class _WordStack:
             out[rows, cols] = d
         return out
 
-    def pairwise(self) -> np.ndarray:
-        """The symmetric (T, T) matrix of distances between the rows.
-
-        Each block of _PAIRWISE_ROWS rows is crossed with its own tail, so each
-        unordered pair is measured about once.
+    def tail_blocks(self):
+        """Yield (rows, d): the distances of a slice of _PAIRWISE_ROWS rows against
+        every row from the slice's first on, d[i, i] a row against itself.  Each
+        block is crossed with its own tail, so each unordered pair is measured
+        about once, and no (T, T) array is formed.
         """
+        for start in range(0, len(self.dims), _PAIRWISE_ROWS):
+            rows = slice(start, start + _PAIRWISE_ROWS)
+            yield rows, self[rows].cross(self[start:])
+
+    def pairwise(self) -> np.ndarray:
+        """The symmetric (T, T) matrix of distances between the rows, filled from tail_blocks."""
         t = len(self.dims)
         d = np.zeros((t, t), dtype=np.int64)
-        for start in range(0, t, _PAIRWISE_ROWS):
-            d[start : start + _PAIRWISE_ROWS, start:] = self[start : start + _PAIRWISE_ROWS].cross(self[start:])
+        for rows, block in self.tail_blocks():
+            d[rows, rows.start :] = block
         d = np.triu(d, 1)
         return d + d.T
 
 
-#: Rows per cross pairing of _WordStack.pairwise.  Each block also pairs its
+#: Rows per cross pairing of _WordStack.tail_blocks.  Each block also pairs its
 #: own lower triangle, about 8 wasted pairs per row at 16 rows, and saves the
 #: fixed cost of 15 paired calls in 16.
 _PAIRWISE_ROWS = 16

@@ -138,10 +138,10 @@ def matmul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: 20x20 GF(3) 827 / 486 us, 24x24 GF(16) 573 / 626 us, 32x32 GF(3) 1.03 /
 #: 1.18 ms and 64x64 GF(16) 2.1 / 8.5 ms; tall, 24x8 GF(2^8) 291 / 143 us and
 #: 96x2 GF(16) 45 / 65 us.  Rows would win up to about 400 cells and ten rows
-#: per column, but the channel's sampler ranks its small rounds on rows up to
-#: this limit too, and there one rank_batch call already wins at 8 trials of
-#: 8x8, so the limit stays.  GF(2) rows are Python ints, which win at every
-#: measured size, so they have no limit.
+#: per column, but no benchmark case has a matrix past 192 cells, so nothing
+#: measured end to end would show a higher limit pay; it stays until one does.
+#: GF(2) rows are Python ints, which win at every measured size, so they have
+#: no limit.
 ROW_CELL_LIMIT = 192
 
 

@@ -146,9 +146,10 @@ MUTANTS = (
     Mutant("greedy-strikes-from-4", "codes.py", "if d_min > 2:", "if d_min > 3:",
            (f"{ACCEPTANCE}::test_criterion_08_coding_suite",),
            "distinct words of one rank can lie at distance 2 < d_min = 3, so a kept word strikes its layer"),
-    Mutant("closest-keeps-the-diagonal", "codes.py", "    np.fill_diagonal(d, np.iinfo(d.dtype).max)\n", "",
-           (f"{ACCEPTANCE}::test_criterion_08_coding_suite",),
-           "a codeword's distance 0 to itself is no minimum distance"),
+    Mutant("closest-keeps-the-diagonal", "codes.py", "        np.fill_diagonal(d, top)\n", "",
+           (f"{CODES}::test_min_distance_equals_the_full_matrix_minimum",
+            f"{ACCEPTANCE}::test_criterion_08_coding_suite"),
+           "a codeword's distance 0 to itself, on the diagonal of each row block, is no minimum distance"),
     Mutant("zech-negation-offset", "fields.py", "(q - 1) // 2", "(q - 1) // 2 + 1", (ZECH,),
            "-1 = g^((q - 1)/2), so negation adds (q - 1)/2 to the log"),
     Mutant("zech-constant-digit-carries", "fields.py", "(exp + 1) % p", "exp + 1", (FIELDS,),

@@ -902,7 +902,7 @@ def _assert_as_serial(ctx, rows, cols, count, seeds):
 
 @settings(max_examples=80, deadline=None)
 @given(q=st.sampled_from([2, 3, 4, 5]), count=st.sampled_from([1, 2]),
-       shapes=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=3 * channel._ROW_TRIALS),
+       shapes=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=24),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(q=2, count=1, shapes=[(7, 2)] + [(2, 4)] * 9, seed=0)  # the tallest is not the widest: a 7 x 4 box
 @example(q=3, count=2, shapes=[(7, 2)] + [(2, 4)] * 9, seed=1)
@@ -929,6 +929,7 @@ def test_two_matrices_take_the_draws_of_two_single_calls(q):
         assert np.array_equal(both.halves(trials, 64), single.halves(trials, 64))
 
 
+@pytest.mark.parametrize("trials", [1, 3, 8, 16])
 @pytest.mark.parametrize("mode,s,random_generator,counts", [
     ("full-rank", 0, False, [1]),
     ("full-rank", 0, True, [2]),  # mixed: the mix, then the channel matrix
@@ -939,9 +940,9 @@ def test_two_matrices_take_the_draws_of_two_single_calls(q):
     ("compound", 1, False, [1, 2]),
     ("compound", 1, True, [2, 2]),
 ])
-def test_each_stage_ranks_all_its_matrices_once_per_round(monkeypatch, mode, s, random_generator, counts):
+def test_each_stage_ranks_all_its_matrices_once_per_round(monkeypatch, trials, mode, s, random_generator, counts):
     """Each stage is one _full_rank call, and each of its rounds one rank_batch call,
-    whether it draws one matrix or two."""
+    whether it draws one matrix or two, at any trial count."""
     calls, inside, sampler = [], [], channel._full_rank
 
     def spy(ctx, draws, rows, cols, count=1):
@@ -962,8 +963,7 @@ def test_each_stage_ranks_all_its_matrices_once_per_round(monkeypatch, mode, s, 
     monkeypatch.setattr(channel, "_full_rank", spy)
     monkeypatch.setattr(channel._Draws, "values", counted(1, channel._Draws.values))
     monkeypatch.setattr(channel, "rank_batch", counted(2, channel.rank_batch))
-    # more trials than a row-kernel round takes: every round is one rank_batch call
-    run_trials(Multispace(Subspace.full(F3, 2), 2), ChannelConfig(mode, 2 * channel._ROW_TRIALS, s, 1, random_generator))
+    run_trials(Multispace(Subspace.full(F3, 2), 2), ChannelConfig(mode, trials, s, 1, random_generator))
     assert [count for count, _, _ in calls] == counts
     assert all(rounds == ranks >= 1 for _, rounds, ranks in calls)
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
 from unittest import mock
@@ -87,6 +88,39 @@ def test_min_distance_needs_two_codewords():
     assert single.min_distance == math.inf
     with pytest.raises(TooFewCodewords):
         min_distance(single)
+
+
+def _full_matrix_minimum(code) -> int:
+    d = pairwise_distances(code.codewords)
+    return int(d[~np.eye(len(d), dtype=bool)].min())
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3]), n=st.integers(1, 4), size=st.integers(2, 3 * lattice._PAIRWISE_ROWS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_min_distance_equals_the_full_matrix_minimum(q, n, size, seed):
+    # the closest pair anywhere in or across the row blocks, masked (q^n <= 64) and eliminated (3^4)
+    rng = np.random.default_rng(seed)
+    words = tuple(dict.fromkeys(random_multispace(field(q), n, rng) for _ in range(size)))
+    if len(words) < 2:
+        return
+    code = MultispaceCode(field(q), n, n + 3, words)
+    assert code.min_distance == _full_matrix_minimum(code)
+    assert code.min_distance == min(distance(a, b) for i, a in enumerate(words) for b in words[i + 1 :])
+
+
+def test_min_distance_forms_no_square_matrix():
+    # 2613 words: a (T, T) int64 matrix alone is 52 MiB, and pairwise held about three
+    code = greedy_code(F2, 4, 40, 1)
+    assert len(code) == 2613
+    tracemalloc.start()
+    try:
+        least = code.min_distance
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    assert least == _full_matrix_minimum(code) == 1
 
 
 @pytest.mark.parametrize("height", [2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 63 + 5, 2 ** 64 + 5, 2 ** 70])
