@@ -319,7 +319,7 @@ def ball(center: Multispace, radius: int, m_max: int) -> list[Multispace]:
 def ball_size(center: Multispace, radius: int, m_max: int) -> BigCount:
     """len(ball(center, radius, m_max)), in closed form; nothing is enumerated."""
     _check_ball(center, radius, m_max)
-    return _class_ball_size(center.ctx.q, center.n, center.dim, center.height, radius, m_max)
+    return _ball_size_at(_ball_terms(center.ctx.q, center.n, center.dim, radius, m_max), center.height, m_max)
 
 
 def _ball_terms(q: int, n: int, k: int, radius: int, m_max: int) -> list[tuple[int, int, BigCount]]:
@@ -338,11 +338,6 @@ def _ball_size_at(terms: list, t: int, m_max: int) -> BigCount:
     return sum(w * max(0, min(m_max - j, t + s) - max(0, t - s) + 1) for j, s, w in terms)
 
 
-def _class_ball_size(q: int, n: int, k: int, t: int, radius: int, m_max: int) -> BigCount:
-    """Ball size around any center (U, t) with dim U = k."""
-    return _ball_size_at(_ball_terms(q, n, k, radius, m_max), t, m_max)
-
-
 def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCount:
     """Total space size over the smallest radius-floor((d_min-1)/2) ball.
 
@@ -354,15 +349,8 @@ def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCo
     n and at most dim U + dim U', and |t - t'| at most m_max and at most
     t + t'.  From that radius r on every ball is the whole space: the bound is 1.
 
-    Below it, per dim k, only a few heights t of [0, top], top = m_max - k,
-    are visited.  The class (j, s, w) of _ball_terms counts
-    max(0, min(m_max - j, t + s) - max(0, t - s) + 1) heights: as a function
-    of real t, continuous and linear between its breakpoints t = s,
-    t = m_max - j - s and, where the count falls to 0, t = m_max - j + s + 1.
-    The ball size, a sum of such terms with positive weights, is linear
-    between consecutive breakpoints of them all.  These are integers, so its
-    minimum over the integers of [0, top] lies at 0, at top or at a
-    breakpoint between them.
+    Below it, per dim k, _smallest_ball finds the smallest ball over the
+    heights t of [0, top], top = m_max - k, without visiting each of them.
     """
     _check_search(n, m_max, d_min)
     radius = (d_min - 1) // 2
@@ -371,12 +359,26 @@ def sphere_packing_bound(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> BigCo
         return total
     if radius >= min(2 * m_max, n + m_max):
         return 1
-    sizes = []
-    for k in range(min(n, m_max) + 1):
-        top, terms = m_max - k, _ball_terms(ctx.q, n, k, radius, m_max)
-        breaks = {b for j, s, _ in terms for b in (s, m_max - j - s, m_max - j + s + 1) if 0 < b < top}
-        sizes += [_ball_size_at(terms, t, m_max) for t in breaks | {0, top}]
-    return total // min(sizes)
+    return total // min(_smallest_ball(_ball_terms(ctx.q, n, k, radius, m_max), m_max - k, m_max)
+                        for k in range(min(n, m_max) + 1))
+
+
+def _smallest_ball(terms: list, top: int, m_max: int) -> BigCount:
+    """The least of _ball_size_at over the integers t of [0, top].  With R(x) = max(0, x), the class
+    (j, s, w) counts t + s + 1 - R(t - s) - R(t - (m_max - j - s)) + R(t - (m_max - j + s + 1)) heights
+    at t >= 0, as s, m_max - j >= 0: the ball size is linear between integer breakpoints, its slope
+    starting at the sum of w and moving by -w, -w and +w at those of each class.  So its minimum lies
+    at 0, at top or at a breakpoint between them, and one sweep up the breakpoints reads them all."""
+    changes = {top: 0}
+    for j, s, w in terms:
+        for b, change in ((0, w), (s, -w), (m_max - j - s, -w), (m_max - j + s + 1, w)):
+            b = min(max(b, 0), top)  # one at or left of 0 sets the slope from 0 on; none past top is read
+            changes[b] = changes.get(b, 0) + change
+    sizes, t, slope = [_ball_size_at(terms, 0, m_max)], 0, 0
+    for b in sorted(changes):
+        sizes.append(sizes[-1] + slope * (b - t))
+        t, slope = b, slope + changes[b]
+    return min(sizes)
 
 
 def decode(code: MultispaceCode, received: Multispace) -> tuple[Multispace, int]:

@@ -544,14 +544,23 @@ def enumerate_multispaces_up_to(ctx: FieldCtx, n: int, m_max: int):
 
 
 def covering_neighbors(w: Multispace) -> list[Multispace]:
-    """All multispaces covering w, deterministic order (superspaces, then height bump)."""
+    """All multispaces covering w, deterministic order (superspaces, then height bump).
+
+    A superspace is U + <v>, v a line of the quotient by U placed in U's nonpivot columns,
+    and its RREF is written down: v is zero on U's pivot columns and leads with 1 at a column
+    c, so each row r of U becomes r - r[c] v, which keeps r's leading 1 and its zeros on U's
+    pivot columns, and v takes its place among them in pivot order.
+    """
+    ctx, n, u = w.ctx, w.n, w.underlying
+    nonpivot = [c for c in range(n) if c not in u.pivots]
     out = []
-    u = w.underlying
-    nonpivot = [c for c in range(w.n) if c not in u.pivots]
-    for line in enumerate_subspaces(w.ctx, len(nonpivot), 1):
-        v = np.zeros((1, w.n), dtype=np.int64)
-        v[0, nonpivot] = line.basis[0]  # a line of the quotient by u; u + <v> covers u
-        out.append(Multispace._of(Subspace._span(w.ctx, w.n, np.vstack([u.basis, v])), w.height))
+    for block in _subspace_blocks(ctx, len(nonpivot), 1):  # the lines that lead at one column c
+        v = np.zeros((len(block), 1, n), dtype=np.int64)
+        v[:, 0, nonpivot] = block[:, 0]
+        c = nonpivot[int((block[0, 0] != 0).argmax())]
+        rows = ctx.sub_arr(u.basis, ctx.mul_arr(u.basis[:, c, None], v))
+        k = sum(p < c for p in u.pivots)
+        out += [Multispace._of(Subspace(ctx, n, b), w.height) for b in np.concatenate((rows[:, :k], v, rows[:, k:]), 1)]
     out.append(Multispace._of(u, w.height + 1))
     return out
 

@@ -12,7 +12,7 @@ steps.  Conversely the roots of a nonzero linearized L form the kernel
 of the GF(q)-linear map x -> L(x), read off from its values at the n unit
 vectors (x^(q^n) = x on GF(q^n), so q-index i takes their q^(i mod n)-th
 powers) by one n x 2n elimination in linalg's row kernel, on Python ints
-and lists from the coordinate map's row tables; L splits over GF(q^n)
+and lists from the coordinate map's two tables; L splits over GF(q^n)
 exactly when that kernel has dimension q_degree - h, where h is the lowest
 q-index of L, and every root then has multiplicity q^h (Lidl &
 Niederreiter, Finite Fields, Ch. 3 Sec. 4).
@@ -30,11 +30,10 @@ from .errors import (
     RootsNotInField,
     ShapeViolation,
 )
-from .fields import FieldCtx, _digits, _embedding, _extension, _field, check_settings, field, parse_field_spec, reading
+from .fields import FieldCtx, _embedding, _extension, _field, check_settings, parse_field_spec, reading
 from .fields import strict_int
 from .lattice import Multispace
-from .linalg import Subspace, _as_array, _bit_array, _bit_echelon, _bit_reduced, _list_echelon, _list_reduced
-from .linalg import _rows_array, rref_array
+from .linalg import Subspace, _as_array, _bit_echelon, _bit_reduced, _list_echelon, _list_reduced, _rows_array
 
 
 # ---------------------------------------------------------------------------
@@ -46,103 +45,67 @@ class VectorFieldIso:
 
     Coordinate vector (c_0, ..., c_{n-1}) maps to sum_i phi(c_i) * X^i,
     where X is the residue class of the big field's modulus variable and
-    phi the deterministic subfield embedding.  The map is GF(p)-linear, so
-    it is stored as one en x en matrix on base-p digits, with its inverse.
-    The to_* methods check their input; _field_array and _vector_array trust
-    arrays the library built.
+    phi the deterministic subfield embedding.  A row is read as its base-q
+    value, c_0 the most significant digit, and the map is two tables of q^n
+    entries: encode[value] is the row's image, and decode, the inverse
+    permutation, the value of each element's row.  The to_* methods check
+    their input and gather from these read-only arrays; the round trip
+    reads their lists.
     """
 
     def __init__(self, ctx: FieldCtx, n: int, big: FieldCtx):
         check_settings(("n", n, 1, f"ambient dimension {n} is not positive"))
         if big.p != ctx.p or big.e != ctx.e * n:
             raise ContextMismatch(f"{big} is not GF(q^{n}) for q = {ctx.q}")
-        self.ctx = ctx
-        self.n = n
-        self.big = big
-        self.emb = _embedding(ctx, big)
-        p, e, en = ctx.p, ctx.e, big.e
-        # column i*e + d: the digits of phi(alpha^d) * X^i, where alpha^d is
-        # encoded p^d in GF(q) and X^i (i < en) is the monomial encoded p^i
-        i, d = np.divmod(np.arange(en), e)
-        self._matrix = _digits(big.mul_arr(self.emb.table[p ** d], p ** i), p, en).T
-        red, rank, _ = rref_array(field(p), np.hstack([self._matrix, np.eye(en, dtype=np.int64)]))
-        if rank != en:
-            raise ShapeViolation("coordinate map is singular")  # cannot happen
-        self._inverse = red[:, en:]
-        eye = np.eye(n, dtype=np.int64)
-        #: the big-field encodings of the n unit vectors
-        self.units = self._field_array(eye)
-        self.units.flags.writeable = False
+        self.ctx, self.n, self.big, self.emb = ctx, n, big, _embedding(ctx, big)
+        # phi(c e_i) = phi(c) X^i, X^i encoded p^i: step i appends coordinate i as each value's last digit
+        encode = np.zeros(1, dtype=np.int64)
+        for i in range(n):
+            encode = big.add_arr(encode[:, None], big.mul_arr(self.emb.table, ctx.p ** i)).reshape(-1)
+        decode = np.argsort(encode)  # the inverse permutation, if encode is one
+        if not np.array_equal(encode[decode], np.arange(big.q)):
+            raise ShapeViolation("coordinate map is not a bijection")  # cannot happen
+        places = ctx.q ** np.arange(n - 1, -1, -1)  # the weight of each coordinate in a row's value
+        self.units = encode[places]  # the big-field encodings of the n unit vectors
         #: row i: the units' q^i-th powers, i < n; x^(q^n) = x, so row i mod n serves q-index i
         self.unit_powers = big.frobenius_arr(self.units, np.arange(n)[:, None], ctx.q)
-        self.unit_powers.flags.writeable = False
-        self._powers, self._eye = self.unit_powers.tolist(), eye.tolist()
-        if n == 1:  # a round trip at n = 1 maps no basis row and eliminates no kernel
-            return
-        # the row tables: a coordinate row is read as its base-q value, which in characteristic 2 packs coordinate
-        # i at bit e (n - 1 - i) up and is linear (so XOR two half tables); odd p keeps a q^n table each way
-        places = ctx.q ** np.arange(n - 1, -1, -1)
-        if p != 2:
-            coords = self._vector_array(np.arange(big.q))
-            encode = np.empty(big.q, dtype=np.int64)
-            encode[coords @ places] = np.arange(big.q)  # the element of each row value
-            self._encode, self._places = encode.tolist(), places.tolist()
-            self._coords, self._add = coords.reshape(-1).tolist(), ctx.op_tables()[0].tolist()
-            return
-        bits = (self._vector_array(1 << np.arange(en)) @ places).tolist()  # each bit's packed coordinates
-        images = (self._matrix.T @ big._pvec).tolist()  # images[u e + d] = phi(2^d e_u)
-        def spans(xs):  # the XOR of every subset of xs, subset k at index k
-            return functools.reduce(lambda out, b: out + [x ^ b for x in out], xs, [0])
-        self._half = (en + 1) // 2
-        self._lo, self._hi = spans(bits[: self._half]), spans(bits[self._half :])
-        self._cols = [spans(images[u * e : u * e + e]) for u in range(n)]  # _cols[u][c] = phi(c e_u)
+        self.encode, self.decode = encode, decode
+        for table in (encode, decode, self.units, self.unit_powers):
+            table.flags.writeable = False
+        self._encode, self._decode, self._places = encode.tolist(), decode.tolist(), places.tolist()
+        self._powers, self._eye = self.unit_powers.tolist(), np.eye(n, dtype=np.int64).tolist()
 
     def to_field_array(self, rows) -> np.ndarray:
         """Big-field encodings of an (m, n) array of coordinate vectors."""
-        return self._field_array(_rows_array(self.ctx, self.n, rows))
-
-    def _field_array(self, rows: np.ndarray) -> np.ndarray:
-        digits = _digits(rows, self.ctx.p, self.ctx.e).reshape(-1, self.big.e)
-        return digits @ self._matrix.T % self.ctx.p @ self.big._pvec
+        return self.encode[_rows_array(self.ctx, self.n, rows) @ self._places]
 
     def to_vector_array(self, xs) -> np.ndarray:
         """Coordinate vectors, shape (m, n), of big-field encodings, read flat."""
-        return self._vector_array(_as_array(self.big, xs).reshape(-1))
+        return self.decode[_as_array(self.big, xs).reshape(-1), None] // self._places % self.ctx.q
 
-    def _vector_array(self, xs: np.ndarray) -> np.ndarray:
-        digits = _digits(xs, self.ctx.p, self.big.e) @ self._inverse.T % self.ctx.p
-        return digits.reshape(len(xs), self.n, self.ctx.e) @ self.ctx._pvec
+    def _row(self, value: int) -> list[int]:
+        """The coordinates of the row with that base-q value."""
+        return [value // s % self.ctx.q for s in self._places]
 
     def _field_list(self, rows: list[list[int]]) -> list[int]:
-        """Big-field encodings of coordinate rows, from the row tables."""
-        if self.ctx.p == 2:
-            return [functools.reduce(operator.xor, map(list.__getitem__, self._cols, row)) for row in rows]
+        """Big-field encodings of coordinate rows, from encode."""
         return [self._encode[sum(map(operator.mul, row, self._places))] for row in rows]
 
-    def _images(self, terms: list[list[int]]) -> list:
-        """The coordinate row of each sum of terms, from the row tables; over GF(2) a row is one int.  Terms
-        add by XOR in characteristic 2, else coordinate-wise through the small field's addition table."""
-        ctx, n = self.ctx, self.n
-        if ctx.p != 2:
-            add, rows = self._add, ([self._coords[x * n : x * n + n] for x in t] for t in terms)
-            return [functools.reduce(lambda a, b: [add[x][y] for x, y in zip(a, b)], r) for r in rows]
-        half, mask, e, q = self._half, (1 << self._half) - 1, ctx.e, ctx.q
-        packed = [self._lo[x & mask] ^ self._hi[x >> half] for x in (functools.reduce(operator.xor, t) for t in terms)]
-        return packed if e == 1 else [[c >> s & q - 1 for s in range(e * n - e, -1, -e)] for c in packed]
-
     def _kernel(self, terms: list[list[int]]) -> np.ndarray:
-        """The canonical basis of {c : sum_u c_u image_u = 0}, image_u the sum of terms[u]: the rows
-        [coordinates of image_u | e_u] take the row kernel's forward pass, and its rows that lead in the
-        right half, zero on the left, span that space, back substituted."""
+        """The canonical basis of {c : sum_u c_u image_u = 0}, image_u the sum of terms[u], by XOR in
+        characteristic 2 and else by the big field's add: the rows [coordinates of image_u | e_u], read
+        from decode, take the row kernel's forward pass, and its rows that lead in the right half, zero
+        on the left, span that space, back substituted."""
         ctx, n = self.ctx, self.n
         if n == 1:  # x^q = x on GF(q): L = L(1) x, whose kernel is GF(q) or {0}
             return np.ones((int(functools.reduce(self.big.add, terms[0]) == 0), 1), dtype=np.int64)
-        rows = self._images(terms)
-        if ctx.q == 2:  # each row one int, column 0 highest, unpacked from whole bytes
-            lead = _bit_echelon([c << n | 1 << (n - 1 - u) for u, c in enumerate(rows)], 2 * n)
-            kernel = [x << -n % 8 for _, x in _bit_reduced({h: x for h, x in lead.items() if h <= n})]
-            return _bit_array(kernel, (len(kernel), n), n + -n % 8)
-        kept = _list_echelon(ctx, [row + unit for row, unit in zip(rows, self._eye)])
+        add = operator.xor if self.big.p == 2 else self.big.add
+        values = [self._decode[functools.reduce(add, t)] for t in terms]  # the value of each image's row
+        if ctx.q == 2:  # a value is its GF(2) row as one int, column 0 highest
+            lead = _bit_echelon([c << n | 1 << (n - 1 - u) for u, c in enumerate(values)], 2 * n)
+            basis = [x for _, x in _bit_reduced({h: x for h, x in lead.items() if h <= n})]
+            return np.array(basis, dtype=np.int64).reshape(-1, 1) // self._places % 2
+        kept = _list_echelon(ctx, [self._row(v) + unit for v, unit in zip(values, self._eye)])
         basis = [[0] * c + row for c, row in _list_reduced(ctx, [(c - n, tail) for c, tail in kept if c >= n])]
         return np.array(basis, dtype=np.int64).reshape(-1, n)
 

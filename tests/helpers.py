@@ -24,7 +24,7 @@ from multispace.channel import (
     apply_transform,
     random_matrix,
 )
-from multispace.codes import _class_ball_size, ball, decode
+from multispace.codes import _ball_size_at, _ball_terms, ball, decode
 from multispace.errors import ConfigInvalid, LimitExceeded, RootsNotInField, SamplingFailed, ShapeViolation
 from multispace.fields import field
 from multispace.lattice import (
@@ -44,6 +44,7 @@ from multispace.linalg import (
     DEFAULT_STATE_LIMIT,
     Subspace,
     _odometer,
+    enumerate_subspaces,
     matmul_arrays,
     rref_array,
 )
@@ -139,6 +140,20 @@ def covers_by_containment(w):
     return up, down
 
 
+def covers_by_elimination(w):
+    """covering_neighbors by one elimination per cover: U + <v> as the RREF of U's basis
+    with v below it, v a line of the quotient placed in U's nonpivot columns."""
+    u = w.underlying
+    nonpivot = [c for c in range(w.n) if c not in u.pivots]
+    out = []
+    for line in enumerate_subspaces(w.ctx, len(nonpivot), 1):
+        v = np.zeros((1, w.n), dtype=np.int64)
+        v[0, nonpivot] = line.basis[0]
+        red, rank, _ = rref_array(w.ctx, np.vstack([u.basis, v]))
+        out.append(Multispace(Subspace(w.ctx, w.n, red[:rank].copy()), w.height))
+    return out + [Multispace(u, w.height + 1)]
+
+
 def bfs_distances(adj):
     v = len(adj)
     dist = np.full((v, v), -1, dtype=np.int64)
@@ -212,7 +227,7 @@ def packing_bound_by_height_ranges(ctx, n, m_max, d_min):
     """Sphere-packing bound over the heights t <= r and t >= m_max - k - r of
     each dim k, r the radius: the two ranges codes.sphere_packing_bound walked
     before it read only the breakpoints of its ball sizes.  Between them every
-    ball is as large as at t = r: each term of _class_ball_size has slack
+    ball is as large as at t = r: each term of _ball_terms has slack
     s = r - d_S in [0, r] and j <= k + r - s, so t - s >= 0 and
     t + s <= m_max - j, and it counts the 2s + 1 heights t - s .. t + s."""
     radius = (d_min - 1) // 2
@@ -221,7 +236,7 @@ def packing_bound_by_height_ranges(ctx, n, m_max, d_min):
         return total
     classes = ((k, t) for k in range(min(n, m_max) + 1) for top in [m_max - k]
                for t in chain(range(min(radius, top) + 1), range(max(radius + 1, top - radius), top + 1)))
-    return total // min(_class_ball_size(ctx.q, n, k, t, radius, m_max) for k, t in classes)
+    return total // min(_ball_size_at(_ball_terms(ctx.q, n, k, radius, m_max), t, m_max) for k, t in classes)
 
 
 def greedy_by_distance_loop(ctx, n, m_max, d_min, seed):
@@ -552,8 +567,18 @@ def dense_of(L) -> DensePoly:
 
 def coordinate_map_oracle(iso, rows) -> np.ndarray:
     """sum_i emb(c_i) * X^i for each coordinate row (c_0, ..., c_{n-1}), by
-    scalar big-field arithmetic; X is the class of the modulus variable, encoded p."""
-    big = iso.big
+    scalar big-field arithmetic and no table of the library: X is the class
+    of the modulus variable, encoded p, and emb(c) = sum_d c_d beta^d for the
+    base-p digits c_d of c, beta the embedding's root of the small modulus."""
+    big, small = iso.big, iso.ctx
+    beta_pows = [big.pow(iso.emb.root, d) for d in range(small.e)]
+    emb = []
+    for c in range(small.q):
+        acc = 0
+        for b in beta_pows:
+            acc = big.add(acc, big.mul(c % small.p, b))
+            c //= small.p
+        emb.append(acc)
     x_pows = [1]
     for _ in range(iso.n - 1):
         x_pows.append(big.mul(x_pows[-1], big.p))
@@ -561,7 +586,7 @@ def coordinate_map_oracle(iso, rows) -> np.ndarray:
     for row in np.asarray(rows).tolist():
         acc = 0
         for c, x_i in zip(row, x_pows):
-            acc = big.add(acc, big.mul(int(iso.emb.table[c]), x_i))
+            acc = big.add(acc, big.mul(emb[c], x_i))
         out.append(acc)
     return np.asarray(out, dtype=np.int64)
 
@@ -608,8 +633,8 @@ def whole_space_poly_by_recursion(ctx, n, height) -> LinearizedPoly:
 
 def poly_by_arrays(w, big=None) -> LinearizedPoly:
     """poly_from_multispace through the coordinate map's arrays: the basis rows
-    by _field_array and the height by frobenius_arr, the numpy path that the
-    map's row tables replaced."""
+    by to_field_array and the height by frobenius_arr, the numpy path that the
+    round trip's list reads replaced."""
     q = w.ctx.q
     iso = vector_field_iso(w.ctx, w.n, big)
     F = iso.big
@@ -617,7 +642,7 @@ def poly_by_arrays(w, big=None) -> LinearizedPoly:
         c = [F.neg(1)] + [0] * (w.n - 1) + [1]  # x^(q^n) - x
     else:
         c = [1]
-        for v in iso._field_array(w.underlying.basis).tolist():
+        for v in iso.to_field_array(w.underlying.basis).tolist():
             c = F.annihilator_step(c, v, q)
     if w.height:
         c = F.frobenius_arr(c, w.height, q).tolist()
@@ -632,7 +657,7 @@ def roots_by_evaluation(L) -> Multispace:
     n = F.e // e
     small = field(F.p, e)
     iso = vector_field_iso(small, n, F)
-    images = iso._vector_array(L._eval(iso.units))
+    images = iso.to_vector_array(L._eval(iso.units))
     red, _, pivots = rref_array(small, np.hstack([images, np.eye(n, dtype=np.int64)]))
     image_rank = sum(1 for c in pivots if c < n)
     kernel = Subspace(small, n, red[image_rank:, n:].copy())

@@ -57,6 +57,8 @@ ACCEPTANCE = "tests/test_acceptance.py"
 ZECH = f"{FIELDS}::test_small_odd_fields_add_by_zech_logarithms_as_by_digits_on_every_pair"
 SHAPES = f"{CHANNEL}::test_full_rank_takes_the_serial_draws_at_any_shapes"
 TWO_CALLS = f"{CHANNEL}::test_two_matrices_take_the_draws_of_two_single_calls"
+LIST_READS = f"{QPOLY}::test_the_list_reads_match_the_array_gathers"
+ORACLE_MAP = f"{QPOLY}::test_encode_and_decode_match_the_scalar_oracle_on_every_element"
 MUTANTS = (
     Mutant("deficient-window-top", "channel.py", "_deficient, (1, 0, 2))", "_deficient, (1, 0, 3))", (CHANNEL,),
            "a rank w - s matrix moves the word at most 2s; a looser window hides violations"),
@@ -108,12 +110,17 @@ MUTANTS = (
            "x^(q^n) = x on GF(q^n), so q-index i reads unit-power row i mod n"),
     Mutant("unit-power-row-clamped", "fields.py", "powers[i % n]", "powers[min(i, n - 1)]", (QPOLY,),
            "q-indices past n wrap around, not stop at the last row"),
-    Mutant("coordinate-places-by-p", "qpoly.py", "places = ctx.q ** np", "places = ctx.p ** np",
-           (f"{QPOLY}::test_row_tables_match_the_coordinate_map",),
+    Mutant("coordinate-places-by-p", "qpoly.py", "places = ctx.q ** np", "places = ctx.p ** np", (LIST_READS,),
            "a coordinate of GF(p^e) is one base-q digit of its row's value, e bits wide over GF(2^e)"),
-    Mutant("half-table-split-moved", "qpoly.py", "self._hi[x >> half]", "self._hi[x >> half + 1]",
-           (f"{QPOLY}::test_row_tables_match_the_coordinate_map",),
-           "the high half table is read from the first bit the low one leaves out"),
+    Mutant("encode-monomials-reversed", "qpoly.py", "big.mul_arr(self.emb.table, ctx.p ** i)",
+           "big.mul_arr(self.emb.table, ctx.p ** (n - 1 - i))", (ORACLE_MAP,),
+           "coordinate i multiplies X^i: the reversed map is a bijection too, so only the oracle tells them apart"),
+    Mutant("decode-read-off-by-one", "qpoly.py", "self._decode[functools.reduce(add, t)]",
+           "self._decode[functools.reduce(add, t) - 1]", (f"{QPOLY}::test_round_trip",),
+           "the kernel reads decode at the sum of a unit's terms itself"),
+    Mutant("row-digits-reversed", "qpoly.py", "[value // s % self.ctx.q for s in self._places]",
+           "[value // s % self.ctx.q for s in self._places[::-1]]", (LIST_READS,),
+           "c_0 is the most significant base-q digit of a row's value"),
     Mutant("height-exponent-one-short", "qpoly.py", "pow(q, h, F.q - 1)", "pow(q, h - 1, F.q - 1)",
            (f"{QPOLY}::test_round_trip",), "height h raises every coefficient to the q^h-th power"),
     Mutant("kernel-right-half-strict", "qpoly.py", "if h <= n}", "if h < n}", (f"{QPOLY}::test_round_trip",),
@@ -121,6 +128,12 @@ MUTANTS = (
     Mutant("whole-space-plus-x", "qpoly.py", "c = [F.neg(1)] + [0] * (w.n - 1) + [1]",
            "c = [1] + [0] * (w.n - 1) + [1]", (QPOLY,),
            "the whole space is x^(q^n) - x; + x differs past characteristic 2"),
+    Mutant("cover-adds-the-line", "lattice.py", "rows = ctx.sub_arr(u.basis", "rows = ctx.add_arr(u.basis",
+           ("tests/test_lattice.py::test_covers_in_closed_form_are_the_eliminated_spans_in_order",),
+           "a row r of U clears column c as r - r[c] v; + differs past characteristic 2"),
+    Mutant("sweep-zero-point-one-late", "codes.py", "(m_max - j + s + 1, w)", "(m_max - j + s + 2, w)",
+           (f"{CODES}::test_the_sweep_finds_each_dims_smallest_ball_over_every_height",),
+           "a class's count falls to 0 at t = m_max - j + s + 1, where its slope of -1 ends"),
     Mutant("drop-count-rows-budget", "cli.py", '    _check_budget(args.m + 1, "count rows")', "",
            (f"{CLI}::test_count_refuses_more_rows_than_the_enumeration_limit_before_the_first_count",),
            "count writes one row per rank 0..m, so a huge m is refused before the first row"),
@@ -128,7 +141,8 @@ MUTANTS = (
            (f"{CLI}::test_a_huge_ambient_dimension_is_refused_before_any_count_is_formed",),
            "a count of 2^64 or more is named by its lower bound, before it is formed"),
     Mutant("ball-height-cap-one-up", "codes.py", "w * max(0, min(m_max - j, t + s)",
-           "w * max(0, min(m_max - j + 1, t + s)", (f"{CLI}::test_bound",),
+           "w * max(0, min(m_max - j + 1, t + s)",
+           (f"{CODES}::test_closed_form_ball_size_matches_bfs_and_distance_filter",),
            "a word of dim j takes heights up to m_max - j, so its rank stays within m_max"),
     Mutant("regular-b-at-distance-k", "lattice.py", '("b", k + 1)', '("b", k)',
            ("tests/test_lattice.py::test_graph_kernels_match_the_bool_and_int64_products_on_named_graphs",),

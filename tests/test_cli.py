@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -390,6 +391,20 @@ def test_packing_bound_of_a_huge_rank_cap(capsys):
     code, out, _ = run(capsys, "--format", "json", "bound", "2", "2", "100000", "3")
     assert time.perf_counter() - start < 1
     assert code == 0 and json.loads(out) == {"packing_bound": 250000, "space_size": 500000}
+
+
+def test_packing_bound_over_a_huge_rank_cap_and_radius_sweeps_its_breakpoints(capsys):
+    # n = 64 with radius 2^30 - 1: thousands of breakpoints per dim, each read by one step of the sweep
+    code, out, _ = run_within(capsys, 3, "--format", "json", "bound", "2", "64", "9223372036854775807", "2147483648")
+    assert code == 0 and json.loads(out)["packing_bound"] == 8589935104
+
+
+def test_hasse_over_gf_257_writes_its_66307_lines_in_closed_form(capsys):
+    # the covers of the bottom are the 66307 lines of GF(257)^3, each in RREF without an elimination
+    code, out, err = run_within(capsys, 3, "hasse", "257", "3", "1")
+    assert code == 0 and out.count("->") == 66308
+    digest = "a031db7f2996839c689bf81b396f83128c85a6c5a2d8af03f08a0e8e4241d03c"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumeration_within_budget_ignores_ambient_size(capsys):

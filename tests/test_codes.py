@@ -522,12 +522,23 @@ def test_packing_bound_skips_the_heights_where_ball_sizes_are_constant(q):
             total = codespace_growth(ctx, n, m_max)
             for radius in range(7):  # d_min 1..14
                 every_class = [
-                    codes._class_ball_size(q, n, k, t, radius, m_max)
+                    codes._ball_size_at(codes._ball_terms(q, n, k, radius, m_max), t, m_max)
                     for k in range(min(n, m_max) + 1)
                     for t in range(m_max - k + 1)
                 ]
                 for d_min in (2 * radius + 1, 2 * radius + 2):
                     assert sphere_packing_bound(ctx, n, m_max, d_min) == total // min(every_class)
+
+
+def test_the_sweep_finds_each_dims_smallest_ball_over_every_height():
+    for q in (2, 3, 4):
+        for n in range(6):
+            for m_max in range(14):
+                for radius in range(1, 7):
+                    for k in range(min(n, m_max) + 1):
+                        terms = codes._ball_terms(q, n, k, radius, m_max)
+                        every = [codes._ball_size_at(terms, t, m_max) for t in range(m_max - k + 1)]
+                        assert codes._smallest_ball(terms, m_max - k, m_max) == min(every), (q, n, m_max, radius, k)
 
 
 def test_packing_bound_and_ball_size_enumerate_nothing(monkeypatch):

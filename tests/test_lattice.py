@@ -13,6 +13,7 @@ from helpers import (
     brute_lub,
     cover_matrix,
     covers_by_containment,
+    covers_by_elimination,
     gamma_by_elements,
     graph_distances_by_bool_products,
     leq_matrix,
@@ -579,6 +580,15 @@ def test_cover_counts_at_random_parameters(q, n, seed):
         assert down == [] and covered_neighbors(w) == []
     else:
         assert len(down) == count_covered(w) and set(down) == set(covered_neighbors(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from([(2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 3), (2, 4, 2), (257, 1, 2)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_covers_in_closed_form_are_the_eliminated_spans_in_order(spec, seed):
+    p, e, n = spec
+    w = random_multispace(field(p, e), n, np.random.default_rng(seed))
+    assert covering_neighbors(w) == covers_by_elimination(w)
 
 
 def test_meet_join_are_glb_lub_small():

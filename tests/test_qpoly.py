@@ -267,9 +267,8 @@ def test_iso_round_trip_and_linearity():
     ids=["F2^1", "F2^3", "F2^12", "F3^6", "F4^2", "F4^6", "F2^4-in-GF(2^4)/25"],
 )
 def test_coordinate_map_matches_scalar_oracle(ctx, n, big):
-    """On every vector of GF(q)^n the matrix map equals the per-coordinate
-    sum of emb(c_i) * X^i, and its inverse recovers every vector from all
-    of GF(q^n)."""
+    """On every vector of GF(q)^n the map equals the per-coordinate sum of
+    emb(c_i) * X^i, and its inverse recovers every vector from all of GF(q^n)."""
     iso = vector_field_iso(ctx, n, big)
     rows = _odometer(ctx, np.eye(n, dtype=np.int64))
     values = coordinate_map_oracle(iso, rows)
@@ -518,18 +517,30 @@ def _prime_powers(limit):
     return [(p, e) for p in range(2, limit + 1) if fields._is_prime(p) for e in range(1, 7) if p ** e <= limit]
 
 
-#: every coordinate map with n >= 2 and q^n <= 2^12; at n = 1 a map keeps no row tables
-_MAPS = [((p, e), n) for p, e in _prime_powers(64) for n in range(2, 13) if (p ** e) ** n <= 1 << 12]
+#: every coordinate map with q^n <= 2^12
+_MAPS = [((p, e), n) for p, e in _prime_powers(64) for n in range(1, 13) if (p ** e) ** n <= 1 << 12]
 
 
-def test_row_tables_match_the_coordinate_map():
+def test_the_list_reads_match_the_array_gathers():
     for (p, e), n in _MAPS:
         iso = vector_field_iso(field(p, e), n)
         xs = list(range(iso.big.q))
         rows = iso.to_vector_array(xs).tolist()
-        packed = [sum(c << n - 1 - i for i, c in enumerate(row)) for row in rows]  # GF(2): column 0 highest
-        assert iso._images([[x] for x in xs]) == (packed if p ** e == 2 else rows), (p, e, n)
+        assert [iso._row(v) for v in iso._decode] == rows, (p, e, n)
         assert iso._field_list(rows) == iso.to_field_array(rows).tolist() == xs, (p, e, n)
+
+
+@pytest.mark.parametrize("spec, n", [((2, 1), 1), ((3, 4), 1), ((2, 1), 16), ((2, 8), 2), ((3, 1), 10), ((3, 5), 2),
+                                     ((5, 1), 6), ((7, 1), 3), ((2, 2), 4)],
+                         ids=lambda x: "^".join(map(str, x)) if isinstance(x, tuple) else f"n{x}")
+def test_encode_and_decode_match_the_scalar_oracle_on_every_element(spec, n):
+    # rows in value order: c_0 the most significant base-q digit
+    ctx = field(*spec)
+    iso = vector_field_iso(ctx, n)
+    values = coordinate_map_oracle(iso, list(itertools.product(range(ctx.q), repeat=n))).tolist()
+    assert iso.encode.tolist() == iso._encode == values
+    assert [iso._decode[x] for x in values] == iso.decode[values].tolist() == list(range(iso.big.q))
+    assert not (iso.encode.flags.writeable or iso.decode.flags.writeable)
 
 
 def test_the_round_trip_does_no_array_arithmetic(monkeypatch):
@@ -537,15 +548,16 @@ def test_the_round_trip_does_no_array_arithmetic(monkeypatch):
     for ctx, n in [(F2, 5), (F3, 4), (F4, 3)]:
         rng = np.random.default_rng(ctx.q)
         words += [random_multispace(ctx, n, rng) for _ in range(12)] + [Multispace(Subspace.full(ctx, n), 2)]
-        big = vector_field_iso(ctx, n).big  # built before the patch: the map's set-up eliminates on arrays
+        big = vector_field_iso(ctx, n).big  # built before the patch: the map's set-up works on arrays
         polys.append(LinearizedPoly(ctx.q, big, {0: 1, 1: 1, 2: big.generator}))  # does not split
     assert all(_roots_or_refusal(roots_by_evaluation, L) is RootsNotInField for L in polys)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the round trip called an array function")
 
-    for owner, name in [(qpoly, "rref_array"), (linalg, "rref_array"), (FieldCtx, "mul_arr"), (FieldCtx, "sum_arr"),
-                        (FieldCtx, "frobenius_arr"), (VectorFieldIso, "_field_array"), (VectorFieldIso, "_vector_array")]:
+    for owner, name in [(linalg, "rref_array"), (FieldCtx, "add_arr"), (FieldCtx, "mul_arr"), (FieldCtx, "sum_arr"),
+                        (FieldCtx, "frobenius_arr"), (VectorFieldIso, "to_field_array"),
+                        (VectorFieldIso, "to_vector_array")]:
         monkeypatch.setattr(owner, name, refuse)
     for w in words:
         assert roots_multiset(poly_from_multispace(w)) == w
