@@ -566,16 +566,16 @@ def covering_neighbors(w: Multispace) -> list[Multispace]:
 
 
 def covered_neighbors(w: Multispace) -> list[Multispace]:
-    """All multispaces covered by w (hyperplanes of the underlying, then height drop)."""
+    """All multispaces covered by w: each hyperplane of U = w.underlying as H·B, then the height drop.
+
+    H runs over the hyperplanes of GF(q)^dim U in RREF, a block at a time, and B is U's RREF basis. B's pivot
+    columns p hold the identity, so row i of H·B is zero left of p[c_i] and 1 at p[c_i], c_i row i's pivot in H,
+    and at every p[c_l] row i reads H[i, c_l] = δ_il: H·B is in RREF, and no cover is eliminated."""
     if w.rank == 0:
         return []
-    out = []
-    u = w.underlying
-    if u.dim > 0:
-        # hyperplanes of u = images of hyperplanes of the coordinate space GF(q)^dim
-        for combo in enumerate_subspaces(w.ctx, u.dim, u.dim - 1):
-            rows = matmul_arrays(w.ctx, combo.basis, u.basis)
-            out.append(Multispace._of(Subspace._span(w.ctx, w.n, rows), w.height))
+    ctx, u = w.ctx, w.underlying
+    out = [Multispace._of(Subspace(ctx, w.n, b), w.height)
+           for block in _subspace_blocks(ctx, u.dim, u.dim - 1) for b in matmul_arrays(ctx, block, u.basis)]
     if w.height > 0:
         out.append(Multispace._of(u, w.height - 1))
     return out

@@ -154,6 +154,21 @@ def covers_by_elimination(w):
     return out + [Multispace(u, w.height + 1)]
 
 
+def covered_by_elimination(w):
+    """covered_neighbors by one elimination per cover: each hyperplane of U as the RREF of
+    H·B, H a hyperplane of GF(q)^dim U and B U's basis, then the height drop."""
+    if w.rank == 0:
+        return []
+    u = w.underlying
+    out = []
+    if u.dim > 0:
+        for combo in enumerate_subspaces(w.ctx, u.dim, u.dim - 1):
+            out.append(Multispace(Subspace._span(w.ctx, w.n, matmul_arrays(w.ctx, combo.basis, u.basis)), w.height))
+    if w.height > 0:
+        out.append(Multispace(u, w.height - 1))
+    return out
+
+
 def bfs_distances(adj):
     v = len(adj)
     dist = np.full((v, v), -1, dtype=np.int64)

@@ -53,7 +53,8 @@ class Mutant:
 
 CHANNEL, CODES, CLI, QPOLY, FIELDS = (f"tests/test_{name}.py"
                                       for name in ("channel", "codes", "cli", "qpoly", "fields"))
-ACCEPTANCE = "tests/test_acceptance.py"
+ACCEPTANCE, LATTICE = "tests/test_acceptance.py", "tests/test_lattice.py"
+COVERS = f"{LATTICE}::test_covers_in_closed_form_are_the_eliminated_spans_in_order"
 ZECH = f"{FIELDS}::test_small_odd_fields_add_by_zech_logarithms_as_by_digits_on_every_pair"
 SHAPES = f"{CHANNEL}::test_full_rank_takes_the_serial_draws_at_any_shapes"
 TWO_CALLS = f"{CHANNEL}::test_two_matrices_take_the_draws_of_two_single_calls"
@@ -129,8 +130,20 @@ MUTANTS = (
            "c = [1] + [0] * (w.n - 1) + [1]", (QPOLY,),
            "the whole space is x^(q^n) - x; + x differs past characteristic 2"),
     Mutant("cover-adds-the-line", "lattice.py", "rows = ctx.sub_arr(u.basis", "rows = ctx.add_arr(u.basis",
-           ("tests/test_lattice.py::test_covers_in_closed_form_are_the_eliminated_spans_in_order",),
+           (COVERS,),
            "a row r of U clears column c as r - r[c] v; + differs past characteristic 2"),
+    Mutant("hyperplane-rows-reversed", "lattice.py", "matmul_arrays(ctx, block, u.basis)",
+           "matmul_arrays(ctx, block[:, ::-1], u.basis)", (COVERS,),
+           "H·B is in RREF only for H in RREF: reversed rows span the same hyperplanes out of echelon form"),
+    Mutant("hyperplane-basis-reversed", "lattice.py", "matmul_arrays(ctx, block, u.basis)",
+           "matmul_arrays(ctx, block, u.basis[::-1])", (COVERS,),
+           "B's pivot columns hold the identity only in RREF row order"),
+    Mutant("hyperplanes-two-down", "lattice.py", "_subspace_blocks(ctx, u.dim, u.dim - 1)",
+           "_subspace_blocks(ctx, u.dim, u.dim - 2)", (COVERS,),
+           "a word covers the subspaces of codimension one in U, not two"),
+    Mutant("hyperplanes-eliminated", "lattice.py", "Subspace(ctx, w.n, b)", "Subspace._span(ctx, w.n, b)",
+           (f"{LATTICE}::test_covers_make_no_elimination",),
+           "H·B is already in RREF, so no lower cover is eliminated", speed=True),
     Mutant("sweep-zero-point-one-late", "codes.py", "(m_max - j + s + 1, w)", "(m_max - j + s + 2, w)",
            (f"{CODES}::test_the_sweep_finds_each_dims_smallest_ball_over_every_height",),
            "a class's count falls to 0 at t = m_max - j + s + 1, where its slope of -1 ends"),

@@ -2,6 +2,8 @@
 
 Every imported name is used; package ``__init__.py`` files are exempt,
 since their imports are the public re-exports.  The library under ``src``
+imports only the standard library, numpy and its own modules, so the test
+extra's packages (sympy, networkx) never become its dependencies, and it
 holds no ``assert`` statement: ``python -O`` strips them, so its runtime
 checks raise explicitly, and none raises ``AssertionError``, which is no
 ``MultispaceError`` and would end the CLI in a traceback, nor a bare
@@ -30,6 +32,7 @@ outside its own definition, so a retired path leaves no private helper behind.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +71,38 @@ def test_scan_finds_unused_imports():
 def test_no_unused_imports():
     assert len(FILES) > 20
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in FILES}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The top-level packages a module imports beside the standard library, numpy
+    and its own package (relative imports, or absolute ones of multispace)."""
+    allowed = sys.stdlib_module_names | {"numpy", "multispace"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_scan_finds_foreign_imports():
+    source = (
+        "import os, numpy as np\nimport networkx as nx\nfrom sympy.polys import GF\n"
+        "from . import lattice\nfrom .fields import field\nfrom multispace.linalg import Subspace\n"
+        "def f():\n    import scipy.linalg\n    from collections import OrderedDict\n"
+    )
+    assert foreign_imports(source) == ["networkx (line 2)", "sympy.polys (line 3)", "scipy.linalg (line 8)"]
+
+
+def test_the_library_imports_only_the_standard_library_and_numpy():
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert len(library) > 5
+    found = {str(path.relative_to(ROOT)): foreign_imports(path.read_text()) for path in library}
     assert {path: names for path, names in found.items() if names} == {}
 
 

@@ -12,6 +12,7 @@ from helpers import (
     brute_glb,
     brute_lub,
     cover_matrix,
+    covered_by_elimination,
     covers_by_containment,
     covers_by_elimination,
     gamma_by_elements,
@@ -24,7 +25,7 @@ from helpers import (
     regularity_by_int64_products,
     span_rows,
 )
-from multispace import lattice
+from multispace import lattice, linalg
 from multispace.channel import random_full_rank
 from multispace.errors import FormatError, LimitExceeded, RankZero
 from multispace.fields import field
@@ -583,12 +584,34 @@ def test_cover_counts_at_random_parameters(q, n, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec=st.sampled_from([(2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 3), (2, 4, 2), (257, 1, 2)]),
+@given(spec=st.sampled_from([(2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 3), (2, 4, 2), (2, 8, 2), (257, 1, 2)]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_covers_in_closed_form_are_the_eliminated_spans_in_order(spec, seed):
     p, e, n = spec
     w = random_multispace(field(p, e), n, np.random.default_rng(seed))
-    assert covering_neighbors(w) == covers_by_elimination(w)
+    for closed, eliminated in [(covering_neighbors(w), covers_by_elimination(w)),
+                               (covered_neighbors(w), covered_by_elimination(w))]:
+        assert closed == eliminated
+        assert [(c.underlying.basis.dtype, c.underlying.basis.tobytes()) for c in closed] == [
+            (c.underlying.basis.dtype, c.underlying.basis.tobytes()) for c in eliminated]
+
+
+def test_covers_make_no_elimination(monkeypatch):
+    words = [random_multispace(field(p, e), n, np.random.default_rng(seed))
+             for p, e, n in [(2, 1, 5), (3, 1, 4), (2, 2, 3), (257, 1, 2)] for seed in range(4)]
+    want = [(covering_neighbors(w), covered_neighbors(w)) for w in words]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    for module, name in [
+        (linalg, "rref_array"),
+        (linalg.Subspace, "_span"),
+        (lattice, "enumerate_subspaces"),
+        (linalg, "enumerate_subspaces"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    assert [(covering_neighbors(w), covered_neighbors(w)) for w in words] == want
 
 
 def test_meet_join_are_glb_lub_small():
