@@ -17,11 +17,12 @@ _Draws reads each trial's raw PCG64 words ahead and maps them as numpy
 would, each stage makes its draws for all the block's trials, rejection
 sampling ranks each round of candidates with one rank_batch call (one
 sampler, _full_rank, for a stage's one matrix or its two of transposed
-shapes, at any trial count and field), multispans are one batched
-elimination and distances one paired call, while every trial takes the
-draws of a one-trial loop.  A block comes out as columns (sent indices,
-received words as one stack, distances, bound checks); one summary reads
-them for both entry points, and only run_trials builds TrialRecords.
+shapes, at any trial count and field), the stages act on coordinates in the
+sent basis, so received spaces lie in the sent ones by construction (a serial
+test loop checks it), and every trial takes the draws of a one-trial loop.  A
+block comes out as columns (sent indices, received words, distances, bound
+checks); one summary reads them for both entry points, and only run_trials
+builds TrialRecords.
 """
 
 import collections
@@ -494,16 +495,16 @@ def _plan(mode: str, random_generator: bool) -> tuple:
     return stages, *map(sum, zip(*(stage.window for stage in stages)))
 
 
-def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np.ndarray):
+def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, coords: np.ndarray):
     """The stack of received words, the distances and the bound checks of one block of trials.
 
-    Trial t sends row t of the stack sent, whose generating multiset is
-    gens[t, :m] for its rank m, and takes trial t of draws: first the
-    stages' draws, in a single trial's order and each for the whole block,
-    then the stages in order.  Arrays are zero-padded; zero rows change no
-    rank.  A trial is ok when least <= d <= most, by _channel, and the
-    received space lies in the sent one, as every stage's vectors combine
-    the ones it got: just then paired's dim(W + X) is dim W.
+    Trial t sends row t of sent, U of RREF basis B and height h, as coords[t, :m] B
+    for its rank m, and takes trial t of draws: the stages' draws, in a single
+    trial's order and each for the whole block, then the stages, on zero-padded
+    arrays.  A stage maps vectors C B to T^T C B, so it acts on C alone.  B holds
+    the identity at its pivots p, so a member v of U is v[p] B, and R B for R =
+    RREF(C) of rank r is in RREF, as H B at lattice.covered_neighbors: dim r,
+    height L - r for L vectors, inside U; d = dim U - r + |h - (L - r)|.
 
     Windows add.  With W_i the word after stage i of k, d(W_(i-1), W_i) <=
     most_i s (module docstring), so d(W_0, W_k) <= sum most_i s by the
@@ -515,11 +516,12 @@ def _channel_block(cfg: ChannelConfig, draws: _Draws, sent: _WordStack, gens: np
     ws = [ms - drop * s for drop in itertools.accumulate((stage.window[1] for stage in stages), initial=0)]
     drawn = [stage.draw(ctx, draws, w, s) for stage, w in zip(stages, ws)]  # w: the length before each stage
     for stage, w, mats in zip(stages, ws, drawn):
-        gens = stage.run(ctx, gens, w, s, *mats)
-    bases, ranks = rref_batch(ctx, gens)  # the received word's rank; its height is its length - rank
-    stack = _WordStack(ctx, sent.n, bases[:, : ranks.max()], ranks, ws[-1] - ranks)
-    d, joins = sent.paired(stack)
-    return stack, d, (least <= d) & (d <= most) & (joins == sent.dims)
+        coords = stage.run(ctx, coords, w, s, *mats)
+    reduced, ranks = rref_batch(ctx, coords)
+    bases = matmul_arrays(ctx, reduced[:, : ranks.max()], sent.bases[:, : coords.shape[2]])
+    stack = _WordStack(ctx, sent.n, bases, ranks, ws[-1] - ranks)
+    d = sent.dims - ranks + np.abs(sent.heights - stack.heights)
+    return stack, d, (least <= d) & (d <= most)
 
 
 def _block_size(m_max: int, n: int) -> int:
@@ -529,21 +531,20 @@ def _block_size(m_max: int, n: int) -> int:
     return max(1, min(_BLOCK, DEFAULT_STATE_LIMIT // max(1, m_max * max(m_max, n))))
 
 
-def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray | None = None):
+def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, coords: np.ndarray | None = None):
     """Yield (sent indices, received stack, distances, bound checks) of each
     block of trials, in order, as arrays with one row per trial.
 
-    Word i is row i of stack.  Its generating multiset of m = rank rows is
-    gens[i, :m] when the caller has explicit generators, and otherwise the
-    canonical one, its basis and then zero rows, which each block pads from
-    its sent rows.  Each trial's first draw is integers(len(stack)), the
-    index of the word it sends; a stack of one word takes no draw.  Trials
-    run in blocks of _block_size(largest m, n): every word of a block is
-    picked and rank-checked before any channel draw, its rows and
-    generators are taken by index, and the block's draws, multispans and
-    distances are batched, so memory grows with the block, not the trials.
-    No Multispace is built.  The m x m channel matrices of the largest m
-    are refused past the entry budget before the first trial.
+    Word i is row i of stack, of RREF basis B, sent as coords[i, :m] B for its
+    rank m when the caller has explicit generators, and otherwise as its basis
+    and then zero rows, [I; 0] B.  Each trial's first draw is integers(len(stack)),
+    the index of the word it sends; a stack of one word takes no draw.  Trials
+    run in blocks of _block_size(largest m, n): every word of a block is picked
+    and rank-checked before any channel draw, its rows and coordinates are
+    taken by index, and the block's draws, eliminations and products are
+    batched, so memory grows with the block, not the trials.  No Multispace is
+    built.  The m x m channel matrices of the largest m are refused past the
+    entry budget before the first trial.
     """
     top = int((stack.dims + stack.heights).max())
     _check_budget(top ** 2, "channel matrix entries")
@@ -557,12 +558,11 @@ def _trial_blocks(cfg: ChannelConfig, stack: _WordStack, gens: np.ndarray | None
         ms = sent.dims + sent.heights
         for m in ms[ms < need][:1].tolist():  # the first short rank, if any
             cfg.check_rank(m)
-        if gens is None:  # each basis, then zero rows; basis rows past the block's largest rank are padding
-            rows = np.zeros((len(ms), ms.max(), stack.n), dtype=np.int64)
-            depth = min(ms.max(), sent.bases.shape[1])
-            rows[:, :depth] = sent.bases[:, :depth]
+        if coords is None:  # [I_k; 0] for each word of dim k, to the block's largest m and dim
+            k = sent.dims.max()
+            rows = np.eye(ms.max(), k, dtype=np.int64) * (np.arange(k) < sent.dims[:, None, None])
         else:
-            rows = gens[picked, : ms.max()]
+            rows = coords[picked, : ms.max()]
         yield picked, *_channel_block(cfg, draws, sent, rows)
 
 
@@ -602,13 +602,14 @@ def run_trials(target, cfg: ChannelConfig) -> ChannelRun:
     """
     cfg.validate()
     if isinstance(target, VectorMultiset):
-        sent, gens = mspan(target), target.matrix[None]
+        sent = mspan(target)
+        coords = target.matrix[:, list(sent.underlying.pivots)][None]
     elif isinstance(target, Multispace):
-        sent, gens = target, None
+        sent, coords = target, None
     else:
         raise TypeError("target must be a Multispace or VectorMultiset")
     cfg.check_rank(sent.rank)
-    blocks = list(_trial_blocks(cfg, _WordStack.of([sent]), gens))
+    blocks = list(_trial_blocks(cfg, _WordStack.of([sent]), coords))
     _, loss, _, bound = _channel(cfg)  # rank(T_eff) = m - loss in closed form
     t_rank = sent.rank - loss
     trials = (t for _, stack, d, ok in blocks for t in zip(stack.words(), d.tolist(), ok.tolist()))

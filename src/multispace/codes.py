@@ -176,7 +176,7 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
                 # distance >= 2, so only d_min > 2 strikes; elimination pairs only live words
                 if d_min > 2:
                     live = slice(None) if words.masks is not None else np.flatnonzero(alive)
-                    alive[live] &= words[idx].paired(words[live])[0] >= d_min
+                    alive[live] &= words[idx].paired(words[live]) >= d_min
         kept.extend(words[keep])
     words = kept.words()
     order = sorted(range(len(words)), key=lambda i: words[i].sort_key())
@@ -186,7 +186,7 @@ def greedy_code(ctx: FieldCtx, n: int, m_max: int, d_min: int, seed: int = 0) ->
 def exhaustive_optimal_code(ctx: FieldCtx, n: int, m_max: int, d_min: int) -> MultispaceCode:
     """Maximum-cardinality code by branch-and-bound max clique.
 
-    The compatibility graph joins pairs at distance >= d_min; a code is
+    The compatibility graph links pairs at distance >= d_min; a code is
     exactly a clique.  Certified optimal; ground set capped at CLIQUE_LIMIT,
     which is checked on the counting formula before anything is enumerated.
     The ground set is the rank layers 0..m_max stacked in order, and only the

@@ -313,13 +313,12 @@ class _WordStack:
     bases, depth at least every dim, with (T,) arrays of their dims and
     heights; or one word, as its basis, dim and height, shared by every row.
 
-    The one place that measures distance on a batch, as
-    d = 2 dim(W + X) - dim W - dim X + |ht W - ht X|.  When q^n <= MASK_VECTORS
-    each word's subspace is also a uint64 membership mask, bit sum v_i q^i set
-    iff v is a member, read from the subspace table or built with the stack;
-    then |W ^ X| = popcount(w & x) is a power of q and
-    dim(W + X) = dim W + dim X - log_q |W ^ X| needs no elimination.  Larger
-    spaces take rank [W; X] = dim(W + X) from one rank_batch.
+    paired measures a batch of distances d = 2 dim(W + X) - dim W - dim X +
+    |ht W - ht X|.  When q^n <= MASK_VECTORS each word's subspace is also a
+    uint64 membership mask, bit sum v_i q^i set iff v is a member, read from
+    the subspace table or built with the stack; then |W ^ X| = popcount(w & x)
+    is a power of q and dim(W + X) = dim W + dim X - log_q |W ^ X| needs no
+    elimination.  Larger spaces take rank [W; X] = dim(W + X) from one rank_batch.
     """
 
     __slots__ = ("ctx", "n", "bases", "dims", "heights", "masks")
@@ -388,8 +387,8 @@ class _WordStack:
         self.dims = np.concatenate([self.dims, rows.dims])
         self.heights = np.concatenate([self.heights, rows.heights])
 
-    def paired(self, other: "_WordStack") -> tuple[np.ndarray, np.ndarray]:
-        """(distance(W, X), dim(W + X)) for row t of this stack, W, and row t of other, X.
+    def paired(self, other: "_WordStack") -> np.ndarray:
+        """distance(W, X) for row t of this stack, W, and row t of other, X.
 
         The rows broadcast as numpy arrays do: a one-word view (an int index)
         pairs with every row of a stack, and a (T, 1) view with a (U,) stack
@@ -400,15 +399,15 @@ class _WordStack:
             raise LimitExceeded("heights of 2^62 or more exceed the distance kernel's int64 limit")
         if self.masks is not None:
             meets = _log_table(self.ctx.q)[np.bitwise_count(self.masks & other.masks)]
-            joins = self.dims + other.dims - meets
+            sums = self.dims + other.dims - meets
         else:
             lead = np.broadcast_shapes(np.shape(self.dims), np.shape(other.dims))
             depth = self.bases.shape[-2]
             pairs = np.empty((*lead, depth + other.bases.shape[-2], self.n), dtype=np.int64)
             pairs[..., :depth, :] = self.bases  # broadcast over the other side, uncopied until here
             pairs[..., depth:, :] = other.bases
-            joins = rank_batch(self.ctx, pairs.reshape(math.prod(lead), *pairs.shape[-2:])).reshape(lead)
-        return 2 * joins - self.dims - other.dims + np.abs(self.heights - other.heights), joins
+            sums = rank_batch(self.ctx, pairs.reshape(math.prod(lead), *pairs.shape[-2:])).reshape(lead)
+        return 2 * sums - self.dims - other.dims + np.abs(self.heights - other.heights)
 
     def cross_blocks(self, other: "_WordStack"):
         """Yield (rows, columns, distances): the (T, U) distance matrix of every
@@ -426,7 +425,7 @@ class _WordStack:
         for r in range(0, len(self.dims), rows):
             for c in range(0, len(other.dims), cols):
                 row, col = slice(r, r + rows), slice(c, c + cols)
-                yield row, col, self[row, None].paired(other[col])[0]
+                yield row, col, self[row, None].paired(other[col])
 
     def cross(self, other: "_WordStack") -> np.ndarray:
         """The (T, U) matrix of distance(W, X) for every row W of this stack and X of other."""

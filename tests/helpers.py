@@ -419,15 +419,19 @@ LOSS_AND_BOUND = {"full-rank": (0, 0), "deletion": (1, 1), "rank-deficient": (1,
 
 
 def _serial_trial_ok(cfg, sent, received, d) -> bool:
+    """Each mode's window and received rank, and the received space inside the sent one, found
+    over all n columns."""
+    if not received.underlying <= sent.underlying:
+        return False
     if cfg.mode == "full-rank":
         return received == sent
     if cfg.mode == "deletion":
         return d == cfg.s
     if cfg.mode == "rank-deficient":
-        return d <= 2 * cfg.s and received.rank == sent.rank and received.underlying <= sent.underlying
+        return d <= 2 * cfg.s and received.rank == sent.rank
     # compound: deletion at exactly s, then the rank-deficient 2s, keep the received word
-    # within s..3s of the sent one, inside it, and of rank m - s
-    return cfg.s <= d <= 3 * cfg.s and received.rank == sent.rank - cfg.s and received.underlying <= sent.underlying
+    # within s..3s of the sent one and of rank m - s
+    return cfg.s <= d <= 3 * cfg.s and received.rank == sent.rank - cfg.s
 
 
 def serial_trial_loop(cfg, pick, code=None, max_tries=1000) -> ChannelRun:

@@ -60,6 +60,8 @@ SHAPES = f"{CHANNEL}::test_full_rank_takes_the_serial_draws_at_any_shapes"
 TWO_CALLS = f"{CHANNEL}::test_two_matrices_take_the_draws_of_two_single_calls"
 LIST_READS = f"{QPOLY}::test_the_list_reads_match_the_array_gathers"
 ORACLE_MAP = f"{QPOLY}::test_encode_and_decode_match_the_scalar_oracle_on_every_element"
+RECEIVED_INSIDE = f"{CHANNEL}::test_received_spaces_lie_in_the_sent_one_as_the_serial_loop_finds"
+ONE_CALL_PER_BLOCK = f"{LATTICE}::test_pairwise_and_cross_make_one_paired_call_per_block"
 MUTANTS = (
     Mutant("deficient-window-top", "channel.py", "_deficient, (1, 0, 2))", "_deficient, (1, 0, 3))", (CHANNEL,),
            "a rank w - s matrix moves the word at most 2s; a looser window hides violations"),
@@ -67,10 +69,22 @@ MUTANTS = (
            "least is also the drop in the multiset's length, so the received heights follow it"),
     Mutant("delete-window-top", "channel.py", "_delete, (1, 1, 1))", "_delete, (1, 1, 2))", (CHANNEL,),
            "deleting s vectors moves the word exactly s"),
-    Mutant("drop-containment-check", "channel.py", "(d <= most) & (joins == sent.dims)", "(d <= most)", (CHANNEL,),
-           "criterion 7: the received space lies inside the sent one, also inside the window"),
     Mutant("drop-least-check", "channel.py", "(least <= d) & (d <= most)", "(d <= most)", (CHANNEL,),
-           "a distance below the window is a fault of the distance kernel"),
+           "a distance below the window is a violation"),
+    Mutant("coordinates-from-leading-columns", "channel.py", "target.matrix[:, list(sent.underlying.pivots)]",
+           "target.matrix[:, : sent.dim]", (RECEIVED_INSIDE,),
+           "B holds the identity at its pivot columns, so a member's coordinates are its entries there"),
+    Mutant("distance-drops-the-height-term", "channel.py",
+           "d = sent.dims - ranks + np.abs(sent.heights - stack.heights)", "d = sent.dims - ranks", (CHANNEL,), "d = d_S(U, V) + |h - t|, and d_S = dim U - dim V as V lies in U"),
+    Mutant("identity-rows-past-the-dim", "channel.py", "(np.arange(k) < sent.dims[:, None, None])",
+           "(np.arange(k) < ms[:, None, None])", (RECEIVED_INSIDE,),
+           "a word of dim k is [I_k; 0] B: rows past k are zero, or they raise the rank of C"),
+    Mutant("coordinates-eliminated-over-n", "channel.py",
+           "bases = matmul_arrays(ctx, reduced[:, : ranks.max()], sent.bases[:, : coords.shape[2]])",
+           "bases = rref_batch(ctx, matmul_arrays(ctx, reduced[:, : ranks.max()],"
+           " sent.bases[:, : coords.shape[2]]))[0]",
+           (f"{CHANNEL}::test_a_block_eliminates_only_its_coordinates_and_pairs_no_words",),
+           "RREF(C) B is already in RREF: no elimination runs over the n columns", speed=True),
     Mutant("sampler-accepts-any-candidate", "channel.py",
            "ok = ranks == np.minimum(r, c)[:, None, None]", "ok = ranks >= 0", (CHANNEL,),
            "a singular channel matrix loses rank the mode does not allow"),
@@ -93,9 +107,18 @@ MUTANTS = (
            (CHANNEL,), "a trial applies the mix, then the channel matrix, as the serial loop draws them"),
     Mutant("height-limit-2-63", "lattice.py", "HEIGHT_LIMIT = 1 << 62", "HEIGHT_LIMIT = 1 << 63",
            ("tests/test_lattice.py",), "heights from 2^62 overflow the int64 distance kernel"),
-    Mutant("paired-plus-meets", "lattice.py", "joins = self.dims + other.dims - meets",
-           "joins = self.dims + other.dims + meets", ("tests/test_lattice.py",),
+    Mutant("paired-plus-meets", "lattice.py", "sums = self.dims + other.dims - meets",
+           "sums = self.dims + other.dims + meets", ("tests/test_lattice.py",),
            "dim(U + V) = dim U + dim V - dim(U meet V) on the masked path"),
+    Mutant("pairwise-rows-one", "lattice.py", "_PAIRWISE_ROWS = 16", "_PAIRWISE_ROWS = 1", (ONE_CALL_PER_BLOCK,),
+           "pairwise crosses blocks of 16 rows with their tails, not one row at a time", speed=True),
+    Mutant("cross-columns-uncapped", "lattice.py", "min(len(other.dims), DEFAULT_STATE_LIMIT // max(1, per_pair))",
+           "DEFAULT_STATE_LIMIT // max(1, per_pair)", (ONE_CALL_PER_BLOCK,),
+           "columns past the other stack's length leave room for one row per block, one call per row", speed=True),
+    Mutant("tables-evict-at-the-limit", "lattice.py", "for kept in _TABLES.values()) > DEFAULT_STATE_LIMIT:",
+           "for kept in _TABLES.values()) >= DEFAULT_STATE_LIMIT:",
+           (f"{LATTICE}::test_the_kept_tables_stay_within_the_state_limit",),
+           "tables that fill the limit exactly are kept"),
     Mutant("views-drop-masks", "lattice.py", "None if self.masks is None else self.masks[index])", "None)",
            (CHANNEL,), "views share their stack's masks instead of rebuilding them", speed=True),
     Mutant("clique-bound-ties", "codes.py", "if size + colour <= omega:", "if size + colour < omega:", (CODES,),
@@ -170,6 +193,10 @@ MUTANTS = (
     Mutant("height-drop-from-2", "lattice.py", "(w.height > 0)", "(w.height > 1)",
            (f"{ACCEPTANCE}::test_criterion_04_cover_numbers",),
            "every word of height 1 or more covers its height drop"),
+    Mutant("greedy-strikes-only-live-words", "codes.py",
+           "live = slice(None) if words.masks is not None else np.flatnonzero(alive)", "live = np.flatnonzero(alive)",
+           (f"{CODES}::test_greedy_strikes_a_masked_layer_whole_and_eliminates_only_live_words",),
+           "on masks a strike pairs the whole layer, a popcount with no gather of the live words", speed=True),
     Mutant("greedy-strikes-from-4", "codes.py", "if d_min > 2:", "if d_min > 3:",
            (f"{ACCEPTANCE}::test_criterion_08_coding_suite",),
            "distinct words of one rank can lie at distance 2 < d_min = 3, so a kept word strikes its layer"),

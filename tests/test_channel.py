@@ -1,4 +1,5 @@
 import itertools
+import signal
 import tracemalloc
 from types import SimpleNamespace
 
@@ -50,7 +51,7 @@ from multispace.lattice import (
     enumerate_multispaces,
     mspan,
 )
-from multispace.linalg import DEFAULT_STATE_LIMIT, Subspace, rref_array, subspace_leq
+from multispace.linalg import DEFAULT_STATE_LIMIT, Subspace, matmul_arrays, rref_array, subspace_leq
 
 F2 = field(2)
 F3 = field(3)
@@ -1038,68 +1039,96 @@ def test_each_mode_takes_its_rank_loss_and_distance_window(s, random_generator):
     assert {mode: channel._channel(ChannelConfig(mode, 1, s, 0, random_generator))[1:] for mode in MODES} == want
 
 
-def test_a_distance_below_the_window_is_flagged(monkeypatch):
-    # a deleted word's length puts it at least s from the sent one, so only a faulty
-    # distance falls below the window; one that reads d - 1 is caught by the least end
-    paired = _WordStack.paired
+@pytest.mark.parametrize("least, most", [(1, 0), (0, -1)], ids=["below", "above"])
+def test_a_distance_outside_the_window_is_flagged(monkeypatch, least, most):
+    # deletion moves the word exactly s; a window whose least end is raised past s, or
+    # whose largest end is lowered below it, leaves every trial outside it
+    channel_of = channel._channel
 
-    def short(self, other):
-        d, joins = paired(self, other)
-        return d - 1, joins
+    def moved(cfg):
+        stages, loss, low, high = channel_of(cfg)
+        return stages, loss, low + least, high + most
 
-    monkeypatch.setattr(_WordStack, "paired", short)
+    monkeypatch.setattr(channel, "_channel", moved)
     run = run_trials(Multispace(Subspace.full(F3, 2), 2), ChannelConfig("deletion", trials=5, s=1, seed=0))
-    assert run.summary.violations == 5 and run.summary.histogram == {0: 5}
+    assert run.summary.violations == 5 and run.summary.histogram == {1: 5}
+    assert not any(record.bound_satisfied for record in run.records)
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("ctx", [F2, F3], ids=["masked", "past the mask limit"])
-def test_a_received_space_outside_the_sent_one_is_flagged_inside_the_window(monkeypatch, ctx):
-    """Rank-deficient s = 1 on (U, 1), dim U = 2: where the received space is U,
-    one received basis row is swapped for a vector outside U.  Then d = 2 lies
-    inside [0, 2s], so only the containment check can flag the trial."""
-    sent = Multispace(Subspace.from_array(ctx, 4, [[1, 1, 0, 0], [0, 0, 1, 0]]), 1)
-    eliminate, tampered = channel.rref_batch, []
+def test_received_spaces_lie_in_the_sent_one_as_the_serial_loop_finds(ctx, mode):
+    """Records equal to the serial loop's, which eliminates each received word
+    over all n columns and checks that its space lies in the sent one, for the
+    canonical generators and for explicit ones whose leading columns hold no
+    pivot: the sent space of GF(q)^4 has pivots 1 and 3."""
+    rng = np.random.default_rng(ctx.q)
+    basis = Subspace.from_array(ctx, 4, [[0, 1, 1, 0], [0, 0, 0, 1]])
+    assert basis.pivots == (1, 3)
+    gen = VectorMultiset(ctx, 4, matmul_arrays(ctx, rng.integers(0, ctx.q, (5, 2)), basis.basis))
+    words = (Multispace(basis, 2), mspan(gen), Multispace(Subspace.full(ctx, 4), 0),
+             Multispace(Subspace.from_array(ctx, 4, [[0, 0, 1, 1]]), 3))
+    code = MultispaceCode(ctx, 4, 5, words)
+    for target, sent in [(words[0], words[0]), (gen, words[1])]:
+        for random_generator in (False, True):
+            cfg = ChannelConfig(mode, 60, min(1, NEED_PER_S[mode]), seed=11, random_generator=random_generator)
+            _check_both_entry_points(target, code, cfg)
+            run = run_trials(target, cfg)
+            assert run.summary.violations == 0
+            assert all(record.received.underlying <= sent.underlying for record in run.records)
 
-    def tamper(ctx, a):
-        bases, ranks = eliminate(ctx, a)
-        whole = np.flatnonzero(ranks == 2)  # received space U, basis [1 1 0 0; 0 0 1 0]
-        bases[whole, 0] = [0, 1, 0, 0]  # zero at both pivots, so outside U
-        tampered.extend(whole.tolist())
-        return bases, ranks
 
-    monkeypatch.setattr(channel, "rref_batch", tamper)
-    run = run_trials(sent, ChannelConfig("rank-deficient", trials=20, s=1, seed=3))
-    assert 0 < len(tampered) < 20 and run.summary.violations == len(tampered)
-    assert [i for i, record in enumerate(run.records) if not record.bound_satisfied] == tampered
-    assert all(run.records[i].distance == 2 for i in tampered)  # inside the window
-
-
-@pytest.mark.parametrize("ctx, n", [(F2, 4), (F3, 4)], ids=["masked", "past the mask limit"])
-def test_a_received_row_outside_the_sent_space_is_measured(monkeypatch, ctx, n):
-    sent = Multispace(Subspace.from_array(ctx, n, [[1, 1, 0, 0], [0, 0, 1, 0]]), 1)
-    outside = np.array([0, 1, 0, 0])  # zero at both pivots, so no member of the sent space
+@pytest.mark.parametrize("mode,s", [("full-rank", 0), ("deletion", 1), ("rank-deficient", 1), ("compound", 1)])
+def test_a_block_eliminates_only_its_coordinates_and_pairs_no_words(monkeypatch, mode, s):
+    """Each block makes one elimination, of the coordinates of its received
+    vectors in the sent bases: no wider than the block's largest dim, far below
+    n = 9, and no paired call."""
+    widths = []
     eliminate = channel.rref_batch
 
-    def tampered(ctx, a):
-        bases, ranks = eliminate(ctx, a)
-        bases[0, 0] = outside  # trial 0's first received basis row
-        return bases, ranks
+    def spy(ctx, a):
+        widths.append(a.shape[2])
+        return eliminate(ctx, a)
 
-    pairings = []
-    paired = _WordStack.paired
+    def unpaired(self, other):
+        raise AssertionError("the channel paired two stacks")
 
-    def spy(self, other):
-        pairings.append(paired(self, other))
-        return pairings[-1]
+    monkeypatch.setattr(channel, "rref_batch", spy)
+    monkeypatch.setattr(_WordStack, "paired", unpaired)
+    words = (Multispace(Subspace.from_array(F3, 9, np.eye(9, dtype=np.int64)[:3]), 2),
+             Multispace(Subspace.from_array(F3, 9, [[1, 2, 0, 0, 1, 0, 0, 0, 2]]), 3),
+             Multispace(Subspace.zero(F3, 9), 4))
+    stack = _WordStack.of(words)
+    cfg = ChannelConfig(mode, channel._BLOCK + 40, s, seed=2)
+    picked = [sent for sent, _, _, _ in channel._trial_blocks(cfg, stack)]
+    assert widths == [int(stack.dims[sent].max()) for sent in picked] and max(widths) == 3
+    gen = VectorMultiset(F3, 9, [[0, 1, 1, 0, 0, 0, 0, 2, 1], [0, 2, 2, 0, 0, 0, 0, 1, 2], [0, 0, 0, 0, 1, 1, 0, 0, 0]])
+    widths.clear()
+    run_trials(gen, ChannelConfig(mode, 20, s, seed=2))
+    assert widths == [2]
 
-    monkeypatch.setattr(channel, "rref_batch", tampered)
-    monkeypatch.setattr(_WordStack, "paired", spy)
-    run = run_trials(sent, ChannelConfig("full-rank", trials=5, seed=2))
-    [(d, joins)] = pairings
-    assert d.tolist() == [distance(sent, record.received) for record in run.records]
-    assert joins[0] == sent.dim + 1 and (joins[1:] == sent.dim).all()
-    assert run.summary.violations == 1 and not run.records[0].bound_satisfied
-    assert run.records[0].distance == d[0] > 0
+
+def test_a_packet_sized_word_crosses_the_channel_within_two_seconds():
+    """128 deletion trials of a rank-20 word (dim 16, height 4) of GF(2^8)^256,
+    under a wall-clock alarm: eliminating each received word over the 256
+    columns and pairing it with the sent one took about 5 s.  Every received
+    space, checked once per distinct word, lies in the sent one."""
+    ctx = field(2, 8)
+    sent = Multispace(Subspace.from_array(ctx, 256, np.random.default_rng(4).integers(0, 256, (16, 256))), 4)
+    assert sent.dim == 16
+
+    def overrun(signum, frame):
+        pytest.fail("128 packet-sized trials still ran after 2 s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        run = run_trials(sent, ChannelConfig("deletion", trials=128, s=2, seed=0))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert run.summary.violations == 0 and run.summary.histogram == {2: 128}
+    assert all(word.underlying <= sent.underlying for word in {record.received for record in run.records})
 
 
 def test_each_stack_is_masked_once_and_decoding_reuses_the_received_masks(monkeypatch):

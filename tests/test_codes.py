@@ -42,6 +42,7 @@ from multispace.lattice import (
     Multispace,
     _WordStack,
     count_covering,
+    count_multispaces,
     distance,
     enumerate_multispaces,
     enumerate_multispaces_up_to,
@@ -305,6 +306,25 @@ def test_greedy_strikes_layers_over_several_cross_blocks(ctx, n, m_max, d_min):
     with mock.patch.object(lattice, "DEFAULT_STATE_LIMIT", 40):
         code = greedy_code(ctx, n, m_max, d_min, seed=1)
     assert code.codewords == serial_greedy_code(ctx, n, m_max, d_min, 1)
+
+
+@pytest.mark.parametrize("ctx, n", [(F2, 4), (F3, 4)], ids=["masked", "past the mask limit"])
+def test_greedy_strikes_a_masked_layer_whole_and_eliminates_only_live_words(monkeypatch, ctx, n):
+    # the work, not the code: on masks a kept word strikes its whole layer, a popcount with no
+    # gather, while an elimination pairs it only with the words still alive
+    sizes = []
+    paired = _WordStack.paired
+
+    def spy(self, other):
+        if np.ndim(self.dims) == 0:  # one kept word against its layer
+            sizes.append(len(other.dims))
+        return paired(self, other)
+
+    monkeypatch.setattr(_WordStack, "paired", spy)
+    code = greedy_code(ctx, n, 2, 3, seed=1)
+    assert code.codewords == serial_greedy_code(ctx, n, 2, 3, 1)
+    layers = {count_multispaces(n, m, ctx.q) for m in range(3)}
+    assert len(sizes) > 2 and (set(sizes) <= layers) == (ctx.q ** n <= 64)
 
 
 def test_greedy_needs_a_nonnegative_dimension():

@@ -217,10 +217,8 @@ def test_pairwise_distances_match_distance_loop(q, n, kinds, zero_dims, seed):
     xstack, ystack = _WordStack.of(xs), _WordStack.of(ys)
     assert (xstack.masks is not None) == (q ** n <= MASK_VECTORS)
 
-    def check(got, pairs):
-        d, joins = got
+    def check(d, pairs):
         assert d.dtype == np.int64 and d.tolist() == [distance(a, b) for a, b in pairs]
-        assert joins.tolist() == [(a.underlying + b.underlying).dim for a, b in pairs]
 
     check(xstack.paired(ystack), list(zip(xs, ys)))  # row t against row t, the channel's pairing
     for i, x in enumerate(xs):  # a row view shared by every row of a stack, and of a slice of it
@@ -235,6 +233,27 @@ def test_pairwise_distances_over_several_row_blocks(ctx, n, m):
     words = list(enumerate_multispaces(ctx, n, m))
     assert len(words) > 2 * lattice._PAIRWISE_ROWS
     assert pairwise_distances(words).tolist() == [[distance(a, b) for b in words] for a in words]
+
+
+@pytest.mark.parametrize("ctx, n", [(F2, 4), (F3, 4)], ids=["masked", "past the mask limit"])
+def test_pairwise_and_cross_make_one_paired_call_per_block(monkeypatch, ctx, n):
+    # the work, not the outputs: pairwise crosses each block of 16 rows with its tail in one
+    # call, and a cross within the entry limit is one call whatever its shape
+    words = list(enumerate_multispaces(ctx, n, 2))[:40]
+    calls = []
+    paired = _WordStack.paired
+
+    def spy(self, other):
+        calls.append(np.broadcast_shapes(np.shape(self.dims), np.shape(other.dims)))
+        return paired(self, other)
+
+    monkeypatch.setattr(_WordStack, "paired", spy)
+    stack = _WordStack.of(words)
+    assert stack.pairwise().tolist() == [[distance(a, b) for b in words] for a in words]
+    assert calls == [(16, 40), (16, 24), (8, 8)]
+    calls.clear()
+    stack.cross(stack[:7])
+    assert calls == [(40, 7)]
 
 
 def test_the_distance_kernel_takes_heights_below_2_62_and_refuses_them_from_it():
@@ -345,11 +364,10 @@ def test_paired_measures_words_inside_and_outside_their_partners(q, n, size, out
     w, x = _padded_stack(ctx, n, ws, pads[0]), _padded_stack(ctx, n, xs, pads[1])
     rows = np.arange(size)
     for i, j in [(rows, rows), (0, rows), (rows, size - 1), (0, 0), (rows[:, None], rows), (rows, rows[::-1])]:
-        d, joins = w[i].paired(x[j])
+        d = w[i].paired(x[j])
         i, j = np.broadcast_arrays(i, j)
-        assert np.shape(d) == np.shape(joins) == i.shape
-        want = [(distance(ws[a], xs[b]), join(ws[a], xs[b]).dim) for a, b in zip(i.ravel(), j.ravel())]
-        assert list(zip(np.ravel(d).tolist(), np.ravel(joins).tolist())) == want
+        assert np.shape(d) == i.shape
+        assert np.ravel(d).tolist() == [distance(ws[a], xs[b]) for a, b in zip(i.ravel(), j.ravel())]
 
 
 @pytest.mark.parametrize("ctx, n", [(F2, 6), (F3, 3), (F4, 3), (F16, 1), (F2, 0), (F2, 7), (F3, 4)])
@@ -496,11 +514,12 @@ def test_cached_arrays_are_read_only():
                     a[...] = 0
 
 
-@pytest.mark.parametrize("limit", [1, 100, 700, 5000])
+@pytest.mark.parametrize("limit", [1, 100, 118, 700, 5000])
 def test_the_kept_tables_stay_within_the_state_limit(limit):
     # F2^3 to depth 2 holds 15 x 2 x 3 = 90 basis entries and F3^4 to depth 2 holds
     # 171 x 2 x 4 = 1368: a small limit keeps some tables or none, evicting the least
-    # recently used, and outputs do not change
+    # recently used, and outputs do not change; F4^2's 28 and F2^3's 90 fill 118 exactly,
+    # and tables that fill the limit are all kept
     cases = [(F2, 3, 2), (F3, 4, 2), (F2, 3, 1), (F4, 2, 2), (F2, 4, 3), (F2, 3, 2)]
     want = [(list(enumerate_multispaces(ctx, n, m)), gamma_by_elements(ctx, n, m)[1]) for ctx, n, m in cases]
     with mock.patch.object(lattice, "_TABLES", OrderedDict()), mock.patch.object(lattice, "DEFAULT_STATE_LIMIT", limit):
@@ -511,7 +530,7 @@ def test_the_kept_tables_stay_within_the_state_limit(limit):
             if (ctx, n) in lattice._TABLES:
                 assert list(lattice._TABLES)[-1] == (ctx, n)  # the one just read is the most recent
         kept = list(lattice._TABLES)
-    assert kept == {1: [], 100: [(F2, 3)], 700: [(F4, 2), (F2, 3)],
+    assert kept == {1: [], 100: [(F2, 3)], 118: [(F4, 2), (F2, 3)], 700: [(F4, 2), (F2, 3)],
                     5000: [(F3, 4), (F4, 2), (F2, 4), (F2, 3)]}[limit]
 
 

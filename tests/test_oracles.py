@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from multispace import codes
 from multispace.fields import field
 from multispace.lattice import enumerate_multispaces_up_to, gamma_graph, is_distance_regular, pairwise_distances
-from multispace.linalg import matmul_arrays, rank_batch, rref_array
+from multispace.linalg import matmul_arrays, rank_batch, rref_array, rref_batch
 
 FIELDS = [field(2), field(3), field(5), field(7), field(2, 2), field(3, 2)]
 
@@ -69,12 +69,14 @@ def test_ranks_and_rref_match_sympy(ctx, batch, rows, cols, inner, seed):
     a[batch // 2 :] = low[batch // 2 :]
     want = [_sympy_matrix(ctx, m).rank() for m in a]
     assert rank_batch(ctx, a).tolist() == want
-    for m, rank in zip(a, want):
+    stacked, ranks = rref_batch(ctx, a)  # the channel's received bases are this times the sent ones
+    assert ranks.tolist() == want
+    for m, rank, batched in zip(a, want, stacked):
         red, got, pivots = rref_array(ctx, m)
         if rows and cols:
             form, their_pivots = _sympy_matrix(ctx, m).rref()
             assert (got, pivots) == (rank, list(their_pivots))
-            assert red.tolist() == [[SYMPY[ctx][1].index(x) for x in row] for row in form.to_list()]
+            assert red.tolist() == batched.tolist() == [[SYMPY[ctx][1].index(x) for x in row] for row in form.to_list()]
         else:
             assert got == rank == 0
 
